@@ -8,10 +8,9 @@
 //! plus the **large-codebook cleanup** cells — `cleanup_indexed` at 10^4 and 10^5
 //! rows (10^6 with `BENCH_LARGE=1`), pitting the pruned exact `CleanupIndex` scan
 //! (`packed`) against the flat linear packed scan (`reference`) — plus the
-//! **resonator-fusion** cells: `resonate_iter` (one full fused resonator iteration
-//! vs the split three-pass sequence at d=4096) and `solve_batch_fused` /
-//! `solve_batch_split` (the planned solver with the iteration `FusionMode` forced
-//! each way) — prints the speedup table, and writes the raw
+//! **resonator-iteration** cell `resonate_iter` (one full fused resonator iteration
+//! vs the split three-pass sequence of reference kernels at d=4096) — prints the
+//! speedup table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
 //! trajectory is tracked across PRs.
@@ -26,17 +25,11 @@
 //! printed first so CI logs record which dispatch path produced the numbers; with
 //! `BENCH_REQUIRE_SIMD=1` the run fails outright when dispatch fell back to the
 //! generic tier (the CI runners are known-SIMD hosts, so a generic fallback there
-//! means detection broke, not that the hardware shrank). Analogously,
-//! `BENCH_REQUIRE_PLAN_SPEC=1` fails the run unless the packed solver's compiled
-//! plan at d=1024 resolves the `W=16` const-generic word-count specialization —
-//! the smoke gate for the plan compiler's specialization table — and
-//! `BENCH_REQUIRE_FUSION=1` fails it unless that same plan resolves the fused
-//! resonator kernel (`fusion=fused`), the smoke gate for the plan compiler's
-//! fusion decision.
+//! means detection broke, not that the hardware shrank).
 //!
-//! `--explain` prints the compiled solve plans (stage IR, chosen specialization,
-//! route, chunk width) for the solver shapes the sweep measures, plus the
-//! plan-cache hit/miss counters, before the timing runs.
+//! `--explain` prints the compiled solve plans (stage IR, route, chunk width) for the
+//! solver shapes the sweep measures, plus the plan-cache hit/miss counters, before the
+//! timing runs.
 //!
 //! Run with: `cargo run --release -p cogsys-bench --bin backend_throughput`
 
@@ -73,59 +66,23 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Plan-specialization smoke gate and the `--explain` dump share one packed
-    // solver per dimensionality of interest.
-    {
+    if explain {
         use cogsys_workloads::{NeurosymbolicSolver, SolverConfig};
-        let packed_solver = |dim: usize| {
+        for dim in [1024, SolverConfig::default().vector_dim] {
             let mut rng = cogsys_vsa::rng(SEED);
-            NeurosymbolicSolver::new(
+            let solver = NeurosymbolicSolver::new(
                 SolverConfig {
                     vector_dim: dim,
                     ..SolverConfig::default()
                 }
                 .with_backend(cogsys_vsa::batch::BackendKind::Packed),
                 &mut rng,
-            )
-        };
-        let solver_1024 = packed_solver(1024);
-        let plan_1024 = solver_1024.plan_for_batch(cogsys::experiments::SOLVER_BENCH_PROBLEMS[0]);
-        let spec_1024 = plan_1024.spec;
-        let fusion_1024 = plan_1024.resonate_fusion(0);
-        println!("plan spec at d=1024: {}", spec_1024.as_str());
-        println!(
-            "plan fusion at d=1024: {}",
-            fusion_1024.map_or("<no resonate stage>", |f| f.as_str())
-        );
-        if std::env::var("BENCH_REQUIRE_PLAN_SPEC").as_deref() == Ok("1")
-            && spec_1024.as_str() != "W=16"
-        {
-            eprintln!(
-                "BENCH_REQUIRE_PLAN_SPEC=1: packed plan at d=1024 resolved `{}` \
-                 instead of the W=16 specialization",
-                spec_1024.as_str()
             );
-            return ExitCode::FAILURE;
-        }
-        if std::env::var("BENCH_REQUIRE_FUSION").as_deref() == Ok("1")
-            && fusion_1024 != Some(cogsys_vsa::FusionMode::Fused)
-        {
-            eprintln!(
-                "BENCH_REQUIRE_FUSION=1: packed plan at d=1024 resolved `{}` \
-                 instead of the fused resonator kernel",
-                fusion_1024.map_or("<no resonate stage>", |f| f.as_str())
-            );
-            return ExitCode::FAILURE;
-        }
-        if explain {
-            let production = packed_solver(SolverConfig::default().vector_dim);
-            for solver in [&solver_1024, &production] {
-                for &batch in &cogsys::experiments::SOLVER_BENCH_PROBLEMS {
-                    print!("{}", solver.plan_for_batch(batch).describe());
-                }
-                let stats = solver.plan_cache_stats();
-                println!("plan_cache: hits={} misses={}", stats.hits, stats.misses);
+            for &batch in &cogsys::experiments::SOLVER_BENCH_PROBLEMS {
+                print!("{}", solver.plan_for_batch(batch).describe());
             }
+            let stats = solver.plan_cache_stats();
+            println!("plan_cache: hits={} misses={}", stats.hits, stats.misses);
         }
     }
 
@@ -157,8 +114,8 @@ fn main() -> ExitCode {
         SEED,
     ));
 
-    // Resonator-iteration microbench: the fused mega-kernel vs the split
-    // three-pass sequence, one full iteration over all factors at d=4096.
+    // Resonator-iteration microbench: the fused kernel vs the split three-pass
+    // sequence, one full iteration over all factors at d=4096.
     records.extend(cogsys::experiments::resonate_iter_records(SEED));
 
     let json = cogsys::experiments::backend_throughput_json(SEED, &records);
@@ -240,8 +197,8 @@ fn main() -> ExitCode {
     }
 
     // The compile/execute split's acceptance numbers: planned executor vs the
-    // unplanned entry point (must be measurably no slower), the specialized vs
-    // forced-generic executor A/B, and the amortized plan-compilation cost.
+    // unplanned entry point (must be measurably no slower) and the amortized
+    // plan-compilation cost.
     if let (Some(unplanned), Some(planned)) = (
         solver_cell("packed", "solve_batch"),
         solver_cell("packed", "solve_batch_planned"),
@@ -254,18 +211,6 @@ fn main() -> ExitCode {
             unplanned / planned.max(1.0),
         );
     }
-    if let (Some(generic), Some(specialized)) = (
-        solver_cell("packed", "solve_batch_planned_generic"),
-        solver_cell("packed", "solve_batch_planned"),
-    ) {
-        println!(
-            "word-count specialization 64-problem batch (packed): generic {:.1} ms, \
-             specialized {:.1} ms ({:.2}x)",
-            generic / 1e6,
-            specialized / 1e6,
-            generic / specialized.max(1.0),
-        );
-    }
     if let Some(compile) = solver_cell("packed", "plan_compile") {
         println!(
             "plan_compile (packed, 64-problem key): {:.1} us per cold cache miss",
@@ -273,20 +218,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // The fusion A/B acceptance numbers: the planned solver with the resonator
-    // FusionMode forced each way, and the isolated per-iteration kernel.
-    if let (Some(fused), Some(split)) = (
-        solver_cell("packed", "solve_batch_fused"),
-        solver_cell("packed", "solve_batch_split"),
-    ) {
-        println!(
-            "resonator fusion 64-problem batch (packed): split {:.1} ms, \
-             fused {:.1} ms ({:.2}x)",
-            split / 1e6,
-            fused / 1e6,
-            split / fused.max(1.0),
-        );
-    }
+    // The isolated per-iteration kernel: fused vs the split reference sequence.
     let iter_cell = |backend: &str| {
         records
             .iter()

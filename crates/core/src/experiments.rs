@@ -330,11 +330,8 @@ pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 ///
 /// * `plan_compile` — one [`NeurosymbolicSolver::compile_plan`] call (the cost a
 ///   cold plan-cache miss adds to the first chunk of a new shape);
-/// * `solve_batch_planned` — the planned executor on the cached specialized plan
-///   (compile amortized away, the steady-state serving cost);
-/// * `solve_batch_planned_generic` (packed only) — the same executor forced onto
-///   the runtime-word-count generic kernels, the A/B twin that isolates what the
-///   const-generic `W=16/32/64` monomorphization buys;
+/// * `solve_batch_planned` — the planned executor on the cached plan (compile
+///   amortized away, the steady-state serving cost);
 /// * `plan_stage_{encode,decode,score}` (packed only) — the per-stage wall clock
 ///   of the best planned round, the cells `cogsys-serve`'s per-stage
 ///   `ServiceModel` fit and the adSCH stage-cost validation consume.
@@ -426,79 +423,6 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
             });
 
             if backend == BackendKind::Packed {
-                // Specialized-vs-generic A/B: same plan, word-count specialization
-                // forced off, so the delta is pure monomorphization dividend.
-                let generic_plan = solver.compile_plan(count, false);
-                let generic = time(&mut || {
-                    let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                    let _ = solver
-                        .solve_batch_with_plan(&generic_plan, &problems, &mut r, &mut scratch)
-                        .expect("well-formed problems solve");
-                });
-                records.push(BenchRecord {
-                    backend: backend.to_string(),
-                    kernel: "solve_batch_planned_generic".to_string(),
-                    dim,
-                    batch: count,
-                    ns_per_op: generic * 1e9,
-                });
-
-                // Fused-vs-split resonator A/B: the same specialized plan with the
-                // iteration FusionMode forced each way (decision-identical paths,
-                // pure dataflow A/B). `solve_batch_fused`'s same-run normalizer is
-                // the split time — recorded as its reference twin — so the geomean
-                // guard gates the fused kernel's advantage directly; the split
-                // cell is normalized by the reference backend's end-to-end solve.
-                use cogsys_vsa::FusionMode;
-                let fused_plan = solver.compile_plan_with_fusion(count, true, FusionMode::Fused);
-                let split_plan = solver.compile_plan_with_fusion(count, true, FusionMode::Split);
-                let fused = time(&mut || {
-                    let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                    let _ = solver
-                        .solve_batch_with_plan(&fused_plan, &problems, &mut r, &mut scratch)
-                        .expect("well-formed problems solve");
-                });
-                let split = time(&mut || {
-                    let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                    let _ = solver
-                        .solve_batch_with_plan(&split_plan, &problems, &mut r, &mut scratch)
-                        .expect("well-formed problems solve");
-                });
-                records.push(BenchRecord {
-                    backend: backend.to_string(),
-                    kernel: "solve_batch_fused".to_string(),
-                    dim,
-                    batch: count,
-                    ns_per_op: fused * 1e9,
-                });
-                records.push(BenchRecord {
-                    backend: "reference".to_string(),
-                    kernel: "solve_batch_fused".to_string(),
-                    dim,
-                    batch: count,
-                    ns_per_op: split * 1e9,
-                });
-                records.push(BenchRecord {
-                    backend: backend.to_string(),
-                    kernel: "solve_batch_split".to_string(),
-                    dim,
-                    batch: count,
-                    ns_per_op: split * 1e9,
-                });
-                if let Some(ref_solve) = records
-                    .iter()
-                    .find(|r| r.matches("reference", "solve_batch", dim, count))
-                    .map(|r| r.ns_per_op)
-                {
-                    records.push(BenchRecord {
-                        backend: "reference".to_string(),
-                        kernel: "solve_batch_split".to_string(),
-                        dim,
-                        batch: count,
-                        ns_per_op: ref_solve,
-                    });
-                }
-
                 // Per-stage wall clock of the best timed round (by total), the
                 // cells the serving front end's per-stage service fit consumes.
                 let mut run_timed = || {
@@ -631,8 +555,7 @@ pub fn cleanup_index_records(rows_list: &[usize], seed: u64) -> Vec<BenchRecord>
     records
 }
 
-/// Hypervector dimensionality of the resonator-iteration microbench (the W=64
-/// specialization — the widest production word count).
+/// Hypervector dimensionality of the resonator-iteration microbench.
 pub const RESONATE_ITER_BENCH_DIM: usize = 4096;
 
 /// Query rows of the resonator-iteration microbench.
@@ -643,22 +566,22 @@ pub const RESONATE_ITER_BENCH_FACTORS: usize = 3;
 
 /// Measures one full packed resonator iteration — unbind, similarity, weighted
 /// sign projection across all [`RESONATE_ITER_BENCH_FACTORS`] factors — with the
-/// fused mega-kernel ([`cogsys_vsa::PackedBackend::resonate_step_fused_spec_into`],
+/// fused kernel the resonator runs ([`cogsys_vsa::PackedBackend::resonate_step_fused_into`],
 /// recorded as `packed` / `resonate_iter`) against the split three-pass sequence
-/// the pre-fusion resonator ran (full-batch unbind materialization, standalone
-/// similarity GEMM, standalone projection sweep; recorded as `reference` /
-/// `resonate_iter`). Both paths run the same `W=64` monomorphized kernels over
-/// the same planes with no-op hooks, so the ratio is pure dataflow: the fused
-/// kernel loads each codebook sign-plane word once per iteration where the split
-/// sequence streams the batch planes three times.
+/// built from the reference kernels (full-batch unbind materialization,
+/// [`cogsys_vsa::PackedBackend::similarity_matrix_packed_into`],
+/// [`cogsys_vsa::PackedBackend::project_signs_packed_into`]; recorded as
+/// `reference` / `resonate_iter`). Both paths run over the same planes with no-op
+/// hooks, so the ratio is pure dataflow: the fused kernel loads each codebook
+/// sign-plane word once per iteration where the split sequence streams the batch
+/// planes three times.
 pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
-    use cogsys_vsa::packed::{BitMatrix, PackedBackend, WordSpec};
+    use cogsys_vsa::packed::{BitMatrix, PackedBackend};
     use std::time::Instant;
 
     let dim = RESONATE_ITER_BENCH_DIM;
     let rows = RESONATE_ITER_BENCH_ROWS;
     let factors = RESONATE_ITER_BENCH_FACTORS;
-    let spec = WordSpec::for_dim(dim);
     let backend = PackedBackend::new();
     let mut rng = cogsys_vsa::rng(seed);
 
@@ -673,26 +596,23 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
     let mut sims = HvMatrix::default();
     let mut acc = Vec::new();
 
-    // Decision-identity sanity check before timing: one iteration through each
-    // path from the same starting planes must produce bitwise-identical
-    // estimates (the proptests pin this exhaustively; this catches drift in the
-    // bench harness itself).
-    {
-        let mut fused_est = estimates.clone();
-        let mut split_est = estimates.clone();
+    let mut fused_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
         for f in 0..factors {
-            backend.resonate_step_fused_spec_into(
-                spec,
+            backend.resonate_step_fused_into(
                 &codebook,
                 &query,
-                &mut fused_est,
+                estimates,
                 f,
                 &mut unbound_lanes,
-                &mut sims,
-                &mut acc,
+                sims,
+                acc,
                 |_, _, _| {},
             );
-            let (head, rest) = split_est.split_at_mut(f);
+        }
+    };
+    let mut split_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
+        for f in 0..factors {
+            let (head, rest) = estimates.split_at_mut(f);
             let (out, tail) = rest.split_first_mut().expect("factor index in range");
             unbound_full.copy_from(&query);
             for est in head.iter().chain(tail.iter()) {
@@ -700,21 +620,23 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
                     .xor_assign(est)
                     .expect("estimate planes share the query shape");
             }
-            backend.similarity_matrix_packed_spec_into(spec, &codebook, &unbound_full, &mut sims);
-            backend.project_signs_packed_spec_into(
-                spec,
-                &codebook,
-                &sims,
-                |_, _| {},
-                &mut acc,
-                out,
-            );
+            backend.similarity_matrix_packed_into(&codebook, &unbound_full, sims);
+            backend.project_signs_packed_into(&codebook, sims, |_, _| {}, acc, out);
         }
-        assert_eq!(
-            fused_est, split_est,
-            "fused resonator step diverged from the split sequence"
-        );
-    }
+    };
+
+    // Decision-identity sanity check before timing: one iteration through each
+    // path from the same starting planes must produce bitwise-identical
+    // estimates (the proptests pin this exhaustively; this catches drift in the
+    // bench harness itself).
+    let mut fused_est = estimates.clone();
+    let mut split_est = estimates.clone();
+    fused_iter(&mut fused_est, &mut sims, &mut acc);
+    split_iter(&mut split_est, &mut sims, &mut acc);
+    assert_eq!(
+        fused_est, split_est,
+        "fused resonator step diverged from the split sequence"
+    );
 
     let time = |f: &mut dyn FnMut()| {
         f();
@@ -726,44 +648,8 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
             })
             .fold(f64::INFINITY, f64::min)
     };
-
-    let fused = time(&mut || {
-        for f in 0..factors {
-            backend.resonate_step_fused_spec_into(
-                spec,
-                &codebook,
-                &query,
-                &mut estimates,
-                f,
-                &mut unbound_lanes,
-                &mut sims,
-                &mut acc,
-                |_, _, _| {},
-            );
-        }
-    });
-
-    let split = time(&mut || {
-        for f in 0..factors {
-            let (head, rest) = estimates.split_at_mut(f);
-            let (out, tail) = rest.split_first_mut().expect("factor index in range");
-            unbound_full.copy_from(&query);
-            for est in head.iter().chain(tail.iter()) {
-                unbound_full
-                    .xor_assign(est)
-                    .expect("estimate planes share the query shape");
-            }
-            backend.similarity_matrix_packed_spec_into(spec, &codebook, &unbound_full, &mut sims);
-            backend.project_signs_packed_spec_into(
-                spec,
-                &codebook,
-                &sims,
-                |_, _| {},
-                &mut acc,
-                out,
-            );
-        }
-    });
+    let fused = time(&mut || fused_iter(&mut estimates, &mut sims, &mut acc));
+    let split = time(&mut || split_iter(&mut estimates, &mut sims, &mut acc));
 
     vec![
         BenchRecord {

@@ -10,7 +10,7 @@
 use crate::config::FactorizerConfig;
 use cogsys_vsa::batch::{HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
-use cogsys_vsa::packed::{BitMatrix, CleanupScratch, FusionMode, ResonatePhase, WordSpec};
+use cogsys_vsa::packed::{BitMatrix, CleanupScratch, ResonatePhase, PROJ_LANE_ROWS};
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, Precision, VsaError};
 use rand::rngs::StdRng;
@@ -174,46 +174,6 @@ impl BoundedNoise {
         for v in values {
             if v.abs() <= a {
                 *v += self.sample(rng);
-            }
-        }
-    }
-
-    /// [`BoundedNoise::perturb_signs`] with a [`WordSpec`] monomorphization hint:
-    /// when the slice is exactly `W` full 64-dim blocks the walk runs with a
-    /// compile-time trip count and fixed-size block arrays (so the min-|v|
-    /// reduction vectorizes without tail handling). Same blocks, same element
-    /// order, same skip rule — bitwise identical values and stream consumption.
-    pub fn perturb_signs_spec(&self, spec: WordSpec, values: &mut [f32], rng: &mut StdRng) {
-        match spec {
-            WordSpec::W16 if values.len() == 16 * NOISE_CHUNK_DIMS => {
-                self.perturb_signs_w::<16>(values, rng)
-            }
-            WordSpec::W32 if values.len() == 32 * NOISE_CHUNK_DIMS => {
-                self.perturb_signs_w::<32>(values, rng)
-            }
-            WordSpec::W64 if values.len() == 64 * NOISE_CHUNK_DIMS => {
-                self.perturb_signs_w::<64>(values, rng)
-            }
-            _ => self.perturb_signs(values, rng),
-        }
-    }
-
-    /// Monomorphized [`BoundedNoise::perturb_signs`] body over exactly `W` full
-    /// blocks.
-    fn perturb_signs_w<const W: usize>(&self, values: &mut [f32], rng: &mut StdRng) {
-        debug_assert_eq!(values.len(), W * NOISE_CHUNK_DIMS);
-        let a = self.amplitude;
-        for chunk in values.chunks_exact_mut(NOISE_CHUNK_DIMS).take(W) {
-            let chunk: &mut [f32; NOISE_CHUNK_DIMS] =
-                chunk.try_into().expect("chunks_exact yields full blocks");
-            let min_mag = chunk.iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
-            if min_mag > a {
-                continue;
-            }
-            for v in chunk {
-                if v.abs() <= a {
-                    *v += self.sample(rng);
-                }
             }
         }
     }
@@ -418,12 +378,13 @@ impl FactorizerScratch {
         for est in self.estimates_bits.iter_mut().take(num_factors) {
             est.ensure_shape(rows, dim);
         }
-        self.unbound_bits.ensure_shape(rows, dim);
+        // The fused resonator step unbinds one lane block at a time.
+        self.unbound_bits.ensure_shape(PROJ_LANE_ROWS, dim);
         self.rebound_bits.ensure_shape(rows, dim);
         self.factor_bits.ensure_shape(rows, dim);
         self.init_bits.ensure_shape(1, dim);
         self.gather_tmp_bits.ensure_shape(rows, dim);
-        let proj = cogsys_vsa::packed::PROJ_LANE_ROWS * dim;
+        let proj = PROJ_LANE_ROWS * dim;
         self.proj_acc
             .reserve(proj.saturating_sub(self.proj_acc.len()));
         self.cleanup.reserve_queries(rows);
@@ -610,13 +571,7 @@ impl Factorizer {
         // which the packed pipeline skips, and the fast path must stay
         // decision-identical to the dense engine.
         if self.packed_pipeline(set) && scratch.pack_query() {
-            return self.factorize_matrix_packed(
-                set,
-                streams,
-                scratch,
-                WordSpec::for_dim(dim),
-                FusionMode::resolve_env(),
-            );
+            return self.factorize_matrix_packed(set, streams, scratch);
         }
 
         self.factorize_matrix_dense(set, streams, scratch)
@@ -670,62 +625,6 @@ impl Factorizer {
         streams: &mut [StdRng],
         scratch: &mut FactorizerScratch,
     ) -> Result<Vec<FactorizationResult>, VsaError> {
-        self.factorize_matrix_bits_scratch_spec(
-            set,
-            queries,
-            streams,
-            scratch,
-            WordSpec::for_dim(set.dim()),
-        )
-    }
-
-    /// [`Factorizer::factorize_matrix_bits_scratch`] with the kernel
-    /// specialization pre-resolved by the caller (a compiled solve plan). Passing
-    /// [`WordSpec::Generic`] forces the runtime-length kernels; any other spec is
-    /// only honoured where it matches the operands, so results are identical for
-    /// every spec value — only the codegen of the inner loops differs.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
-    /// codebook dimension or `streams.len() != queries.rows()`.
-    pub fn factorize_matrix_bits_scratch_spec(
-        &self,
-        set: &CodebookSet,
-        queries: &BitMatrix,
-        streams: &mut [StdRng],
-        scratch: &mut FactorizerScratch,
-        spec: WordSpec,
-    ) -> Result<Vec<FactorizationResult>, VsaError> {
-        self.factorize_matrix_bits_scratch_plan(
-            set,
-            queries,
-            streams,
-            scratch,
-            spec,
-            FusionMode::resolve_env(),
-        )
-    }
-
-    /// [`Factorizer::factorize_matrix_bits_scratch_spec`] with the iteration
-    /// [`FusionMode`] also pre-resolved by the caller (a compiled solve plan).
-    /// `Fused` runs the single-pass resonator mega-kernel
-    /// ([`cogsys_vsa::PackedBackend::resonate_step_fused_into`]); `Split` runs
-    /// the reference three-kernel sequence. Both paths are decision-identical —
-    /// same similarities, sign bits and rng-stream consumption — so the mode
-    /// only selects codegen/dataflow, never results.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
-    /// codebook dimension or `streams.len() != queries.rows()`.
-    pub fn factorize_matrix_bits_scratch_plan(
-        &self,
-        set: &CodebookSet,
-        queries: &BitMatrix,
-        streams: &mut [StdRng],
-        scratch: &mut FactorizerScratch,
-        spec: WordSpec,
-        fusion: FusionMode,
-    ) -> Result<Vec<FactorizationResult>, VsaError> {
         let n = queries.rows();
         if queries.dim() != set.dim() && n > 0 {
             return Err(VsaError::DimensionMismatch {
@@ -744,7 +643,7 @@ impl Factorizer {
         }
         if self.packed_pipeline(set) {
             scratch.query_bits.copy_from(queries);
-            return self.factorize_matrix_packed(set, streams, scratch, spec, fusion);
+            return self.factorize_matrix_packed(set, streams, scratch);
         }
         // Unpacked fallback (non-Hadamard binding, reduced precision, dense backend):
         // ±1 values survive quantization at every precision, so the dense engine sees
@@ -915,12 +814,12 @@ impl Factorizer {
 
     /// Bit-packed resonator engine (Hadamard binding, FP32, bipolar operands).
     ///
-    /// Factor estimates live as [`BitMatrix`] sign planes: the unbind step is word-wise
-    /// XOR against the packed query, the similarity step is popcount (exactly the
-    /// integer dot products the dense GEMM produces on bipolar inputs), the weighted
-    /// projection is the fused packed kernel
-    /// [`cogsys_vsa::packed::PackedBackend::project_signs_packed_into`] (noise and
-    /// sign threshold included, written straight into the estimate planes), and the
+    /// Factor estimates live as [`BitMatrix`] sign planes. Each factor update is one
+    /// call of [`cogsys_vsa::packed::PackedBackend::resonate_step_fused_into`]:
+    /// word-wise XOR unbind against the packed query, popcount similarity (exactly
+    /// the integer dot products the dense GEMM produces on bipolar inputs), and the
+    /// weighted sign projection (noise and sign threshold included, written straight
+    /// into the estimate planes). The
     /// rebind convergence check XORs gathered codebook rows — no dense estimate or
     /// projection matrix exists anywhere in this engine. Decisions (argmax,
     /// convergence, limit cycles) are identical to the dense engine on the same noise
@@ -931,8 +830,6 @@ impl Factorizer {
         set: &CodebookSet,
         streams: &mut [StdRng],
         scratch: &mut FactorizerScratch,
-        spec: WordSpec,
-        fusion: FusionMode,
     ) -> Result<Vec<FactorizationResult>, VsaError> {
         let FactorizerScratch {
             states,
@@ -994,85 +891,38 @@ impl Factorizer {
                     .packed()
                     .expect("packed engine requires packed codebooks");
 
-                if fusion == FusionMode::Fused {
-                    // Fused mega-kernel: unbind, popcount similarity and weighted
-                    // sign projection in one tiled pass over the codebook sign
-                    // planes per 8-query lane block — each plane word is loaded
-                    // once per iteration instead of three times, and no full-batch
-                    // unbound plane is materialized. The hook runs the exact
-                    // per-row work of the split steps below (similarity perturb +
-                    // argmax decode, then projection perturb), in ascending row
-                    // order per lane block; per-query streams are private, so the
-                    // consumed noise positions match the split path draw for draw.
-                    packed.resonate_step_fused_spec_into(
-                        spec,
-                        cb_bits,
-                        query_bits,
-                        estimates,
-                        f,
-                        unbound_bits,
-                        sims,
-                        proj_acc,
-                        |phase, slot, row| {
-                            let q = order[slot];
-                            match phase {
-                                ResonatePhase::Similarity => {
-                                    if let Some(noise) = &states[q].sim_noise {
-                                        noise.perturb_all(row, &mut streams[q]);
-                                    }
-                                    states[q].decoded[f] = ops::argmax(row).unwrap_or(0);
+                // One tiled pass over the codebook sign planes per 8-query lane
+                // block: unbind, popcount similarity and weighted sign projection
+                // share each loaded plane word, and no full-batch unbound plane is
+                // materialized. The hook does the per-row work in ascending row
+                // order per lane block (similarity perturb + argmax decode, then
+                // projection perturb); per-query streams are private, so each
+                // query's noise draws are consumed in the order of the unfused
+                // unbind → similarity → projection sequence.
+                packed.resonate_step_fused_into(
+                    cb_bits,
+                    query_bits,
+                    estimates,
+                    f,
+                    unbound_bits,
+                    sims,
+                    proj_acc,
+                    |phase, slot, row| {
+                        let q = order[slot];
+                        match phase {
+                            ResonatePhase::Similarity => {
+                                if let Some(noise) = &states[q].sim_noise {
+                                    noise.perturb_all(row, &mut streams[q]);
                                 }
-                                ResonatePhase::Projection => {
-                                    if let Some(noise) = &states[q].proj_noise {
-                                        noise.perturb_signs_spec(spec, row, &mut streams[q]);
-                                    }
+                                states[q].decoded[f] = ops::argmax(row).unwrap_or(0);
+                            }
+                            ResonatePhase::Projection => {
+                                if let Some(noise) = &states[q].proj_noise {
+                                    noise.perturb_signs(row, &mut streams[q]);
                                 }
                             }
-                        },
-                    );
-                    continue;
-                }
-
-                // Split reference path (`COGSYS_FUSION=split` / plan decision):
-                // bitwise-identical to the fused kernel, kept as the A/B twin.
-
-                // Step 1 (XOR): unbind every other factor's estimate from the query.
-                unbound_bits.copy_from(query_bits);
-                for (g, est) in estimates.iter().enumerate() {
-                    if g != f {
-                        unbound_bits.xor_assign(est)?;
-                    }
-                }
-
-                // Step 2 (popcount): similarity search against the factor codebook,
-                // through the plan's word-count monomorphization when one applies.
-                packed.similarity_matrix_packed_spec_into(spec, cb_bits, unbound_bits, sims);
-                for slot in 0..rows {
-                    let q = order[slot];
-                    if let Some(noise) = &states[q].sim_noise {
-                        noise.perturb_all(sims.row_mut(slot), &mut streams[q]);
-                    }
-                    states[q].decoded[f] = ops::argmax(sims.row(slot)).unwrap_or(0);
-                }
-
-                // Step 3 (fused): packed weighted projection — per-dimension f32
-                // accumulators driven word-wise over the codebook sign planes, with
-                // the per-query noise injection and sign threshold fused, written
-                // straight back into the estimate plane. Accumulation order matches
-                // the dense `project_batch_into` bitwise, so decisions are identical
-                // to the dense engine on the same noise streams.
-                packed.project_signs_packed_spec_into(
-                    spec,
-                    cb_bits,
-                    sims,
-                    |slot, acc| {
-                        let q = order[slot];
-                        if let Some(noise) = &states[q].proj_noise {
-                            noise.perturb_signs_spec(spec, acc, &mut streams[q]);
                         }
                     },
-                    proj_acc,
-                    &mut estimates[f],
                 );
             }
 

@@ -10,7 +10,7 @@ use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
 use crate::ops;
-use crate::packed::{BitMatrix, CleanupIndex, CleanupScratch, WordSpec, CLEANUP_INDEX_MIN_ROWS};
+use crate::packed::{BitMatrix, CleanupIndex, CleanupScratch, CLEANUP_INDEX_MIN_ROWS};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -339,14 +339,7 @@ impl Codebook {
         out: &mut Vec<(usize, f32)>,
     ) -> Result<(), VsaError> {
         let route = self.cleanup_route(backend);
-        self.cleanup_batch_bits_routed_into(
-            backend,
-            route,
-            WordSpec::Generic,
-            queries,
-            scratch,
-            out,
-        )
+        self.cleanup_batch_bits_routed_into(backend, route, queries, scratch, out)
     }
 
     /// The cleanup kernel this `(backend, codebook)` pair resolves to, for queries
@@ -367,9 +360,8 @@ impl Codebook {
         }
     }
 
-    /// [`Codebook::cleanup_batch_bits_into`] with the route pre-chosen (and a
-    /// [`WordSpec`] monomorphization hint for the linear scan): the executor half
-    /// of the plan-compiled cleanup. A stale packed route (mismatched query
+    /// [`Codebook::cleanup_batch_bits_into`] with the route pre-chosen: the executor
+    /// half of the plan-compiled cleanup. A stale packed route (mismatched query
     /// dimension, or indexes cleared since the route was resolved) degrades to the
     /// next-best live kernel instead of panicking, keeping results identical to the
     /// per-call routing.
@@ -381,7 +373,6 @@ impl Codebook {
         &self,
         backend: &dyn VsaBackend,
         route: CleanupRoute,
-        spec: WordSpec,
         queries: &BitMatrix,
         scratch: &mut CleanupScratch,
         out: &mut Vec<(usize, f32)>,
@@ -394,8 +385,7 @@ impl Codebook {
                         return Ok(());
                     }
                 }
-                packed_backend
-                    .cleanup_batch_packed_spec_into(spec, packed_cb, queries, scratch, out);
+                packed_backend.cleanup_batch_packed_into(packed_cb, queries, scratch, out);
                 return Ok(());
             }
         }

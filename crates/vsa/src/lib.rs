@@ -91,8 +91,8 @@ pub use codebook::{CleanupRoute, Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};
 pub use packed::{
-    dispatch_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier, FusionMode,
-    PackedBackend, ResonatePhase, WordSpec, CLEANUP_INDEX_MIN_ROWS,
+    dispatch_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier, PackedBackend,
+    ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
 };
 pub use quant::{Precision, QuantizedVector};
 

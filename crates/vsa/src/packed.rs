@@ -555,200 +555,6 @@ mod simd {
         // avx512vpopcntdq features were detected on the running CPU.
         unsafe { hamming_avx512(a, b) }
     }
-
-    // ---- const-generic word-count specializations (see `WordSpec`) ----
-    //
-    // Same arithmetic as the runtime-length kernels above, with the row width `W`
-    // fixed at compile time: the loop trip counts become constants, so LLVM fully
-    // unrolls the XOR+popcount streams and drops the remainder/tail checks. Every
-    // kernel is integer-exact, so specialization can never change a result — only
-    // the schedule of the same adds.
-
-    /// [`hamming_popcnt`] with the row width fixed at `W` words.
-    #[target_feature(enable = "popcnt")]
-    fn hamming_popcnt_w<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        let (a, b) = (&a[..W], &b[..W]);
-        let mut acc = [0u32; 4];
-        let mut i = 0;
-        while i + 4 <= W {
-            acc[0] += (a[i] ^ b[i]).count_ones();
-            acc[1] += (a[i + 1] ^ b[i + 1]).count_ones();
-            acc[2] += (a[i + 2] ^ b[i + 2]).count_ones();
-            acc[3] += (a[i + 3] ^ b[i + 3]).count_ones();
-            i += 4;
-        }
-        let mut tail = 0u32;
-        while i < W {
-            tail += (a[i] ^ b[i]).count_ones();
-            i += 1;
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    }
-
-    /// [`hamming_avx2`] with the row width fixed at `W` words. The `W >= 64` guard
-    /// on the Harley–Seal tree is a compile-time constant, so the `W = 16`/`W = 32`
-    /// instantiations compile to a straight run of `popcount256` adds with no block
-    /// bookkeeping at all, and `W = 64` keeps exactly one CSA-tree pass.
-    #[target_feature(enable = "avx2")]
-    fn hamming_avx2_w<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        debug_assert!(a.len() >= W && b.len() >= W);
-        let mut total = _mm256_setzero_si256();
-        let mut i = 0;
-        if W >= 64 {
-            let mut ones = _mm256_setzero_si256();
-            let mut twos = _mm256_setzero_si256();
-            let mut fours = _mm256_setzero_si256();
-            let mut eights = _mm256_setzero_si256();
-            while i + 64 <= W {
-                let (twos_a, o1) = csa(ones, load_xor(a, b, i), load_xor(a, b, i + 4));
-                let (twos_b, o2) = csa(o1, load_xor(a, b, i + 8), load_xor(a, b, i + 12));
-                let (fours_a, t1) = csa(twos, twos_a, twos_b);
-                let (twos_a, o3) = csa(o2, load_xor(a, b, i + 16), load_xor(a, b, i + 20));
-                let (twos_b, o4) = csa(o3, load_xor(a, b, i + 24), load_xor(a, b, i + 28));
-                let (fours_b, t2) = csa(t1, twos_a, twos_b);
-                let (eights_a, f1) = csa(fours, fours_a, fours_b);
-                let (twos_a, o5) = csa(o4, load_xor(a, b, i + 32), load_xor(a, b, i + 36));
-                let (twos_b, o6) = csa(o5, load_xor(a, b, i + 40), load_xor(a, b, i + 44));
-                let (fours_a, t3) = csa(t2, twos_a, twos_b);
-                let (twos_a, o7) = csa(o6, load_xor(a, b, i + 48), load_xor(a, b, i + 52));
-                let (twos_b, o8) = csa(o7, load_xor(a, b, i + 56), load_xor(a, b, i + 60));
-                let (fours_b, t4) = csa(t3, twos_a, twos_b);
-                let (eights_b, f2) = csa(f1, fours_a, fours_b);
-                let (sixteens, e) = csa(eights, eights_a, eights_b);
-                ones = o8;
-                twos = t4;
-                fours = f2;
-                eights = e;
-                total = _mm256_add_epi64(total, popcount256(sixteens));
-                i += 64;
-            }
-            total = _mm256_slli_epi64(total, 4);
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(eights), 3));
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(fours), 2));
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(twos), 1));
-            total = _mm256_add_epi64(total, popcount256(ones));
-        }
-        let n4 = W & !3;
-        while i < n4 {
-            total = _mm256_add_epi64(total, popcount256(load_xor(a, b, i)));
-            i += 4;
-        }
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is exactly 32 bytes; storeu has no alignment requirement.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), total) };
-        let tail: u32 = a[n4..W]
-            .iter()
-            .zip(&b[n4..W])
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        (lanes.iter().sum::<u64>() as u32) + tail
-    }
-
-    /// [`hamming_avx512`] with the row width fixed at `W` words.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn hamming_avx512_w<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        debug_assert!(a.len() >= W && b.len() >= W);
-        let mut acc = _mm512_setzero_si512();
-        let n = W & !7;
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= W <= len on both operands; loadu has no alignment
-            // requirement.
-            let v = unsafe {
-                let va = _mm512_loadu_si512(a.as_ptr().add(i).cast());
-                let vb = _mm512_loadu_si512(b.as_ptr().add(i).cast());
-                _mm512_xor_si512(va, vb)
-            };
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-            i += 8;
-        }
-        let tail: u32 = a[n..W]
-            .iter()
-            .zip(&b[n..W])
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        _mm512_reduce_add_epi64(acc) as u32 + tail
-    }
-
-    /// Whole-block similarity scan with the AVX2 Hamming kernel inlined: one row of
-    /// `out` per `W`-word codebook row, `out[r] = d − 2·hamming(qw, row_r)`. Keeping
-    /// the scan inside one `target_feature` function removes the per-row indirect
-    /// call of the dispatch path — at `W = 16` the call overhead is a measurable
-    /// fraction of the unrolled popcount body.
-    #[target_feature(enable = "avx2")]
-    fn sim_scan_avx2_w<const W: usize>(d: i32, qw: &[u64], block_words: &[u64], out: &mut [f32]) {
-        for (slot, row) in out.iter_mut().zip(block_words.chunks_exact(W)) {
-            // avx2 is enabled on this function, satisfying the callee's
-            // target-feature contract; chunks_exact(W) yields exactly W words.
-            *slot = (d - 2 * hamming_avx2_w::<W>(qw, row) as i32) as f32;
-        }
-    }
-
-    /// Whole-block cleanup scan with the AVX2 Hamming kernel inlined: updates the
-    /// running `(index, hamming)` best under the strict-`<` / lowest-index rule of
-    /// the generic scan.
-    #[target_feature(enable = "avx2")]
-    fn cleanup_scan_avx2_w<const W: usize>(
-        block_start: usize,
-        qw: &[u64],
-        block_words: &[u64],
-        slot: &mut (usize, u32),
-    ) {
-        for (offset, row) in block_words.chunks_exact(W).enumerate() {
-            // avx2 is enabled on this function, satisfying the callee's
-            // target-feature contract; chunks_exact(W) yields exactly W words.
-            let h = hamming_avx2_w::<W>(qw, row);
-            if h < slot.1 {
-                *slot = (block_start + offset, h);
-            }
-        }
-    }
-
-    /// Safe wrapper over [`hamming_popcnt_w`]; only reachable after cpuid detection.
-    pub(super) fn hamming_popcnt_w_checked<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: spec dispatch returns this function only when the popcnt feature
-        // was detected on the running CPU.
-        unsafe { hamming_popcnt_w::<W>(a, b) }
-    }
-
-    /// Safe wrapper over [`hamming_avx2_w`]; only reachable after cpuid detection.
-    pub(super) fn hamming_avx2_w_checked<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: spec dispatch returns this function only when the avx2 feature
-        // was detected on the running CPU.
-        unsafe { hamming_avx2_w::<W>(a, b) }
-    }
-
-    /// Safe wrapper over [`hamming_avx512_w`]; only reachable after cpuid detection.
-    pub(super) fn hamming_avx512_w_checked<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: spec dispatch returns this function only when the avx512f and
-        // avx512vpopcntdq features were detected on the running CPU.
-        unsafe { hamming_avx512_w::<W>(a, b) }
-    }
-
-    /// Safe wrapper over [`sim_scan_avx2_w`]; only reachable after cpuid detection.
-    pub(super) fn sim_scan_avx2_w_checked<const W: usize>(
-        d: i32,
-        qw: &[u64],
-        block_words: &[u64],
-        out: &mut [f32],
-    ) {
-        // SAFETY: the spec scan paths call this only when dispatch resolved the
-        // avx2 tier after cpuid detection.
-        unsafe { sim_scan_avx2_w::<W>(d, qw, block_words, out) }
-    }
-
-    /// Safe wrapper over [`cleanup_scan_avx2_w`]; only reachable after cpuid
-    /// detection.
-    pub(super) fn cleanup_scan_avx2_w_checked<const W: usize>(
-        block_start: usize,
-        qw: &[u64],
-        block_words: &[u64],
-        slot: &mut (usize, u32),
-    ) {
-        // SAFETY: the spec scan paths call this only when dispatch resolved the
-        // avx2 tier after cpuid detection.
-        unsafe { cleanup_scan_avx2_w::<W>(block_start, qw, block_words, slot) }
-    }
 }
 
 /// Probes the CPU once and picks the widest supported Hamming tier, capped by the
@@ -847,130 +653,6 @@ fn sketch_kernels() -> SketchKernels {
     }
 }
 
-/// Compile-time row-width selector for the packed kernels.
-///
-/// The hot popcount/projection loops are parameterised by the number of `u64`
-/// words per row (`dim.div_ceil(64)`), which the runtime kernels carry as a
-/// variable. For the word counts the serving path actually sees — `d = 1024 →
-/// W = 16`, the default `d = 2048 → W = 32`, `d = 4096 → W = 64` — this enum
-/// selects **const-generic monomorphizations** whose trip counts are compile-time
-/// constants, so the inner loops fully unroll and drop their remainder handling.
-///
-/// Specialization is keyed on the *word* count, not the exact dimension: padded
-/// tail bits are zero on both operands (see [`BitMatrix::tail_mask`]), so
-/// whole-word Hamming over `W` words is exact for every `dim` in
-/// `(64·(W−1), 64·W]`. Every specialized kernel is decision-identical to its
-/// runtime-length twin by construction — integer popcounts are exact, and the f32
-/// projection keeps the same accumulation order — which the spec-vs-generic
-/// proptests pin bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum WordSpec {
-    /// 16 words per row (`512 < d ≤ 1024`), the paper's per-block dimensionality.
-    W16,
-    /// 32 words per row (`1984 < d ≤ 2048`), the solver's default dimensionality.
-    W32,
-    /// 64 words per row (`4032 < d ≤ 4096`).
-    W64,
-    /// Any other width: the runtime-length kernels (no monomorphization).
-    #[default]
-    Generic,
-}
-
-impl WordSpec {
-    /// The specialization for a row of `words` `u64`s, or [`WordSpec::Generic`]
-    /// when no monomorphization exists for that width.
-    pub fn for_words(words: usize) -> Self {
-        match words {
-            16 => WordSpec::W16,
-            32 => WordSpec::W32,
-            64 => WordSpec::W64,
-            _ => WordSpec::Generic,
-        }
-    }
-
-    /// The specialization for dimension `dim` (via [`BitMatrix::words_for_dim`]).
-    pub fn for_dim(dim: usize) -> Self {
-        Self::for_words(BitMatrix::words_for_dim(dim))
-    }
-
-    /// The fixed word count, or `None` for the generic tier.
-    pub fn words(self) -> Option<usize> {
-        match self {
-            WordSpec::W16 => Some(16),
-            WordSpec::W32 => Some(32),
-            WordSpec::W64 => Some(64),
-            WordSpec::Generic => None,
-        }
-    }
-
-    /// `true` when this spec's fixed word count equals `words` (always `false`
-    /// for [`WordSpec::Generic`]): the guard every spec entry point checks before
-    /// taking a monomorphized path.
-    pub fn matches(self, words: usize) -> bool {
-        self.words() == Some(words)
-    }
-
-    /// Label used by plan descriptions and bench output (`W=16` … / `generic`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WordSpec::W16 => "W=16",
-            WordSpec::W32 => "W=32",
-            WordSpec::W64 => "W=64",
-            WordSpec::Generic => "generic",
-        }
-    }
-}
-
-impl std::fmt::Display for WordSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// How the packed resonator iteration is executed: as the fused single-pass
-/// mega-kernel ([`PackedBackend::resonate_step_fused_into`]) or as the original
-/// three-kernel sequence (XOR-unbind → similarity GEMM → sign projection).
-///
-/// The two paths are decision-identical by construction — same similarities,
-/// same sign bits, same rng-stream consumption — so `Split` survives as the
-/// bitwise reference path and as an A/B switch (`COGSYS_FUSION=split`), not as
-/// a different algorithm. Plans record the resolved mode per resonate stage so
-/// `--explain` and the scheduler lowering see the same decision the kernels run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum FusionMode {
-    /// One tiled pass per iteration over the codebook sign planes: unbind,
-    /// popcount similarity, and weighted sign projection share each loaded word.
-    #[default]
-    Fused,
-    /// The reference three-kernel sequence; bitwise-identical results.
-    Split,
-}
-
-impl FusionMode {
-    /// Resolves the default mode, honouring the `COGSYS_FUSION=split` escape
-    /// hatch (any other value, or unset, selects the fused kernel).
-    pub fn resolve_env() -> Self {
-        match std::env::var("COGSYS_FUSION") {
-            Ok(v) if v.eq_ignore_ascii_case("split") => FusionMode::Split,
-            _ => FusionMode::Fused,
-        }
-    }
-
-    /// Label used by plan descriptions and bench output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FusionMode::Fused => "fused",
-            FusionMode::Split => "split",
-        }
-    }
-}
-
-impl std::fmt::Display for FusionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Which sub-step of the fused resonator iteration a
 /// [`PackedBackend::resonate_step_fused_into`] hook invocation belongs to.
 /// The hook fires once per query row per phase, in ascending row order within
@@ -984,19 +666,6 @@ pub enum ResonatePhase {
     /// The row holds the weighted sign-projection accumulator for this query:
     /// perturb in place before the signs are packed back into the estimate.
     Projection,
-}
-
-/// Portable Hamming distance with the row width fixed at `W` words — the
-/// monomorphized twin of [`hamming_generic`] (the tier every non-x86 or
-/// `COGSYS_SIMD=generic` host runs).
-#[inline]
-fn hamming_generic_w<const W: usize>(a: &[u64], b: &[u64]) -> u32 {
-    let (a, b) = (&a[..W], &b[..W]);
-    let mut acc = 0u32;
-    for i in 0..W {
-        acc += (a[i] ^ b[i]).count_ones();
-    }
-    acc
 }
 
 /// Function-pointer type of the projection-tile word kernels behind
@@ -1044,22 +713,6 @@ fn project_tile_fn() -> ProjTileFn {
         return simd::project_tile_word_avx2_checked;
     }
     project_tile_word_generic
-}
-
-/// Resolves the Hamming kernel monomorphized at `W` words for the detected tier.
-/// Same tier ladder as [`detect`]; the returned pointer is only ever invoked on
-/// rows of exactly `W` words (the spec entry points check [`WordSpec::matches`]).
-fn hamming_fn_spec_w<const W: usize>() -> HammingFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match dispatch_tier() {
-            DispatchTier::Avx512 => return simd::hamming_avx512_w_checked::<W>,
-            DispatchTier::Avx2 => return simd::hamming_avx2_w_checked::<W>,
-            DispatchTier::Popcnt => return simd::hamming_popcnt_w_checked::<W>,
-            DispatchTier::Generic => {}
-        }
-    }
-    hamming_generic_w::<W>
 }
 
 impl BitMatrix {
@@ -2049,220 +1702,6 @@ impl PackedBackend {
         }
     }
 
-    /// [`PackedBackend::similarity_matrix_packed_into`] with a [`WordSpec`]
-    /// monomorphization hint. When `spec` matches the codebook's word count the
-    /// row scan runs a kernel whose width is a compile-time constant (and, on the
-    /// AVX2 tier, whose Hamming body is inlined into the block scan); otherwise it
-    /// falls back to the runtime-length kernel. Results are identical either way.
-    pub fn similarity_matrix_packed_spec_into(
-        &self,
-        spec: WordSpec,
-        codebook: &BitMatrix,
-        queries: &BitMatrix,
-        out: &mut HvMatrix,
-    ) {
-        match spec {
-            WordSpec::W16 if spec.matches(codebook.words_per_row()) => {
-                self.similarity_spec::<16>(codebook, queries, out)
-            }
-            WordSpec::W32 if spec.matches(codebook.words_per_row()) => {
-                self.similarity_spec::<32>(codebook, queries, out)
-            }
-            WordSpec::W64 if spec.matches(codebook.words_per_row()) => {
-                self.similarity_spec::<64>(codebook, queries, out)
-            }
-            _ => self.similarity_matrix_packed_into(codebook, queries, out),
-        }
-    }
-
-    /// Monomorphized similarity scan: same blocking and tie behaviour as
-    /// [`PackedBackend::similarity_matrix_packed_into`] with the row width a
-    /// compile-time `W`.
-    fn similarity_spec<const W: usize>(
-        &self,
-        codebook: &BitMatrix,
-        queries: &BitMatrix,
-        out: &mut HvMatrix,
-    ) {
-        debug_assert_eq!(codebook.words_per_row(), W, "spec must match the codebook");
-        debug_assert_eq!(codebook.dim(), queries.dim(), "operand dims must match");
-        out.ensure_shape(queries.rows(), codebook.rows());
-        let d = codebook.dim() as i32;
-        #[cfg(target_arch = "x86_64")]
-        let avx2_scan = dispatch_tier() == DispatchTier::Avx2;
-        let ham = hamming_fn_spec_w::<W>();
-        for block_start in (0..codebook.rows()).step_by(CODEBOOK_BLOCK_ROWS) {
-            let block_end = (block_start + CODEBOOK_BLOCK_ROWS).min(codebook.rows());
-            let block_words = &codebook.words[block_start * W..block_end * W];
-            for q in 0..queries.rows() {
-                let qw = queries.row_words(q);
-                let sims = &mut out.row_mut(q)[block_start..block_end];
-                #[cfg(target_arch = "x86_64")]
-                if avx2_scan {
-                    simd::sim_scan_avx2_w_checked::<W>(d, qw, block_words, sims);
-                    continue;
-                }
-                for (slot, row) in sims.iter_mut().zip(block_words.chunks_exact(W)) {
-                    *slot = (d - 2 * ham(qw, row) as i32) as f32;
-                }
-            }
-        }
-    }
-
-    /// [`PackedBackend::cleanup_batch_packed_into`] with a [`WordSpec`]
-    /// monomorphization hint; same fallback and identity guarantees as
-    /// [`PackedBackend::similarity_matrix_packed_spec_into`].
-    ///
-    /// # Panics
-    /// Panics on an empty codebook (see [`PackedBackend::cleanup_batch_packed`]).
-    pub fn cleanup_batch_packed_spec_into(
-        &self,
-        spec: WordSpec,
-        codebook: &BitMatrix,
-        queries: &BitMatrix,
-        scratch: &mut CleanupScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        match spec {
-            WordSpec::W16 if spec.matches(codebook.words_per_row()) => {
-                self.cleanup_spec::<16>(codebook, queries, scratch, out)
-            }
-            WordSpec::W32 if spec.matches(codebook.words_per_row()) => {
-                self.cleanup_spec::<32>(codebook, queries, scratch, out)
-            }
-            WordSpec::W64 if spec.matches(codebook.words_per_row()) => {
-                self.cleanup_spec::<64>(codebook, queries, scratch, out)
-            }
-            _ => self.cleanup_batch_packed_into(codebook, queries, scratch, out),
-        }
-    }
-
-    /// Monomorphized cleanup scan: same blocking, strict-`<` update, and
-    /// lowest-index tie-breaking as [`PackedBackend::cleanup_batch_packed_into`]
-    /// with the row width a compile-time `W`.
-    fn cleanup_spec<const W: usize>(
-        &self,
-        codebook: &BitMatrix,
-        queries: &BitMatrix,
-        scratch: &mut CleanupScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        assert!(codebook.rows() > 0, "cleanup requires a non-empty codebook");
-        debug_assert_eq!(codebook.words_per_row(), W, "spec must match the codebook");
-        debug_assert_eq!(codebook.dim(), queries.dim(), "operand dims must match");
-        let best = &mut scratch.best;
-        best.clear();
-        best.resize(queries.rows(), (0usize, u32::MAX));
-        #[cfg(target_arch = "x86_64")]
-        let avx2_scan = dispatch_tier() == DispatchTier::Avx2;
-        let ham = hamming_fn_spec_w::<W>();
-        for block_start in (0..codebook.rows()).step_by(CODEBOOK_BLOCK_ROWS) {
-            let block_end = (block_start + CODEBOOK_BLOCK_ROWS).min(codebook.rows());
-            let block_words = &codebook.words[block_start * W..block_end * W];
-            for (q, slot) in best.iter_mut().enumerate() {
-                let qw = queries.row_words(q);
-                #[cfg(target_arch = "x86_64")]
-                if avx2_scan {
-                    simd::cleanup_scan_avx2_w_checked::<W>(block_start, qw, block_words, slot);
-                    continue;
-                }
-                for (offset, row) in block_words.chunks_exact(W).enumerate() {
-                    let h = ham(qw, row);
-                    if h < slot.1 {
-                        *slot = (block_start + offset, h);
-                    }
-                }
-            }
-        }
-        let d = queries.dim() as f32;
-        out.clear();
-        out.extend(best.iter().map(|&(m, h)| (m, (d - 2.0 * h as f32) / d)));
-    }
-
-    /// [`PackedBackend::project_signs_packed_into`] with a [`WordSpec`]
-    /// monomorphization hint: the word-outer sweep runs with a compile-time column
-    /// stride and trip count when `spec` matches the codebook. The lane blocking,
-    /// ascending-row accumulation order, perturbation points, and sign packing are
-    /// identical to the runtime-length kernel, so the output (and every consumed
-    /// noise-stream position) is bitwise the same.
-    pub fn project_signs_packed_spec_into<F>(
-        &self,
-        spec: WordSpec,
-        codebook: &BitMatrix,
-        weights: &HvMatrix,
-        perturb: F,
-        acc: &mut Vec<f32>,
-        out: &mut BitMatrix,
-    ) where
-        F: FnMut(usize, &mut [f32]),
-    {
-        match spec {
-            WordSpec::W16 if spec.matches(codebook.words_per_row()) => {
-                self.project_spec::<16, F>(codebook, weights, perturb, acc, out)
-            }
-            WordSpec::W32 if spec.matches(codebook.words_per_row()) => {
-                self.project_spec::<32, F>(codebook, weights, perturb, acc, out)
-            }
-            WordSpec::W64 if spec.matches(codebook.words_per_row()) => {
-                self.project_spec::<64, F>(codebook, weights, perturb, acc, out)
-            }
-            _ => self.project_signs_packed_into(codebook, weights, perturb, acc, out),
-        }
-    }
-
-    /// Monomorphized projection sweep — the body of
-    /// [`PackedBackend::project_signs_packed_into`] with `wpr` a compile-time `W`.
-    /// Must stay in lockstep with the runtime-length kernel: the spec-vs-generic
-    /// proptests pin the two bitwise.
-    fn project_spec<const W: usize, F>(
-        &self,
-        codebook: &BitMatrix,
-        weights: &HvMatrix,
-        mut perturb: F,
-        acc: &mut Vec<f32>,
-        out: &mut BitMatrix,
-    ) where
-        F: FnMut(usize, &mut [f32]),
-    {
-        debug_assert_eq!(
-            weights.dim(),
-            codebook.rows(),
-            "one weight per codebook row"
-        );
-        debug_assert_eq!(codebook.words_per_row(), W, "spec must match the codebook");
-        let dim = codebook.dim();
-        out.ensure_shape(weights.rows(), dim);
-        let tile_word = project_tile_fn();
-        for block_start in (0..weights.rows()).step_by(PROJ_LANE_ROWS) {
-            let block_len = (weights.rows() - block_start).min(PROJ_LANE_ROWS);
-            let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (lane, row) in lanes.iter_mut().enumerate().take(block_len) {
-                *row = weights.row(block_start + lane);
-            }
-            acc.clear();
-            acc.resize(block_len * dim, 0.0);
-            for wi in 0..if codebook.rows() > 0 { W } else { 0 } {
-                let base = wi * WORD_BITS;
-                let width = (dim - base).min(WORD_BITS);
-                let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
-                let column = codebook.words[wi..].iter().step_by(W);
-                for (m, &word) in column.take(codebook.rows()).enumerate() {
-                    tile_word(&mut tile, &lanes[..block_len], m, word);
-                }
-                for (lane, row) in tile.iter().enumerate().take(block_len) {
-                    let dst = lane * dim + base;
-                    acc[dst..dst + width].copy_from_slice(&row[..width]);
-                }
-            }
-            for lane in 0..block_len {
-                let q = block_start + lane;
-                let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
-                perturb(q, acc_row);
-                out.pack_signs_row(q, acc_row);
-            }
-        }
-    }
-
     /// Fused resonator iteration step for one factor: XOR-unbind, Hamming
     /// similarity, and weighted sign projection in a single tiled pass over the
     /// codebook sign planes, per [`PROJ_LANE_ROWS`]-query lane block.
@@ -2367,137 +1806,6 @@ impl PackedBackend {
                 let width = (dim - base).min(WORD_BITS);
                 let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
                 let column = codebook.words[wi..].iter().step_by(wpr);
-                for (m, &word) in column.take(cb_rows).enumerate() {
-                    tile_word(&mut tile, &lanes[..block_len], m, word);
-                }
-                for (lane, row) in tile.iter().enumerate().take(block_len) {
-                    let dst = lane * dim + base;
-                    acc[dst..dst + width].copy_from_slice(&row[..width]);
-                }
-            }
-            for lane in 0..block_len {
-                let slot = block_start + lane;
-                let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
-                hook(ResonatePhase::Projection, slot, acc_row);
-                out.pack_signs_row(slot, acc_row);
-            }
-        }
-    }
-
-    /// [`PackedBackend::resonate_step_fused_into`] with a [`WordSpec`]
-    /// monomorphization hint: when `spec` matches the codebook's word count the
-    /// unbind, similarity scan (AVX2 block scan on that tier), and projection
-    /// sweep all run with the row width a compile-time constant. Same fallback
-    /// and identity guarantees as the other `_spec_into` entry points.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resonate_step_fused_spec_into<F>(
-        &self,
-        spec: WordSpec,
-        codebook: &BitMatrix,
-        query: &BitMatrix,
-        estimates: &mut [BitMatrix],
-        factor: usize,
-        unbound: &mut BitMatrix,
-        sims: &mut HvMatrix,
-        acc: &mut Vec<f32>,
-        hook: F,
-    ) where
-        F: FnMut(ResonatePhase, usize, &mut [f32]),
-    {
-        match spec {
-            WordSpec::W16 if spec.matches(codebook.words_per_row()) => self.resonate_spec::<16, F>(
-                codebook, query, estimates, factor, unbound, sims, acc, hook,
-            ),
-            WordSpec::W32 if spec.matches(codebook.words_per_row()) => self.resonate_spec::<32, F>(
-                codebook, query, estimates, factor, unbound, sims, acc, hook,
-            ),
-            WordSpec::W64 if spec.matches(codebook.words_per_row()) => self.resonate_spec::<64, F>(
-                codebook, query, estimates, factor, unbound, sims, acc, hook,
-            ),
-            _ => self.resonate_step_fused_into(
-                codebook, query, estimates, factor, unbound, sims, acc, hook,
-            ),
-        }
-    }
-
-    /// Monomorphized fused resonator step — the body of
-    /// [`PackedBackend::resonate_step_fused_into`] with `wpr` a compile-time
-    /// `W`. Must stay in lockstep with the runtime-length kernel: the
-    /// fused-vs-split proptests pin the two bitwise.
-    #[allow(clippy::too_many_arguments)]
-    fn resonate_spec<const W: usize, F>(
-        &self,
-        codebook: &BitMatrix,
-        query: &BitMatrix,
-        estimates: &mut [BitMatrix],
-        factor: usize,
-        unbound: &mut BitMatrix,
-        sims: &mut HvMatrix,
-        acc: &mut Vec<f32>,
-        mut hook: F,
-    ) where
-        F: FnMut(ResonatePhase, usize, &mut [f32]),
-    {
-        let rows = query.rows();
-        let dim = codebook.dim();
-        let cb_rows = codebook.rows();
-        debug_assert!(factor < estimates.len(), "factor index in range");
-        debug_assert_eq!(codebook.words_per_row(), W, "spec must match the codebook");
-        debug_assert_eq!(query.dim(), dim, "operand dims must match");
-        let d = dim as i32;
-        sims.ensure_shape(rows, cb_rows);
-        let (head, rest) = estimates.split_at_mut(factor);
-        let (out, tail) = rest.split_first_mut().expect("factor index in range");
-        out.ensure_shape(rows, dim);
-        unbound.ensure_shape(PROJ_LANE_ROWS, dim);
-        #[cfg(target_arch = "x86_64")]
-        let avx2_scan = dispatch_tier() == DispatchTier::Avx2;
-        let ham = hamming_fn_spec_w::<W>();
-        let tile_word = project_tile_fn();
-        for block_start in (0..rows).step_by(PROJ_LANE_ROWS) {
-            let block_len = (rows - block_start).min(PROJ_LANE_ROWS);
-            for lane in 0..block_len {
-                let r = block_start + lane;
-                let dst = &mut unbound.words[lane * W..(lane + 1) * W];
-                dst.copy_from_slice(&query.words[r * W..(r + 1) * W]);
-                for est in head.iter().chain(tail.iter()) {
-                    let src = &est.words[r * W..(r + 1) * W];
-                    for i in 0..W {
-                        dst[i] ^= src[i];
-                    }
-                }
-            }
-            for cb_start in (0..cb_rows).step_by(CODEBOOK_BLOCK_ROWS) {
-                let cb_end = (cb_start + CODEBOOK_BLOCK_ROWS).min(cb_rows);
-                let block_words = &codebook.words[cb_start * W..cb_end * W];
-                for lane in 0..block_len {
-                    let qw = &unbound.words[lane * W..(lane + 1) * W];
-                    let sims_row = &mut sims.row_mut(block_start + lane)[cb_start..cb_end];
-                    #[cfg(target_arch = "x86_64")]
-                    if avx2_scan {
-                        simd::sim_scan_avx2_w_checked::<W>(d, qw, block_words, sims_row);
-                        continue;
-                    }
-                    for (slot, row) in sims_row.iter_mut().zip(block_words.chunks_exact(W)) {
-                        *slot = (d - 2 * ham(qw, row) as i32) as f32;
-                    }
-                }
-            }
-            for lane in 0..block_len {
-                let slot = block_start + lane;
-                hook(ResonatePhase::Similarity, slot, sims.row_mut(slot));
-            }
-            let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (lane, row) in lanes.iter_mut().enumerate().take(block_len) {
-                *row = sims.row(block_start + lane);
-            }
-            acc.clear();
-            acc.resize(block_len * dim, 0.0);
-            for wi in 0..if cb_rows > 0 { W } else { 0 } {
-                let base = wi * WORD_BITS;
-                let width = (dim - base).min(WORD_BITS);
-                let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
-                let column = codebook.words[wi..].iter().step_by(W);
                 for (m, &word) in column.take(cb_rows).enumerate() {
                     tile_word(&mut tile, &lanes[..block_len], m, word);
                 }
@@ -3374,136 +2682,6 @@ mod tests {
                 let picks: Vec<usize> = (0..rows).map(|_| r.gen_range(0..4)).collect();
                 let codebook = distinct.gather(&picks).unwrap();
                 assert_decision_identity(&codebook, &distinct);
-            }
-        }
-    }
-
-    mod word_spec_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        #[test]
-        fn word_spec_resolution() {
-            assert_eq!(WordSpec::for_dim(1024), WordSpec::W16);
-            assert_eq!(WordSpec::for_dim(1000), WordSpec::W16); // padded tail, same words
-            assert_eq!(WordSpec::for_dim(2048), WordSpec::W32);
-            assert_eq!(WordSpec::for_dim(4096), WordSpec::W64);
-            assert_eq!(WordSpec::for_dim(256), WordSpec::Generic);
-            assert!(WordSpec::W16.matches(16));
-            assert!(!WordSpec::Generic.matches(16));
-            assert_eq!(WordSpec::W32.as_str(), "W=32");
-        }
-
-        /// Pins every spec entry point bitwise against its runtime-length twin on
-        /// the same operands: similarity matrices, cleanup winners/similarities,
-        /// and the projected sign planes (same perturbation call sequence).
-        fn assert_spec_identity(spec: WordSpec, codebook: &BitMatrix, queries: &BitMatrix) {
-            let backend = PackedBackend::new();
-
-            let mut generic = HvMatrix::default();
-            let mut specd = HvMatrix::default();
-            backend.similarity_matrix_packed_into(codebook, queries, &mut generic);
-            backend.similarity_matrix_packed_spec_into(spec, codebook, queries, &mut specd);
-            assert_eq!(generic, specd, "similarity diverged under {spec}");
-
-            let mut scratch = CleanupScratch::default();
-            let (mut lin, mut spc) = (Vec::new(), Vec::new());
-            backend.cleanup_batch_packed_into(codebook, queries, &mut scratch, &mut lin);
-            backend.cleanup_batch_packed_spec_into(spec, codebook, queries, &mut scratch, &mut spc);
-            assert_eq!(lin.len(), spc.len());
-            for (q, (l, s)) in lin.iter().zip(&spc).enumerate() {
-                assert_eq!(l.0, s.0, "query {q}: cleanup winner diverged under {spec}");
-                assert_eq!(
-                    l.1.to_bits(),
-                    s.1.to_bits(),
-                    "query {q}: cleanup sim diverged"
-                );
-            }
-
-            // Projection: the similarity rows double as weights; the perturbation
-            // log checks the call sequence (and hence noise-stream consumption)
-            // matches, not just the packed output.
-            let mut acc = Vec::new();
-            let (mut out_g, mut out_s) = (BitMatrix::default(), BitMatrix::default());
-            let (mut calls_g, mut calls_s) = (Vec::new(), Vec::new());
-            backend.project_signs_packed_into(
-                codebook,
-                &generic,
-                |q, row| calls_g.push((q, row[0].to_bits())),
-                &mut acc,
-                &mut out_g,
-            );
-            backend.project_signs_packed_spec_into(
-                spec,
-                codebook,
-                &generic,
-                |q, row| calls_s.push((q, row[0].to_bits())),
-                &mut acc,
-                &mut out_s,
-            );
-            assert_eq!(out_g, out_s, "projected planes diverged under {spec}");
-            assert_eq!(
-                calls_g, calls_s,
-                "perturbation sequence diverged under {spec}"
-            );
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
-
-            /// Spec-vs-generic identity at every specialized word count, both at
-            /// the exact word boundary (d = 64·W) and with a padded tail word —
-            /// and with a deliberately *mismatched* spec, which must fall back to
-            /// the generic kernel rather than misread row strides.
-            #[test]
-            fn prop_spec_kernels_match_generic(
-                seed in 0u64..1000,
-                w_sel in 0usize..3,
-                pad in 0usize..2,
-                rows in 1usize..40,
-                queries in 1usize..10,
-            ) {
-                let words = [16usize, 32, 64][w_sel];
-                let dim = words * 64 - pad * 17;
-                let spec = WordSpec::for_dim(dim);
-                prop_assert_eq!(spec.words(), Some(words));
-                let mut r = rng(seed);
-                let codebook = BitMatrix::random_bipolar(rows, dim, &mut r);
-                let q = BitMatrix::random_bipolar(queries, dim, &mut r);
-                assert_spec_identity(spec, &codebook, &q);
-                // A wrong spec must route to the generic kernel (checked by the
-                // `matches` guard), never reinterpret the stride.
-                let wrong = if words == 16 { WordSpec::W64 } else { WordSpec::W16 };
-                assert_spec_identity(wrong, &codebook, &q);
-            }
-
-            /// Generic spec on arbitrary (including sub-16-word) dims is the
-            /// identity fallback.
-            #[test]
-            fn prop_generic_spec_is_fallback(seed in 0u64..1000, dim in 1usize..300) {
-                let mut r = rng(seed);
-                let codebook = BitMatrix::random_bipolar(6, dim, &mut r);
-                let q = BitMatrix::random_bipolar(3, dim, &mut r);
-                assert_spec_identity(WordSpec::Generic, &codebook, &q);
-            }
-        }
-
-        /// The tier cap (`COGSYS_SIMD`) is process-wide, so we can't sweep tiers
-        /// in-process — but the spec hamming resolution itself must agree with the
-        /// generic kernel exactly on every width it claims.
-        #[test]
-        fn spec_hamming_matches_generic_kernel() {
-            let mut r = rng(23);
-            for &(words, dim) in &[(16usize, 1024usize), (16, 1000), (32, 2048), (64, 4096)] {
-                let a = BitMatrix::random_bipolar(1, dim, &mut r);
-                let b = BitMatrix::random_bipolar(1, dim, &mut r);
-                let expect = hamming_generic(a.row_words(0), b.row_words(0));
-                let got = match words {
-                    16 => hamming_fn_spec_w::<16>()(a.row_words(0), b.row_words(0)),
-                    32 => hamming_fn_spec_w::<32>()(a.row_words(0), b.row_words(0)),
-                    _ => hamming_fn_spec_w::<64>()(a.row_words(0), b.row_words(0)),
-                };
-                assert_eq!(expect, got, "spec hamming diverged at {words} words");
             }
         }
     }

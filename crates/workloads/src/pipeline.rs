@@ -23,7 +23,7 @@ use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, Ru
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CleanupRoute, CodebookSet};
-use cogsys_vsa::packed::{BitMatrix, FusionMode, WordSpec};
+use cogsys_vsa::packed::BitMatrix;
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, Precision, VsaError, VsaKind};
 use rand::rngs::StdRng;
@@ -495,30 +495,14 @@ impl NeurosymbolicSolver {
     }
 
     /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: every routing
-    /// decision the executor needs — packed vs dense encode, chunk width, per-factor
-    /// cleanup routes, and (when `specialize` is set) the const-generic word-count
-    /// kernel specialization — resolved once, up front.
+    /// decision the executor needs — packed vs dense encode, chunk width and
+    /// per-factor cleanup routes — resolved once, up front.
     ///
-    /// `specialize = false` compiles the same plan with [`WordSpec::Generic`]
-    /// (runtime-length inner loops); the two plans are decision-identical, which is
-    /// what makes the specialized-vs-generic bench cells a pure kernel A/B.
-    pub fn compile_plan(&self, batch: usize, specialize: bool) -> SolvePlan {
-        self.compile_plan_with_fusion(batch, specialize, FusionMode::resolve_env())
-    }
-
-    /// [`NeurosymbolicSolver::compile_plan`] with the resonator [`FusionMode`]
-    /// forced instead of resolved from the environment (`COGSYS_FUSION`) — the
-    /// in-process A/B switch the fused-vs-split bench cells and the
-    /// decision-identity tests use. `fusion` only lands on packed resonate
-    /// stages; dense blocks always carry [`FusionMode::Split`] (the dense
-    /// engine has no fused kernel).
-    pub fn compile_plan_with_fusion(
-        &self,
-        batch: usize,
-        specialize: bool,
-        fusion: FusionMode,
-    ) -> SolvePlan {
-        let dim = self.config.vector_dim;
+    /// `_specialize` has no effect: every packed operation has exactly one
+    /// kernel, so there is nothing to specialize. The parameter is kept only so
+    /// the frozen benchmark's `compile_plan(batch, bool)` call site still
+    /// compiles.
+    pub fn compile_plan(&self, batch: usize, _specialize: bool) -> SolvePlan {
         let packed_route = self.packed_encode_route();
         let pack_dense_bits = !packed_route
             && self
@@ -533,11 +517,6 @@ impl NeurosymbolicSolver {
             Self::DENSE_SERVE_CHUNK
         };
         let have_bits = packed_route || pack_dense_bits;
-        let spec = if specialize && have_bits {
-            WordSpec::for_dim(dim)
-        } else {
-            WordSpec::Generic
-        };
         let rows = batch * Self::CONTEXT_PANELS;
         let backend = self.backend.as_ref();
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
@@ -557,11 +536,6 @@ impl NeurosymbolicSolver {
                 codebook_rows,
                 packed: block_packed,
                 iterations: self.factorizer.config().max_iterations,
-                fusion: if block_packed {
-                    fusion
-                } else {
-                    FusionMode::Split
-                },
             });
             let routes: Vec<CleanupRoute> = (0..set.num_factors())
                 .map(|f| {
@@ -589,14 +563,13 @@ impl NeurosymbolicSolver {
             packed_route,
             pack_dense_bits,
             chunk_problems,
-            spec,
             stages,
         }
     }
 
-    /// The cached plan for a `batch`-problem call, compiling (specialized) on first
-    /// use. Same shape → same `Arc` — the compile-once/run-many entry the serving
-    /// loop and `solve_batch_with` share.
+    /// The cached plan for a `batch`-problem call, compiling on first use. Same shape →
+    /// same `Arc` — the compile-once/run-many entry the serving loop and
+    /// `solve_batch_with` share.
     pub fn plan_for_batch(&self, batch: usize) -> Arc<SolvePlan> {
         let key = self.plan_key(batch);
         self.plans
@@ -826,11 +799,8 @@ impl NeurosymbolicSolver {
                 &mut streams,
                 &mut ds,
                 &mut values,
-                // Auto-specialize like the planned path (bitwise-identical kernels);
-                // routes and fusion are re-derived per call on this unplanned entry
-                // point, mirroring what compile_plan would resolve.
-                WordSpec::for_dim(self.config.vector_dim),
-                FusionMode::resolve_env(),
+                // Routes are re-derived per call on this unplanned entry point,
+                // mirroring what compile_plan would resolve.
                 None,
             )?;
         }
@@ -851,16 +821,11 @@ impl NeurosymbolicSolver {
     ///
     /// The polish sweep repairs single-attribute decode errors cheaply with the same
     /// unbind→search primitive the factorizer iterates — one gather + batched unbind
-    /// plus batched cleanup per factor. On the packed route the sweep is XOR +
-    /// popcount over sign planes (identical results: bipolar Hadamard unbinding is
-    /// exactly the XOR of sign planes).
-    /// `spec` selects the const-generic word-count kernels of the packed route
-    /// (bitwise identical to the runtime-length kernels — pass
-    /// [`WordSpec::Generic`] or a mismatched spec and only speed changes); `fusion`
-    /// selects the fused mega-kernel vs the split reference sequence for the packed
-    /// resonator iteration (decision-identical either way); `routes`,
-    /// when given, carries the plan's pre-resolved cleanup route per factor —
-    /// `None` re-derives per call (the unplanned sequential path).
+    /// plus batched cleanup per factor. On the packed route the sweep is XOR + popcount
+    /// over sign planes (identical results: bipolar Hadamard unbinding is exactly the
+    /// XOR of sign planes). `routes`, when given, carries the plan's pre-resolved
+    /// cleanup route per factor — `None` re-derives per call (the unplanned sequential
+    /// path).
     #[allow(clippy::too_many_arguments)]
     fn decode_block_into(
         &self,
@@ -871,8 +836,6 @@ impl NeurosymbolicSolver {
         streams: &mut [StdRng],
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
-        spec: WordSpec,
-        fusion: FusionMode,
         routes: Option<&[CleanupRoute]>,
     ) -> Result<usize, VsaError> {
         let DecodeScratch {
@@ -890,7 +853,7 @@ impl NeurosymbolicSolver {
         let results = match packed_query {
             Some(bits) => self
                 .factorizer
-                .factorize_matrix_bits_scratch_plan(set, bits, streams, fscratch, spec, fusion)?,
+                .factorize_matrix_bits_scratch(set, bits, streams, fscratch)?,
             None => {
                 let queries = encoded.ok_or(VsaError::Unsupported {
                     what: "dense decode route requires f32 queries",
@@ -936,7 +899,6 @@ impl NeurosymbolicSolver {
                 factor.cleanup_batch_bits_routed_into(
                     backend,
                     route,
-                    spec,
                     unbound_bits,
                     cscratch,
                     cleaned,
@@ -1327,8 +1289,8 @@ impl NeurosymbolicSolver {
 
     /// One pass of the batched engine over `problems`, appending to
     /// `scratch.choices`. A thin executor over `plan`: the encode route, dense
-    /// pack decision, kernel specialization and cleanup routes are all read from
-    /// the plan (see [`NeurosymbolicSolver::compile_plan`], which owns the policy).
+    /// pack decision and cleanup routes are all read from the plan (see
+    /// [`NeurosymbolicSolver::compile_plan`], which owns the policy).
     fn solve_batch_chunk<R: Rng + ?Sized>(
         &self,
         plan: &SolvePlan,
@@ -1455,8 +1417,6 @@ impl NeurosymbolicSolver {
                 streams,
                 decode,
                 values,
-                plan.spec,
-                plan.resonate_fusion(b).unwrap_or(FusionMode::Split),
                 plan.polish_routes(b),
             )?;
         }
@@ -2116,7 +2076,6 @@ mod tests {
     mod plan_exec {
         use super::*;
         use crate::plan::PlanCacheStats;
-        use cogsys_vsa::WordSpec;
         use proptest::prelude::*;
 
         #[test]
@@ -2136,9 +2095,7 @@ mod tests {
             s.solve_batch(&problems, &mut r).unwrap();
             assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 2, misses: 2 });
 
-            // The default 2048-dim packed solver resolves the W=32 specialization
-            // and takes the whole batch in one chunk.
-            assert_eq!(p1.spec, WordSpec::W32);
+            // The default 2048-dim packed solver takes the whole batch in one chunk.
             assert!(p1.packed_route);
             assert_eq!(p1.chunk_problems, 4);
 
@@ -2154,34 +2111,23 @@ mod tests {
         }
 
         #[test]
-        fn specialized_plan_resolves_word_spec_for_dim() {
-            // The tentpole specialization table, d=1024 → W=16 in particular
-            // (mirrored by the BENCH_REQUIRE_PLAN_SPEC bench-smoke gate). d=1000
-            // also packs into 16 words: specialization keys on word count, and the
-            // padded-tail kernels stay exact for any dim.
-            for (dim, spec) in [
-                (1024, WordSpec::W16),
-                (1000, WordSpec::W16),
-                (2048, WordSpec::W32),
-                (4096, WordSpec::W64),
-            ] {
+        fn plan_resolves_route_and_chunk_for_dim() {
+            // Every packed dim, word-aligned or with a padded tail word, takes the
+            // packed route with the whole batch in one chunk.
+            for dim in [1000, 1024, 2048, 4096] {
                 let config = SolverConfig {
                     vector_dim: dim,
                     ..SolverConfig::default()
                 };
                 let (s, _) = solver(74, config);
                 let plan = s.plan_for_batch(8);
-                assert_eq!(plan.spec, spec, "dim {dim}");
                 assert!(plan.packed_route, "dim {dim}");
                 assert_eq!(plan.chunk_problems, 8);
-                assert!(plan.describe().contains(spec.as_str()));
             }
-            // Dense backends have no packed inner loops to specialize; the plan
-            // folds DENSE_SERVE_CHUNK in as its chunk width instead.
+            // Dense backends fold DENSE_SERVE_CHUNK in as the chunk width instead.
             let dense = SolverConfig::default().with_backend(BackendKind::Parallel);
             let (s, _) = solver(74, dense);
             let plan = s.plan_for_batch(8);
-            assert_eq!(plan.spec, WordSpec::Generic);
             assert!(!plan.packed_route);
             assert_eq!(plan.chunk_problems, NeurosymbolicSolver::DENSE_SERVE_CHUNK);
         }
@@ -2268,20 +2214,15 @@ mod tests {
 
         #[test]
         fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
-            // Steady-state serving must stay allocation-free under fusion: the
-            // planned executor pre-sizes the factorizer scratch from the plan
-            // key on entry, so every capacity the packed resonator (and its
-            // fused kernel) touches is final after the first chunk. The
+            // Steady-state serving must stay allocation-free: the planned
+            // executor pre-sizes the factorizer scratch from the plan key on
+            // entry, so every capacity the packed resonator (and its fused
+            // kernel) touches is final after the first chunk. The
             // fingerprint is the full ordered capacity vector of the packed
             // scratch — any buffer regrowing across chunks changes it.
             let (s, mut r) = solver(76, SolverConfig::default());
             let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(10, &mut r);
             let plan = s.plan_for_batch(4);
-            assert_eq!(
-                plan.resonate_fusion(0),
-                Some(cogsys_vsa::FusionMode::Fused),
-                "default packed plan must resolve the fused resonator"
-            );
             let mut scratch = SolverScratch::default();
             // Serve an under-full chunk first: the presize keys on the *plan's*
             // chunk width, so even this 2-problem call must leave every buffer
@@ -2309,9 +2250,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
 
-            // The satellite pin: planned (specialized AND forced-generic) execution
-            // equals the sequential per-problem path — choices, reports, final rng
-            // state — across all three backends × pow2/non-pow2 dims.
+            // Planned execution equals the sequential per-problem path — choices,
+            // reports, final rng state — across all three backends × pow2/non-pow2
+            // dims.
             #[test]
             fn prop_planned_execution_is_decision_identical(seed in 0u64..500) {
                 for kind in BackendKind::ALL {
@@ -2327,31 +2268,19 @@ mod tests {
                         let problems =
                             ProblemGenerator::new(DatasetKind::Raven).generate_batch(3, &mut r1);
                         let mut r2 = r1.clone();
-                        let mut r3 = r1.clone();
 
-                        let specialized = s.compile_plan(problems.len(), true);
-                        let mut sc1 = SolverScratch::default();
+                        let plan = s.compile_plan(problems.len(), true);
+                        let mut sc = SolverScratch::default();
                         let planned = s
-                            .solve_batch_with_plan(&specialized, &problems, &mut r1, &mut sc1)
-                            .unwrap();
-
-                        let generic = s.compile_plan(problems.len(), false);
-                        prop_assert_eq!(generic.spec, WordSpec::Generic);
-                        let mut sc2 = SolverScratch::default();
-                        let generic_report = s
-                            .solve_batch_with_plan(&generic, &problems, &mut r2, &mut sc2)
+                            .solve_batch_with_plan(&plan, &problems, &mut r1, &mut sc)
                             .unwrap();
 
                         let (seq_choices, sequential) =
-                            solve_sequentially(&s, &problems, &mut r3);
+                            solve_sequentially(&s, &problems, &mut r2);
 
                         prop_assert_eq!(planned, sequential);
-                        prop_assert_eq!(generic_report, sequential);
-                        prop_assert_eq!(sc1.choices(), &seq_choices[..]);
-                        prop_assert_eq!(sc2.choices(), &seq_choices[..]);
-                        let fingerprint = r3.next_u64();
-                        prop_assert_eq!(r1.next_u64(), fingerprint);
-                        prop_assert_eq!(r2.next_u64(), fingerprint);
+                        prop_assert_eq!(sc.choices(), &seq_choices[..]);
+                        prop_assert_eq!(r1.next_u64(), r2.next_u64());
                     }
                 }
             }

@@ -4,11 +4,10 @@
 //! shape **once**, then executes that decision at line rate. This module is the
 //! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves every per-call
 //! routing question — packed vs dense encode, chunk width, per-factor cleanup route
-//! (linear scan vs pruned [`cogsys_vsa::CleanupIndex`]), and the const-generic
-//! word-count specialization ([`WordSpec`]) that monomorphizes the hamming /
-//! projection / noise inner loops — into a [`SolvePlan`], cached per [`PlanKey`] in a
-//! [`PlanCache`]. The executor ([`NeurosymbolicSolver::solve_batch_with`]) then just
-//! replays the plan's decisions; it re-derives nothing.
+//! (linear scan vs pruned [`cogsys_vsa::CleanupIndex`]) — into a [`SolvePlan`], cached
+//! per [`PlanKey`] in a [`PlanCache`]. The executor
+//! ([`NeurosymbolicSolver::solve_batch_with`]) then just replays the plan's decisions;
+//! it re-derives nothing.
 //!
 //! ```text
 //!   (backend, dim, blocks, batch, codebook_rows)          PlanKey
@@ -17,7 +16,7 @@
 //!   Encode → [Resonate → Polish]×blocks → Predict → Score  SolvePlan (stage IR)
 //!                    │ solve_batch_with_plan (per call)
 //!                    ▼
-//!   thin executor: pre-resolved route/spec/chunk, no per-call re-derivation
+//!   thin executor: pre-resolved route/chunk, no per-call re-derivation
 //! ```
 //!
 //! The plan also gives `cogsys-scheduler` (ADSCH) and `cogsys-sim` their first live
@@ -30,7 +29,7 @@
 
 use cogsys_scheduler::OpGraph;
 use cogsys_sim::Kernel;
-use cogsys_vsa::{BackendKind, CleanupRoute, FusionMode, WordSpec};
+use cogsys_vsa::{BackendKind, CleanupRoute};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -94,10 +93,6 @@ pub enum PlanStage {
         /// count the scheduler lowering charges the stage with (rows converge
         /// and compact out earlier at run time).
         iterations: usize,
-        /// How the packed iteration executes: the fused single-pass mega-kernel
-        /// or the split three-kernel reference sequence (decision-identical;
-        /// only meaningful when `packed`).
-        fusion: FusionMode,
     },
     /// One coordinate-descent polish sweep (unbind-all-but + cleanup per factor),
     /// with the cleanup route pre-chosen per factor.
@@ -203,17 +198,13 @@ pub struct SolvePlan {
     /// Problems per executor chunk (whole batch on the packed route; the dense
     /// engines' cache-resident sub-chunk width otherwise).
     pub chunk_problems: usize,
-    /// Const-generic word-count specialization of the packed inner loops, or
-    /// [`WordSpec::Generic`] for the runtime-length kernels.
-    pub spec: WordSpec,
     /// The fused stage IR, in execution order.
     pub stages: Vec<PlanStage>,
 }
 
 impl SolvePlan {
-    /// Human-readable description of the compiled plan: key, specialization, route,
-    /// chunk width, and the stage list — the `--explain` output of the bench and
-    /// serve binaries.
+    /// Human-readable description of the compiled plan: key, route, chunk width, and
+    /// the stage list — the `--explain` output of the bench and serve binaries.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -224,7 +215,7 @@ impl SolvePlan {
         );
         let _ = writeln!(
             out,
-            "  route={} spec={} chunk={}",
+            "  route={} chunk={}",
             if self.packed_route {
                 "packed"
             } else if self.pack_dense_bits {
@@ -232,7 +223,6 @@ impl SolvePlan {
             } else {
                 "dense"
             },
-            self.spec.as_str(),
             self.chunk_problems,
         );
         for (i, stage) in self.stages.iter().enumerate() {
@@ -247,10 +237,9 @@ impl SolvePlan {
                     codebook_rows,
                     packed,
                     iterations,
-                    fusion,
                 } => format!(
                     "block={block} rows={rows} factors={factors} cb={codebook_rows:?} \
-                     packed={packed} iters={iterations} fusion={fusion}"
+                     packed={packed} iters={iterations}"
                 ),
                 PlanStage::Polish {
                     block,
@@ -270,17 +259,6 @@ impl SolvePlan {
             let _ = writeln!(out, "  [{i}] {:<8} {detail}", stage.name());
         }
         out
-    }
-
-    /// The pre-resolved [`FusionMode`] of block `block`'s resonate stage, or
-    /// `None` when the plan carries no resonate stage for that block.
-    pub fn resonate_fusion(&self, block: usize) -> Option<FusionMode> {
-        self.stages.iter().find_map(|stage| match stage {
-            PlanStage::Resonate {
-                block: b, fusion, ..
-            } if *b == block => Some(*fusion),
-            _ => None,
-        })
     }
 
     /// The pre-resolved cleanup routes of block `block`'s polish stage (one per
@@ -405,7 +383,6 @@ mod tests {
             packed_route: true,
             pack_dense_bits: false,
             chunk_problems: batch,
-            spec: WordSpec::W16,
             stages: vec![
                 PlanStage::Encode {
                     rows: batch * 8,
@@ -418,7 +395,6 @@ mod tests {
                     codebook_rows: vec![9, 9, 5],
                     packed: true,
                     iterations: 200,
-                    fusion: FusionMode::Fused,
                 },
                 PlanStage::Polish {
                     block: 0,
@@ -436,11 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn describe_names_every_stage_and_the_spec() {
+    fn describe_names_every_stage() {
         let text = plan(4).describe();
         for needle in [
             "packed/d=1024",
-            "spec=W=16",
             "chunk=4",
             "encode",
             "resonate",
@@ -448,17 +423,9 @@ mod tests {
             "predict",
             "score",
             "iters=200",
-            "fusion=fused",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn resonate_fusion_reports_the_per_block_decision() {
-        let p = plan(4);
-        assert_eq!(p.resonate_fusion(0), Some(FusionMode::Fused));
-        assert_eq!(p.resonate_fusion(1), None);
     }
 
     #[test]

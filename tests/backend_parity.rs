@@ -270,7 +270,6 @@ proptest! {
     /// decisions, and per-query noise-stream positions — with and without
     /// noise, across power-of-two and non-power-of-two dims (tail words
     /// included) and row counts crossing the 8-query lane-block boundary,
-    /// through both the runtime-length kernel and the `WordSpec` dispatch,
     /// over two Gauss–Seidel iterations so the in-place estimate feedback is
     /// exercised.
     #[test]
@@ -283,13 +282,12 @@ proptest! {
         factors in 2usize..5,
         noise_sel in 0usize..2,
     ) {
-        use cogsys_vsa::packed::{PackedBackend, ResonatePhase, WordSpec};
+        use cogsys_vsa::packed::{PackedBackend, ResonatePhase};
         use rand::{RngCore, SeedableRng};
         use rand_distr::{Distribution, Normal};
 
         let with_noise = noise_sel == 1;
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
-        let spec = WordSpec::for_dim(dim);
         let packed = PackedBackend::new();
         let noise = Normal::new(0.0_f32, 0.75).unwrap();
         let mut setup = rng(seed ^ 0xf00d);
@@ -341,18 +339,17 @@ proptest! {
             }
         }
 
-        // Fused paths: runtime-length kernel and the WordSpec dispatch (which
-        // falls back to the runtime kernel when no spec matches the word count,
-        // so non-power-of-two dims cover the fallback arm).
-        for use_spec in [false, true] {
-            let mut est_fused = initial.clone();
-            let mut streams_fused = streams();
-            let mut fused_decisions = Vec::new();
-            let mut sims_fused = HvMatrix::default();
-            let (mut lanes, mut acc_f) = (BitMatrix::default(), Vec::new());
-            for _iter in 0..2 {
-                for (f, codebook) in codebooks.iter().enumerate() {
-                    let hook = |phase: ResonatePhase, q: usize, row: &mut [f32]| {
+        let mut est_fused = initial.clone();
+        let mut streams_fused = streams();
+        let mut fused_decisions = Vec::new();
+        let mut sims_fused = HvMatrix::default();
+        let (mut lanes, mut acc_f) = (BitMatrix::default(), Vec::new());
+        for _iter in 0..2 {
+            for (f, codebook) in codebooks.iter().enumerate() {
+                packed.resonate_step_fused_into(
+                    codebook, &query, &mut est_fused, f,
+                    &mut lanes, &mut sims_fused, &mut acc_f,
+                    |phase, q, row| {
                         if with_noise {
                             for v in row.iter_mut() {
                                 *v += noise.sample(&mut streams_fused[q]);
@@ -361,28 +358,15 @@ proptest! {
                         if phase == ResonatePhase::Similarity {
                             fused_decisions.push(ops::argmax(row).unwrap_or(0));
                         }
-                    };
-                    if use_spec {
-                        packed.resonate_step_fused_spec_into(
-                            spec, codebook, &query, &mut est_fused, f,
-                            &mut lanes, &mut sims_fused, &mut acc_f, hook,
-                        );
-                    } else {
-                        packed.resonate_step_fused_into(
-                            codebook, &query, &mut est_fused, f,
-                            &mut lanes, &mut sims_fused, &mut acc_f, hook,
-                        );
-                    }
-                }
+                    },
+                );
             }
-            prop_assert_eq!(&est_fused, &est_split);
-            prop_assert_eq!(&fused_decisions, &split_decisions);
-            prop_assert_eq!(&sims_fused, &sims_split);
-            // Compare against clones: the split streams are re-read by the
-            // second fused round.
-            for (fs, ss) in streams_fused.iter_mut().zip(&streams_split) {
-                prop_assert_eq!(fs.next_u64(), ss.clone().next_u64());
-            }
+        }
+        prop_assert_eq!(&est_fused, &est_split);
+        prop_assert_eq!(&fused_decisions, &split_decisions);
+        prop_assert_eq!(&sims_fused, &sims_split);
+        for (fs, ss) in streams_fused.iter_mut().zip(streams_split.iter_mut()) {
+            prop_assert_eq!(fs.next_u64(), ss.next_u64());
         }
     }
 
@@ -451,55 +435,43 @@ fn factorize_batch_regression_matches_per_query_results() {
 }
 
 #[test]
-fn fusion_split_is_decision_identical_end_to_end() {
-    // The `COGSYS_FUSION=split` escape hatch (and the plan compiler's Split
-    // decision it resolves to) must change nothing observable: reports, answer
-    // choices, and final rng state are identical through `solve_batch` on all
-    // three dataset families. The env-var leg runs through
-    // `FusionMode::resolve_env` exactly as a deployment would; the rest of the
-    // A/B forces the decision through `compile_plan_with_fusion` so the test is
-    // immune to env races from parallel tests.
+fn packed_solver_is_decision_identical_to_dense_end_to_end() {
+    // The whole packed route — sign-plane encode, fused resonator, popcount
+    // polish and scoring — against the dense parallel engine from the same
+    // seed: reports, answer choices and final rng state must all match on
+    // every dataset family.
     use cogsys_datasets::{DatasetKind, ProblemGenerator};
-    use cogsys_vsa::FusionMode;
     use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
     use rand::RngCore;
 
-    std::env::set_var("COGSYS_FUSION", "split");
-    assert_eq!(FusionMode::resolve_env(), FusionMode::Split);
-    std::env::remove_var("COGSYS_FUSION");
-    assert_eq!(FusionMode::resolve_env(), FusionMode::Fused);
-
+    let solver = |backend: BackendKind| {
+        NeurosymbolicSolver::new(
+            SolverConfig::default().with_backend(backend),
+            &mut rng(0xAB),
+        )
+    };
+    let packed = solver(BackendKind::Packed);
+    let dense = solver(BackendKind::Parallel);
     for kind in DatasetKind::ALL {
-        let mut r = rng(0xAB);
-        let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut r);
-        let problems = ProblemGenerator::new(kind).generate_batch(4, &mut r);
-
-        let fused_plan = solver.compile_plan_with_fusion(4, true, FusionMode::Fused);
-        let split_plan = solver.compile_plan_with_fusion(4, true, FusionMode::Split);
-        assert_eq!(fused_plan.resonate_fusion(0), Some(FusionMode::Fused));
-        assert_eq!(split_plan.resonate_fusion(0), Some(FusionMode::Split));
-
+        let mut r = rng(0xCD);
+        let problems = ProblemGenerator::new(kind).generate_batch(6, &mut r);
         let mut r1 = r.clone();
         let mut r2 = r.clone();
         let mut sc1 = SolverScratch::default();
         let mut sc2 = SolverScratch::default();
-        let fused = solver
-            .solve_batch_with_plan(&fused_plan, &problems, &mut r1, &mut sc1)
+        let packed_report = packed
+            .solve_batch_with(&problems, &mut r1, &mut sc1)
             .unwrap();
-        let split = solver
-            .solve_batch_with_plan(&split_plan, &problems, &mut r2, &mut sc2)
+        let dense_report = dense
+            .solve_batch_with(&problems, &mut r2, &mut sc2)
             .unwrap();
-        assert_eq!(fused, split, "{kind}: reports diverge between fusion modes");
+        assert_eq!(packed_report, dense_report, "{kind}: reports diverge");
         assert_eq!(
             sc1.choices(),
             sc2.choices(),
-            "{kind}: answer choices diverge between fusion modes"
+            "{kind}: answer choices diverge"
         );
-        assert_eq!(
-            r1.next_u64(),
-            r2.next_u64(),
-            "{kind}: rng streams diverge between fusion modes"
-        );
+        assert_eq!(r1.next_u64(), r2.next_u64(), "{kind}: rng streams diverge");
     }
 }
 
