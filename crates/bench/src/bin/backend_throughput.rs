@@ -3,8 +3,8 @@
 //! Measures the circular-convolution binding and codebook-cleanup kernels (both `f32`
 //! and pre-packed `BitMatrix` queries) for every [`cogsys_vsa::BackendKind`] across
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
-//! kernels** — `solve_batch` (the cross-problem batched serving engine with reused
-//! scratch) vs `solve_sequential` (per-problem loop) at 8- and 64-problem batches,
+//! kernel** `solve_batch` (the cross-problem batched serving engine with reused
+//! scratch) at 8- and 64-problem batches with its plan-compile and per-stage cells,
 //! plus the **large-codebook cleanup** cells — `cleanup_indexed` at 10^4 and 10^5
 //! rows (10^6 with `BENCH_LARGE=1`), pitting the pruned exact `CleanupIndex` scan
 //! (`packed`) against the flat linear packed scan (`reference`) — plus the
@@ -172,43 +172,20 @@ fn main() -> ExitCode {
         }
     }
 
-    // End-to-end solver throughput: the cross-problem batched engine vs the
-    // per-problem loop at a 64-problem serving batch (8·64 = 512 panel rows per
-    // factorize call) on the packed backend.
+    // End-to-end solver throughput at a 64-problem serving batch (8·64 = 512 panel
+    // rows per factorize call) on the packed backend, and the amortized
+    // plan-compilation cost.
     let solver_cell = |backend: &str, kernel: &str| {
         records
             .iter()
             .find(|r| r.backend == backend && r.kernel == kernel && r.batch == 64)
             .map(|r| r.ns_per_op)
     };
-    if let (Some(batched), Some(sequential)) = (
-        solver_cell("packed", "solve_batch"),
-        solver_cell("packed", "solve_sequential"),
-    ) {
+    if let Some(batched) = solver_cell("packed", "solve_batch") {
         println!(
-            "solver 64-problem batch (packed): batched {:.1} ms ({:.0} problems/s), \
-             per-problem {:.1} ms ({:.0} problems/s), {:.2}x from cross-problem batching",
+            "solver 64-problem batch (packed): {:.1} ms ({:.0} problems/s)",
             batched / 1e6,
             64.0 / (batched / 1e9),
-            sequential / 1e6,
-            64.0 / (sequential / 1e9),
-            sequential / batched.max(1.0),
-        );
-    }
-
-    // The compile/execute split's acceptance numbers: planned executor vs the
-    // unplanned entry point (must be measurably no slower) and the amortized
-    // plan-compilation cost.
-    if let (Some(unplanned), Some(planned)) = (
-        solver_cell("packed", "solve_batch"),
-        solver_cell("packed", "solve_batch_planned"),
-    ) {
-        println!(
-            "planned executor 64-problem batch (packed): unplanned {:.1} ms, \
-             planned {:.1} ms ({:.2}x)",
-            unplanned / 1e6,
-            planned / 1e6,
-            unplanned / planned.max(1.0),
         );
     }
     if let Some(compile) = solver_cell("packed", "plan_compile") {

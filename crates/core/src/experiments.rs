@@ -89,8 +89,8 @@ pub struct BenchRecord {
     /// Kernel name: `bind_circular` (row-wise circular-convolution binding),
     /// `cleanup` (codebook cleanup of an `f32` query batch), `cleanup_prepacked`
     /// (codebook cleanup of pre-packed `BitMatrix` queries), `solve_batch` (the
-    /// cross-problem batched solver over `batch` problems, reused scratch) or
-    /// `solve_sequential` (per-problem solver loop over the same problems).
+    /// cross-problem batched solver over `batch` problems, reused scratch), and the
+    /// further kernels the producing functions below document.
     pub kernel: String,
     /// Hypervector dimensionality.
     pub dim: usize,
@@ -313,27 +313,21 @@ pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 
 /// Measures end-to-end solver throughput for every [`BackendKind`]: the
 /// `solve_batch` kernel runs the cross-problem batched engine (one reused
-/// [`cogsys_workloads::SolverScratch`], all problems in one call) and the
-/// `solve_sequential` kernel runs the per-problem path (a loop over
-/// [`NeurosymbolicSolver::solve`], the pre-batching `solve_batch` behaviour). Both
-/// solve the same RAVEN problems from the same rng state, so their wall-clock ratio
-/// is the pure cross-problem-batching dividend; tracking `solve_batch` against the
-/// committed baseline guards the whole serving path (encode, factorize, polish,
-/// answer scoring) rather than single kernels.
+/// [`cogsys_workloads::SolverScratch`], all problems in one call, the plan a
+/// cache hit after the warm-up). Tracking it against the committed baseline
+/// guards the whole serving path (encode, factorize, polish, answer scoring)
+/// rather than single kernels.
 ///
 /// `ns_per_op` is the best wall clock for solving the *whole* batch (one warm-up,
 /// best of three), mirroring the per-batched-call convention of
 /// [`backend_throughput_records`].
 ///
-/// Beyond the two legacy end-to-end kernels the sweep also measures the plan
-/// layer introduced by the compile/execute split:
+/// The sweep also measures the plan layer:
 ///
 /// * `plan_compile` — one [`NeurosymbolicSolver::compile_plan`] call (the cost a
 ///   cold plan-cache miss adds to the first chunk of a new shape);
-/// * `solve_batch_planned` — the planned executor on the cached plan (compile
-///   amortized away, the steady-state serving cost);
 /// * `plan_stage_{encode,decode,score}` (packed only) — the per-stage wall clock
-///   of the best planned round, the cells `cogsys-serve`'s per-stage
+///   of the best timed round, the cells `cogsys-serve`'s per-stage
 ///   `ServiceModel` fit and the adSCH stage-cost validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
     use cogsys_workloads::{SolverScratch, StageNanos};
@@ -375,20 +369,6 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
                 ns_per_op: batched * 1e9,
             });
 
-            let sequential = time(&mut || {
-                let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                for problem in &problems {
-                    let _ = solver.solve(problem, &mut r).expect("well-formed problem");
-                }
-            });
-            records.push(BenchRecord {
-                backend: backend.to_string(),
-                kernel: "solve_sequential".to_string(),
-                dim,
-                batch: count,
-                ns_per_op: sequential * 1e9,
-            });
-
             // Plan compilation cost: microsecond-scale, so each timed round runs a
             // small inner loop and reports the per-call cost.
             const COMPILES_PER_ROUND: usize = 16;
@@ -405,24 +385,8 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
                 ns_per_op: compile * 1e9 / COMPILES_PER_ROUND as f64,
             });
 
-            // Steady-state planned execution: the plan is compiled once outside the
-            // timed region (a cache hit in serving terms).
-            let plan = solver.plan_for_batch(count);
-            let planned = time(&mut || {
-                let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                let _ = solver
-                    .solve_batch_with_plan(&plan, &problems, &mut r, &mut scratch)
-                    .expect("well-formed problems solve");
-            });
-            records.push(BenchRecord {
-                backend: backend.to_string(),
-                kernel: "solve_batch_planned".to_string(),
-                dim,
-                batch: count,
-                ns_per_op: planned * 1e9,
-            });
-
             if backend == BackendKind::Packed {
+                let plan = solver.plan_for_batch(count);
                 // Per-stage wall clock of the best timed round (by total), the
                 // cells the serving front end's per-stage service fit consumes.
                 let mut run_timed = || {
@@ -1351,57 +1315,36 @@ pub fn tab07_factorization_accuracy_with_backend(
     );
     let mut rng = cogsys_vsa::rng(seed);
     let solver = NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
+    let mut scratch = cogsys_workloads::SolverScratch::default();
+    // Each scenario's trial problems are solved as one batch; the per-panel
+    // attribute-extraction accuracy is the report's factorization accuracy.
+    let mut push = |label: String, problems: &[cogsys_datasets::Problem], rng: &mut _| {
+        let report = solver
+            .solve_batch_with(problems, rng, &mut scratch)
+            .expect("well-formed problems");
+        table.push(label, vec![100.0 * report.factorization_accuracy()]);
+    };
 
-    // Constellation scenarios: generate problems of each constellation and measure the
-    // per-panel attribute-extraction accuracy.
+    // Constellation scenarios.
     for constellation in Constellation::ALL {
         let generator = ProblemGenerator::new(DatasetKind::Raven);
-        let mut exact = 0usize;
-        let mut total = 0usize;
-        for _ in 0..trials {
-            let p = generator.generate_with_constellation(constellation, &mut rng);
-            for panel in &p.context {
-                let (decoded, _) = solver
-                    .perceive_and_factorize(panel, &mut rng)
-                    .expect("well-formed panel");
-                total += 1;
-                if decoded == *panel {
-                    exact += 1;
-                }
-            }
-        }
-        table.push(
-            constellation.to_string(),
-            vec![100.0 * exact as f64 / total.max(1) as f64],
-        );
+        let problems: Vec<_> = (0..trials)
+            .map(|_| generator.generate_with_constellation(constellation, &mut rng))
+            .collect();
+        push(constellation.to_string(), &problems, &mut rng);
     }
 
     // Rule scenarios: same measurement grouped by the rule type governing the problems.
     for kind in RuleKind::PGM {
         let generator = ProblemGenerator::new(DatasetKind::Pgm);
-        let mut exact = 0usize;
-        let mut total = 0usize;
-        let mut seen = 0usize;
-        while seen < trials {
+        let mut problems = Vec::with_capacity(trials);
+        while problems.len() < trials {
             let p = generator.generate(&mut rng);
-            if !p.rules.rules().iter().any(|r| r.kind == kind) {
-                continue;
-            }
-            seen += 1;
-            for panel in &p.context {
-                let (decoded, _) = solver
-                    .perceive_and_factorize(panel, &mut rng)
-                    .expect("well-formed panel");
-                total += 1;
-                if decoded == *panel {
-                    exact += 1;
-                }
+            if p.rules.rules().iter().any(|r| r.kind == kind) {
+                problems.push(p);
             }
         }
-        table.push(
-            kind.to_string(),
-            vec![100.0 * exact as f64 / total.max(1) as f64],
-        );
+        push(kind.to_string(), &problems, &mut rng);
     }
     table
 }

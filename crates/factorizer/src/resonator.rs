@@ -4,7 +4,7 @@
 //! phrased over [`HvMatrix`] batches and dispatched through a [`VsaBackend`], so one
 //! `Factorizer` can decode a single query or a whole panel batch with the same code
 //! path. Every query in a batch carries its own derived noise stream, which makes
-//! [`Factorizer::factorize_batch`] return *exactly* the results of calling
+//! [`Factorizer::factorize_matrix_scratch`] return *exactly* the results of calling
 //! [`Factorizer::factorize`] per query — batching is a pure performance transform.
 
 use crate::config::FactorizerConfig;
@@ -458,8 +458,9 @@ impl Factorizer {
     /// from "every candidate in superposition" and sharpens each factor in parallel.
     ///
     /// One value is drawn from `rng` to seed the query's private noise stream, so a
-    /// sequence of `factorize` calls consumes `rng` exactly like one
-    /// [`Factorizer::factorize_batch`] call over the same queries.
+    /// sequence of `factorize` calls returns exactly what one
+    /// [`Factorizer::factorize_matrix_scratch`] call returns over the same queries
+    /// with streams seeded from the same draws.
     ///
     /// # Errors
     /// Propagates [`VsaError`] for dimension mismatches between the query and the
@@ -472,36 +473,17 @@ impl Factorizer {
     ) -> Result<FactorizationResult, VsaError> {
         let queries = HvMatrix::from_hypervector(query);
         let mut streams = [StdRng::seed_from_u64(rng.next_u64())];
-        let mut results = self.factorize_matrix(set, &queries, &mut streams)?;
+        let mut results = self.factorize_matrix_scratch(
+            set,
+            &queries,
+            &mut streams,
+            &mut FactorizerScratch::default(),
+        )?;
         Ok(results.pop().expect("one query row yields one result"))
-    }
-
-    /// Factorizes a batch of queries in one pass over the batch kernels.
-    ///
-    /// Returns one [`FactorizationResult`] per query, in order, identical to what
-    /// per-query [`Factorizer::factorize`] calls with the same `rng` would produce.
-    ///
-    /// # Errors
-    /// Propagates [`VsaError`] for dimension mismatches.
-    pub fn factorize_batch<R: Rng + ?Sized>(
-        &self,
-        set: &CodebookSet,
-        queries: &[Hypervector],
-        rng: &mut R,
-    ) -> Result<Vec<FactorizationResult>, VsaError> {
-        let matrix = HvMatrix::from_rows(queries)?;
-        let mut streams: Vec<StdRng> = queries
-            .iter()
-            .map(|_| StdRng::seed_from_u64(rng.next_u64()))
-            .collect();
-        self.factorize_matrix(set, &matrix, &mut streams)
     }
 
     /// The batched resonator engine: factorizes every row of `queries`, driving noise
     /// for row `q` from `streams[q]`.
-    ///
-    /// This is the lowest-level entry point; [`Factorizer::factorize`] and
-    /// [`Factorizer::factorize_batch`] are thin wrappers around it.
     ///
     /// Two execution strategies share the same per-query dynamics:
     ///
@@ -513,23 +495,10 @@ impl Factorizer {
     ///
     /// Both compact converged rows out of the batch with a gather (scatter happens at
     /// result assembly), so early-converging queries stop consuming kernel lanes.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
-    /// codebook dimension or `streams.len() != queries.rows()`.
-    pub fn factorize_matrix(
-        &self,
-        set: &CodebookSet,
-        queries: &HvMatrix,
-        streams: &mut [StdRng],
-    ) -> Result<Vec<FactorizationResult>, VsaError> {
-        self.factorize_matrix_scratch(set, queries, streams, &mut FactorizerScratch::default())
-    }
-
-    /// [`Factorizer::factorize_matrix`] with **caller-owned scratch**: all batch
-    /// matrices, sign planes and per-query state live in `scratch` and are reused
-    /// across calls, so a steady-state serving loop allocates nothing in the
-    /// factorization stage. Results are identical to the allocating entry point.
+    /// All batch matrices, sign planes and per-query state live in the caller-owned
+    /// `scratch` and are reused across calls, so a steady-state serving loop
+    /// allocates nothing in the factorization stage; a fresh scratch gives identical
+    /// results.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
@@ -581,7 +550,7 @@ impl Factorizer {
     /// engine: Hadamard binding, FP32 precision, a backend with a packed fast path,
     /// and cached sign planes on every factor codebook. Callers that already hold
     /// packed queries can then stay in sign planes end to end via
-    /// [`Factorizer::factorize_matrix_bits`].
+    /// [`Factorizer::factorize_matrix_bits_scratch`].
     pub fn packed_pipeline(&self, set: &CodebookSet) -> bool {
         self.config.precision == Precision::Fp32
             && set.binding() == BindingOp::Hadamard
@@ -589,31 +558,15 @@ impl Factorizer {
             && set.all_packed()
     }
 
-    /// [`Factorizer::factorize_matrix`] with **bit-packed** queries: the entry point
-    /// for pipelines that already hold the query batch as sign planes (e.g. a
-    /// packed-encoded scene batch), skipping the per-call pack of the dense path.
+    /// [`Factorizer::factorize_matrix_scratch`] with **bit-packed** queries: the
+    /// allocation-free entry point of the end-to-end packed serving path, for callers
+    /// that already hold the query batch as sign planes (e.g. a packed-encoded scene
+    /// batch), skipping the per-call pack of the dense path.
     ///
     /// On a packed-capable configuration ([`Factorizer::packed_pipeline`]) the bits
     /// feed the packed engine directly; otherwise the queries are unpacked once and
     /// the dense engine runs. Results are identical to calling
-    /// [`Factorizer::factorize_matrix`] on the unpacked queries.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
-    /// codebook dimension or `streams.len() != queries.rows()`.
-    pub fn factorize_matrix_bits(
-        &self,
-        set: &CodebookSet,
-        queries: &BitMatrix,
-        streams: &mut [StdRng],
-    ) -> Result<Vec<FactorizationResult>, VsaError> {
-        self.factorize_matrix_bits_scratch(set, queries, streams, &mut FactorizerScratch::default())
-    }
-
-    /// [`Factorizer::factorize_matrix_bits`] with **caller-owned scratch** (see
-    /// [`Factorizer::factorize_matrix_scratch`]): the allocation-free entry point of
-    /// the end-to-end packed serving path — a packed-encoded scene batch flows in as
-    /// sign planes and every buffer of the resonator loop is reused across calls.
+    /// [`Factorizer::factorize_matrix_scratch`] on the unpacked queries.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
@@ -981,11 +934,32 @@ mod tests {
     use cogsys_vsa::codebook::BindingOp;
     use cogsys_vsa::{rng, BackendKind, CodebookSet, Precision};
     use proptest::prelude::*;
+    use rand::RngCore;
 
     fn standard_set(seed: u64, sizes: &[usize], dim: usize) -> (CodebookSet, rand::rngs::StdRng) {
         let mut r = rng(seed);
         let set = CodebookSet::random(sizes, dim, BindingOp::Hadamard, &mut r);
         (set, r)
+    }
+
+    /// Batch factorization with one stream per query seeded from `rng` in query
+    /// order — the batched counterpart of per-query [`Factorizer::factorize`] calls.
+    fn factorize_batch(
+        factorizer: &Factorizer,
+        set: &CodebookSet,
+        queries: &[Hypervector],
+        rng: &mut StdRng,
+    ) -> Result<Vec<FactorizationResult>, VsaError> {
+        let mut streams: Vec<StdRng> = queries
+            .iter()
+            .map(|_| StdRng::seed_from_u64(rng.next_u64()))
+            .collect();
+        factorizer.factorize_matrix_scratch(
+            set,
+            &HvMatrix::from_rows(queries)?,
+            &mut streams,
+            &mut FactorizerScratch::default(),
+        )
     }
 
     #[test]
@@ -1162,21 +1136,28 @@ mod tests {
 
         let mut s1: Vec<_> = (0..4).map(StdRng::seed_from_u64).collect();
         let mut s2: Vec<_> = (0..4).map(StdRng::seed_from_u64).collect();
-        let dense = factorizer.factorize_matrix(&set, &matrix, &mut s1).unwrap();
+        let dense = factorizer
+            .factorize_matrix_scratch(&set, &matrix, &mut s1, &mut FactorizerScratch::default())
+            .unwrap();
         let packed = factorizer
-            .factorize_matrix_bits(&set, &bits, &mut s2)
+            .factorize_matrix_bits_scratch(&set, &bits, &mut s2, &mut FactorizerScratch::default())
             .unwrap();
         assert_eq!(dense, packed);
 
         // Error paths: stream-count and dimension mismatches are reported.
         let mut bad: Vec<_> = (0..2).map(StdRng::seed_from_u64).collect();
         assert!(factorizer
-            .factorize_matrix_bits(&set, &bits, &mut bad)
+            .factorize_matrix_bits_scratch(&set, &bits, &mut bad, &mut FactorizerScratch::default())
             .is_err());
         let narrow = BitMatrix::zeros(4, 128);
         let mut s3: Vec<_> = (0..4).map(StdRng::seed_from_u64).collect();
         assert!(factorizer
-            .factorize_matrix_bits(&set, &narrow, &mut s3)
+            .factorize_matrix_bits_scratch(
+                &set,
+                &narrow,
+                &mut s3,
+                &mut FactorizerScratch::default()
+            )
             .is_err());
     }
 
@@ -1193,9 +1174,11 @@ mod tests {
         assert!(!factorizer.packed_pipeline(&set));
         let mut s1 = [StdRng::seed_from_u64(9)];
         let mut s2 = [StdRng::seed_from_u64(9)];
-        let dense = factorizer.factorize_matrix(&set, &matrix, &mut s1).unwrap();
+        let dense = factorizer
+            .factorize_matrix_scratch(&set, &matrix, &mut s1, &mut FactorizerScratch::default())
+            .unwrap();
         let packed = factorizer
-            .factorize_matrix_bits(&set, &bits, &mut s2)
+            .factorize_matrix_bits_scratch(&set, &bits, &mut s2, &mut FactorizerScratch::default())
             .unwrap();
         assert_eq!(dense, packed);
         assert_eq!(dense[0].indices, vec![2, 5]);
@@ -1217,9 +1200,7 @@ mod tests {
         let factorizer = Factorizer::default();
 
         let mut rng_batch = rng(777);
-        let batch = factorizer
-            .factorize_batch(&set, &queries, &mut rng_batch)
-            .unwrap();
+        let batch = factorize_batch(&factorizer, &set, &queries, &mut rng_batch).unwrap();
 
         let mut rng_single = rng(777);
         for (q, query) in queries.iter().enumerate() {
@@ -1250,9 +1231,7 @@ mod tests {
     #[test]
     fn batch_of_empty_queries_is_empty() {
         let (set, mut r) = standard_set(402, &[4, 4], 128);
-        let results = Factorizer::default()
-            .factorize_batch(&set, &[], &mut r)
-            .unwrap();
+        let results = factorize_batch(&Factorizer::default(), &set, &[], &mut r).unwrap();
         assert!(results.is_empty());
     }
 
@@ -1288,9 +1267,7 @@ mod tests {
         let factorizer =
             Factorizer::new(FactorizerConfig::default().with_backend(BackendKind::Packed));
         let mut rng_batch = rng(888);
-        let batch = factorizer
-            .factorize_batch(&set, &queries, &mut rng_batch)
-            .unwrap();
+        let batch = factorize_batch(&factorizer, &set, &queries, &mut rng_batch).unwrap();
         let mut rng_single = rng(888);
         for (q, query) in queries.iter().enumerate() {
             let single = factorizer.factorize(&set, query, &mut rng_single).unwrap();
@@ -1318,9 +1295,7 @@ mod tests {
         for kind in BackendKind::ALL {
             let factorizer = Factorizer::new(FactorizerConfig::default().with_backend(kind));
             let mut rng_batch = rng(999);
-            let batch = factorizer
-                .factorize_batch(&set, &queries, &mut rng_batch)
-                .unwrap();
+            let batch = factorize_batch(&factorizer, &set, &queries, &mut rng_batch).unwrap();
             let mut rng_single = rng(999);
             for (q, query) in queries.iter().enumerate() {
                 let single = factorizer.factorize(&set, query, &mut rng_single).unwrap();

@@ -157,10 +157,10 @@ impl SolverEngine {
 
     /// Plan-cache hit/miss counters summed over all three rungs' solvers.
     ///
-    /// The batch former compiles a [`cogsys_workloads::SolvePlan`] per
-    /// `(backend, dim, blocks, batch, codebook_rows)` key at chunk formation;
-    /// steady traffic re-forms the same batch shapes, so after warm-up hits
-    /// should dominate misses.
+    /// Each rung's solver compiles a [`cogsys_workloads::SolvePlan`] per
+    /// `(backend, dim, blocks, batch, codebook_rows)` key the first time it
+    /// solves a well-formed chunk of that shape; steady traffic re-forms the same
+    /// batch shapes, so after warm-up hits should dominate misses.
     pub fn plan_stats(&self) -> PlanCacheStats {
         let mut total = PlanCacheStats::default();
         for solver in &self.solvers {
@@ -191,11 +191,10 @@ impl ChunkEngine for SolverEngine {
             DegradationLevel::ReducedIterations => &self.solvers[1],
             DegradationLevel::CoarseCleanup => &self.solvers[2],
         };
-        // Plans are compiled at chunk formation and reused across chunks of the
-        // same shape: steady traffic pays plan compilation once per batch size
-        // per rung, then executes cache hits.
-        let plan = solver.plan_for_batch(problems.len());
-        let report = solver.solve_batch_with_plan(&plan, problems, &mut rng, &mut self.scratch)?;
+        // `solve_batch_with` looks the plan up in the rung's cache: steady traffic
+        // pays plan compilation once per batch size per rung, then executes cache
+        // hits.
+        let report = solver.solve_batch_with(problems, &mut rng, &mut self.scratch)?;
         Ok(ChunkResult {
             choices: self.scratch.choices().to_vec(),
             report,

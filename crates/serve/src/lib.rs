@@ -821,9 +821,8 @@ mod tests {
         let records = vec![
             cell("packed", "solve_batch", 8, 1e6 + 8.0 * 2e6),
             cell("packed", "solve_batch", 64, 1e6 + 64.0 * 2e6),
-            // Distractors the fit must ignore.
+            // A distractor the fit must ignore.
             cell("reference", "solve_batch", 8, 9e9),
-            cell("packed", "solve_sequential", 8, 9e9),
         ];
         let model = ServiceModel::from_bench_records(&records).unwrap();
         assert_eq!(model.micros_per_batch, 1_000);

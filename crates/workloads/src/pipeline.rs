@@ -25,7 +25,7 @@ use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CleanupRoute, CodebookSet};
 use cogsys_vsa::packed::BitMatrix;
 use cogsys_vsa::quant::fake_quantize_slice;
-use cogsys_vsa::{ops, Hypervector, Precision, VsaError, VsaKind};
+use cogsys_vsa::{ops, Precision, VsaError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -179,6 +179,14 @@ struct DecodeScratch {
     est_dense: Vec<HvMatrix>,
     unbound_bits: BitMatrix,
     est_bits: BitMatrix,
+}
+
+/// The encoded scene batch one decode pass factorizes: sign planes on the packed
+/// route, f32 rows on the dense route ([`SolvePlan::packed_route`]).
+#[derive(Clone, Copy)]
+enum Scenes<'a> {
+    Packed(&'a BitMatrix),
+    Dense(&'a HvMatrix),
 }
 
 /// Reusable scratch of the cross-problem batched solving engine
@@ -338,17 +346,7 @@ impl NeurosymbolicSolver {
         // One shared backend instance serves both the solver's own batch kernels and
         // the factorizer (sharing the FFT-plan cache when the backend is parallel).
         let backend = config.backend.create();
-        // The factorizer decodes *blocks* of the scene superposition, so it runs with
-        // the per-block convergence threshold; min() keeps a deliberately lower
-        // configured threshold in charge, it never tightens past the block plateau.
-        let block_threshold = Self::block_convergence_threshold(Self::BLOCKS.len())
-            .min(config.factorizer.convergence_threshold);
-        let factorizer_config = FactorizerConfig {
-            convergence_threshold: block_threshold,
-            ..config.factorizer.clone()
-        }
-        .with_backend(config.backend);
-        let factorizer = Factorizer::with_backend(factorizer_config, Arc::clone(&backend));
+        let factorizer = Self::block_factorizer(&config, Arc::clone(&backend));
         Ok(Self {
             config,
             codebooks,
@@ -369,16 +367,27 @@ impl NeurosymbolicSolver {
     pub fn with_iteration_cap(&self, max_iterations: usize) -> Self {
         let mut degraded = self.clone();
         degraded.config.factorizer.max_iterations = max_iterations.max(1);
-        let block_threshold = Self::block_convergence_threshold(Self::BLOCKS.len())
-            .min(degraded.config.factorizer.convergence_threshold);
-        let factorizer_config = FactorizerConfig {
-            convergence_threshold: block_threshold,
-            ..degraded.config.factorizer.clone()
-        }
-        .with_backend(degraded.config.backend);
         degraded.factorizer =
-            Factorizer::with_backend(factorizer_config, Arc::clone(&degraded.backend));
+            Self::block_factorizer(&degraded.config, Arc::clone(&degraded.backend));
         degraded
+    }
+
+    /// The factorizer every attribute block decodes with, derived from `config` in
+    /// one place. It decodes *blocks* of the scene superposition, so it runs with the
+    /// per-block convergence threshold (`min` keeps a deliberately lower configured
+    /// threshold in charge; it never tightens past the block plateau). The solver's
+    /// backend and precision are pinned onto it, so encode, decode and scoring
+    /// always agree on both — which is what lets [`NeurosymbolicSolver::compile_plan`]
+    /// decide the packed-vs-dense route once for the whole pipeline.
+    fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
+        let factorizer_config = FactorizerConfig {
+            convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
+                .min(config.factorizer.convergence_threshold),
+            ..config.factorizer.clone()
+        }
+        .with_backend(config.backend)
+        .with_precision(config.precision);
+        Factorizer::with_backend(factorizer_config, backend)
     }
 
     /// Number of context panels every problem must carry (the 3×3 matrix minus the
@@ -495,20 +504,24 @@ impl NeurosymbolicSolver {
     }
 
     /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: every routing
-    /// decision the executor needs — packed vs dense encode, chunk width and
-    /// per-factor cleanup routes — resolved once, up front.
+    /// decision the executor needs — packed vs dense route, chunk width and
+    /// per-factor cleanup routes — resolved once, up front. This is the only place
+    /// the packed-vs-dense route is decided.
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
     /// the frozen benchmark's `compile_plan(batch, bool)` call site still
     /// compiles.
     pub fn compile_plan(&self, batch: usize, _specialize: bool) -> SolvePlan {
-        let packed_route = self.packed_encode_route();
-        let pack_dense_bits = !packed_route
-            && self
-                .blocks
-                .iter()
-                .any(|(set, _)| self.factorizer.packed_pipeline(set));
+        // Every block is a Hadamard set of bipolar random codebooks on the one shared
+        // backend, and the factorizer runs at the solver's precision, so the blocks
+        // all agree: either each decodes on the packed resonator (packed backend,
+        // FP32) and the whole solve stays in sign planes, or none does and every
+        // stage runs on f32 rows.
+        let packed_route = self
+            .blocks
+            .iter()
+            .all(|(set, _)| self.factorizer.packed_pipeline(set));
         // The packed route keeps the whole batch in one pass (sign planes stay
         // cache-resident); the dense engines sub-chunk to DENSE_SERVE_CHUNK.
         let chunk_problems = if packed_route {
@@ -516,16 +529,11 @@ impl NeurosymbolicSolver {
         } else {
             Self::DENSE_SERVE_CHUNK
         };
-        let have_bits = packed_route || pack_dense_bits;
         let rows = batch * Self::CONTEXT_PANELS;
         let backend = self.backend.as_ref();
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
-        stages.push(PlanStage::Encode {
-            rows,
-            packed: packed_route,
-        });
+        stages.push(PlanStage::Encode { rows });
         for (b, (set, _)) in self.blocks.iter().enumerate() {
-            let block_packed = have_bits && self.factorizer.packed_pipeline(set);
             let codebook_rows: Vec<usize> = (0..set.num_factors())
                 .map(|f| set.factor(f).map_or(0, |cb| cb.len()))
                 .collect();
@@ -534,7 +542,6 @@ impl NeurosymbolicSolver {
                 rows,
                 factors: set.num_factors(),
                 codebook_rows,
-                packed: block_packed,
                 iterations: self.factorizer.config().max_iterations,
             });
             let routes: Vec<CleanupRoute> = (0..set.num_factors())
@@ -556,12 +563,10 @@ impl NeurosymbolicSolver {
             // carries the nominal RPM shape (8 candidates + 1 prediction per
             // problem) for scheduling/observability. Not a decision input.
             rows: batch * (NOMINAL_CANDIDATES + 1),
-            packed: packed_route,
         });
         SolvePlan {
             key: self.plan_key(batch),
             packed_route,
-            pack_dense_bits,
             chunk_problems,
             stages,
         }
@@ -579,16 +584,6 @@ impl NeurosymbolicSolver {
     /// Hit/miss counters of this solver's plan cache (the `--explain` surface).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plans.stats()
-    }
-
-    /// Encodes a panel as a scene hypervector (the neural frontend's output): the
-    /// superposition of one bound product vector per attribute block.
-    ///
-    /// # Errors
-    /// Propagates [`VsaError`] from the binding operations.
-    pub fn encode_panel(&self, panel: &Panel) -> Result<Hypervector, VsaError> {
-        let encoded = self.encode_panels(std::slice::from_ref(panel))?;
-        encoded.row_hypervector(0, VsaKind::Bipolar)
     }
 
     /// Batch-encodes a set of panels into one scene hypervector per row (a whole RPM
@@ -657,20 +652,6 @@ impl NeurosymbolicSolver {
         Ok(())
     }
 
-    /// Returns `true` when panels can be encoded **directly into sign planes**: FP32
-    /// precision (the sign threshold is the last arithmetic step), exactly two
-    /// attribute blocks (their sign-thresholded superposition is a word-wise AND) and
-    /// every block running the packed factorizer pipeline (cached codebook sign
-    /// planes to gather from, packed consumers downstream).
-    fn packed_encode_route(&self) -> bool {
-        self.config.precision == Precision::Fp32
-            && self.blocks.len() == 2
-            && self
-                .blocks
-                .iter()
-                .all(|(set, _)| self.factorizer.packed_pipeline(set))
-    }
-
     /// Fully packed batch encode: block products are XOR-composed straight from the
     /// cached codebook sign planes and the two blocks are superposed with one
     /// word-wise AND ([`BitMatrix::and_assign`]) — bitwise identical to
@@ -684,7 +665,11 @@ impl NeurosymbolicSolver {
         enc: &mut EncodeScratch,
         out: &mut BitMatrix,
     ) -> Result<(), VsaError> {
-        debug_assert!(self.packed_encode_route());
+        debug_assert_eq!(
+            self.blocks.len(),
+            2,
+            "sign(a + b) is a word-wise AND only for two blocks"
+        );
         let EncodeScratch {
             idx, block_bits, ..
         } = enc;
@@ -709,134 +694,25 @@ impl NeurosymbolicSolver {
         Ok(())
     }
 
-    /// Perceives (optionally mis-reads), encodes, adds interface noise, and factorizes a
-    /// panel back into attribute values.
-    ///
-    /// # Errors
-    /// Propagates [`VsaError`] from encoding or factorization.
-    pub fn perceive_and_factorize<R: Rng + ?Sized>(
-        &self,
-        panel: &Panel,
-        rng: &mut R,
-    ) -> Result<(Panel, usize), VsaError> {
-        let (mut panels, iterations) =
-            self.perceive_and_factorize_batch(std::slice::from_ref(panel), rng)?;
-        Ok((
-            panels.pop().expect("one panel in, one panel out"),
-            iterations,
-        ))
-    }
-
-    /// Batched [`NeurosymbolicSolver::perceive_and_factorize`]: perceives, encodes and
-    /// decodes a whole set of panels through the batch kernels, returning the decoded
-    /// panels and the total factorizer iteration count.
-    ///
-    /// # Errors
-    /// Propagates [`VsaError`] from encoding or factorization.
-    pub fn perceive_and_factorize_batch<R: Rng + ?Sized>(
-        &self,
-        panels: &[Panel],
-        rng: &mut R,
-    ) -> Result<(Vec<Panel>, usize), VsaError> {
-        let n = panels.len();
-        if n == 0 {
-            return Ok((Vec::new(), 0));
-        }
-
-        // Perception noise (panel order matches the sequential path).
-        let perceived: Vec<Panel> = panels
-            .iter()
-            .map(|p| {
-                if self.config.perception_noise > 0.0 {
-                    p.perturbed_with(self.config.vocab, self.config.perception_noise, rng)
-                } else {
-                    *p
-                }
-            })
-            .collect();
-
-        // Neural-frontend encoding plus interface bit-flip noise.
-        let mut encoded = self.encode_panels(&perceived)?;
-        if self.config.encoding_noise > 0.0 {
-            let p = self.config.encoding_noise.clamp(0.0, 1.0);
-            for q in 0..n {
-                for v in encoded.row_mut(q) {
-                    if rng.gen_bool(p) {
-                        *v = -*v;
-                    }
-                }
-            }
-        }
-
-        // End-to-end packed decode: when the factorizer runs its bit-packed engine on
-        // these blocks, the encoded scenes are packed ONCE here and the whole decode —
-        // resonator, polish unbinding, cleanup — stays in sign planes, with no
-        // per-call re-pack of the query batch.
-        let encoded_bits = if self
-            .blocks
-            .iter()
-            .any(|(set, _)| self.factorizer.packed_pipeline(set))
-        {
-            BitMatrix::from_matrix(&encoded)
-        } else {
-            None
-        };
-
-        // Factorize each attribute block for the whole batch at once; the other
-        // block's product vector acts as bounded superposition noise.
-        let mut ds = DecodeScratch::default();
-        let mut values = vec![[0usize; 5]; n];
-        let mut iterations = 0usize;
-        for (set, attrs) in &self.blocks {
-            let mut streams: Vec<StdRng> = (0..n)
-                .map(|_| StdRng::seed_from_u64(rng.next_u64()))
-                .collect();
-            iterations += self.decode_block_into(
-                set,
-                attrs,
-                Some(&encoded),
-                encoded_bits.as_ref(),
-                &mut streams,
-                &mut ds,
-                &mut values,
-                // Routes are re-derived per call on this unplanned entry point,
-                // mirroring what compile_plan would resolve.
-                None,
-            )?;
-        }
-        // Decoded values range over the configured vocab, which may exceed
-        // `Panel::new`'s RAVEN bounds; the clamp above keeps them in-vocab.
-        Ok((
-            values.into_iter().map(Panel::new_unchecked).collect(),
-            iterations,
-        ))
-    }
-
-    /// Factorizes every row of the encoded scene batch against one attribute block,
-    /// runs the one-sweep coordinate-descent polish, and writes the block's decoded
+    /// Factorizes every row of the encoded scene batch against attribute block
+    /// `block`, runs the one-sweep coordinate-descent polish, and writes the block's decoded
     /// attribute values into `values` (row-indexed). Returns the total factorizer
-    /// iterations. This is the shared decode stage of the per-problem and the
-    /// cross-problem batched paths — sharing it is what makes the two
-    /// decision-identical per row by construction.
+    /// iterations.
     ///
     /// The polish sweep repairs single-attribute decode errors cheaply with the same
     /// unbind→search primitive the factorizer iterates — one gather + batched unbind
-    /// plus batched cleanup per factor. On the packed route the sweep is XOR + popcount
+    /// plus batched cleanup per factor. On packed scenes the sweep is XOR + popcount
     /// over sign planes (identical results: bipolar Hadamard unbinding is exactly the
-    /// XOR of sign planes). `routes`, when given, carries the plan's pre-resolved
-    /// cleanup route per factor — `None` re-derives per call (the unplanned sequential
-    /// path).
-    #[allow(clippy::too_many_arguments)]
+    /// XOR of sign planes), with the cleanup route of factor `f` read from
+    /// `routes[f]` (the plan's polish stage).
     fn decode_block_into(
         &self,
-        set: &CodebookSet,
-        attrs: &[usize],
-        encoded: Option<&HvMatrix>,
-        encoded_bits: Option<&BitMatrix>,
+        block: usize,
+        scenes: Scenes<'_>,
         streams: &mut [StdRng],
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
-        routes: Option<&[CleanupRoute]>,
+        routes: &[CleanupRoute],
     ) -> Result<usize, VsaError> {
         let DecodeScratch {
             factorizer: fscratch,
@@ -848,19 +724,15 @@ impl NeurosymbolicSolver {
             unbound_bits,
             est_bits,
         } = ds;
+        let (set, attrs) = &self.blocks[block];
         let backend = self.backend.as_ref();
-        let packed_query = encoded_bits.filter(|_| self.factorizer.packed_pipeline(set));
-        let results = match packed_query {
-            Some(bits) => self
+        let results = match scenes {
+            Scenes::Packed(bits) => self
                 .factorizer
                 .factorize_matrix_bits_scratch(set, bits, streams, fscratch)?,
-            None => {
-                let queries = encoded.ok_or(VsaError::Unsupported {
-                    what: "dense decode route requires f32 queries",
-                })?;
-                self.factorizer
-                    .factorize_matrix_scratch(set, queries, streams, fscratch)?
-            }
+            Scenes::Dense(queries) => self
+                .factorizer
+                .factorize_matrix_scratch(set, queries, streams, fscratch)?,
         };
         let iterations = results.iter().map(|r| r.iterations).sum::<usize>();
 
@@ -871,55 +743,53 @@ impl NeurosymbolicSolver {
         }
 
         for f in 0..set.num_factors() {
-            if let Some(bits) = packed_query {
-                unbound_bits.copy_from(bits);
-                for g in 0..set.num_factors() {
-                    if g == f {
-                        continue;
+            match scenes {
+                Scenes::Packed(bits) => {
+                    unbound_bits.copy_from(bits);
+                    for g in 0..set.num_factors() {
+                        if g == f {
+                            continue;
+                        }
+                        gather_idx.clear();
+                        gather_idx.extend(tuples.iter().map(|t| t[g]));
+                        set.factor(g)?
+                            .packed()
+                            .ok_or(VsaError::Unsupported {
+                                what: "packed pipeline requires packed codebooks",
+                            })?
+                            .gather_into(gather_idx, est_bits)?;
+                        unbound_bits.xor_assign(est_bits)?;
                     }
-                    gather_idx.clear();
-                    gather_idx.extend(tuples.iter().map(|t| t[g]));
-                    set.factor(g)?
-                        .packed()
-                        .ok_or(VsaError::Unsupported {
-                            what: "packed pipeline requires packed codebooks",
-                        })?
-                        .gather_into(gather_idx, est_bits)?;
-                    unbound_bits.xor_assign(est_bits)?;
+                    // Allocation-free cleanup through the factorizer scratch; on
+                    // index-carrying codebooks this is the pruned sub-linear scan.
+                    // Stale routes degrade gracefully inside the routed call, and a
+                    // hand-built plan without a route for this factor takes the
+                    // always-valid dense one.
+                    let route = routes.get(f).copied().unwrap_or(CleanupRoute::Dense);
+                    let (cscratch, cleaned) = fscratch.cleanup_buffers();
+                    set.factor(f)?.cleanup_batch_bits_routed_into(
+                        backend,
+                        route,
+                        unbound_bits,
+                        cscratch,
+                        cleaned,
+                    )?;
+                    for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
+                        t[f] = best;
+                    }
                 }
-                // Allocation-free cleanup through the factorizer scratch; on
-                // index-carrying codebooks this is the pruned sub-linear scan. The
-                // route comes from the plan when one was compiled (stale routes
-                // degrade gracefully inside the routed call).
-                let factor = set.factor(f)?;
-                let route = routes
-                    .and_then(|r| r.get(f).copied())
-                    .unwrap_or_else(|| factor.cleanup_route(backend));
-                let (cscratch, cleaned) = fscratch.cleanup_buffers();
-                factor.cleanup_batch_bits_routed_into(
-                    backend,
-                    route,
-                    unbound_bits,
-                    cscratch,
-                    cleaned,
-                )?;
-                for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
-                    t[f] = best;
-                }
-            } else {
-                let queries = encoded.ok_or(VsaError::Unsupported {
-                    what: "dense decode route requires f32 queries",
-                })?;
-                est_dense.resize_with(set.num_factors(), HvMatrix::default);
-                for (g, est) in est_dense.iter_mut().enumerate() {
-                    gather_idx.clear();
-                    gather_idx.extend(tuples.iter().map(|t| t[g]));
-                    set.factor(g)?.matrix().gather_into(gather_idx, est)?;
-                }
-                set.unbind_all_but_batch(backend, queries, est_dense, f, unbound, tmp)?;
-                let cleaned = set.factor(f)?.cleanup_batch(backend, unbound)?;
-                for (t, (best, _)) in tuples.iter_mut().zip(cleaned) {
-                    t[f] = best;
+                Scenes::Dense(queries) => {
+                    est_dense.resize_with(set.num_factors(), HvMatrix::default);
+                    for (g, est) in est_dense.iter_mut().enumerate() {
+                        gather_idx.clear();
+                        gather_idx.extend(tuples.iter().map(|t| t[g]));
+                        set.factor(g)?.matrix().gather_into(gather_idx, est)?;
+                    }
+                    set.unbind_all_but_batch(backend, queries, est_dense, f, unbound, tmp)?;
+                    let cleaned = set.factor(f)?.cleanup_batch(backend, unbound)?;
+                    for (t, (best, _)) in tuples.iter_mut().zip(cleaned) {
+                        t[f] = best;
+                    }
                 }
             }
         }
@@ -1012,8 +882,7 @@ impl NeurosymbolicSolver {
 
     /// Abduces every attribute's rule from the decoded context panels (row-major, the
     /// eight visible cells) and executes it on the incomplete row, producing the
-    /// predicted answer panel. Pure — shared verbatim by the per-problem and the
-    /// cross-problem batched paths.
+    /// predicted answer panel. Pure symbolic work.
     fn predict_panel(dataset: DatasetKind, vocab: AttributeVocab, decoded: &[Panel]) -> Panel {
         let mut predicted_values = [0usize; 5];
         for attr in Attribute::ALL {
@@ -1037,68 +906,15 @@ impl NeurosymbolicSolver {
         Panel::new_unchecked(predicted_values)
     }
 
-    /// Solves one problem end to end, returning the chosen candidate index and the
-    /// per-panel factorization bookkeeping.
-    ///
-    /// # Errors
-    /// Returns [`SolveError::Malformed`] (with `problem == 0`) when the input fails
-    /// the engine-boundary validation — before any rng draw — and propagates
-    /// [`VsaError`] from the VSA stages as [`SolveError::Vsa`].
-    pub fn solve<R: Rng + ?Sized>(
-        &self,
-        problem: &Problem,
-        rng: &mut R,
-    ) -> Result<(usize, SolverReport), SolveError> {
-        self.validate_problems(std::slice::from_ref(problem))?;
-        let mut report = SolverReport::default();
-
-        // Perception + factorization of the eight context panels, as one batch through
-        // the backend's kernels.
-        let (decoded, iterations) = self.perceive_and_factorize_batch(&problem.context, rng)?;
-        report.panels_total += decoded.len();
-        report.factorizer_iterations += iterations;
-        report.panels_exact += decoded
-            .iter()
-            .zip(&problem.context)
-            .filter(|(estimate, panel)| estimate == panel)
-            .count();
-
-        // Abduction + execution per attribute.
-        let predicted = Self::predict_panel(problem.dataset, self.config.vocab, &decoded);
-
-        // Answer selection. NVSA scores candidates per attribute (the product encodings
-        // of two panels that differ in even one attribute are quasi-orthogonal, so a
-        // whole-panel similarity would be all-or-nothing): the candidate agreeing with
-        // the prediction on the most attributes wins, with the full-vector similarity
-        // (one batched cleanup against the candidate encodings) used to break ties.
-        let predicted_hv = self.encode_panel(&predicted)?;
-        let candidates_hv = self.encode_panels(&problem.candidates)?;
-        let mut best = (0usize, 0usize, f32::NEG_INFINITY);
-        for (i, candidate) in problem.candidates.iter().enumerate() {
-            let agreement = Attribute::ALL.len() - predicted.distance(candidate);
-            let hv = candidates_hv.row_hypervector(i, VsaKind::Bipolar)?;
-            let sim = ops::try_cosine_similarity(&predicted_hv, &hv)?;
-            if agreement > best.1 || (agreement == best.1 && sim > best.2) {
-                best = (i, agreement, sim);
-            }
-        }
-
-        report.problems = 1;
-        if problem.is_correct(best.0) {
-            report.correct = 1;
-        }
-        Ok((best.0, report))
-    }
-
     /// Solves a batch of problems through the **cross-problem batched engine** and
     /// returns the aggregate report.
     ///
-    /// Equivalent to calling [`NeurosymbolicSolver::solve`] per problem with the same
-    /// `rng` — decisions, reports and rng consumption are identical (regression-
-    /// tested) — but every context panel of every problem flows through ONE encode,
-    /// ONE factorize call per attribute block and ONE batched answer-scoring pass,
-    /// so the packed kernels see `8·N`-row batches instead of one problem's panels.
-    /// See [`NeurosymbolicSolver::solve_batch_with`] for the allocation-free variant.
+    /// Every context panel of every problem flows through ONE encode, ONE factorize
+    /// call per attribute block and ONE batched answer-scoring pass, so the packed
+    /// kernels see `8·N`-row batches instead of one problem's panels. Decisions,
+    /// reports and rng consumption equal solving the problems one at a time
+    /// (regression-tested against a per-problem oracle). See
+    /// [`NeurosymbolicSolver::solve_batch_with`] for the allocation-free variant.
     ///
     /// # Errors
     /// Returns [`SolveError::Malformed`] naming the first invalid problem's batch
@@ -1116,22 +932,25 @@ impl NeurosymbolicSolver {
     /// encode → factorize → score pipeline live in `scratch` and are reused across
     /// calls; `scratch.choices()` afterwards holds the chosen candidate per problem.
     ///
-    /// Decision identity with the sequential path is by construction:
+    /// The call looks up (or compiles once) the cached [`SolvePlan`] for the batch
+    /// shape ([`NeurosymbolicSolver::plan_for_batch`]) and executes it.
+    ///
+    /// Decision identity with solving one problem at a time is by construction:
     ///
     /// * every per-problem rng draw (perception noise, interface bit flips, the
     ///   factorizer stream seeds) is made **in the sequential order** and buffered,
-    ///   so the generator state evolves exactly as if [`NeurosymbolicSolver::solve`]
-    ///   ran per problem — which also makes the result independent of how a problem
+    ///   so the generator state evolves exactly as if each problem were solved on
+    ///   its own — which also makes the result independent of how a problem
     ///   stream is chunked into batches;
     /// * encoding and factorization are row-independent batch kernels driven by those
     ///   per-query streams (on the packed route the scene planes are XOR/AND-composed
     ///   from cached codebook planes, bitwise equal to the f32 encode);
     /// * batched answer scoring preserves decisions: candidate encodings are exactly
-    ///   bipolar, so both the popcount cosine `(d − 2h)/d` and the sequential scalar
+    ///   bipolar, so both the popcount cosine `(d − 2h)/d` and a per-candidate scalar
     ///   cosine are strictly increasing rounded functions of the same exact integer
-    ///   dot product — equal agreements break ties identically. Where the encodings
-    ///   are not bipolar (sub-FP32 precisions), the scoring falls back to the scalar
-    ///   cosine's exact numerics.
+    ///   dot product — equal agreements break ties identically. On the dense route
+    ///   (which also covers sub-FP32 precisions, whose encodings are not bipolar) the
+    ///   scoring is the scalar cosine's exact numerics.
     ///
     /// Chunk-invariance also lets the engine pick the batch size each backend wants:
     /// the packed route takes the whole batch (sign planes keep an `8·N`-row working
@@ -1162,41 +981,18 @@ impl NeurosymbolicSolver {
         self.execute_plan(&plan, problems, rng, scratch, None)
     }
 
-    /// [`NeurosymbolicSolver::solve_batch_with`] executing a **pre-compiled plan**:
-    /// the steady state of a serving loop, which compiles the plan once at chunk
-    /// formation ([`NeurosymbolicSolver::plan_for_batch`]) and replays it across the
-    /// stream. Decision-identical to the unplanned entry point by construction —
-    /// every plan field holds exactly the value the per-call derivation would have
-    /// computed — and chunk-invariance makes a plan compiled for one batch size
-    /// valid for any other (only `chunk_problems` shapes the internal slicing).
+    /// [`NeurosymbolicSolver::solve_batch_with`] executing a **pre-compiled plan**
+    /// and accumulating per-stage wall-clock time into `timings` — the measurement
+    /// hook behind the `plan_stage_*` bench cells and `cogsys-serve`'s per-stage
+    /// service-time fit. Timing is observation only, and chunk-invariance makes a
+    /// plan compiled for one batch size valid for any other (only `chunk_problems`
+    /// shapes the internal slicing), so decisions and rng consumption equal
+    /// [`NeurosymbolicSolver::solve_batch_with`]'s.
     ///
     /// # Errors
     /// Returns [`SolveError::Config`] when the plan was compiled for a different
     /// solver shape (backend, dimension, block structure or codebook sizes), plus
     /// everything [`NeurosymbolicSolver::solve_batch_with`] returns.
-    pub fn solve_batch_with_plan<R: Rng + ?Sized>(
-        &self,
-        plan: &SolvePlan,
-        problems: &[Problem],
-        rng: &mut R,
-        scratch: &mut SolverScratch,
-    ) -> Result<SolverReport, SolveError> {
-        scratch.choices.clear();
-        if problems.is_empty() {
-            return Ok(SolverReport::default());
-        }
-        self.check_plan(plan)?;
-        self.validate_problems(problems)?;
-        self.execute_plan(plan, problems, rng, scratch, None)
-    }
-
-    /// [`NeurosymbolicSolver::solve_batch_with_plan`] that additionally accumulates
-    /// per-stage wall-clock time into `timings` — the measurement hook behind the
-    /// `plan_stage_*` bench cells and `cogsys-serve`'s per-stage service-time fit.
-    /// Timing is observation only; decisions and rng consumption are identical.
-    ///
-    /// # Errors
-    /// Exactly those of [`NeurosymbolicSolver::solve_batch_with_plan`].
     pub fn solve_batch_with_plan_timed<R: Rng + ?Sized>(
         &self,
         plan: &SolvePlan,
@@ -1288,9 +1084,9 @@ impl NeurosymbolicSolver {
     pub const DENSE_SERVE_CHUNK: usize = 4;
 
     /// One pass of the batched engine over `problems`, appending to
-    /// `scratch.choices`. A thin executor over `plan`: the encode route, dense
-    /// pack decision and cleanup routes are all read from the plan (see
-    /// [`NeurosymbolicSolver::compile_plan`], which owns the policy).
+    /// `scratch.choices`. A thin executor over `plan`: the route and cleanup
+    /// routes are read from the plan (see [`NeurosymbolicSolver::compile_plan`],
+    /// which owns the policy).
     fn solve_batch_chunk<R: Rng + ?Sized>(
         &self,
         plan: &SolvePlan,
@@ -1329,7 +1125,7 @@ impl NeurosymbolicSolver {
         // ---- Phase 1: every per-problem rng draw, in exactly the sequential order.
         // None of the draws depend on encoded data, so they can be buffered up front;
         // replaying them per problem keeps the generator state bitwise identical to
-        // the per-problem path no matter how the batch is sliced.
+        // solving one problem at a time, no matter how the batch is sliced.
         perceived.clear();
         flips.clear();
         seeds.clear();
@@ -1367,22 +1163,21 @@ impl NeurosymbolicSolver {
 
         // ---- Phase 2: one encode over every context panel of every problem. On the
         // packed route the scene batch is born as sign planes and the interface noise
-        // is applied as bit flips; otherwise the f32 encode runs and the batch is
-        // packed once if any block decodes packed (mirroring the sequential path).
+        // is applied as bit flips; otherwise the f32 encode runs.
         let packed_route = plan.packed_route;
-        let have_bits = if packed_route {
+        let scenes = if packed_route {
             self.encode_panels_bits_into(perceived, encode, encoded_bits)?;
             for &(r, j) in flips.iter() {
                 encoded_bits.flip_bit(r as usize, j as usize);
             }
-            true
+            Scenes::Packed(encoded_bits)
         } else {
             self.encode_panels_into(perceived, encode, encoded)?;
             for &(r, j) in flips.iter() {
                 let v = &mut encoded.row_mut(r as usize)[j as usize];
                 *v = -*v;
             }
-            plan.pack_dense_bits && encoded_bits.pack_from(encoded)
+            Scenes::Dense(encoded)
         };
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
@@ -1392,11 +1187,11 @@ impl NeurosymbolicSolver {
 
         // ---- Phase 3: one factorize + polish pass per attribute block over the
         // whole `8·N`-row batch, each row driven by the stream seeded for it in
-        // phase 1 — per-row dynamics identical to the per-problem call.
+        // phase 1 — per-row dynamics identical to decoding one problem alone.
         values.clear();
         values.resize(total_rows, [0usize; 5]);
         let mut iterations = 0usize;
-        for (b, (set, attrs)) in self.blocks.iter().enumerate() {
+        for b in 0..num_blocks {
             streams.clear();
             for (q, problem) in problems.iter().enumerate() {
                 let rows_q = problem.context.len();
@@ -1405,20 +1200,8 @@ impl NeurosymbolicSolver {
                     streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
                 }
             }
-            iterations += self.decode_block_into(
-                set,
-                attrs,
-                if packed_route { None } else { Some(&*encoded) },
-                if have_bits {
-                    Some(&*encoded_bits)
-                } else {
-                    None
-                },
-                streams,
-                decode,
-                values,
-                plan.polish_routes(b),
-            )?;
+            iterations +=
+                self.decode_block_into(b, scenes, streams, decode, values, plan.polish_routes(b))?;
         }
         report.factorizer_iterations = iterations;
         if let Some(t) = timings.as_deref_mut() {
@@ -1445,8 +1228,8 @@ impl NeurosymbolicSolver {
 
         // ---- Phase 5: batched answer selection. All predicted panels and all
         // candidates are encoded together; on the packed route the per-candidate
-        // similarity is one popcount row dot, replacing the sequential path's
-        // per-candidate hypervector allocation + scalar cosine.
+        // similarity is one popcount row dot instead of a per-candidate
+        // hypervector allocation + scalar cosine.
         cand_panels.clear();
         cand_base.clear();
         for problem in problems {
@@ -1465,8 +1248,8 @@ impl NeurosymbolicSolver {
             let mut best = (0usize, 0usize, f32::NEG_INFINITY);
             for (i, candidate) in problem.candidates.iter().enumerate() {
                 let agreement = Attribute::ALL.len() - predicted[q].distance(candidate);
-                // Fallback route: ops::cosine_slices is the exact numerics of the
-                // sequential path's per-candidate ops::try_cosine_similarity.
+                // Dense route: ops::cosine_slices is the exact numerics of a
+                // per-candidate ops::try_cosine_similarity.
                 let sim = if packed_route {
                     cand_bits.cosine_rows(base + i, pred_bits, q)
                 } else {
@@ -1493,8 +1276,119 @@ impl NeurosymbolicSolver {
 mod tests {
     use super::*;
     use cogsys_datasets::ProblemGenerator;
-    use cogsys_vsa::rng;
+    use cogsys_vsa::{rng, VsaKind};
     use rand::RngCore;
+
+    /// The per-problem oracle the batched engine is checked against. It shares no
+    /// plan with the engine: it derives its own route and cleanup routes, encodes
+    /// in f32 (packing the scenes once when every block decodes packed), and
+    /// scores each candidate through an allocated hypervector and the scalar
+    /// cosine — the only check that popcount scoring decides like scalar-cosine
+    /// scoring.
+    impl NeurosymbolicSolver {
+        /// Perceives (optionally mis-reads), encodes, adds interface noise to, and
+        /// factorizes `panels`, drawing from `rng` in per-problem order. Returns
+        /// the decoded panels and the total factorizer iterations.
+        fn perceive_and_factorize_batch<R: Rng + ?Sized>(
+            &self,
+            panels: &[Panel],
+            rng: &mut R,
+        ) -> Result<(Vec<Panel>, usize), VsaError> {
+            let n = panels.len();
+            let perceived: Vec<Panel> = panels
+                .iter()
+                .map(|p| {
+                    if self.config.perception_noise > 0.0 {
+                        p.perturbed_with(self.config.vocab, self.config.perception_noise, rng)
+                    } else {
+                        *p
+                    }
+                })
+                .collect();
+            let mut encoded = self.encode_panels(&perceived)?;
+            if self.config.encoding_noise > 0.0 {
+                let p = self.config.encoding_noise.clamp(0.0, 1.0);
+                for q in 0..n {
+                    for v in encoded.row_mut(q) {
+                        if rng.gen_bool(p) {
+                            *v = -*v;
+                        }
+                    }
+                }
+            }
+            let packed = self
+                .blocks
+                .iter()
+                .all(|(set, _)| self.factorizer.packed_pipeline(set));
+            let bits = if packed {
+                BitMatrix::from_matrix(&encoded)
+            } else {
+                None
+            };
+            let scenes = match &bits {
+                Some(bits) => Scenes::Packed(bits),
+                None => Scenes::Dense(&encoded),
+            };
+            let mut ds = DecodeScratch::default();
+            let mut values = vec![[0usize; 5]; n];
+            let mut iterations = 0usize;
+            for (b, (set, _)) in self.blocks.iter().enumerate() {
+                let mut streams: Vec<StdRng> = (0..n)
+                    .map(|_| StdRng::seed_from_u64(rng.next_u64()))
+                    .collect();
+                let routes: Vec<CleanupRoute> = set
+                    .codebooks()
+                    .iter()
+                    .map(|cb| cb.cleanup_route(self.backend.as_ref()))
+                    .collect();
+                iterations +=
+                    self.decode_block_into(b, scenes, &mut streams, &mut ds, &mut values, &routes)?;
+            }
+            Ok((
+                values.into_iter().map(Panel::new_unchecked).collect(),
+                iterations,
+            ))
+        }
+
+        /// Solves one well-formed problem, returning the chosen candidate and its
+        /// report.
+        fn solve<R: Rng + ?Sized>(
+            &self,
+            problem: &Problem,
+            rng: &mut R,
+        ) -> Result<(usize, SolverReport), VsaError> {
+            let mut report = SolverReport::default();
+            let (decoded, iterations) = self.perceive_and_factorize_batch(&problem.context, rng)?;
+            report.panels_total += decoded.len();
+            report.factorizer_iterations += iterations;
+            report.panels_exact += decoded
+                .iter()
+                .zip(&problem.context)
+                .filter(|(estimate, panel)| estimate == panel)
+                .count();
+            let predicted = Self::predict_panel(problem.dataset, self.config.vocab, &decoded);
+            // NVSA answer selection: most agreeing attributes wins, the full-vector
+            // cosine against the prediction breaks ties.
+            let predicted_hv = self
+                .encode_panels(std::slice::from_ref(&predicted))?
+                .row_hypervector(0, VsaKind::Bipolar)?;
+            let candidates_hv = self.encode_panels(&problem.candidates)?;
+            let mut best = (0usize, 0usize, f32::NEG_INFINITY);
+            for (i, candidate) in problem.candidates.iter().enumerate() {
+                let agreement = Attribute::ALL.len() - predicted.distance(candidate);
+                let hv = candidates_hv.row_hypervector(i, VsaKind::Bipolar)?;
+                let sim = ops::try_cosine_similarity(&predicted_hv, &hv)?;
+                if agreement > best.1 || (agreement == best.1 && sim > best.2) {
+                    best = (i, agreement, sim);
+                }
+            }
+            report.problems = 1;
+            if problem.is_correct(best.0) {
+                report.correct = 1;
+            }
+            Ok((best.0, report))
+        }
+    }
 
     fn solver(seed: u64, config: SolverConfig) -> (NeurosymbolicSolver, rand::rngs::StdRng) {
         let mut r = rng(seed);
@@ -1506,8 +1400,10 @@ mod tests {
     fn encode_and_factorize_round_trip() {
         let (s, mut r) = solver(1, SolverConfig::default());
         let panel = Panel::new([3, 4, 2, 5, 7]);
-        let (decoded, iters) = s.perceive_and_factorize(&panel, &mut r).unwrap();
-        assert_eq!(decoded, panel);
+        let (decoded, iters) = s
+            .perceive_and_factorize_batch(std::slice::from_ref(&panel), &mut r)
+            .unwrap();
+        assert_eq!(decoded, vec![panel]);
         assert!(iters >= 1);
     }
 
@@ -1602,8 +1498,11 @@ mod tests {
     fn solve_returns_candidate_index_in_range() {
         let (s, mut r) = solver(6, SolverConfig::default());
         let problem = ProblemGenerator::new(DatasetKind::Cvr).generate(&mut r);
-        let (choice, _) = s.solve(&problem, &mut r).unwrap();
-        assert!(choice < problem.candidates.len());
+        let mut scratch = SolverScratch::default();
+        s.solve_batch_with(std::slice::from_ref(&problem), &mut r, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.choices().len(), 1);
+        assert!(scratch.choices()[0] < problem.candidates.len());
     }
 
     #[test]
@@ -1617,8 +1516,8 @@ mod tests {
         let batch = s.encode_panels(&panels).unwrap();
         assert_eq!(batch.rows(), 3);
         for (q, panel) in panels.iter().enumerate() {
-            let scalar = s.encode_panel(panel).unwrap();
-            assert_eq!(batch.row(q), scalar.values(), "panel {q}");
+            let single = s.encode_panels(std::slice::from_ref(panel)).unwrap();
+            assert_eq!(batch.row(q), single.row(0), "panel {q}");
         }
     }
 
@@ -1712,36 +1611,7 @@ mod tests {
         assert_eq!(packed.backend().name(), "packed");
     }
 
-    #[test]
-    fn packed_decode_equals_dense_decode_exactly() {
-        // The end-to-end packed decode (scene packed once, XOR polish, popcount
-        // cleanup) makes the same decisions as the dense route: the packed kernels'
-        // similarities are the exact integer dot products, so on identical codebooks
-        // and rng streams the decoded panels must be *equal*, not just close.
-        let config = SolverConfig::default();
-        let (packed, _) = solver(21, config.clone().with_backend(BackendKind::Packed));
-        let (dense, _) = solver(21, config.with_backend(BackendKind::Parallel));
-        let mut r1 = rng(31);
-        let mut r2 = rng(31);
-        let panels: Vec<Panel> = (0..5).map(|_| Panel::random(&mut r1)).collect();
-        let _: Vec<Panel> = (0..5).map(|_| Panel::random(&mut r2)).collect();
-        let (decoded_packed, iters_packed) = packed
-            .perceive_and_factorize_batch(&panels, &mut r1)
-            .unwrap();
-        let (decoded_dense, iters_dense) = dense
-            .perceive_and_factorize_batch(&panels, &mut r2)
-            .unwrap();
-        assert_eq!(decoded_packed, decoded_dense);
-        assert_eq!(iters_packed, iters_dense);
-        let exact = decoded_packed
-            .iter()
-            .zip(&panels)
-            .filter(|(a, b)| a == b)
-            .count();
-        assert!(exact >= 4, "only {exact}/5 panels decoded exactly");
-    }
-
-    /// The sequential reference: a plain loop over [`NeurosymbolicSolver::solve`],
+    /// The sequential reference: a plain loop over the per-problem oracle,
     /// collecting per-problem choices and the merged report.
     fn solve_sequentially(
         s: &NeurosymbolicSolver,
@@ -1851,7 +1721,7 @@ mod tests {
         // The fully packed encode (XOR-composed block planes + AND superposition)
         // must equal the f32 encode + strict pack on every panel.
         let (s, mut r) = solver(43, SolverConfig::default());
-        assert!(s.packed_encode_route());
+        assert!(s.plan_for_batch(1).packed_route);
         let panels: Vec<Panel> = (0..7).map(|_| Panel::random(&mut r)).collect();
         let dense = s.encode_panels(&panels).unwrap();
         let expected = BitMatrix::from_matrix(&dense).expect("FP32 encodings are bipolar");
@@ -1863,7 +1733,7 @@ mod tests {
         // The route steps aside at reduced precision (quantization follows the sign
         // threshold, so the planes alone no longer describe the encoding).
         let (s8, _) = solver(43, SolverConfig::default().with_precision(Precision::Int8));
-        assert!(!s8.packed_encode_route());
+        assert!(!s8.plan_for_batch(1).packed_route);
     }
 
     #[test]
@@ -1901,7 +1771,6 @@ mod tests {
                 matches!(err, SolveError::Malformed { problem: 0, .. }),
                 "unexpected error {err:?}"
             );
-            let (_, err) = (0, s.solve(&bad, &mut r2).unwrap_err());
             assert_eq!(err.problem_index(), Some(0));
         }
     }
@@ -2144,7 +2013,13 @@ mod tests {
             let plan = a.compile_plan(2, true);
             let mut probe = r.clone();
             let err = b
-                .solve_batch_with_plan(&plan, &problems, &mut r, &mut SolverScratch::default())
+                .solve_batch_with_plan_timed(
+                    &plan,
+                    &problems,
+                    &mut r,
+                    &mut SolverScratch::default(),
+                    &mut StageNanos::default(),
+                )
                 .unwrap_err();
             assert!(matches!(err, SolveError::Config { .. }), "{err:?}");
             assert_eq!(
@@ -2168,7 +2043,13 @@ mod tests {
                 let plan64 = s.compile_plan(64, true);
                 let mut sc1 = SolverScratch::default();
                 let whole = s
-                    .solve_batch_with_plan(&plan64, &problems, &mut r1, &mut sc1)
+                    .solve_batch_with_plan_timed(
+                        &plan64,
+                        &problems,
+                        &mut r1,
+                        &mut sc1,
+                        &mut StageNanos::default(),
+                    )
                     .unwrap();
                 let whole_choices = sc1.choices().to_vec();
 
@@ -2178,7 +2059,13 @@ mod tests {
                 let mut sc2 = SolverScratch::default();
                 for chunk in problems.chunks(2) {
                     let rep = s
-                        .solve_batch_with_plan(&plan2, chunk, &mut r2, &mut sc2)
+                        .solve_batch_with_plan_timed(
+                            &plan2,
+                            chunk,
+                            &mut r2,
+                            &mut sc2,
+                            &mut StageNanos::default(),
+                        )
                         .unwrap();
                     chunked_choices.extend_from_slice(sc2.choices());
                     chunked.merge(&rep);
@@ -2202,9 +2089,7 @@ mod tests {
             let timed = s
                 .solve_batch_with_plan_timed(&plan, &problems, &mut r1, &mut sc1, &mut stages)
                 .unwrap();
-            let untimed = s
-                .solve_batch_with_plan(&plan, &problems, &mut r2, &mut sc2)
-                .unwrap();
+            let untimed = s.solve_batch_with(&problems, &mut r2, &mut sc2).unwrap();
             assert_eq!(timed, untimed);
             assert_eq!(sc1.choices(), sc2.choices());
             assert_eq!(r1.next_u64(), r2.next_u64());
@@ -2229,15 +2114,22 @@ mod tests {
             // at full 4-problem capacity — if sizing instead trailed the
             // submitted batch, the full chunks below would regrow the scratch
             // and change the fingerprint.
-            s.solve_batch_with_plan(&plan, &problems[..2], &mut r, &mut scratch)
-                .unwrap();
+            let mut timings = StageNanos::default();
+            s.solve_batch_with_plan_timed(
+                &plan,
+                &problems[..2],
+                &mut r,
+                &mut scratch,
+                &mut timings,
+            )
+            .unwrap();
             let fingerprint = scratch.factorizer_capacity_fingerprint();
             assert!(
                 fingerprint.iter().any(|&c| c > 0),
                 "presize must have reserved the packed scratch"
             );
             for chunk in problems[2..].chunks(4) {
-                s.solve_batch_with_plan(&plan, chunk, &mut r, &mut scratch)
+                s.solve_batch_with_plan_timed(&plan, chunk, &mut r, &mut scratch, &mut timings)
                     .unwrap();
                 assert_eq!(
                     scratch.factorizer_capacity_fingerprint(),
@@ -2272,7 +2164,13 @@ mod tests {
                         let plan = s.compile_plan(problems.len(), true);
                         let mut sc = SolverScratch::default();
                         let planned = s
-                            .solve_batch_with_plan(&plan, &problems, &mut r1, &mut sc)
+                            .solve_batch_with_plan_timed(
+                                &plan,
+                                &problems,
+                                &mut r1,
+                                &mut sc,
+                                &mut StageNanos::default(),
+                            )
                             .unwrap();
 
                         let (seq_choices, sequential) =

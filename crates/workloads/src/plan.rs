@@ -14,7 +14,7 @@
 //!                    │ compile_plan (once, cached)
 //!                    ▼
 //!   Encode → [Resonate → Polish]×blocks → Predict → Score  SolvePlan (stage IR)
-//!                    │ solve_batch_with_plan (per call)
+//!                    │ solve_batch_with (per call, cached plan)
 //!                    ▼
 //!   thin executor: pre-resolved route/chunk, no per-call re-derivation
 //! ```
@@ -73,9 +73,6 @@ pub enum PlanStage {
     Encode {
         /// Panel rows encoded.
         rows: usize,
-        /// `true` when scenes are born as sign planes (XOR/AND-composed from cached
-        /// codebook planes) instead of f32 rows.
-        packed: bool,
     },
     /// Iterative resonator factorization of one attribute block over the whole batch.
     Resonate {
@@ -87,8 +84,6 @@ pub enum PlanStage {
         factors: usize,
         /// Rows of each factor codebook (similarity-search shape per iteration).
         codebook_rows: Vec<usize>,
-        /// `true` on the bit-packed resonator engine.
-        packed: bool,
         /// Configured iteration cap of the resonator loop — the worst-case trip
         /// count the scheduler lowering charges the stage with (rows converge
         /// and compact out earlier at run time).
@@ -116,8 +111,6 @@ pub enum PlanStage {
         problems: usize,
         /// Panel rows encoded for scoring (predictions + candidates).
         rows: usize,
-        /// `true` when scoring runs over sign planes (popcount cosine).
-        packed: bool,
     },
 }
 
@@ -182,19 +175,17 @@ impl PlanStage {
 /// A compiled, immutable execution plan for one workload shape.
 ///
 /// Produced by `NeurosymbolicSolver::compile_plan`, cached in a [`PlanCache`], and
-/// executed by `solve_batch_with_plan`. All fields are decisions the unplanned path
-/// used to re-derive per call; the plan resolves them once. Executing a plan is
-/// decision-identical to the unplanned path **by construction**: every field holds
-/// exactly the value the per-call derivation would have computed for this key.
+/// executed by `solve_batch_with` (or `solve_batch_with_plan_timed`). The plan is
+/// the only place the route, chunk width and cleanup routes are decided; the
+/// executor reads them and re-derives nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolvePlan {
     /// The workload shape this plan was compiled for.
     pub key: PlanKey,
-    /// `true` when scenes are encoded directly into sign planes end to end.
+    /// `true` when the whole solve runs on sign planes: scenes are encoded
+    /// straight into them, every block decodes on the packed resonator and answers
+    /// are scored by popcount. `false` runs every stage on f32 rows.
     pub packed_route: bool,
-    /// On the dense route: `true` when the f32 encode is followed by one strict pack
-    /// because at least one block decodes packed.
-    pub pack_dense_bits: bool,
     /// Problems per executor chunk (whole batch on the packed route; the dense
     /// engines' cache-resident sub-chunk width otherwise).
     pub chunk_problems: usize,
@@ -216,30 +207,21 @@ impl SolvePlan {
         let _ = writeln!(
             out,
             "  route={} chunk={}",
-            if self.packed_route {
-                "packed"
-            } else if self.pack_dense_bits {
-                "dense+pack"
-            } else {
-                "dense"
-            },
+            if self.packed_route { "packed" } else { "dense" },
             self.chunk_problems,
         );
         for (i, stage) in self.stages.iter().enumerate() {
             let detail = match stage {
-                PlanStage::Encode { rows, packed } => {
-                    format!("rows={rows} packed={packed}")
-                }
+                PlanStage::Encode { rows } => format!("rows={rows}"),
                 PlanStage::Resonate {
                     block,
                     rows,
                     factors,
                     codebook_rows,
-                    packed,
                     iterations,
                 } => format!(
                     "block={block} rows={rows} factors={factors} cb={codebook_rows:?} \
-                     packed={packed} iters={iterations}"
+                     iters={iterations}"
                 ),
                 PlanStage::Polish {
                     block,
@@ -250,11 +232,9 @@ impl SolvePlan {
                     format!("block={block} rows={rows} routes={routes:?}")
                 }
                 PlanStage::Predict { problems } => format!("problems={problems}"),
-                PlanStage::Score {
-                    problems,
-                    rows,
-                    packed,
-                } => format!("problems={problems} rows={rows} packed={packed}"),
+                PlanStage::Score { problems, rows } => {
+                    format!("problems={problems} rows={rows}")
+                }
             };
             let _ = writeln!(out, "  [{i}] {:<8} {detail}", stage.name());
         }
@@ -262,14 +242,17 @@ impl SolvePlan {
     }
 
     /// The pre-resolved cleanup routes of block `block`'s polish stage (one per
-    /// factor), or `None` when the plan carries no polish stage for that block.
-    pub fn polish_routes(&self, block: usize) -> Option<&[CleanupRoute]> {
-        self.stages.iter().find_map(|stage| match stage {
-            PlanStage::Polish {
-                block: b, routes, ..
-            } if *b == block => Some(routes.as_slice()),
-            _ => None,
-        })
+    /// factor); empty when the plan carries no polish stage for that block.
+    pub fn polish_routes(&self, block: usize) -> &[CleanupRoute] {
+        self.stages
+            .iter()
+            .find_map(|stage| match stage {
+                PlanStage::Polish {
+                    block: b, routes, ..
+                } if *b == block => Some(routes.as_slice()),
+                _ => None,
+            })
+            .unwrap_or(&[])
     }
 
     /// Lowers the plan into the scheduler's operation graph: one op per stage, as a
@@ -381,19 +364,14 @@ mod tests {
         SolvePlan {
             key: key(batch),
             packed_route: true,
-            pack_dense_bits: false,
             chunk_problems: batch,
             stages: vec![
-                PlanStage::Encode {
-                    rows: batch * 8,
-                    packed: true,
-                },
+                PlanStage::Encode { rows: batch * 8 },
                 PlanStage::Resonate {
                     block: 0,
                     rows: batch * 8,
                     factors: 3,
                     codebook_rows: vec![9, 9, 5],
-                    packed: true,
                     iterations: 200,
                 },
                 PlanStage::Polish {
@@ -405,7 +383,6 @@ mod tests {
                 PlanStage::Score {
                     problems: batch,
                     rows: batch * (NOMINAL_CANDIDATES + 1),
-                    packed: true,
                 },
             ],
         }
@@ -416,7 +393,7 @@ mod tests {
         let text = plan(4).describe();
         for needle in [
             "packed/d=1024",
-            "chunk=4",
+            "route=packed chunk=4",
             "encode",
             "resonate",
             "polish",

@@ -9,10 +9,10 @@
 //!    applies (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling)
 //!    and within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
 //!    power-of-two and non-power-of-two dimensions (tail-word padding included);
-//! 3. batching is a pure performance transform — `factorize_batch` returns exactly the
-//!    per-query `factorize` results.
+//! 3. batching is a pure performance transform — `factorize_matrix_scratch` returns
+//!    exactly the per-query `factorize` results.
 
-use cogsys_factorizer::{Factorizer, FactorizerConfig};
+use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::packed::BitMatrix;
@@ -414,9 +414,22 @@ fn factorize_batch_regression_matches_per_query_results() {
     .with_precision(Precision::Int8);
     let factorizer = Factorizer::new(config);
 
+    // One stream per query, seeded in query order: exactly the draws the
+    // per-query `factorize` calls below make.
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
     let mut rng_batch = rng(1);
+    let mut streams: Vec<StdRng> = queries
+        .iter()
+        .map(|_| StdRng::seed_from_u64(rng_batch.next_u64()))
+        .collect();
     let batch = factorizer
-        .factorize_batch(&set, &queries, &mut rng_batch)
+        .factorize_matrix_scratch(
+            &set,
+            &HvMatrix::from_rows(&queries).unwrap(),
+            &mut streams,
+            &mut FactorizerScratch::default(),
+        )
         .unwrap();
 
     let mut rng_single = rng(1);

@@ -1,0 +1,132 @@
+//! Repository-level invariants of the batched solver, through the public API only:
+//!
+//! 1. the packed-vs-dense route is decided once, from the backend and the solver's
+//!    precision, whatever precision the factorizer config carries;
+//! 2. solving is chunk-invariant — one call, 3+5 and 1×8 give the same reports,
+//!    answers and rng consumption;
+//! 3. a fixed seed gives a fixed end-to-end outcome.
+
+use cogsys::{CogSysConfig, CogSysSystem};
+use cogsys_datasets::{DatasetKind, ProblemGenerator};
+use cogsys_factorizer::FactorizerConfig;
+use cogsys_vsa::{rng, BackendKind, Precision};
+use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverReport, SolverScratch};
+use rand::RngCore;
+
+#[test]
+fn plan_route_is_packed_exactly_on_the_packed_fp32_solver() {
+    let small = SolverConfig {
+        vector_dim: 256,
+        ..SolverConfig::default()
+    };
+    let mut configs: Vec<SolverConfig> = Vec::new();
+    for backend in BackendKind::ALL {
+        for precision in [Precision::Fp32, Precision::Int8] {
+            configs.push(
+                small
+                    .clone()
+                    .with_backend(backend)
+                    .with_precision(precision),
+            );
+        }
+    }
+    // Struct literals whose factorizer precision disagrees with the solver's: the
+    // solver's precision decides.
+    for (solver_precision, factorizer_precision) in [
+        (Precision::Int8, Precision::Fp32),
+        (Precision::Fp32, Precision::Int8),
+    ] {
+        configs.push(SolverConfig {
+            precision: solver_precision,
+            factorizer: FactorizerConfig::default().with_precision(factorizer_precision),
+            ..small.clone()
+        });
+    }
+    for config in configs {
+        let solver = NeurosymbolicSolver::new(config.clone(), &mut rng(1));
+        let expected = config.backend == BackendKind::Packed && config.precision == Precision::Fp32;
+        for batch in [1, 8] {
+            let plan = solver.plan_for_batch(batch);
+            assert_eq!(
+                plan.packed_route, expected,
+                "{} / solver {:?} / factorizer {:?}",
+                config.backend, config.precision, config.factorizer.precision
+            );
+            let route = if expected {
+                "route=packed"
+            } else {
+                "route=dense"
+            };
+            assert!(plan.describe().contains(route), "{}", plan.describe());
+        }
+    }
+}
+
+#[test]
+fn mismatched_factorizer_precision_solves_like_the_pinned_config() {
+    // The factorizer always runs at the solver's precision, so a struct literal
+    // that leaves the factorizer at FP32 under an INT8 solver makes exactly the
+    // decisions of `with_precision(Int8)`, which sets both.
+    let pinned = SolverConfig {
+        vector_dim: 512,
+        ..SolverConfig::default()
+    }
+    .with_precision(Precision::Int8);
+    let mixed = SolverConfig {
+        factorizer: FactorizerConfig::default(),
+        ..pinned.clone()
+    };
+    assert_ne!(mixed.factorizer.precision, mixed.precision);
+    let solve = |config: SolverConfig| {
+        let mut r = rng(5);
+        let solver = NeurosymbolicSolver::new(config, &mut r);
+        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(3, &mut r);
+        let mut scratch = SolverScratch::default();
+        let report = solver
+            .solve_batch_with(&problems, &mut r, &mut scratch)
+            .unwrap();
+        (report, scratch.choices().to_vec(), r.next_u64())
+    };
+    assert_eq!(solve(mixed), solve(pinned));
+}
+
+#[test]
+fn batched_solve_is_invariant_to_chunking() {
+    let mut setup = rng(41);
+    let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut setup);
+    let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut setup);
+
+    let solve_in = |sizes: &[usize]| {
+        let mut r = setup.clone();
+        let mut scratch = SolverScratch::default();
+        let mut report = SolverReport::default();
+        let mut choices = Vec::new();
+        let mut start = 0;
+        for &size in sizes {
+            let chunk = &problems[start..start + size];
+            report.merge(
+                &solver
+                    .solve_batch_with(chunk, &mut r, &mut scratch)
+                    .unwrap(),
+            );
+            choices.extend_from_slice(scratch.choices());
+            start += size;
+        }
+        assert_eq!(start, problems.len());
+        (report, choices, r.next_u64())
+    };
+    let whole = solve_in(&[8]);
+    assert_eq!(whole.0.problems, 8);
+    assert_eq!(whole.1.len(), 8);
+    assert_eq!(solve_in(&[3, 5]), whole, "3+5 differs from one call");
+    assert_eq!(solve_in(&[1; 8]), whole, "1x8 differs from one call");
+}
+
+#[test]
+fn reasoning_runs_are_deterministic_per_seed() {
+    let system = CogSysSystem::new(CogSysConfig::default());
+    let a = system.run_reasoning(DatasetKind::Raven, 3, 17).unwrap();
+    let b = system.run_reasoning(DatasetKind::Raven, 3, 17).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(a.report.problems, 3);
+}
