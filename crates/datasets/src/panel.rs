@@ -144,10 +144,18 @@ impl AttributeVocab {
 
 /// One panel of a reasoning problem, described purely by its attribute values.
 ///
-/// `values[i]` is the value of `Attribute::ALL[i]`, in `0..cardinality`.
+/// `values[i]` is the value of `Attribute::ALL[i]`, in `0..cardinality`. Values are
+/// stored as `u32` (half the footprint of `usize` for the panels a problem stream
+/// keeps resident) behind a `usize` API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct Panel {
-    values: [usize; 5],
+    values: [u32; 5],
+}
+
+/// Narrows an attribute value to its stored width, saturating values above
+/// `u32::MAX` — they exceed every vocabulary, so the panel stays malformed.
+fn stored(v: usize) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
 }
 
 impl Panel {
@@ -160,7 +168,7 @@ impl Panel {
         for (v, c) in values.iter().zip(ATTRIBUTE_CARDINALITIES) {
             assert!(*v < c, "attribute value {v} out of range (cardinality {c})");
         }
-        Self { values }
+        Self::new_unchecked(values)
     }
 
     /// Creates a panel **without** validating attribute ranges.
@@ -169,9 +177,12 @@ impl Panel {
     /// engine-boundary validation must reject out-of-range values with a typed
     /// error, which requires being able to construct them in the first place
     /// (see `ProblemGenerator::generate_malformed` and the `cogsys-serve` chaos
-    /// harness). Production generators and rules use [`Panel::new`].
+    /// harness). Production generators and rules use [`Panel::new`]. Values above
+    /// `u32::MAX` saturate to `u32::MAX`, which is still out of range.
     pub fn new_unchecked(values: [usize; 5]) -> Self {
-        Self { values }
+        Self {
+            values: values.map(stored),
+        }
     }
 
     /// Returns `true` when every attribute value is inside its cardinality — the
@@ -186,7 +197,7 @@ impl Panel {
         self.values
             .iter()
             .zip(vocab.cardinalities())
-            .all(|(v, c)| *v < c)
+            .all(|(&v, c)| (v as usize) < c)
     }
 
     /// Samples a uniformly random panel.
@@ -196,16 +207,16 @@ impl Panel {
 
     /// [`Panel::random`] over a configurable vocabulary.
     pub fn random_with<R: Rng + ?Sized>(vocab: AttributeVocab, rng: &mut R) -> Self {
-        let mut values = [0usize; 5];
+        let mut values = [0u32; 5];
         for (v, c) in values.iter_mut().zip(vocab.cardinalities()) {
-            *v = rng.gen_range(0..c);
+            *v = stored(rng.gen_range(0..c));
         }
         Self { values }
     }
 
     /// Value of one attribute.
     pub fn value(&self, attribute: Attribute) -> usize {
-        self.values[attribute.index()]
+        self.values[attribute.index()] as usize
     }
 
     /// Returns a copy with one attribute replaced (wrapped into range).
@@ -221,13 +232,13 @@ impl Panel {
         value: usize,
     ) -> Self {
         let mut values = self.values;
-        values[attribute.index()] = value % vocab.cardinality(attribute);
+        values[attribute.index()] = stored(value % vocab.cardinality(attribute));
         Self { values }
     }
 
     /// All five attribute values in canonical order.
     pub fn values(&self) -> [usize; 5] {
-        self.values
+        self.values.map(|v| v as usize)
     }
 
     /// Number of attributes on which two panels differ.
@@ -258,7 +269,7 @@ impl Panel {
         let mut values = self.values;
         for (i, c) in vocab.cardinalities().iter().enumerate() {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                values[i] = rng.gen_range(0..*c);
+                values[i] = stored(rng.gen_range(0..*c));
             }
         }
         Self { values }
@@ -308,6 +319,19 @@ mod tests {
             12 % 5
         );
         assert!(p.to_string().contains("color=5"));
+    }
+
+    #[test]
+    fn values_round_trip_and_saturate() {
+        let values = [8, 0, 4, 5, 9];
+        assert_eq!(Panel::new(values).values(), values);
+        let big = u32::MAX as usize;
+        assert_eq!(Panel::new_unchecked([big, 1, 2, 3, 4]).values()[0], big);
+        for v in [usize::MAX, big + 1] {
+            let p = Panel::new_unchecked([0, 0, v, 0, 0]);
+            assert_eq!(p.value(Attribute::Type), big);
+            assert!(!p.is_well_formed());
+        }
     }
 
     #[test]

@@ -66,8 +66,12 @@ pub struct FactorizerConfig {
     pub stochasticity: StochasticityConfig,
     /// Arithmetic precision the three factorization steps are executed in.
     pub precision: Precision,
-    /// Number of consecutive identical estimate sets after which a limit cycle is
-    /// declared (only reachable when stochasticity is disabled).
+    /// How many past estimate states each row remembers for limit-cycle detection.
+    /// After every iteration that does not converge, the row's estimate state (all
+    /// factors' sign planes) is fingerprinted; a repeat of any of the last
+    /// `limit_cycle_window` fingerprints ends the row as a limit cycle, reporting
+    /// its best decode so far. Applies with and without stochasticity; 0 disables
+    /// detection, so stuck rows run to `max_iterations`.
     pub limit_cycle_window: usize,
     /// Which batched execution backend runs the three factorization steps.
     ///

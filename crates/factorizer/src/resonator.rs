@@ -29,8 +29,11 @@ pub struct FactorizationResult {
     pub iterations: usize,
     /// Whether the convergence threshold was reached within the iteration budget.
     pub converged: bool,
-    /// Whether a limit cycle was detected (estimates repeating without improvement);
-    /// only possible when stochasticity is disabled.
+    /// Whether a limit cycle was detected: the row's estimate state (every factor's
+    /// sign plane) revisited one of its last
+    /// [`FactorizerConfig::limit_cycle_window`] states without converging. The row
+    /// then reports its best decode so far, and `iterations` is the iteration it
+    /// exited on.
     pub limit_cycle: bool,
 }
 
@@ -184,6 +187,24 @@ fn cosine_rows(a: &[f32], b: &[f32]) -> f32 {
     ops::cosine_slices(a, b)
 }
 
+/// The SplitMix64 finalizer: a full-avalanche bijection on 64-bit words.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Folds one packed sign plane row into a running estimate-state fingerprint,
+/// word by word. Every step is a bijection of the previous hash for a fixed word,
+/// so distinct states collide only with probability ~2⁻⁶⁴ — a weak hash could
+/// alias two states and stop a row that would have converged.
+fn fingerprint_words(hash: u64, words: &[u64]) -> u64 {
+    words.iter().fold(hash, |h, &w| {
+        mix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ w)
+    })
+}
+
 /// Per-query mutable state of the batched iteration.
 ///
 /// Indexed by the *original* query index throughout; converged queries are compacted
@@ -200,7 +221,8 @@ struct QueryState {
     decoded: Vec<usize>,
     best_indices: Vec<usize>,
     best_similarity: f32,
-    history: Vec<Vec<usize>>,
+    /// The last `limit_cycle_window` estimate-state fingerprints, oldest first.
+    fingerprints: Vec<u64>,
     result: Option<FactorizationResult>,
 }
 
@@ -216,20 +238,22 @@ impl QueryState {
         self.best_indices.clear();
         self.best_indices.resize(num_factors, 0);
         self.best_similarity = f32::NEG_INFINITY;
-        self.history.clear();
+        self.fingerprints.clear();
         self.result = None;
     }
 
     /// End-of-iteration bookkeeping for one query: records the rebind `similarity`,
-    /// detects convergence and (deterministic dynamics only) limit cycles, and decays
-    /// the noise schedule. Returns `true` when the query is finished and its batch row
-    /// can be compacted out.
+    /// detects convergence and limit cycles, and decays the noise schedule. Returns
+    /// `true` when the query is finished and its batch row can be compacted out.
+    ///
+    /// `fingerprint` hashes the row's estimate state after this iteration; it runs
+    /// only for rows that did not converge, and only with detection on.
     fn finish_iteration(
         &mut self,
         config: &FactorizerConfig,
         similarity: f32,
         iteration: usize,
-        deterministic: bool,
+        fingerprint: impl FnOnce() -> u64,
     ) -> bool {
         if similarity > self.best_similarity {
             self.best_similarity = similarity;
@@ -247,29 +271,27 @@ impl QueryState {
             return true;
         }
 
-        // Limit-cycle detection: the same decoded tuple recurring within the window
-        // without reaching the threshold (deterministic dynamics only).
-        if deterministic {
-            if self
-                .history
-                .iter()
-                .rev()
-                .take(config.limit_cycle_window)
-                .any(|h| h == &self.decoded)
-            {
+        // Limit-cycle detection: the full estimate state recurring within the window
+        // without reaching the threshold, in both noise modes. A row that revisits a
+        // state has, in practice, stopped exploring: the decayed noise no longer
+        // moves it off the cycle.
+        let window = config.limit_cycle_window;
+        if window > 0 {
+            let fp = fingerprint();
+            if self.fingerprints.contains(&fp) {
                 self.result = Some(FactorizationResult {
                     indices: self.best_indices.clone(),
                     similarity: self.best_similarity,
-                    iterations: config.max_iterations,
+                    iterations: iteration,
                     converged: false,
                     limit_cycle: true,
                 });
                 return true;
             }
-            self.history.push(self.decoded.clone());
-            if self.history.len() > config.limit_cycle_window * 4 {
-                self.history.remove(0);
+            if self.fingerprints.len() == window {
+                self.fingerprints.remove(0);
             }
+            self.fingerprints.push(fp);
         }
 
         if config.stochasticity.decay != 1.0 {
@@ -318,6 +340,8 @@ pub struct FactorizerScratch {
     projected: HvMatrix,
     rebound: HvMatrix,
     gather_tmp: HvMatrix,
+    /// One estimate row packed to sign planes, for the limit-cycle fingerprint.
+    sign_row: BitMatrix,
     // Packed engine.
     query_bits: BitMatrix,
     estimates_bits: Vec<BitMatrix>,
@@ -630,6 +654,7 @@ impl Factorizer {
             projected,
             rebound,
             gather_tmp,
+            sign_row,
             ..
         } = scratch;
         let n = query_q.rows();
@@ -660,8 +685,7 @@ impl Factorizer {
         // finished rows are gathered out so every kernel lane always does live work.
         order.clear();
         order.extend(0..n);
-
-        let deterministic = !self.config.stochasticity.is_enabled();
+        sign_row.ensure_shape(1, dim);
 
         for iteration in 1..=self.config.max_iterations {
             let rows = order.len();
@@ -735,7 +759,15 @@ impl Factorizer {
             for slot in 0..rows {
                 let q = order[slot];
                 let similarity = cosine_rows(rebound.row(slot), query_q.row(slot));
-                if !states[q].finish_iteration(&self.config, similarity, iteration, deterministic) {
+                // Packed with the `v < 0.0` convention of the packed engine's sign
+                // planes, so both engines hash — and decide — identically.
+                let fingerprint = || {
+                    estimates.iter().fold(0, |h, est| {
+                        sign_row.pack_signs_row(0, est.row(slot));
+                        fingerprint_words(h, sign_row.row_words(0))
+                    })
+                };
+                if !states[q].finish_iteration(&self.config, similarity, iteration, fingerprint) {
                     survivors.push(slot);
                 }
             }
@@ -830,8 +862,6 @@ impl Factorizer {
         order.clear();
         order.extend(0..n);
 
-        let deterministic = !self.config.stochasticity.is_enabled();
-
         for iteration in 1..=self.config.max_iterations {
             let rows = order.len();
             if rows == 0 {
@@ -900,7 +930,12 @@ impl Factorizer {
             for slot in 0..rows {
                 let q = order[slot];
                 let similarity = rebound_bits.cosine_rows(slot, query_bits, slot);
-                if !states[q].finish_iteration(&self.config, similarity, iteration, deterministic) {
+                let fingerprint = || {
+                    estimates
+                        .iter()
+                        .fold(0, |h, est| fingerprint_words(h, est.row_words(slot)))
+                };
+                if !states[q].finish_iteration(&self.config, similarity, iteration, fingerprint) {
                     survivors.push(slot);
                 }
             }
@@ -1399,6 +1434,50 @@ mod tests {
             prop_assert_eq!(fast_bits, slow_bits);
             // Same number of draws consumed: the streams stay in lockstep.
             prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// Limit-cycle exits decide identically on both engines: the dense engine
+        /// fingerprints its f32 estimates through the packed sign convention, so on
+        /// the same noise streams a stuck row stops at the same iteration with the
+        /// same decode — at power-of-two, word-multiple and ragged dimensions.
+        #[test]
+        fn prop_packed_and_dense_agree_on_stuck_rows(seed in 0u64..1000, dim_sel in 0usize..4) {
+            let dim = [256usize, 200, 512, 448][dim_sel];
+            let (set, mut r) = standard_set(seed, &[8, 8, 8], dim);
+            // Rows flipped at 30% cap the rebind cosine near 0.4, far below the 0.9
+            // threshold, so they never converge; the lightly noised rows do.
+            let queries: Vec<Hypervector> = (0..8)
+                .map(|i| {
+                    let clean = set.bind_indices(&[i, (i + 3) % 8, (5 * i) % 8]).unwrap();
+                    ops::flip_noise(&clean, if i % 2 == 0 { 0.3 } else { 0.02 }, &mut r)
+                })
+                .collect();
+            let matrix = HvMatrix::from_rows(&queries).unwrap();
+            let decode = |kind: BackendKind| {
+                let config = FactorizerConfig::default()
+                    .with_max_iterations(60)
+                    .with_backend(kind);
+                let mut streams: Vec<_> = (0..8).map(|q| StdRng::seed_from_u64(seed ^ q)).collect();
+                Factorizer::new(config)
+                    .factorize_matrix_scratch(&set, &matrix, &mut streams, &mut FactorizerScratch::default())
+                    .unwrap()
+            };
+            let dense = decode(BackendKind::Reference);
+            let packed = decode(BackendKind::Packed);
+            prop_assert!(dense.iter().any(|d| d.limit_cycle), "no stuck row exited: {:?}", dense);
+            let decisions = |results: &[FactorizationResult]| -> Vec<_> {
+                results
+                    .iter()
+                    .map(|r| (r.indices.clone(), r.iterations, r.converged, r.limit_cycle))
+                    .collect()
+            };
+            prop_assert_eq!(decisions(&dense), decisions(&packed));
+            for (d, p) in dense.iter().zip(&packed) {
+                prop_assert!((d.similarity - p.similarity).abs() < 1e-4);
+            }
         }
     }
 }

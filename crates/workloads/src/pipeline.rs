@@ -20,7 +20,7 @@
 use crate::error::{ProblemFault, SolveError};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan, NOMINAL_CANDIDATES};
 use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
-use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
+use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CleanupRoute, CodebookSet};
 use cogsys_vsa::packed::BitMatrix;
@@ -103,6 +103,14 @@ pub struct SolverReport {
     pub panels_total: usize,
     /// Total factorizer iterations (for the convergence-speed comparison).
     pub factorizer_iterations: usize,
+    /// Per-block panel decodes whose resonator converged. The three outcome counts
+    /// are summed over attribute blocks, so together they equal
+    /// `panels_total × blocks`.
+    pub rows_converged: usize,
+    /// Per-block panel decodes that stopped on a revisited estimate state.
+    pub rows_limit_cycle: usize,
+    /// Per-block panel decodes that ran the whole iteration budget unconverged.
+    pub rows_capped: usize,
 }
 
 impl SolverReport {
@@ -130,6 +138,23 @@ impl SolverReport {
         self.panels_exact += other.panels_exact;
         self.panels_total += other.panels_total;
         self.factorizer_iterations += other.factorizer_iterations;
+        self.rows_converged += other.rows_converged;
+        self.rows_limit_cycle += other.rows_limit_cycle;
+        self.rows_capped += other.rows_capped;
+    }
+
+    /// Adds one block decode's iterations and row outcomes.
+    fn record_block(&mut self, results: &[FactorizationResult]) {
+        for r in results {
+            self.factorizer_iterations += r.iterations;
+            if r.converged {
+                self.rows_converged += 1;
+            } else if r.limit_cycle {
+                self.rows_limit_cycle += 1;
+            } else {
+                self.rows_capped += 1;
+            }
+        }
     }
 }
 
@@ -696,8 +721,8 @@ impl NeurosymbolicSolver {
 
     /// Factorizes every row of the encoded scene batch against attribute block
     /// `block`, runs the one-sweep coordinate-descent polish, and writes the block's decoded
-    /// attribute values into `values` (row-indexed). Returns the total factorizer
-    /// iterations.
+    /// attribute values into `values` (row-indexed). Returns a report holding only
+    /// the block's factorizer iterations and row outcomes.
     ///
     /// The polish sweep repairs single-attribute decode errors cheaply with the same
     /// unbind→search primitive the factorizer iterates — one gather + batched unbind
@@ -713,7 +738,7 @@ impl NeurosymbolicSolver {
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
         routes: &[CleanupRoute],
-    ) -> Result<usize, VsaError> {
+    ) -> Result<SolverReport, VsaError> {
         let DecodeScratch {
             factorizer: fscratch,
             tuples,
@@ -734,7 +759,8 @@ impl NeurosymbolicSolver {
                 .factorizer
                 .factorize_matrix_scratch(set, queries, streams, fscratch)?,
         };
-        let iterations = results.iter().map(|r| r.iterations).sum::<usize>();
+        let mut report = SolverReport::default();
+        report.record_block(&results);
 
         tuples.resize_with(results.len(), Vec::new);
         for (t, r) in tuples.iter_mut().zip(&results) {
@@ -801,7 +827,7 @@ impl NeurosymbolicSolver {
                 values[row][attr_index] = idx.min(vocab.cardinality(attr) - 1);
             }
         }
-        Ok(iterations)
+        Ok(report)
     }
 
     /// Abduces the rule governing one attribute from the two complete rows and executes
@@ -1190,7 +1216,6 @@ impl NeurosymbolicSolver {
         // phase 1 — per-row dynamics identical to decoding one problem alone.
         values.clear();
         values.resize(total_rows, [0usize; 5]);
-        let mut iterations = 0usize;
         for b in 0..num_blocks {
             streams.clear();
             for (q, problem) in problems.iter().enumerate() {
@@ -1200,10 +1225,10 @@ impl NeurosymbolicSolver {
                     streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
                 }
             }
-            iterations +=
+            let block =
                 self.decode_block_into(b, scenes, streams, decode, values, plan.polish_routes(b))?;
+            report.merge(&block);
         }
-        report.factorizer_iterations = iterations;
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
             t.decode += now.duration_since(mark).as_nanos() as u64;
@@ -1288,12 +1313,13 @@ mod tests {
     impl NeurosymbolicSolver {
         /// Perceives (optionally mis-reads), encodes, adds interface noise to, and
         /// factorizes `panels`, drawing from `rng` in per-problem order. Returns
-        /// the decoded panels and the total factorizer iterations.
+        /// the decoded panels and a report holding the factorizer iterations and
+        /// row outcomes.
         fn perceive_and_factorize_batch<R: Rng + ?Sized>(
             &self,
             panels: &[Panel],
             rng: &mut R,
-        ) -> Result<(Vec<Panel>, usize), VsaError> {
+        ) -> Result<(Vec<Panel>, SolverReport), VsaError> {
             let n = panels.len();
             let perceived: Vec<Panel> = panels
                 .iter()
@@ -1331,7 +1357,7 @@ mod tests {
             };
             let mut ds = DecodeScratch::default();
             let mut values = vec![[0usize; 5]; n];
-            let mut iterations = 0usize;
+            let mut report = SolverReport::default();
             for (b, (set, _)) in self.blocks.iter().enumerate() {
                 let mut streams: Vec<StdRng> = (0..n)
                     .map(|_| StdRng::seed_from_u64(rng.next_u64()))
@@ -1341,12 +1367,18 @@ mod tests {
                     .iter()
                     .map(|cb| cb.cleanup_route(self.backend.as_ref()))
                     .collect();
-                iterations +=
-                    self.decode_block_into(b, scenes, &mut streams, &mut ds, &mut values, &routes)?;
+                report.merge(&self.decode_block_into(
+                    b,
+                    scenes,
+                    &mut streams,
+                    &mut ds,
+                    &mut values,
+                    &routes,
+                )?);
             }
             Ok((
                 values.into_iter().map(Panel::new_unchecked).collect(),
-                iterations,
+                report,
             ))
         }
 
@@ -1357,10 +1389,8 @@ mod tests {
             problem: &Problem,
             rng: &mut R,
         ) -> Result<(usize, SolverReport), VsaError> {
-            let mut report = SolverReport::default();
-            let (decoded, iterations) = self.perceive_and_factorize_batch(&problem.context, rng)?;
+            let (decoded, mut report) = self.perceive_and_factorize_batch(&problem.context, rng)?;
             report.panels_total += decoded.len();
-            report.factorizer_iterations += iterations;
             report.panels_exact += decoded
                 .iter()
                 .zip(&problem.context)
@@ -1400,11 +1430,11 @@ mod tests {
     fn encode_and_factorize_round_trip() {
         let (s, mut r) = solver(1, SolverConfig::default());
         let panel = Panel::new([3, 4, 2, 5, 7]);
-        let (decoded, iters) = s
+        let (decoded, report) = s
             .perceive_and_factorize_batch(std::slice::from_ref(&panel), &mut r)
             .unwrap();
         assert_eq!(decoded, vec![panel]);
-        assert!(iters >= 1);
+        assert!(report.factorizer_iterations >= 1);
     }
 
     #[test]
@@ -1424,6 +1454,26 @@ mod tests {
         );
         assert_eq!(report.problems, 10);
         assert_eq!(report.panels_total, 80);
+    }
+
+    #[test]
+    fn row_outcome_counts_cover_every_block_decode() {
+        // Each panel is decoded once per attribute block, and every decode ends in
+        // exactly one outcome. A tight iteration cap forces capped rows too.
+        let capped = SolverConfig {
+            factorizer: FactorizerConfig::default().with_max_iterations(2),
+            ..SolverConfig::default()
+        };
+        for config in [SolverConfig::default(), capped] {
+            let (s, mut r) = solver(12, config);
+            let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut r);
+            let report = s.solve_batch(&problems, &mut r).unwrap();
+            assert_eq!(
+                report.rows_converged + report.rows_limit_cycle + report.rows_capped,
+                report.panels_total * s.blocks.len()
+            );
+            assert!(report.rows_converged > 0);
+        }
     }
 
     #[test]
@@ -1478,6 +1528,9 @@ mod tests {
             panels_exact: 10,
             panels_total: 16,
             factorizer_iterations: 40,
+            rows_converged: 30,
+            rows_limit_cycle: 1,
+            rows_capped: 1,
         };
         let b = SolverReport {
             problems: 2,
@@ -1485,9 +1538,16 @@ mod tests {
             panels_exact: 16,
             panels_total: 16,
             factorizer_iterations: 30,
+            rows_converged: 31,
+            rows_limit_cycle: 0,
+            rows_capped: 1,
         };
         a.merge(&b);
         assert_eq!(a.problems, 4);
+        assert_eq!(
+            (a.rows_converged, a.rows_limit_cycle, a.rows_capped),
+            (61, 1, 2)
+        );
         assert!((a.accuracy() - 0.75).abs() < 1e-12);
         assert!((a.factorization_accuracy() - 26.0 / 32.0).abs() < 1e-12);
         assert_eq!(SolverReport::default().accuracy(), 0.0);
@@ -1525,9 +1585,9 @@ mod tests {
     fn batch_factorization_decodes_whole_context() {
         let (s, mut r) = solver(9, SolverConfig::default());
         let panels: Vec<Panel> = (0..6).map(|_| Panel::random(&mut r)).collect();
-        let (decoded, iters) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
+        let (decoded, report) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
         assert_eq!(decoded.len(), panels.len());
-        assert!(iters >= panels.len());
+        assert!(report.factorizer_iterations >= panels.len());
         let exact = decoded.iter().zip(&panels).filter(|(a, b)| a == b).count();
         assert!(exact >= 5, "only {exact}/6 panels decoded exactly");
     }
@@ -1573,7 +1633,8 @@ mod tests {
             (NeurosymbolicSolver::block_convergence_threshold(2) - 0.6 / 2f32.sqrt()).abs() < 1e-6
         );
         let panels: Vec<Panel> = (0..4).map(|_| Panel::random(&mut r)).collect();
-        let (decoded, iters) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
+        let (decoded, report) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
+        let iters = report.factorizer_iterations;
         let exact = decoded.iter().zip(&panels).filter(|(a, b)| a == b).count();
         assert!(exact >= 3, "only {exact}/4 panels decoded exactly");
         let budget = panels.len() * 2 * s.config().factorizer.max_iterations;

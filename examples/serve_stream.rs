@@ -78,11 +78,15 @@ fn main() {
         total_seconds += seconds;
         total.merge(&report);
         println!(
-            "window {window}: {:7.1} problems/s  ({:6.2} ms/batch, accuracy {:5.1} %, {} factorizer iterations)",
+            "window {window}: {:7.1} problems/s  ({:6.2} ms/batch, accuracy {:5.1} %, {} factorizer iterations, \
+             rows {} converged / {} limit-cycle / {} capped)",
             batch as f64 / seconds,
             seconds * 1e3,
             100.0 * report.accuracy(),
             report.factorizer_iterations,
+            report.rows_converged,
+            report.rows_limit_cycle,
+            report.rows_capped,
         );
     }
 

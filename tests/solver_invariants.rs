@@ -4,14 +4,18 @@
 //!    precision, whatever precision the factorizer config carries;
 //! 2. solving is chunk-invariant — one call, 3+5 and 1×8 give the same reports,
 //!    answers and rng consumption;
-//! 3. a fixed seed gives a fixed end-to-end outcome.
+//! 3. a fixed seed gives a fixed end-to-end outcome;
+//! 4. limit-cycle detection only stops resonator rows that would never converge.
 
 use cogsys::{CogSysConfig, CogSysSystem};
-use cogsys_datasets::{DatasetKind, ProblemGenerator};
-use cogsys_factorizer::FactorizerConfig;
-use cogsys_vsa::{rng, BackendKind, Precision};
+use cogsys_datasets::{DatasetKind, Panel, ProblemGenerator};
+use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
+use cogsys_vsa::codebook::BindingOp;
+use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet, Precision};
 use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverReport, SolverScratch};
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Arc;
 
 #[test]
 fn plan_route_is_packed_exactly_on_the_packed_fp32_solver() {
@@ -129,4 +133,78 @@ fn reasoning_runs_are_deterministic_per_seed() {
     let b = system.run_reasoning(DatasetKind::Raven, 3, 17).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.report.problems, 3);
+}
+
+#[test]
+fn limit_cycle_exits_only_stop_rows_that_never_converge() {
+    // Block 0 (position, number, type) of the default d=2048 solver, replayed the
+    // way the solver decodes it: encode, interface bit flips, sign planes. The
+    // same rows and noise streams run once with detection off and once with the
+    // default window.
+    const SEED: u64 = 3;
+    let mut r = rng(SEED);
+    let config = SolverConfig::default();
+    let solver = NeurosymbolicSolver::new(config.clone(), &mut r);
+    let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(16, &mut r);
+    let panels: Vec<Panel> = problems
+        .iter()
+        .flat_map(|p| p.context.iter().copied())
+        .collect();
+    let mut scenes = solver.encode_panels(&panels).unwrap();
+    for q in 0..scenes.rows() {
+        for v in scenes.row_mut(q) {
+            if r.gen_bool(config.encoding_noise) {
+                *v = -*v;
+            }
+        }
+    }
+    let bits = BitMatrix::from_matrix(&scenes).unwrap();
+    let block0 = CodebookSet::new(
+        (0..3)
+            .map(|a| solver.codebooks().factor(a).unwrap().clone())
+            .collect(),
+        BindingOp::Hadamard,
+    )
+    .unwrap();
+    let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
+    let decode = |limit_cycle_window: usize| {
+        let factorizer = Factorizer::with_backend(
+            FactorizerConfig {
+                convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
+                limit_cycle_window,
+                ..config.factorizer.clone()
+            },
+            Arc::clone(solver.backend()),
+        );
+        let mut streams: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        factorizer
+            .factorize_matrix_bits_scratch(
+                &block0,
+                &bits,
+                &mut streams,
+                &mut FactorizerScratch::default(),
+            )
+            .unwrap()
+    };
+    let off = decode(0);
+    let on = decode(FactorizerConfig::default().limit_cycle_window);
+    let budget = config.factorizer.max_iterations;
+    let mut exits = 0;
+    for (row, (without, with)) in off.iter().zip(&on).enumerate() {
+        assert!(!without.limit_cycle, "row {row}: detection was off");
+        if without.converged {
+            assert_eq!(with, without, "row {row} converges without detection");
+        }
+        if with.limit_cycle {
+            exits += 1;
+            assert!(
+                !without.converged && without.iterations == budget,
+                "row {row} exits on a limit cycle but runs {} iterations (converged: {}) without detection",
+                without.iterations,
+                without.converged
+            );
+            assert!(with.iterations < budget, "row {row}");
+        }
+    }
+    assert!(exits > 0, "seed {SEED} has no limit-cycle exit");
 }
