@@ -215,8 +215,9 @@ fn main() -> ExitCode {
 
     // Scheduler/simulator consumption of the real plan stages: the adSCH
     // schedule over the lowered stage IR must be structurally valid, every
-    // measured stage anchor present, and — with the iteration-aware resonate
-    // lowering — the scheduled decode share must track the measured one (see
+    // measured stage anchor present, and — with every stage lowered to the
+    // executor's kernel class and resonate charged the measured trip count — the
+    // scheduled decode share must track the measured one (see
     // `plan_schedule_report`'s share contract).
     let (plan_table, plan_mismatches) = cogsys::experiments::plan_schedule_report(&records);
     println!("{plan_table}");

@@ -33,6 +33,6 @@ pub mod panel;
 pub mod problem;
 pub mod rules;
 
-pub use panel::{Attribute, AttributeVocab, Panel, ATTRIBUTE_CARDINALITIES};
+pub use panel::{Attribute, AttributeVocab, Panel, ATTRIBUTE_CARDINALITIES, MAX_CARDINALITY};
 pub use problem::{Constellation, DatasetKind, Problem, ProblemGenerator};
 pub use rules::{Rule, RuleKind, RuleSet};

@@ -76,7 +76,12 @@ pub const ATTRIBUTE_CARDINALITIES: [usize; 5] = [9, 9, 5, 6, 10];
 /// base, so every RAVEN-range panel remains well-formed under any vocab) and is
 /// threaded through the generators (`Panel::random_with`, `RuleSet::random_with`,
 /// `ProblemGenerator::with_vocab`) and the solver's codebook sizing.
+///
+/// Every cardinality is at most [`MAX_CARDINALITY`] (65,535, the widest range a
+/// [`Panel`] stores). Every constructor enforces both bounds, and deserialization
+/// goes through the same check (the `TryFrom<[usize; 5]>` impl).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(try_from = "[usize; 5]", into = "[usize; 5]")]
 pub struct AttributeVocab {
     cards: [usize; 5],
 }
@@ -99,25 +104,24 @@ impl AttributeVocab {
     ///
     /// # Panics
     /// Panics when any cardinality is below its RAVEN base — vocabularies only
-    /// extend the value ranges, so RAVEN-range panels stay well-formed everywhere.
+    /// extend the value ranges, so RAVEN-range panels stay well-formed everywhere —
+    /// or above [`MAX_CARDINALITY`], the widest range a [`Panel`] stores. The
+    /// non-panicking form is `AttributeVocab::try_from(cards)`.
     pub fn new(cards: [usize; 5]) -> Self {
-        for (c, base) in cards.iter().zip(ATTRIBUTE_CARDINALITIES) {
-            assert!(
-                *c >= base,
-                "vocab cardinality {c} below the RAVEN base {base}"
-            );
-        }
-        Self { cards }
+        Self::try_from(cards).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A vocabulary where every attribute has `card` values (clamped up to each
     /// attribute's RAVEN base) — the one-knob way to scale codebooks to 10^4+ rows.
+    ///
+    /// # Panics
+    /// Panics when `card` exceeds [`MAX_CARDINALITY`].
     pub fn uniform(card: usize) -> Self {
         let mut cards = ATTRIBUTE_CARDINALITIES;
         for c in &mut cards {
             *c = card.max(*c);
         }
-        Self { cards }
+        Self::new(cards)
     }
 
     /// Number of discrete values `attribute` can take under this vocabulary.
@@ -142,20 +146,52 @@ impl AttributeVocab {
     }
 }
 
+impl TryFrom<[usize; 5]> for AttributeVocab {
+    type Error = String;
+
+    /// Accepts `cards` when every cardinality lies between its RAVEN base and
+    /// [`MAX_CARDINALITY`].
+    fn try_from(cards: [usize; 5]) -> Result<Self, String> {
+        for (c, base) in cards.into_iter().zip(ATTRIBUTE_CARDINALITIES) {
+            if c < base {
+                return Err(format!("vocab cardinality {c} below the RAVEN base {base}"));
+            }
+            if c > MAX_CARDINALITY {
+                return Err(format!(
+                    "vocab cardinality {c} above the panel maximum {MAX_CARDINALITY}"
+                ));
+            }
+        }
+        Ok(Self { cards })
+    }
+}
+
+impl From<AttributeVocab> for [usize; 5] {
+    fn from(vocab: AttributeVocab) -> Self {
+        vocab.cards
+    }
+}
+
 /// One panel of a reasoning problem, described purely by its attribute values.
 ///
 /// `values[i]` is the value of `Attribute::ALL[i]`, in `0..cardinality`. Values are
-/// stored as `u32` (half the footprint of `usize` for the panels a problem stream
-/// keeps resident) behind a `usize` API.
+/// stored as `u16` (a quarter of the footprint of `usize` for the panels a problem
+/// stream keeps resident) behind a `usize` API; [`AttributeVocab`] caps every
+/// cardinality at [`MAX_CARDINALITY`] so every in-range value fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct Panel {
-    values: [u32; 5],
+    values: [u16; 5],
 }
 
+/// The largest per-attribute cardinality an [`AttributeVocab`] accepts:
+/// `u16::MAX`, so every in-range value of every vocabulary fits a [`Panel`]'s
+/// stored width and the saturated value `u16::MAX` is out of range everywhere.
+pub const MAX_CARDINALITY: usize = u16::MAX as usize;
+
 /// Narrows an attribute value to its stored width, saturating values above
-/// `u32::MAX` — they exceed every vocabulary, so the panel stays malformed.
-fn stored(v: usize) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
+/// `u16::MAX` — they exceed every vocabulary, so the panel stays malformed.
+fn stored(v: usize) -> u16 {
+    u16::try_from(v).unwrap_or(u16::MAX)
 }
 
 impl Panel {
@@ -178,7 +214,7 @@ impl Panel {
     /// error, which requires being able to construct them in the first place
     /// (see `ProblemGenerator::generate_malformed` and the `cogsys-serve` chaos
     /// harness). Production generators and rules use [`Panel::new`]. Values above
-    /// `u32::MAX` saturate to `u32::MAX`, which is still out of range.
+    /// `u16::MAX` saturate to `u16::MAX`, which is still out of range.
     pub fn new_unchecked(values: [usize; 5]) -> Self {
         Self {
             values: values.map(stored),
@@ -207,7 +243,7 @@ impl Panel {
 
     /// [`Panel::random`] over a configurable vocabulary.
     pub fn random_with<R: Rng + ?Sized>(vocab: AttributeVocab, rng: &mut R) -> Self {
-        let mut values = [0u32; 5];
+        let mut values = [0u16; 5];
         for (v, c) in values.iter_mut().zip(vocab.cardinalities()) {
             *v = stored(rng.gen_range(0..c));
         }
@@ -325,13 +361,38 @@ mod tests {
     fn values_round_trip_and_saturate() {
         let values = [8, 0, 4, 5, 9];
         assert_eq!(Panel::new(values).values(), values);
-        let big = u32::MAX as usize;
+        let big = u16::MAX as usize;
         assert_eq!(Panel::new_unchecked([big, 1, 2, 3, 4]).values()[0], big);
         for v in [usize::MAX, big + 1] {
             let p = Panel::new_unchecked([0, 0, v, 0, 0]);
             assert_eq!(p.value(Attribute::Type), big);
             assert!(!p.is_well_formed());
+            // Even the widest vocabulary keeps a saturated value out of range.
+            assert!(!p.is_well_formed_with(AttributeVocab::uniform(MAX_CARDINALITY)));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "above the panel maximum")]
+    fn vocab_wider_than_the_panel_width_panics() {
+        let _ = AttributeVocab::uniform(MAX_CARDINALITY + 1);
+    }
+
+    #[test]
+    fn vocab_try_from_applies_both_bounds() {
+        let widest = [MAX_CARDINALITY; 5];
+        assert_eq!(
+            AttributeVocab::try_from(widest),
+            Ok(AttributeVocab::uniform(MAX_CARDINALITY))
+        );
+        assert_eq!(
+            <[usize; 5]>::from(AttributeVocab::raven()),
+            ATTRIBUTE_CARDINALITIES
+        );
+        let too_wide = AttributeVocab::try_from([9, 9, MAX_CARDINALITY + 1, 6, 10]);
+        assert!(too_wide.unwrap_err().contains("above the panel maximum"));
+        let too_narrow = AttributeVocab::try_from([9, 9, 4, 6, 10]);
+        assert!(too_narrow.unwrap_err().contains("below the RAVEN base"));
     }
 
     #[test]

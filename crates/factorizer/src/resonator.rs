@@ -10,7 +10,9 @@
 use crate::config::FactorizerConfig;
 use cogsys_vsa::batch::{HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
-use cogsys_vsa::packed::{BitMatrix, CleanupScratch, ResonatePhase, PROJ_LANE_ROWS};
+use cogsys_vsa::packed::{
+    amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase, PROJ_LANE_ROWS,
+};
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, Precision, VsaError};
 use rand::rngs::StdRng;
@@ -89,9 +91,9 @@ pub struct BoundedNoise {
     amplitude: f32,
 }
 
-/// Dimensions per early-out block in [`BoundedNoise::perturb_signs`]: matches the
-/// 64-bit word width of the packed sign planes, so one skipped block corresponds to
-/// one whole word of the downstream [`cogsys_vsa::BitMatrix`] row.
+/// Dimensions per eligibility mask in [`BoundedNoise::perturb_signs`]: matches the
+/// 64-bit word width of the packed sign planes, so one mask corresponds to one
+/// whole word of the downstream [`cogsys_vsa::BitMatrix`] row.
 const NOISE_CHUNK_DIMS: usize = 64;
 
 impl BoundedNoise {
@@ -141,37 +143,32 @@ impl BoundedNoise {
     /// bitwise-identical accumulators, so their skip patterns and therefore their
     /// decisions stay identical at every precision.
     ///
-    /// On top of the per-element skip sits a **word-level early-out**: the slice is
-    /// walked in [`NOISE_CHUNK_DIMS`]-wide blocks (one packed sign-plane word), and
-    /// a block whose minimum `|v|` exceeds the amplitude is skipped without testing
-    /// its elements individually. The block test is a branchless min-reduction the
-    /// compiler vectorizes, so proving 64 skips costs a handful of SIMD ops instead
-    /// of 64 predicted branches. This is bitwise-equal to the element-wise rule
-    /// (exposed as [`BoundedNoise::perturb_signs_elementwise`] for tests and
-    /// benchmarks): a skipped block's elements all satisfy `|v| > amplitude` and
-    /// would each have drawn nothing, so values and rng stream positions agree —
-    /// NaN included, since `NaN.abs() <= a` is false element-wise and the
-    /// `min` reduction ignores NaN operands (the block then skips exactly when all
-    /// non-NaN magnitudes exceed the amplitude, or unconditionally when every
-    /// element is NaN — in both cases zero draws either way).
+    /// The eligibility test runs a word at a time: the slice is walked in
+    /// [`NOISE_CHUNK_DIMS`]-wide blocks (one packed sign-plane word), each block's
+    /// `|v| <= amplitude` mask comes from one vector compare per eight values
+    /// ([`cogsys_vsa::packed::amplitude_mask_fn`], behind the `COGSYS_SIMD`
+    /// dispatch), and only the set bits draw, in ascending order. No per-element
+    /// branch remains, so eligibility scattered inside a word costs no
+    /// mispredictions. This is bitwise-equal to the element-wise rule (exposed as
+    /// [`BoundedNoise::perturb_signs_elementwise`] for tests and benchmarks): the
+    /// mask holds exactly the elements that rule perturbs, visited in the same
+    /// order, so values and rng stream positions agree — NaN included, since the
+    /// ordered compare is false for NaN exactly like `NaN.abs() <= a`.
     pub fn perturb_signs(&self, values: &mut [f32], rng: &mut StdRng) {
         let a = self.amplitude;
+        let mask_of = amplitude_mask_fn();
         for chunk in values.chunks_mut(NOISE_CHUNK_DIMS) {
-            let min_mag = chunk.iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
-            if min_mag > a {
-                continue;
-            }
-            for v in chunk {
-                if v.abs() <= a {
-                    *v += self.sample(rng);
-                }
+            let mut mask = mask_of(chunk, a);
+            while mask != 0 {
+                chunk[mask.trailing_zeros() as usize] += self.sample(rng);
+                mask &= mask - 1;
             }
         }
     }
 
     /// The element-wise reference rule behind [`BoundedNoise::perturb_signs`],
-    /// without the word-level early-out. Kept public so proptests and the
-    /// `noise_signs` benchmark can pin the early-out path bitwise against it.
+    /// one branch per element. Kept public so proptests and the `noise_signs`
+    /// benchmark can pin the masked path bitwise against it.
     pub fn perturb_signs_elementwise(&self, values: &mut [f32], rng: &mut StdRng) {
         let a = self.amplitude;
         for v in values {
@@ -203,6 +200,11 @@ fn fingerprint_words(hash: u64, words: &[u64]) -> u64 {
     words.iter().fold(hash, |h, &w| {
         mix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ w)
     })
+}
+
+/// Whether a row whose decoded codevectors rebind to `similarity` has converged.
+fn converges(config: &FactorizerConfig, similarity: f32) -> bool {
+    similarity >= config.convergence_threshold
 }
 
 /// Per-query mutable state of the batched iteration.
@@ -260,7 +262,7 @@ impl QueryState {
             self.best_indices.clone_from(&self.decoded);
         }
 
-        if similarity >= config.convergence_threshold {
+        if converges(config, similarity) {
             self.result = Some(FactorizationResult {
                 indices: self.decoded.clone(),
                 similarity,
@@ -330,7 +332,6 @@ pub struct FactorizerScratch {
     states: Vec<QueryState>,
     order: Vec<usize>,
     survivors: Vec<usize>,
-    decoded_rows: Vec<usize>,
     sims: HvMatrix,
     // Dense engine.
     query_q: HvMatrix,
@@ -346,8 +347,11 @@ pub struct FactorizerScratch {
     query_bits: BitMatrix,
     estimates_bits: Vec<BitMatrix>,
     unbound_bits: BitMatrix,
+    /// One row's decoded codevectors XOR-bound together (the rebind check).
     rebound_bits: BitMatrix,
-    factor_bits: BitMatrix,
+    /// Each batch row's rebind similarity, computed by the last factor's
+    /// similarity hook and consumed by the end-of-iteration bookkeeping.
+    rebind_sims: Vec<f32>,
     init_bits: BitMatrix,
     proj_acc: Vec<f32>,
     gather_tmp_bits: BitMatrix,
@@ -391,8 +395,8 @@ impl FactorizerScratch {
         self.order.reserve(rows.saturating_sub(self.order.len()));
         self.survivors
             .reserve(rows.saturating_sub(self.survivors.len()));
-        self.decoded_rows
-            .reserve(rows.saturating_sub(self.decoded_rows.len()));
+        self.rebind_sims
+            .reserve(rows.saturating_sub(self.rebind_sims.len()));
         self.sims.ensure_shape(rows, max_codebook_rows.max(1));
         self.query_bits.ensure_shape(rows, dim);
         if self.estimates_bits.len() < num_factors {
@@ -404,8 +408,7 @@ impl FactorizerScratch {
         }
         // The fused resonator step unbinds one lane block at a time.
         self.unbound_bits.ensure_shape(PROJ_LANE_ROWS, dim);
-        self.rebound_bits.ensure_shape(rows, dim);
-        self.factor_bits.ensure_shape(rows, dim);
+        self.rebound_bits.ensure_shape(1, dim);
         self.init_bits.ensure_shape(1, dim);
         self.gather_tmp_bits.ensure_shape(rows, dim);
         let proj = PROJ_LANE_ROWS * dim;
@@ -424,12 +427,11 @@ impl FactorizerScratch {
             self.states.capacity(),
             self.order.capacity(),
             self.survivors.capacity(),
-            self.decoded_rows.capacity(),
+            self.rebind_sims.capacity(),
             self.sims.capacity(),
             self.query_bits.word_capacity(),
             self.unbound_bits.word_capacity(),
             self.rebound_bits.word_capacity(),
-            self.factor_bits.word_capacity(),
             self.init_bits.word_capacity(),
             self.gather_tmp_bits.word_capacity(),
             self.proj_acc.capacity(),
@@ -804,11 +806,15 @@ impl Factorizer {
     /// word-wise XOR unbind against the packed query, popcount similarity (exactly
     /// the integer dot products the dense GEMM produces on bipolar inputs), and the
     /// weighted sign projection (noise and sign threshold included, written straight
-    /// into the estimate planes). The
-    /// rebind convergence check XORs gathered codebook rows — no dense estimate or
-    /// projection matrix exists anywhere in this engine. Decisions (argmax,
-    /// convergence, limit cycles) are identical to the dense engine on the same noise
-    /// streams.
+    /// into the estimate planes). The rebind convergence check runs inside the last
+    /// factor's similarity hook — the row's decoded codevector planes XOR-bound
+    /// together, then popcount against the query — so a row that converges there
+    /// skips that factor's projection, whose estimate nothing would read again. No
+    /// dense estimate or projection matrix exists anywhere in this engine.
+    /// Decisions (argmax, convergence, limit cycles) are identical to the dense
+    /// engine on the same noise streams: every row that survives an iteration
+    /// consumes the same draws in the same order, and a converged row's stream is
+    /// never read again.
     #[allow(clippy::needless_range_loop)]
     fn factorize_matrix_packed(
         &self,
@@ -820,13 +826,12 @@ impl Factorizer {
             states,
             order,
             survivors,
-            decoded_rows,
             sims,
             query_bits,
             estimates_bits: estimates,
             unbound_bits,
             rebound_bits,
-            factor_bits,
+            rebind_sims,
             init_bits,
             proj_acc,
             gather_tmp_bits,
@@ -861,6 +866,15 @@ impl Factorizer {
         }
         order.clear();
         order.extend(0..n);
+        rebind_sims.clear();
+        rebind_sims.resize(n, 0.0);
+        let cb_planes = |f: usize| {
+            set.factor(f)
+                .ok()
+                .and_then(|cb| cb.packed())
+                .expect("packed engine requires packed codebooks")
+        };
+        let last = num_factors - 1;
 
         for iteration in 1..=self.config.max_iterations {
             let rows = order.len();
@@ -869,11 +883,6 @@ impl Factorizer {
             }
 
             for f in 0..num_factors {
-                let factor = set.factor(f)?;
-                let cb_bits = factor
-                    .packed()
-                    .expect("packed engine requires packed codebooks");
-
                 // One tiled pass over the codebook sign planes per 8-query lane
                 // block: unbind, popcount similarity and weighted sign projection
                 // share each loaded plane word, and no full-batch unbound plane is
@@ -883,7 +892,7 @@ impl Factorizer {
                 // query's noise draws are consumed in the order of the unfused
                 // unbind → similarity → projection sequence.
                 packed.resonate_step_fused_into(
-                    cb_bits,
+                    cb_planes(f),
                     query_bits,
                     estimates,
                     f,
@@ -892,44 +901,47 @@ impl Factorizer {
                     proj_acc,
                     |phase, slot, row| {
                         let q = order[slot];
+                        let state = &mut states[q];
                         match phase {
                             ResonatePhase::Similarity => {
-                                if let Some(noise) = &states[q].sim_noise {
+                                if let Some(noise) = &state.sim_noise {
                                     noise.perturb_all(row, &mut streams[q]);
                                 }
-                                states[q].decoded[f] = ops::argmax(row).unwrap_or(0);
+                                state.decoded[f] = ops::argmax(row).unwrap_or(0);
+                                if f < last {
+                                    return true;
+                                }
+                                // Every factor is decoded: rebind them and compare
+                                // to the query. A converged row is finished, so its
+                                // last projection would never be read.
+                                for (g, &index) in state.decoded.iter().enumerate() {
+                                    let row = std::slice::from_ref(&index);
+                                    if g == 0 {
+                                        cb_planes(g).gather_into(row, rebound_bits)
+                                    } else {
+                                        rebound_bits.xor_gather_assign(cb_planes(g), row)
+                                    }
+                                    .expect("decoded index in range");
+                                }
+                                let similarity = rebound_bits.cosine_rows(0, query_bits, slot);
+                                rebind_sims[slot] = similarity;
+                                !converges(&self.config, similarity)
                             }
                             ResonatePhase::Projection => {
-                                if let Some(noise) = &states[q].proj_noise {
+                                if let Some(noise) = &state.proj_noise {
                                     noise.perturb_signs(row, &mut streams[q]);
                                 }
+                                true
                             }
                         }
                     },
                 );
             }
 
-            // Convergence check: XOR the decoded codevector planes together and map
-            // Hamming distance to the rebind cosine.
-            for f in 0..num_factors {
-                let cb_bits = set
-                    .factor(f)?
-                    .packed()
-                    .expect("packed engine requires packed codebooks");
-                decoded_rows.clear();
-                decoded_rows.extend(order.iter().map(|&q| states[q].decoded[f]));
-                if f == 0 {
-                    cb_bits.gather_into(decoded_rows, rebound_bits)?;
-                } else {
-                    cb_bits.gather_into(decoded_rows, factor_bits)?;
-                    rebound_bits.xor_assign(factor_bits)?;
-                }
-            }
-
             survivors.clear();
             for slot in 0..rows {
                 let q = order[slot];
-                let similarity = rebound_bits.cosine_rows(slot, query_bits, slot);
+                let similarity = rebind_sims[slot];
                 let fingerprint = || {
                     estimates
                         .iter()
@@ -1389,28 +1401,35 @@ mod tests {
             prop_assert_eq!(result.indices, vec![i0, i1]);
         }
 
-        /// The word-level early-out in `perturb_signs` is bitwise-equal to the
-        /// element-wise reference rule — identical output values AND identical rng
-        /// stream position afterwards — on accumulators engineered so some whole
-        /// 64-dim blocks provably exceed the amplitude (skipped), some sit entirely
-        /// below it (fully sampled), and some mix regimes, across non-multiple-of-64
-        /// lengths and sign-flip/NaN edge cases.
+        /// The masked `perturb_signs` is bitwise-equal to the element-wise
+        /// reference rule — identical output values AND identical rng stream
+        /// position afterwards. Eligibility is either scattered element by element
+        /// inside every word (the resonator's real accumulators) or set per 64-dim
+        /// block (whole words eligible, ineligible or mixed), across
+        /// non-multiple-of-64 lengths, with the edge values placed at scattered
+        /// positions inside words: `|v| == amplitude` (draws), NaN (never draws),
+        /// ±0.0 (draws).
         #[test]
-        fn prop_early_out_noise_matches_elementwise(
+        fn prop_masked_noise_matches_elementwise(
             seed in 0u64..200,
-            len_sel in 0usize..5,
+            len_sel in 0usize..6,
             sigma_centi in 1u32..80,
+            scatter_sel in 0usize..2,
         ) {
-            let len = [1usize, 63, 64, 130, 321][len_sel];
+            let scattered = scatter_sel == 1;
+            let len = [1usize, 7, 63, 64, 130, 321][len_sel];
             let sigma = sigma_centi as f32 / 100.0;
             let noise = BoundedNoise::for_sigma(sigma).unwrap();
             let a = noise.amplitude();
             let mut r = cogsys_vsa::rng(seed);
             let mut values: Vec<f32> = (0..len)
                 .map(|j| {
-                    // Three regimes, chosen per 64-block so whole blocks land above
-                    // the amplitude: block 0 small, block 1 large, rest mixed.
-                    let scale = match (j / 64 + seed as usize) % 3 {
+                    let regime = if scattered {
+                        r.gen_range(0..3)
+                    } else {
+                        (j / 64 + seed as usize) % 3
+                    };
+                    let scale = match regime {
                         0 => a * 0.5,
                         1 => a * 4.0,
                         _ => a * 2.0,
@@ -1418,10 +1437,10 @@ mod tests {
                     (r.gen::<f32>() - 0.5) * 2.0 * scale
                 })
                 .collect();
-            if len > 2 {
-                values[0] = a; // boundary: |v| == amplitude still draws
-                values[1] = f32::NAN; // NaN never draws on either path
-                values[2] = -0.0;
+            let edges = [a, -a, f32::NAN, -0.0, 0.0];
+            for (k, edge) in edges.iter().enumerate() {
+                let j = (k * 13 + seed as usize) % len;
+                values[j] = *edge;
             }
             let mut fast = values.clone();
             let mut slow = values;

@@ -13,6 +13,7 @@ use crate::ops;
 use crate::packed::{BitMatrix, CleanupIndex, CleanupScratch, CLEANUP_INDEX_MIN_ROWS};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which cleanup kernel a `(backend, codebook)` pair resolves to — the routing
 /// decision [`Codebook::cleanup_batch_bits_into`] makes per call, hoisted out as a
@@ -71,22 +72,26 @@ pub enum BindingOp {
 /// assert_eq!(idx, 5);
 /// assert!(sim > 0.99);
 /// ```
+///
+/// The storage is immutable after construction and shared behind [`Arc`]s, so a
+/// clone (e.g. the same attribute codebook in a solver's full set, in its
+/// per-block sets and in every degraded serving rung) is a refcount, not a copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Codebook {
     name: String,
-    vectors: Vec<Hypervector>,
+    vectors: Arc<[Hypervector]>,
     /// Contiguous row-major copy of `vectors` — the similarity-search operand the
     /// batched backends consume (one GEMV/GEMM row per codevector).
-    matrix: HvMatrix,
+    matrix: Arc<HvMatrix>,
     /// Bit-packed sign planes of `matrix`, cached once at construction when every
     /// codevector is exactly bipolar (`None` otherwise). The packed similarity and
     /// cleanup fast paths read this instead of re-packing per call.
-    packed: Option<BitMatrix>,
+    packed: Option<Arc<BitMatrix>>,
     /// Pruned exact top-1 Hamming index over `packed`, built at construction for
     /// codebooks of at least [`CLEANUP_INDEX_MIN_ROWS`] rows — the sub-linear
     /// cleanup path for production-scale item memories. `None` for small codebooks
     /// (the linear scan is faster there) and for non-bipolar codebooks.
-    index: Option<CleanupIndex>,
+    index: Option<Arc<CleanupIndex>>,
 }
 
 /// Builds the cleanup index when the packed planes exist and are large enough for
@@ -98,6 +103,20 @@ fn build_cleanup_index(packed: Option<&BitMatrix>) -> Option<CleanupIndex> {
 }
 
 impl Codebook {
+    /// Derives the matrix, sign planes and cleanup index of `vectors` (which
+    /// share one dimension) and moves everything into shared storage.
+    fn from_rows(name: String, vectors: Vec<Hypervector>, matrix: HvMatrix) -> Self {
+        let packed = BitMatrix::from_matrix(&matrix);
+        let index = build_cleanup_index(packed.as_ref());
+        Self {
+            name,
+            vectors: vectors.into(),
+            matrix: Arc::new(matrix),
+            packed: packed.map(Arc::new),
+            index: index.map(Arc::new),
+        }
+    }
+
     /// Builds a codebook from explicit codevectors.
     ///
     /// # Errors
@@ -108,15 +127,7 @@ impl Codebook {
             return Err(VsaError::Empty { what: "codebook" });
         }
         let matrix = HvMatrix::from_rows(&vectors)?;
-        let packed = BitMatrix::from_matrix(&matrix);
-        let index = build_cleanup_index(packed.as_ref());
-        Ok(Self {
-            name: name.into(),
-            vectors,
-            matrix,
-            packed,
-            index,
-        })
+        Ok(Self::from_rows(name.into(), vectors, matrix))
     }
 
     /// Generates a codebook of `size` random bipolar codevectors of dimension `dim`.
@@ -130,15 +141,7 @@ impl Codebook {
             .map(|_| Hypervector::random_bipolar(dim, rng))
             .collect();
         let matrix = HvMatrix::from_rows(&vectors).expect("generated rows share a dimension");
-        let packed = BitMatrix::from_matrix(&matrix);
-        let index = build_cleanup_index(packed.as_ref());
-        Self {
-            name: name.into(),
-            vectors,
-            matrix,
-            packed,
-            index,
-        }
+        Self::from_rows(name.into(), vectors, matrix)
     }
 
     /// The attribute name this codebook represents (e.g. `"color"`, `"size"`).
@@ -192,20 +195,21 @@ impl Codebook {
     /// exactly when every codevector is bipolar. Packed-aware layers use this to skip
     /// re-packing the codebook on every similarity/cleanup call.
     pub fn packed(&self) -> Option<&BitMatrix> {
-        self.packed.as_ref()
+        self.packed.as_deref()
     }
 
     /// The cleanup index over the packed sign planes, built at construction for
     /// bipolar codebooks of at least [`CLEANUP_INDEX_MIN_ROWS`] rows.
     pub fn cleanup_index(&self) -> Option<&CleanupIndex> {
-        self.index.as_ref()
+        self.index.as_deref()
     }
 
     /// Removes (and returns) the cleanup index, forcing every subsequent cleanup
     /// through the linear packed scan — the measurement / decision-identity knob the
-    /// index-vs-linear tests and benches use.
+    /// index-vs-linear tests and benches use. Other clones of this codebook keep
+    /// their index; the returned one is copied out if they still share it.
     pub fn clear_cleanup_index(&mut self) -> Option<CleanupIndex> {
-        self.index.take()
+        self.index.take().map(Arc::unwrap_or_clone)
     }
 
     /// Similarity of `query` against every codevector (one GEMV on the accelerator).

@@ -92,7 +92,7 @@ pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};
 pub use packed::{
     dispatch_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier, PackedBackend,
-    ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
+    ProjectionVerdict, ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
 };
 pub use quant::{Precision, QuantizedVector};
 

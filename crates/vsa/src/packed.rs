@@ -495,6 +495,42 @@ mod simd {
         }
     }
 
+    /// `|v| <= amplitude` mask of up to 64 values, compiled with AVX2: eight
+    /// lanes per `vcmpps` (ordered compare, so NaN never qualifies) on the
+    /// sign-cleared values, their `vmovmskps` bytes shifted into place. A
+    /// ragged tail shorter than one vector takes the scalar rule.
+    #[target_feature(enable = "avx2")]
+    fn amplitude_mask_avx2(values: &[f32], amplitude: f32) -> u64 {
+        let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
+        let amp = _mm256_set1_ps(amplitude);
+        let mut chunks = values.chunks_exact(8);
+        let mut mask = 0u64;
+        for (g, chunk) in chunks.by_ref().enumerate() {
+            // SAFETY: chunks_exact(8) guarantees exactly eight f32s; loadu has
+            // no alignment requirement.
+            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+            let le = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_and_ps(v, magnitude), amp);
+            mask |= u64::from(_mm256_movemask_ps(le) as u8) << (8 * g);
+        }
+        let tail = chunks.remainder();
+        if tail.is_empty() {
+            return mask;
+        }
+        mask | super::amplitude_mask_generic(tail, amplitude) << (values.len() - tail.len())
+    }
+
+    /// Safe wrapper over [`amplitude_mask_avx2`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn amplitude_mask_avx2_checked(values: &[f32], amplitude: f32) -> u64 {
+        assert!(
+            values.len() <= super::WORD_BITS,
+            "one mask word covers 64 values"
+        );
+        // SAFETY: amplitude_mask_fn() returns this function only when the avx2
+        // feature was detected on the running CPU.
+        unsafe { amplitude_mask_avx2(values, amplitude) }
+    }
+
     /// Safe wrapper over [`project_tile_word_avx2`]; only reachable after cpuid
     /// detection.
     pub(super) fn project_tile_word_avx2_checked(
@@ -653,19 +689,76 @@ fn sketch_kernels() -> SketchKernels {
     }
 }
 
+/// Function-pointer type of the amplitude-mask kernels behind
+/// [`amplitude_mask_fn`]: bit `j` of the result is set iff
+/// `|values[j]| <= amplitude`, for slices of at most 64 values.
+pub type AmplitudeMaskFn = fn(&[f32], f32) -> u64;
+
+/// Scalar amplitude mask, the reference every SIMD tier must match: bit `j` is
+/// set iff `values[j].abs() <= amplitude`. NaN never qualifies (the comparison
+/// is false), and `-0.0` qualifies like `0.0`.
+///
+/// # Panics
+/// Panics when `values` holds more than 64 elements.
+fn amplitude_mask_generic(values: &[f32], amplitude: f32) -> u64 {
+    assert!(values.len() <= WORD_BITS, "one mask word covers 64 values");
+    values
+        .iter()
+        .enumerate()
+        .fold(0, |m, (j, v)| m | u64::from(v.abs() <= amplitude) << j)
+}
+
+/// Resolves the amplitude-mask kernel for this CPU: one vector compare per
+/// eight values on the avx2/avx512 tiers, the scalar rule otherwise. Capped by
+/// `COGSYS_SIMD` like every other kernel. Every tier returns the identical mask,
+/// and every tier panics on slices longer than 64 values.
+pub fn amplitude_mask_fn() -> AmplitudeMaskFn {
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_tier() >= DispatchTier::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        return simd::amplitude_mask_avx2_checked;
+    }
+    amplitude_mask_generic
+}
+
 /// Which sub-step of the fused resonator iteration a
 /// [`PackedBackend::resonate_step_fused_into`] hook invocation belongs to.
-/// The hook fires once per query row per phase, in ascending row order within
+/// The hook fires once per query row for [`ResonatePhase::Similarity`] and,
+/// for the rows whose Similarity hook asks for it ([`ProjectionVerdict`]),
+/// once for [`ResonatePhase::Projection`] — in ascending row order within
 /// each lane block, so per-query noise streams are consumed in exactly the
 /// order the split pipeline consumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResonatePhase {
     /// The row holds the freshly computed similarities (`d − 2·hamming`) for
-    /// this query against every codebook row: perturb in place and decode.
+    /// this query against every codebook row: perturb in place and decode. The
+    /// hook's return value decides whether the row is projected.
     Similarity,
     /// The row holds the weighted sign-projection accumulator for this query:
     /// perturb in place before the signs are packed back into the estimate.
+    /// The hook's return value is ignored.
     Projection,
+}
+
+/// What a [`PackedBackend::resonate_step_fused_into`] hook returns from its
+/// [`ResonatePhase::Similarity`] call: whether the row goes on to be
+/// projected. `()` always projects; `bool` projects only when `true`, so a
+/// caller that already knows a row is finished skips its projection tile,
+/// noise draws and sign pack.
+pub trait ProjectionVerdict {
+    /// `true` when the row's projection must run.
+    fn project(self) -> bool;
+}
+
+impl ProjectionVerdict for () {
+    fn project(self) -> bool {
+        true
+    }
+}
+
+impl ProjectionVerdict for bool {
+    fn project(self) -> bool {
+        self
+    }
 }
 
 /// Function-pointer type of the projection-tile word kernels behind
@@ -1728,11 +1821,18 @@ impl PackedBackend {
     /// projection draws for the same factor); only the interleaving *across*
     /// queries differs, which is unobservable because streams are private.
     ///
+    /// The Similarity call's return value ([`ProjectionVerdict`]) decides
+    /// whether the row is projected at all: a row whose hook returns `false`
+    /// takes no lane of the projection tile, gets no Projection call, and
+    /// keeps its previous `estimates[factor]` row. The other rows' tile lanes,
+    /// accumulators and draws are unchanged by the skip (lanes accumulate
+    /// independently).
+    ///
     /// `unbound` (resized to `PROJ_LANE_ROWS` rows), `sims` (resized to
     /// `rows × codebook.rows()`), and `acc` are caller-owned scratch, so
     /// steady-state calls allocate nothing.
     #[allow(clippy::too_many_arguments)]
-    pub fn resonate_step_fused_into<F>(
+    pub fn resonate_step_fused_into<F, V>(
         &self,
         codebook: &BitMatrix,
         query: &BitMatrix,
@@ -1743,7 +1843,8 @@ impl PackedBackend {
         acc: &mut Vec<f32>,
         mut hook: F,
     ) where
-        F: FnMut(ResonatePhase, usize, &mut [f32]),
+        F: FnMut(ResonatePhase, usize, &mut [f32]) -> V,
+        V: ProjectionVerdict,
     {
         let rows = query.rows();
         let dim = codebook.dim();
@@ -1788,34 +1889,42 @@ impl PackedBackend {
                     }
                 }
             }
+            // The rows whose hook asks for a projection, in ascending order.
+            let mut live = [0usize; PROJ_LANE_ROWS];
+            let mut live_len = 0;
             for lane in 0..block_len {
                 let slot = block_start + lane;
-                hook(ResonatePhase::Similarity, slot, sims.row_mut(slot));
+                if hook(ResonatePhase::Similarity, slot, sims.row_mut(slot)).project() {
+                    live[live_len] = slot;
+                    live_len += 1;
+                }
+            }
+            if live_len == 0 {
+                continue;
             }
             // Projection sweep, weights = the just-perturbed similarity rows:
             // identical tile walk (and accumulation order) to
-            // `project_signs_packed_into` restricted to this lane block.
+            // `project_signs_packed_into` restricted to the live rows.
             let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (lane, row) in lanes.iter_mut().enumerate().take(block_len) {
-                *row = sims.row(block_start + lane);
+            for (row, &slot) in lanes.iter_mut().zip(&live[..live_len]) {
+                *row = sims.row(slot);
             }
             acc.clear();
-            acc.resize(block_len * dim, 0.0);
+            acc.resize(live_len * dim, 0.0);
             for wi in 0..if cb_rows > 0 { wpr } else { 0 } {
                 let base = wi * WORD_BITS;
                 let width = (dim - base).min(WORD_BITS);
                 let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
                 let column = codebook.words[wi..].iter().step_by(wpr);
                 for (m, &word) in column.take(cb_rows).enumerate() {
-                    tile_word(&mut tile, &lanes[..block_len], m, word);
+                    tile_word(&mut tile, &lanes[..live_len], m, word);
                 }
-                for (lane, row) in tile.iter().enumerate().take(block_len) {
+                for (lane, row) in tile.iter().enumerate().take(live_len) {
                     let dst = lane * dim + base;
                     acc[dst..dst + width].copy_from_slice(&row[..width]);
                 }
             }
-            for lane in 0..block_len {
-                let slot = block_start + lane;
+            for (lane, &slot) in live[..live_len].iter().enumerate() {
                 let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
                 hook(ResonatePhase::Projection, slot, acc_row);
                 out.pack_signs_row(slot, acc_row);
@@ -2437,8 +2546,55 @@ mod tests {
             kernels
         }
 
+        /// Every amplitude-mask kernel available on the running CPU, by name;
+        /// `amplitude_mask_generic` is the reference the rest are pinned against.
+        fn available_mask_kernels() -> Vec<(&'static str, AmplitudeMaskFn)> {
+            let mut kernels: Vec<(&'static str, AmplitudeMaskFn)> =
+                vec![("dispatched", amplitude_mask_fn())];
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(("avx2", simd::amplitude_mask_avx2_checked));
+            }
+            kernels
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Every available mask tier returns exactly the scalar mask — and the
+            /// scalar mask is exactly the per-element `|v| <= amplitude` rule — on
+            /// every length from 0 to 64 (whole vectors plus a ragged scalar tail),
+            /// with eligibility scattered inside the word and the edge values that
+            /// decide the draws: NaN (never), ±0.0 and `== amplitude` (always),
+            /// ±infinity (never), subnormals.
+            #[test]
+            fn prop_amplitude_mask_tiers_match_scalar(seed in 0u64..1000, amp_centi in 1u32..400) {
+                let amplitude = amp_centi as f32 / 100.0;
+                let mut r = rng(seed);
+                let edges = [
+                    f32::NAN, -f32::NAN, 0.0, -0.0, amplitude, -amplitude,
+                    f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE / 2.0,
+                ];
+                for len in 0..=WORD_BITS {
+                    let values: Vec<f32> = (0..len)
+                        .map(|_| match r.gen_range(0..4) {
+                            0 => edges[r.gen_range(0..edges.len())],
+                            1 => (r.gen::<f32>() - 0.5) * amplitude,
+                            _ => (r.gen::<f32>() - 0.5) * 4.0 * amplitude,
+                        })
+                        .collect();
+                    let expected = amplitude_mask_generic(&values, amplitude);
+                    for (j, v) in values.iter().enumerate() {
+                        prop_assert_eq!((expected >> j) & 1 == 1, v.abs() <= amplitude);
+                    }
+                    if len < WORD_BITS {
+                        prop_assert_eq!(expected >> len, 0);
+                    }
+                    for (name, kernel) in available_mask_kernels() {
+                        prop_assert_eq!((name, len, kernel(&values, amplitude)), (name, len, expected));
+                    }
+                }
+            }
 
             /// Every detected tier returns exactly `hamming_generic` on packed rows
             /// across pow2 and non-pow2 dims — including dims that exercise the
@@ -2539,6 +2695,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_step_projects_only_rows_whose_hook_asks() {
+        // 11 query rows straddle the 8-row lane block; every third row declines.
+        let (rows, dim, cb_rows) = (11, 200, 10);
+        let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(cb_rows, dim, 31)).unwrap();
+        let query = BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, 32)).unwrap();
+        let initial: Vec<BitMatrix> = (0..3)
+            .map(|f| BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, 33 + f)).unwrap())
+            .collect();
+        let backend = PackedBackend::new();
+        let run = |skip: fn(usize) -> bool| {
+            let mut estimates = initial.clone();
+            let (mut unbound, mut sims, mut acc) =
+                (BitMatrix::default(), HvMatrix::default(), Vec::new());
+            let mut projected = Vec::new();
+            backend.resonate_step_fused_into(
+                &codebook,
+                &query,
+                &mut estimates,
+                1,
+                &mut unbound,
+                &mut sims,
+                &mut acc,
+                |phase, slot, values| {
+                    if phase == ResonatePhase::Projection {
+                        // A deterministic perturbation, so the pack sees hook edits.
+                        values[slot % dim] -= 1000.0;
+                        projected
+                            .push((slot, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
+                    }
+                    !skip(slot)
+                },
+            );
+            (estimates, projected, sims)
+        };
+        let (all_est, all_proj, all_sims) = run(|_| false);
+        let (some_est, some_proj, some_sims) = run(|slot| slot % 3 == 1);
+        assert_eq!(all_sims, some_sims);
+        assert_eq!(all_proj.len(), rows);
+        let kept: Vec<_> = all_proj
+            .into_iter()
+            .filter(|(slot, _)| slot % 3 != 1)
+            .collect();
+        assert_eq!(
+            some_proj, kept,
+            "same accumulators, ascending, declined rows absent"
+        );
+        for slot in 0..rows {
+            let expected = if slot % 3 == 1 {
+                &initial[1]
+            } else {
+                &all_est[1]
+            };
+            assert_eq!(
+                some_est[1].row_words(slot),
+                expected.row_words(slot),
+                "row {slot}"
+            );
+        }
+        assert_eq!((&some_est[0], &some_est[2]), (&initial[0], &initial[2]));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! quantization).
 
 use crate::error::{ProblemFault, SolveError};
-use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan, NOMINAL_CANDIDATES};
+use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan};
 use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
 use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
@@ -557,7 +557,10 @@ impl NeurosymbolicSolver {
         let rows = batch * Self::CONTEXT_PANELS;
         let backend = self.backend.as_ref();
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
-        stages.push(PlanStage::Encode { rows });
+        stages.push(PlanStage::Encode {
+            rows,
+            factors: self.blocks.iter().map(|(set, _)| set.num_factors()).sum(),
+        });
         for (b, (set, _)) in self.blocks.iter().enumerate() {
             let codebook_rows: Vec<usize> = (0..set.num_factors())
                 .map(|f| set.factor(f).map_or(0, |cb| cb.len()))
@@ -582,13 +585,7 @@ impl NeurosymbolicSolver {
             });
         }
         stages.push(PlanStage::Predict { problems: batch });
-        stages.push(PlanStage::Score {
-            problems: batch,
-            // Candidate counts are per problem and unknown at compile time; the IR
-            // carries the nominal RPM shape (8 candidates + 1 prediction per
-            // problem) for scheduling/observability. Not a decision input.
-            rows: batch * (NOMINAL_CANDIDATES + 1),
-        });
+        stages.push(PlanStage::Score { problems: batch });
         SolvePlan {
             key: self.plan_key(batch),
             packed_route,
@@ -1474,6 +1471,70 @@ mod tests {
             );
             assert!(report.rows_converged > 0);
         }
+    }
+
+    #[test]
+    fn packed_engine_matches_dense_across_every_row_outcome() {
+        // One batch whose rows converge at different iterations, exit on a limit
+        // cycle, or run into the cap. The packed engine skips the last projection
+        // of every row that converges; that must change no result and no outcome
+        // count against the dense engine, which projects every row.
+        let mut r = rng(4);
+        let set = CodebookSet::random(&[16, 16, 16], 512, BindingOp::Hadamard, &mut r);
+        let flips = [0.0, 0.01, 0.02, 0.03, 0.04, 0.3, 0.4];
+        let queries: Vec<_> = (0..28)
+            .map(|i| {
+                let clean = set
+                    .bind_indices(&[i % 8, (i + 3) % 8, (5 * i) % 8])
+                    .unwrap();
+                ops::flip_noise(&clean, flips[i % flips.len()], &mut r)
+            })
+            .collect();
+        let matrix = HvMatrix::from_rows(&queries).unwrap();
+        let decode = |kind: BackendKind| {
+            let config = FactorizerConfig::default()
+                .with_max_iterations(12)
+                .with_backend(kind);
+            let mut streams: Vec<_> = (0..queries.len() as u64)
+                .map(|q| StdRng::seed_from_u64(0x5EED ^ q))
+                .collect();
+            let results = Factorizer::new(config)
+                .factorize_matrix_scratch(
+                    &set,
+                    &matrix,
+                    &mut streams,
+                    &mut FactorizerScratch::default(),
+                )
+                .unwrap();
+            let mut report = SolverReport::default();
+            report.record_block(&results);
+            (results, report)
+        };
+        let (dense, dense_report) = decode(BackendKind::Reference);
+        let (packed, packed_report) = decode(BackendKind::Packed);
+        // The batch really covers every outcome, with convergence spread over
+        // several iterations (first iteration included).
+        let mut converged_at: Vec<_> = dense
+            .iter()
+            .filter(|d| d.converged)
+            .map(|d| d.iterations)
+            .collect();
+        converged_at.sort_unstable();
+        converged_at.dedup();
+        assert!(
+            converged_at.len() >= 3 && converged_at[0] == 1,
+            "{converged_at:?}"
+        );
+        assert!(dense_report.rows_limit_cycle > 0 && dense_report.rows_capped > 0);
+        for (q, (d, p)) in dense.iter().zip(&packed).enumerate() {
+            assert_eq!(
+                (&d.indices, d.iterations, d.converged, d.limit_cycle),
+                (&p.indices, p.iterations, p.converged, p.limit_cycle),
+                "row {q}"
+            );
+            assert!((d.similarity - p.similarity).abs() < 1e-4, "row {q}");
+        }
+        assert_eq!(dense_report, packed_report);
     }
 
     #[test]

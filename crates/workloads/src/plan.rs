@@ -73,6 +73,8 @@ pub enum PlanStage {
     Encode {
         /// Panel rows encoded.
         rows: usize,
+        /// Attribute codevectors bound into each row, summed over blocks.
+        factors: usize,
     },
     /// Iterative resonator factorization of one attribute block over the whole batch.
     Resonate {
@@ -85,8 +87,8 @@ pub enum PlanStage {
         /// Rows of each factor codebook (similarity-search shape per iteration).
         codebook_rows: Vec<usize>,
         /// Configured iteration cap of the resonator loop — the worst-case trip
-        /// count the scheduler lowering charges the stage with (rows converge
-        /// and compact out earlier at run time).
+        /// count (rows converge and compact out earlier at run time; the
+        /// scheduler lowering charges a measured trip count, clamped to this).
         iterations: usize,
     },
     /// One coordinate-descent polish sweep (unbind-all-but + cleanup per factor),
@@ -109,8 +111,6 @@ pub enum PlanStage {
     Score {
         /// Problems scored.
         problems: usize,
-        /// Panel rows encoded for scoring (predictions + candidates).
-        rows: usize,
     },
 }
 
@@ -129,31 +129,41 @@ impl PlanStage {
     /// Lowers the stage onto the accelerator-model kernel vocabulary of
     /// `cogsys-sim`, the shape the ADSCH scheduler costs and places.
     ///
-    /// The mapping follows the dominant arithmetic of each stage: encoding is
-    /// per-row binding ([`Kernel::CircConv`] is the paper's binding kernel class),
-    /// resonator and scoring are codebook similarity searches, and the polish sweep
-    /// is one cleanup search per factor. `Predict` is control-flow-only symbolic
-    /// work, lowered as a per-problem element-wise op so the scheduler still sees
-    /// (and orders) the stage.
+    /// Each stage lowers to the kernel class of the work the executor does:
     ///
-    /// The resonate lowering is **iteration-aware**: the similarity count is the
-    /// row count multiplied by the configured iteration cap, so the scheduled
-    /// stage shares track the measured `plan_stage_*` cells (one resonator call
-    /// runs the per-iteration kernels up to `iterations` times) instead of
-    /// charging a single sweep.
-    pub fn kernel(&self, dim: usize) -> Kernel {
+    /// * `Encode`: every block is a Hadamard set, so a row is composed by one
+    ///   element-wise bind per factor codevector ([`Kernel::ElementWise`] over
+    ///   `rows × dim × factors`), not by circular convolution.
+    /// * `Resonate`: each iteration runs, per factor, a similarity search and a
+    ///   projection (the transposed product over the same codebook), so the
+    ///   stage is a [`Kernel::Similarity`] over the block's codebook rows with
+    ///   `2 × rows × resonate_trips` queries. `resonate_trips` is the mean
+    ///   row-iterations per block decode (measure it; rows converge long before
+    ///   the cap), clamped to `[1, iterations]`.
+    /// * `Polish`: one cleanup search per factor.
+    /// * `Predict`: control-flow-only symbolic work, lowered as a per-problem
+    ///   element-wise op so the scheduler still sees (and orders) the stage.
+    /// * `Score`: each candidate is compared with its own problem's prediction
+    ///   only — `problems × 8` row dots, a one-row similarity.
+    pub fn kernel(&self, dim: usize, resonate_trips: f64) -> Kernel {
         match self {
-            PlanStage::Encode { rows, .. } => Kernel::CircConv { dim, count: *rows },
+            PlanStage::Encode { rows, factors } => Kernel::ElementWise {
+                elements: rows * dim * factors.max(&1),
+                op: "encode".into(),
+            },
             PlanStage::Resonate {
                 rows,
                 codebook_rows,
                 iterations,
                 ..
-            } => Kernel::Similarity {
-                rows: codebook_rows.iter().sum::<usize>().max(1),
-                dim,
-                count: rows * iterations.max(&1),
-            },
+            } => {
+                let trips = resonate_trips.clamp(1.0, (*iterations).max(1) as f64);
+                Kernel::Similarity {
+                    rows: codebook_rows.iter().sum::<usize>().max(1),
+                    dim,
+                    count: (2.0 * *rows as f64 * trips).round() as usize,
+                }
+            }
             PlanStage::Polish { rows, routes, .. } => Kernel::Similarity {
                 rows: routes.len().max(1),
                 dim,
@@ -163,8 +173,8 @@ impl PlanStage {
                 elements: problems * NOMINAL_CANDIDATES,
                 op: "predict".into(),
             },
-            PlanStage::Score { problems, rows, .. } => Kernel::Similarity {
-                rows: (*rows).max(1),
+            PlanStage::Score { problems } => Kernel::Similarity {
+                rows: 1,
                 dim,
                 count: problems * NOMINAL_CANDIDATES,
             },
@@ -212,7 +222,7 @@ impl SolvePlan {
         );
         for (i, stage) in self.stages.iter().enumerate() {
             let detail = match stage {
-                PlanStage::Encode { rows } => format!("rows={rows}"),
+                PlanStage::Encode { rows, factors } => format!("rows={rows} factors={factors}"),
                 PlanStage::Resonate {
                     block,
                     rows,
@@ -232,9 +242,7 @@ impl SolvePlan {
                     format!("block={block} rows={rows} routes={routes:?}")
                 }
                 PlanStage::Predict { problems } => format!("problems={problems}"),
-                PlanStage::Score { problems, rows } => {
-                    format!("problems={problems} rows={rows}")
-                }
+                PlanStage::Score { problems } => format!("problems={problems}"),
             };
             let _ = writeln!(out, "  [{i}] {:<8} {detail}", stage.name());
         }
@@ -258,13 +266,15 @@ impl SolvePlan {
     /// Lowers the plan into the scheduler's operation graph: one op per stage, as a
     /// linear dependence chain under task id `task` (the executor's stages are
     /// sequential over one batch; cross-batch parallelism comes from appending
-    /// several tasks' graphs).
-    pub fn op_graph(&self, task: usize) -> OpGraph {
+    /// several tasks' graphs). Resonate stages are charged `resonate_trips` mean
+    /// row-iterations (see [`PlanStage::kernel`]).
+    pub fn op_graph(&self, task: usize, resonate_trips: f64) -> OpGraph {
         let mut graph = OpGraph::new();
         let mut prev = None;
         for stage in &self.stages {
             let deps: Vec<usize> = prev.into_iter().collect();
-            prev = Some(graph.add_op(task, stage.kernel(self.key.dim), &deps));
+            let kernel = stage.kernel(self.key.dim, resonate_trips);
+            prev = Some(graph.add_op(task, kernel, &deps));
         }
         graph
     }
@@ -366,7 +376,10 @@ mod tests {
             packed_route: true,
             chunk_problems: batch,
             stages: vec![
-                PlanStage::Encode { rows: batch * 8 },
+                PlanStage::Encode {
+                    rows: batch * 8,
+                    factors: 5,
+                },
                 PlanStage::Resonate {
                     block: 0,
                     rows: batch * 8,
@@ -380,10 +393,7 @@ mod tests {
                     routes: vec![CleanupRoute::Linear; 3],
                 },
                 PlanStage::Predict { problems: batch },
-                PlanStage::Score {
-                    problems: batch,
-                    rows: batch * (NOMINAL_CANDIDATES + 1),
-                },
+                PlanStage::Score { problems: batch },
             ],
         }
     }
@@ -406,28 +416,40 @@ mod tests {
     }
 
     #[test]
-    fn resonate_lowering_is_iteration_aware() {
-        // The lowered similarity count charges the configured iteration cap, so
-        // the scheduled share of the resonate stage tracks what the executor can
-        // actually spend there — not a single sweep.
-        let mut capped = plan(4);
-        let mut single = plan(4);
-        if let PlanStage::Resonate { iterations, .. } = &mut capped.stages[1] {
-            *iterations = 200;
+    fn resonate_lowering_charges_the_trip_count_within_the_cap() {
+        // The lowered query count is two kernels (similarity + projection) per
+        // row per charged iteration; the charge is clamped to [1, cap].
+        let p = plan(4);
+        let dim = p.key.dim;
+        let flops = |trips: f64| p.stages[1].kernel(dim, trips).flops();
+        assert_eq!(flops(3.0), 3 * flops(1.0));
+        assert_eq!(flops(1.5), 3 * flops(1.0) / 2);
+        assert_eq!(flops(0.0), flops(1.0));
+        assert_eq!(flops(1e9), 200 * flops(1.0));
+        if let Kernel::Similarity { rows, count, .. } = p.stages[1].kernel(dim, 1.0) {
+            assert_eq!((rows, count), (9 + 9 + 5, 2 * 4 * 8));
+        } else {
+            panic!("resonate must lower to a similarity search");
         }
-        if let PlanStage::Resonate { iterations, .. } = &mut single.stages[1] {
-            *iterations = 1;
+    }
+
+    #[test]
+    fn encode_and_score_lower_to_their_linear_kernels() {
+        // Hadamard binding is element-wise and scoring compares each candidate
+        // with one prediction: both stages grow linearly with the batch.
+        let dim = key(1).dim;
+        let flops = |batch: usize, stage: usize| plan(batch).stages[stage].kernel(dim, 1.0).flops();
+        let score = plan(1).stages.len() - 1;
+        for stage in [0, score] {
+            assert_eq!(flops(64, stage), 64 * flops(1, stage), "stage {stage}");
         }
-        let dim = capped.key.dim;
-        let capped_flops = capped.stages[1].kernel(dim).flops();
-        let single_flops = single.stages[1].kernel(dim).flops();
-        assert_eq!(capped_flops, 200 * single_flops);
+        assert_eq!(flops(1, 0), (8 * dim * 5) as u64);
     }
 
     #[test]
     fn op_graph_is_a_valid_linear_chain_over_the_stages() {
         let p = plan(4);
-        let g = p.op_graph(3);
+        let g = p.op_graph(3, 1.5);
         assert_eq!(g.len(), p.stages.len());
         assert!(g.validate().is_ok());
         for (i, node) in g.iter().enumerate() {
