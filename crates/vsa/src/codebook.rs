@@ -15,39 +15,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Which cleanup kernel a `(backend, codebook)` pair resolves to — the routing
-/// decision [`Codebook::cleanup_batch_bits_into`] makes per call, hoisted out as a
-/// value so a solve plan can resolve it **once** at compile time and the executor
-/// can dispatch on a pre-chosen route ([`Codebook::cleanup_batch_bits_routed_into`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CleanupRoute {
-    /// Pruned exact [`CleanupIndex`] scan (packed backend, packed codebook with a
-    /// built index).
-    Indexed,
-    /// Linear blocked packed popcount scan (packed backend, packed codebook, no
-    /// index).
-    Linear,
-    /// Dense `f32` fallback through the backend's `cleanup_batch_bits`.
-    Dense,
-}
-
-impl CleanupRoute {
-    /// Label used by plan descriptions (`indexed` / `linear` / `dense`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CleanupRoute::Indexed => "indexed",
-            CleanupRoute::Linear => "linear",
-            CleanupRoute::Dense => "dense",
-        }
-    }
-}
-
-impl std::fmt::Display for CleanupRoute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// How codevectors in a [`CodebookSet`] are combined into a product vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum BindingOp {
@@ -278,7 +245,9 @@ impl Codebook {
         Ok(results.pop().expect("one query row yields one result"))
     }
 
-    /// Batched cleanup of many queries at once.
+    /// Batched cleanup of many queries at once. Bipolar queries on a packed
+    /// backend are packed once and take [`Codebook::cleanup_batch_bits_into`];
+    /// anything else runs the backend's dense cleanup.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -287,27 +256,16 @@ impl Codebook {
         backend: &dyn VsaBackend,
         queries: &HvMatrix,
     ) -> Result<Vec<(usize, f32)>, VsaError> {
-        // Packed fast path: the codebook sign planes are already cached, so a packed
-        // backend only has to pack the queries before the popcount kernel.
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
-            if queries.dim() == self.dim() {
-                if let Some(packed_q) = BitMatrix::from_matrix(queries) {
-                    if let Some(index) = &self.index {
-                        return Ok(packed_backend.cleanup_batch_indexed(index, &packed_q));
-                    }
-                    return Ok(packed_backend.cleanup_batch_packed(packed_cb, &packed_q));
-                }
+        if backend.as_packed().is_some() {
+            if let Some(bits) = BitMatrix::from_matrix(queries) {
+                return self.cleanup_batch_bits(backend, &bits);
             }
         }
         backend.cleanup_batch(&self.matrix, queries)
     }
 
-    /// Batched cleanup of **bit-packed** queries: the end-to-end packed path. With a
-    /// packed backend this hits the popcount kernel directly — cached codebook sign
-    /// planes against caller-held query planes, no per-call packing on either operand;
-    /// other backends unpack the queries and run their dense cleanup.
-    ///
-    /// Results are identical to [`Codebook::cleanup_batch`] on the unpacked queries.
+    /// Batched cleanup of **bit-packed** queries; the allocating form of
+    /// [`Codebook::cleanup_batch_bits_into`].
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -316,22 +274,19 @@ impl Codebook {
         backend: &dyn VsaBackend,
         queries: &BitMatrix,
     ) -> Result<Vec<(usize, f32)>, VsaError> {
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
-            if queries.dim() == self.dim() {
-                if let Some(index) = &self.index {
-                    return Ok(packed_backend.cleanup_batch_indexed(index, queries));
-                }
-                return Ok(packed_backend.cleanup_batch_packed(packed_cb, queries));
-            }
-        }
-        backend.cleanup_batch_bits(&self.matrix, queries)
+        let mut out = Vec::new();
+        self.cleanup_batch_bits_into(backend, queries, &mut CleanupScratch::default(), &mut out)?;
+        Ok(out)
     }
 
-    /// Scratch-reusing form of [`Codebook::cleanup_batch_bits`]: results land in
-    /// `out` and all intermediate state in `scratch`, so the steady-state serving
-    /// path ([`crate::PackedBackend`] factorizer/solver polish) allocates nothing.
-    /// Routes through the cleanup index when one is present, else the linear packed
-    /// scan, else the backend's dense fallback.
+    /// The cleanup router: every codebook cleanup ends here. With a packed backend
+    /// and cached sign planes the queries hit the popcount kernel directly — the
+    /// pruned [`CleanupIndex`] scan when the codebook carries one, else the linear
+    /// packed scan — with no per-call packing on either operand. Other backends
+    /// (and non-bipolar codebooks) unpack the queries and run their dense cleanup.
+    /// Results land in `out` and intermediate state in `scratch`, so the
+    /// steady-state serving path allocates nothing; the three kernels return
+    /// identical results.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -342,54 +297,16 @@ impl Codebook {
         scratch: &mut CleanupScratch,
         out: &mut Vec<(usize, f32)>,
     ) -> Result<(), VsaError> {
-        let route = self.cleanup_route(backend);
-        self.cleanup_batch_bits_routed_into(backend, route, queries, scratch, out)
-    }
-
-    /// The cleanup kernel this `(backend, codebook)` pair resolves to, for queries
-    /// of matching dimension: the per-call routing of
-    /// [`Codebook::cleanup_batch_bits_into`] exposed as a value so plan compilation
-    /// can hoist the decision. Stable for the life of the codebook unless
-    /// [`CodebookSet::clear_cleanup_indexes`] demotes `Indexed` to `Linear` —
-    /// callers caching a route must re-resolve after mutating the indexes.
-    pub fn cleanup_route(&self, backend: &dyn VsaBackend) -> CleanupRoute {
-        if backend.as_packed().is_some() && self.packed.is_some() {
-            if self.index.is_some() {
-                CleanupRoute::Indexed
-            } else {
-                CleanupRoute::Linear
-            }
-        } else {
-            CleanupRoute::Dense
-        }
-    }
-
-    /// [`Codebook::cleanup_batch_bits_into`] with the route pre-chosen: the executor
-    /// half of the plan-compiled cleanup. A stale packed route (mismatched query
-    /// dimension, or indexes cleared since the route was resolved) degrades to the
-    /// next-best live kernel instead of panicking, keeping results identical to the
-    /// per-call routing.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs on
-    /// the dense route.
-    pub fn cleanup_batch_bits_routed_into(
-        &self,
-        backend: &dyn VsaBackend,
-        route: CleanupRoute,
-        queries: &BitMatrix,
-        scratch: &mut CleanupScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) -> Result<(), VsaError> {
-        if route != CleanupRoute::Dense && queries.dim() == self.dim() {
-            if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
-                if route == CleanupRoute::Indexed {
-                    if let Some(index) = &self.index {
-                        packed_backend.cleanup_batch_indexed_into(index, queries, scratch, out);
-                        return Ok(());
+        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
+            if queries.dim() == self.dim() {
+                match &self.index {
+                    Some(index) => {
+                        packed_backend.cleanup_batch_indexed_into(index, queries, scratch, out)
+                    }
+                    None => {
+                        packed_backend.cleanup_batch_packed_into(packed_cb, queries, scratch, out)
                     }
                 }
-                packed_backend.cleanup_batch_packed_into(packed_cb, queries, scratch, out);
                 return Ok(());
             }
         }
@@ -836,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_cleanup_routing_matches_linear_scan() {
+    fn cleanup_router_index_linear_and_dense_kernels_agree() {
         use crate::packed::PackedBackend;
         let mut r = rng(30);
         let mut cb = Codebook::random("large", 600, 512, &mut r);
@@ -863,12 +780,21 @@ mod tests {
         cb.cleanup_batch_bits_into(&backend, &bits, &mut scratch, &mut linear_into)
             .unwrap();
 
+        // The router's third kernel: a backend without a packed fast path runs
+        // its dense cleanup on the unpacked queries.
+        let mut dense_into = Vec::new();
+        cb.cleanup_batch_bits_into(&ReferenceBackend, &bits, &mut scratch, &mut dense_into)
+            .unwrap();
+
         assert_eq!(indexed, linear);
         assert_eq!(indexed_bits, linear);
         assert_eq!(indexed_into, linear);
         assert_eq!(linear_into, linear);
-        for (q, (idx, _)) in linear.iter().enumerate() {
+        for (q, ((idx, sim), (dense_idx, dense_sim))) in linear.iter().zip(&dense_into).enumerate()
+        {
             assert_eq!(*idx, q * 100, "query {q} should recover its source row");
+            assert_eq!(idx, dense_idx, "query {q}");
+            assert!((sim - dense_sim).abs() < 1e-4, "query {q}");
         }
     }
 

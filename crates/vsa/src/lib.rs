@@ -87,7 +87,7 @@ pub mod packed;
 pub mod quant;
 
 pub use batch::{BackendKind, HvMatrix, ParallelBackend, ReferenceBackend, VsaBackend};
-pub use codebook::{CleanupRoute, Codebook, CodebookSet, ProductCodebook};
+pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};
 pub use packed::{

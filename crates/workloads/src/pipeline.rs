@@ -22,10 +22,9 @@ use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan};
 use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
 use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
-use cogsys_vsa::codebook::{BindingOp, CleanupRoute, CodebookSet};
+use cogsys_vsa::codebook::{BindingOp, CodebookSet};
 use cogsys_vsa::packed::BitMatrix;
-use cogsys_vsa::quant::fake_quantize_slice;
-use cogsys_vsa::{ops, Precision, VsaError};
+use cogsys_vsa::{Precision, VsaError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -185,10 +184,7 @@ impl StageNanos {
 #[derive(Debug, Default)]
 struct EncodeScratch {
     idx: Vec<usize>,
-    product: HvMatrix,
-    operand: HvMatrix,
-    tmp: HvMatrix,
-    /// Second block's sign plane on the fully packed encode route.
+    /// Second block's sign plane.
     block_bits: BitMatrix,
 }
 
@@ -199,19 +195,8 @@ struct DecodeScratch {
     /// Decoded per-factor index tuple per row (inner vectors reused).
     tuples: Vec<Vec<usize>>,
     gather_idx: Vec<usize>,
-    unbound: HvMatrix,
-    tmp: HvMatrix,
-    est_dense: Vec<HvMatrix>,
     unbound_bits: BitMatrix,
     est_bits: BitMatrix,
-}
-
-/// The encoded scene batch one decode pass factorizes: sign planes on the packed
-/// route, f32 rows on the dense route ([`SolvePlan::packed_route`]).
-#[derive(Clone, Copy)]
-enum Scenes<'a> {
-    Packed(&'a BitMatrix),
-    Dense(&'a HvMatrix),
 }
 
 /// Reusable scratch of the cross-problem batched solving engine
@@ -237,15 +222,12 @@ pub struct SolverScratch {
     seeds: Vec<u64>,
     row_base: Vec<usize>,
     seed_base: Vec<usize>,
-    encoded: HvMatrix,
-    encoded_bits: BitMatrix,
+    encoded: BitMatrix,
     values: Vec<[usize; 5]>,
     decoded: Vec<Panel>,
     predicted: Vec<Panel>,
     cand_panels: Vec<Panel>,
     cand_base: Vec<usize>,
-    pred_hv: HvMatrix,
-    cand_hv: HvMatrix,
     pred_bits: BitMatrix,
     cand_bits: BitMatrix,
     choices: Vec<usize>,
@@ -283,8 +265,8 @@ pub struct NeurosymbolicSolver {
     factorizer: Factorizer,
     backend: Arc<dyn VsaBackend>,
     /// Compiled [`SolvePlan`]s by workload shape. Cloning the solver yields a fresh,
-    /// empty cache (plans capture per-instance codebook state such as cleanup
-    /// indexes), so the derived `Clone` stays correct.
+    /// empty cache (a `with_iteration_cap` clone compiles a different iteration cap
+    /// for the same [`PlanKey`]), so the derived `Clone` stays correct.
     plans: PlanCache,
 }
 
@@ -401,9 +383,9 @@ impl NeurosymbolicSolver {
     /// one place. It decodes *blocks* of the scene superposition, so it runs with the
     /// per-block convergence threshold (`min` keeps a deliberately lower configured
     /// threshold in charge; it never tightens past the block plateau). The solver's
-    /// backend and precision are pinned onto it, so encode, decode and scoring
-    /// always agree on both — which is what lets [`NeurosymbolicSolver::compile_plan`]
-    /// decide the packed-vs-dense route once for the whole pipeline.
+    /// backend and precision are pinned onto it, so the resonator engine (and with
+    /// it [`NeurosymbolicSolver::compile_plan`]'s chunk width) follows the solver's
+    /// configuration alone.
     fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
         let factorizer_config = FactorizerConfig {
             convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
@@ -504,15 +486,13 @@ impl NeurosymbolicSolver {
 
     /// Drops every cached cleanup index so packed cleanups fall back to the linear
     /// scan. The index is exact, so decisions are unchanged — this knob exists for
-    /// A/B perf comparison and decision-identity regression tests.
+    /// A/B perf comparison and decision-identity regression tests. Cached plans stay
+    /// valid: the cleanup router reads the codebooks on every call.
     pub fn disable_cleanup_index(&mut self) {
         self.codebooks.clear_cleanup_indexes();
         for (set, _) in &mut self.blocks {
             set.clear_cleanup_indexes();
         }
-        // Cached plans captured Indexed cleanup routes that no longer exist; drop
-        // them so the next solve compiles against the demoted state.
-        self.plans.clear();
     }
 
     /// The [`PlanKey`] a solve call over `batch` problems resolves to on this solver.
@@ -528,34 +508,30 @@ impl NeurosymbolicSolver {
         }
     }
 
-    /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: every routing
-    /// decision the executor needs — packed vs dense route, chunk width and
-    /// per-factor cleanup routes — resolved once, up front. This is the only place
-    /// the packed-vs-dense route is decided.
+    /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: the chunk width
+    /// and the stage IR, resolved once, up front. Every stage runs on sign planes
+    /// whatever the backend and precision, so the only decision is the chunk
+    /// width: the whole batch when every block decodes on the packed resonator,
+    /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems when the factorizer
+    /// unpacks the scenes for its f32 resonator.
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
     /// the frozen benchmark's `compile_plan(batch, bool)` call site still
     /// compiles.
     pub fn compile_plan(&self, batch: usize, _specialize: bool) -> SolvePlan {
-        // Every block is a Hadamard set of bipolar random codebooks on the one shared
-        // backend, and the factorizer runs at the solver's precision, so the blocks
-        // all agree: either each decodes on the packed resonator (packed backend,
-        // FP32) and the whole solve stays in sign planes, or none does and every
-        // stage runs on f32 rows.
-        let packed_route = self
+        // The packed resonator keeps the whole batch in one pass (sign planes stay
+        // cache-resident); the f32 resonator sub-chunks to DENSE_SERVE_CHUNK.
+        let chunk_problems = if self
             .blocks
             .iter()
-            .all(|(set, _)| self.factorizer.packed_pipeline(set));
-        // The packed route keeps the whole batch in one pass (sign planes stay
-        // cache-resident); the dense engines sub-chunk to DENSE_SERVE_CHUNK.
-        let chunk_problems = if packed_route {
+            .all(|(set, _)| self.factorizer.packed_pipeline(set))
+        {
             batch.max(1)
         } else {
             Self::DENSE_SERVE_CHUNK
         };
         let rows = batch * Self::CONTEXT_PANELS;
-        let backend = self.backend.as_ref();
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
         stages.push(PlanStage::Encode {
             rows,
@@ -572,23 +548,16 @@ impl NeurosymbolicSolver {
                 codebook_rows,
                 iterations: self.factorizer.config().max_iterations,
             });
-            let routes: Vec<CleanupRoute> = (0..set.num_factors())
-                .map(|f| {
-                    set.factor(f)
-                        .map_or(CleanupRoute::Dense, |cb| cb.cleanup_route(backend))
-                })
-                .collect();
             stages.push(PlanStage::Polish {
                 block: b,
                 rows,
-                routes,
+                factors: set.num_factors(),
             });
         }
         stages.push(PlanStage::Predict { problems: batch });
         stages.push(PlanStage::Score { problems: batch });
         SolvePlan {
             key: self.plan_key(batch),
-            packed_route,
             chunk_problems,
             stages,
         }
@@ -608,79 +577,25 @@ impl NeurosymbolicSolver {
         self.plans.stats()
     }
 
-    /// Batch-encodes a set of panels into one scene hypervector per row (a whole RPM
-    /// context in one pass over the bind/bundle kernels).
+    /// Batch-encodes a set of panels into one scene hypervector per row: the
+    /// solver's sign-plane encode, unpacked to `±1.0` values (what every precision
+    /// the solver supports quantizes a bipolar encoding to).
     ///
     /// # Errors
-    /// Propagates [`VsaError`] from the binding operations.
+    /// Propagates [`VsaError`] from the encode.
     pub fn encode_panels(&self, panels: &[Panel]) -> Result<HvMatrix, VsaError> {
-        let mut enc = EncodeScratch::default();
+        let mut bits = BitMatrix::default();
+        self.encode_panels_bits_into(panels, &mut EncodeScratch::default(), &mut bits)?;
         let mut out = HvMatrix::default();
-        self.encode_panels_into(panels, &mut enc, &mut out)?;
+        bits.unpack_into(&mut out);
         Ok(out)
     }
 
-    /// Allocation-free [`NeurosymbolicSolver::encode_panels`]: per block, the factor
-    /// codevectors are gathered and bound in factor order (identical arithmetic to
-    /// [`CodebookSet::bind_indices_batch`]), the block products are superposed and
-    /// sign-thresholded, all in caller-owned buffers.
-    fn encode_panels_into(
-        &self,
-        panels: &[Panel],
-        enc: &mut EncodeScratch,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        let EncodeScratch {
-            idx,
-            product,
-            operand,
-            tmp,
-            ..
-        } = enc;
-        if panels.is_empty() {
-            out.ensure_shape(0, 0);
-            return Ok(());
-        }
-        let backend = self.backend.as_ref();
-        let n = panels.len();
-        out.ensure_shape(n, self.config.vector_dim);
-        for (block_index, (set, attrs)) in self.blocks.iter().enumerate() {
-            for (f, &attr) in attrs.iter().enumerate() {
-                idx.clear();
-                idx.extend(panels.iter().map(|p| p.values()[attr]));
-                if f == 0 {
-                    set.factor(0)?.matrix().gather_into(idx, product)?;
-                } else {
-                    set.factor(f)?.matrix().gather_into(idx, operand)?;
-                    backend.bind_batch_into(product, operand, set.binding(), tmp)?;
-                    std::mem::swap(product, tmp);
-                }
-            }
-            if block_index == 0 {
-                out.as_mut_slice().copy_from_slice(product.as_slice());
-            } else {
-                for (slot, v) in out.as_mut_slice().iter_mut().zip(product.as_slice()) {
-                    *slot += v;
-                }
-            }
-        }
-        for q in 0..n {
-            let row = out.row_mut(q);
-            for v in row.iter_mut() {
-                *v = if *v < 0.0 { -1.0 } else { 1.0 };
-            }
-            fake_quantize_slice(row, self.config.precision);
-        }
-        Ok(())
-    }
-
-    /// Fully packed batch encode: block products are XOR-composed straight from the
-    /// cached codebook sign planes and the two blocks are superposed with one
-    /// word-wise AND ([`BitMatrix::and_assign`]) — bitwise identical to
-    /// [`NeurosymbolicSolver::encode_panels`] followed by a strict pack, with no f32
-    /// round trip and no [`cogsys_vsa::packed`] pack call at all. This closes the
-    /// "first pack at the encode boundary" bottleneck: the encode boundary no longer
-    /// packs, it *starts* packed.
+    /// The scene encode: block products are XOR-composed straight from the cached
+    /// codebook sign planes (bipolar Hadamard binding is exactly XOR) and the two
+    /// blocks are superposed with one word-wise AND ([`BitMatrix::and_assign`]),
+    /// which is the sign threshold of their sum with ties to `+1`. No f32 row and
+    /// no pack call is involved.
     fn encode_panels_bits_into(
         &self,
         panels: &[Panel],
@@ -703,7 +618,7 @@ impl NeurosymbolicSolver {
                 idx.clear();
                 idx.extend(panels.iter().map(|p| p.values()[attr]));
                 let planes = set.factor(f)?.packed().ok_or(VsaError::Unsupported {
-                    what: "packed encode route requires cached codebook sign planes",
+                    what: "scene encode requires cached codebook sign planes",
                 })?;
                 if f == 0 {
                     planes.gather_into(idx, dst)?;
@@ -722,40 +637,30 @@ impl NeurosymbolicSolver {
     /// the block's factorizer iterations and row outcomes.
     ///
     /// The polish sweep repairs single-attribute decode errors cheaply with the same
-    /// unbind→search primitive the factorizer iterates — one gather + batched unbind
-    /// plus batched cleanup per factor. On packed scenes the sweep is XOR + popcount
-    /// over sign planes (identical results: bipolar Hadamard unbinding is exactly the
-    /// XOR of sign planes), with the cleanup route of factor `f` read from
-    /// `routes[f]` (the plan's polish stage).
+    /// unbind→search primitive the factorizer iterates: per factor, the other
+    /// factors' decoded codevector planes are XOR-unbound from the scene (bipolar
+    /// Hadamard unbinding is exactly XOR) and the result goes through the cleanup
+    /// router ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
     fn decode_block_into(
         &self,
         block: usize,
-        scenes: Scenes<'_>,
+        scenes: &BitMatrix,
         streams: &mut [StdRng],
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
-        routes: &[CleanupRoute],
     ) -> Result<SolverReport, VsaError> {
         let DecodeScratch {
             factorizer: fscratch,
             tuples,
             gather_idx,
-            unbound,
-            tmp,
-            est_dense,
             unbound_bits,
             est_bits,
         } = ds;
         let (set, attrs) = &self.blocks[block];
         let backend = self.backend.as_ref();
-        let results = match scenes {
-            Scenes::Packed(bits) => self
-                .factorizer
-                .factorize_matrix_bits_scratch(set, bits, streams, fscratch)?,
-            Scenes::Dense(queries) => self
-                .factorizer
-                .factorize_matrix_scratch(set, queries, streams, fscratch)?,
-        };
+        let results = self
+            .factorizer
+            .factorize_matrix_bits_scratch(set, scenes, streams, fscratch)?;
         let mut report = SolverReport::default();
         report.record_block(&results);
 
@@ -766,54 +671,26 @@ impl NeurosymbolicSolver {
         }
 
         for f in 0..set.num_factors() {
-            match scenes {
-                Scenes::Packed(bits) => {
-                    unbound_bits.copy_from(bits);
-                    for g in 0..set.num_factors() {
-                        if g == f {
-                            continue;
-                        }
-                        gather_idx.clear();
-                        gather_idx.extend(tuples.iter().map(|t| t[g]));
-                        set.factor(g)?
-                            .packed()
-                            .ok_or(VsaError::Unsupported {
-                                what: "packed pipeline requires packed codebooks",
-                            })?
-                            .gather_into(gather_idx, est_bits)?;
-                        unbound_bits.xor_assign(est_bits)?;
-                    }
-                    // Allocation-free cleanup through the factorizer scratch; on
-                    // index-carrying codebooks this is the pruned sub-linear scan.
-                    // Stale routes degrade gracefully inside the routed call, and a
-                    // hand-built plan without a route for this factor takes the
-                    // always-valid dense one.
-                    let route = routes.get(f).copied().unwrap_or(CleanupRoute::Dense);
-                    let (cscratch, cleaned) = fscratch.cleanup_buffers();
-                    set.factor(f)?.cleanup_batch_bits_routed_into(
-                        backend,
-                        route,
-                        unbound_bits,
-                        cscratch,
-                        cleaned,
-                    )?;
-                    for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
-                        t[f] = best;
-                    }
+            unbound_bits.copy_from(scenes);
+            for g in 0..set.num_factors() {
+                if g == f {
+                    continue;
                 }
-                Scenes::Dense(queries) => {
-                    est_dense.resize_with(set.num_factors(), HvMatrix::default);
-                    for (g, est) in est_dense.iter_mut().enumerate() {
-                        gather_idx.clear();
-                        gather_idx.extend(tuples.iter().map(|t| t[g]));
-                        set.factor(g)?.matrix().gather_into(gather_idx, est)?;
-                    }
-                    set.unbind_all_but_batch(backend, queries, est_dense, f, unbound, tmp)?;
-                    let cleaned = set.factor(f)?.cleanup_batch(backend, unbound)?;
-                    for (t, (best, _)) in tuples.iter_mut().zip(cleaned) {
-                        t[f] = best;
-                    }
-                }
+                gather_idx.clear();
+                gather_idx.extend(tuples.iter().map(|t| t[g]));
+                set.factor(g)?
+                    .packed()
+                    .ok_or(VsaError::Unsupported {
+                        what: "polish requires cached codebook sign planes",
+                    })?
+                    .gather_into(gather_idx, est_bits)?;
+                unbound_bits.xor_assign(est_bits)?;
+            }
+            let (cscratch, cleaned) = fscratch.cleanup_buffers();
+            set.factor(f)?
+                .cleanup_batch_bits_into(backend, unbound_bits, cscratch, cleaned)?;
+            for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
+                t[f] = best;
             }
         }
 
@@ -966,19 +843,17 @@ impl NeurosymbolicSolver {
     ///   its own — which also makes the result independent of how a problem
     ///   stream is chunked into batches;
     /// * encoding and factorization are row-independent batch kernels driven by those
-    ///   per-query streams (on the packed route the scene planes are XOR/AND-composed
-    ///   from cached codebook planes, bitwise equal to the f32 encode);
+    ///   per-query streams (the scene planes are XOR/AND-composed from cached
+    ///   codebook planes, bitwise equal to an f32 encode at every precision);
     /// * batched answer scoring preserves decisions: candidate encodings are exactly
     ///   bipolar, so both the popcount cosine `(d − 2h)/d` and a per-candidate scalar
     ///   cosine are strictly increasing rounded functions of the same exact integer
-    ///   dot product — equal agreements break ties identically. On the dense route
-    ///   (which also covers sub-FP32 precisions, whose encodings are not bipolar) the
-    ///   scoring is the scalar cosine's exact numerics.
+    ///   dot product — equal agreements break ties identically.
     ///
-    /// Chunk-invariance also lets the engine pick the batch size each backend wants:
-    /// the packed route takes the whole batch (sign planes keep an `8·N`-row working
-    /// set cache-resident), while the dense f32 engines internally sub-chunk to
-    /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems — their per-iteration
+    /// Chunk-invariance also lets the engine pick the batch size each resonator
+    /// wants: the packed resonator takes the whole batch (sign planes keep an
+    /// `8·N`-row working set cache-resident), while the f32 resonator sub-chunks to
+    /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems — its per-iteration
     /// working set is 32× larger and spills cache at wide batches, measurably
     /// *losing* throughput beyond a few problems per call.
     ///
@@ -1083,36 +958,27 @@ impl NeurosymbolicSolver {
         self.reserve_scratch_for_plan(plan, scratch);
         let mut total = SolverReport::default();
         for chunk in problems.chunks(plan.chunk_problems.max(1)) {
-            total.merge(&self.solve_batch_chunk(
-                plan,
-                chunk,
-                rng,
-                scratch,
-                timings.as_deref_mut(),
-            )?);
+            total.merge(&self.solve_batch_chunk(chunk, rng, scratch, timings.as_deref_mut())?);
         }
         Ok(total)
     }
 
-    /// Problems per internal chunk on the dense (f32) solving route.
+    /// Problems per internal chunk when the blocks decode on the f32 resonator.
     ///
-    /// Four problems (32 panel rows) keep the dense engines' per-iteration working
+    /// Four problems (32 panel rows) keep the f32 resonator's per-iteration working
     /// set — query batch, per-factor estimates, unbound/projected/rebound buffers,
     /// each `rows × dim` f32 — inside cache on the 1-core CI machine; measured
     /// throughput degrades ~1.2–1.3× by 64-problem chunks and is flat in [1, 4].
-    /// Decision-invariant by the per-problem rng draw order. No longer a hardcoded
-    /// executor constant: plan compilation folds it into
-    /// [`SolvePlan::chunk_problems`] (whole batch on the packed route, this width on
-    /// the dense route), and the executor only reads the plan.
+    /// Decision-invariant by the per-problem rng draw order. Plan compilation folds
+    /// it into [`SolvePlan::chunk_problems`] (the whole batch on the packed
+    /// resonator, this width otherwise), and the executor only reads the plan.
     pub const DENSE_SERVE_CHUNK: usize = 4;
 
     /// One pass of the batched engine over `problems`, appending to
-    /// `scratch.choices`. A thin executor over `plan`: the route and cleanup
-    /// routes are read from the plan (see [`NeurosymbolicSolver::compile_plan`],
-    /// which owns the policy).
+    /// `scratch.choices`. Every stage runs on sign planes; the plan only shaped
+    /// the chunk this pass covers (see [`NeurosymbolicSolver::compile_plan`]).
     fn solve_batch_chunk<R: Rng + ?Sized>(
         &self,
-        plan: &SolvePlan,
         problems: &[Problem],
         rng: &mut R,
         scratch: &mut SolverScratch,
@@ -1130,14 +996,11 @@ impl NeurosymbolicSolver {
             row_base,
             seed_base,
             encoded,
-            encoded_bits,
             values,
             decoded,
             predicted,
             cand_panels,
             cand_base,
-            pred_hv,
-            cand_hv,
             pred_bits,
             cand_bits,
             choices,
@@ -1184,24 +1047,12 @@ impl NeurosymbolicSolver {
         }
         let total_rows = perceived.len();
 
-        // ---- Phase 2: one encode over every context panel of every problem. On the
-        // packed route the scene batch is born as sign planes and the interface noise
-        // is applied as bit flips; otherwise the f32 encode runs.
-        let packed_route = plan.packed_route;
-        let scenes = if packed_route {
-            self.encode_panels_bits_into(perceived, encode, encoded_bits)?;
-            for &(r, j) in flips.iter() {
-                encoded_bits.flip_bit(r as usize, j as usize);
-            }
-            Scenes::Packed(encoded_bits)
-        } else {
-            self.encode_panels_into(perceived, encode, encoded)?;
-            for &(r, j) in flips.iter() {
-                let v = &mut encoded.row_mut(r as usize)[j as usize];
-                *v = -*v;
-            }
-            Scenes::Dense(encoded)
-        };
+        // ---- Phase 2: one encode over every context panel of every problem, born
+        // as sign planes; the interface noise is applied as bit flips.
+        self.encode_panels_bits_into(perceived, encode, encoded)?;
+        for &(r, j) in flips.iter() {
+            encoded.flip_bit(r as usize, j as usize);
+        }
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
             t.encode += now.duration_since(mark).as_nanos() as u64;
@@ -1222,9 +1073,7 @@ impl NeurosymbolicSolver {
                     streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
                 }
             }
-            let block =
-                self.decode_block_into(b, scenes, streams, decode, values, plan.polish_routes(b))?;
-            report.merge(&block);
+            report.merge(&self.decode_block_into(b, encoded, streams, decode, values)?);
         }
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
@@ -1249,34 +1098,22 @@ impl NeurosymbolicSolver {
         }
 
         // ---- Phase 5: batched answer selection. All predicted panels and all
-        // candidates are encoded together; on the packed route the per-candidate
-        // similarity is one popcount row dot instead of a per-candidate
-        // hypervector allocation + scalar cosine.
+        // candidates are encoded together; the per-candidate similarity is one
+        // popcount row dot.
         cand_panels.clear();
         cand_base.clear();
         for problem in problems {
             cand_base.push(cand_panels.len());
             cand_panels.extend_from_slice(&problem.candidates);
         }
-        if packed_route {
-            self.encode_panels_bits_into(predicted, encode, pred_bits)?;
-            self.encode_panels_bits_into(cand_panels, encode, cand_bits)?;
-        } else {
-            self.encode_panels_into(predicted, encode, pred_hv)?;
-            self.encode_panels_into(cand_panels, encode, cand_hv)?;
-        }
+        self.encode_panels_bits_into(predicted, encode, pred_bits)?;
+        self.encode_panels_bits_into(cand_panels, encode, cand_bits)?;
         for (q, problem) in problems.iter().enumerate() {
             let base = cand_base[q];
             let mut best = (0usize, 0usize, f32::NEG_INFINITY);
             for (i, candidate) in problem.candidates.iter().enumerate() {
                 let agreement = Attribute::ALL.len() - predicted[q].distance(candidate);
-                // Dense route: ops::cosine_slices is the exact numerics of a
-                // per-candidate ops::try_cosine_similarity.
-                let sim = if packed_route {
-                    cand_bits.cosine_rows(base + i, pred_bits, q)
-                } else {
-                    ops::cosine_slices(pred_hv.row(q), cand_hv.row(base + i))
-                };
+                let sim = cand_bits.cosine_rows(base + i, pred_bits, q);
                 if agreement > best.1 || (agreement == best.1 && sim > best.2) {
                     best = (i, agreement, sim);
                 }
@@ -1298,16 +1135,36 @@ impl NeurosymbolicSolver {
 mod tests {
     use super::*;
     use cogsys_datasets::ProblemGenerator;
-    use cogsys_vsa::{rng, VsaKind};
+    use cogsys_vsa::quant::fake_quantize_slice;
+    use cogsys_vsa::{ops, rng, Hypervector};
     use rand::RngCore;
 
     /// The per-problem oracle the batched engine is checked against. It shares no
-    /// plan with the engine: it derives its own route and cleanup routes, encodes
-    /// in f32 (packing the scenes once when every block decodes packed), and
-    /// scores each candidate through an allocated hypervector and the scalar
-    /// cosine — the only check that popcount scoring decides like scalar-cosine
-    /// scoring.
+    /// plan, encode or scoring with the engine: it encodes each panel in f32 with
+    /// scalar binds, packs the noisy scenes once for the block decode, and scores
+    /// each candidate through the scalar cosine of its own f32 encodings — the
+    /// only check that the sign-plane encode and popcount scoring decide like the
+    /// f32 pipeline they replace.
     impl NeurosymbolicSolver {
+        /// The f32 scene encode: per block, the panel's factor codevectors are
+        /// bound in factor order, the block products are superposed,
+        /// sign-thresholded (ties to `+1`) and quantized at the solver's precision.
+        fn encode_panel_f32(&self, panel: &Panel) -> Hypervector {
+            let mut scene = vec![0.0f32; self.config.vector_dim];
+            for (set, attrs) in &self.blocks {
+                let indices: Vec<usize> = attrs.iter().map(|&a| panel.values()[a]).collect();
+                let product = set.bind_indices(&indices).expect("in-range panel values");
+                for (slot, v) in scene.iter_mut().zip(product.values()) {
+                    *slot += v;
+                }
+            }
+            for v in &mut scene {
+                *v = if *v < 0.0 { -1.0 } else { 1.0 };
+            }
+            fake_quantize_slice(&mut scene, self.config.precision);
+            Hypervector::from_values(scene)
+        }
+
         /// Perceives (optionally mis-reads), encodes, adds interface noise to, and
         /// factorizes `panels`, drawing from `rng` in per-problem order. Returns
         /// the decoded panels and a report holding the factorizer iterations and
@@ -1318,17 +1175,16 @@ mod tests {
             rng: &mut R,
         ) -> Result<(Vec<Panel>, SolverReport), VsaError> {
             let n = panels.len();
-            let perceived: Vec<Panel> = panels
-                .iter()
-                .map(|p| {
-                    if self.config.perception_noise > 0.0 {
-                        p.perturbed_with(self.config.vocab, self.config.perception_noise, rng)
-                    } else {
-                        *p
-                    }
-                })
-                .collect();
-            let mut encoded = self.encode_panels(&perceived)?;
+            let mut scenes = Vec::with_capacity(n);
+            for p in panels {
+                let perceived = if self.config.perception_noise > 0.0 {
+                    p.perturbed_with(self.config.vocab, self.config.perception_noise, rng)
+                } else {
+                    *p
+                };
+                scenes.push(self.encode_panel_f32(&perceived));
+            }
+            let mut encoded = HvMatrix::from_rows(&scenes)?;
             if self.config.encoding_noise > 0.0 {
                 let p = self.config.encoding_noise.clamp(0.0, 1.0);
                 for q in 0..n {
@@ -1339,38 +1195,20 @@ mod tests {
                     }
                 }
             }
-            let packed = self
-                .blocks
-                .iter()
-                .all(|(set, _)| self.factorizer.packed_pipeline(set));
-            let bits = if packed {
-                BitMatrix::from_matrix(&encoded)
-            } else {
-                None
-            };
-            let scenes = match &bits {
-                Some(bits) => Scenes::Packed(bits),
-                None => Scenes::Dense(&encoded),
-            };
+            let bits = BitMatrix::from_matrix(&encoded).expect("encodings are bipolar");
             let mut ds = DecodeScratch::default();
             let mut values = vec![[0usize; 5]; n];
             let mut report = SolverReport::default();
-            for (b, (set, _)) in self.blocks.iter().enumerate() {
+            for b in 0..self.blocks.len() {
                 let mut streams: Vec<StdRng> = (0..n)
                     .map(|_| StdRng::seed_from_u64(rng.next_u64()))
                     .collect();
-                let routes: Vec<CleanupRoute> = set
-                    .codebooks()
-                    .iter()
-                    .map(|cb| cb.cleanup_route(self.backend.as_ref()))
-                    .collect();
                 report.merge(&self.decode_block_into(
                     b,
-                    scenes,
+                    &bits,
                     &mut streams,
                     &mut ds,
                     &mut values,
-                    &routes,
                 )?);
             }
             Ok((
@@ -1396,14 +1234,11 @@ mod tests {
             let predicted = Self::predict_panel(problem.dataset, self.config.vocab, &decoded);
             // NVSA answer selection: most agreeing attributes wins, the full-vector
             // cosine against the prediction breaks ties.
-            let predicted_hv = self
-                .encode_panels(std::slice::from_ref(&predicted))?
-                .row_hypervector(0, VsaKind::Bipolar)?;
-            let candidates_hv = self.encode_panels(&problem.candidates)?;
+            let predicted_hv = self.encode_panel_f32(&predicted);
             let mut best = (0usize, 0usize, f32::NEG_INFINITY);
             for (i, candidate) in problem.candidates.iter().enumerate() {
                 let agreement = Attribute::ALL.len() - predicted.distance(candidate);
-                let hv = candidates_hv.row_hypervector(i, VsaKind::Bipolar)?;
+                let hv = self.encode_panel_f32(candidate);
                 let sim = ops::try_cosine_similarity(&predicted_hv, &hv)?;
                 if agreement > best.1 || (agreement == best.1 && sim > best.2) {
                     best = (i, agreement, sim);
@@ -1754,15 +1589,20 @@ mod tests {
     fn batched_solve_is_decision_identical_to_sequential_path() {
         // THE tentpole regression: the cross-problem batched engine must return the
         // exact choices and report of the per-problem path — same decisions, same rng
-        // consumption — on every backend and dataset family.
+        // consumption — on every backend, at FP32 and INT8, and on every dataset
+        // family.
         use cogsys_datasets::Problem;
-        for kind in BackendKind::ALL {
+        for (kind, precision) in BackendKind::ALL
+            .into_iter()
+            .flat_map(|kind| [Precision::Fp32, Precision::Int8].map(|p| (kind, p)))
+        {
             for dataset in [DatasetKind::Raven, DatasetKind::IRaven, DatasetKind::Pgm] {
                 let config = SolverConfig {
                     perception_noise: 0.05, // exercise the perception-noise rng draws
                     ..SolverConfig::default()
                 }
-                .with_backend(kind);
+                .with_backend(kind)
+                .with_precision(precision);
                 let (s, mut r1) = solver(40, config);
                 let problems: Vec<Problem> =
                     ProblemGenerator::new(dataset).generate_batch(5, &mut r1);
@@ -1774,19 +1614,16 @@ mod tests {
                     .unwrap();
                 let (seq_choices, sequential) = solve_sequentially(&s, &problems, &mut r2);
 
-                assert_eq!(batched, sequential, "{kind}/{dataset}: reports diverge");
+                let case = format!("{kind}/{precision}/{dataset}");
+                assert_eq!(batched, sequential, "{case}: reports diverge");
                 assert_eq!(
                     scratch.choices(),
                     &seq_choices[..],
-                    "{kind}/{dataset}: choices diverge"
+                    "{case}: choices diverge"
                 );
                 // Identical rng consumption: both generators must be in the same
                 // state afterwards.
-                assert_eq!(
-                    r1.next_u64(),
-                    r2.next_u64(),
-                    "{kind}/{dataset}: rng streams diverge"
-                );
+                assert_eq!(r1.next_u64(), r2.next_u64(), "{case}: rng streams diverge");
             }
         }
     }
@@ -1840,22 +1677,32 @@ mod tests {
 
     #[test]
     fn packed_encode_route_matches_f32_encode_bitwise() {
-        // The fully packed encode (XOR-composed block planes + AND superposition)
-        // must equal the f32 encode + strict pack on every panel.
-        let (s, mut r) = solver(43, SolverConfig::default());
-        assert!(s.plan_for_batch(1).packed_route);
-        let panels: Vec<Panel> = (0..7).map(|_| Panel::random(&mut r)).collect();
-        let dense = s.encode_panels(&panels).unwrap();
-        let expected = BitMatrix::from_matrix(&dense).expect("FP32 encodings are bipolar");
-        let mut enc = EncodeScratch::default();
-        let mut bits = BitMatrix::default();
-        s.encode_panels_bits_into(&panels, &mut enc, &mut bits)
-            .unwrap();
-        assert_eq!(bits, expected);
-        // The route steps aside at reduced precision (quantization follows the sign
-        // threshold, so the planes alone no longer describe the encoding).
-        let (s8, _) = solver(43, SolverConfig::default().with_precision(Precision::Int8));
-        assert!(!s8.plan_for_batch(1).packed_route);
+        // The sign-plane encode (XOR-composed block planes + AND superposition)
+        // must equal the f32 encode + strict pack on every panel, on every backend
+        // and at every precision: quantization maps ±1 to exactly ±1, so the sign
+        // planes describe every encoding the solver makes.
+        for kind in BackendKind::ALL {
+            for precision in Precision::all() {
+                let config = SolverConfig::default()
+                    .with_backend(kind)
+                    .with_precision(precision);
+                let (s, mut r) = solver(43, config);
+                let panels: Vec<Panel> = (0..7).map(|_| Panel::random(&mut r)).collect();
+                let f32_rows: Vec<Hypervector> =
+                    panels.iter().map(|p| s.encode_panel_f32(p)).collect();
+                let dense = HvMatrix::from_rows(&f32_rows).unwrap();
+                let expected = BitMatrix::from_matrix(&dense).expect("encodings are bipolar");
+                let mut bits = BitMatrix::default();
+                s.encode_panels_bits_into(&panels, &mut EncodeScratch::default(), &mut bits)
+                    .unwrap();
+                assert_eq!(bits, expected, "{kind}/{precision}");
+                assert_eq!(
+                    s.encode_panels(&panels).unwrap(),
+                    dense,
+                    "{kind}/{precision}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1980,6 +1827,14 @@ mod tests {
 
         let coarse = s.with_iteration_cap(1);
         assert_eq!(coarse.config().factorizer.max_iterations, 1);
+        // The full solver has compiled this shape; the capped clone must not
+        // reuse that plan, since `PlanKey` does not carry the iteration cap.
+        assert!(s.plan_for_batch(2).describe().contains("iters=200"));
+        assert!(
+            coarse.plan_for_batch(2).describe().contains("iters=1\n"),
+            "{}",
+            coarse.plan_for_batch(2).describe()
+        );
         let mut r3 = r.clone();
         let report = coarse
             .solve_batch_with(&problems, &mut r3, &mut scratch)
@@ -2087,24 +1942,23 @@ mod tests {
             assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 2, misses: 2 });
 
             // The default 2048-dim packed solver takes the whole batch in one chunk.
-            assert!(p1.packed_route);
             assert_eq!(p1.chunk_problems, 4);
 
-            // Clones start with a cold cache (plans capture per-instance state).
+            // Clones start with a cold cache (a capped clone compiles other plans).
             let cloned = s.clone();
             assert_eq!(cloned.plan_cache_stats(), PlanCacheStats::default());
 
-            // Disabling the cleanup index invalidates cached plans.
+            // Plans capture no cleanup state, so disabling the index keeps them.
             let mut demoted = s.clone();
-            demoted.plan_for_batch(4);
+            let before = demoted.plan_for_batch(4);
             demoted.disable_cleanup_index();
-            assert_eq!(demoted.plan_cache_stats(), PlanCacheStats::default());
+            assert!(Arc::ptr_eq(&before, &demoted.plan_for_batch(4)));
         }
 
         #[test]
-        fn plan_resolves_route_and_chunk_for_dim() {
-            // Every packed dim, word-aligned or with a padded tail word, takes the
-            // packed route with the whole batch in one chunk.
+        fn plan_resolves_chunk_for_dim() {
+            // Every packed dim, word-aligned or with a padded tail word, decodes on
+            // the packed resonator with the whole batch in one chunk.
             for dim in [1000, 1024, 2048, 4096] {
                 let config = SolverConfig {
                     vector_dim: dim,
@@ -2112,14 +1966,12 @@ mod tests {
                 };
                 let (s, _) = solver(74, config);
                 let plan = s.plan_for_batch(8);
-                assert!(plan.packed_route, "dim {dim}");
-                assert_eq!(plan.chunk_problems, 8);
+                assert_eq!(plan.chunk_problems, 8, "dim {dim}");
             }
-            // Dense backends fold DENSE_SERVE_CHUNK in as the chunk width instead.
+            // The f32 resonator folds DENSE_SERVE_CHUNK in as the chunk width instead.
             let dense = SolverConfig::default().with_backend(BackendKind::Parallel);
             let (s, _) = solver(74, dense);
             let plan = s.plan_for_batch(8);
-            assert!(!plan.packed_route);
             assert_eq!(plan.chunk_problems, NeurosymbolicSolver::DENSE_SERVE_CHUNK);
         }
 
@@ -2154,8 +2006,8 @@ mod tests {
         #[test]
         fn planned_path_is_chunk_invariant_across_plan_batch_sizes() {
             // A plan compiled at serve chunk formation (say 64 problems) must serve
-            // any submitted batch size with unchanged decisions — on the packed
-            // route and on the dense sub-chunking route alike.
+            // any submitted batch size with unchanged decisions — whole-batch on the
+            // packed resonator and sub-chunked on the f32 resonator alike.
             for kind in [BackendKind::Packed, BackendKind::Parallel] {
                 let (s, mut r) = solver(71, SolverConfig::default().with_backend(kind));
                 let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(6, &mut r);

@@ -2,12 +2,12 @@
 //!
 //! The paper's codesign story decides layout, kernel tiers and schedule per workload
 //! shape **once**, then executes that decision at line rate. This module is the
-//! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves every per-call
-//! routing question — packed vs dense encode, chunk width, per-factor cleanup route
-//! (linear scan vs pruned [`cogsys_vsa::CleanupIndex`]) — into a [`SolvePlan`], cached
-//! per [`PlanKey`] in a [`PlanCache`]. The executor
-//! ([`NeurosymbolicSolver::solve_batch_with`]) then just replays the plan's decisions;
-//! it re-derives nothing.
+//! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves the chunk width
+//! and the stage IR of a workload shape into a [`SolvePlan`], cached per [`PlanKey`]
+//! in a [`PlanCache`]. There is one solve format: every backend and precision
+//! encodes, polishes and scores on sign planes, and only the resonator inside the
+//! factorizer picks its engine (packed, or f32 on unpacked queries). The executor
+//! ([`NeurosymbolicSolver::solve_batch_with`]) then just replays the plan.
 //!
 //! ```text
 //!   (backend, dim, blocks, batch, codebook_rows)          PlanKey
@@ -16,7 +16,7 @@
 //!   Encode → [Resonate → Polish]×blocks → Predict → Score  SolvePlan (stage IR)
 //!                    │ solve_batch_with (per call, cached plan)
 //!                    ▼
-//!   thin executor: pre-resolved route/chunk, no per-call re-derivation
+//!   thin executor over sign planes: pre-resolved chunk width
 //! ```
 //!
 //! The plan also gives `cogsys-scheduler` (ADSCH) and `cogsys-sim` their first live
@@ -29,7 +29,7 @@
 
 use cogsys_scheduler::OpGraph;
 use cogsys_sim::Kernel;
-use cogsys_vsa::{BackendKind, CleanupRoute};
+use cogsys_vsa::BackendKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -48,12 +48,12 @@ pub struct PlanKey {
     pub dim: usize,
     /// Number of attribute blocks in the scene superposition.
     pub blocks: usize,
-    /// Problems per solve call (the plan's chunking decision is batch-dependent only
-    /// through the packed/dense route, but the key keeps batch explicit so stage row
-    /// counts in the IR — and therefore the lowered op graph — are exact).
+    /// Problems per solve call (the chunk width does not depend on it beyond the
+    /// whole-batch case, but the key keeps batch explicit so stage row counts in the
+    /// IR — and therefore the lowered op graph — are exact).
     pub batch: usize,
-    /// Rows of each attribute codebook, in attribute order (cleanup-route choices and
-    /// Similarity-kernel shapes depend on them).
+    /// Rows of each attribute codebook, in attribute order (Similarity-kernel shapes
+    /// depend on them).
     pub codebook_rows: Vec<usize>,
 }
 
@@ -91,15 +91,14 @@ pub enum PlanStage {
         /// scheduler lowering charges a measured trip count, clamped to this).
         iterations: usize,
     },
-    /// One coordinate-descent polish sweep (unbind-all-but + cleanup per factor),
-    /// with the cleanup route pre-chosen per factor.
+    /// One coordinate-descent polish sweep (XOR unbind-all-but + cleanup per factor).
     Polish {
         /// Attribute-block index.
         block: usize,
         /// Rows polished.
         rows: usize,
-        /// Pre-resolved cleanup route per factor of the block.
-        routes: Vec<CleanupRoute>,
+        /// Factors in the block (one cleanup each).
+        factors: usize,
     },
     /// Per-problem rule abduction + execution (pure symbolic, no VSA kernels).
     Predict {
@@ -164,8 +163,8 @@ impl PlanStage {
                     count: (2.0 * *rows as f64 * trips).round() as usize,
                 }
             }
-            PlanStage::Polish { rows, routes, .. } => Kernel::Similarity {
-                rows: routes.len().max(1),
+            PlanStage::Polish { rows, factors, .. } => Kernel::Similarity {
+                rows: (*factors).max(1),
                 dim,
                 count: *rows,
             },
@@ -186,26 +185,23 @@ impl PlanStage {
 ///
 /// Produced by `NeurosymbolicSolver::compile_plan`, cached in a [`PlanCache`], and
 /// executed by `solve_batch_with` (or `solve_batch_with_plan_timed`). The plan is
-/// the only place the route, chunk width and cleanup routes are decided; the
-/// executor reads them and re-derives nothing.
+/// the only place the chunk width is decided; the executor reads it and re-derives
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolvePlan {
     /// The workload shape this plan was compiled for.
     pub key: PlanKey,
-    /// `true` when the whole solve runs on sign planes: scenes are encoded
-    /// straight into them, every block decodes on the packed resonator and answers
-    /// are scored by popcount. `false` runs every stage on f32 rows.
-    pub packed_route: bool,
-    /// Problems per executor chunk (whole batch on the packed route; the dense
-    /// engines' cache-resident sub-chunk width otherwise).
+    /// Problems per executor chunk: the whole batch when every block decodes on
+    /// the packed resonator, the f32 resonator's cache-resident sub-chunk width
+    /// otherwise.
     pub chunk_problems: usize,
     /// The fused stage IR, in execution order.
     pub stages: Vec<PlanStage>,
 }
 
 impl SolvePlan {
-    /// Human-readable description of the compiled plan: key, route, chunk width, and
-    /// the stage list — the `--explain` output of the bench and serve binaries.
+    /// Human-readable description of the compiled plan: key, chunk width, and the
+    /// stage list — the `--explain` output of the bench and serve binaries.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -214,12 +210,7 @@ impl SolvePlan {
             "plan {}/d={} blocks={} batch={} rows={:?}",
             self.key.backend, self.key.dim, self.key.blocks, self.key.batch, self.key.codebook_rows,
         );
-        let _ = writeln!(
-            out,
-            "  route={} chunk={}",
-            if self.packed_route { "packed" } else { "dense" },
-            self.chunk_problems,
-        );
+        let _ = writeln!(out, "  chunk={}", self.chunk_problems);
         for (i, stage) in self.stages.iter().enumerate() {
             let detail = match stage {
                 PlanStage::Encode { rows, factors } => format!("rows={rows} factors={factors}"),
@@ -236,31 +227,14 @@ impl SolvePlan {
                 PlanStage::Polish {
                     block,
                     rows,
-                    routes,
-                } => {
-                    let routes: Vec<&str> = routes.iter().map(|r| r.as_str()).collect();
-                    format!("block={block} rows={rows} routes={routes:?}")
-                }
+                    factors,
+                } => format!("block={block} rows={rows} factors={factors}"),
                 PlanStage::Predict { problems } => format!("problems={problems}"),
                 PlanStage::Score { problems } => format!("problems={problems}"),
             };
             let _ = writeln!(out, "  [{i}] {:<8} {detail}", stage.name());
         }
         out
-    }
-
-    /// The pre-resolved cleanup routes of block `block`'s polish stage (one per
-    /// factor); empty when the plan carries no polish stage for that block.
-    pub fn polish_routes(&self, block: usize) -> &[CleanupRoute] {
-        self.stages
-            .iter()
-            .find_map(|stage| match stage {
-                PlanStage::Polish {
-                    block: b, routes, ..
-                } if *b == block => Some(routes.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[])
     }
 
     /// Lowers the plan into the scheduler's operation graph: one op per stage, as a
@@ -299,9 +273,9 @@ struct PlanCacheInner {
 ///
 /// Interior-mutable (`&self` lookups) so the solver's `solve_batch_with` — which
 /// takes `&self` — can compile lazily. Cloning a solver yields a **fresh, empty**
-/// cache: cached routes reference the clone's codebook state (e.g. cleanup indexes
-/// that `disable_cleanup_index` may since have dropped), so plans never travel
-/// between instances.
+/// cache: a `with_iteration_cap` clone compiles a different `Resonate.iterations`
+/// for the same [`PlanKey`] (the key does not carry the iteration cap), so plans
+/// never travel between instances.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
@@ -332,7 +306,7 @@ impl PlanCache {
         plan
     }
 
-    /// Hit/miss counters since construction (or the last [`PlanCache::clear`]).
+    /// Hit/miss counters since construction.
     pub fn stats(&self) -> PlanCacheStats {
         self.inner.lock().expect("plan cache poisoned").stats
     }
@@ -345,14 +319,6 @@ impl PlanCache {
     /// Returns `true` when no plan has been compiled yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached plan and resets the counters. Called when solver state a
-    /// plan captured changes (e.g. `disable_cleanup_index` demoting cleanup routes).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.plans.clear();
-        inner.stats = PlanCacheStats::default();
     }
 }
 
@@ -373,7 +339,6 @@ mod tests {
     fn plan(batch: usize) -> SolvePlan {
         SolvePlan {
             key: key(batch),
-            packed_route: true,
             chunk_problems: batch,
             stages: vec![
                 PlanStage::Encode {
@@ -390,7 +355,7 @@ mod tests {
                 PlanStage::Polish {
                     block: 0,
                     rows: batch * 8,
-                    routes: vec![CleanupRoute::Linear; 3],
+                    factors: 3,
                 },
                 PlanStage::Predict { problems: batch },
                 PlanStage::Score { problems: batch },
@@ -403,7 +368,7 @@ mod tests {
         let text = plan(4).describe();
         for needle in [
             "packed/d=1024",
-            "route=packed chunk=4",
+            "chunk=4",
             "encode",
             "resonate",
             "polish",
@@ -473,12 +438,9 @@ mod tests {
         assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 2 });
         assert_eq!(cache.len(), 2);
 
-        // Clones start cold; clear drops plans and counters.
+        // Clones start cold.
         let cloned = cache.clone();
         assert!(cloned.is_empty());
         assert_eq!(cloned.stats(), PlanCacheStats::default());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), PlanCacheStats::default());
     }
 }

@@ -449,10 +449,10 @@ fn factorize_batch_regression_matches_per_query_results() {
 
 #[test]
 fn packed_solver_is_decision_identical_to_dense_end_to_end() {
-    // The whole packed route — sign-plane encode, fused resonator, popcount
-    // polish and scoring — against the dense parallel engine from the same
-    // seed: reports, answer choices and final rng state must all match on
-    // every dataset family.
+    // The packed fused resonator against the f32 resonator of the parallel
+    // backend, both inside the one sign-plane solve (encode, XOR polish,
+    // popcount scoring), from the same seed: reports, answer choices and final
+    // rng state must all match on every dataset family.
     use cogsys_datasets::{DatasetKind, ProblemGenerator};
     use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
     use rand::RngCore;

@@ -1,7 +1,8 @@
 //! Repository-level invariants of the batched solver, through the public API only:
 //!
-//! 1. the packed-vs-dense route is decided once, from the backend and the solver's
-//!    precision, whatever precision the factorizer config carries;
+//! 1. the chunk width is decided once, from the backend and the solver's precision
+//!    (the whole batch exactly when every block decodes on the packed resonator),
+//!    whatever precision the factorizer config carries;
 //! 2. solving is chunk-invariant — one call, 3+5 and 1×8 give the same reports,
 //!    answers and rng consumption;
 //! 3. a fixed seed gives a fixed end-to-end outcome;
@@ -48,20 +49,21 @@ fn plan_route_is_packed_exactly_on_the_packed_fp32_solver() {
     }
     for config in configs {
         let solver = NeurosymbolicSolver::new(config.clone(), &mut rng(1));
-        let expected = config.backend == BackendKind::Packed && config.precision == Precision::Fp32;
+        let packed = config.backend == BackendKind::Packed && config.precision == Precision::Fp32;
         for batch in [1, 8] {
             let plan = solver.plan_for_batch(batch);
+            let expected = if packed {
+                batch
+            } else {
+                NeurosymbolicSolver::DENSE_SERVE_CHUNK
+            };
             assert_eq!(
-                plan.packed_route, expected,
+                plan.chunk_problems, expected,
                 "{} / solver {:?} / factorizer {:?}",
                 config.backend, config.precision, config.factorizer.precision
             );
-            let route = if expected {
-                "route=packed"
-            } else {
-                "route=dense"
-            };
-            assert!(plan.describe().contains(route), "{}", plan.describe());
+            let chunk = format!("chunk={expected}\n");
+            assert!(plan.describe().contains(&chunk), "{}", plan.describe());
         }
     }
 }
