@@ -14,7 +14,7 @@ use cogsys_vsa::packed::{
     amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase, PROJ_LANE_ROWS,
 };
 use cogsys_vsa::quant::fake_quantize_slice;
-use cogsys_vsa::{ops, Hypervector, Precision, VsaError};
+use cogsys_vsa::{ops, Hypervector, VsaError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -144,7 +144,7 @@ impl BoundedNoise {
     /// decisions stay identical at every precision.
     ///
     /// The eligibility test runs a word at a time: the slice is walked in
-    /// [`NOISE_CHUNK_DIMS`]-wide blocks (one packed sign-plane word), each block's
+    /// 64-dimension blocks (one packed sign-plane word), each block's
     /// `|v| <= amplitude` mask comes from one vector compare per eight values
     /// ([`cogsys_vsa::packed::amplitude_mask_fn`], behind the `COGSYS_SIMD`
     /// dispatch), and only the set bits draw, in ascending order. No per-element
@@ -514,9 +514,11 @@ impl Factorizer {
     /// Two execution strategies share the same per-query dynamics:
     ///
     /// * a **bit-packed** engine (backend with a packed fast path, Hadamard binding,
-    ///   FP32 precision, exactly-bipolar queries and codebooks) that keeps the factor
+    ///   exactly-bipolar queries and codebooks, any precision) that keeps the factor
     ///   estimates as sign planes — unbinding is word-wise XOR and the similarity step
-    ///   is popcount — and only round-trips through `f32` for the weighted projection;
+    ///   is popcount — and only round-trips through `f32` for the weighted projection
+    ///   accumulator, which it quantizes before the sign threshold like the dense
+    ///   engine does;
     /// * the dense engine for everything else.
     ///
     /// Both compact converged rows out of the batch with a gather (scatter happens at
@@ -561,10 +563,8 @@ impl Factorizer {
             fake_quantize_slice(scratch.query_q.row_mut(q), precision);
         }
 
-        // Packed fast path (see [`Factorizer::packed_pipeline`]). FP32 only: lower
-        // precisions quantize the projected estimate *before* the sign threshold,
-        // which the packed pipeline skips, and the fast path must stay
-        // decision-identical to the dense engine.
+        // Packed fast path (see [`Factorizer::packed_pipeline`]). Quantization maps
+        // ±1 to exactly ±1, so a bipolar query still packs at every precision.
         if self.packed_pipeline(set) && scratch.pack_query() {
             return self.factorize_matrix_packed(set, streams, scratch);
         }
@@ -573,13 +573,12 @@ impl Factorizer {
     }
 
     /// Returns `true` when factorizing against `set` runs the bit-packed resonator
-    /// engine: Hadamard binding, FP32 precision, a backend with a packed fast path,
-    /// and cached sign planes on every factor codebook. Callers that already hold
+    /// engine: Hadamard binding, a backend with a packed fast path, and cached sign
+    /// planes on every factor codebook, at any precision. Callers that already hold
     /// packed queries can then stay in sign planes end to end via
     /// [`Factorizer::factorize_matrix_bits_scratch`].
     pub fn packed_pipeline(&self, set: &CodebookSet) -> bool {
-        self.config.precision == Precision::Fp32
-            && set.binding() == BindingOp::Hadamard
+        set.binding() == BindingOp::Hadamard
             && self.backend.as_packed().is_some()
             && set.all_packed()
     }
@@ -624,9 +623,9 @@ impl Factorizer {
             scratch.query_bits.copy_from(queries);
             return self.factorize_matrix_packed(set, streams, scratch);
         }
-        // Unpacked fallback (non-Hadamard binding, reduced precision, dense backend):
-        // ±1 values survive quantization at every precision, so the dense engine sees
-        // exactly the queries the caller packed.
+        // Unpacked fallback (non-Hadamard binding, dense backend): ±1 values survive
+        // quantization at every precision, so the dense engine sees exactly the
+        // queries the caller packed.
         queries.unpack_into(&mut scratch.query_q);
         self.factorize_matrix_dense(set, streams, scratch)
     }
@@ -799,7 +798,8 @@ impl Factorizer {
             .collect())
     }
 
-    /// Bit-packed resonator engine (Hadamard binding, FP32, bipolar operands).
+    /// Bit-packed resonator engine (Hadamard binding, bipolar operands, any
+    /// precision).
     ///
     /// Factor estimates live as [`BitMatrix`] sign planes. Each factor update is one
     /// call of [`cogsys_vsa::packed::PackedBackend::resonate_step_fused_into`]:
@@ -810,7 +810,11 @@ impl Factorizer {
     /// factor's similarity hook — the row's decoded codevector planes XOR-bound
     /// together, then popcount against the query — so a row that converges there
     /// skips that factor's projection, whose estimate nothing would read again. No
-    /// dense estimate or projection matrix exists anywhere in this engine.
+    /// dense estimate or projection matrix exists anywhere in this engine. The
+    /// projection hook quantizes the perturbed accumulator at the configured
+    /// precision right before the sign pack, the point where the dense engine
+    /// quantizes before its sign threshold (the unbound and similarity values need
+    /// no quantize: sign planes are ±1, which every precision keeps exact).
     /// Decisions (argmax, convergence, limit cycles) are identical to the dense
     /// engine on the same noise streams: every row that survives an iteration
     /// consumes the same draws in the same order, and a converged row's stream is
@@ -844,6 +848,7 @@ impl Factorizer {
         let packed = backend
             .as_packed()
             .expect("packed engine requires a packed backend");
+        let precision = self.config.precision;
 
         estimates.resize_with(num_factors, BitMatrix::default);
         for (f, est) in estimates.iter_mut().enumerate() {
@@ -931,6 +936,7 @@ impl Factorizer {
                                 if let Some(noise) = &state.proj_noise {
                                     noise.perturb_signs(row, &mut streams[q]);
                                 }
+                                fake_quantize_slice(row, precision);
                                 true
                             }
                         }
@@ -1377,18 +1383,27 @@ mod tests {
     }
 
     #[test]
-    fn packed_backend_supports_reduced_precision_via_dense_engine() {
-        // Sub-FP32 precisions quantize the projected estimate before the sign
-        // threshold, so the packed fast path steps aside and the dense engine runs.
+    fn packed_backend_decodes_reduced_precision_on_sign_planes() {
+        // Sub-FP32 precisions keep the packed engine: its projection hook quantizes
+        // the accumulator before the sign pack, where the dense engine quantizes
+        // before its threshold, so both decide identically on the same streams.
         let (set, mut r) = standard_set(407, &[8, 8, 8], 1024);
-        let query = set.bind_indices(&[7, 2, 5]).unwrap();
-        let f = Factorizer::new(
-            FactorizerConfig::default()
-                .with_precision(Precision::Int8)
-                .with_backend(BackendKind::Packed),
-        );
-        let result = f.factorize(&set, &query, &mut r).unwrap();
-        assert_eq!(result.indices, vec![7, 2, 5]);
+        let query = ops::flip_noise(&set.bind_indices(&[7, 2, 5]).unwrap(), 0.05, &mut r);
+        for precision in [Precision::Int8, Precision::Fp8] {
+            let config = FactorizerConfig::default().with_precision(precision);
+            let packed = Factorizer::new(config.clone().with_backend(BackendKind::Packed));
+            let reference = Factorizer::new(config.with_backend(BackendKind::Reference));
+            assert!(packed.packed_pipeline(&set), "{precision:?}");
+            let a = reference.factorize(&set, &query, &mut rng(67)).unwrap();
+            let b = packed.factorize(&set, &query, &mut rng(67)).unwrap();
+            assert_eq!(
+                (&a.indices, a.iterations, a.converged, a.limit_cycle),
+                (&b.indices, b.iterations, b.converged, b.limit_cycle),
+                "{precision:?}"
+            );
+            assert!((a.similarity - b.similarity).abs() < 1e-4, "{precision:?}");
+            assert_eq!(b.indices, vec![7, 2, 5], "{precision:?}");
+        }
     }
 
     proptest! {

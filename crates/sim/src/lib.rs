@@ -9,7 +9,7 @@
 //! * [`dataflow`] — the bubble-streaming (BS) dataflow for circular convolution, the
 //!   output of Sec. V-C's cycle analysis (`4d − 1`, `3M + d − 1`), the systolic GEMM
 //!   dataflow, and the TPU-style GEMV lowering of circular convolution used as baseline.
-//! * [`array`] — the scalable compute array (16 cells × 32×32 PEs by default) with
+//! * [`array`](mod@array) — the scalable compute array (16 cells × 32×32 PEs by default) with
 //!   scale-up / scale-out composition, cell-wise (ScWP) and column-wise (CWP)
 //!   parallelism.
 //! * [`simd`] — the custom SIMD unit for element-wise / reduction operations.

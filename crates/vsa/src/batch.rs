@@ -13,10 +13,9 @@
 //!   truth;
 //! * [`ParallelBackend`] — data-parallel over rows with scoped threads, cached FFT
 //!   plans (precomputed twiddle/bit-reversal tables) and reusable scratch buffers;
-//! * [`PackedBackend`] (the default) — bit-packed sign planes with XOR binding and
-//!   popcount similarity for the bipolar MAP/Hadamard algebra, falling back to
-//!   [`ParallelBackend`] elsewhere, and accepting pre-packed
-//!   [`crate::packed::BitMatrix`] queries through the `*_bits` surface.
+//! * [`PackedBackend`] (the default) — popcount kernels over bit-packed sign planes
+//!   ([`crate::packed::BitMatrix`]) for the bipolar MAP/Hadamard algebra, reached
+//!   through [`VsaBackend::as_packed`]; its `f32` surface is [`ParallelBackend`].
 //!
 //! Backend compatibility contract: binding/unbinding (Hadamard and circular, planned
 //! FFT included — the plans replay the reference twiddle recurrence), bundling and
@@ -30,7 +29,7 @@ use crate::error::VsaError;
 use crate::fft::{self, Complex, FftPlan};
 use crate::hypervector::{Hypervector, VsaKind};
 use crate::ops;
-use crate::packed::{BitMatrix, PackedBackend};
+use crate::packed::PackedBackend;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -331,13 +330,14 @@ pub enum BackendKind {
     Reference,
     /// Multi-threaded batch execution with cached FFT plans ([`ParallelBackend`]).
     Parallel,
-    /// Bit-packed bipolar execution — XOR binding and popcount similarity for the
-    /// MAP/Hadamard algebra, dense fallback otherwise ([`PackedBackend`]).
+    /// Bit-packed bipolar execution ([`PackedBackend`]): codebook cleanups and
+    /// similarities on cached sign planes, and the packed resonator for every
+    /// Hadamard factorization with bipolar operands, at every precision.
     ///
     /// The **default**: every hot pipeline in the repository runs bipolar Hadamard
-    /// configurations, where the packed kernels are exact and several times faster;
-    /// HRR/circular-convolution and non-bipolar workloads transparently run on the
-    /// wrapped dense [`ParallelBackend`].
+    /// configurations, where the packed kernels are exact and several times faster.
+    /// The backend's `f32` surface, and with it HRR/circular-convolution and
+    /// non-bipolar workloads, is the wrapped dense [`ParallelBackend`].
     #[default]
     Packed,
 }
@@ -475,44 +475,6 @@ pub trait VsaBackend: Send + Sync + std::fmt::Debug {
         codebook: &HvMatrix,
         queries: &HvMatrix,
     ) -> Result<Vec<(usize, f32)>, VsaError>;
-
-    /// Batched cleanup with **bit-packed** queries: callers that already hold sign
-    /// planes (the packed resonator's estimates, a packed-encoded scene batch) pass
-    /// them directly instead of round-tripping through `f32` and re-packing per call.
-    ///
-    /// The default unpacks the queries and delegates to
-    /// [`VsaBackend::cleanup_batch`]; [`PackedBackend`] overrides it to stay entirely
-    /// in sign planes. Results are identical to cleaning up the unpacked queries.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree and
-    /// [`VsaError::Empty`] for an empty codebook.
-    fn cleanup_batch_bits(
-        &self,
-        codebook: &HvMatrix,
-        queries: &BitMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        self.cleanup_batch(codebook, &dense)
-    }
-
-    /// GEMM-style similarity with **bit-packed** queries (see
-    /// [`VsaBackend::cleanup_batch_bits`] for the motivation). The default unpacks and
-    /// delegates to [`VsaBackend::similarity_matrix_into`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree.
-    fn similarity_matrix_bits_into(
-        &self,
-        codebook: &HvMatrix,
-        queries: &BitMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        self.similarity_matrix_into(codebook, &dense, out)
-    }
 
     /// Allocating variant of [`VsaBackend::bind_batch_into`].
     ///
@@ -837,8 +799,7 @@ impl VsaBackend for ReferenceBackend {
 /// * Power-of-two circular convolution/correlation uses cached [`FftPlan`]s —
 ///   twiddle factors and the bit-reversal permutation are computed once per dimension
 ///   and shared across calls and threads — and is bitwise identical to the reference.
-/// * The similarity kernels use eight-lane accumulation ([`dot_row_fast`]) so they
-///   vectorise; they agree with the reference within the 1e-4 cosine contract.
+/// * The similarity kernels use eight-lane accumulation so they vectorise; they agree with the reference within the 1e-4 cosine contract.
 /// * Workers reuse per-thread scratch buffers, so the factorizer's inner loop performs
 ///   no per-iteration allocation beyond first use.
 #[derive(Debug)]
@@ -1321,40 +1282,6 @@ mod tests {
         let mut m = HvMatrix::from_vec(vec![1.0, 2.0, 3.0, 4.0], 2, 2).unwrap();
         m.ensure_shape(2, 2);
         assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn packed_query_cleanup_matches_dense_query_cleanup() {
-        use crate::packed::BitMatrix;
-        let mut r = rng(91);
-        let hvs: Vec<Hypervector> = (0..6)
-            .map(|_| Hypervector::random_bipolar(130, &mut r))
-            .collect();
-        let cb = HvMatrix::from_rows(&hvs).unwrap();
-        let q = random_matrix(4, 130, 92);
-        // Bipolar queries so both the packed kernel and the dense default apply.
-        let mut qb = q.clone();
-        for v in qb.as_mut_slice() {
-            *v = if *v < 0.0 { -1.0 } else { 1.0 };
-        }
-        let bits = BitMatrix::from_matrix(&qb).unwrap();
-        for kind in BackendKind::ALL {
-            let backend = kind.create();
-            let dense = backend.cleanup_batch(&cb, &qb).unwrap();
-            let packed = backend.cleanup_batch_bits(&cb, &bits).unwrap();
-            for ((di, dsim), (pi, psim)) in dense.iter().zip(&packed) {
-                assert_eq!(di, pi, "{kind}");
-                assert!((dsim - psim).abs() < 1e-4, "{kind}: {dsim} vs {psim}");
-            }
-            let mut from_bits = HvMatrix::default();
-            backend
-                .similarity_matrix_bits_into(&cb, &bits, &mut from_bits)
-                .unwrap();
-            let dense_sims = backend.similarity_matrix(&cb, &qb).unwrap();
-            for (x, y) in from_bits.as_slice().iter().zip(dense_sims.as_slice()) {
-                assert!((x - y).abs() < 1e-3, "{kind}: {x} vs {y}");
-            }
-        }
     }
 
     #[test]

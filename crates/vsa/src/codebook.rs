@@ -310,9 +310,9 @@ impl Codebook {
                 return Ok(());
             }
         }
-        let results = backend.cleanup_batch_bits(&self.matrix, queries)?;
-        out.clear();
-        out.extend(results);
+        let mut dense = HvMatrix::default();
+        queries.unpack_into(&mut dense);
+        *out = backend.cleanup_batch(&self.matrix, &dense)?;
         Ok(())
     }
 
@@ -334,9 +334,9 @@ impl Codebook {
                 return Ok(out);
             }
         }
-        let mut out = HvMatrix::default();
-        backend.similarity_matrix_bits_into(&self.matrix, queries, &mut out)?;
-        Ok(out)
+        let mut dense = HvMatrix::default();
+        queries.unpack_into(&mut dense);
+        backend.similarity_matrix(&self.matrix, &dense)
     }
 
     /// Memory footprint of the codebook in bytes assuming `bytes_per_element` storage.
@@ -512,44 +512,6 @@ impl CodebookSet {
             };
         }
         Ok(result)
-    }
-
-    /// Batched [`CodebookSet::bind_indices`]: row `q` of the result binds the
-    /// codevectors selected by `tuples[q]` (one index per factor), composed in factor
-    /// order exactly like the scalar path.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if any tuple arity differs from
-    /// `num_factors()` and [`VsaError::IndexOutOfRange`] for invalid per-factor
-    /// indices. An empty `tuples` yields an empty matrix.
-    pub fn bind_indices_batch(
-        &self,
-        backend: &dyn VsaBackend,
-        tuples: &[Vec<usize>],
-    ) -> Result<HvMatrix, VsaError> {
-        if tuples.is_empty() {
-            return Ok(HvMatrix::default());
-        }
-        for t in tuples {
-            if t.len() != self.codebooks.len() {
-                return Err(VsaError::DimensionMismatch {
-                    left: self.codebooks.len(),
-                    right: t.len(),
-                });
-            }
-        }
-        let gather_factor = |f: usize| -> Result<HvMatrix, VsaError> {
-            let indices: Vec<usize> = tuples.iter().map(|t| t[f]).collect();
-            self.codebooks[f].matrix().gather(&indices)
-        };
-        let mut product = gather_factor(0)?;
-        let mut scratch = HvMatrix::default();
-        for f in 1..self.codebooks.len() {
-            let operand = gather_factor(f)?;
-            backend.bind_batch_into(&product, &operand, self.binding, &mut scratch)?;
-            std::mem::swap(&mut product, &mut scratch);
-        }
-        Ok(product)
     }
 
     /// Batched [`CodebookSet::unbind_all_but`]: row `q` of the result unbinds every
@@ -937,41 +899,38 @@ mod tests {
             .collect();
         let qm = HvMatrix::from_rows(&queries).unwrap();
         let bits = BitMatrix::from_matrix(&qm).expect("flip noise keeps queries bipolar");
+        // A non-bipolar codebook has no sign planes, so packed queries take the
+        // unpacking fallback on every backend, the packed one included.
+        let real_cb = Codebook::new(
+            "real",
+            (0..4)
+                .map(|_| Hypervector::random_real(260, &mut r))
+                .collect(),
+        )
+        .unwrap();
+        assert!(real_cb.packed().is_none());
         for kind in BackendKind::ALL {
             let backend = kind.create();
-            let dense = cb.cleanup_batch(backend.as_ref(), &qm).unwrap();
-            let packed = cb.cleanup_batch_bits(backend.as_ref(), &bits).unwrap();
-            for ((di, dsim), (pi, psim)) in dense.iter().zip(&packed) {
-                assert_eq!(di, pi, "{kind}");
-                assert!((dsim - psim).abs() < 1e-4, "{kind}");
-            }
-            let dense_sims = cb.similarities_batch(backend.as_ref(), &qm).unwrap();
-            let packed_sims = cb.similarities_batch_bits(backend.as_ref(), &bits).unwrap();
-            for (x, y) in dense_sims.as_slice().iter().zip(packed_sims.as_slice()) {
-                assert!((x - y).abs() < 1e-3, "{kind}: {x} vs {y}");
+            for codebook in [&cb, &real_cb] {
+                assert_eq!(
+                    codebook
+                        .cleanup_batch_bits(backend.as_ref(), &bits)
+                        .unwrap(),
+                    codebook.cleanup_batch(backend.as_ref(), &qm).unwrap(),
+                    "{kind}"
+                );
+                assert_eq!(
+                    codebook
+                        .similarities_batch_bits(backend.as_ref(), &bits)
+                        .unwrap(),
+                    codebook.similarities_batch(backend.as_ref(), &qm).unwrap(),
+                    "{kind}"
+                );
             }
         }
         assert!(CodebookSet::new(vec![cb], BindingOp::Hadamard)
             .unwrap()
             .all_packed());
-    }
-
-    #[test]
-    fn bind_indices_batch_matches_scalar_bind() {
-        use crate::batch::BackendKind;
-        let mut r = rng(62);
-        for binding in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-            let set = CodebookSet::random(&[3, 4, 2], 64, binding, &mut r);
-            let tuples = vec![vec![0, 0, 0], vec![2, 3, 1], vec![1, 2, 0]];
-            for kind in BackendKind::ALL {
-                let backend = kind.create();
-                let batch = set.bind_indices_batch(backend.as_ref(), &tuples).unwrap();
-                for (q, t) in tuples.iter().enumerate() {
-                    let scalar = set.bind_indices(t).unwrap();
-                    assert_eq!(batch.row(q), scalar.values(), "{kind} {binding:?} row {q}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -61,12 +61,13 @@
 //! ```
 //!
 //! For bipolar `{-1, +1}` data under the MAP/Hadamard algebra, the [`packed`] module
-//! stores sign planes instead of floats ([`BitMatrix`], 32× smaller) and executes the
-//! same operations as word-wise XOR and popcount ([`PackedBackend`],
-//! [`BackendKind::Packed`] — the **default** backend); non-bipolar inputs and
-//! circular-convolution binding fall back to the dense backends transparently, and
-//! callers that already hold sign planes pass [`BitMatrix`] queries end to end
-//! (`cleanup_batch_bits`, `similarities_batch_bits`) without re-packing per call.
+//! stores sign planes instead of floats ([`BitMatrix`], 32× smaller) and runs the
+//! similarity, cleanup and resonator kernels as word-wise XOR and popcount
+//! ([`PackedBackend`], [`BackendKind::Packed`] — the **default** backend). Codebooks
+//! cache their sign planes, and callers that already hold sign planes pass
+//! [`BitMatrix`] queries end to end (`cleanup_batch_bits`, `similarities_batch_bits`)
+//! without packing per call; the packed backend's `f32` [`VsaBackend`] surface is
+//! the dense [`ParallelBackend`].
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
 // Hamming kernel module `packed::simd` (scalar `popcnt`, Harley–Seal AVX2, and

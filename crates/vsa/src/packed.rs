@@ -1,4 +1,4 @@
-//! Bit-packed bipolar execution layer: XOR binding and popcount similarity.
+//! Bit-packed bipolar execution layer: XOR/popcount kernels over sign planes.
 //!
 //! Every hot path in the repository runs bipolar `{-1, +1}` vectors, yet the dense
 //! backends push them through `f32` arithmetic — 32× more memory traffic than the
@@ -11,9 +11,11 @@
 //!
 //! [`BitMatrix`] stores one sign plane per hypervector row — 64 dimensions per `u64`
 //! word, 32× smaller than the `f32` [`HvMatrix`] it mirrors — and [`PackedBackend`]
-//! implements the [`VsaBackend`] surface on top of it. Inputs that are not exactly
-//! bipolar, and the circular-convolution (HRR) binding, transparently fall back to the
-//! dense [`ParallelBackend`], so `BackendKind::Packed` is always safe to select.
+//! runs the sign-plane kernels on it. Callers that hold sign planes (the cached
+//! codebook planes, the packed resonator, the solver's encoded scenes) reach those
+//! kernels through [`VsaBackend::as_packed`]; the backend's `f32` [`VsaBackend`]
+//! surface is the dense [`ParallelBackend`], so `BackendKind::Packed` is always safe
+//! to select.
 //!
 //! Sign convention: a set bit means **negative** (`-1.0`), mirroring the IEEE-754 sign
 //! bit; `+1.0` packs to 0. The unused tail bits of the last word in each row are kept
@@ -1193,15 +1195,14 @@ impl BitMatrix {
 ///   rows — instead of a strided walk of the full sign planes.
 /// * **Progressive refinement.** Rows are visited in ascending sketch-distance
 ///   order and accumulate their exact distance over the remaining words a few words
-///   at a time ([`REFINE_CHUNK_WORDS`]), abandoning as soon as the partial distance
-///   exceeds the running best.
+///   at a time, abandoning as soon as the partial distance exceeds the running best.
 ///
 /// **Exactness.** The sketch distance and every partial refinement distance are
 /// Hamming distances over word *subsets*, hence monotone lower bounds on the full
 /// distance. The true winner `r*` can never be pruned: its bound never exceeds its
 /// full distance `h*`, and `h*` is ≤ the running best at every point (the running
 /// best only takes values of fully-refined rows, all ≥ `h*`). Ties resolve to the
-/// lowest row index exactly as [`PackedBackend::cleanup_batch_packed`]: a row is
+/// lowest row index exactly as [`PackedBackend::cleanup_batch_packed_into`]: a row is
 /// abandoned (not adopted) when it can at best *tie* a lower-indexed incumbent, and
 /// equal-sketch rows are visited in ascending row order (stable counting sort).
 ///
@@ -1372,45 +1373,32 @@ impl CleanupScratch {
 // Packed backend
 // ---------------------------------------------------------------------------
 
-/// Per-call scratch for the packed kernels, reused across invocations so the steady
-/// state performs no allocation.
-#[derive(Debug, Default)]
-struct PackedScratch {
-    a: BitMatrix,
-    b: BitMatrix,
-    cleanup: CleanupScratch,
-}
-
-/// [`VsaBackend`] over bit-packed sign planes for the MAP/Hadamard algebra.
+/// The sign-plane backend behind [`crate::BackendKind::Packed`].
 ///
-/// * Hadamard bind/unbind on exactly-bipolar operands packs both sides and XORs words.
-/// * `similarity_matrix` / `cleanup_batch` on bipolar operands run whole-word
-///   XOR+popcount and map Hamming distance back to dot products / cosine, blocked over
-///   codebook rows for cache residency.
-/// * `bundle` counts votes per dimension in `i32` and emits the exact superposition.
-/// * Everything else — circular convolution (HRR), non-bipolar inputs, weighted
-///   projection — delegates to the wrapped dense [`ParallelBackend`], so this backend
-///   is a drop-in [`crate::BackendKind::Packed`] choice for any pipeline.
+/// Its kernels are inherent methods over [`BitMatrix`] operands, reached through
+/// [`VsaBackend::as_packed`] by the layers that already hold sign planes:
 ///
-/// Numerics: XOR bind/unbind and the popcount dot products are **exact** (bitwise equal
-/// to the reference on bipolar inputs — `f32` sums of `±1` are themselves exact).
-/// Cleanup cosines divide by `d` instead of the product of `f32` norms, which agrees
-/// with the reference within the documented 1e-4 cosine contract.
+/// * popcount similarity GEMM ([`PackedBackend::similarity_matrix_packed_into`]) and
+///   the linear and indexed cleanups, blocked over codebook rows for cache residency;
+/// * the SoA sign projection and the fused resonator step that the packed resonator
+///   runs every iteration.
+///
+/// Its `f32` [`VsaBackend`] surface is the wrapped dense [`ParallelBackend`]: every
+/// trait method delegates, so `f32` operands are never re-packed per call.
+///
+/// Numerics: the popcount dot products are **exact** (bitwise equal to the reference
+/// on bipolar inputs — `f32` sums of `±1` are themselves exact). Cleanup cosines
+/// divide by `d` instead of the product of `f32` norms, which agrees with the
+/// reference within the documented 1e-4 cosine contract.
 #[derive(Debug, Default)]
 pub struct PackedBackend {
     dense: ParallelBackend,
-    scratch: std::sync::Mutex<PackedScratch>,
 }
 
 impl PackedBackend {
-    /// Creates a packed backend with a dense [`ParallelBackend`] fallback.
+    /// Creates a packed backend whose `f32` surface is a fresh [`ParallelBackend`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The dense backend non-bipolar / HRR operations fall back to.
-    pub fn dense(&self) -> &ParallelBackend {
-        &self.dense
     }
 
     /// Packed GEMM: `out[q][m] = queries[q] · codebook[m] = d − 2·hamming`, exact.
@@ -1446,28 +1434,13 @@ impl PackedBackend {
     /// Packed cleanup: per query, the index and bipolar cosine (`1 − 2·hamming/d`) of
     /// the best-matching codebook row. Ties resolve to the lowest index, matching the
     /// dense backends. Blocked over codebook rows so each block stays cache-resident
-    /// across the whole query batch.
+    /// across the whole query batch. The running per-query best and the results land
+    /// in caller-owned buffers, so repeated calls on the hot serving path allocate
+    /// nothing.
     ///
     /// # Panics
-    /// Panics on an empty codebook (the checked entry points — the [`VsaBackend`]
-    /// surface and [`crate::Codebook`] — guarantee at least one row).
-    pub fn cleanup_batch_packed(
-        &self,
-        codebook: &BitMatrix,
-        queries: &BitMatrix,
-    ) -> Vec<(usize, f32)> {
-        let mut scratch = CleanupScratch::default();
-        let mut out = Vec::new();
-        self.cleanup_batch_packed_into(codebook, queries, &mut scratch, &mut out);
-        out
-    }
-
-    /// Scratch-reusing form of [`PackedBackend::cleanup_batch_packed`]: the running
-    /// per-query best and the results land in caller-owned buffers, so repeated calls
-    /// on the hot serving path allocate nothing.
-    ///
-    /// # Panics
-    /// Panics on an empty codebook (see [`PackedBackend::cleanup_batch_packed`]).
+    /// Panics on an empty codebook (the checked entry point, [`crate::Codebook`],
+    /// guarantees at least one row).
     pub fn cleanup_batch_packed_into(
         &self,
         codebook: &BitMatrix,
@@ -1505,26 +1478,10 @@ impl PackedBackend {
     }
 
     /// Indexed cleanup: decision-identical to
-    /// [`PackedBackend::cleanup_batch_packed`] against the codebook `index` was built
-    /// from — same winning index, same cosine, same lowest-index tie-breaking — but
-    /// sub-linear in the words read per query (see [`CleanupIndex`] for the sketch /
-    /// refine / abandon scheme and the exactness argument). Allocating entry point;
-    /// the serving path uses [`PackedBackend::cleanup_batch_indexed_into`].
-    ///
-    /// # Panics
-    /// Panics on an empty index or a query dimension mismatch.
-    pub fn cleanup_batch_indexed(
-        &self,
-        index: &CleanupIndex,
-        queries: &BitMatrix,
-    ) -> Vec<(usize, f32)> {
-        let mut out = Vec::new();
-        let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-        self.cleanup_batch_indexed_into(index, queries, &mut scratch.cleanup, &mut out);
-        out
-    }
-
-    /// Scratch-reusing form of [`PackedBackend::cleanup_batch_indexed`].
+    /// [`PackedBackend::cleanup_batch_packed_into`] against the codebook `index` was
+    /// built from — same winning index, same cosine, same lowest-index tie-breaking —
+    /// but sub-linear in the words read per query (see [`CleanupIndex`] for the
+    /// exactness argument).
     ///
     /// Per query: (1) permute the query words into index order; (2) one sequential
     /// SoA sweep computes every row's sketch distance into cache-resident `u16`
@@ -1694,30 +1651,6 @@ impl PackedBackend {
             }
             out.push((best_i, (d - 2.0 * best_h as f32) / d));
         }
-    }
-
-    /// Packed bundling: per-dimension `i32` vote counters over all rows. The result is
-    /// the exact element-wise sum of the `±1` rows (identical to the reference bundle).
-    pub fn bundle_packed(&self, items: &BitMatrix) -> Result<Hypervector, VsaError> {
-        if items.rows() == 0 {
-            return Err(VsaError::Empty {
-                what: "bundle input",
-            });
-        }
-        let mut neg = vec![0i32; items.dim()];
-        for i in 0..items.rows() {
-            for (chunk, word) in neg.chunks_mut(WORD_BITS).zip(items.row_words(i)) {
-                if *word == 0 {
-                    continue;
-                }
-                for (bit, slot) in chunk.iter_mut().enumerate() {
-                    *slot += ((word >> bit) & 1) as i32;
-                }
-            }
-        }
-        let rows = items.rows() as i32;
-        let values = neg.into_iter().map(|n| (rows - 2 * n) as f32).collect();
-        Ok(Hypervector::with_kind(values, VsaKind::Dense))
     }
 
     /// Packed weighted superposition fused with a per-query perturbation and the sign
@@ -1931,21 +1864,10 @@ impl PackedBackend {
             }
         }
     }
-
-    /// Packs `a` and `b` into the shared scratch and XORs them into `out` when both are
-    /// exactly bipolar; returns `false` (leaving `out` untouched) otherwise.
-    fn try_xor_bind(&self, a: &HvMatrix, b: &HvMatrix, out: &mut HvMatrix) -> bool {
-        let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-        let PackedScratch { a: pa, b: pb, .. } = &mut *scratch;
-        if !pa.pack_from(a) || !pb.pack_from(b) {
-            return false;
-        }
-        pa.xor_assign(pb).expect("packed operands share a shape");
-        pa.unpack_into(out);
-        true
-    }
 }
 
+/// The `f32` surface: every method is the dense backend's. Sign-plane callers use
+/// the inherent kernels through [`VsaBackend::as_packed`] instead.
 impl VsaBackend for PackedBackend {
     fn name(&self) -> &'static str {
         "packed"
@@ -1962,12 +1884,6 @@ impl VsaBackend for PackedBackend {
         op: BindingOp,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        if op == BindingOp::Hadamard && a.rows() == b.rows() && a.dim() == b.dim() {
-            // Bipolar Hadamard product = XOR of sign planes, exactly.
-            if self.try_xor_bind(a, b, out) {
-                return Ok(());
-            }
-        }
         self.dense.bind_batch_into(a, b, op, out)
     }
 
@@ -1978,12 +1894,6 @@ impl VsaBackend for PackedBackend {
         op: BindingOp,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        if op == BindingOp::Hadamard && a.rows() == b.rows() && a.dim() == b.dim() {
-            // Bipolar MAP binding is self-inverse: unbind is the same XOR.
-            if self.try_xor_bind(a, b, out) {
-                return Ok(());
-            }
-        }
         self.dense.unbind_batch_into(a, b, op, out)
     }
 
@@ -1993,14 +1903,6 @@ impl VsaBackend for PackedBackend {
         queries: &HvMatrix,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        if codebook.dim() == queries.dim() {
-            let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-            let PackedScratch { a: pc, b: pq, .. } = &mut *scratch;
-            if pc.pack_from(codebook) && pq.pack_from(queries) {
-                self.similarity_matrix_packed_into(pc, pq, out);
-                return Ok(());
-            }
-        }
         self.dense.similarity_matrix_into(codebook, queries, out)
     }
 
@@ -2010,18 +1912,10 @@ impl VsaBackend for PackedBackend {
         weights: &HvMatrix,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        // Weighted superposition carries f32 weights; the dense kernel is already the
-        // right tool (the packed win is in bind/similarity/cleanup, not here).
         self.dense.project_batch_into(codebook, weights, out)
     }
 
     fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        {
-            let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-            if scratch.a.pack_from(items) {
-                return self.bundle_packed(&scratch.a);
-            }
-        }
         self.dense.bundle(items)
     }
 
@@ -2030,65 +1924,7 @@ impl VsaBackend for PackedBackend {
         codebook: &HvMatrix,
         queries: &HvMatrix,
     ) -> Result<Vec<(usize, f32)>, VsaError> {
-        if codebook.rows() == 0 {
-            return Err(VsaError::Empty { what: "codebook" });
-        }
-        if codebook.dim() == queries.dim() {
-            let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-            let PackedScratch {
-                a: pc,
-                b: pq,
-                cleanup,
-            } = &mut *scratch;
-            if pc.pack_from(codebook) && pq.pack_from(queries) {
-                let mut out = Vec::new();
-                self.cleanup_batch_packed_into(pc, pq, cleanup, &mut out);
-                return Ok(out);
-            }
-        }
         self.dense.cleanup_batch(codebook, queries)
-    }
-
-    fn cleanup_batch_bits(
-        &self,
-        codebook: &HvMatrix,
-        queries: &BitMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        if codebook.rows() == 0 {
-            return Err(VsaError::Empty { what: "codebook" });
-        }
-        if codebook.dim() == queries.dim() {
-            let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-            let PackedScratch { a, cleanup, .. } = &mut *scratch;
-            if a.pack_from(codebook) {
-                let mut out = Vec::new();
-                self.cleanup_batch_packed_into(a, queries, cleanup, &mut out);
-                return Ok(out);
-            }
-        }
-        // Non-bipolar codebook (or dim mismatch): unpack the queries and let the
-        // dense path produce its usual result / error.
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        self.dense.cleanup_batch(codebook, &dense)
-    }
-
-    fn similarity_matrix_bits_into(
-        &self,
-        codebook: &HvMatrix,
-        queries: &BitMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        if codebook.dim() == queries.dim() {
-            let mut scratch = self.scratch.lock().expect("packed scratch poisoned");
-            if scratch.a.pack_from(codebook) {
-                self.similarity_matrix_packed_into(&scratch.a, queries, out);
-                return Ok(());
-            }
-        }
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        self.dense.similarity_matrix_into(codebook, &dense, out)
     }
 }
 
@@ -2136,14 +1972,17 @@ mod tests {
         for dim in [64usize, 96, 1024] {
             let a = random_bipolar_matrix(4, dim, 1);
             let b = random_bipolar_matrix(4, dim, 2);
-            let packed = PackedBackend::new();
             let reference = ReferenceBackend;
             let r = reference.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-            let p = packed.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-            assert_eq!(r, p, "dim {dim}");
+            let (mut p, b_bits) = (
+                BitMatrix::from_matrix(&a).unwrap(),
+                BitMatrix::from_matrix(&b).unwrap(),
+            );
+            p.xor_assign(&b_bits).unwrap();
+            assert_eq!(p.to_matrix(), r, "dim {dim}");
             // MAP binding is self-inverse: unbinding recovers the other operand.
-            let back = packed.unbind_batch(&p, &b, BindingOp::Hadamard).unwrap();
-            assert_eq!(back, a);
+            p.xor_assign(&b_bits).unwrap();
+            assert_eq!(p.to_matrix(), a);
         }
     }
 
@@ -2151,10 +1990,13 @@ mod tests {
     fn popcount_similarity_is_exact() {
         let cb = random_bipolar_matrix(9, 100, 3);
         let q = random_bipolar_matrix(5, 100, 4);
-        let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        let rs = reference.similarity_matrix(&cb, &q).unwrap();
-        let ps = packed.similarity_matrix(&cb, &q).unwrap();
+        let rs = ReferenceBackend.similarity_matrix(&cb, &q).unwrap();
+        let mut ps = HvMatrix::default();
+        PackedBackend::new().similarity_matrix_packed_into(
+            &BitMatrix::from_matrix(&cb).unwrap(),
+            &BitMatrix::from_matrix(&q).unwrap(),
+            &mut ps,
+        );
         // Dots of ±1 vectors are exact in f32, so the popcount mapping is bitwise equal.
         assert_eq!(rs, ps);
     }
@@ -2163,10 +2005,15 @@ mod tests {
     fn cleanup_matches_reference_within_contract() {
         let cb = random_bipolar_matrix(16, 1000, 5);
         let q = random_bipolar_matrix(8, 1000, 6);
-        let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
-        let pc = packed.cleanup_batch(&cb, &q).unwrap();
+        let rc = ReferenceBackend.cleanup_batch(&cb, &q).unwrap();
+        let mut pc = Vec::new();
+        PackedBackend::new().cleanup_batch_packed_into(
+            &BitMatrix::from_matrix(&cb).unwrap(),
+            &BitMatrix::from_matrix(&q).unwrap(),
+            &mut CleanupScratch::default(),
+            &mut pc,
+        );
+        assert_eq!(rc.len(), pc.len());
         for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
             assert_eq!(ri, pi);
             assert!((rsim - psim).abs() < 1e-4, "{rsim} vs {psim}");
@@ -2174,45 +2021,49 @@ mod tests {
     }
 
     #[test]
-    fn bundle_counts_votes_exactly() {
-        let items = random_bipolar_matrix(7, 200, 8);
-        let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        assert_eq!(
-            reference.bundle(&items).unwrap().values(),
-            packed.bundle(&items).unwrap().values(),
-        );
-    }
-
-    #[test]
-    fn non_bipolar_and_hrr_fall_back_to_dense() {
+    fn f32_surface_is_the_dense_backend() {
+        // Bipolar and real operands alike: every VsaBackend method returns exactly
+        // what the wrapped ParallelBackend returns.
         let mut r = rng(9);
         let hvs: Vec<Hypervector> = (0..3)
             .map(|_| Hypervector::random_real(64, &mut r))
             .collect();
-        let a = HvMatrix::from_rows(&hvs).unwrap();
+        let real = HvMatrix::from_rows(&hvs).unwrap();
         let b = random_bipolar_matrix(3, 64, 10);
+        let bipolar = random_bipolar_matrix(3, 64, 11);
+        let weights = random_bipolar_matrix(2, 3, 12);
         let packed = PackedBackend::new();
         let dense = ParallelBackend::new();
-        for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
+        for a in [&real, &bipolar] {
+            for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
+                assert_eq!(
+                    packed.bind_batch(a, &b, op).unwrap(),
+                    dense.bind_batch(a, &b, op).unwrap(),
+                    "{op:?}"
+                );
+                assert_eq!(
+                    packed.unbind_batch(a, &b, op).unwrap(),
+                    dense.unbind_batch(a, &b, op).unwrap(),
+                    "{op:?}"
+                );
+            }
             assert_eq!(
-                packed.bind_batch(&a, &b, op).unwrap(),
-                dense.bind_batch(&a, &b, op).unwrap(),
-                "{op:?}"
+                packed.similarity_matrix(a, &b).unwrap(),
+                dense.similarity_matrix(a, &b).unwrap()
+            );
+            assert_eq!(
+                packed.cleanup_batch(a, &b).unwrap(),
+                dense.cleanup_batch(a, &b).unwrap()
+            );
+            assert_eq!(
+                packed.project_batch(a, &weights).unwrap(),
+                dense.project_batch(a, &weights).unwrap()
+            );
+            assert_eq!(
+                packed.bundle(a).unwrap().values(),
+                dense.bundle(a).unwrap().values()
             );
         }
-        assert_eq!(
-            packed.similarity_matrix(&a, &b).unwrap(),
-            dense.similarity_matrix(&a, &b).unwrap()
-        );
-        assert_eq!(
-            packed.cleanup_batch(&a, &b).unwrap(),
-            dense.cleanup_batch(&a, &b).unwrap()
-        );
-        assert_eq!(
-            packed.bundle(&a).unwrap().values(),
-            dense.bundle(&a).unwrap().values()
-        );
     }
 
     #[test]
@@ -2326,41 +2177,6 @@ mod tests {
                 assert_eq!(out2.to_matrix().row(q), expected.as_slice(), "dim {dim}");
             }
         }
-    }
-
-    #[test]
-    fn cleanup_and_similarity_accept_packed_queries() {
-        let cb = random_bipolar_matrix(12, 300, 50);
-        let q = random_bipolar_matrix(5, 300, 51);
-        let q_bits = BitMatrix::from_matrix(&q).unwrap();
-        let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        // Packed-query cleanup equals dense-query cleanup on every backend surface.
-        assert_eq!(
-            packed.cleanup_batch_bits(&cb, &q_bits).unwrap(),
-            packed.cleanup_batch(&cb, &q).unwrap()
-        );
-        assert_eq!(
-            reference.cleanup_batch_bits(&cb, &q_bits).unwrap(),
-            reference.cleanup_batch(&cb, &q).unwrap()
-        );
-        let mut from_bits = HvMatrix::default();
-        packed
-            .similarity_matrix_bits_into(&cb, &q_bits, &mut from_bits)
-            .unwrap();
-        assert_eq!(from_bits, packed.similarity_matrix(&cb, &q).unwrap());
-        // A non-bipolar codebook routes packed queries through the dense fallback.
-        let mut r = rng(52);
-        let real_cb = HvMatrix::from_rows(
-            &(0..4)
-                .map(|_| Hypervector::random_real(300, &mut r))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        assert_eq!(
-            packed.cleanup_batch_bits(&real_cb, &q_bits).unwrap(),
-            packed.cleanup_batch(&real_cb, &q).unwrap()
-        );
     }
 
     #[test]
@@ -2797,13 +2613,24 @@ mod tests {
         use rand::Rng;
 
         /// Pins the indexed cleanup to the linear scan on the same operands:
-        /// identical winner index, bitwise-identical similarity, and the same from
-        /// the `_into` forms through a reused scratch.
+        /// identical winner index, bitwise-identical similarity, and the same again
+        /// from a scratch reused across both kernels.
         fn assert_decision_identity(codebook: &BitMatrix, queries: &BitMatrix) {
             let backend = PackedBackend::new();
-            let linear = backend.cleanup_batch_packed(codebook, queries);
             let index = CleanupIndex::build(codebook);
-            let indexed = backend.cleanup_batch_indexed(&index, queries);
+            let (mut linear, mut indexed) = (Vec::new(), Vec::new());
+            backend.cleanup_batch_packed_into(
+                codebook,
+                queries,
+                &mut CleanupScratch::default(),
+                &mut linear,
+            );
+            backend.cleanup_batch_indexed_into(
+                &index,
+                queries,
+                &mut CleanupScratch::default(),
+                &mut indexed,
+            );
             assert_eq!(linear.len(), indexed.len());
             for (q, (lin, ind)) in linear.iter().zip(&indexed).enumerate() {
                 assert_eq!(lin.0, ind.0, "query {q}: winner index diverged");
@@ -2833,7 +2660,14 @@ mod tests {
             let queries = BitMatrix::zeros(3, dim);
             assert_decision_identity(&codebook, &queries);
             let index = CleanupIndex::build(&codebook);
-            for (idx, sim) in PackedBackend::new().cleanup_batch_indexed(&index, &queries) {
+            let mut out = Vec::new();
+            PackedBackend::new().cleanup_batch_indexed_into(
+                &index,
+                &queries,
+                &mut CleanupScratch::default(),
+                &mut out,
+            );
+            for (idx, sim) in out {
                 assert_eq!(idx, 0);
                 assert!((sim - (1.0 - 2.0 / dim as f32)).abs() < 1e-6);
             }

@@ -383,9 +383,10 @@ impl NeurosymbolicSolver {
     /// one place. It decodes *blocks* of the scene superposition, so it runs with the
     /// per-block convergence threshold (`min` keeps a deliberately lower configured
     /// threshold in charge; it never tightens past the block plateau). The solver's
-    /// backend and precision are pinned onto it, so the resonator engine (and with
-    /// it [`NeurosymbolicSolver::compile_plan`]'s chunk width) follows the solver's
-    /// configuration alone.
+    /// backend and precision are pinned onto it, so the factorizer quantizes at the
+    /// solver's precision and its resonator engine (and with it
+    /// [`NeurosymbolicSolver::compile_plan`]'s chunk width) follows the solver's
+    /// backend alone.
     fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
         let factorizer_config = FactorizerConfig {
             convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
@@ -511,9 +512,11 @@ impl NeurosymbolicSolver {
     /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: the chunk width
     /// and the stage IR, resolved once, up front. Every stage runs on sign planes
     /// whatever the backend and precision, so the only decision is the chunk
-    /// width: the whole batch when every block decodes on the packed resonator,
+    /// width: the whole batch when every block decodes on the packed resonator
+    /// (the `Packed` backend, at every precision),
     /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems when the factorizer
-    /// unpacks the scenes for its f32 resonator.
+    /// unpacks the scenes for its f32 resonator (the `Reference` and `Parallel`
+    /// backends).
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
@@ -963,7 +966,8 @@ impl NeurosymbolicSolver {
         Ok(total)
     }
 
-    /// Problems per internal chunk when the blocks decode on the f32 resonator.
+    /// Problems per internal chunk when the blocks decode on the f32 resonator, which
+    /// the `Reference` and `Parallel` backends run.
     ///
     /// Four problems (32 panel rows) keep the f32 resonator's per-iteration working
     /// set — query batch, per-factor estimates, unbound/projected/rebound buffers,
@@ -1312,8 +1316,9 @@ mod tests {
     fn packed_engine_matches_dense_across_every_row_outcome() {
         // One batch whose rows converge at different iterations, exit on a limit
         // cycle, or run into the cap. The packed engine skips the last projection
-        // of every row that converges; that must change no result and no outcome
-        // count against the dense engine, which projects every row.
+        // of every row that converges, and quantizes its projection accumulators
+        // below FP32; neither may change a result or an outcome count against the
+        // dense engine, which projects every row, at any precision.
         let mut r = rng(4);
         let set = CodebookSet::random(&[16, 16, 16], 512, BindingOp::Hadamard, &mut r);
         let flips = [0.0, 0.01, 0.02, 0.03, 0.04, 0.3, 0.4];
@@ -1326,10 +1331,11 @@ mod tests {
             })
             .collect();
         let matrix = HvMatrix::from_rows(&queries).unwrap();
-        let decode = |kind: BackendKind| {
+        let decode = |kind: BackendKind, precision: Precision| {
             let config = FactorizerConfig::default()
                 .with_max_iterations(12)
-                .with_backend(kind);
+                .with_backend(kind)
+                .with_precision(precision);
             let mut streams: Vec<_> = (0..queries.len() as u64)
                 .map(|q| StdRng::seed_from_u64(0x5EED ^ q))
                 .collect();
@@ -1345,31 +1351,39 @@ mod tests {
             report.record_block(&results);
             (results, report)
         };
-        let (dense, dense_report) = decode(BackendKind::Reference);
-        let (packed, packed_report) = decode(BackendKind::Packed);
-        // The batch really covers every outcome, with convergence spread over
-        // several iterations (first iteration included).
-        let mut converged_at: Vec<_> = dense
-            .iter()
-            .filter(|d| d.converged)
-            .map(|d| d.iterations)
-            .collect();
-        converged_at.sort_unstable();
-        converged_at.dedup();
-        assert!(
-            converged_at.len() >= 3 && converged_at[0] == 1,
-            "{converged_at:?}"
-        );
-        assert!(dense_report.rows_limit_cycle > 0 && dense_report.rows_capped > 0);
-        for (q, (d, p)) in dense.iter().zip(&packed).enumerate() {
-            assert_eq!(
-                (&d.indices, d.iterations, d.converged, d.limit_cycle),
-                (&p.indices, p.iterations, p.converged, p.limit_cycle),
-                "row {q}"
+        for precision in Precision::all() {
+            let (dense, dense_report) = decode(BackendKind::Reference, precision);
+            let (packed, packed_report) = decode(BackendKind::Packed, precision);
+            // The batch really covers every outcome, with convergence spread over
+            // several iterations (first iteration included).
+            let mut converged_at: Vec<_> = dense
+                .iter()
+                .filter(|d| d.converged)
+                .map(|d| d.iterations)
+                .collect();
+            converged_at.sort_unstable();
+            converged_at.dedup();
+            assert!(
+                converged_at.len() >= 3 && converged_at[0] == 1,
+                "{precision}: {converged_at:?}"
             );
-            assert!((d.similarity - p.similarity).abs() < 1e-4, "row {q}");
+            assert!(
+                dense_report.rows_limit_cycle > 0 && dense_report.rows_capped > 0,
+                "{precision}: {dense_report:?}"
+            );
+            for (q, (d, p)) in dense.iter().zip(&packed).enumerate() {
+                assert_eq!(
+                    (&d.indices, d.iterations, d.converged, d.limit_cycle),
+                    (&p.indices, p.iterations, p.converged, p.limit_cycle),
+                    "{precision}: row {q}"
+                );
+                assert!(
+                    (d.similarity - p.similarity).abs() < 1e-4,
+                    "{precision}: row {q}"
+                );
+            }
+            assert_eq!(dense_report, packed_report, "{precision}");
         }
-        assert_eq!(dense_report, packed_report);
     }
 
     #[test]

@@ -192,8 +192,8 @@ pub struct SolvePlan {
     /// The workload shape this plan was compiled for.
     pub key: PlanKey,
     /// Problems per executor chunk: the whole batch when every block decodes on
-    /// the packed resonator, the f32 resonator's cache-resident sub-chunk width
-    /// otherwise.
+    /// the packed resonator (the `Packed` backend, at every precision), the f32
+    /// resonator's cache-resident sub-chunk width otherwise.
     pub chunk_problems: usize,
     /// The fused stage IR, in execution order.
     pub stages: Vec<PlanStage>,

@@ -15,7 +15,7 @@
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix};
 use cogsys_vsa::codebook::BindingOp;
-use cogsys_vsa::packed::BitMatrix;
+use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
 use cogsys_vsa::{ops, rng, CodebookSet, Hypervector, Precision};
 use proptest::prelude::*;
 
@@ -115,9 +115,10 @@ proptest! {
         );
     }
 
-    /// PackedBackend parity on bipolar inputs: bind/unbind are *exact* (XOR equals the
-    /// Hadamard product of signs), across power-of-two and non-power-of-two dims so
-    /// tail-word padding is exercised.
+    /// Packed parity on bipolar inputs: bind/unbind are *exact* (the XOR of sign
+    /// planes equals the Hadamard product of signs, and the packed backend's `f32`
+    /// surface equals the reference), across power-of-two and non-power-of-two dims
+    /// so tail-word padding is exercised.
     #[test]
     fn prop_packed_bind_unbind_exact_on_bipolar(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
@@ -132,15 +133,22 @@ proptest! {
         let pu = packed.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
         prop_assert_eq!(&ru, &pu);
         // Packed round trip through the BitMatrix representation is lossless.
-        let bits = BitMatrix::from_matrix(&a).expect("bipolar rows pack");
-        prop_assert_eq!(bits.to_matrix(), a);
+        let mut bits = BitMatrix::from_matrix(&a).expect("bipolar rows pack");
+        prop_assert_eq!(&bits.to_matrix(), &a);
         prop_assert_eq!(bits.words_per_row(), dim.div_ceil(64));
+        // XOR of the sign planes is the Hadamard bind, and XOR again unbinds.
+        let b_bits = BitMatrix::from_matrix(&b).expect("bipolar rows pack");
+        bits.xor_assign(&b_bits).unwrap();
+        prop_assert_eq!(&bits.to_matrix(), &r);
+        bits.xor_assign(&b_bits).unwrap();
+        prop_assert_eq!(bits.to_matrix(), a);
     }
 
-    /// PackedBackend similarity is the exact integer dot product and its cleanup
-    /// agrees with the reference within 1e-4 cosine after the Hamming→cosine mapping;
-    /// bundling (vote counters) matches the reference sum exactly, which pins down the
-    /// tie behaviour of any later sign threshold.
+    /// Popcount similarity over sign planes is the exact integer dot product and the
+    /// packed cleanup agrees with the reference within 1e-4 cosine after the
+    /// Hamming→cosine mapping; the packed backend's `f32` surface (similarity,
+    /// cleanup, bundle) matches the reference the same way, bundling exactly, which
+    /// pins down the tie behaviour of any later sign threshold.
     #[test]
     fn prop_packed_similarity_cleanup_bundle(
         seed in 0u64..1000,
@@ -159,11 +167,22 @@ proptest! {
             reference.similarity_matrix(&cb, &q).unwrap(),
             packed.similarity_matrix(&cb, &q).unwrap()
         );
+        let cb_bits = BitMatrix::from_matrix(&cb).unwrap();
+        let q_bits = BitMatrix::from_matrix(&q).unwrap();
+        let kernels = packed.as_packed().expect("packed backend");
+        let mut sims = HvMatrix::default();
+        kernels.similarity_matrix_packed_into(&cb_bits, &q_bits, &mut sims);
+        prop_assert_eq!(reference.similarity_matrix(&cb, &q).unwrap(), sims);
         let rc = reference.cleanup_batch(&cb, &q).unwrap();
-        let pc = packed.cleanup_batch(&cb, &q).unwrap();
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            prop_assert_eq!(ri, pi);
-            prop_assert!((rsim - psim).abs() < 1e-4, "{} vs {}", rsim, psim);
+        let mut bits_cleanup = Vec::new();
+        let mut scratch = CleanupScratch::default();
+        kernels.cleanup_batch_packed_into(&cb_bits, &q_bits, &mut scratch, &mut bits_cleanup);
+        for pc in [packed.cleanup_batch(&cb, &q).unwrap(), bits_cleanup] {
+            prop_assert_eq!(rc.len(), pc.len());
+            for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
+                prop_assert_eq!(ri, pi);
+                prop_assert!((rsim - psim).abs() < 1e-4, "{} vs {}", rsim, psim);
+            }
         }
         prop_assert_eq!(
             reference.bundle(&q).unwrap().values(),
@@ -452,39 +471,52 @@ fn packed_solver_is_decision_identical_to_dense_end_to_end() {
     // The packed fused resonator against the f32 resonator of the parallel
     // backend, both inside the one sign-plane solve (encode, XOR polish,
     // popcount scoring), from the same seed: reports, answer choices and final
-    // rng state must all match on every dataset family.
+    // rng state must all match on every dataset family and at every precision.
+    // Perception noise makes some rows exit on a limit cycle or the iteration
+    // cap, and below FP32 the packed engine quantizes its projection
+    // accumulators where the f32 engine quantizes its projections.
     use cogsys_datasets::{DatasetKind, ProblemGenerator};
     use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
     use rand::RngCore;
 
-    let solver = |backend: BackendKind| {
-        NeurosymbolicSolver::new(
-            SolverConfig::default().with_backend(backend),
-            &mut rng(0xAB),
-        )
-    };
-    let packed = solver(BackendKind::Packed);
-    let dense = solver(BackendKind::Parallel);
-    for kind in DatasetKind::ALL {
-        let mut r = rng(0xCD);
-        let problems = ProblemGenerator::new(kind).generate_batch(6, &mut r);
-        let mut r1 = r.clone();
-        let mut r2 = r.clone();
-        let mut sc1 = SolverScratch::default();
-        let mut sc2 = SolverScratch::default();
-        let packed_report = packed
-            .solve_batch_with(&problems, &mut r1, &mut sc1)
-            .unwrap();
-        let dense_report = dense
-            .solve_batch_with(&problems, &mut r2, &mut sc2)
-            .unwrap();
-        assert_eq!(packed_report, dense_report, "{kind}: reports diverge");
-        assert_eq!(
-            sc1.choices(),
-            sc2.choices(),
-            "{kind}: answer choices diverge"
-        );
-        assert_eq!(r1.next_u64(), r2.next_u64(), "{kind}: rng streams diverge");
+    for precision in Precision::all() {
+        let solver = |backend: BackendKind| {
+            let config = SolverConfig {
+                perception_noise: 0.02,
+                ..SolverConfig::default()
+            };
+            NeurosymbolicSolver::new(
+                config.with_backend(backend).with_precision(precision),
+                &mut rng(0xAB),
+            )
+        };
+        let packed = solver(BackendKind::Packed);
+        let dense = solver(BackendKind::Parallel);
+        let mut row_exits = 0;
+        for kind in DatasetKind::ALL {
+            let mut r = rng(0xCD);
+            let problems = ProblemGenerator::new(kind).generate_batch(6, &mut r);
+            let mut r1 = r.clone();
+            let mut r2 = r.clone();
+            let mut sc1 = SolverScratch::default();
+            let mut sc2 = SolverScratch::default();
+            let packed_report = packed
+                .solve_batch_with(&problems, &mut r1, &mut sc1)
+                .unwrap();
+            let dense_report = dense
+                .solve_batch_with(&problems, &mut r2, &mut sc2)
+                .unwrap();
+            let case = format!("{precision}/{kind}");
+            assert_eq!(packed_report, dense_report, "{case}: reports diverge");
+            assert_eq!(
+                sc1.choices(),
+                sc2.choices(),
+                "{case}: answer choices diverge"
+            );
+            assert_eq!(r1.next_u64(), r2.next_u64(), "{case}: rng streams diverge");
+            row_exits += dense_report.rows_limit_cycle + dense_report.rows_capped;
+        }
+        assert!(row_exits > 0, "{precision}: no row left the converged path");
     }
 }
 

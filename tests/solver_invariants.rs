@@ -19,7 +19,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 #[test]
-fn plan_route_is_packed_exactly_on_the_packed_fp32_solver() {
+fn plan_chunk_is_the_whole_batch_exactly_on_the_packed_backend() {
     let small = SolverConfig {
         vector_dim: 256,
         ..SolverConfig::default()
@@ -36,20 +36,22 @@ fn plan_route_is_packed_exactly_on_the_packed_fp32_solver() {
         }
     }
     // Struct literals whose factorizer precision disagrees with the solver's: the
-    // solver's precision decides.
-    for (solver_precision, factorizer_precision) in [
-        (Precision::Int8, Precision::Fp32),
-        (Precision::Fp32, Precision::Int8),
-    ] {
-        configs.push(SolverConfig {
-            precision: solver_precision,
-            factorizer: FactorizerConfig::default().with_precision(factorizer_precision),
-            ..small.clone()
-        });
+    // packed resonator runs at every precision, so neither precision decides.
+    for backend in BackendKind::ALL {
+        for (solver_precision, factorizer_precision) in [
+            (Precision::Int8, Precision::Fp32),
+            (Precision::Fp32, Precision::Int8),
+        ] {
+            configs.push(SolverConfig {
+                precision: solver_precision,
+                factorizer: FactorizerConfig::default().with_precision(factorizer_precision),
+                ..small.clone().with_backend(backend)
+            });
+        }
     }
     for config in configs {
         let solver = NeurosymbolicSolver::new(config.clone(), &mut rng(1));
-        let packed = config.backend == BackendKind::Packed && config.precision == Precision::Fp32;
+        let packed = config.backend == BackendKind::Packed;
         for batch in [1, 8] {
             let plan = solver.plan_for_batch(batch);
             let expected = if packed {
