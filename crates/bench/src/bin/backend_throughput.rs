@@ -21,9 +21,10 @@
 //! bench-smoke step. Set `BENCH_GUARD=off` to record a new baseline without gating
 //! (e.g. after an intentional trade-off or a hardware change).
 //!
-//! The detected Hamming-kernel SIMD tier (generic / popcnt / avx2 / avx512) is
-//! printed first so CI logs record which dispatch path produced the numbers; with
-//! `BENCH_REQUIRE_SIMD=1` the run fails outright when dispatch fell back to the
+//! The detected Hamming-kernel SIMD tier (generic / popcnt / avx2 / avx512) and the
+//! sign-projection tier (generic / avx2 / avx512; the two can differ) are printed
+//! first so CI logs record which dispatch paths produced the numbers; with
+//! `BENCH_REQUIRE_SIMD=1` the run fails outright when either fell back to the
 //! generic tier (the CI runners are known-SIMD hosts, so a generic fallback there
 //! means detection broke, not that the hardware shrank).
 //!
@@ -55,15 +56,20 @@ fn main() -> ExitCode {
     }
 
     let tier = cogsys_vsa::dispatch_tier();
+    let projection = cogsys_vsa::projection_tier();
     println!("dispatch tier: {tier}");
-    if std::env::var("BENCH_REQUIRE_SIMD").as_deref() == Ok("1")
-        && tier == cogsys_vsa::DispatchTier::Generic
-    {
-        eprintln!(
-            "BENCH_REQUIRE_SIMD=1: dispatch fell back to the generic tier on a host \
-             expected to support at least scalar popcnt"
-        );
-        return ExitCode::FAILURE;
+    println!("projection tier: {projection}");
+    if std::env::var("BENCH_REQUIRE_SIMD").as_deref() == Ok("1") {
+        use cogsys_vsa::DispatchTier::Generic;
+        for (family, resolved) in [("Hamming", tier), ("projection", projection)] {
+            if resolved == Generic {
+                eprintln!(
+                    "BENCH_REQUIRE_SIMD=1: {family} dispatch fell back to the generic tier \
+                     on a host expected to support SIMD"
+                );
+                return ExitCode::FAILURE;
+            }
+        }
     }
 
     if explain {
@@ -149,6 +155,19 @@ fn main() -> ExitCode {
             per_call / 1e6,
             prepacked / 1e6,
             per_call / prepacked.max(1.0)
+        );
+    }
+
+    // The projection row kernel against its bench-local scalar twin.
+    if let (Some(scalar), Some(packed)) = (
+        cell("scalar_twin", "project_signs"),
+        cell("packed", "project_signs"),
+    ) {
+        println!(
+            "project_signs d=1024 batch=256: scalar twin {:.3} ms, packed {:.3} ms ({:.1}x)",
+            scalar / 1e6,
+            packed / 1e6,
+            scalar / packed.max(1.0)
         );
     }
 

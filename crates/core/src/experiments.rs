@@ -124,8 +124,10 @@ pub const BENCH_CODEBOOK_ROWS: usize = 64;
 /// `cleanup` and `cleanup_prepacked` on the packed backend is the per-call query
 /// packing cost that end-to-end `BitMatrix` pipelines avoid. `similarity_prepacked`
 /// is the popcount GEMM behind the resonator's similarity step; `project_signs` is
-/// the fused weighted-superposition → sign-threshold kernel (SoA lane-blocked on the
-/// packed backend, dense projection + packing elsewhere); `noise_signs` pits the
+/// the fused weighted-superposition → sign-threshold kernel (the register-blocked
+/// row kernel on the packed backend, dense projection + packing elsewhere), with a
+/// same-run `scalar_twin` record: a bench-local scalar sum over the same sign
+/// planes, checked bitwise against the packed output; `noise_signs` pits the
 /// masked draw of `perturb_signs` (one vector-compare eligibility mask per 64-dim
 /// word, recorded as `packed`) against the element-wise rule (recorded as
 /// `reference`) on accumulators where a third of the elements, scattered inside
@@ -225,10 +227,10 @@ pub fn backend_throughput_records(
                     batch,
                     ns_per_op: sims_prepacked * 1e9,
                 });
-                // Fused projection → sign threshold: the packed backend runs the SoA
-                // lane-blocked kernel on its cached sign planes; the dense backends
-                // run their projection GEMM followed by sign packing, which is the
-                // pre-packed pipeline's shape for the same step.
+                // Fused projection → sign threshold: the packed backend runs the
+                // register-blocked row kernel on its cached sign planes; the dense
+                // backends run their projection GEMM followed by sign packing,
+                // which is the pre-packed pipeline's shape for the same step.
                 let mut proj_bits = BitMatrix::default();
                 let mut proj_acc: Vec<f32> = Vec::new();
                 let mut proj_dense = HvMatrix::default();
@@ -258,6 +260,49 @@ pub fn backend_throughput_records(
                     dim,
                     batch,
                     ns_per_op: project * 1e9,
+                });
+            }
+
+            // Same-run scalar twin of the packed `project_signs` cell, recorded as
+            // backend `scalar_twin` (the packed/reference guard never reads it): a
+            // bench-local scalar sum over the same sign planes and weights —
+            // codebook row outer, dimension inner, the walk every projection tier
+            // must match bitwise — followed by the same sign pack.
+            if let Some(cb_bits) = codebook.packed() {
+                let mut acc = vec![0.0f32; dim];
+                let mut twin_bits = BitMatrix::zeros(batch, dim);
+                let scalar = time(&mut || {
+                    for q in 0..batch {
+                        acc.fill(0.0);
+                        for (m, &w) in weights.row(q).iter().enumerate() {
+                            let words = cb_bits.row_words(m);
+                            for (chunk, &word) in acc.chunks_mut(64).zip(words) {
+                                for (bit, slot) in chunk.iter_mut().enumerate() {
+                                    *slot += if (word >> bit) & 1 == 1 { -w } else { w };
+                                }
+                            }
+                        }
+                        twin_bits.pack_signs_row(q, &acc);
+                    }
+                });
+                let mut packed_bits = BitMatrix::default();
+                cogsys_vsa::PackedBackend::new().project_signs_packed_into(
+                    cb_bits,
+                    &weights,
+                    |_, _| {},
+                    &mut acc,
+                    &mut packed_bits,
+                );
+                assert_eq!(
+                    packed_bits, twin_bits,
+                    "packed project_signs diverged from its scalar twin"
+                );
+                records.push(BenchRecord {
+                    backend: "scalar_twin".to_string(),
+                    kernel: "project_signs".to_string(),
+                    dim,
+                    batch,
+                    ns_per_op: scalar * 1e9,
                 });
             }
 

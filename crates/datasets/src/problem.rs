@@ -240,6 +240,8 @@ impl ProblemGenerator {
         };
         let answer_index = rng.gen_range(0..num_candidates);
         let mut candidates = distractors;
+        // Exactly one more slot: `insert` into a full vector would double it.
+        candidates.reserve_exact(1);
         candidates.insert(answer_index, answer);
 
         Problem {

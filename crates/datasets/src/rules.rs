@@ -209,9 +209,14 @@ impl fmt::Display for Rule {
 }
 
 /// One rule per attribute — the hidden structure of a reasoning problem.
+///
+/// Held inline in four bytes per attribute (the rule kind and its parameter; the
+/// attribute is the position in [`Attribute::ALL`]), so a [`crate::Problem`] costs
+/// no heap allocation for its rules — serving traces hold tens of thousands of
+/// problems.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuleSet {
-    rules: Vec<Rule>,
+    rules: [(RuleKind, u16); Attribute::ALL.len()],
 }
 
 impl RuleSet {
@@ -226,24 +231,30 @@ impl RuleSet {
         vocab: AttributeVocab,
         rng: &mut R,
     ) -> Self {
-        let rules = Attribute::ALL
-            .iter()
-            .map(|&attr| {
-                let kind = pool[rng.gen_range(0..pool.len())];
-                Rule::random_with(attr, kind, vocab, rng)
-            })
-            .collect();
+        let rules = Attribute::ALL.map(|attr| {
+            let kind = pool[rng.gen_range(0..pool.len())];
+            let rule = Rule::random_with(attr, kind, vocab, rng);
+            // Parameters are a step of 1 or 2 or a value below the attribute's
+            // cardinality, which `AttributeVocab` caps at `u16::MAX`.
+            let parameter = u16::try_from(rule.parameter).expect("rule parameter fits u16");
+            (rule.kind, parameter)
+        });
         Self { rules }
     }
 
     /// The per-attribute rules in [`Attribute::ALL`] order.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
+    pub fn rules(&self) -> [Rule; Attribute::ALL.len()] {
+        Attribute::ALL.map(|attribute| self.rule_for(attribute))
     }
 
     /// The rule governing one attribute.
     pub fn rule_for(&self, attribute: Attribute) -> Rule {
-        self.rules[attribute.index()]
+        let (kind, parameter) = self.rules[attribute.index()];
+        Rule {
+            attribute,
+            kind,
+            parameter: parameter.into(),
+        }
     }
 
     /// Generates one complete row of three panels consistent with every rule.
@@ -261,7 +272,7 @@ impl RuleSet {
         rng: &mut R,
     ) -> [Panel; 3] {
         let mut row = [[0usize; 5]; 3];
-        for rule in &self.rules {
+        for rule in self.rules() {
             let card = vocab.cardinality(rule.attribute);
             let v0 = rng.gen_range(0..card);
             let v1 = rng.gen_range(0..card);
@@ -286,7 +297,7 @@ impl RuleSet {
     /// [`RuleSet::complete`] with rule arithmetic over a configurable vocabulary.
     pub fn complete_with(&self, vocab: AttributeVocab, first: &Panel, second: &Panel) -> Panel {
         let mut values = [0usize; 5];
-        for rule in &self.rules {
+        for rule in self.rules() {
             let v0 = first.value(rule.attribute);
             let v1 = second.value(rule.attribute);
             values[rule.attribute.index()] = rule.third_value_with(vocab, v0, v1);
@@ -301,7 +312,7 @@ impl RuleSet {
 
     /// [`RuleSet::row_satisfied`] with rule arithmetic over a configurable vocabulary.
     pub fn row_satisfied_with(&self, vocab: AttributeVocab, row: &[Panel; 3]) -> bool {
-        self.rules.iter().all(|rule| {
+        self.rules().iter().all(|rule| {
             rule.satisfied_with(
                 vocab,
                 row[0].value(rule.attribute),
@@ -427,6 +438,26 @@ mod tests {
             assert_eq!(rules.rules().len(), 5);
             assert_eq!(rules.rule_for(Attribute::Color).attribute, Attribute::Color);
         }
+    }
+
+    #[test]
+    fn ruleset_stores_the_sampled_rules_inline_and_exactly() {
+        // The widest vocabulary draws Distribute-Three seeds up to u16::MAX - 1.
+        let vocab = AttributeVocab::uniform(crate::MAX_CARDINALITY);
+        for seed in 0..50u64 {
+            let set = RuleSet::random_with(&RuleKind::PGM, vocab, &mut rng(seed));
+            let mut replay = rng(seed);
+            let expected = Attribute::ALL.map(|attr| {
+                let kind = RuleKind::PGM[replay.gen_range(0..RuleKind::PGM.len())];
+                Rule::random_with(attr, kind, vocab, &mut replay)
+            });
+            assert_eq!(set.rules(), expected);
+        }
+        assert_eq!(
+            std::mem::size_of::<RuleSet>(),
+            20,
+            "no heap, four bytes a rule"
+        );
     }
 
     proptest! {

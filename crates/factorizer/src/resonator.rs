@@ -411,9 +411,9 @@ impl FactorizerScratch {
         self.rebound_bits.ensure_shape(1, dim);
         self.init_bits.ensure_shape(1, dim);
         self.gather_tmp_bits.ensure_shape(rows, dim);
-        let proj = PROJ_LANE_ROWS * dim;
+        // ...and projects one row at a time into a `dim`-wide accumulator.
         self.proj_acc
-            .reserve(proj.saturating_sub(self.proj_acc.len()));
+            .reserve(dim.saturating_sub(self.proj_acc.len()));
         self.cleanup.reserve_queries(rows);
         self.cleanup_results
             .reserve(rows.saturating_sub(self.cleanup_results.len()));
@@ -888,12 +888,13 @@ impl Factorizer {
             }
 
             for f in 0..num_factors {
-                // One tiled pass over the codebook sign planes per 8-query lane
-                // block: unbind, popcount similarity and weighted sign projection
-                // share each loaded plane word, and no full-batch unbound plane is
-                // materialized. The hook does the per-row work in ascending row
-                // order per lane block (similarity perturb + argmax decode, then
-                // projection perturb); per-query streams are private, so each
+                // One pass over the codebook sign planes per 8-query lane block:
+                // unbind and popcount similarity per block, then the projection
+                // row kernel per live row while the codebook is cache-hot; no
+                // full-batch unbound plane is materialized. The hook does the
+                // per-row work in ascending row order per lane block
+                // (similarity perturb + argmax decode, then projection
+                // perturb); per-query streams are private, so each
                 // query's noise draws are consumed in the order of the unfused
                 // unbind → similarity → projection sequence.
                 packed.resonate_step_fused_into(

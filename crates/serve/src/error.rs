@@ -121,7 +121,7 @@ mod tests {
 
         let invalid = Rejection::Invalid(SolveError::Malformed {
             problem: 0,
-            fault: ProblemFault::NoCandidates,
+            fault: Box::new(ProblemFault::NoCandidates),
         });
         assert!(invalid.is_client_fault());
         assert!(invalid.to_string().contains("invalid request"));

@@ -622,7 +622,7 @@ mod tests {
                 if let Err(fault) = NeurosymbolicSolver::validate_problem(problem) {
                     return Err(SolveError::Malformed {
                         problem: index,
-                        fault,
+                        fault: Box::new(fault),
                     });
                 }
             }

@@ -70,11 +70,12 @@
 //! the dense [`ParallelBackend`].
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
-// Hamming kernel module `packed::simd` (scalar `popcnt`, Harley–Seal AVX2, and
-// AVX-512 `vpopcntq` tiers — `#[target_feature]` functions cannot be called or
-// coerced without `unsafe` even when the feature was verified via cpuid, and the
-// vector load/store intrinsics take raw pointers), which carries a scoped
-// `#![allow(unsafe_code)]` and per-call safety arguments.
+// kernel module `packed::simd` (the Hamming tiers — scalar `popcnt`, Harley–Seal
+// AVX2, AVX-512 `vpopcntq` — plus the AVX2/AVX-512 sign projection, sign pack and
+// noise mask; `#[target_feature]` functions cannot be called or coerced without
+// `unsafe` even when the feature was verified via cpuid, and the vector load/store
+// intrinsics take raw pointers), which carries a scoped `#![allow(unsafe_code)]`
+// and per-call safety arguments.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -92,8 +93,8 @@ pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};
 pub use packed::{
-    dispatch_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier, PackedBackend,
-    ProjectionVerdict, ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
+    dispatch_tier, projection_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier,
+    PackedBackend, ProjectionVerdict, ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
 };
 pub use quant::{Precision, QuantizedVector};
 

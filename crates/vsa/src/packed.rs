@@ -21,6 +21,14 @@
 //! bit; `+1.0` packs to 0. The unused tail bits of the last word in each row are kept
 //! at zero (see [`BitMatrix::tail_mask`]), which lets every kernel run whole-word
 //! XOR/popcount without per-row masking.
+//!
+//! The one `f32` kernel on sign planes is the resonator's weighted sign projection,
+//! `acc[j] = Σ_m ±w[m]` over a codebook's rows. It runs one query row at a time: for
+//! each 64-dim word the row kernel keeps that word's accumulators in registers
+//! across the whole codebook sweep and stores them once (four zmm registers per
+//! word on AVX-512, eight ymm on AVX2, a 64-slot tile in the scalar fallback; see
+//! [`projection_tier`]). Every tier adds the same `±w` sequence to each dimension in
+//! ascending codebook-row order from `+0.0`, so every tier packs the same signs.
 
 use crate::batch::{HvMatrix, ParallelBackend, VsaBackend};
 use crate::codebook::BindingOp;
@@ -38,13 +46,11 @@ const WORD_BITS: usize = 64;
 /// block instead of once per query.
 const CODEBOOK_BLOCK_ROWS: usize = 128;
 
-/// Query rows accumulated together per codebook-word pass in the SoA projection
-/// kernel ([`PackedBackend::project_signs_packed_into`]).
-///
-/// Eight lanes turn the projection from "load every sign-plane word once per query"
-/// into "once per 8 queries", while the per-word working tile (64 dims × 8 lanes ×
-/// 4 B = 2 KiB) stays L1-resident across the whole codebook-row sweep. Public so
-/// scratch pre-sizing can bound the fused-kernel lane buffers.
+/// Query rows per lane block of the fused resonator step
+/// ([`PackedBackend::resonate_step_fused_into`]): each block unbinds this many
+/// rows into an L1-resident scratch and runs their similarity scan and hooks
+/// together before projecting them one row at a time. Public so scratch
+/// pre-sizing can bound the unbind scratch.
 pub const PROJ_LANE_ROWS: usize = 8;
 
 /// Minimum codebook row count at which [`CleanupIndex`] construction and the indexed
@@ -209,7 +215,9 @@ fn sketch_accum_generic(q: u64, plane: &[u64], dist: &mut [u16]) {
     }
 }
 
-/// SIMD width the Hamming kernels resolved to on this CPU (see [`dispatch_tier`]).
+/// SIMD width a kernel family resolved to on this CPU: the Hamming kernels report
+/// theirs through [`dispatch_tier`], the sign projection through
+/// [`projection_tier`]. The variant docs describe the Hamming kernels.
 ///
 /// The tiers are ordered: each is at least as wide as the previous, and runtime
 /// dispatch picks the widest tier the running CPU supports. The `COGSYS_SIMD`
@@ -247,13 +255,15 @@ impl std::fmt::Display for DispatchTier {
     }
 }
 
-/// Runtime-dispatched SIMD Hamming kernels.
+/// Runtime-dispatched SIMD kernels: Hamming distance, sketch sweeps, the sign
+/// projection row kernel, the sign pack and the noise eligibility mask.
 ///
 /// This module is the crate's **single scoped `unsafe_code` exception** (see the
 /// crate-level lint note): `#[target_feature]` functions cannot be called or coerced
 /// without `unsafe` even after cpuid verification, and the AVX loads go through raw
-/// pointers. Every function here is only reachable through [`detect`], which gates
-/// each tier on `is_x86_feature_detected!`.
+/// pointers. Every function here is only reachable through a resolver ([`detect`],
+/// [`sketch_kernels`], [`amplitude_mask_fn`]) that gates each tier on
+/// `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
@@ -447,24 +457,146 @@ mod simd {
         }
     }
 
-    /// One codebook word's ±w update of the SoA projection tile, compiled with
-    /// AVX2. The packed sign word is expanded once into eight ymm sign-mask
-    /// vectors with variable left shifts (bit `b` lands in the IEEE sign
-    /// position of slot `b`), then each lane's 64 accumulator slots take eight
-    /// xor+add vector ops — versus 64 scalar shift/mask/xor/add rounds per lane
-    /// in the baseline kernel.
+    /// Stores up to 16 accumulators per vector into `dst`, whose length may be
+    /// anything up to `16 · vectors.len()`; lanes past its end are dropped.
+    #[target_feature(enable = "avx512f")]
+    fn store_lanes_avx512(vectors: &[__m512], dst: &mut [f32]) {
+        for (v, chunk) in vectors.iter().zip(dst.chunks_mut(16)) {
+            // SAFETY: the mask keeps only the first chunk.len() (<= 16) lanes, all
+            // inside `chunk`; masked-off lanes are never accessed and storeu has
+            // no alignment requirement.
+            unsafe {
+                let keep = ((1u32 << chunk.len()) - 1) as __mmask16;
+                _mm512_mask_storeu_ps(chunk.as_mut_ptr(), keep, *v);
+            }
+        }
+    }
+
+    /// Sums `N / 4` adjacent words' `±w` addends over the whole codebook into
+    /// `N` zmm accumulators: lane `i` of accumulator `v` belongs to bit `16v + i`
+    /// of the column starting at word `first`.
     ///
-    /// Bitwise identical to [`super::project_tile_word_generic`] by
-    /// construction: vectorization runs *across* accumulator slots, never
-    /// across addends, so every slot still sums the same ±w sequence in
-    /// codebook-row order. An all-zero word yields all-zero masks, which is
-    /// exactly the scalar fast path's `+w` broadcast.
+    /// # Safety
+    /// `words` must hold `weights.len() * wpr` words, with `first + N / 4 <= wpr`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn sweep_avx512<const N: usize>(
+        words: &[u64],
+        wpr: usize,
+        first: usize,
+        weights: &[f32],
+    ) -> [__m512; N] {
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let slices = words.as_ptr().cast::<__mmask16>();
+        let mut acc = [_mm512_setzero_ps(); N];
+        for (m, &w) in weights.iter().enumerate() {
+            let w = _mm512_castps_si512(_mm512_set1_ps(w));
+            let neg = _mm512_xor_si512(w, sign);
+            // SAFETY: m < weights.len() and first + N / 4 <= wpr keep the N
+            // 16-bit slices read here inside words[m * wpr..(m + 1) * wpr].
+            let row = unsafe { slices.add(4 * (m * wpr + first)) };
+            for (v, a) in acc.iter_mut().enumerate() {
+                // SAFETY: see above; the slice load is a 16-bit mask read.
+                let k = unsafe { _load_mask16(row.add(v)) };
+                let addend = _mm512_mask_blend_epi32(k, w, neg);
+                *a = _mm512_add_ps(*a, _mm512_castsi512_ps(addend));
+            }
+        }
+        acc
+    }
+
+    /// The projection row kernel on AVX-512F: two 64-dim words per pass, their
+    /// 128 accumulators held in eight zmm registers across the whole codebook
+    /// sweep and stored once. Each codebook row's weight is broadcast once and
+    /// its two words' 16-bit slices are loaded straight into `k`-masks that
+    /// select `-w` over `+w` lane by lane. Two words per pass give eight
+    /// independent add chains, enough to hide the add latency.
+    ///
+    /// Bitwise identical to [`super::project_row_generic`]: every lane adds the
+    /// same `±w` values, in ascending codebook-row order, starting from `+0.0`.
+    #[target_feature(enable = "avx512f")]
+    fn project_row_avx512(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        weights: &[f32],
+        acc_row: &mut [f32],
+    ) {
+        let weights = &weights[..rows];
+        assert!(words.len() >= rows * wpr && acc_row.len() <= wpr * super::WORD_BITS);
+        for (pair, chunk) in acc_row.chunks_mut(2 * super::WORD_BITS).enumerate() {
+            let first = 2 * pair;
+            // SAFETY: `words` holds rows · wpr words (asserted above), and a
+            // chunk of up to 64 (N = 4) or 128 (N = 8) dims covers words
+            // first..first + N / 4, which the acc_row assert keeps below wpr.
+            if chunk.len() > super::WORD_BITS {
+                let acc = unsafe { sweep_avx512::<8>(words, wpr, first, weights) };
+                store_lanes_avx512(&acc, chunk);
+            } else {
+                let acc = unsafe { sweep_avx512::<4>(words, wpr, first, weights) };
+                store_lanes_avx512(&acc, chunk);
+            }
+        }
+    }
+
+    /// Sign pack on AVX-512F: each 16-value slice of a 64-dim word is one
+    /// ordered `v < 0.0` compare straight into a `k`-mask (NaN and `-0.0` pack
+    /// to `+1`, as in [`super::pack_row_signs`]). A ragged tail is loaded masked,
+    /// its missing lanes read as `+0.0` and so pack to the zero padding bits.
+    #[target_feature(enable = "avx512f")]
+    fn pack_row_signs_avx512(row: &[f32], words: &mut [u64]) {
+        let zero = _mm512_setzero_ps();
+        for (chunk, word) in row.chunks(super::WORD_BITS).zip(words.iter_mut()) {
+            let mut w = 0u64;
+            for (g, part) in chunk.chunks(16).enumerate() {
+                let keep = ((1u32 << part.len()) - 1) as __mmask16;
+                // SAFETY: the mask keeps only the first part.len() (<= 16) lanes,
+                // all inside `part`; masked-off lanes are never accessed.
+                let v = unsafe { _mm512_maskz_loadu_ps(keep, part.as_ptr()) };
+                w |= u64::from(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(v, zero)) << (16 * g);
+            }
+            *word = w;
+        }
+    }
+
+    /// Sign pack on AVX2: one ordered `v < 0.0` compare and `vmovmskps` per
+    /// eight values; a ragged tail shorter than one vector takes the scalar rule.
     #[target_feature(enable = "avx2")]
-    fn project_tile_word_avx2(
-        tile: &mut [[f32; super::WORD_BITS]; super::PROJ_LANE_ROWS],
-        lanes: &[&[f32]],
-        m: usize,
-        word: u64,
+    fn pack_row_signs_avx2(row: &[f32], words: &mut [u64]) {
+        let zero = _mm256_setzero_ps();
+        for (chunk, word) in row.chunks(super::WORD_BITS).zip(words.iter_mut()) {
+            let mut w = 0u64;
+            let mut lanes = chunk.chunks_exact(8);
+            for (g, lane) in lanes.by_ref().enumerate() {
+                // SAFETY: chunks_exact(8) guarantees exactly eight f32s; loadu
+                // has no alignment requirement.
+                let v = unsafe { _mm256_loadu_ps(lane.as_ptr()) };
+                let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(v, zero);
+                w |= u64::from(_mm256_movemask_ps(neg) as u8) << (8 * g);
+            }
+            let tail_base = chunk.len() - lanes.remainder().len();
+            for (offset, &v) in lanes.remainder().iter().enumerate() {
+                w |= u64::from(v < 0.0) << (tail_base + offset);
+            }
+            *word = w;
+        }
+    }
+
+    /// The projection row kernel on AVX2: one 64-dim word per pass, its 64
+    /// accumulators held in eight ymm registers across the whole codebook sweep
+    /// and stored once. Each codebook word is expanded into eight sign-mask
+    /// vectors with variable left shifts (bit `b` lands in the IEEE sign
+    /// position of slot `b`), XORed into the broadcast weight and added.
+    ///
+    /// Bitwise identical to [`super::project_row_generic`]: every lane adds the
+    /// same `±w` values, in ascending codebook-row order, starting from `+0.0`.
+    #[target_feature(enable = "avx2")]
+    fn project_row_avx2(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        weights: &[f32],
+        acc_row: &mut [f32],
     ) {
         let sign = _mm256_set1_epi32(i32::MIN);
         // Left-shift counts that carry bit (8g + j) of a 32-bit half into the
@@ -476,24 +608,31 @@ mod simd {
             _mm256_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8),
             _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0),
         ];
-        let lo = _mm256_set1_epi32(word as u32 as i32);
-        let hi = _mm256_set1_epi32((word >> 32) as u32 as i32);
-        let mut masks = [_mm256_setzero_si256(); 8];
-        for (g, &count) in counts.iter().enumerate() {
-            masks[g] = _mm256_and_si256(_mm256_sllv_epi32(lo, count), sign);
-            masks[g + 4] = _mm256_and_si256(_mm256_sllv_epi32(hi, count), sign);
-        }
-        for (row, lane) in tile.iter_mut().zip(lanes) {
-            let w = _mm256_set1_epi32(lane[m].to_bits() as i32);
-            for (chunk, mask) in row.chunks_exact_mut(8).zip(masks) {
-                // SAFETY: chunks_exact_mut(8) guarantees exactly eight f32s;
-                // loadu/storeu have no alignment requirement.
-                unsafe {
-                    let cur = _mm256_loadu_ps(chunk.as_ptr());
-                    let addend = _mm256_castsi256_ps(_mm256_xor_si256(w, mask));
-                    _mm256_storeu_ps(chunk.as_mut_ptr(), _mm256_add_ps(cur, addend));
+        let weights = &weights[..rows];
+        for (wi, chunk) in acc_row.chunks_mut(super::WORD_BITS).enumerate() {
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for (m, &w) in weights.iter().enumerate() {
+                let word = words[m * wpr + wi];
+                let w = _mm256_set1_epi32(w.to_bits() as i32);
+                let halves = [
+                    _mm256_set1_epi32(word as u32 as i32),
+                    _mm256_set1_epi32((word >> 32) as u32 as i32),
+                ];
+                for (h, &half) in halves.iter().enumerate() {
+                    for (g, &count) in counts.iter().enumerate() {
+                        let flip = _mm256_and_si256(_mm256_sllv_epi32(half, count), sign);
+                        let addend = _mm256_castsi256_ps(_mm256_xor_si256(w, flip));
+                        acc[4 * h + g] = _mm256_add_ps(acc[4 * h + g], addend);
+                    }
                 }
             }
+            let mut lanes = [0.0f32; super::WORD_BITS];
+            for (v, dst) in acc.iter().zip(lanes.chunks_exact_mut(8)) {
+                // SAFETY: chunks_exact_mut(8) guarantees exactly eight f32s;
+                // storeu has no alignment requirement.
+                unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), *v) };
+            }
+            chunk.copy_from_slice(&lanes[..chunk.len()]);
         }
     }
 
@@ -533,17 +672,48 @@ mod simd {
         unsafe { amplitude_mask_avx2(values, amplitude) }
     }
 
-    /// Safe wrapper over [`project_tile_word_avx2`]; only reachable after cpuid
+    /// Safe wrapper over [`project_row_avx512`]; only reachable after cpuid
     /// detection.
-    pub(super) fn project_tile_word_avx2_checked(
-        tile: &mut [[f32; super::WORD_BITS]; super::PROJ_LANE_ROWS],
-        lanes: &[&[f32]],
-        m: usize,
-        word: u64,
+    pub(super) fn project_row_avx512_checked(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        weights: &[f32],
+        acc_row: &mut [f32],
     ) {
-        // SAFETY: project_tile_fn() returns this function only when the avx2
-        // feature was detected on the running CPU.
-        unsafe { project_tile_word_avx2(tile, lanes, m, word) }
+        // SAFETY: detect() returns this function only when the avx512f feature
+        // was detected on the running CPU.
+        unsafe { project_row_avx512(words, wpr, rows, weights, acc_row) }
+    }
+
+    /// Safe wrapper over [`project_row_avx2`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn project_row_avx2_checked(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        weights: &[f32],
+        acc_row: &mut [f32],
+    ) {
+        // SAFETY: detect() returns this function only when the avx2 feature was
+        // detected on the running CPU.
+        unsafe { project_row_avx2(words, wpr, rows, weights, acc_row) }
+    }
+
+    /// Safe wrapper over [`pack_row_signs_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn pack_row_signs_avx512_checked(row: &[f32], words: &mut [u64]) {
+        // SAFETY: detect() returns this function only when the avx512f feature
+        // was detected on the running CPU.
+        unsafe { pack_row_signs_avx512(row, words) }
+    }
+
+    /// Safe wrapper over [`pack_row_signs_avx2`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn pack_row_signs_avx2_checked(row: &[f32], words: &mut [u64]) {
+        // SAFETY: detect() returns this function only when the avx2 feature was
+        // detected on the running CPU.
+        unsafe { pack_row_signs_avx2(row, words) }
     }
 
     /// Safe wrapper over [`sketch_pair_popcnt`]; only reachable after cpuid detection.
@@ -595,9 +765,21 @@ mod simd {
     }
 }
 
-/// Probes the CPU once and picks the widest supported Hamming tier, capped by the
-/// `COGSYS_SIMD` environment variable when set to a known tier name.
-fn detect() -> (DispatchTier, HammingFn) {
+/// The kernels runtime dispatch resolved to, with the tier of each family: the
+/// Hamming tiers need popcount features the projection does not, so the two
+/// can differ on one CPU.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    hamming_tier: DispatchTier,
+    hamming: HammingFn,
+    projection_tier: DispatchTier,
+    project_row: ProjectRowFn,
+    pack_signs: PackSignsFn,
+}
+
+/// Probes the CPU once and picks the widest supported tier of each kernel family,
+/// capped by the `COGSYS_SIMD` environment variable when set to a known tier name.
+fn detect() -> Dispatch {
     let cap = std::env::var("COGSYS_SIMD")
         .ok()
         .and_then(|v| match v.as_str() {
@@ -608,35 +790,50 @@ fn detect() -> (DispatchTier, HammingFn) {
             _ => None,
         })
         .unwrap_or(DispatchTier::Avx512);
+    let mut found = Dispatch {
+        hamming_tier: DispatchTier::Generic,
+        hamming: hamming_generic,
+        projection_tier: DispatchTier::Generic,
+        project_row: project_row_generic,
+        pack_signs: pack_row_signs,
+    };
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected;
-        if cap >= DispatchTier::Avx512
-            && is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512vpopcntdq")
-        {
-            return (DispatchTier::Avx512, simd::hamming_avx512_checked);
+        let avx512f = cap >= DispatchTier::Avx512 && is_x86_feature_detected!("avx512f");
+        let avx2 = cap >= DispatchTier::Avx2 && is_x86_feature_detected!("avx2");
+        if avx512f && is_x86_feature_detected!("avx512vpopcntdq") {
+            (found.hamming_tier, found.hamming) =
+                (DispatchTier::Avx512, simd::hamming_avx512_checked);
+        } else if avx2 {
+            (found.hamming_tier, found.hamming) = (DispatchTier::Avx2, simd::hamming_avx2_checked);
+        } else if cap >= DispatchTier::Popcnt && is_x86_feature_detected!("popcnt") {
+            (found.hamming_tier, found.hamming) =
+                (DispatchTier::Popcnt, simd::hamming_popcnt_checked);
         }
-        if cap >= DispatchTier::Avx2 && is_x86_feature_detected!("avx2") {
-            return (DispatchTier::Avx2, simd::hamming_avx2_checked);
-        }
-        if cap >= DispatchTier::Popcnt && is_x86_feature_detected!("popcnt") {
-            return (DispatchTier::Popcnt, simd::hamming_popcnt_checked);
+        if avx512f {
+            found.projection_tier = DispatchTier::Avx512;
+            found.project_row = simd::project_row_avx512_checked;
+            found.pack_signs = simd::pack_row_signs_avx512_checked;
+        } else if avx2 {
+            found.projection_tier = DispatchTier::Avx2;
+            found.project_row = simd::project_row_avx2_checked;
+            found.pack_signs = simd::pack_row_signs_avx2_checked;
         }
     }
     let _ = cap;
-    (DispatchTier::Generic, hamming_generic)
+    found
 }
 
-/// The resolved `(tier, kernel)` pair, cached process-wide: after the first call,
-/// dispatch is one atomic load — cheap enough that even the single-pair
+/// The resolved kernels, cached process-wide: after the first call, dispatch is
+/// one atomic load — cheap enough that even the single-pair
 /// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths pay no cpuid or env
 /// probe per call. The batch kernels still hoist the function pointer outside their
 /// row loops so nothing at all sits on the per-row path.
-static DISPATCH: std::sync::OnceLock<(DispatchTier, HammingFn)> = std::sync::OnceLock::new();
+static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
 #[inline]
-fn dispatch() -> (DispatchTier, HammingFn) {
+fn dispatch() -> Dispatch {
     *DISPATCH.get_or_init(detect)
 }
 
@@ -645,7 +842,19 @@ fn dispatch() -> (DispatchTier, HammingFn) {
 /// Surfaced by the `backend_throughput` bench binary so CI logs record which rung
 /// produced the numbers.
 pub fn dispatch_tier() -> DispatchTier {
-    dispatch().0
+    dispatch().hamming_tier
+}
+
+/// The SIMD tier the sign-projection row kernel runs at on this CPU (resolved once,
+/// cached): [`DispatchTier::Avx512`] needs only `avx512f`, [`DispatchTier::Avx2`]
+/// needs `avx2`, and every other case runs the scalar kernel
+/// ([`DispatchTier::Generic`]; the projection has no `popcnt` rung). Capped by
+/// `COGSYS_SIMD` like [`dispatch_tier`], from which it can differ: an `avx512f`
+/// CPU without `avx512vpopcntdq` projects at `avx512` but popcounts at `avx2`.
+/// Every tier sums the identical `±w` sequence per dimension, so the tier never
+/// changes a packed sign.
+pub fn projection_tier() -> DispatchTier {
+    dispatch().projection_tier
 }
 
 /// Resolves the fastest available Hamming kernel for this CPU (cached; see
@@ -653,7 +862,7 @@ pub fn dispatch_tier() -> DispatchTier {
 /// so dispatch never sits on the per-row path.
 #[inline]
 fn hamming_fn() -> HammingFn {
-    dispatch().1
+    dispatch().hamming
 }
 
 /// Hamming distance via the best kernel for this CPU (single-shot entry point; the
@@ -744,7 +953,7 @@ pub enum ResonatePhase {
 /// What a [`PackedBackend::resonate_step_fused_into`] hook returns from its
 /// [`ResonatePhase::Similarity`] call: whether the row goes on to be
 /// projected. `()` always projects; `bool` projects only when `true`, so a
-/// caller that already knows a row is finished skips its projection tile,
+/// caller that already knows a row is finished skips its projection,
 /// noise draws and sign pack.
 pub trait ProjectionVerdict {
     /// `true` when the row's projection must run.
@@ -763,51 +972,48 @@ impl ProjectionVerdict for bool {
     }
 }
 
-/// Function-pointer type of the projection-tile word kernels behind
-/// [`project_tile_fn`]: accumulate one codebook word's ±w contributions for up
-/// to [`PROJ_LANE_ROWS`] weight lanes into the per-word SoA tile.
-type ProjTileFn = fn(&mut [[f32; WORD_BITS]; PROJ_LANE_ROWS], &[&[f32]], usize, u64);
+/// Function-pointer type of the projection row kernels behind [`Dispatch`]:
+/// `project_row(codebook_words, wpr, rows, weights, acc_row)` overwrites
+/// `acc_row[j]` with `Σ_m ±weights[m]` over the first `rows` codebook rows of the
+/// row-major sign planes `codebook_words` (`wpr` words per row), the sign of each
+/// addend flipped where bit `j` of row `m` is set. `acc_row.len()` is the
+/// codebook dimension.
+type ProjectRowFn = fn(&[u64], usize, usize, &[f32], &mut [f32]);
 
-/// Baseline projection-tile word update: flip the IEEE sign bit of each lane's
-/// weight per packed codebook bit — `+w` or `-w` exactly, no rounding — with a
-/// branch-free broadcast fast path for all-positive (zero) words.
-fn project_tile_word_generic(
-    tile: &mut [[f32; WORD_BITS]; PROJ_LANE_ROWS],
-    lanes: &[&[f32]],
-    m: usize,
-    word: u64,
+/// Function-pointer type of the sign-pack kernels behind [`Dispatch`]: the
+/// [`pack_row_signs`] contract (`v < 0.0` sets the bit) on every tier.
+type PackSignsFn = fn(&[f32], &mut [u64]);
+
+/// Scalar projection row kernel, the reference every SIMD tier must match: one
+/// 64-slot tile per codebook word, each slot summing `+w` or `-w` (the weight
+/// with its IEEE sign bit flipped, so no rounding) in ascending codebook-row
+/// order from `+0.0`, with a broadcast fast path for all-positive (zero) words.
+fn project_row_generic(
+    words: &[u64],
+    wpr: usize,
+    rows: usize,
+    weights: &[f32],
+    acc_row: &mut [f32],
 ) {
-    if word == 0 {
-        for (row, lane) in tile.iter_mut().zip(lanes) {
-            let w = lane[m];
-            for slot in row.iter_mut() {
-                *slot += w;
+    let weights = &weights[..rows];
+    for (wi, chunk) in acc_row.chunks_mut(WORD_BITS).enumerate() {
+        let mut tile = [0.0f32; WORD_BITS];
+        for (m, &w) in weights.iter().enumerate() {
+            let word = words[m * wpr + wi];
+            if word == 0 {
+                for slot in tile.iter_mut() {
+                    *slot += w;
+                }
+            } else {
+                let w_bits = w.to_bits();
+                for (bit, slot) in tile.iter_mut().enumerate() {
+                    let sign = ((word >> bit) as u32 & 1) << 31;
+                    *slot += f32::from_bits(w_bits ^ sign);
+                }
             }
         }
-    } else {
-        for (row, lane) in tile.iter_mut().zip(lanes) {
-            let w_bits = lane[m].to_bits();
-            for (bit, slot) in row.iter_mut().enumerate() {
-                let sign = ((word >> bit) as u32 & 1) << 31;
-                *slot += f32::from_bits(w_bits ^ sign);
-            }
-        }
+        chunk.copy_from_slice(&tile[..chunk.len()]);
     }
-}
-
-/// Resolves the projection-tile word kernel for this CPU: the AVX2 sign-mask
-/// expansion on the avx2/avx512 tiers (the f32 projection sweep is the compute
-/// bound of a resonator iteration, so this is where the wide registers pay),
-/// the scalar sign-flip kernel otherwise. Capped by `COGSYS_SIMD` like every
-/// other kernel, so `COGSYS_SIMD=generic` A/Bs the scalar tile too. Every tier
-/// sums the identical ±w sequence per accumulator slot, so tier choice can
-/// never change a packed sign.
-fn project_tile_fn() -> ProjTileFn {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_tier() >= DispatchTier::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        return simd::project_tile_word_avx2_checked;
-    }
-    project_tile_word_generic
 }
 
 impl BitMatrix {
@@ -915,7 +1121,7 @@ impl BitMatrix {
     pub fn pack_signs_row(&mut self, i: usize, row: &[f32]) {
         assert_eq!(row.len(), self.dim, "row length must match dim");
         let start = i * self.words_per_row;
-        pack_row_signs(row, &mut self.words[start..start + self.words_per_row]);
+        (dispatch().pack_signs)(row, &mut self.words[start..start + self.words_per_row]);
     }
 
     /// Reshapes to `rows × dim` for reuse as an output buffer: contents are preserved
@@ -1380,8 +1586,8 @@ impl CleanupScratch {
 ///
 /// * popcount similarity GEMM ([`PackedBackend::similarity_matrix_packed_into`]) and
 ///   the linear and indexed cleanups, blocked over codebook rows for cache residency;
-/// * the SoA sign projection and the fused resonator step that the packed resonator
-///   runs every iteration.
+/// * the sign projection and the fused resonator step that the packed resonator
+///   runs every iteration, both on one register-blocked row kernel.
 ///
 /// Its `f32` [`VsaBackend`] surface is the wrapped dense [`ParallelBackend`]: every
 /// trait method delegates, so `f32` operands are never re-packed per call.
@@ -1663,19 +1869,19 @@ impl PackedBackend {
     ///
     /// Numerics: adding `w` for a clear bit and `-w` for a set bit is **bitwise
     /// identical** to the dense `acc[j] += w * (±1.0)` accumulation (multiplying by
-    /// `±1.0` only copies/flips the sign), and every accumulator slot receives its
-    /// addends in ascending codebook-row order regardless of the lane blocking below,
-    /// so the result equals the dense `project_batch_into` + threshold exactly.
+    /// `±1.0` only copies/flips the sign), and every accumulator receives its
+    /// addends in ascending codebook-row order starting from `+0.0`, so the result
+    /// equals the dense `project_batch_into` + threshold exactly, on every
+    /// [`projection_tier`].
     ///
-    /// Layout: queries are processed [`PROJ_LANE_ROWS`] at a time in an SoA sweep —
-    /// the *word index* is the outer loop and the codebook row the inner one, so each
-    /// sign-plane word is loaded once per 8 queries (instead of once per query) and
-    /// the 64-dim × 8-lane accumulator tile stays L1-resident across the whole
-    /// codebook-row sweep. `perturb(q, acc_row)` and the sign packing still run per
-    /// query in ascending `q` order, so noise-stream consumption is unchanged.
+    /// Layout: one query row at a time through the row kernel — the *word index*
+    /// is the outer loop and the codebook row the inner one, and each word's 64
+    /// accumulators stay in registers across the whole codebook sweep and are
+    /// stored once. `perturb(q, acc_row)` and the sign packing run per query in
+    /// ascending `q` order.
     ///
-    /// `acc` is caller-owned scratch (resized to at most
-    /// `PROJ_LANE_ROWS · codebook.dim()`), so steady-state calls allocate nothing.
+    /// `acc` is caller-owned scratch (resized to `codebook.dim()`), so
+    /// steady-state calls allocate nothing.
     pub fn project_signs_packed_into<F>(
         &self,
         codebook: &BitMatrix,
@@ -1693,43 +1899,24 @@ impl PackedBackend {
         );
         let dim = codebook.dim();
         out.ensure_shape(weights.rows(), dim);
-        let wpr = codebook.words_per_row();
-        let tile_word = project_tile_fn();
-        for block_start in (0..weights.rows()).step_by(PROJ_LANE_ROWS) {
-            let block_len = (weights.rows() - block_start).min(PROJ_LANE_ROWS);
-            let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (lane, row) in lanes.iter_mut().enumerate().take(block_len) {
-                *row = weights.row(block_start + lane);
-            }
-            acc.clear();
-            acc.resize(block_len * dim, 0.0);
-            for wi in 0..if codebook.rows() > 0 { wpr } else { 0 } {
-                let base = wi * WORD_BITS;
-                let width = (dim - base).min(WORD_BITS);
-                // The per-word tile: 64 dims × 8 lanes of f32, accumulated across
-                // every codebook row while both the tile and the strided column of
-                // codebook words stay cache-hot.
-                let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
-                let column = codebook.words[wi..].iter().step_by(wpr);
-                for (m, &word) in column.take(codebook.rows()).enumerate() {
-                    tile_word(&mut tile, &lanes[..block_len], m, word);
-                }
-                for (lane, row) in tile.iter().enumerate().take(block_len) {
-                    let dst = lane * dim + base;
-                    acc[dst..dst + width].copy_from_slice(&row[..width]);
-                }
-            }
-            for lane in 0..block_len {
-                let q = block_start + lane;
-                let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
-                perturb(q, acc_row);
-                out.pack_signs_row(q, acc_row);
-            }
+        let project_row = dispatch().project_row;
+        acc.clear();
+        acc.resize(dim, 0.0);
+        for q in 0..weights.rows() {
+            project_row(
+                &codebook.words,
+                codebook.words_per_row(),
+                codebook.rows(),
+                weights.row(q),
+                acc,
+            );
+            perturb(q, acc);
+            out.pack_signs_row(q, acc);
         }
     }
 
     /// Fused resonator iteration step for one factor: XOR-unbind, Hamming
-    /// similarity, and weighted sign projection in a single tiled pass over the
+    /// similarity, and weighted sign projection in a single pass over the
     /// codebook sign planes, per [`PROJ_LANE_ROWS`]-query lane block.
     ///
     /// The split pipeline streams three full-batch passes per factor per
@@ -1738,10 +1925,9 @@ impl PackedBackend {
     /// re-reads `unbound`, then the projection re-reads the codebook. Here each
     /// lane block unbinds its 8 rows into an L1-resident scratch, scans the
     /// codebook once for similarities, and feeds the just-computed (and
-    /// hook-perturbed) similarity rows straight into the SoA sign-projection
-    /// tile of [`PackedBackend::project_signs_packed_into`] while the codebook
-    /// column is still cache-hot. The full-batch `unbound` plane is never
-    /// materialized.
+    /// hook-perturbed) similarity rows straight into the projection row kernel of
+    /// [`PackedBackend::project_signs_packed_into`] while the codebook is still
+    /// cache-hot. The full-batch `unbound` plane is never materialized.
     ///
     /// `estimates[factor]` is overwritten with the projected signs; the other
     /// estimate planes are only read, and only by the unbind of *this* factor,
@@ -1756,14 +1942,13 @@ impl PackedBackend {
     ///
     /// The Similarity call's return value ([`ProjectionVerdict`]) decides
     /// whether the row is projected at all: a row whose hook returns `false`
-    /// takes no lane of the projection tile, gets no Projection call, and
-    /// keeps its previous `estimates[factor]` row. The other rows' tile lanes,
-    /// accumulators and draws are unchanged by the skip (lanes accumulate
-    /// independently).
+    /// is not projected, gets no Projection call, and keeps its previous
+    /// `estimates[factor]` row. The other rows' accumulators and draws are
+    /// unchanged by the skip (rows are projected independently).
     ///
     /// `unbound` (resized to `PROJ_LANE_ROWS` rows), `sims` (resized to
-    /// `rows × codebook.rows()`), and `acc` are caller-owned scratch, so
-    /// steady-state calls allocate nothing.
+    /// `rows × codebook.rows()`), and `acc` (resized to `codebook.dim()`) are
+    /// caller-owned scratch, so steady-state calls allocate nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn resonate_step_fused_into<F, V>(
         &self,
@@ -1791,13 +1976,18 @@ impl PackedBackend {
         let (out, tail) = rest.split_first_mut().expect("factor index in range");
         out.ensure_shape(rows, dim);
         unbound.ensure_shape(PROJ_LANE_ROWS, dim);
-        let ham = hamming_fn();
-        let tile_word = project_tile_fn();
+        let Dispatch {
+            hamming: ham,
+            project_row,
+            ..
+        } = dispatch();
+        acc.clear();
+        acc.resize(dim, 0.0);
         for block_start in (0..rows).step_by(PROJ_LANE_ROWS) {
             let block_len = (rows - block_start).min(PROJ_LANE_ROWS);
             // Unbind the lane rows once into the 8-row scratch: query ⊕ every
             // *other* factor's estimate. The scratch stays L1-resident across
-            // both the similarity scan and the projection sweep below.
+            // the similarity scan below.
             for lane in 0..block_len {
                 let r = block_start + lane;
                 let dst = &mut unbound.words[lane * wpr..(lane + 1) * wpr];
@@ -1835,32 +2025,13 @@ impl PackedBackend {
             if live_len == 0 {
                 continue;
             }
-            // Projection sweep, weights = the just-perturbed similarity rows:
-            // identical tile walk (and accumulation order) to
-            // `project_signs_packed_into` restricted to the live rows.
-            let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (row, &slot) in lanes.iter_mut().zip(&live[..live_len]) {
-                *row = sims.row(slot);
-            }
-            acc.clear();
-            acc.resize(live_len * dim, 0.0);
-            for wi in 0..if cb_rows > 0 { wpr } else { 0 } {
-                let base = wi * WORD_BITS;
-                let width = (dim - base).min(WORD_BITS);
-                let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
-                let column = codebook.words[wi..].iter().step_by(wpr);
-                for (m, &word) in column.take(cb_rows).enumerate() {
-                    tile_word(&mut tile, &lanes[..live_len], m, word);
-                }
-                for (lane, row) in tile.iter().enumerate().take(live_len) {
-                    let dst = lane * dim + base;
-                    acc[dst..dst + width].copy_from_slice(&row[..width]);
-                }
-            }
-            for (lane, &slot) in live[..live_len].iter().enumerate() {
-                let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
-                hook(ResonatePhase::Projection, slot, acc_row);
-                out.pack_signs_row(slot, acc_row);
+            // Projection, weights = the just-perturbed similarity rows: the
+            // same row kernel (and accumulation order) as
+            // `project_signs_packed_into`, restricted to the live rows.
+            for &slot in &live[..live_len] {
+                project_row(&codebook.words, wpr, cb_rows, sims.row(slot), acc);
+                hook(ResonatePhase::Projection, slot, acc);
+                out.pack_signs_row(slot, acc);
             }
         }
     }
@@ -2374,8 +2545,76 @@ mod tests {
             kernels
         }
 
+        /// A named projection tier: its row kernel and its sign pack.
+        type ProjectionKernels = (&'static str, ProjectRowFn, PackSignsFn);
+
+        /// Every projection tier available on the running CPU, by name;
+        /// `project_row_generic` / `pack_row_signs` are the reference the rest
+        /// are pinned against.
+        fn available_projection_kernels() -> Vec<ProjectionKernels> {
+            let mut kernels: Vec<ProjectionKernels> = Vec::new();
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected;
+                if is_x86_feature_detected!("avx2") {
+                    kernels.push((
+                        "avx2",
+                        simd::project_row_avx2_checked,
+                        simd::pack_row_signs_avx2_checked,
+                    ));
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    kernels.push((
+                        "avx512",
+                        simd::project_row_avx512_checked,
+                        simd::pack_row_signs_avx512_checked,
+                    ));
+                }
+            }
+            kernels
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Every available projection tier writes accumulator rows bitwise
+            /// equal to the scalar row kernel, and packs them to the scalar
+            /// kernel's sign words, across dims that end mid-vector, on a word
+            /// edge and past one (tail words included), 0 to 40 codebook rows,
+            /// and weights that include ±0.0, subnormals, ±infinity (so the
+            /// sums hit NaN) and magnitudes large enough to absorb small ones.
+            #[test]
+            fn prop_projection_tiers_match_scalar(seed in 0u64..1000, cb_rows in 0usize..41) {
+                let mut r = rng(seed);
+                let edges = [
+                    0.0, -0.0, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE / 3.0,
+                    f32::INFINITY, f32::NEG_INFINITY, 3.0e38, -1.0e30, 16_777_216.0,
+                ];
+                let weights: Vec<f32> = (0..cb_rows)
+                    .map(|_| match r.gen_range(0..3) {
+                        0 => edges[r.gen_range(0..edges.len())],
+                        _ => (r.gen::<f32>() - 0.5) * 200.0,
+                    })
+                    .collect();
+                for dim in [1usize, 63, 64, 65, 200, 321, 2048] {
+                    let codebook = BitMatrix::random_bipolar(cb_rows, dim, &mut r);
+                    let wpr = codebook.words_per_row();
+                    let mut expected = vec![f32::NAN; dim];
+                    project_row_generic(&codebook.words, wpr, cb_rows, &weights, &mut expected);
+                    let mut expected_signs = vec![0u64; wpr];
+                    pack_row_signs(&expected, &mut expected_signs);
+                    let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+                    for (name, project_row, pack_signs) in available_projection_kernels() {
+                        let mut acc = vec![f32::NAN; dim];
+                        project_row(&codebook.words, wpr, cb_rows, &weights, &mut acc);
+                        let mut signs = vec![u64::MAX; wpr];
+                        pack_signs(&acc, &mut signs);
+                        let bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!((name, dim, &bits), (name, dim, &expected));
+                        prop_assert_eq!((name, dim, &signs), (name, dim, &expected_signs));
+                    }
+                }
+            }
 
             /// Every available mask tier returns exactly the scalar mask — and the
             /// scalar mask is exactly the per-element `|v| <= amplitude` rule — on
@@ -2432,12 +2671,13 @@ mod tests {
                 }
             }
 
-            /// The SoA lane-blocked projection is bitwise-equal to the pre-blocking
-            /// AoS walk — accumulators handed to `perturb` and the packed output —
-            /// with and without a mutating perturbation, on query batches that
-            /// cross the 8-row lane-block boundary.
+            /// The dispatched projection is bitwise-equal to the naive AoS walk
+            /// (codebook row outer, dimension inner) — accumulators handed to
+            /// `perturb` and the packed output — with and without a mutating
+            /// perturbation, over several query rows so reused scratch is
+            /// covered.
             #[test]
-            fn prop_project_signs_soa_matches_aos_reference(
+            fn prop_project_signs_matches_aos_reference(
                 seed in 0u64..1000,
                 dim_sel in 0usize..4,
                 cb_rows in 1usize..12,
@@ -2462,8 +2702,8 @@ mod tests {
                     .collect();
                 let backend = PackedBackend::new();
                 let mut acc = Vec::new();
-                let mut soa_out = BitMatrix::default();
-                let mut soa_seen: Vec<Vec<u32>> = Vec::new();
+                let mut out = BitMatrix::default();
+                let mut seen: Vec<Vec<u32>> = Vec::new();
                 backend.project_signs_packed_into(
                     &codebook,
                     &weights,
@@ -2473,14 +2713,14 @@ mod tests {
                                 *slot += z;
                             }
                         }
-                        soa_seen.push(row.iter().map(|v| v.to_bits()).collect());
+                        seen.push(row.iter().map(|v| v.to_bits()).collect());
                     },
                     &mut acc,
-                    &mut soa_out,
+                    &mut out,
                 );
 
-                // AoS reference: the pre-SoA kernel shape — one query at a time,
-                // codebook row outer, word chunk inner.
+                // AoS reference: one query at a time, codebook row outer, word
+                // chunk inner.
                 let mut ref_out = BitMatrix::default();
                 ref_out.ensure_shape(queries, dim);
                 let mut ref_seen: Vec<Vec<u32>> = Vec::new();
@@ -2505,9 +2745,9 @@ mod tests {
                     ref_out.pack_signs_row(q, &ref_acc);
                 }
 
-                prop_assert_eq!(soa_seen, ref_seen);
+                prop_assert_eq!(seen, ref_seen);
                 for q in 0..queries {
-                    prop_assert_eq!(soa_out.row_words(q), ref_out.row_words(q));
+                    prop_assert_eq!(out.row_words(q), ref_out.row_words(q));
                 }
             }
         }

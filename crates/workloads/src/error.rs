@@ -69,10 +69,13 @@ impl fmt::Display for ProblemFault {
 }
 
 /// Errors of the end-to-end solving engine.
+///
+/// The two 40-byte payloads are boxed, which keeps the error at 32 bytes: serving
+/// layers store one per rejected request inside every response record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// A VSA substrate operation failed (shape mismatch, missing packed planes, …).
-    Vsa(VsaError),
+    Vsa(Box<VsaError>),
     /// One problem failed the engine-boundary validation. `problem` is its index in
     /// the batch passed to the solve call, so callers can fail that request alone
     /// and retry the rest.
@@ -80,7 +83,7 @@ pub enum SolveError {
         /// Index of the offending problem in the submitted batch.
         problem: usize,
         /// What was wrong with it.
-        fault: ProblemFault,
+        fault: Box<ProblemFault>,
     },
     /// The solver configuration itself was invalid (zero dimensionality, bad noise
     /// probabilities, an invalid factorizer configuration).
@@ -125,7 +128,7 @@ impl fmt::Display for SolveError {
 impl std::error::Error for SolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SolveError::Vsa(e) => Some(e),
+            SolveError::Vsa(e) => Some(e.as_ref()),
             _ => None,
         }
     }
@@ -133,7 +136,7 @@ impl std::error::Error for SolveError {
 
 impl From<VsaError> for SolveError {
     fn from(e: VsaError) -> Self {
-        SolveError::Vsa(e)
+        SolveError::Vsa(Box::new(e))
     }
 }
 
@@ -142,24 +145,30 @@ mod tests {
     use super::*;
 
     #[test]
+    fn solve_error_stays_small() {
+        // Serving keeps one per rejected request inside every response record.
+        assert!(std::mem::size_of::<SolveError>() <= 32);
+    }
+
+    #[test]
     fn display_and_conversion() {
         let e = SolveError::from(VsaError::Empty { what: "codebook" });
         assert!(e.to_string().contains("codebook"));
         assert!(e.problem_index().is_none());
         let e = SolveError::Malformed {
             problem: 3,
-            fault: ProblemFault::NoCandidates,
+            fault: Box::new(ProblemFault::NoCandidates),
         };
         assert_eq!(e.problem_index(), Some(3));
         assert!(e.to_string().contains("malformed problem 3"));
         let e = SolveError::Malformed {
             problem: 0,
-            fault: ProblemFault::ValueOutOfRange {
+            fault: Box::new(ProblemFault::ValueOutOfRange {
                 panel: 2,
                 attribute: 4,
                 value: 99,
                 cardinality: 10,
-            },
+            }),
         };
         assert!(e.to_string().contains("99"));
         assert!(SolveError::Config {

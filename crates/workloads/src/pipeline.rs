@@ -463,7 +463,7 @@ impl NeurosymbolicSolver {
             Self::validate_problem_with(self.config.vocab, problem).map_err(|fault| {
                 SolveError::Malformed {
                     problem: index,
-                    fault,
+                    fault: Box::new(fault),
                 }
             })?;
         }
@@ -1733,7 +1733,7 @@ mod tests {
         match err {
             SolveError::Malformed { problem: 1, fault } => {
                 assert!(matches!(
-                    fault,
+                    *fault,
                     ProblemFault::WrongPanelCount { got: 7, .. }
                 ))
             }

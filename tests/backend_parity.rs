@@ -288,24 +288,33 @@ proptest! {
     /// **bitwise** — estimate sign planes, perturbed similarity rows, argmax
     /// decisions, and per-query noise-stream positions — with and without
     /// noise, across power-of-two and non-power-of-two dims (tail words
-    /// included) and row counts crossing the 8-query lane-block boundary,
-    /// over two Gauss–Seidel iterations so the in-place estimate feedback is
-    /// exercised.
+    /// included) and 1, 7, 9, 16 or 17 rows, so the last 8-query lane block
+    /// is partial (1 or 7 rows) or full, over two Gauss–Seidel iterations
+    /// so the in-place estimate feedback is exercised. With `decline_sel`
+    /// set, the Similarity hook declines a scattered subset of rows per
+    /// iteration and factor: the split oracle keeps those rows' previous
+    /// estimates and draws no projection noise for them.
     #[test]
     fn prop_fused_resonator_step_matches_split(
         seed in 0u64..1000,
         d_pow in 2u32..9,
         odd in 0usize..7,
         code_rows in 2usize..16,
-        rows in 1usize..20,
+        rows_sel in 0usize..5,
         factors in 2usize..5,
         noise_sel in 0usize..2,
+        decline_sel in 0usize..2,
     ) {
         use cogsys_vsa::packed::{PackedBackend, ResonatePhase};
         use rand::{RngCore, SeedableRng};
         use rand_distr::{Distribution, Normal};
 
         let with_noise = noise_sel == 1;
+        let rows = [1usize, 7, 9, 16, 17][rows_sel];
+        let declines = |iter: usize, f: usize, q: usize| {
+            let mix = (q as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed ^ (8 * iter + f) as u64;
+            decline_sel == 1 && mix.count_ones().is_multiple_of(3)
+        };
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let packed = PackedBackend::new();
         let noise = Normal::new(0.0_f32, 0.75).unwrap();
@@ -330,7 +339,7 @@ proptest! {
         let mut split_decisions = Vec::new();
         let mut sims_split = HvMatrix::default();
         let (mut unbound, mut acc) = (BitMatrix::default(), Vec::new());
-        for _iter in 0..2 {
+        for iter in 0..2 {
             for (f, codebook) in codebooks.iter().enumerate() {
                 let (head, rest) = est_split.split_at_mut(f);
                 let (out, tail) = rest.split_first_mut().unwrap();
@@ -348,13 +357,17 @@ proptest! {
                     }
                     split_decisions.push(ops::argmax(row).unwrap_or(0));
                 }
+                let previous = out.to_matrix();
                 packed.project_signs_packed_into(codebook, &sims_split, |q, row| {
-                    if with_noise {
+                    if with_noise && !declines(iter, f, q) {
                         for v in row.iter_mut() {
                             *v += noise.sample(&mut streams_split[q]);
                         }
                     }
                 }, &mut acc, out);
+                for q in (0..rows).filter(|&q| declines(iter, f, q)) {
+                    out.pack_signs_row(q, previous.row(q));
+                }
             }
         }
 
@@ -363,7 +376,7 @@ proptest! {
         let mut fused_decisions = Vec::new();
         let mut sims_fused = HvMatrix::default();
         let (mut lanes, mut acc_f) = (BitMatrix::default(), Vec::new());
-        for _iter in 0..2 {
+        for iter in 0..2 {
             for (f, codebook) in codebooks.iter().enumerate() {
                 packed.resonate_step_fused_into(
                     codebook, &query, &mut est_fused, f,
@@ -377,6 +390,7 @@ proptest! {
                         if phase == ResonatePhase::Similarity {
                             fused_decisions.push(ops::argmax(row).unwrap_or(0));
                         }
+                        !declines(iter, f, q)
                     },
                 );
             }
