@@ -2,8 +2,8 @@
 //! against the brute-force product-codebook search (the latency side of Fig. 8), with
 //! and without stochasticity injection.
 
-use cogsys_factorizer::{BruteForceFactorizer, Factorizer, FactorizerConfig};
-use cogsys_vsa::codebook::{BindingOp, CodebookSet};
+use cogsys_factorizer::{Factorizer, FactorizerConfig};
+use cogsys_vsa::codebook::{BindingOp, CodebookSet, ProductCodebook};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -45,13 +45,17 @@ fn bench_factorization(c: &mut Criterion) {
             },
         );
 
-        if sizes.len() == 3 {
-            // The brute-force baseline only stays tractable for the small product space.
-            let brute = BruteForceFactorizer::new(&set).expect("small product space");
-            group.bench_with_input(BenchmarkId::new("brute_force", &label), &dim, |bench, _| {
-                bench.iter(|| brute.decode(black_box(&query)).expect("well-formed query"))
-            });
-        }
+        // The expanded product codebook as sign planes: 512 rows for the 3-factor
+        // space and 24,300 for the 5-factor one, both searched through the cleanup
+        // index.
+        let product = ProductCodebook::expand(&set).expect("product space fits the guard");
+        group.bench_with_input(BenchmarkId::new("brute_force", &label), &dim, |bench, _| {
+            bench.iter(|| {
+                product
+                    .brute_force_search(black_box(&query))
+                    .expect("well-formed query")
+            })
+        });
     }
     group.finish();
 }

@@ -15,6 +15,10 @@
 //! reduces iteration count) and reduced-precision (**FP8 / INT8**) execution of all
 //! three steps.
 //!
+//! The baseline it replaces, the expanded product codebook searched exhaustively, is
+//! [`cogsys_vsa::ProductCodebook`]; [`FactorizationCost`] puts the two side by side
+//! for the Fig. 8 comparison.
+//!
 //! # Example
 //!
 //! ```rust
@@ -34,12 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod metrics;
 pub mod resonator;
 
-pub use baseline::{BruteForceFactorizer, BruteForceOutcome};
 pub use config::{FactorizerConfig, StochasticityConfig};
 pub use metrics::{AccuracyReport, FactorizationCost, WorkloadStats};
 pub use resonator::{BoundedNoise, FactorizationResult, Factorizer, FactorizerScratch};

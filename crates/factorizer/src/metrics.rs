@@ -40,8 +40,9 @@ impl FactorizationCost {
         let combos = set.combinations() as u64;
         let bytes = precision.bytes_per_element();
 
-        // Brute force: one dot product of length d per product vector.
-        let product_macs = combos * d;
+        // Brute force: one dot product of length d per product vector. Saturates with
+        // the combination count on product spaces past u64.
+        let product_macs = combos.saturating_mul(d);
 
         // Factorized: per iteration and per factor — unbinding (F-1 element-wise
         // multiplies of length d), similarity GEMV (M_f x d), projection GEMV (M_f x d).
@@ -233,6 +234,18 @@ mod tests {
         let c_small = FactorizationCost::estimate(&small, Precision::Fp32, 10.0);
         let c_large = FactorizationCost::estimate(&large, Precision::Fp32, 10.0);
         assert!(c_large.memory_reduction() > c_small.memory_reduction());
+    }
+
+    #[test]
+    fn cost_of_an_overflowing_product_space_saturates() {
+        // Four 65,536-value attributes span 2^64 combinations, which a wrapping
+        // product reports as 0 bytes.
+        let cb = cogsys_vsa::Codebook::random("wide", 1 << 16, 8, &mut rng(44));
+        let set = CodebookSet::new(vec![cb; 4], BindingOp::Hadamard).unwrap();
+        let cost = FactorizationCost::estimate(&set, Precision::Fp32, 2.0);
+        assert_eq!(cost.product_codebook_bytes, usize::MAX);
+        assert_eq!(cost.product_macs_per_query, u64::MAX);
+        assert!(cost.memory_reduction() > 1e12);
     }
 
     #[test]

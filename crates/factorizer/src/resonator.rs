@@ -1017,6 +1017,24 @@ mod tests {
     }
 
     #[test]
+    fn factorizer_agrees_with_the_product_codebook_on_noisy_queries() {
+        let (set, mut r) = standard_set(51, &[5, 5, 5], 1024);
+        let product = cogsys_vsa::ProductCodebook::expand(&set).unwrap();
+        let f = Factorizer::default();
+        for trial in 0..10 {
+            let idx = [trial % 5, (trial * 2) % 5, (trial * 3) % 5];
+            let clean = set.bind_indices(&idx).unwrap();
+            let noisy = ops::flip_noise(&clean, 0.05, &mut r);
+            let (exhaustive, _) = product.brute_force_search(&noisy).unwrap();
+            assert_eq!(exhaustive, idx.to_vec());
+            assert_eq!(
+                f.factorize(&set, &noisy, &mut r).unwrap().indices,
+                idx.to_vec()
+            );
+        }
+    }
+
+    #[test]
     fn clean_query_is_factorized_exactly() {
         let (set, mut r) = standard_set(100, &[10, 10, 10], 1024);
         let query = set.bind_indices(&[2, 7, 4]).unwrap();

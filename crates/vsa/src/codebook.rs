@@ -5,12 +5,21 @@
 //! VSA-based neurosymbolic systems (tens to hundreds of MB), and Sec. IV replaces it
 //! with per-attribute codebooks plus iterative factorization. This module provides both
 //! representations so the memory/latency comparison of Fig. 8 can be reproduced.
+//!
+//! Both are searched the same way. A bipolar [`Codebook`] caches its sign planes, and
+//! the [`ProductCodebook`] is nothing but sign planes, XOR-composed from the factor
+//! codebooks' planes. One private helper owns those planes together with the
+//! [`CleanupIndex`] built over them from [`CLEANUP_INDEX_MIN_ROWS`] rows up, and
+//! decides for both types whether an exhaustive search takes the index or the linear
+//! popcount scan.
 
 use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
 use crate::ops;
-use crate::packed::{BitMatrix, CleanupIndex, CleanupScratch, CLEANUP_INDEX_MIN_ROWS};
+use crate::packed::{
+    BitMatrix, CleanupIndex, CleanupScratch, PackedBackend, CLEANUP_INDEX_MIN_ROWS,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -50,37 +59,62 @@ pub struct Codebook {
     /// Contiguous row-major copy of `vectors` — the similarity-search operand the
     /// batched backends consume (one GEMV/GEMM row per codevector).
     matrix: Arc<HvMatrix>,
-    /// Bit-packed sign planes of `matrix`, cached once at construction when every
-    /// codevector is exactly bipolar (`None` otherwise). The packed similarity and
-    /// cleanup fast paths read this instead of re-packing per call.
-    packed: Option<Arc<BitMatrix>>,
-    /// Pruned exact top-1 Hamming index over `packed`, built at construction for
-    /// codebooks of at least [`CLEANUP_INDEX_MIN_ROWS`] rows — the sub-linear
-    /// cleanup path for production-scale item memories. `None` for small codebooks
-    /// (the linear scan is faster there) and for non-bipolar codebooks.
+    /// Bit-packed sign planes of `matrix` and their cleanup index, cached once at
+    /// construction when every codevector is exactly bipolar (`None` otherwise). The
+    /// packed similarity and cleanup paths read this instead of re-packing per call.
+    packed: Option<SignPlanes>,
+}
+
+/// Sign planes plus the pruned exact top-1 [`CleanupIndex`] over them: the one place
+/// that decides how an exhaustive search scans, for [`Codebook`] and
+/// [`ProductCodebook`] alike. The index is built for at least
+/// [`CLEANUP_INDEX_MIN_ROWS`] rows; below that the linear blocked scan already
+/// streams every row from L1/L2 faster than the sketch pass can rank them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SignPlanes {
+    planes: Arc<BitMatrix>,
+    /// `None` below [`CLEANUP_INDEX_MIN_ROWS`] rows and after
+    /// [`Codebook::clear_cleanup_index`].
     index: Option<Arc<CleanupIndex>>,
 }
 
-/// Builds the cleanup index when the packed planes exist and are large enough for
-/// the indexed scan to beat the linear one.
-fn build_cleanup_index(packed: Option<&BitMatrix>) -> Option<CleanupIndex> {
-    packed
-        .filter(|p| p.rows() >= CLEANUP_INDEX_MIN_ROWS)
-        .map(CleanupIndex::build)
+impl SignPlanes {
+    fn new(planes: BitMatrix) -> Self {
+        let index = (planes.rows() >= CLEANUP_INDEX_MIN_ROWS)
+            .then(|| Arc::new(CleanupIndex::build(&planes)));
+        Self {
+            planes: Arc::new(planes),
+            index,
+        }
+    }
+
+    /// Top-1 row and bipolar cosine per query: the indexed scan when an index was
+    /// built, else the linear one. Both return identical results, ties to the
+    /// lowest row.
+    fn cleanup_into(
+        &self,
+        backend: &PackedBackend,
+        queries: &BitMatrix,
+        scratch: &mut CleanupScratch,
+        out: &mut Vec<(usize, f32)>,
+    ) {
+        match &self.index {
+            Some(index) => backend.cleanup_batch_indexed_into(index, queries, scratch, out),
+            None => backend.cleanup_batch_packed_into(&self.planes, queries, scratch, out),
+        }
+    }
 }
 
 impl Codebook {
     /// Derives the matrix, sign planes and cleanup index of `vectors` (which
     /// share one dimension) and moves everything into shared storage.
     fn from_rows(name: String, vectors: Vec<Hypervector>, matrix: HvMatrix) -> Self {
-        let packed = BitMatrix::from_matrix(&matrix);
-        let index = build_cleanup_index(packed.as_ref());
+        let packed = BitMatrix::from_matrix(&matrix).map(SignPlanes::new);
         Self {
             name,
             vectors: vectors.into(),
             matrix: Arc::new(matrix),
-            packed: packed.map(Arc::new),
-            index: index.map(Arc::new),
+            packed,
         }
     }
 
@@ -162,13 +196,13 @@ impl Codebook {
     /// exactly when every codevector is bipolar. Packed-aware layers use this to skip
     /// re-packing the codebook on every similarity/cleanup call.
     pub fn packed(&self) -> Option<&BitMatrix> {
-        self.packed.as_deref()
+        self.packed.as_ref().map(|p| &*p.planes)
     }
 
     /// The cleanup index over the packed sign planes, built at construction for
     /// bipolar codebooks of at least [`CLEANUP_INDEX_MIN_ROWS`] rows.
     pub fn cleanup_index(&self) -> Option<&CleanupIndex> {
-        self.index.as_deref()
+        self.packed.as_ref()?.index.as_deref()
     }
 
     /// Removes (and returns) the cleanup index, forcing every subsequent cleanup
@@ -176,72 +210,17 @@ impl Codebook {
     /// index-vs-linear tests and benches use. Other clones of this codebook keep
     /// their index; the returned one is copied out if they still share it.
     pub fn clear_cleanup_index(&mut self) -> Option<CleanupIndex> {
-        self.index.take().map(Arc::unwrap_or_clone)
-    }
-
-    /// Similarity of `query` against every codevector (one GEMV on the accelerator).
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn similarities(&self, query: &Hypervector) -> Result<Vec<f32>, VsaError> {
-        self.similarities_with(&ReferenceBackend, query)
-    }
-
-    /// [`Codebook::similarities`] through an explicit backend.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn similarities_with(
-        &self,
-        backend: &dyn VsaBackend,
-        query: &Hypervector,
-    ) -> Result<Vec<f32>, VsaError> {
-        let queries = HvMatrix::from_hypervector(query);
-        Ok(self.similarities_batch(backend, &queries)?.into_vec())
-    }
-
-    /// Similarities of a whole batch of queries: `out[q][m] = queries[q] · code[m]`
-    /// (a GEMM on the accelerator).
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn similarities_batch(
-        &self,
-        backend: &dyn VsaBackend,
-        queries: &HvMatrix,
-    ) -> Result<HvMatrix, VsaError> {
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
-            if queries.dim() == self.dim() {
-                if let Some(packed_q) = BitMatrix::from_matrix(queries) {
-                    let mut out = HvMatrix::default();
-                    packed_backend.similarity_matrix_packed_into(packed_cb, &packed_q, &mut out);
-                    return Ok(out);
-                }
-            }
-        }
-        backend.similarity_matrix(&self.matrix, queries)
+        self.packed.as_mut()?.index.take().map(Arc::unwrap_or_clone)
     }
 
     /// Cleanup memory: returns the index and cosine similarity of the best-matching
-    /// codevector.
+    /// codevector, through the reference backend's dense cleanup.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
     pub fn cleanup(&self, query: &Hypervector) -> Result<(usize, f32), VsaError> {
-        self.cleanup_with(&ReferenceBackend, query)
-    }
-
-    /// [`Codebook::cleanup`] through an explicit backend.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn cleanup_with(
-        &self,
-        backend: &dyn VsaBackend,
-        query: &Hypervector,
-    ) -> Result<(usize, f32), VsaError> {
         let queries = HvMatrix::from_hypervector(query);
-        let mut results = self.cleanup_batch(backend, &queries)?;
+        let mut results = self.cleanup_batch(&ReferenceBackend, &queries)?;
         Ok(results.pop().expect("one query row yields one result"))
     }
 
@@ -297,16 +276,9 @@ impl Codebook {
         scratch: &mut CleanupScratch,
         out: &mut Vec<(usize, f32)>,
     ) -> Result<(), VsaError> {
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
+        if let (Some(packed_backend), Some(planes)) = (backend.as_packed(), &self.packed) {
             if queries.dim() == self.dim() {
-                match &self.index {
-                    Some(index) => {
-                        packed_backend.cleanup_batch_indexed_into(index, queries, scratch, out)
-                    }
-                    None => {
-                        packed_backend.cleanup_batch_packed_into(packed_cb, queries, scratch, out)
-                    }
-                }
+                planes.cleanup_into(packed_backend, queries, scratch, out);
                 return Ok(());
             }
         }
@@ -316,9 +288,10 @@ impl Codebook {
         Ok(())
     }
 
-    /// Similarities of a batch of **bit-packed** queries (the packed analogue of
-    /// [`Codebook::similarities_batch`]): `out[q][m] = queries[q] · code[m]`, exact
-    /// integer dot products via popcount when both sides are sign planes.
+    /// Similarities of a batch of **bit-packed** queries: `out[q][m] = queries[q] ·
+    /// code[m]`, exact integer dot products via popcount when both sides are sign
+    /// planes. Other backends (and non-bipolar codebooks) unpack the queries and run
+    /// their dense similarity GEMM.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -327,7 +300,7 @@ impl Codebook {
         backend: &dyn VsaBackend,
         queries: &BitMatrix,
     ) -> Result<HvMatrix, VsaError> {
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), &self.packed) {
+        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), self.packed()) {
             if queries.dim() == self.dim() {
                 let mut out = HvMatrix::default();
                 packed_backend.similarity_matrix_packed_into(packed_cb, queries, &mut out);
@@ -454,9 +427,13 @@ impl CodebookSet {
         })
     }
 
-    /// Total number of attribute combinations `Π_f M_f`.
+    /// Total number of attribute combinations `Π_f M_f`, saturating at `usize::MAX`
+    /// when the product overflows (five 10,000-value attributes already do), so size
+    /// guards reject such spaces instead of seeing a wrapped count.
     pub fn combinations(&self) -> usize {
-        self.codebooks.iter().map(Codebook::len).product()
+        self.codebooks
+            .iter()
+            .fold(1, |total, cb| total.saturating_mul(cb.len()))
     }
 
     /// Binds one codevector per factor (selected by `indices`) into a product vector.
@@ -555,21 +532,27 @@ impl CodebookSet {
             .sum()
     }
 
-    /// Memory footprint the *expanded* product codebook would need (Fig. 8 comparison).
+    /// Memory footprint the *expanded* product codebook would need (Fig. 8
+    /// comparison), saturating at `usize::MAX` like [`CodebookSet::combinations`].
     pub fn product_footprint_bytes(&self, bytes_per_element: usize) -> usize {
-        self.combinations() * self.dim() * bytes_per_element
+        self.combinations()
+            .saturating_mul(self.dim())
+            .saturating_mul(bytes_per_element)
     }
 }
 
 /// The fully expanded product codebook — the baseline the paper's factorization removes.
 ///
-/// Holds one product vector for every attribute combination, in lexicographic order of
-/// the factor indices. Only practical for small combination counts; the constructor
-/// refuses to materialise more than [`ProductCodebook::MAX_COMBINATIONS`] vectors.
+/// Holds one sign plane per attribute combination. Row `r` is the combination whose
+/// factor indices are the mixed-radix digits of `r`, last factor fastest. The rows are
+/// XOR-composed from the factor codebooks' cached planes (bipolar Hadamard binding is
+/// XOR on sign planes), so no `f32` product vector is ever built. A search runs through
+/// the same index-or-linear choice as [`Codebook::cleanup_batch_bits_into`]. Only
+/// practical for small combination counts; the constructor refuses to materialise more
+/// than [`ProductCodebook::MAX_COMBINATIONS`] rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProductCodebook {
-    vectors: Vec<Hypervector>,
-    index_map: Vec<Vec<usize>>,
+    planes: SignPlanes,
     factor_sizes: Vec<usize>,
 }
 
@@ -581,7 +564,10 @@ impl ProductCodebook {
     ///
     /// # Errors
     /// Returns [`VsaError::InvalidParameter`] if the combination count exceeds
-    /// [`Self::MAX_COMBINATIONS`].
+    /// [`Self::MAX_COMBINATIONS`], [`VsaError::Empty`] if a factor codebook is empty,
+    /// and [`VsaError::Unsupported`] unless the set binds by
+    /// [`BindingOp::Hadamard`] over bipolar codebooks (the sign-plane
+    /// representation).
     pub fn expand(set: &CodebookSet) -> Result<Self, VsaError> {
         let total = set.combinations();
         if total > Self::MAX_COMBINATIONS {
@@ -593,37 +579,50 @@ impl ProductCodebook {
                 ),
             });
         }
+        if total == 0 {
+            return Err(VsaError::Empty {
+                what: "product codebook",
+            });
+        }
+        if set.binding() != BindingOp::Hadamard {
+            return Err(VsaError::Unsupported {
+                what: "product codebook requires Hadamard binding",
+            });
+        }
         let factor_sizes: Vec<usize> = set.codebooks().iter().map(Codebook::len).collect();
-        let mut vectors = Vec::with_capacity(total);
-        let mut index_map = Vec::with_capacity(total);
-        let mut indices = vec![0usize; factor_sizes.len()];
-        for _ in 0..total {
-            vectors.push(set.bind_indices(&indices)?);
-            index_map.push(indices.clone());
-            // Advance the mixed-radix counter (last factor fastest).
-            for f in (0..indices.len()).rev() {
-                indices[f] += 1;
-                if indices[f] < factor_sizes[f] {
-                    break;
-                }
-                indices[f] = 0;
+        let mut planes = BitMatrix::default();
+        let mut indices = Vec::with_capacity(total);
+        // Factor f's digit of row r is (r / stride) % M_f, with stride the product of
+        // the sizes after f.
+        let mut stride = total;
+        for (f, cb) in set.codebooks().iter().enumerate() {
+            let factor_planes = cb.packed().ok_or(VsaError::Unsupported {
+                what: "product codebook requires bipolar factor codebooks",
+            })?;
+            stride /= cb.len();
+            indices.clear();
+            indices.extend((0..total).map(|r| (r / stride) % cb.len()));
+            if f == 0 {
+                factor_planes.gather_into(&indices, &mut planes)?;
+            } else {
+                planes.xor_gather_assign(factor_planes, &indices)?;
             }
         }
         Ok(Self {
-            vectors,
-            index_map,
+            planes: SignPlanes::new(planes),
             factor_sizes,
         })
     }
 
     /// Number of product vectors.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.planes.planes.rows()
     }
 
-    /// Returns `true` if the codebook holds no vectors.
+    /// Returns `true` if the codebook holds no vectors (cannot happen via
+    /// [`ProductCodebook::expand`]).
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len() == 0
     }
 
     /// The per-factor codebook sizes this product space was built from.
@@ -632,33 +631,51 @@ impl ProductCodebook {
     }
 
     /// Brute-force search: returns the factor indices of the best-matching product
-    /// vector together with its cosine similarity.
+    /// vector together with its cosine similarity. Ties resolve to the lowest row,
+    /// i.e. the lexicographically smallest index tuple.
     ///
     /// This is the operation whose cost (both memory and latency) the CogSys
     /// factorization strategy replaces.
     ///
     /// # Errors
-    /// Returns [`VsaError::Empty`] for an empty codebook and
-    /// [`VsaError::DimensionMismatch`] for a query of the wrong dimension.
+    /// Returns [`VsaError::DimensionMismatch`] for a query of the wrong dimension and
+    /// [`VsaError::InvalidParameter`] for a query that is not exactly bipolar.
     pub fn brute_force_search(&self, query: &Hypervector) -> Result<(Vec<usize>, f32), VsaError> {
-        if self.vectors.is_empty() {
-            return Err(VsaError::Empty {
-                what: "product codebook",
+        let dim = self.planes.planes.dim();
+        if query.dim() != dim {
+            return Err(VsaError::DimensionMismatch {
+                left: dim,
+                right: query.dim(),
             });
         }
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, v) in self.vectors.iter().enumerate() {
-            let sim = ops::try_cosine_similarity(v, query)?;
-            if sim > best.1 {
-                best = (i, sim);
+        let bits = BitMatrix::from_matrix(&HvMatrix::from_hypervector(query)).ok_or_else(|| {
+            VsaError::InvalidParameter {
+                name: "query",
+                message: "product codebook search requires an exactly bipolar (±1.0) query"
+                    .to_string(),
             }
+        })?;
+        let mut best = Vec::new();
+        self.planes.cleanup_into(
+            &PackedBackend::serial(),
+            &bits,
+            &mut CleanupScratch::default(),
+            &mut best,
+        );
+        let (mut row, similarity) = best[0];
+        let mut indices = vec![0; self.factor_sizes.len()];
+        for (slot, &m) in indices.iter_mut().zip(&self.factor_sizes).rev() {
+            *slot = row % m;
+            row /= m;
         }
-        Ok((self.index_map[best.0].clone(), best.1))
+        Ok((indices, similarity))
     }
 
-    /// Memory footprint in bytes assuming `bytes_per_element` storage.
+    /// Memory footprint in bytes of the `f32`-equivalent expansion, assuming
+    /// `bytes_per_element` storage per dimension (the Fig. 8 accounting; the sign
+    /// planes themselves take one bit per dimension).
     pub fn footprint_bytes(&self, bytes_per_element: usize) -> usize {
-        self.vectors.len() * self.vectors.first().map_or(0, Hypervector::dim) * bytes_per_element
+        self.len() * self.planes.planes.dim() * bytes_per_element
     }
 }
 
@@ -825,14 +842,30 @@ mod tests {
     #[test]
     fn product_codebook_expansion_and_search() {
         let mut r = rng(27);
-        let set = CodebookSet::random(&[3, 4], 256, BindingOp::Hadamard, &mut r);
+        let set = CodebookSet::random(&[3, 4, 5], 256, BindingOp::Hadamard, &mut r);
         let product = ProductCodebook::expand(&set).unwrap();
-        assert_eq!(product.len(), 12);
-        assert_eq!(product.factor_sizes(), &[3, 4]);
-        let query = set.bind_indices(&[2, 1]).unwrap();
+        assert_eq!(product.len(), 60);
+        assert_eq!(product.factor_sizes(), &[3, 4, 5]);
+        // Row r holds the combination whose mixed-radix digits (last factor fastest)
+        // are r, composed exactly as the f32 bind would be.
+        for (row, t) in [
+            (0, [0, 0, 0]),
+            (1, [0, 0, 1]),
+            (5, [0, 1, 0]),
+            (59, [2, 3, 4]),
+        ] {
+            let bound = set.bind_indices(&t).unwrap();
+            let planes = BitMatrix::from_hypervectors(&[bound]).unwrap();
+            assert_eq!(product.planes.planes.row_words(row), planes.row_words(0));
+        }
+        let query = set.bind_indices(&[2, 1, 4]).unwrap();
         let (indices, sim) = product.brute_force_search(&query).unwrap();
-        assert_eq!(indices, vec![2, 1]);
-        assert!(sim > 0.99);
+        assert_eq!(indices, vec![2, 1, 4]);
+        assert_eq!(sim, 1.0);
+        // The Fig. 8 accounting counts the f32-equivalent expansion.
+        assert_eq!(product.footprint_bytes(4), 60 * 256 * 4);
+        assert_eq!(product.footprint_bytes(4), set.product_footprint_bytes(4));
+        assert!(set.footprint_bytes(4) < product.footprint_bytes(4));
     }
 
     #[test]
@@ -844,6 +877,95 @@ mod tests {
             ProductCodebook::expand(&set),
             Err(VsaError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn product_space_count_saturates_instead_of_wrapping() {
+        let mut r = rng(31);
+        // Five 10,000-value attributes: 1e20 combinations, past usize::MAX.
+        let cb = Codebook::random("wide", 10_000, 8, &mut r);
+        let five = CodebookSet::new(vec![cb; 5], BindingOp::Hadamard).unwrap();
+        // Four 65,536-value attributes: exactly 2^64, which a wrapping product
+        // reports as 0 — an empty space that would slip past the guard.
+        let cb = Codebook::random("wider", 1 << 16, 8, &mut r);
+        let four = CodebookSet::new(vec![cb; 4], BindingOp::Hadamard).unwrap();
+        for set in [&five, &four] {
+            assert_eq!(set.combinations(), usize::MAX);
+            assert_eq!(set.product_footprint_bytes(4), usize::MAX);
+            assert!(matches!(
+                ProductCodebook::expand(set),
+                Err(VsaError::InvalidParameter { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn product_search_rejects_what_sign_planes_cannot_hold() {
+        let mut r = rng(32);
+        let circular = CodebookSet::random(&[3, 4], 64, BindingOp::CircularConvolution, &mut r);
+        assert!(matches!(
+            ProductCodebook::expand(&circular),
+            Err(VsaError::Unsupported { .. })
+        ));
+        let real = Codebook::new(
+            "real",
+            (0..3)
+                .map(|_| Hypervector::random_real(64, &mut r))
+                .collect(),
+        )
+        .unwrap();
+        let bipolar = Codebook::random("b", 4, 64, &mut r);
+        let mixed = CodebookSet::new(vec![bipolar, real], BindingOp::Hadamard).unwrap();
+        assert!(matches!(
+            ProductCodebook::expand(&mixed),
+            Err(VsaError::Unsupported { .. })
+        ));
+        let empty = CodebookSet::random(&[3, 0], 64, BindingOp::Hadamard, &mut r);
+        assert!(matches!(
+            ProductCodebook::expand(&empty),
+            Err(VsaError::Empty { .. })
+        ));
+
+        let set = CodebookSet::random(&[3, 4], 64, BindingOp::Hadamard, &mut r);
+        let product = ProductCodebook::expand(&set).unwrap();
+        assert!(matches!(
+            product.brute_force_search(&Hypervector::random_real(64, &mut r)),
+            Err(VsaError::InvalidParameter { name: "query", .. })
+        ));
+        assert!(matches!(
+            product.brute_force_search(&Hypervector::random_bipolar(65, &mut r)),
+            Err(VsaError::DimensionMismatch {
+                left: 64,
+                right: 65
+            })
+        ));
+    }
+
+    /// The f32 product scan `ProductCodebook` replaced: bind every combination in
+    /// mixed-radix order (last factor fastest) and keep the first strictly better
+    /// cosine, so the lowest index wins ties. Returns one `(indices, cosine)` per
+    /// query.
+    fn f32_product_scan(set: &CodebookSet, queries: &[Hypervector]) -> Vec<(Vec<usize>, f32)> {
+        let sizes: Vec<usize> = set.codebooks().iter().map(Codebook::len).collect();
+        let mut best = vec![(Vec::new(), f32::NEG_INFINITY); queries.len()];
+        let mut indices = vec![0usize; sizes.len()];
+        for _ in 0..set.combinations() {
+            let product = set.bind_indices(&indices).unwrap();
+            for (slot, query) in best.iter_mut().zip(queries) {
+                let sim = ops::try_cosine_similarity(&product, query).unwrap();
+                if sim > slot.1 {
+                    *slot = (indices.clone(), sim);
+                }
+            }
+            for f in (0..indices.len()).rev() {
+                indices[f] += 1;
+                if indices[f] < sizes[f] {
+                    break;
+                }
+                indices[f] = 0;
+            }
+        }
+        best
     }
 
     #[test]
@@ -875,17 +997,24 @@ mod tests {
         let mut r = rng(61);
         let cb = Codebook::random("s", 10, 256, &mut r);
         let query = ops::flip_noise(cb.vector(4).unwrap(), 0.2, &mut r);
-        let scalar = cb.similarities(&query).unwrap();
+        // The scalar path: one dot product per codevector, and the reference cleanup.
+        let scalar = ops::matvec_similarity(cb.as_slice(), &query).unwrap();
         let scalar_cleanup = cb.cleanup(&query).unwrap();
+        let dense = HvMatrix::from_hypervector(&query);
+        let bits = BitMatrix::from_matrix(&dense).unwrap();
         for kind in BackendKind::ALL {
             let backend = kind.create();
-            let sims = cb.similarities_with(backend.as_ref(), &query).unwrap();
-            for (x, y) in sims.iter().zip(&scalar) {
+            let sims = cb.similarities_batch_bits(backend.as_ref(), &bits).unwrap();
+            for (x, y) in sims.row(0).iter().zip(&scalar) {
                 assert!((x - y).abs() < 1e-3, "{kind}: {x} vs {y}");
             }
-            let (idx, sim) = cb.cleanup_with(backend.as_ref(), &query).unwrap();
-            assert_eq!(idx, scalar_cleanup.0, "{kind}");
-            assert!((sim - scalar_cleanup.1).abs() < 1e-4, "{kind}");
+            for (idx, sim) in [
+                cb.cleanup_batch(backend.as_ref(), &dense).unwrap()[0],
+                cb.cleanup_batch_bits(backend.as_ref(), &bits).unwrap()[0],
+            ] {
+                assert_eq!(idx, scalar_cleanup.0, "{kind}");
+                assert!((sim - scalar_cleanup.1).abs() < 1e-4, "{kind}");
+            }
         }
     }
 
@@ -919,11 +1048,13 @@ mod tests {
                     codebook.cleanup_batch(backend.as_ref(), &qm).unwrap(),
                     "{kind}"
                 );
+                // Popcount dot products of sign planes are exact, so the packed path
+                // equals the backend's dense GEMM bit for bit.
                 assert_eq!(
                     codebook
                         .similarities_batch_bits(backend.as_ref(), &bits)
                         .unwrap(),
-                    codebook.similarities_batch(backend.as_ref(), &qm).unwrap(),
+                    backend.similarity_matrix(codebook.matrix(), &qm).unwrap(),
                     "{kind}"
                 );
             }
@@ -979,6 +1110,68 @@ mod tests {
                         .unwrap();
                     assert_eq!(out.row(q), scalar.values(), "{kind} keep {keep} row {q}");
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn prop_brute_force_search_matches_f32_scan(
+            seed in 0u64..1_000_000,
+            large in 0u8..=1,
+            duplicates in 0u8..=1,
+            noise in 0.0f64..0.45,
+        ) {
+            let mut r = rng(seed);
+            // Below CLEANUP_INDEX_MIN_ROWS the search scans linearly, above it the
+            // product carries a cleanup index.
+            let (sizes, dim): (&[usize], usize) = if large == 1 {
+                (&[9, 9, 5, 6, 10], 64)
+            } else {
+                (&[3, 4, 5], 64)
+            };
+            let mut set = CodebookSet::random(sizes, dim, BindingOp::Hadamard, &mut r);
+            if duplicates == 1 {
+                // Repeat a codevector in the first and last factors, so distinct rows
+                // hold identical planes and every query meets exact ties.
+                let codebooks = set
+                    .codebooks()
+                    .iter()
+                    .enumerate()
+                    .map(|(f, cb)| {
+                        let mut rows = cb.as_slice().to_vec();
+                        if f == 0 || f + 1 == sizes.len() {
+                            rows[cb.len() - 1] = rows[0].clone();
+                        }
+                        Codebook::new(cb.name(), rows).unwrap()
+                    })
+                    .collect();
+                set = CodebookSet::new(codebooks, BindingOp::Hadamard).unwrap();
+            }
+            let product = ProductCodebook::expand(&set).unwrap();
+            prop_assert_eq!(product.planes.index.is_some(), large == 1);
+
+            let mut queries = Vec::new();
+            for _ in 0..4 {
+                let t: Vec<usize> = sizes.iter().map(|&m| r.gen_range(0..m)).collect();
+                let clean = set.bind_indices(&t).unwrap();
+                queries.push(ops::flip_noise(&clean, noise, &mut r));
+                queries.push(clean);
+            }
+            queries.push(Hypervector::random_bipolar(dim, &mut r));
+            // A clean query on the last first-factor codevector: with duplicates it
+            // ties exactly with its copy in row block 0, which must win.
+            let mut tied: Vec<usize> = sizes.iter().map(|&m| r.gen_range(0..m)).collect();
+            tied[0] = sizes[0] - 1;
+            queries.push(set.bind_indices(&tied).unwrap());
+            let expected = f32_product_scan(&set, &queries);
+            let tie_winner = expected.last().unwrap().0[0];
+            prop_assert_eq!(tie_winner, if duplicates == 1 { 0 } else { sizes[0] - 1 });
+            for (q, (query, (want, want_sim))) in queries.iter().zip(&expected).enumerate() {
+                let (found, sim) = product.brute_force_search(query).unwrap();
+                prop_assert!(&found == want, "query {}: {:?} vs {:?}", q, found, want);
+                prop_assert!((sim - want_sim).abs() < 1e-6, "query {}: {} vs {}", q, sim, want_sim);
             }
         }
     }

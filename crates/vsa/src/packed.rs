@@ -1607,6 +1607,15 @@ impl PackedBackend {
         Self::default()
     }
 
+    /// A packed backend whose `f32` surface stays on the calling thread. Free to
+    /// construct (no core-count probe), for the crate's own sign-plane searches,
+    /// which never touch that surface.
+    pub(crate) fn serial() -> Self {
+        Self {
+            dense: ParallelBackend::with_threads(1),
+        }
+    }
+
     /// Packed GEMM: `out[q][m] = queries[q] · codebook[m] = d − 2·hamming`, exact.
     pub fn similarity_matrix_packed_into(
         &self,

@@ -2,7 +2,8 @@
 //! a scene description into a hypervector, corrupt it with perception noise, and
 //! recover the attributes with the CogSys iterative factorizer — comparing memory and
 //! work against the brute-force product-codebook search it replaces (paper Sec. IV,
-//! Fig. 8).
+//! Fig. 8). The brute-force side expands all 24,300 combinations into sign planes and
+//! searches them through the cleanup index.
 //!
 //! The walk-through makes the resonator's **capacity cliff** explicit: a flat F = 5
 //! factorization at d = 1024 sits beyond the network's operational capacity and
@@ -12,10 +13,11 @@
 //!
 //! Run with: `cargo run --release --example factorize_scene`
 
-use cogsys_factorizer::{BruteForceFactorizer, FactorizationCost, Factorizer, FactorizerConfig};
-use cogsys_vsa::codebook::{BindingOp, CodebookSet};
+use cogsys_factorizer::{FactorizationCost, Factorizer, FactorizerConfig};
+use cogsys_vsa::codebook::{BindingOp, CodebookSet, ProductCodebook};
 use cogsys_vsa::{ops, BackendKind, Codebook, Precision};
 use cogsys_workloads::NeurosymbolicSolver;
+use std::time::Instant;
 
 fn main() {
     let mut rng = cogsys_vsa::rng(7);
@@ -39,7 +41,7 @@ fn main() {
 
     // --- Part 1: the F = 5 capacity cliff -------------------------------------------
     // The resonator's operational capacity shrinks rapidly with the number of factors;
-    // 22 680 combinations across five factors at d = 1024 is outside it, so the flat
+    // 24 300 combinations across five factors at d = 1024 is outside it, so the flat
     // factorization is expected NOT to converge. This is presented deliberately: it is
     // the reason the pipeline below factorizes per block.
     let flat = Factorizer::new(FactorizerConfig::default());
@@ -138,13 +140,25 @@ fn main() {
     );
 
     // --- Part 3: brute-force baseline and the Fig. 8 cost comparison ----------------
-    let brute = BruteForceFactorizer::new(&set).expect("product space fits the expansion guard");
-    let baseline = brute
-        .decode(&query)
-        .expect("query matches the codebook dimension");
+    let start = Instant::now();
+    let product = ProductCodebook::expand(&set).expect("product space fits the expansion guard");
+    let build = start.elapsed();
+    let start = Instant::now();
+    let (baseline, _) = product
+        .brute_force_search(&query)
+        .expect("query is bipolar and matches the codebook dimension");
+    let search = start.elapsed();
     println!("\nBrute-force product-codebook search:");
-    println!("  decoded attributes : {:?}", baseline.indices);
-    println!("  candidates examined: {}", baseline.candidates_examined);
+    println!("  decoded attributes : {baseline:?}");
+    // The exhaustive search is exact at this noise level; CI runs this example, so a
+    // broken product build or search fails here rather than printing a wrong tuple.
+    assert_eq!(baseline, truth, "exhaustive search must recover the scene");
+    println!("  candidates examined: {}", product.len());
+    println!(
+        "  build / search     : {:.2} ms / {:.3} ms",
+        build.as_secs_f64() * 1e3,
+        search.as_secs_f64() * 1e3
+    );
 
     let cost = FactorizationCost::estimate(&set, Precision::Fp32, result.iterations as f64);
     println!("\nFactorization vs product codebook:");

@@ -6,10 +6,11 @@
 //! 2. solving is chunk-invariant — one call, 3+5 and 1×8 give the same reports,
 //!    answers and rng consumption;
 //! 3. a fixed seed gives a fixed end-to-end outcome;
-//! 4. limit-cycle detection only stops resonator rows that would never converge.
+//! 4. limit-cycle detection only stops resonator rows that would never converge;
+//! 5. the cleanup router's indexed scan decides exactly like its linear scan.
 
 use cogsys::{CogSysConfig, CogSysSystem};
-use cogsys_datasets::{DatasetKind, Panel, ProblemGenerator};
+use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet, Precision};
@@ -211,4 +212,43 @@ fn limit_cycle_exits_only_stop_rows_that_never_converge() {
         }
     }
     assert!(exits > 0, "seed {SEED} has no limit-cycle exit");
+}
+
+#[test]
+fn indexed_cleanup_solves_like_the_linear_scan() {
+    // A 600-value vocabulary puts every attribute codebook past
+    // CLEANUP_INDEX_MIN_ROWS, so resonator cleanups, polish and answer scoring all
+    // take the pruned cleanup index. Dropping the index sends them through the
+    // linear scan, which must make the same decisions and consume the same rng.
+    let vocab = AttributeVocab::uniform(600);
+    let config = SolverConfig {
+        vector_dim: 512,
+        perception_noise: 0.05,
+        factorizer: FactorizerConfig::default().with_max_iterations(8),
+        vocab,
+        ..SolverConfig::default()
+    };
+    let mut r = rng(60);
+    let indexed = NeurosymbolicSolver::new(config, &mut r);
+    let mut linear = indexed.clone();
+    linear.disable_cleanup_index();
+    for (solver, has_index) in [(&indexed, true), (&linear, false)] {
+        for f in 0..solver.codebooks().num_factors() {
+            let codebook = solver.codebooks().factor(f).unwrap();
+            assert_eq!(codebook.cleanup_index().is_some(), has_index, "factor {f}");
+        }
+    }
+    let problems =
+        ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut r);
+    let solve = |solver: &NeurosymbolicSolver| {
+        let mut r = r.clone();
+        let mut scratch = SolverScratch::default();
+        let report = solver
+            .solve_batch_with(&problems, &mut r, &mut scratch)
+            .unwrap();
+        (report, scratch.choices().to_vec(), r.next_u64())
+    };
+    let outcome = solve(&indexed);
+    assert_eq!(outcome.0.problems, 2);
+    assert_eq!(solve(&linear), outcome);
 }
