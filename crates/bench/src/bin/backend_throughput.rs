@@ -5,12 +5,9 @@
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch) at 8- and 64-problem batches with its plan-compile and per-stage cells,
-//! plus the **large-codebook cleanup** cells — `cleanup_indexed` at 10^4 and 10^5
-//! rows (10^6 with `BENCH_LARGE=1`), pitting the pruned exact `CleanupIndex` scan
-//! (`packed`) against the flat linear packed scan (`reference`) — plus the
-//! **resonator-iteration** cell `resonate_iter` (one full fused resonator iteration
-//! vs the split three-pass sequence of reference kernels at d=4096) — prints the
-//! speedup table, and writes the raw
+//! plus the **resonator-iteration** cell `resonate_iter` (one full fused resonator
+//! iteration vs the split three-pass sequence of reference kernels at d=4096) —
+//! prints the speedup table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
 //! trajectory is tracked across PRs.
@@ -108,18 +105,6 @@ fn main() -> ExitCode {
         SEED,
     ));
 
-    // Large-codebook exact cleanup: the pruned CleanupIndex scan vs the flat linear
-    // packed scan at 10^4 and 10^5 rows (10^6 only behind BENCH_LARGE=1 — the build
-    // plus scan takes a while on a shared core).
-    let mut cleanup_rows = vec![10_000usize, 100_000];
-    if std::env::var("BENCH_LARGE").as_deref() == Ok("1") {
-        cleanup_rows.push(1_000_000);
-    }
-    records.extend(cogsys::experiments::cleanup_index_records(
-        &cleanup_rows,
-        SEED,
-    ));
-
     // Resonator-iteration microbench: the fused kernel vs the split three-pass
     // sequence, one full iteration over all factors at d=4096.
     records.extend(cogsys::experiments::resonate_iter_records(SEED));
@@ -169,26 +154,6 @@ fn main() -> ExitCode {
             packed / 1e6,
             scalar / packed.max(1.0)
         );
-    }
-
-    // Pruned exact cleanup index vs the linear packed scan on large codebooks.
-    for &rows in &cleanup_rows {
-        let idx_cell = |backend: &str| {
-            records
-                .iter()
-                .find(|r| r.backend == backend && r.kernel == "cleanup_indexed" && r.batch == rows)
-                .map(|r| r.ns_per_op)
-        };
-        if let (Some(indexed), Some(linear)) = (idx_cell("packed"), idx_cell("reference")) {
-            let queries = cogsys::experiments::CLEANUP_INDEX_BENCH_QUERIES as f64;
-            println!(
-                "cleanup_indexed d=1024 rows={rows}: linear {:.3} ms/query, \
-                 indexed {:.3} ms/query ({:.1}x)",
-                linear / queries / 1e6,
-                indexed / queries / 1e6,
-                linear / indexed.max(1.0)
-            );
-        }
     }
 
     // End-to-end solver throughput at a 64-problem serving batch (8·64 = 512 panel

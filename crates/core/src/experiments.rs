@@ -479,95 +479,6 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
     records
 }
 
-/// Queries per batch of the cleanup-index sweep.
-pub const CLEANUP_INDEX_BENCH_QUERIES: usize = 32;
-
-/// Hypervector dimensionality of the cleanup-index sweep (NVSA's per-block d).
-pub const CLEANUP_INDEX_BENCH_DIM: usize = 1024;
-
-/// Measures exact top-1 Hamming cleanup over **large** packed codebooks: the pruned
-/// [`cogsys_vsa::CleanupIndex`] scan (recorded as `packed` / `cleanup_indexed`)
-/// against the flat linear packed scan over the same rows (recorded as `reference` /
-/// `cleanup_indexed`). Queries are codebook rows with ~2% of their bits flipped —
-/// the near-clean regime production cleanup calls live in, where the sketch bound
-/// abandons almost every non-winning row after a handful of words. Both paths run
-/// scratch-reusing (`_into`) variants, so the ratio is pure scan cost.
-///
-/// Build time is excluded: the index is constructed once per codebook (serving
-/// builds it at codebook-construction time) while the scan runs per batch.
-pub fn cleanup_index_records(rows_list: &[usize], seed: u64) -> Vec<BenchRecord> {
-    use cogsys_vsa::packed::{BitMatrix, CleanupIndex, CleanupScratch, PackedBackend};
-    use rand::Rng;
-    use std::time::Instant;
-
-    let dim = CLEANUP_INDEX_BENCH_DIM;
-    let backend = PackedBackend::new();
-    let mut records = Vec::new();
-    let mut rng = cogsys_vsa::rng(seed);
-    for &rows in rows_list {
-        let codebook = BitMatrix::random_bipolar(rows, dim, &mut rng);
-        let index = CleanupIndex::build(&codebook);
-
-        // Near-clean queries: gathered codebook rows, ~2% of dimensions flipped.
-        let gather: Vec<usize> = (0..CLEANUP_INDEX_BENCH_QUERIES)
-            .map(|_| rng.gen_range(0..rows))
-            .collect();
-        let mut queries = BitMatrix::default();
-        codebook
-            .gather_into(&gather, &mut queries)
-            .expect("gather indices in range");
-        let flips = (dim / 50).max(1);
-        for q in 0..CLEANUP_INDEX_BENCH_QUERIES {
-            for _ in 0..flips {
-                queries.flip_bit(q, rng.gen_range(0..dim));
-            }
-        }
-
-        let mut scratch = CleanupScratch::default();
-        let mut indexed_out = Vec::new();
-        let mut linear_out = Vec::new();
-
-        let time = |f: &mut dyn FnMut()| {
-            f();
-            (0..5)
-                .map(|_| {
-                    let t = Instant::now();
-                    f();
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-
-        let indexed = time(&mut || {
-            backend.cleanup_batch_indexed_into(&index, &queries, &mut scratch, &mut indexed_out);
-        });
-        records.push(BenchRecord {
-            backend: "packed".to_string(),
-            kernel: "cleanup_indexed".to_string(),
-            dim,
-            batch: rows,
-            ns_per_op: indexed * 1e9,
-        });
-
-        let linear = time(&mut || {
-            backend.cleanup_batch_packed_into(&codebook, &queries, &mut scratch, &mut linear_out);
-        });
-        records.push(BenchRecord {
-            backend: "reference".to_string(),
-            kernel: "cleanup_indexed".to_string(),
-            dim,
-            batch: rows,
-            ns_per_op: linear * 1e9,
-        });
-
-        assert_eq!(
-            indexed_out, linear_out,
-            "pruned index diverged from the linear scan at {rows} rows"
-        );
-    }
-    records
-}
-
 /// Hypervector dimensionality of the resonator-iteration microbench.
 pub const RESONATE_ITER_BENCH_DIM: usize = 4096;
 

@@ -71,7 +71,7 @@ pub const ATTRIBUTE_CARDINALITIES: [usize; 5] = [9, 9, 5, 6, 10];
 ///
 /// The RAVEN cardinalities ([`ATTRIBUTE_CARDINALITIES`]) cap attribute codebooks at
 /// 10 rows; production-scale item memories need 10^4+-row vocabularies to exercise
-/// the sub-linear cleanup index end to end. An `AttributeVocab` scales every
+/// large-codebook cleanup end to end. An `AttributeVocab` scales every
 /// attribute's value range **upward** (each cardinality stays at least the RAVEN
 /// base, so every RAVEN-range panel remains well-formed under any vocab) and is
 /// threaded through the generators (`Panel::random_with`, `RuleSet::random_with`,

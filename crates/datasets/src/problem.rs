@@ -195,8 +195,8 @@ impl ProblemGenerator {
     }
 
     /// Creates a generator whose panel values range over an enlarged attribute
-    /// vocabulary — the knob that scales codebook rows into the 10^4+ regime where
-    /// the solver's pruned cleanup index engages.
+    /// vocabulary — the knob that scales the solver's codebooks from RAVEN's
+    /// 10 rows to 10^4+.
     pub fn with_vocab(dataset: DatasetKind, vocab: AttributeVocab) -> Self {
         Self { dataset, vocab }
     }

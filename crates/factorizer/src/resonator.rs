@@ -355,8 +355,8 @@ pub struct FactorizerScratch {
     init_bits: BitMatrix,
     proj_acc: Vec<f32>,
     gather_tmp_bits: BitMatrix,
-    // Cleanup (decode polish): candidate ordering / partial-distance buffers of the
-    // indexed cleanup plus the per-factor result rows, reused across decode calls.
+    // Cleanup (decode polish): the linear scan's per-query running best plus the
+    // per-factor result rows, reused across decode calls.
     cleanup: CleanupScratch,
     cleanup_results: Vec<(usize, f32)>,
 }

@@ -8,18 +8,14 @@
 //!
 //! Both are searched the same way. A bipolar [`Codebook`] caches its sign planes, and
 //! the [`ProductCodebook`] is nothing but sign planes, XOR-composed from the factor
-//! codebooks' planes. One private helper owns those planes together with the
-//! [`CleanupIndex`] built over them from [`CLEANUP_INDEX_MIN_ROWS`] rows up, and
-//! decides for both types whether an exhaustive search takes the index or the linear
-//! popcount scan.
+//! codebooks' planes. Every exhaustive search over either runs the one linear blocked
+//! popcount scan, [`PackedBackend::cleanup_batch_packed_into`].
 
 use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
 use crate::ops;
-use crate::packed::{
-    BitMatrix, CleanupIndex, CleanupScratch, PackedBackend, CLEANUP_INDEX_MIN_ROWS,
-};
+use crate::packed::{BitMatrix, CleanupScratch, PackedBackend};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -59,57 +55,17 @@ pub struct Codebook {
     /// Contiguous row-major copy of `vectors` — the similarity-search operand the
     /// batched backends consume (one GEMV/GEMM row per codevector).
     matrix: Arc<HvMatrix>,
-    /// Bit-packed sign planes of `matrix` and their cleanup index, cached once at
-    /// construction when every codevector is exactly bipolar (`None` otherwise). The
-    /// packed similarity and cleanup paths read this instead of re-packing per call.
-    packed: Option<SignPlanes>,
-}
-
-/// Sign planes plus the pruned exact top-1 [`CleanupIndex`] over them: the one place
-/// that decides how an exhaustive search scans, for [`Codebook`] and
-/// [`ProductCodebook`] alike. The index is built for at least
-/// [`CLEANUP_INDEX_MIN_ROWS`] rows; below that the linear blocked scan already
-/// streams every row from L1/L2 faster than the sketch pass can rank them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SignPlanes {
-    planes: Arc<BitMatrix>,
-    /// `None` below [`CLEANUP_INDEX_MIN_ROWS`] rows and after
-    /// [`Codebook::clear_cleanup_index`].
-    index: Option<Arc<CleanupIndex>>,
-}
-
-impl SignPlanes {
-    fn new(planes: BitMatrix) -> Self {
-        let index = (planes.rows() >= CLEANUP_INDEX_MIN_ROWS)
-            .then(|| Arc::new(CleanupIndex::build(&planes)));
-        Self {
-            planes: Arc::new(planes),
-            index,
-        }
-    }
-
-    /// Top-1 row and bipolar cosine per query: the indexed scan when an index was
-    /// built, else the linear one. Both return identical results, ties to the
-    /// lowest row.
-    fn cleanup_into(
-        &self,
-        backend: &PackedBackend,
-        queries: &BitMatrix,
-        scratch: &mut CleanupScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        match &self.index {
-            Some(index) => backend.cleanup_batch_indexed_into(index, queries, scratch, out),
-            None => backend.cleanup_batch_packed_into(&self.planes, queries, scratch, out),
-        }
-    }
+    /// Bit-packed sign planes of `matrix`, cached once at construction when every
+    /// codevector is exactly bipolar (`None` otherwise). The packed similarity and
+    /// cleanup paths read this instead of re-packing per call.
+    packed: Option<Arc<BitMatrix>>,
 }
 
 impl Codebook {
-    /// Derives the matrix, sign planes and cleanup index of `vectors` (which
-    /// share one dimension) and moves everything into shared storage.
+    /// Derives the matrix and sign planes of `vectors` (which share one
+    /// dimension) and moves everything into shared storage.
     fn from_rows(name: String, vectors: Vec<Hypervector>, matrix: HvMatrix) -> Self {
-        let packed = BitMatrix::from_matrix(&matrix).map(SignPlanes::new);
+        let packed = BitMatrix::from_matrix(&matrix).map(Arc::new);
         Self {
             name,
             vectors: vectors.into(),
@@ -196,21 +152,7 @@ impl Codebook {
     /// exactly when every codevector is bipolar. Packed-aware layers use this to skip
     /// re-packing the codebook on every similarity/cleanup call.
     pub fn packed(&self) -> Option<&BitMatrix> {
-        self.packed.as_ref().map(|p| &*p.planes)
-    }
-
-    /// The cleanup index over the packed sign planes, built at construction for
-    /// bipolar codebooks of at least [`CLEANUP_INDEX_MIN_ROWS`] rows.
-    pub fn cleanup_index(&self) -> Option<&CleanupIndex> {
-        self.packed.as_ref()?.index.as_deref()
-    }
-
-    /// Removes (and returns) the cleanup index, forcing every subsequent cleanup
-    /// through the linear packed scan — the measurement / decision-identity knob the
-    /// index-vs-linear tests and benches use. Other clones of this codebook keep
-    /// their index; the returned one is copied out if they still share it.
-    pub fn clear_cleanup_index(&mut self) -> Option<CleanupIndex> {
-        self.packed.as_mut()?.index.take().map(Arc::unwrap_or_clone)
+        self.packed.as_deref()
     }
 
     /// Cleanup memory: returns the index and cosine similarity of the best-matching
@@ -259,13 +201,12 @@ impl Codebook {
     }
 
     /// The cleanup router: every codebook cleanup ends here. With a packed backend
-    /// and cached sign planes the queries hit the popcount kernel directly — the
-    /// pruned [`CleanupIndex`] scan when the codebook carries one, else the linear
-    /// packed scan — with no per-call packing on either operand. Other backends
-    /// (and non-bipolar codebooks) unpack the queries and run their dense cleanup.
-    /// Results land in `out` and intermediate state in `scratch`, so the
-    /// steady-state serving path allocates nothing; the three kernels return
-    /// identical results.
+    /// and cached sign planes the queries hit the linear popcount scan
+    /// ([`PackedBackend::cleanup_batch_packed_into`]) directly, with no per-call
+    /// packing on either operand. Other backends (and non-bipolar codebooks) unpack
+    /// the queries and run their dense cleanup. Results land in `out` and
+    /// intermediate state in `scratch`, so the steady-state serving path allocates
+    /// nothing; both kernels return identical decisions.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -278,7 +219,7 @@ impl Codebook {
     ) -> Result<(), VsaError> {
         if let (Some(packed_backend), Some(planes)) = (backend.as_packed(), &self.packed) {
             if queries.dim() == self.dim() {
-                planes.cleanup_into(packed_backend, queries, scratch, out);
+                packed_backend.cleanup_batch_packed_into(planes, queries, scratch, out);
                 return Ok(());
             }
         }
@@ -405,15 +346,6 @@ impl CodebookSet {
     /// entirely in the bit-packed representation.
     pub fn all_packed(&self) -> bool {
         self.codebooks.iter().all(|cb| cb.packed().is_some())
-    }
-
-    /// Removes the cleanup index from every factor codebook (see
-    /// [`Codebook::clear_cleanup_index`]), forcing subsequent cleanups through the
-    /// linear packed scan — the indexed-vs-linear comparison knob.
-    pub fn clear_cleanup_indexes(&mut self) {
-        for cb in &mut self.codebooks {
-            cb.clear_cleanup_index();
-        }
     }
 
     /// Returns the codebook of factor `f`.
@@ -546,13 +478,13 @@ impl CodebookSet {
 /// Holds one sign plane per attribute combination. Row `r` is the combination whose
 /// factor indices are the mixed-radix digits of `r`, last factor fastest. The rows are
 /// XOR-composed from the factor codebooks' cached planes (bipolar Hadamard binding is
-/// XOR on sign planes), so no `f32` product vector is ever built. A search runs through
-/// the same index-or-linear choice as [`Codebook::cleanup_batch_bits_into`]. Only
+/// XOR on sign planes), so no `f32` product vector is ever built. A search runs the
+/// same linear popcount scan as [`Codebook::cleanup_batch_bits_into`]. Only
 /// practical for small combination counts; the constructor refuses to materialise more
 /// than [`ProductCodebook::MAX_COMBINATIONS`] rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProductCodebook {
-    planes: SignPlanes,
+    planes: BitMatrix,
     factor_sizes: Vec<usize>,
 }
 
@@ -609,14 +541,14 @@ impl ProductCodebook {
             }
         }
         Ok(Self {
-            planes: SignPlanes::new(planes),
+            planes,
             factor_sizes,
         })
     }
 
     /// Number of product vectors.
     pub fn len(&self) -> usize {
-        self.planes.planes.rows()
+        self.planes.rows()
     }
 
     /// Returns `true` if the codebook holds no vectors (cannot happen via
@@ -641,7 +573,7 @@ impl ProductCodebook {
     /// Returns [`VsaError::DimensionMismatch`] for a query of the wrong dimension and
     /// [`VsaError::InvalidParameter`] for a query that is not exactly bipolar.
     pub fn brute_force_search(&self, query: &Hypervector) -> Result<(Vec<usize>, f32), VsaError> {
-        let dim = self.planes.planes.dim();
+        let dim = self.planes.dim();
         if query.dim() != dim {
             return Err(VsaError::DimensionMismatch {
                 left: dim,
@@ -656,8 +588,8 @@ impl ProductCodebook {
             }
         })?;
         let mut best = Vec::new();
-        self.planes.cleanup_into(
-            &PackedBackend::serial(),
+        PackedBackend::serial().cleanup_batch_packed_into(
+            &self.planes,
             &bits,
             &mut CleanupScratch::default(),
             &mut best,
@@ -675,7 +607,7 @@ impl ProductCodebook {
     /// `bytes_per_element` storage per dimension (the Fig. 8 accounting; the sign
     /// planes themselves take one bit per dimension).
     pub fn footprint_bytes(&self, bytes_per_element: usize) -> usize {
-        self.len() * self.planes.planes.dim() * bytes_per_element
+        self.len() * self.planes.dim() * bytes_per_element
     }
 }
 
@@ -719,25 +651,11 @@ mod tests {
     }
 
     #[test]
-    fn cleanup_index_built_only_for_large_codebooks() {
-        let mut r = rng(29);
-        let small = Codebook::random("small", CLEANUP_INDEX_MIN_ROWS - 1, 256, &mut r);
-        assert!(small.cleanup_index().is_none());
-        let large = Codebook::random("large", CLEANUP_INDEX_MIN_ROWS, 256, &mut r);
-        assert!(large.cleanup_index().is_some());
-        assert_eq!(
-            large.cleanup_index().unwrap().rows(),
-            CLEANUP_INDEX_MIN_ROWS
-        );
-    }
-
-    #[test]
-    fn cleanup_router_index_linear_and_dense_kernels_agree() {
+    fn cleanup_router_linear_and_dense_kernels_agree() {
         use crate::packed::PackedBackend;
         let mut r = rng(30);
-        let mut cb = Codebook::random("large", 600, 512, &mut r);
-        assert!(cb.cleanup_index().is_some());
-        // Perturbed codevectors as queries: the production cleanup regime.
+        let cb = Codebook::random("large", 600, 512, &mut r);
+        // Perturbed codevectors as queries.
         let queries: Vec<Hypervector> = (0..5)
             .map(|i| ops::flip_noise(cb.vector(i * 100).unwrap(), 0.02, &mut r))
             .collect();
@@ -745,29 +663,20 @@ mod tests {
         let bits = BitMatrix::from_matrix(&dense).unwrap();
         let backend = PackedBackend::new();
 
-        let indexed = cb.cleanup_batch(&backend, &dense).unwrap();
-        let indexed_bits = cb.cleanup_batch_bits(&backend, &bits).unwrap();
-        let mut scratch = CleanupScratch::default();
-        let mut indexed_into = Vec::new();
-        cb.cleanup_batch_bits_into(&backend, &bits, &mut scratch, &mut indexed_into)
-            .unwrap();
-
-        assert!(cb.clear_cleanup_index().is_some());
-        assert!(cb.cleanup_index().is_none());
         let linear = cb.cleanup_batch(&backend, &dense).unwrap();
+        let linear_bits = cb.cleanup_batch_bits(&backend, &bits).unwrap();
+        let mut scratch = CleanupScratch::default();
         let mut linear_into = Vec::new();
         cb.cleanup_batch_bits_into(&backend, &bits, &mut scratch, &mut linear_into)
             .unwrap();
 
-        // The router's third kernel: a backend without a packed fast path runs
+        // The router's second kernel: a backend without a packed fast path runs
         // its dense cleanup on the unpacked queries.
         let mut dense_into = Vec::new();
         cb.cleanup_batch_bits_into(&ReferenceBackend, &bits, &mut scratch, &mut dense_into)
             .unwrap();
 
-        assert_eq!(indexed, linear);
-        assert_eq!(indexed_bits, linear);
-        assert_eq!(indexed_into, linear);
+        assert_eq!(linear_bits, linear);
         assert_eq!(linear_into, linear);
         for (q, ((idx, sim), (dense_idx, dense_sim))) in linear.iter().zip(&dense_into).enumerate()
         {
@@ -856,7 +765,7 @@ mod tests {
         ] {
             let bound = set.bind_indices(&t).unwrap();
             let planes = BitMatrix::from_hypervectors(&[bound]).unwrap();
-            assert_eq!(product.planes.planes.row_words(row), planes.row_words(0));
+            assert_eq!(product.planes.row_words(row), planes.row_words(0));
         }
         let query = set.bind_indices(&[2, 1, 4]).unwrap();
         let (indices, sim) = product.brute_force_search(&query).unwrap();
@@ -1124,8 +1033,7 @@ mod tests {
             noise in 0.0f64..0.45,
         ) {
             let mut r = rng(seed);
-            // Below CLEANUP_INDEX_MIN_ROWS the search scans linearly, above it the
-            // product carries a cleanup index.
+            // 60 and 24,300 product rows: one cache block and many.
             let (sizes, dim): (&[usize], usize) = if large == 1 {
                 (&[9, 9, 5, 6, 10], 64)
             } else {
@@ -1150,7 +1058,7 @@ mod tests {
                 set = CodebookSet::new(codebooks, BindingOp::Hadamard).unwrap();
             }
             let product = ProductCodebook::expand(&set).unwrap();
-            prop_assert_eq!(product.planes.index.is_some(), large == 1);
+            prop_assert_eq!(product.len(), sizes.iter().product::<usize>());
 
             let mut queries = Vec::new();
             for _ in 0..4 {

@@ -93,8 +93,8 @@ pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};
 pub use packed::{
-    dispatch_tier, projection_tier, BitMatrix, CleanupIndex, CleanupScratch, DispatchTier,
-    PackedBackend, ProjectionVerdict, ResonatePhase, CLEANUP_INDEX_MIN_ROWS,
+    dispatch_tier, projection_tier, BitMatrix, CleanupScratch, DispatchTier, PackedBackend,
+    ProjectionVerdict, ResonatePhase,
 };
 pub use quant::{Precision, QuantizedVector};
 

@@ -53,22 +53,6 @@ const CODEBOOK_BLOCK_ROWS: usize = 128;
 /// pre-sizing can bound the unbind scratch.
 pub const PROJ_LANE_ROWS: usize = 8;
 
-/// Minimum codebook row count at which [`CleanupIndex`] construction and the indexed
-/// cleanup path pay off. Below this the linear blocked scan already streams the whole
-/// codebook from L1/L2 faster than the sketch pass can rank it, so [`crate::Codebook`]
-/// only builds an index for codebooks at least this large.
-pub const CLEANUP_INDEX_MIN_ROWS: usize = 512;
-
-/// Rows per chunk in the sketch-distance minimum pass of the indexed cleanup: chunk
-/// minima are computed with an autovectorisable `u16` reduction, and refinement later
-/// touches only chunks whose minimum beats the running bound.
-const SKETCH_CHUNK_ROWS: usize = 64;
-
-/// Words per refinement step in the indexed cleanup: candidates accumulate their exact
-/// Hamming distance [`REFINE_CHUNK_WORDS`] words at a time, re-checking the
-/// best-so-far bound between steps so provably-worse rows are abandoned early.
-const REFINE_CHUNK_WORDS: usize = 4;
-
 /// A dense, row-major batch of **sign planes**: the bit-packed mirror of [`HvMatrix`]
 /// for bipolar data.
 ///
@@ -186,35 +170,6 @@ fn hamming_generic(a: &[u64], b: &[u64]) -> u32 {
 /// Function-pointer type of the Hamming kernels behind [`hamming_fn`].
 type HammingFn = fn(&[u64], &[u64]) -> u32;
 
-/// Sketch kernel over two SoA planes: `dist[r] = popcount(q0 ^ p0[r]) +
-/// popcount(q1 ^ p1[r])` (overwrite).
-type SketchPairFn = fn(u64, u64, &[u64], &[u64], &mut [u16]);
-
-/// Sketch kernel over one SoA plane, either overwriting (`dist[r] = …`) or
-/// accumulating (`dist[r] += …`) per-row popcounts against a single query word.
-type SketchPlaneFn = fn(u64, &[u64], &mut [u16]);
-
-/// Portable two-plane sketch sweep (overwrite form).
-fn sketch_pair_generic(q0: u64, q1: u64, p0: &[u64], p1: &[u64], dist: &mut [u16]) {
-    for ((slot, &a), &b) in dist.iter_mut().zip(p0).zip(p1) {
-        *slot = ((q0 ^ a).count_ones() + (q1 ^ b).count_ones()) as u16;
-    }
-}
-
-/// Portable one-plane sketch sweep (overwrite form).
-fn sketch_one_generic(q: u64, plane: &[u64], dist: &mut [u16]) {
-    for (slot, &a) in dist.iter_mut().zip(plane) {
-        *slot = (q ^ a).count_ones() as u16;
-    }
-}
-
-/// Portable one-plane sketch sweep (accumulate form).
-fn sketch_accum_generic(q: u64, plane: &[u64], dist: &mut [u16]) {
-    for (slot, &a) in dist.iter_mut().zip(plane) {
-        *slot += (q ^ a).count_ones() as u16;
-    }
-}
-
 /// SIMD width a kernel family resolved to on this CPU: the Hamming kernels report
 /// theirs through [`dispatch_tier`], the sign projection through
 /// [`projection_tier`]. The variant docs describe the Hamming kernels.
@@ -255,15 +210,14 @@ impl std::fmt::Display for DispatchTier {
     }
 }
 
-/// Runtime-dispatched SIMD kernels: Hamming distance, sketch sweeps, the sign
-/// projection row kernel, the sign pack and the noise eligibility mask.
+/// Runtime-dispatched SIMD kernels: Hamming distance, the sign projection row
+/// kernel, the sign pack and the noise eligibility mask.
 ///
 /// This module is the crate's **single scoped `unsafe_code` exception** (see the
 /// crate-level lint note): `#[target_feature]` functions cannot be called or coerced
 /// without `unsafe` even after cpuid verification, and the AVX loads go through raw
 /// pointers. Every function here is only reachable through a resolver ([`detect`],
-/// [`sketch_kernels`], [`amplitude_mask_fn`]) that gates each tier on
-/// `is_x86_feature_detected!`.
+/// [`amplitude_mask_fn`]) that gates each tier on `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
@@ -428,33 +382,6 @@ mod simd {
             .map(|(x, y)| (x ^ y).count_ones())
             .sum();
         _mm512_reduce_add_epi64(acc) as u32 + tail
-    }
-
-    /// Two-plane sketch sweep compiled with hardware `popcnt` (overwrite form); same
-    /// body as the generic kernel — the feature gate alone turns each
-    /// `count_ones()` into one instruction, and the plane-contiguous SoA layout lets
-    /// the compiler keep the whole sweep in a tight load/popcnt/add stream.
-    #[target_feature(enable = "popcnt")]
-    fn sketch_pair_popcnt(q0: u64, q1: u64, p0: &[u64], p1: &[u64], dist: &mut [u16]) {
-        for ((slot, &a), &b) in dist.iter_mut().zip(p0).zip(p1) {
-            *slot = ((q0 ^ a).count_ones() + (q1 ^ b).count_ones()) as u16;
-        }
-    }
-
-    /// One-plane sketch sweep with hardware `popcnt` (overwrite form).
-    #[target_feature(enable = "popcnt")]
-    fn sketch_one_popcnt(q: u64, plane: &[u64], dist: &mut [u16]) {
-        for (slot, &a) in dist.iter_mut().zip(plane) {
-            *slot = (q ^ a).count_ones() as u16;
-        }
-    }
-
-    /// One-plane sketch sweep with hardware `popcnt` (accumulate form).
-    #[target_feature(enable = "popcnt")]
-    fn sketch_accum_popcnt(q: u64, plane: &[u64], dist: &mut [u16]) {
-        for (slot, &a) in dist.iter_mut().zip(plane) {
-            *slot += (q ^ a).count_ones() as u16;
-        }
     }
 
     /// Stores up to 16 accumulators per vector into `dst`, whose length may be
@@ -716,33 +643,6 @@ mod simd {
         unsafe { pack_row_signs_avx2(row, words) }
     }
 
-    /// Safe wrapper over [`sketch_pair_popcnt`]; only reachable after cpuid detection.
-    pub(super) fn sketch_pair_popcnt_checked(
-        q0: u64,
-        q1: u64,
-        p0: &[u64],
-        p1: &[u64],
-        dist: &mut [u16],
-    ) {
-        // SAFETY: sketch_kernels() returns this function only when the popcnt
-        // feature was detected on the running CPU.
-        unsafe { sketch_pair_popcnt(q0, q1, p0, p1, dist) }
-    }
-
-    /// Safe wrapper over [`sketch_one_popcnt`]; only reachable after cpuid detection.
-    pub(super) fn sketch_one_popcnt_checked(q: u64, plane: &[u64], dist: &mut [u16]) {
-        // SAFETY: sketch_kernels() returns this function only when the popcnt
-        // feature was detected on the running CPU.
-        unsafe { sketch_one_popcnt(q, plane, dist) }
-    }
-
-    /// Safe wrapper over [`sketch_accum_popcnt`]; only reachable after cpuid detection.
-    pub(super) fn sketch_accum_popcnt_checked(q: u64, plane: &[u64], dist: &mut [u16]) {
-        // SAFETY: sketch_kernels() returns this function only when the popcnt
-        // feature was detected on the running CPU.
-        unsafe { sketch_accum_popcnt(q, plane, dist) }
-    }
-
     /// Safe wrapper over [`hamming_popcnt`]; only reachable after cpuid detection.
     pub(super) fn hamming_popcnt_checked(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: detect() returns this function only when the popcnt feature was
@@ -870,34 +770,6 @@ fn hamming_fn() -> HammingFn {
 #[inline]
 fn hamming(a: &[u64], b: &[u64]) -> u32 {
     hamming_fn()(a, b)
-}
-
-/// The three sketch-sweep kernels of the indexed cleanup, resolved together.
-#[derive(Clone, Copy)]
-struct SketchKernels {
-    pair: SketchPairFn,
-    one: SketchPlaneFn,
-    accum: SketchPlaneFn,
-}
-
-/// Resolves the sketch-sweep kernels for this CPU. Any tier at or above
-/// [`DispatchTier::Popcnt`] implies the `popcnt` feature, which is all these
-/// word-at-a-time sweeps need — the wide-vector tiers buy nothing extra here because
-/// each plane element is a single `u64`.
-fn sketch_kernels() -> SketchKernels {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_tier() >= DispatchTier::Popcnt && std::arch::is_x86_feature_detected!("popcnt") {
-        return SketchKernels {
-            pair: simd::sketch_pair_popcnt_checked,
-            one: simd::sketch_one_popcnt_checked,
-            accum: simd::sketch_accum_popcnt_checked,
-        };
-    }
-    SketchKernels {
-        pair: sketch_pair_generic,
-        one: sketch_one_generic,
-        accum: sketch_accum_generic,
-    }
 }
 
 /// Function-pointer type of the amplitude-mask kernels behind
@@ -1380,190 +1252,18 @@ impl BitMatrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cleanup index
-// ---------------------------------------------------------------------------
-
-/// Pruned **exact** top-1 Hamming index over a [`BitMatrix`] codebook.
-///
-/// The linear cleanup scan reads all `rows × words_per_row` sign-plane words per
-/// query; at 10^5–10^6 rows that stream is the dominant cost of every factorization
-/// step. The index restructures the scan around what stays cache-resident:
-///
-/// * **Word permutation.** At build time the codebook words are scored for
-///   discriminativeness (per-bit balance over a row sample — a bit set on half the
-///   rows separates the most pairs) and a permutation `word_order` front-loads the
-///   highest-scoring words. Queries are permuted once per lookup; distances are
-///   unchanged because Hamming distance is word-order invariant.
-/// * **SoA sketches.** The first `sketch_words` permuted words of every row are
-///   stored plane-contiguous (`sketch[s·rows + r]`), so the per-query sketch pass is
-///   a sequential sweep over `2·rows` bytes per plane — cache-resident even at 10^6
-///   rows — instead of a strided walk of the full sign planes.
-/// * **Progressive refinement.** Rows are visited in ascending sketch-distance
-///   order and accumulate their exact distance over the remaining words a few words
-///   at a time, abandoning as soon as the partial distance exceeds the running best.
-///
-/// **Exactness.** The sketch distance and every partial refinement distance are
-/// Hamming distances over word *subsets*, hence monotone lower bounds on the full
-/// distance. The true winner `r*` can never be pruned: its bound never exceeds its
-/// full distance `h*`, and `h*` is ≤ the running best at every point (the running
-/// best only takes values of fully-refined rows, all ≥ `h*`). Ties resolve to the
-/// lowest row index exactly as [`PackedBackend::cleanup_batch_packed_into`]: a row is
-/// abandoned (not adopted) when it can at best *tie* a lower-indexed incumbent, and
-/// equal-sketch rows are visited in ascending row order (stable counting sort).
-///
-/// Construction is `O(rows × words_per_row)` — one sampled scoring pass plus one
-/// gather — and is done once per codebook behind [`crate::Codebook`]; codebooks
-/// below [`CLEANUP_INDEX_MIN_ROWS`] rows skip the index and keep the linear scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CleanupIndex {
-    rows: usize,
-    dim: usize,
-    words_per_row: usize,
-    /// Number of leading permuted words held in the SoA sketch planes.
-    sketch_words: usize,
-    /// Permutation of `0..words_per_row`: most discriminative words first.
-    word_order: Vec<u32>,
-    /// SoA sketch planes: plane `s` is `sketch[s·rows .. (s+1)·rows]`, holding word
-    /// `word_order[s]` of every row.
-    sketch: Vec<u64>,
-    /// Remaining permuted words, row-major: row `r` is
-    /// `rest[r·(words_per_row−sketch_words) ..][..words_per_row−sketch_words]`.
-    rest: Vec<u64>,
-}
-
-impl CleanupIndex {
-    /// Builds the index from a codebook's sign planes. An empty codebook yields an
-    /// empty index (the checked entry points never query it).
-    pub fn build(codebook: &BitMatrix) -> Self {
-        let rows = codebook.rows();
-        let dim = codebook.dim();
-        let wpr = codebook.words_per_row();
-        if rows == 0 {
-            return Self {
-                rows: 0,
-                dim,
-                words_per_row: wpr,
-                sketch_words: 0,
-                word_order: Vec::new(),
-                sketch: Vec::new(),
-                rest: Vec::new(),
-            };
-        }
-        // One plane for every 8 row words (d=1024 → 2 of 16), at least one, and
-        // capped so a sketch distance always fits the u16 dist entries.
-        let sketch_words = (wpr / 8)
-            .clamp(1, wpr)
-            .min(usize::from(u16::MAX) / WORD_BITS);
-
-        // Score each word's discriminativeness on a row sample: a bit set on n of
-        // `sampled` rows separates n·(sampled−n) row pairs; a word's score sums its
-        // 64 bits. The sample keeps construction O(rows) in the word count that
-        // matters while still ranking words on real codebook statistics.
-        let stride = rows.div_ceil(4096).max(1);
-        let sampled = rows.div_ceil(stride) as u64;
-        let mut counts = vec![0u32; wpr * WORD_BITS];
-        for r in (0..rows).step_by(stride) {
-            for (w, &word) in codebook.row_words(r).iter().enumerate() {
-                let base = w * WORD_BITS;
-                let mut x = word;
-                while x != 0 {
-                    counts[base + x.trailing_zeros() as usize] += 1;
-                    x &= x - 1;
-                }
-            }
-        }
-        let scores: Vec<u64> = counts
-            .chunks_exact(WORD_BITS)
-            .map(|bits| {
-                bits.iter()
-                    .map(|&c| u64::from(c) * (sampled - u64::from(c)))
-                    .sum()
-            })
-            .collect();
-        let mut word_order: Vec<u32> = (0..wpr as u32).collect();
-        word_order.sort_by(|&a, &b| scores[b as usize].cmp(&scores[a as usize]).then(a.cmp(&b)));
-
-        // Gather the permuted words: sketch planes SoA, the rest row-major.
-        let rest_words = wpr - sketch_words;
-        let mut sketch = vec![0u64; sketch_words * rows];
-        let mut rest = vec![0u64; rest_words * rows];
-        for r in 0..rows {
-            let row = codebook.row_words(r);
-            for (s, &w) in word_order[..sketch_words].iter().enumerate() {
-                sketch[s * rows + r] = row[w as usize];
-            }
-            for (k, &w) in word_order[sketch_words..].iter().enumerate() {
-                rest[r * rest_words + k] = row[w as usize];
-            }
-        }
-        Self {
-            rows,
-            dim,
-            words_per_row: wpr,
-            sketch_words,
-            word_order,
-            sketch,
-            rest,
-        }
-    }
-
-    /// Number of indexed codebook rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Dimensionality (in bits) of the indexed rows.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of permuted words held in the SoA sketch planes.
-    pub fn sketch_words(&self) -> usize {
-        self.sketch_words
-    }
-
-    /// Storage footprint of the index in bytes (sketch + rest planes + permutation).
-    pub fn footprint_bytes(&self) -> usize {
-        (self.sketch.len() + self.rest.len()) * std::mem::size_of::<u64>()
-            + self.word_order.len() * std::mem::size_of::<u32>()
-    }
-
-    /// The non-sketch permuted words of row `r`.
-    #[inline]
-    fn rest_row(&self, r: usize) -> &[u64] {
-        let rest_words = self.words_per_row - self.sketch_words;
-        &self.rest[r * rest_words..(r + 1) * rest_words]
-    }
-}
-
-/// Reusable per-call scratch of the cleanup kernels (candidate order, sketch
-/// distances, counting-sort buckets). Thread one through repeated
-/// [`PackedBackend::cleanup_batch_indexed_into`] /
-/// [`PackedBackend::cleanup_batch_packed_into`] calls so the steady-state serving
-/// path allocates nothing.
+/// Reusable per-call scratch of the cleanup kernel: the running best of every
+/// query. Thread one through repeated [`PackedBackend::cleanup_batch_packed_into`]
+/// calls so the steady-state serving path allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct CleanupScratch {
-    /// Query words permuted into index order.
-    qperm: Vec<u64>,
-    /// Per-row sketch distances (overwritten per query; sized once per row count).
-    dist: Vec<u16>,
-    /// Minimum sketch distance per [`SKETCH_CHUNK_ROWS`] chunk.
-    chunk_min: Vec<u16>,
-    /// Counting-sort buckets over sketch distances.
-    counts: Vec<u32>,
-    /// Candidate rows in ascending (sketch distance, row) order.
-    order: Vec<u32>,
     /// Per-query running best of the linear scan.
     best: Vec<(usize, u32)>,
 }
 
 impl CleanupScratch {
     /// Pre-sizes the per-query buffer for a batch of `queries` rows, so the
-    /// first cleanup call of a pre-sized serving loop allocates nothing. The
-    /// index-shaped buffers (`dist`, `order`, …) are sized by the cleanup
-    /// kernels themselves on first contact with a codebook and never grow past
-    /// its row count.
+    /// first cleanup call of a pre-sized serving loop allocates nothing.
     pub fn reserve_queries(&mut self, queries: usize) {
         self.best.reserve(queries.saturating_sub(self.best.len()));
     }
@@ -1585,7 +1285,7 @@ impl CleanupScratch {
 /// [`VsaBackend::as_packed`] by the layers that already hold sign planes:
 ///
 /// * popcount similarity GEMM ([`PackedBackend::similarity_matrix_packed_into`]) and
-///   the linear and indexed cleanups, blocked over codebook rows for cache residency;
+///   the cleanup scan, blocked over codebook rows for cache residency;
 /// * the sign projection and the fused resonator step that the packed resonator
 ///   runs every iteration, both on one register-blocked row kernel.
 ///
@@ -1690,182 +1390,6 @@ impl PackedBackend {
         let d = queries.dim() as f32;
         out.clear();
         out.extend(best.iter().map(|&(m, h)| (m, (d - 2.0 * h as f32) / d)));
-    }
-
-    /// Indexed cleanup: decision-identical to
-    /// [`PackedBackend::cleanup_batch_packed_into`] against the codebook `index` was
-    /// built from — same winning index, same cosine, same lowest-index tie-breaking —
-    /// but sub-linear in the words read per query (see [`CleanupIndex`] for the
-    /// exactness argument).
-    ///
-    /// Per query: (1) permute the query words into index order; (2) one sequential
-    /// SoA sweep computes every row's sketch distance into cache-resident `u16`
-    /// entries; (3) a chunked minimum pass finds the best sketch row, whose full
-    /// distance seeds the bound; (4) a counting sort over the surviving chunks
-    /// orders candidates by ascending (sketch distance, row); (5) candidates refine
-    /// word-wise under the running bound, abandoning as soon as their monotone
-    /// partial distance proves them no better than the incumbent.
-    ///
-    /// # Panics
-    /// Panics on an empty index or a query dimension mismatch.
-    pub fn cleanup_batch_indexed_into(
-        &self,
-        index: &CleanupIndex,
-        queries: &BitMatrix,
-        scratch: &mut CleanupScratch,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        assert!(index.rows() > 0, "cleanup requires a non-empty codebook");
-        assert_eq!(index.dim(), queries.dim(), "operand dims must match");
-        let rows = index.rows;
-        let s_words = index.sketch_words;
-        let rest_words = index.words_per_row - s_words;
-        let d = index.dim as f32;
-        let ham = hamming_fn();
-        let kernels = sketch_kernels();
-        // The sketch sweep overwrites every entry, so `dist` only needs re-sizing
-        // (not re-zeroing) when the row count changes.
-        if scratch.dist.len() != rows {
-            scratch.dist.clear();
-            scratch.dist.resize(rows, 0);
-        }
-        out.clear();
-        out.reserve(queries.rows());
-        for q in 0..queries.rows() {
-            let qw = queries.row_words(q);
-            scratch.qperm.clear();
-            scratch
-                .qperm
-                .extend(index.word_order.iter().map(|&w| qw[w as usize]));
-            let (qs, qrest) = scratch.qperm.split_at(s_words);
-
-            // (2) Sketch sweep: dist[r] = Hamming over the sketch words, one
-            // sequential pass per SoA plane (the first two planes fused).
-            let dist = &mut scratch.dist[..];
-            if s_words >= 2 {
-                (kernels.pair)(
-                    qs[0],
-                    qs[1],
-                    &index.sketch[..rows],
-                    &index.sketch[rows..2 * rows],
-                    dist,
-                );
-            } else {
-                (kernels.one)(qs[0], &index.sketch[..rows], dist);
-            }
-            for (s, &qword) in qs.iter().enumerate().skip(2) {
-                (kernels.accum)(qword, &index.sketch[s * rows..(s + 1) * rows], dist);
-            }
-
-            // (3) Chunk minima, then seed the bound with the full distance of the
-            // first row attaining the global sketch minimum.
-            scratch.chunk_min.clear();
-            scratch
-                .chunk_min
-                .extend(dist.chunks(SKETCH_CHUNK_ROWS).map(|chunk| {
-                    let mut m = u16::MAX;
-                    for &v in chunk {
-                        m = m.min(v);
-                    }
-                    m
-                }));
-            let min_sketch = *scratch.chunk_min.iter().min().expect("rows > 0");
-            let min_chunk = scratch
-                .chunk_min
-                .iter()
-                .position(|&m| m == min_sketch)
-                .expect("a chunk attains the minimum");
-            let base = min_chunk * SKETCH_CHUNK_ROWS;
-            let seed = base
-                + dist[base..]
-                    .iter()
-                    .position(|&v| v == min_sketch)
-                    .expect("the chunk contains its minimum");
-            let mut best_i = seed;
-            let mut best_h = u32::from(dist[seed]);
-            if rest_words > 0 {
-                best_h += ham(qrest, index.rest_row(seed));
-            }
-
-            // (4) Stable counting sort of the candidates by sketch distance,
-            // restricted to chunks (and entries) at or under the seed bound —
-            // ascending row order within equal distances preserves the
-            // lowest-index tie-breaking of the linear scan.
-            let bound = best_h.min((s_words * WORD_BITS) as u32);
-            let cap = bound as usize;
-            scratch.counts.clear();
-            scratch.counts.resize(cap + 1, 0);
-            let mut survivors = 0usize;
-            for (ci, &cm) in scratch.chunk_min.iter().enumerate() {
-                if u32::from(cm) > bound {
-                    continue;
-                }
-                let start = ci * SKETCH_CHUNK_ROWS;
-                let end = (start + SKETCH_CHUNK_ROWS).min(rows);
-                for &v in &dist[start..end] {
-                    if usize::from(v) <= cap {
-                        scratch.counts[usize::from(v)] += 1;
-                        survivors += 1;
-                    }
-                }
-            }
-            let mut acc = 0u32;
-            for c in scratch.counts.iter_mut() {
-                let n = *c;
-                *c = acc;
-                acc += n;
-            }
-            scratch.order.clear();
-            scratch.order.resize(survivors, 0);
-            for (ci, &cm) in scratch.chunk_min.iter().enumerate() {
-                if u32::from(cm) > bound {
-                    continue;
-                }
-                let start = ci * SKETCH_CHUNK_ROWS;
-                let end = (start + SKETCH_CHUNK_ROWS).min(rows);
-                for (offset, &v) in dist[start..end].iter().enumerate() {
-                    if usize::from(v) <= cap {
-                        let slot = scratch.counts[usize::from(v)];
-                        scratch.order[slot as usize] = (start + offset) as u32;
-                        scratch.counts[usize::from(v)] = slot + 1;
-                    }
-                }
-            }
-
-            // (5) Progressive refinement under the running (best_h, best_i) bound.
-            // Every abandonment is provable: the partial distance is a monotone
-            // lower bound, so a row is dropped only when it can no longer beat the
-            // incumbent — or at best tie it with a higher row index.
-            for &r32 in &scratch.order {
-                let r = r32 as usize;
-                let lb = u32::from(dist[r]);
-                if lb > best_h {
-                    // Candidates are in ascending sketch order: nothing later can win.
-                    break;
-                }
-                if r == seed || (lb == best_h && r > best_i) {
-                    continue;
-                }
-                let mut h = lb;
-                let rest = index.rest_row(r);
-                let mut viable = true;
-                let mut k = 0;
-                while k < rest_words {
-                    let end = (k + REFINE_CHUNK_WORDS).min(rest_words);
-                    h += ham(&qrest[k..end], &rest[k..end]);
-                    if h > best_h || (h == best_h && r > best_i) {
-                        viable = false;
-                        break;
-                    }
-                    k = end;
-                }
-                if viable && (h < best_h || (h == best_h && r < best_i)) {
-                    best_h = h;
-                    best_i = r;
-                }
-            }
-            out.push((best_i, (d - 2.0 * best_h as f32) / d));
-        }
     }
 
     /// Packed weighted superposition fused with a per-query perturbation and the sign
@@ -2181,22 +1705,55 @@ mod tests {
         assert_eq!(rs, ps);
     }
 
+    /// The linear popcount cleanup against the reference backend's dense scan on
+    /// one-word, tail-word and power-of-two dimensions, codebooks of one and of
+    /// several cache blocks, and two maximal ties (duplicate rows, and rows all
+    /// equidistant from the query) that both scans must give to the lowest row.
+    /// One scratch serves every call, so reuse across shapes is covered too.
     #[test]
     fn cleanup_matches_reference_within_contract() {
-        let cb = random_bipolar_matrix(16, 1000, 5);
-        let q = random_bipolar_matrix(8, 1000, 6);
-        let rc = ReferenceBackend.cleanup_batch(&cb, &q).unwrap();
-        let mut pc = Vec::new();
-        PackedBackend::new().cleanup_batch_packed_into(
-            &BitMatrix::from_matrix(&cb).unwrap(),
-            &BitMatrix::from_matrix(&q).unwrap(),
-            &mut CleanupScratch::default(),
-            &mut pc,
-        );
-        assert_eq!(rc.len(), pc.len());
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            assert_eq!(ri, pi);
-            assert!((rsim - psim).abs() < 1e-4, "{rsim} vs {psim}");
+        let backend = PackedBackend::new();
+        let mut scratch = CleanupScratch::default();
+        let mut cleanup = |codebook: &BitMatrix, queries: &BitMatrix| {
+            let rc = ReferenceBackend
+                .cleanup_batch(&codebook.to_matrix(), &queries.to_matrix())
+                .unwrap();
+            let mut pc = Vec::new();
+            backend.cleanup_batch_packed_into(codebook, queries, &mut scratch, &mut pc);
+            assert_eq!(rc.len(), pc.len());
+            for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
+                assert_eq!(ri, pi);
+                assert!((rsim - psim).abs() < 1e-4, "{rsim} vs {psim}");
+            }
+            pc
+        };
+        for (seed, &dim) in [64usize, 127, 256, 513, 1000, 1024].iter().enumerate() {
+            let rows = [16, 300][seed % 2];
+            let cb = BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, 5 + seed as u64));
+            let q = BitMatrix::from_matrix(&random_bipolar_matrix(8, dim, 50 + seed as u64));
+            cleanup(&cb.unwrap(), &q.unwrap());
+        }
+
+        // Duplicate rows: four distinct planes repeated across 80 rows, queried
+        // with the planes themselves, so every query meets exact ties.
+        let mut r = rng(7);
+        let distinct = BitMatrix::random_bipolar(4, 256, &mut r);
+        let picks: Vec<usize> = (0..80).map(|i| (i * 7 + i / 5) % 4).collect();
+        let codebook = distinct.gather(&picks).unwrap();
+        for (q, (idx, sim)) in cleanup(&codebook, &distinct).into_iter().enumerate() {
+            assert_eq!(Some(idx), picks.iter().position(|&p| p == q), "query {q}");
+            assert_eq!(sim, 1.0);
+        }
+
+        // Every row at Hamming distance 1 from the all-+1 query.
+        let (rows, dim) = (600, 1024);
+        let mut codebook = BitMatrix::zeros(rows, dim);
+        for row in 0..rows {
+            codebook.flip_bit(row, row);
+        }
+        for (idx, sim) in cleanup(&codebook, &BitMatrix::zeros(3, dim)) {
+            assert_eq!(idx, 0);
+            assert!((sim - (1.0 - 2.0 / dim as f32)).abs() < 1e-6);
         }
     }
 
@@ -2853,137 +2410,6 @@ mod tests {
             }
             // Round-trips through the dense representation exactly.
             assert_eq!(BitMatrix::from_matrix(&m.to_matrix()).unwrap(), m);
-        }
-    }
-
-    mod cleanup_index_props {
-        use super::*;
-        use proptest::prelude::*;
-        use rand::Rng;
-
-        /// Pins the indexed cleanup to the linear scan on the same operands:
-        /// identical winner index, bitwise-identical similarity, and the same again
-        /// from a scratch reused across both kernels.
-        fn assert_decision_identity(codebook: &BitMatrix, queries: &BitMatrix) {
-            let backend = PackedBackend::new();
-            let index = CleanupIndex::build(codebook);
-            let (mut linear, mut indexed) = (Vec::new(), Vec::new());
-            backend.cleanup_batch_packed_into(
-                codebook,
-                queries,
-                &mut CleanupScratch::default(),
-                &mut linear,
-            );
-            backend.cleanup_batch_indexed_into(
-                &index,
-                queries,
-                &mut CleanupScratch::default(),
-                &mut indexed,
-            );
-            assert_eq!(linear.len(), indexed.len());
-            for (q, (lin, ind)) in linear.iter().zip(&indexed).enumerate() {
-                assert_eq!(lin.0, ind.0, "query {q}: winner index diverged");
-                assert_eq!(
-                    lin.1.to_bits(),
-                    ind.1.to_bits(),
-                    "query {q}: similarity diverged"
-                );
-            }
-            let mut scratch = CleanupScratch::default();
-            let mut out = Vec::new();
-            backend.cleanup_batch_indexed_into(&index, queries, &mut scratch, &mut out);
-            assert_eq!(out, indexed);
-            backend.cleanup_batch_packed_into(codebook, queries, &mut scratch, &mut out);
-            assert_eq!(out, linear);
-        }
-
-        #[test]
-        fn indexed_cleanup_all_equidistant_rows_pick_lowest_index() {
-            // Every codebook row is at Hamming distance 1 from the all-+1 query:
-            // a maximal tie, which must resolve to row 0 on both paths.
-            let (rows, dim) = (600, 1024);
-            let mut codebook = BitMatrix::zeros(rows, dim);
-            for r in 0..rows {
-                codebook.flip_bit(r, r);
-            }
-            let queries = BitMatrix::zeros(3, dim);
-            assert_decision_identity(&codebook, &queries);
-            let index = CleanupIndex::build(&codebook);
-            let mut out = Vec::new();
-            PackedBackend::new().cleanup_batch_indexed_into(
-                &index,
-                &queries,
-                &mut CleanupScratch::default(),
-                &mut out,
-            );
-            for (idx, sim) in out {
-                assert_eq!(idx, 0);
-                assert!((sim - (1.0 - 2.0 / dim as f32)).abs() < 1e-6);
-            }
-        }
-
-        #[test]
-        fn cleanup_index_metadata() {
-            let mut r = rng(17);
-            let codebook = BitMatrix::random_bipolar(700, 1024, &mut r);
-            let index = CleanupIndex::build(&codebook);
-            assert_eq!(index.rows(), 700);
-            assert_eq!(index.dim(), 1024);
-            // d=1024 → 16 words per row → 2 SoA sketch planes, 14 rest words.
-            assert_eq!(index.sketch_words(), 2);
-            assert!(index.footprint_bytes() >= 700 * 16 * 8);
-            // Empty codebooks build an empty (never-queried) index.
-            assert_eq!(CleanupIndex::build(&BitMatrix::default()).rows(), 0);
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// Decision identity across pow2 and non-pow2 dims (1-word sketch at
-            /// d ≤ 512, fused 2-plane pass at 1024+), uniform-random queries (mode
-            /// 0, near-no pruning), perturbed codebook rows (mode 1, the production
-            /// regime), and queries exactly equal to a codebook row (mode 2).
-            #[test]
-            fn prop_indexed_cleanup_matches_linear(
-                seed in 0u64..1000,
-                dim_sel in 0usize..6,
-                rows in 1usize..700,
-                queries in 1usize..8,
-                mode in 0usize..3,
-            ) {
-                let dim = [64usize, 127, 256, 513, 1024, 1100][dim_sel];
-                let mut r = rng(seed);
-                let codebook = BitMatrix::random_bipolar(rows, dim, &mut r);
-                let q = match mode {
-                    0 => BitMatrix::random_bipolar(queries, dim, &mut r),
-                    _ => {
-                        let picks: Vec<usize> =
-                            (0..queries).map(|_| r.gen_range(0..rows)).collect();
-                        let mut q = codebook.gather(&picks).unwrap();
-                        if mode == 1 {
-                            for i in 0..queries {
-                                for _ in 0..(dim / 50).max(1) {
-                                    q.flip_bit(i, r.gen_range(0..dim));
-                                }
-                            }
-                        }
-                        q
-                    }
-                };
-                assert_decision_identity(&codebook, &q);
-            }
-
-            /// Duplicate-heavy codebooks: a handful of distinct planes each
-            /// repeated many times, queried with the planes themselves — exact
-            /// duplicates and ties everywhere, must still pick the lowest index.
-            #[test]
-            fn prop_indexed_cleanup_duplicate_rows(seed in 0u64..1000, rows in 2usize..80) {
-                let mut r = rng(seed);
-                let distinct = BitMatrix::random_bipolar(4, 256, &mut r);
-                let picks: Vec<usize> = (0..rows).map(|_| r.gen_range(0..4)).collect();
-                let codebook = distinct.gather(&picks).unwrap();
-                assert_decision_identity(&codebook, &distinct);
-            }
         }
     }
 }

@@ -49,8 +49,8 @@ pub struct SolverConfig {
     pub backend: BackendKind,
     /// Attribute vocabulary the solver's codebooks cover. Defaults to the RAVEN
     /// cardinalities; enlarged vocabularies (e.g. [`AttributeVocab::uniform`] with
-    /// 10^4+ values) scale the per-attribute codebooks into the regime where the
-    /// packed backend's pruned cleanup index takes over answer decoding.
+    /// 10^4+ values) scale the per-attribute codebooks, and with them every
+    /// linear cleanup scan, from 10 rows to tens of thousands.
     #[serde(default)]
     pub vocab: AttributeVocab,
 }
@@ -483,17 +483,6 @@ impl NeurosymbolicSolver {
     /// The batched execution backend this solver runs on.
     pub fn backend(&self) -> &Arc<dyn VsaBackend> {
         &self.backend
-    }
-
-    /// Drops every cached cleanup index so packed cleanups fall back to the linear
-    /// scan. The index is exact, so decisions are unchanged — this knob exists for
-    /// A/B perf comparison and decision-identity regression tests. Cached plans stay
-    /// valid: the cleanup router reads the codebooks on every call.
-    pub fn disable_cleanup_index(&mut self) {
-        self.codebooks.clear_cleanup_indexes();
-        for (set, _) in &mut self.blocks {
-            set.clear_cleanup_indexes();
-        }
     }
 
     /// The [`PlanKey`] a solve call over `batch` problems resolves to on this solver.
@@ -1862,68 +1851,6 @@ mod tests {
     }
 
     #[test]
-    fn large_vocab_solver_indexed_cleanup_is_decision_identical() {
-        // A 600-value vocabulary pushes every attribute codebook past
-        // CLEANUP_INDEX_MIN_ROWS, so the whole decode path (resonator cleanups +
-        // polish sweep + answer scoring) runs through the pruned cleanup index.
-        // The index is exact: disabling it must change nothing — same choices,
-        // same report, same rng consumption.
-        let vocab = AttributeVocab::uniform(600);
-        let config = SolverConfig {
-            vector_dim: 512,
-            perception_noise: 0.05, // exercise the vocab-wide perturbation draws
-            factorizer: FactorizerConfig::default().with_max_iterations(8),
-            vocab,
-            ..SolverConfig::default()
-        };
-        let (indexed, mut r) = solver(60, config);
-        assert!(
-            indexed
-                .codebooks()
-                .factor(0)
-                .unwrap()
-                .cleanup_index()
-                .is_some(),
-            "600-row codebooks must carry a cleanup index"
-        );
-        let mut linear = indexed.clone();
-        linear.disable_cleanup_index();
-        assert!(linear
-            .codebooks()
-            .factor(0)
-            .unwrap()
-            .cleanup_index()
-            .is_none());
-
-        let problems =
-            ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(3, &mut r);
-        for p in &problems {
-            assert!(p.verify_answer_with(vocab));
-        }
-        // A RAVEN-vocab solver must reject these out-of-range values outright.
-        let (raven, mut r0) = solver(61, SolverConfig::default());
-        assert!(matches!(
-            raven.solve_batch(&problems, &mut r0),
-            Err(SolveError::Malformed { .. })
-        ));
-
-        let mut r1 = r.clone();
-        let mut r2 = r.clone();
-        let mut scratch1 = SolverScratch::default();
-        let mut scratch2 = SolverScratch::default();
-        let report_indexed = indexed
-            .solve_batch_with(&problems, &mut r1, &mut scratch1)
-            .unwrap();
-        let report_linear = linear
-            .solve_batch_with(&problems, &mut r2, &mut scratch2)
-            .unwrap();
-        assert_eq!(report_indexed, report_linear);
-        assert_eq!(scratch1.choices(), scratch2.choices());
-        assert_eq!(r1.next_u64(), r2.next_u64(), "rng streams diverge");
-        assert_eq!(report_indexed.problems, 3);
-    }
-
-    #[test]
     fn codebooks_are_exposed_for_memory_accounting() {
         let (s, _) = solver(7, SolverConfig::default());
         assert_eq!(s.codebooks().num_factors(), 5);
@@ -1961,12 +1888,6 @@ mod tests {
             // Clones start with a cold cache (a capped clone compiles other plans).
             let cloned = s.clone();
             assert_eq!(cloned.plan_cache_stats(), PlanCacheStats::default());
-
-            // Plans capture no cleanup state, so disabling the index keeps them.
-            let mut demoted = s.clone();
-            let before = demoted.plan_for_batch(4);
-            demoted.disable_cleanup_index();
-            assert!(Arc::ptr_eq(&before, &demoted.plan_for_batch(4)));
         }
 
         #[test]
@@ -2083,48 +2004,6 @@ mod tests {
             assert_eq!(r1.next_u64(), r2.next_u64());
             assert!(stages.encode > 0 && stages.decode > 0 && stages.score > 0);
             assert_eq!(stages.total(), stages.encode + stages.decode + stages.score);
-        }
-
-        #[test]
-        fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
-            // Steady-state serving must stay allocation-free: the planned
-            // executor pre-sizes the factorizer scratch from the plan key on
-            // entry, so every capacity the packed resonator (and its fused
-            // kernel) touches is final after the first chunk. The
-            // fingerprint is the full ordered capacity vector of the packed
-            // scratch — any buffer regrowing across chunks changes it.
-            let (s, mut r) = solver(76, SolverConfig::default());
-            let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(10, &mut r);
-            let plan = s.plan_for_batch(4);
-            let mut scratch = SolverScratch::default();
-            // Serve an under-full chunk first: the presize keys on the *plan's*
-            // chunk width, so even this 2-problem call must leave every buffer
-            // at full 4-problem capacity — if sizing instead trailed the
-            // submitted batch, the full chunks below would regrow the scratch
-            // and change the fingerprint.
-            let mut timings = StageNanos::default();
-            s.solve_batch_with_plan_timed(
-                &plan,
-                &problems[..2],
-                &mut r,
-                &mut scratch,
-                &mut timings,
-            )
-            .unwrap();
-            let fingerprint = scratch.factorizer_capacity_fingerprint();
-            assert!(
-                fingerprint.iter().any(|&c| c > 0),
-                "presize must have reserved the packed scratch"
-            );
-            for chunk in problems[2..].chunks(4) {
-                s.solve_batch_with_plan_timed(&plan, chunk, &mut r, &mut scratch, &mut timings)
-                    .unwrap();
-                assert_eq!(
-                    scratch.factorizer_capacity_fingerprint(),
-                    fingerprint,
-                    "steady-state serving reallocated factorizer scratch"
-                );
-            }
         }
 
         proptest! {

@@ -3,7 +3,7 @@
 //! recover the attributes with the CogSys iterative factorizer — comparing memory and
 //! work against the brute-force product-codebook search it replaces (paper Sec. IV,
 //! Fig. 8). The brute-force side expands all 24,300 combinations into sign planes and
-//! searches them through the cleanup index.
+//! searches them with one linear popcount scan.
 //!
 //! The walk-through makes the resonator's **capacity cliff** explicit: a flat F = 5
 //! factorization at d = 1024 sits beyond the network's operational capacity and

@@ -7,14 +7,19 @@
 //!    answers and rng consumption;
 //! 3. a fixed seed gives a fixed end-to-end outcome;
 //! 4. limit-cycle detection only stops resonator rows that would never converge;
-//! 5. the cleanup router's indexed scan decides exactly like its linear scan.
+//! 5. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
+//!    solve with a fixed outcome per seed on their own 600-row codebooks;
+//! 6. a planned serving stream reallocates no factorizer scratch after its first,
+//!    under-full chunk.
 
 use cogsys::{CogSysConfig, CogSysSystem};
 use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet, Precision};
-use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverReport, SolverScratch};
+use cogsys_workloads::{
+    NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch, StageNanos,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
@@ -215,11 +220,10 @@ fn limit_cycle_exits_only_stop_rows_that_never_converge() {
 }
 
 #[test]
-fn indexed_cleanup_solves_like_the_linear_scan() {
-    // A 600-value vocabulary puts every attribute codebook past
-    // CLEANUP_INDEX_MIN_ROWS, so resonator cleanups, polish and answer scoring all
-    // take the pruned cleanup index. Dropping the index sends them through the
-    // linear scan, which must make the same decisions and consume the same rng.
+fn enlarged_vocabularies_solve_with_a_fixed_outcome_per_seed() {
+    // 600 values per attribute: every codebook cleanup (resonator, polish and
+    // answer scoring) scans 600 rows. Pinned per seed: the report, the choices
+    // and the rng state the solve leaves behind.
     let vocab = AttributeVocab::uniform(600);
     let config = SolverConfig {
         vector_dim: 512,
@@ -228,27 +232,87 @@ fn indexed_cleanup_solves_like_the_linear_scan() {
         vocab,
         ..SolverConfig::default()
     };
-    let mut r = rng(60);
-    let indexed = NeurosymbolicSolver::new(config, &mut r);
-    let mut linear = indexed.clone();
-    linear.disable_cleanup_index();
-    for (solver, has_index) in [(&indexed, true), (&linear, false)] {
+    let capped = SolverReport {
+        problems: 2,
+        panels_total: 16,
+        factorizer_iterations: 256,
+        rows_capped: 32,
+        ..SolverReport::default()
+    };
+    for (seed, choices, next) in [
+        (60, [0, 0], 0xe08d_cea2_4ed2_2f31_u64),
+        (61, [0, 5], 0xe305_1c5e_98bd_538f),
+    ] {
+        let mut r = rng(seed);
+        let solver = NeurosymbolicSolver::new(config.clone(), &mut r);
         for f in 0..solver.codebooks().num_factors() {
-            let codebook = solver.codebooks().factor(f).unwrap();
-            assert_eq!(codebook.cleanup_index().is_some(), has_index, "factor {f}");
+            assert_eq!(
+                solver.codebooks().factor(f).unwrap().len(),
+                600,
+                "factor {f}"
+            );
         }
-    }
-    let problems =
-        ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut r);
-    let solve = |solver: &NeurosymbolicSolver| {
-        let mut r = r.clone();
+        let problems =
+            ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut r);
+        for p in &problems {
+            assert!(p.verify_answer_with(vocab), "seed {seed}");
+        }
+
+        // A RAVEN-vocabulary solver rejects the out-of-range values before it
+        // draws from the rng.
+        let raven = NeurosymbolicSolver::new(
+            SolverConfig {
+                vector_dim: 512,
+                ..SolverConfig::default()
+            },
+            &mut rng(seed),
+        );
+        let mut probe = r.clone();
+        assert!(matches!(
+            raven.solve_batch(&problems, &mut probe),
+            Err(SolveError::Malformed { .. })
+        ));
+        assert_eq!(probe.next_u64(), r.clone().next_u64(), "seed {seed}");
+
         let mut scratch = SolverScratch::default();
         let report = solver
             .solve_batch_with(&problems, &mut r, &mut scratch)
             .unwrap();
-        (report, scratch.choices().to_vec(), r.next_u64())
-    };
-    let outcome = solve(&indexed);
-    assert_eq!(outcome.0.problems, 2);
-    assert_eq!(solve(&linear), outcome);
+        assert_eq!(report, capped, "seed {seed}");
+        assert_eq!(scratch.choices(), choices, "seed {seed}");
+        assert_eq!(r.next_u64(), next, "seed {seed}");
+    }
+}
+
+#[test]
+fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
+    // The planned executor pre-sizes the factorizer scratch (the packed
+    // resonator's buffers and its cleanup scratch) from the plan's chunk width,
+    // so an under-full first chunk already leaves every buffer at full
+    // capacity. The fingerprint is the ordered capacity vector of that scratch:
+    // any buffer regrowing across the stream changes it.
+    let mut r = rng(76);
+    let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut r);
+    let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(10, &mut r);
+    let plan = solver.plan_for_batch(4);
+    let mut scratch = SolverScratch::default();
+    let mut timings = StageNanos::default();
+    solver
+        .solve_batch_with_plan_timed(&plan, &problems[..2], &mut r, &mut scratch, &mut timings)
+        .unwrap();
+    let fingerprint = scratch.factorizer_capacity_fingerprint();
+    assert!(
+        fingerprint.iter().any(|&c| c > 0),
+        "presize must have reserved the packed scratch"
+    );
+    for chunk in problems[2..].chunks(4) {
+        solver
+            .solve_batch_with_plan_timed(&plan, chunk, &mut r, &mut scratch, &mut timings)
+            .unwrap();
+        assert_eq!(
+            scratch.factorizer_capacity_fingerprint(),
+            fingerprint,
+            "steady-state serving reallocated factorizer scratch"
+        );
+    }
 }
