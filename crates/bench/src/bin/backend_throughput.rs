@@ -25,7 +25,7 @@
 //! generic tier (the CI runners are known-SIMD hosts, so a generic fallback there
 //! means detection broke, not that the hardware shrank).
 //!
-//! `--explain` prints the compiled solve plans (stage IR and chunk width) for the
+//! `--explain` prints the compiled solve plans (key and stage IR) for the
 //! solver shapes the sweep measures, plus the plan-cache hit/miss counters, before the
 //! timing runs.
 //!

@@ -85,12 +85,6 @@ pub struct FactorizerConfig {
 }
 
 impl FactorizerConfig {
-    /// Configuration used for the paper-style accuracy experiments: stochasticity on,
-    /// FP32 arithmetic.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// The "factorization only" ablation: no stochasticity.
     pub fn without_stochasticity() -> Self {
         Self {
@@ -128,7 +122,9 @@ impl FactorizerConfig {
                 self.convergence_threshold
             ));
         }
-        if self.stochasticity.decay <= 0.0 || self.stochasticity.decay > 1.0 {
+        // Written so NaN fails too: a NaN decay would turn both sigmas NaN after the
+        // first iteration, which silently disables the noise.
+        if !(self.stochasticity.decay > 0.0 && self.stochasticity.decay <= 1.0) {
             return Err(format!(
                 "stochasticity decay must be in (0,1], got {}",
                 self.stochasticity.decay
@@ -197,9 +193,11 @@ mod tests {
         c.stochasticity.projection_sigma = f32::NAN;
         assert!(c.validate().is_err());
 
-        let mut c = FactorizerConfig::default();
-        c.stochasticity.decay = 0.0; // nested field: no initializer shorthand
-        assert!(c.validate().is_err());
+        for decay in [0.0, f32::INFINITY, f32::NAN] {
+            let mut c = FactorizerConfig::default();
+            c.stochasticity.decay = decay; // nested field: no initializer shorthand
+            assert!(c.validate().is_err(), "decay {decay}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! The iterative resonator factorization loop, executed as batch kernels.
+//! The iterative resonator factorization loop.
 //!
-//! The three factorization steps (unbind → similarity search → projection, Fig. 8) are
-//! phrased over [`HvMatrix`] batches and dispatched through a [`VsaBackend`], so one
-//! `Factorizer` can decode a single query or a whole panel batch with the same code
-//! path. Every query in a batch carries its own derived noise stream, which makes
+//! The three factorization steps (unbind → similarity search → projection, Fig. 8)
+//! run on one of two engines. The serving engine keeps the factor estimates as sign
+//! planes and steps a whole query batch through the packed backend's fused kernel.
+//! The `f32` resonator is the reference engine: it runs one query at a time through
+//! a [`VsaBackend`]'s `f32` kernels, and it decodes everything the packed engine
+//! cannot (circular binding, non-bipolar queries, the dense backends). Every query
+//! carries its own derived noise stream, which makes
 //! [`Factorizer::factorize_matrix_scratch`] return *exactly* the results of calling
 //! [`Factorizer::factorize`] per query — batching is a pure performance transform.
 
@@ -179,11 +182,6 @@ impl BoundedNoise {
     }
 }
 
-/// Cosine similarity of two rows — the canonical [`ops::cosine_slices`] numerics.
-fn cosine_rows(a: &[f32], b: &[f32]) -> f32 {
-    ops::cosine_slices(a, b)
-}
-
 /// The SplitMix64 finalizer: a full-avalanche bijection on 64-bit words.
 #[inline]
 fn mix64(mut z: u64) -> u64 {
@@ -207,12 +205,13 @@ fn converges(config: &FactorizerConfig, similarity: f32) -> bool {
     similarity >= config.convergence_threshold
 }
 
-/// Per-query mutable state of the batched iteration.
+/// Per-query mutable state of the resonator iteration.
 ///
-/// Indexed by the *original* query index throughout; converged queries are compacted
-/// out of the batch matrices (see the `order` vectors in the engines) but their state
-/// stays here until the results are assembled. Lives in [`FactorizerScratch`] and is
-/// [`QueryState::reset`] per call, so the steady state reuses its vectors.
+/// The packed engine keeps one per query, indexed by the *original* query index;
+/// converged queries are compacted out of its batch planes (see its `order` vector)
+/// but their state stays in [`FactorizerScratch`] until the results are assembled.
+/// The `f32` resonator reuses a single state across its queries. Either way it is
+/// [`QueryState::reset`] per query, so the steady state reuses its vectors.
 #[derive(Debug, Default)]
 struct QueryState {
     sim_sigma: f32,
@@ -246,7 +245,7 @@ impl QueryState {
 
     /// End-of-iteration bookkeeping for one query: records the rebind `similarity`,
     /// detects convergence and limit cycles, and decays the noise schedule. Returns
-    /// `true` when the query is finished and its batch row can be compacted out.
+    /// `true` when the query is finished.
     ///
     /// `fingerprint` hashes the row's estimate state after this iteration; it runs
     /// only for rows that did not converge, and only with detection on.
@@ -317,10 +316,11 @@ impl QueryState {
     }
 }
 
-/// Caller-owned scratch for the resonator engines: every batch matrix, sign plane and
-/// bookkeeping vector the iteration touches, reused across calls so a steady-state
-/// serving loop allocates nothing in the factorization stage beyond the returned
-/// [`FactorizationResult`]s themselves.
+/// Caller-owned scratch for the resonator: every sign plane and bookkeeping vector
+/// the packed engine touches, reused across calls so a steady-state serving loop
+/// allocates nothing in the factorization stage beyond the returned
+/// [`FactorizationResult`]s themselves. The `f32` reference resonator keeps only its
+/// quantized queries here and allocates its one-row operands per call.
 ///
 /// One scratch serves both engines and any sequence of shapes — buffers are reshaped
 /// per call (`ensure_shape` keeps the backing storage when the shape repeats). The
@@ -328,21 +328,14 @@ impl QueryState {
 /// yields bitwise-identical results, which is what the allocating entry points do.
 #[derive(Debug, Default)]
 pub struct FactorizerScratch {
-    // Shared bookkeeping.
+    // Packed-engine bookkeeping; `sims` also holds the f32 resonator's scores.
     states: Vec<QueryState>,
     order: Vec<usize>,
     survivors: Vec<usize>,
     sims: HvMatrix,
-    // Dense engine.
+    /// The quantized `f32` queries: packed from on the packed path, read row by
+    /// row by the f32 resonator.
     query_q: HvMatrix,
-    estimates: Vec<HvMatrix>,
-    unbound: HvMatrix,
-    work: HvMatrix,
-    projected: HvMatrix,
-    rebound: HvMatrix,
-    gather_tmp: HvMatrix,
-    /// One estimate row packed to sign planes, for the limit-cycle fingerprint.
-    sign_row: BitMatrix,
     // Packed engine.
     query_bits: BitMatrix,
     estimates_bits: Vec<BitMatrix>,
@@ -362,11 +355,6 @@ pub struct FactorizerScratch {
 }
 
 impl FactorizerScratch {
-    /// Packs `query_q` into `query_bits`, reporting whether it was exactly bipolar.
-    fn pack_query(&mut self) -> bool {
-        self.query_bits.pack_from(&self.query_q)
-    }
-
     /// The cleanup scratch and result buffer, borrowed together for the
     /// scratch-reusing cleanup entry points
     /// ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
@@ -508,25 +496,26 @@ impl Factorizer {
         Ok(results.pop().expect("one query row yields one result"))
     }
 
-    /// The batched resonator engine: factorizes every row of `queries`, driving noise
-    /// for row `q` from `streams[q]`.
+    /// Factorizes every row of `queries`, driving noise for row `q` from
+    /// `streams[q]`.
     ///
-    /// Two execution strategies share the same per-query dynamics:
+    /// Two engines share the same per-query dynamics:
     ///
-    /// * a **bit-packed** engine (backend with a packed fast path, Hadamard binding,
-    ///   exactly-bipolar queries and codebooks, any precision) that keeps the factor
-    ///   estimates as sign planes — unbinding is word-wise XOR and the similarity step
-    ///   is popcount — and only round-trips through `f32` for the weighted projection
-    ///   accumulator, which it quantizes before the sign threshold like the dense
-    ///   engine does;
-    /// * the dense engine for everything else.
+    /// * the **bit-packed** serving engine (a backend with a packed fast path,
+    ///   Hadamard binding, exactly-bipolar queries and codebooks, any precision)
+    ///   keeps the factor estimates as sign planes — unbinding is word-wise XOR and
+    ///   the similarity step is popcount — and only round-trips through `f32` for
+    ///   the weighted projection accumulator, which it quantizes before the sign
+    ///   threshold like the `f32` resonator does. It steps the whole batch at once
+    ///   and compacts converged rows out with a gather, so early-converging queries
+    ///   stop consuming kernel lanes;
+    /// * the `f32` reference resonator decodes everything else, one query at a
+    ///   time on the backend's `f32` kernels.
     ///
-    /// Both compact converged rows out of the batch with a gather (scatter happens at
-    /// result assembly), so early-converging queries stop consuming kernel lanes.
-    /// All batch matrices, sign planes and per-query state live in the caller-owned
-    /// `scratch` and are reused across calls, so a steady-state serving loop
-    /// allocates nothing in the factorization stage; a fresh scratch gives identical
-    /// results.
+    /// The packed engine's sign planes and per-query state live in the
+    /// caller-owned `scratch` and are reused across calls, so a steady-state
+    /// serving loop allocates nothing in the factorization stage; a fresh scratch
+    /// gives identical results.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
@@ -563,21 +552,19 @@ impl Factorizer {
             fake_quantize_slice(scratch.query_q.row_mut(q), precision);
         }
 
-        // Packed fast path (see [`Factorizer::packed_pipeline`]). Quantization maps
-        // ±1 to exactly ±1, so a bipolar query still packs at every precision.
-        if self.packed_pipeline(set) && scratch.pack_query() {
+        // Packed fast path. Quantization maps ±1 to exactly ±1, so a bipolar query
+        // still packs at every precision.
+        if self.packed_pipeline(set) && scratch.query_bits.pack_from(&scratch.query_q) {
             return self.factorize_matrix_packed(set, streams, scratch);
         }
 
         self.factorize_matrix_dense(set, streams, scratch)
     }
 
-    /// Returns `true` when factorizing against `set` runs the bit-packed resonator
-    /// engine: Hadamard binding, a backend with a packed fast path, and cached sign
-    /// planes on every factor codebook, at any precision. Callers that already hold
-    /// packed queries can then stay in sign planes end to end via
-    /// [`Factorizer::factorize_matrix_bits_scratch`].
-    pub fn packed_pipeline(&self, set: &CodebookSet) -> bool {
+    /// Whether factorizing against `set` can run the bit-packed resonator engine:
+    /// Hadamard binding, a backend with a packed fast path, and cached sign planes
+    /// on every factor codebook, at any precision.
+    fn packed_pipeline(&self, set: &CodebookSet) -> bool {
         set.binding() == BindingOp::Hadamard
             && self.backend.as_packed().is_some()
             && set.all_packed()
@@ -588,10 +575,11 @@ impl Factorizer {
     /// that already hold the query batch as sign planes (e.g. a packed-encoded scene
     /// batch), skipping the per-call pack of the dense path.
     ///
-    /// On a packed-capable configuration ([`Factorizer::packed_pipeline`]) the bits
-    /// feed the packed engine directly; otherwise the queries are unpacked once and
-    /// the dense engine runs. Results are identical to calling
-    /// [`Factorizer::factorize_matrix_scratch`] on the unpacked queries.
+    /// On a packed-capable configuration (Hadamard binding, a packed backend and
+    /// codebooks with cached sign planes) the bits feed the packed engine directly;
+    /// otherwise the queries are unpacked once and the `f32` resonator runs. Results
+    /// are identical to calling [`Factorizer::factorize_matrix_scratch`] on the
+    /// unpacked queries.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
@@ -624,178 +612,114 @@ impl Factorizer {
             return self.factorize_matrix_packed(set, streams, scratch);
         }
         // Unpacked fallback (non-Hadamard binding, dense backend): ±1 values survive
-        // quantization at every precision, so the dense engine sees exactly the
+        // quantization at every precision, so the f32 resonator sees exactly the
         // queries the caller packed.
         queries.unpack_into(&mut scratch.query_q);
         self.factorize_matrix_dense(set, streams, scratch)
     }
 
-    /// Dense (`f32`) resonator engine with converged-row compaction. Reads the
-    /// already-quantized query batch from `scratch.query_q` (it shrinks in place as
-    /// rows converge) and reuses every other buffer from `scratch`.
-    // The row loops index parallel structures (states, streams, matrix rows) through
-    // the same slot; iterator-zip rewrites would fight the borrow checker for no
-    // clarity.
-    #[allow(clippy::needless_range_loop)]
+    /// The `f32` reference resonator: runs each query of the already-quantized
+    /// batch in `scratch.query_q` to completion, one at a time, on the backend's
+    /// own `f32` kernels over one-row operands. Rows are independent and every
+    /// query draws only from its own stream, so this returns exactly what a
+    /// batched run would.
     fn factorize_matrix_dense(
         &self,
         set: &CodebookSet,
         streams: &mut [StdRng],
         scratch: &mut FactorizerScratch,
     ) -> Result<Vec<FactorizationResult>, VsaError> {
-        let FactorizerScratch {
-            states,
-            order,
-            survivors,
-            sims,
-            query_q,
-            estimates,
-            unbound,
-            work,
-            projected,
-            rebound,
-            gather_tmp,
-            sign_row,
-            ..
-        } = scratch;
-        let n = query_q.rows();
+        let FactorizerScratch { sims, query_q, .. } = scratch;
         let num_factors = set.num_factors();
         let dim = set.dim();
         let backend = self.backend.as_ref();
         let precision = self.config.precision;
 
         // Initial estimates: bundle of every codevector in each factor, snapped to
-        // bipolar so the Hadamard unbinding stays well-conditioned. The start point is
-        // query-independent, hence one broadcast row per factor.
-        estimates.resize_with(num_factors, HvMatrix::default);
-        for (f, est) in estimates.iter_mut().enumerate() {
-            let cb = set.factor(f).expect("factor index in range");
-            let init = ops::majority_bundle(cb.iter()).expect("codebooks are non-empty");
-            est.ensure_shape(n, dim);
-            for slot in 0..n {
-                est.row_mut(slot).copy_from_slice(init.values());
-            }
-        }
-
+        // bipolar so the Hadamard unbinding stays well-conditioned.
+        let init = (0..num_factors)
+            .map(|f| ops::majority_bundle(set.factor(f)?.iter()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut query = HvMatrix::zeros(1, dim);
+        let mut estimates = vec![HvMatrix::zeros(1, dim); num_factors];
+        let (mut unbound, mut work) = (HvMatrix::zeros(1, dim), HvMatrix::zeros(1, dim));
+        let (mut projected, mut rebound) = (HvMatrix::zeros(1, dim), HvMatrix::zeros(1, dim));
+        let mut sign_row = BitMatrix::zeros(1, dim);
+        let mut state = QueryState::default();
         let noise_scale = (dim as f32).sqrt();
-        states.resize_with(n, QueryState::default);
-        for state in states.iter_mut() {
-            state.reset(&self.config, num_factors, noise_scale);
-        }
-        // `order[slot]` is the original query index occupying batch row `slot`;
-        // finished rows are gathered out so every kernel lane always does live work.
-        order.clear();
-        order.extend(0..n);
-        sign_row.ensure_shape(1, dim);
+        let mut results = Vec::with_capacity(streams.len());
 
-        for iteration in 1..=self.config.max_iterations {
-            let rows = order.len();
-            if rows == 0 {
-                break;
+        for (q, stream) in streams.iter_mut().enumerate() {
+            query.row_mut(0).copy_from_slice(query_q.row(q));
+            for (est, init) in estimates.iter_mut().zip(&init) {
+                est.row_mut(0).copy_from_slice(init.values());
             }
+            state.reset(&self.config, num_factors, noise_scale);
 
-            for f in 0..num_factors {
-                let cb_matrix = set.factor(f)?.matrix();
+            for iteration in 1..=self.config.max_iterations {
+                for f in 0..num_factors {
+                    let cb_matrix = set.factor(f)?.matrix();
 
-                // Step 1: unbind the contribution of every other factor's estimate.
-                // Estimates are updated in place (Gauss–Seidel style), so later factors
-                // in the same sweep already see the refreshed earlier factors — this is
-                // the "interactive" factorization the paper describes and converges in
-                // fewer iterations than a fully synchronous update.
-                set.unbind_all_but_batch(backend, query_q, estimates, f, unbound, work)?;
-                for slot in 0..rows {
-                    fake_quantize_slice(unbound.row_mut(slot), precision);
-                }
+                    // Step 1: unbind the contribution of every other factor's estimate.
+                    // Estimates are updated in place (Gauss–Seidel style), so later
+                    // factors in the same sweep already see the refreshed earlier
+                    // factors — the "interactive" factorization the paper describes,
+                    // which converges in fewer iterations than a synchronous update.
+                    set.unbind_all_but_batch(
+                        backend,
+                        &query,
+                        &estimates,
+                        f,
+                        &mut unbound,
+                        &mut work,
+                    )?;
+                    fake_quantize_slice(unbound.row_mut(0), precision);
 
-                // Step 2: similarity search against the factor codebook (one GEMM for
-                // the whole batch).
-                backend.similarity_matrix_into(cb_matrix, unbound, sims)?;
-                for slot in 0..rows {
-                    let q = order[slot];
-                    if let Some(noise) = &states[q].sim_noise {
-                        noise.perturb_all(sims.row_mut(slot), &mut streams[q]);
+                    // Step 2: similarity search against the factor codebook.
+                    backend.similarity_matrix_into(cb_matrix, &unbound, sims)?;
+                    if let Some(noise) = &state.sim_noise {
+                        noise.perturb_all(sims.row_mut(0), stream);
                     }
-                    states[q].decoded[f] = ops::argmax(sims.row(slot)).unwrap_or(0);
-                }
+                    state.decoded[f] = ops::argmax(sims.row(0)).unwrap_or(0);
 
-                // Step 3: project back into the codevector space and binarise.
-                backend.project_batch_into(cb_matrix, sims, projected)?;
-                for slot in 0..rows {
-                    let q = order[slot];
-                    if let Some(noise) = &states[q].proj_noise {
-                        noise.perturb_signs(projected.row_mut(slot), &mut streams[q]);
+                    // Step 3: project back into the codevector space and binarise.
+                    backend.project_batch_into(cb_matrix, sims, &mut projected)?;
+                    if let Some(noise) = &state.proj_noise {
+                        noise.perturb_signs(projected.row_mut(0), stream);
                     }
-                    fake_quantize_slice(projected.row_mut(slot), precision);
-                    for (est, &v) in estimates[f]
-                        .row_mut(slot)
-                        .iter_mut()
-                        .zip(projected.row(slot))
-                    {
+                    fake_quantize_slice(projected.row_mut(0), precision);
+                    for (est, &v) in estimates[f].row_mut(0).iter_mut().zip(projected.row(0)) {
                         *est = if v < 0.0 { -1.0 } else { 1.0 };
                     }
                 }
-            }
 
-            // Convergence check: re-bind the decoded codevectors and compare to the
-            // query, batched across rows (scratch ping-pong, no allocation).
-            work.ensure_shape(rows, dim);
-            rebound.ensure_shape(rows, dim);
-            for slot in 0..rows {
-                let row_indices = &states[order[slot]].decoded;
+                // Convergence check: re-bind the decoded codevectors and compare to
+                // the query.
                 rebound
-                    .row_mut(slot)
-                    .copy_from_slice(set.factor(0)?.matrix().row(row_indices[0]));
-            }
-            for f in 1..num_factors {
-                for slot in 0..rows {
-                    work.row_mut(slot).copy_from_slice(
-                        set.factor(f)?.matrix().row(states[order[slot]].decoded[f]),
-                    );
+                    .row_mut(0)
+                    .copy_from_slice(set.factor(0)?.matrix().row(state.decoded[0]));
+                for f in 1..num_factors {
+                    work.row_mut(0)
+                        .copy_from_slice(set.factor(f)?.matrix().row(state.decoded[f]));
+                    backend.bind_batch_into(&rebound, &work, set.binding(), &mut unbound)?;
+                    std::mem::swap(&mut rebound, &mut unbound);
                 }
-                backend.bind_batch_into(rebound, work, set.binding(), unbound)?;
-                std::mem::swap(rebound, unbound);
-            }
-
-            survivors.clear();
-            for slot in 0..rows {
-                let q = order[slot];
-                let similarity = cosine_rows(rebound.row(slot), query_q.row(slot));
+                let similarity = ops::cosine_slices(rebound.row(0), query.row(0));
                 // Packed with the `v < 0.0` convention of the packed engine's sign
                 // planes, so both engines hash — and decide — identically.
                 let fingerprint = || {
                     estimates.iter().fold(0, |h, est| {
-                        sign_row.pack_signs_row(0, est.row(slot));
+                        sign_row.pack_signs_row(0, est.row(0));
                         fingerprint_words(h, sign_row.row_words(0))
                     })
                 };
-                if !states[q].finish_iteration(&self.config, similarity, iteration, fingerprint) {
-                    survivors.push(slot);
+                if state.finish_iteration(&self.config, similarity, iteration, fingerprint) {
+                    break;
                 }
             }
-
-            // Gather/scatter compaction: drop finished rows from the batch so the
-            // remaining iterations run kernels over live lanes only.
-            if survivors.len() < rows {
-                query_q.gather_into(survivors, gather_tmp)?;
-                std::mem::swap(query_q, gather_tmp);
-                for est in estimates.iter_mut() {
-                    est.gather_into(survivors, gather_tmp)?;
-                    std::mem::swap(est, gather_tmp);
-                }
-                // Map surviving slots back to original query indices in place, then
-                // adopt the mapped vector as the new order.
-                for slot in survivors.iter_mut() {
-                    *slot = order[*slot];
-                }
-                std::mem::swap(order, survivors);
-            }
+            results.push(state.take_result(self.config.max_iterations));
         }
-
-        Ok(states
-            .iter_mut()
-            .take(n)
-            .map(|state| state.take_result(self.config.max_iterations))
-            .collect())
+        Ok(results)
     }
 
     /// Bit-packed resonator engine (Hadamard binding, bipolar operands, any
@@ -804,19 +728,19 @@ impl Factorizer {
     /// Factor estimates live as [`BitMatrix`] sign planes. Each factor update is one
     /// call of [`cogsys_vsa::packed::PackedBackend::resonate_step_fused_into`]:
     /// word-wise XOR unbind against the packed query, popcount similarity (exactly
-    /// the integer dot products the dense GEMM produces on bipolar inputs), and the
-    /// weighted sign projection (noise and sign threshold included, written straight
-    /// into the estimate planes). The rebind convergence check runs inside the last
+    /// the integer dot products the f32 similarity kernel produces on bipolar
+    /// inputs), and the weighted sign projection (noise and sign threshold included,
+    /// written straight into the estimate planes). The rebind convergence check runs inside the last
     /// factor's similarity hook — the row's decoded codevector planes XOR-bound
     /// together, then popcount against the query — so a row that converges there
     /// skips that factor's projection, whose estimate nothing would read again. No
     /// dense estimate or projection matrix exists anywhere in this engine. The
     /// projection hook quantizes the perturbed accumulator at the configured
-    /// precision right before the sign pack, the point where the dense engine
+    /// precision right before the sign pack, the point where the f32 resonator
     /// quantizes before its sign threshold (the unbound and similarity values need
     /// no quantize: sign planes are ±1, which every precision keeps exact).
-    /// Decisions (argmax, convergence, limit cycles) are identical to the dense
-    /// engine on the same noise streams: every row that survives an iteration
+    /// Decisions (argmax, convergence, limit cycles) are identical to the f32
+    /// resonator on the same noise streams: every row that survives an iteration
     /// consumes the same draws in the same order, and a converged row's stream is
     /// never read again.
     #[allow(clippy::needless_range_loop)]
@@ -1350,8 +1274,9 @@ mod tests {
     #[test]
     fn compaction_handles_mixed_convergence_speeds() {
         // Clean queries converge in a couple of iterations while noisy ones keep
-        // going, so the converged rows are gathered out mid-run; results must still
-        // equal the per-query path for every row, in the original order.
+        // going, so the packed engine gathers the converged rows out mid-run;
+        // results must still equal the per-query path for every row, in the
+        // original order, on every backend.
         let (set, mut r) = standard_set(405, &[10, 10], 1024);
         let queries: Vec<Hypervector> = (0..6)
             .map(|i| {
@@ -1373,7 +1298,7 @@ mod tests {
                 let single = factorizer.factorize(&set, query, &mut rng_single).unwrap();
                 assert_eq!(batch[q], single, "{kind} query {q}");
             }
-            // The clean rows really do converge early (compaction was exercised).
+            // The clean rows really do converge early (packed compaction was exercised).
             assert!(batch[0].converged && batch[0].iterations < 50, "{kind}");
         }
     }

@@ -179,28 +179,6 @@ impl HvMatrix {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// Overwrites row `i` with `values`.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::IndexOutOfRange`] / [`VsaError::DimensionMismatch`] on a bad
-    /// row index or length.
-    pub fn set_row(&mut self, i: usize, values: &[f32]) -> Result<(), VsaError> {
-        if i >= self.rows {
-            return Err(VsaError::IndexOutOfRange {
-                index: i,
-                len: self.rows,
-            });
-        }
-        if values.len() != self.dim {
-            return Err(VsaError::DimensionMismatch {
-                left: values.len(),
-                right: self.dim,
-            });
-        }
-        self.row_mut(i).copy_from_slice(values);
-        Ok(())
-    }
-
     /// Appends one row.
     ///
     /// # Errors
@@ -265,25 +243,6 @@ impl HvMatrix {
         })
     }
 
-    /// Allocation-free [`HvMatrix::gather`]: selects `indices` rows into `out`
-    /// (reshaped as needed). `out` must not alias `self`.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::IndexOutOfRange`] on a bad row index.
-    pub fn gather_into(&self, indices: &[usize], out: &mut Self) -> Result<(), VsaError> {
-        out.ensure_shape(indices.len(), self.dim);
-        for (slot, &i) in indices.iter().enumerate() {
-            if i >= self.rows {
-                return Err(VsaError::IndexOutOfRange {
-                    index: i,
-                    len: self.rows,
-                });
-            }
-            out.row_mut(slot).copy_from_slice(self.row(i));
-        }
-        Ok(())
-    }
-
     /// Copies `src` into `self`, reshaping as needed (allocation-free once warm).
     pub fn copy_from(&mut self, src: &Self) {
         self.ensure_shape(src.rows, src.dim);
@@ -309,11 +268,6 @@ impl HvMatrix {
         (0..self.rows)
             .map(|i| Hypervector::with_kind(self.row(i).to_vec(), kind))
             .collect()
-    }
-
-    /// Consumes the matrix and returns the contiguous storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 }
 

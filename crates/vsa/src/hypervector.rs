@@ -148,11 +148,6 @@ impl Hypervector {
         &mut self.values
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_values(self) -> Vec<f32> {
-        self.values
-    }
-
     /// Returns the Euclidean (L2) norm.
     pub fn norm(&self) -> f32 {
         self.values.iter().map(|v| v * v).sum::<f32>().sqrt()

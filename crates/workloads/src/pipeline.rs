@@ -159,8 +159,8 @@ impl SolverReport {
 
 /// Wall-clock nanoseconds spent in each fused stage group of a planned solve call
 /// ([`NeurosymbolicSolver::solve_batch_with_plan_timed`]), accumulated across the
-/// call's chunks. The three groups mirror the [`crate::plan::PlanStage`] IR at the
-/// granularity `cogsys-serve`'s per-stage `ServiceModel` fit consumes: encode
+/// calls it is passed to. The three groups mirror the [`crate::plan::PlanStage`] IR
+/// at the granularity `cogsys-serve`'s per-stage `ServiceModel` fit consumes: encode
 /// (rng buffering + scene encode), decode (per-block resonate + polish), score
 /// (rule prediction + answer selection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -384,9 +384,8 @@ impl NeurosymbolicSolver {
     /// per-block convergence threshold (`min` keeps a deliberately lower configured
     /// threshold in charge; it never tightens past the block plateau). The solver's
     /// backend and precision are pinned onto it, so the factorizer quantizes at the
-    /// solver's precision and its resonator engine (and with it
-    /// [`NeurosymbolicSolver::compile_plan`]'s chunk width) follows the solver's
-    /// backend alone.
+    /// solver's precision and its resonator engine follows the solver's backend
+    /// alone.
     fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
         let factorizer_config = FactorizerConfig {
             convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
@@ -498,31 +497,16 @@ impl NeurosymbolicSolver {
         }
     }
 
-    /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: the chunk width
-    /// and the stage IR, resolved once, up front. Every stage runs on sign planes
-    /// whatever the backend and precision, so the only decision is the chunk
-    /// width: the whole batch when every block decodes on the packed resonator
-    /// (the `Packed` backend, at every precision),
-    /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems when the factorizer
-    /// unpacks the scenes for its f32 resonator (the `Reference` and `Parallel`
-    /// backends).
+    /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: the stage IR,
+    /// resolved once, up front. The plan decides nothing: every backend solves
+    /// the whole call in one pass, and the stages only describe that pass for
+    /// `--explain` and the adSCH schedule.
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
     /// the frozen benchmark's `compile_plan(batch, bool)` call site still
     /// compiles.
     pub fn compile_plan(&self, batch: usize, _specialize: bool) -> SolvePlan {
-        // The packed resonator keeps the whole batch in one pass (sign planes stay
-        // cache-resident); the f32 resonator sub-chunks to DENSE_SERVE_CHUNK.
-        let chunk_problems = if self
-            .blocks
-            .iter()
-            .all(|(set, _)| self.factorizer.packed_pipeline(set))
-        {
-            batch.max(1)
-        } else {
-            Self::DENSE_SERVE_CHUNK
-        };
         let rows = batch * Self::CONTEXT_PANELS;
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
         stages.push(PlanStage::Encode {
@@ -550,7 +534,6 @@ impl NeurosymbolicSolver {
         stages.push(PlanStage::Score { problems: batch });
         SolvePlan {
             key: self.plan_key(batch),
-            chunk_problems,
             stages,
         }
     }
@@ -842,12 +825,9 @@ impl NeurosymbolicSolver {
     ///   cosine are strictly increasing rounded functions of the same exact integer
     ///   dot product — equal agreements break ties identically.
     ///
-    /// Chunk-invariance also lets the engine pick the batch size each resonator
-    /// wants: the packed resonator takes the whole batch (sign planes keep an
-    /// `8·N`-row working set cache-resident), while the f32 resonator sub-chunks to
-    /// [`NeurosymbolicSolver::DENSE_SERVE_CHUNK`] problems — its per-iteration
-    /// working set is 32× larger and spills cache at wide batches, measurably
-    /// *losing* throughput beyond a few problems per call.
+    /// The whole call is one pass on every backend: the packed resonator steps
+    /// all `8·N` rows at once, and the f32 reference resonator (the `Reference`
+    /// and `Parallel` backends) runs them one query at a time.
     ///
     /// # Errors
     /// Returns [`SolveError::Malformed`] naming the first invalid problem's index
@@ -874,10 +854,9 @@ impl NeurosymbolicSolver {
     /// [`NeurosymbolicSolver::solve_batch_with`] executing a **pre-compiled plan**
     /// and accumulating per-stage wall-clock time into `timings` — the measurement
     /// hook behind the `plan_stage_*` bench cells and `cogsys-serve`'s per-stage
-    /// service-time fit. Timing is observation only, and chunk-invariance makes a
-    /// plan compiled for one batch size valid for any other (only `chunk_problems`
-    /// shapes the internal slicing), so decisions and rng consumption equal
-    /// [`NeurosymbolicSolver::solve_batch_with`]'s.
+    /// service-time fit. Timing is observation only, and the plan decides nothing,
+    /// so a plan compiled for one batch size is valid for any other and decisions
+    /// and rng consumption equal [`NeurosymbolicSolver::solve_batch_with`]'s.
     ///
     /// # Errors
     /// Returns [`SolveError::Config`] when the plan was compiled for a different
@@ -900,7 +879,7 @@ impl NeurosymbolicSolver {
         self.execute_plan(plan, problems, rng, scratch, Some(timings))
     }
 
-    /// Pre-sizes the factorizer scratch from the plan's workload shape — chunk
+    /// Pre-sizes the factorizer scratch from the plan's workload shape — batch
     /// rows, dimension, per-block factor count and codebook widths are all fixed
     /// by the [`PlanKey`], so the buffers the packed resonator and the fused
     /// kernel reshape per call can be bounded **before** the stream starts and
@@ -908,7 +887,7 @@ impl NeurosymbolicSolver {
     /// (`SolverScratch::factorizer_capacity_fingerprint` is the regression hook).
     /// Draws no rng and touches no decision state; a no-op once sized.
     fn reserve_scratch_for_plan(&self, plan: &SolvePlan, scratch: &mut SolverScratch) {
-        let rows = plan.chunk_problems.max(1) * Self::CONTEXT_PANELS;
+        let rows = plan.key.batch * Self::CONTEXT_PANELS;
         let num_factors = self
             .blocks
             .iter()
@@ -936,9 +915,9 @@ impl NeurosymbolicSolver {
         Ok(())
     }
 
-    /// The thin chunk loop over a compiled plan: slice `problems` by the plan's
-    /// chunk width and run the batched engine per chunk. All routing below this
-    /// point reads the plan, never re-derives.
+    /// One pass of the engine over the whole of `problems`, appending to
+    /// `scratch.choices`. Every stage runs on sign planes; the plan only sizes the
+    /// scratch (see [`NeurosymbolicSolver::compile_plan`]).
     fn execute_plan<R: Rng + ?Sized>(
         &self,
         plan: &SolvePlan,
@@ -948,35 +927,6 @@ impl NeurosymbolicSolver {
         mut timings: Option<&mut StageNanos>,
     ) -> Result<SolverReport, SolveError> {
         self.reserve_scratch_for_plan(plan, scratch);
-        let mut total = SolverReport::default();
-        for chunk in problems.chunks(plan.chunk_problems.max(1)) {
-            total.merge(&self.solve_batch_chunk(chunk, rng, scratch, timings.as_deref_mut())?);
-        }
-        Ok(total)
-    }
-
-    /// Problems per internal chunk when the blocks decode on the f32 resonator, which
-    /// the `Reference` and `Parallel` backends run.
-    ///
-    /// Four problems (32 panel rows) keep the f32 resonator's per-iteration working
-    /// set — query batch, per-factor estimates, unbound/projected/rebound buffers,
-    /// each `rows × dim` f32 — inside cache on the 1-core CI machine; measured
-    /// throughput degrades ~1.2–1.3× by 64-problem chunks and is flat in [1, 4].
-    /// Decision-invariant by the per-problem rng draw order. Plan compilation folds
-    /// it into [`SolvePlan::chunk_problems`] (the whole batch on the packed
-    /// resonator, this width otherwise), and the executor only reads the plan.
-    pub const DENSE_SERVE_CHUNK: usize = 4;
-
-    /// One pass of the batched engine over `problems`, appending to
-    /// `scratch.choices`. Every stage runs on sign planes; the plan only shaped
-    /// the chunk this pass covers (see [`NeurosymbolicSolver::compile_plan`]).
-    fn solve_batch_chunk<R: Rng + ?Sized>(
-        &self,
-        problems: &[Problem],
-        rng: &mut R,
-        scratch: &mut SolverScratch,
-        mut timings: Option<&mut StageNanos>,
-    ) -> Result<SolverReport, VsaError> {
         let mut mark = Instant::now();
         let mut report = SolverReport::default();
         let SolverScratch {
@@ -1781,6 +1731,7 @@ mod tests {
 
     #[test]
     fn try_new_rejects_invalid_configurations() {
+        use cogsys_factorizer::StochasticityConfig;
         let mut r = rng(54);
         for config in [
             SolverConfig {
@@ -1797,6 +1748,16 @@ mod tests {
             },
             SolverConfig {
                 factorizer: FactorizerConfig::default().with_max_iterations(0),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                factorizer: FactorizerConfig {
+                    stochasticity: StochasticityConfig {
+                        decay: f32::NAN,
+                        ..StochasticityConfig::default()
+                    },
+                    ..FactorizerConfig::default()
+                },
                 ..SolverConfig::default()
             },
         ] {
@@ -1882,32 +1843,33 @@ mod tests {
             s.solve_batch(&problems, &mut r).unwrap();
             assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 2, misses: 2 });
 
-            // The default 2048-dim packed solver takes the whole batch in one chunk.
-            assert_eq!(p1.chunk_problems, 4);
-
             // Clones start with a cold cache (a capped clone compiles other plans).
             let cloned = s.clone();
             assert_eq!(cloned.plan_cache_stats(), PlanCacheStats::default());
         }
 
         #[test]
-        fn plan_resolves_chunk_for_dim() {
-            // Every packed dim, word-aligned or with a padded tail word, decodes on
-            // the packed resonator with the whole batch in one chunk.
+        fn plan_covers_the_whole_batch_for_every_dim() {
+            // Every dim, word-aligned or with a padded tail word, and every backend
+            // solves the whole batch in one pass: each resonate stage spans all
+            // 8 context rows of all 8 problems.
             for dim in [1000, 1024, 2048, 4096] {
-                let config = SolverConfig {
-                    vector_dim: dim,
-                    ..SolverConfig::default()
-                };
-                let (s, _) = solver(74, config);
-                let plan = s.plan_for_batch(8);
-                assert_eq!(plan.chunk_problems, 8, "dim {dim}");
+                for backend in [BackendKind::Packed, BackendKind::Parallel] {
+                    let config = SolverConfig {
+                        vector_dim: dim,
+                        ..SolverConfig::default()
+                    }
+                    .with_backend(backend);
+                    let (s, _) = solver(74, config);
+                    let plan = s.plan_for_batch(8);
+                    assert_eq!(plan.key.batch, 8);
+                    for stage in &plan.stages {
+                        if let PlanStage::Resonate { rows, .. } = stage {
+                            assert_eq!(*rows, 64, "{backend} dim {dim}");
+                        }
+                    }
+                }
             }
-            // The f32 resonator folds DENSE_SERVE_CHUNK in as the chunk width instead.
-            let dense = SolverConfig::default().with_backend(BackendKind::Parallel);
-            let (s, _) = solver(74, dense);
-            let plan = s.plan_for_batch(8);
-            assert_eq!(plan.chunk_problems, NeurosymbolicSolver::DENSE_SERVE_CHUNK);
         }
 
         #[test]
@@ -1941,8 +1903,8 @@ mod tests {
         #[test]
         fn planned_path_is_chunk_invariant_across_plan_batch_sizes() {
             // A plan compiled at serve chunk formation (say 64 problems) must serve
-            // any submitted batch size with unchanged decisions — whole-batch on the
-            // packed resonator and sub-chunked on the f32 resonator alike.
+            // any submitted batch size with unchanged decisions, on the packed
+            // resonator and the f32 resonator alike.
             for kind in [BackendKind::Packed, BackendKind::Parallel] {
                 let (s, mut r) = solver(71, SolverConfig::default().with_backend(kind));
                 let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(6, &mut r);

@@ -2,9 +2,9 @@
 //!
 //! The paper's codesign story decides layout, kernel tiers and schedule per workload
 //! shape **once**, then executes that decision at line rate. This module is the
-//! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves the chunk width
-//! and the stage IR of a workload shape into a [`SolvePlan`], cached per [`PlanKey`]
-//! in a [`PlanCache`]. There is one solve format: every backend and precision
+//! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves the stage IR
+//! of a workload shape into a [`SolvePlan`], cached per [`PlanKey`] in a
+//! [`PlanCache`]. There is one solve format: every backend and precision
 //! encodes, polishes and scores on sign planes, and only the resonator inside the
 //! factorizer picks its engine (packed, or f32 on unpacked queries). The executor
 //! ([`NeurosymbolicSolver::solve_batch_with`]) then just replays the plan.
@@ -16,7 +16,7 @@
 //!   Encode → [Resonate → Polish]×blocks → Predict → Score  SolvePlan (stage IR)
 //!                    │ solve_batch_with (per call, cached plan)
 //!                    ▼
-//!   thin executor over sign planes: pre-resolved chunk width
+//!   thin executor over sign planes: the whole call in one pass
 //! ```
 //!
 //! The plan also gives `cogsys-scheduler` (ADSCH) and `cogsys-sim` their first live
@@ -36,10 +36,9 @@ use std::sync::{Arc, Mutex};
 
 /// The workload-shape key a [`SolvePlan`] is compiled for.
 ///
-/// Two solve calls with equal keys are served by the same cached plan: every routing
-/// decision the plan pre-resolves depends only on these fields (plus solver
-/// configuration, which is fixed per solver instance — each solver owns its own
-/// [`PlanCache`]).
+/// Two solve calls with equal keys are served by the same cached plan: its stage IR
+/// depends only on these fields (plus solver configuration, which is fixed per
+/// solver instance — each solver owns its own [`PlanCache`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PlanKey {
     /// Execution backend the pipeline runs on.
@@ -48,9 +47,8 @@ pub struct PlanKey {
     pub dim: usize,
     /// Number of attribute blocks in the scene superposition.
     pub blocks: usize,
-    /// Problems per solve call (the chunk width does not depend on it beyond the
-    /// whole-batch case, but the key keeps batch explicit so stage row counts in the
-    /// IR — and therefore the lowered op graph — are exact).
+    /// Problems per solve call: the stage row counts in the IR — and therefore the
+    /// lowered op graph — and the pre-sized scratch depend on it.
     pub batch: usize,
     /// Rows of each attribute codebook, in attribute order (Similarity-kernel shapes
     /// depend on them).
@@ -184,24 +182,20 @@ impl PlanStage {
 /// A compiled, immutable execution plan for one workload shape.
 ///
 /// Produced by `NeurosymbolicSolver::compile_plan`, cached in a [`PlanCache`], and
-/// executed by `solve_batch_with` (or `solve_batch_with_plan_timed`). The plan is
-/// the only place the chunk width is decided; the executor reads it and re-derives
-/// nothing.
+/// executed by `solve_batch_with` (or `solve_batch_with_plan_timed`). The plan
+/// decides nothing: every backend solves the whole call in one pass, and the stages
+/// describe that pass for `--explain` and the adSCH schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolvePlan {
     /// The workload shape this plan was compiled for.
     pub key: PlanKey,
-    /// Problems per executor chunk: the whole batch when every block decodes on
-    /// the packed resonator (the `Packed` backend, at every precision), the f32
-    /// resonator's cache-resident sub-chunk width otherwise.
-    pub chunk_problems: usize,
     /// The fused stage IR, in execution order.
     pub stages: Vec<PlanStage>,
 }
 
 impl SolvePlan {
-    /// Human-readable description of the compiled plan: key, chunk width, and the
-    /// stage list — the `--explain` output of the bench and serve binaries.
+    /// Human-readable description of the compiled plan: key and stage list — the
+    /// `--explain` output of the bench and serve binaries.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -210,7 +204,6 @@ impl SolvePlan {
             "plan {}/d={} blocks={} batch={} rows={:?}",
             self.key.backend, self.key.dim, self.key.blocks, self.key.batch, self.key.codebook_rows,
         );
-        let _ = writeln!(out, "  chunk={}", self.chunk_problems);
         for (i, stage) in self.stages.iter().enumerate() {
             let detail = match stage {
                 PlanStage::Encode { rows, factors } => format!("rows={rows} factors={factors}"),
@@ -339,7 +332,6 @@ mod tests {
     fn plan(batch: usize) -> SolvePlan {
         SolvePlan {
             key: key(batch),
-            chunk_problems: batch,
             stages: vec![
                 PlanStage::Encode {
                     rows: batch * 8,
@@ -368,7 +360,7 @@ mod tests {
         let text = plan(4).describe();
         for needle in [
             "packed/d=1024",
-            "chunk=4",
+            "batch=4",
             "encode",
             "resonate",
             "polish",

@@ -1,10 +1,9 @@
 //! Repository-level invariants of the batched solver, through the public API only:
 //!
-//! 1. the chunk width is decided once, from the backend and the solver's precision
-//!    (the whole batch exactly when every block decodes on the packed resonator),
-//!    whatever precision the factorizer config carries;
-//! 2. solving is chunk-invariant — one call, 3+5 and 1×8 give the same reports,
-//!    answers and rng consumption;
+//! 1. the factorizer runs at the solver's precision, whatever precision the
+//!    factorizer config carries;
+//! 2. solving is chunk-invariant on every backend — one call, 3+5 and 1×8 give the
+//!    same reports, answers and rng consumption;
 //! 3. a fixed seed gives a fixed end-to-end outcome;
 //! 4. limit-cycle detection only stops resonator rows that would never converge;
 //! 5. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
@@ -23,58 +22,6 @@ use cogsys_workloads::{
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
-
-#[test]
-fn plan_chunk_is_the_whole_batch_exactly_on_the_packed_backend() {
-    let small = SolverConfig {
-        vector_dim: 256,
-        ..SolverConfig::default()
-    };
-    let mut configs: Vec<SolverConfig> = Vec::new();
-    for backend in BackendKind::ALL {
-        for precision in [Precision::Fp32, Precision::Int8] {
-            configs.push(
-                small
-                    .clone()
-                    .with_backend(backend)
-                    .with_precision(precision),
-            );
-        }
-    }
-    // Struct literals whose factorizer precision disagrees with the solver's: the
-    // packed resonator runs at every precision, so neither precision decides.
-    for backend in BackendKind::ALL {
-        for (solver_precision, factorizer_precision) in [
-            (Precision::Int8, Precision::Fp32),
-            (Precision::Fp32, Precision::Int8),
-        ] {
-            configs.push(SolverConfig {
-                precision: solver_precision,
-                factorizer: FactorizerConfig::default().with_precision(factorizer_precision),
-                ..small.clone().with_backend(backend)
-            });
-        }
-    }
-    for config in configs {
-        let solver = NeurosymbolicSolver::new(config.clone(), &mut rng(1));
-        let packed = config.backend == BackendKind::Packed;
-        for batch in [1, 8] {
-            let plan = solver.plan_for_batch(batch);
-            let expected = if packed {
-                batch
-            } else {
-                NeurosymbolicSolver::DENSE_SERVE_CHUNK
-            };
-            assert_eq!(
-                plan.chunk_problems, expected,
-                "{} / solver {:?} / factorizer {:?}",
-                config.backend, config.precision, config.factorizer.precision
-            );
-            let chunk = format!("chunk={expected}\n");
-            assert!(plan.describe().contains(&chunk), "{}", plan.describe());
-        }
-    }
-}
 
 #[test]
 fn mismatched_factorizer_precision_solves_like_the_pinned_config() {
@@ -106,34 +53,45 @@ fn mismatched_factorizer_precision_solves_like_the_pinned_config() {
 
 #[test]
 fn batched_solve_is_invariant_to_chunking() {
-    let mut setup = rng(41);
-    let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut setup);
-    let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut setup);
+    for backend in BackendKind::ALL {
+        let mut setup = rng(41);
+        let config = SolverConfig::default().with_backend(backend);
+        let solver = NeurosymbolicSolver::new(config, &mut setup);
+        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut setup);
 
-    let solve_in = |sizes: &[usize]| {
-        let mut r = setup.clone();
-        let mut scratch = SolverScratch::default();
-        let mut report = SolverReport::default();
-        let mut choices = Vec::new();
-        let mut start = 0;
-        for &size in sizes {
-            let chunk = &problems[start..start + size];
-            report.merge(
-                &solver
-                    .solve_batch_with(chunk, &mut r, &mut scratch)
-                    .unwrap(),
-            );
-            choices.extend_from_slice(scratch.choices());
-            start += size;
-        }
-        assert_eq!(start, problems.len());
-        (report, choices, r.next_u64())
-    };
-    let whole = solve_in(&[8]);
-    assert_eq!(whole.0.problems, 8);
-    assert_eq!(whole.1.len(), 8);
-    assert_eq!(solve_in(&[3, 5]), whole, "3+5 differs from one call");
-    assert_eq!(solve_in(&[1; 8]), whole, "1x8 differs from one call");
+        let solve_in = |sizes: &[usize]| {
+            let mut r = setup.clone();
+            let mut scratch = SolverScratch::default();
+            let mut report = SolverReport::default();
+            let mut choices = Vec::new();
+            let mut start = 0;
+            for &size in sizes {
+                let chunk = &problems[start..start + size];
+                report.merge(
+                    &solver
+                        .solve_batch_with(chunk, &mut r, &mut scratch)
+                        .unwrap(),
+                );
+                choices.extend_from_slice(scratch.choices());
+                start += size;
+            }
+            assert_eq!(start, problems.len());
+            (report, choices, r.next_u64())
+        };
+        let whole = solve_in(&[8]);
+        assert_eq!(whole.0.problems, 8, "{backend}");
+        assert_eq!(whole.1.len(), 8, "{backend}");
+        assert_eq!(
+            solve_in(&[3, 5]),
+            whole,
+            "{backend}: 3+5 differs from one call"
+        );
+        assert_eq!(
+            solve_in(&[1; 8]),
+            whole,
+            "{backend}: 1x8 differs from one call"
+        );
+    }
 }
 
 #[test]
@@ -287,9 +245,9 @@ fn enlarged_vocabularies_solve_with_a_fixed_outcome_per_seed() {
 #[test]
 fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
     // The planned executor pre-sizes the factorizer scratch (the packed
-    // resonator's buffers and its cleanup scratch) from the plan's chunk width,
-    // so an under-full first chunk already leaves every buffer at full
-    // capacity. The fingerprint is the ordered capacity vector of that scratch:
+    // resonator's buffers and its cleanup scratch) from the plan's batch, so an
+    // under-full first chunk already leaves every buffer at full capacity. The
+    // fingerprint is the ordered capacity vector of that scratch:
     // any buffer regrowing across the stream changes it.
     let mut r = rng(76);
     let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut r);
