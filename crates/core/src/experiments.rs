@@ -813,14 +813,13 @@ fn plan_stage_group(name: &str) -> &'static str {
 /// cycles, and — when the records contain the packed `plan_stage_*` anchor
 /// cells for that shape — all three anchors must be present. *Share*: every
 /// stage lowers to the kernel class of the work the executor does (element-wise
-/// Hadamard encode, similarity + projection per resonator iteration, one row
-/// dot per scored candidate; see `PlanStage::kernel`), so decode must dominate
-/// both views and the two decode shares must agree within
+/// Hadamard encode, similarity + projection per resonator iteration, one
+/// SIMD dot per scored candidate; see `PlanStage::kernel`), so decode must
+/// dominate both views and the two decode shares must agree within
 /// [`PLAN_DECODE_SHARE_TOLERANCE_PP`] percentage points. The band stays wide
 /// because the schedule prices the CogSys array, not the CPU the cells are
-/// measured on: the array's fixed per-op latency and the CPU's per-dimension
-/// interface-noise draws (timed inside the encode cell) have no counterpart on
-/// the other side.
+/// measured on: the array's fixed per-op latency and the CPU's resonator noise
+/// draws (timed inside the decode cell) have no counterpart on the other side.
 pub fn plan_schedule_report(records: &[BenchRecord]) -> (ExperimentTable, Vec<String>) {
     use cogsys_scheduler::{AdSchScheduler, Scheduler};
 

@@ -17,6 +17,11 @@
 //! `--requests` is rejected with it. One committed diurnal trace lives at
 //! `crates/serve/traces/diurnal.txt`.
 //!
+//! The adversarial shape's base inter-arrival gap is the loaded service
+//! model's per-problem time at full batches: calm phases arrive at capacity and
+//! bursts at the preset's `burst_multiplier`× capacity, whatever the measured
+//! solver speed.
+//!
 //! `--chaos` additionally wraps the engine in the fault-injection harness
 //! (forced transient faults + injected latency). `--check` turns the run into
 //! a smoke gate for CI: it exits nonzero unless the run completed with every
@@ -139,29 +144,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 fn run(options: &Options) -> Result<bool, String> {
-    let (trace, request_count) = if let Some(path) = options.shape.strip_prefix("recorded:") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("recorded trace `{path}` unreadable: {e}"))?;
-        let arrivals = cogsys_serve::parse_recorded_arrivals(&text)
-            .map_err(|e| format!("recorded trace `{path}`: {e}"))?;
-        // Recorded arrivals carry the timing; the request content (clean
-        // problems, deadlines) follows the steady preset and the seed.
-        let mut trace_config = TraceConfig::steady(arrivals.len());
-        trace_config.seed = options.seed;
-        (
-            trace_config.generate_with_arrivals(&arrivals),
-            arrivals.len(),
-        )
-    } else {
-        let mut trace_config = match options.shape.as_str() {
-            "steady" => TraceConfig::steady(options.requests),
-            "bursty" => TraceConfig::bursty(options.requests),
-            _ => TraceConfig::adversarial(options.requests),
-        };
-        trace_config.seed = options.seed;
-        (trace_config.generate(), options.requests)
-    };
-
     // Virtual service times come from the committed kernel sweep when present, so
     // latency distributions track measured solver costs; otherwise the constant
     // placeholder model.
@@ -196,9 +178,9 @@ fn run(options: &Options) -> Result<bool, String> {
         }
     };
 
-    // Bounds sized so the built-in traces actually exercise the front end: the
-    // bursty shapes' backlog peaks (~20 requests) exceed the queue bound, and
-    // the degrade watermark sits below it.
+    // Bounds sized so the adversarial trace exercises the front end: its
+    // bursts' backlog exceeds the queue bound, and the degrade watermark sits
+    // below it.
     let serve_config = ServeConfig {
         solver: cogsys_workloads::SolverConfig {
             vector_dim: options.dim,
@@ -211,6 +193,41 @@ fn run(options: &Options) -> Result<bool, String> {
         retry_budget: 6,
         service,
         ..ServeConfig::default()
+    };
+
+    let (trace, request_count) = if let Some(path) = options.shape.strip_prefix("recorded:") {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("recorded trace `{path}` unreadable: {e}"))?;
+        let arrivals = cogsys_serve::parse_recorded_arrivals(&text)
+            .map_err(|e| format!("recorded trace `{path}`: {e}"))?;
+        // Recorded arrivals carry the timing; the request content (clean
+        // problems, deadlines) follows the steady preset and the seed.
+        let mut trace_config = TraceConfig::steady(arrivals.len());
+        trace_config.seed = options.seed;
+        (
+            trace_config.generate_with_arrivals(&arrivals),
+            arrivals.len(),
+        )
+    } else {
+        let mut trace_config = match options.shape.as_str() {
+            "steady" => TraceConfig::steady(options.requests),
+            "bursty" => TraceConfig::bursty(options.requests),
+            _ => {
+                // Full-batch capacity of the service model (see the module docs).
+                let batch = serve_config.max_batch as u64;
+                let gap = serve_config
+                    .service
+                    .invocation_micros(batch, 1)
+                    .div_ceil(batch);
+                println!("# adversarial base gap: {gap} us (full-batch capacity)");
+                TraceConfig {
+                    interarrival_micros: gap,
+                    ..TraceConfig::adversarial(options.requests)
+                }
+            }
+        };
+        trace_config.seed = options.seed;
+        (trace_config.generate(), options.requests)
     };
     let engine = SolverEngine::new(serve_config.solver.clone(), serve_config.codebook_seed)
         .map_err(|e| format!("solver construction failed: {e}"))?;

@@ -119,7 +119,7 @@ impl<E: ChunkEngine> ChunkEngine for ChaosEngine<E> {
         {
             self.stats.forced_errors += 1;
             return Err(SolveError::Fault {
-                message: format!("chaos: forced engine fault on call {}", self.stats.calls),
+                message: format!("chaos: forced engine fault on call {}", self.stats.calls).into(),
             });
         }
         let mut result = self.inner.solve_chunk(problems, seed, level)?;

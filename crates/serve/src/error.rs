@@ -11,7 +11,7 @@
 //!   [`crate::ServeConfig`] or a solver that could not be built. These are
 //!   surfaced once, before any traffic is accepted.
 
-use cogsys_workloads::SolveError;
+use cogsys_workloads::{ProblemFault, SolveError};
 use std::fmt;
 
 /// Why a request was not answered.
@@ -34,9 +34,9 @@ pub enum Rejection {
         now_micros: u64,
     },
     /// The request itself was malformed: engine-boundary validation rejected it
-    /// with a typed fault. The poisoned request fails alone; its batch-mates are
-    /// retried without it.
-    Invalid(SolveError),
+    /// with this typed fault. The poisoned request fails alone; its batch-mates
+    /// are retried without it.
+    Invalid(Box<ProblemFault>),
     /// The request's batch kept failing (transient faults, substrate errors)
     /// until the bounded retry budget was exhausted.
     Failed(SolveError),
@@ -63,7 +63,7 @@ impl fmt::Display for Rejection {
                 f,
                 "deadline {deadline_micros}us expired (now {now_micros}us)"
             ),
-            Rejection::Invalid(e) => write!(f, "invalid request: {e}"),
+            Rejection::Invalid(fault) => write!(f, "invalid request: {fault}"),
             Rejection::Failed(e) => write!(f, "retry budget exhausted: {e}"),
         }
     }
@@ -108,7 +108,6 @@ impl From<SolveError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cogsys_workloads::ProblemFault;
 
     #[test]
     fn rejection_display_and_classification() {
@@ -119,10 +118,7 @@ mod tests {
         assert!(shed.to_string().contains("overloaded"));
         assert!(!shed.is_client_fault());
 
-        let invalid = Rejection::Invalid(SolveError::Malformed {
-            problem: 0,
-            fault: Box::new(ProblemFault::NoCandidates),
-        });
+        let invalid = Rejection::Invalid(Box::new(ProblemFault::NoCandidates));
         assert!(invalid.is_client_fault());
         assert!(invalid.to_string().contains("invalid request"));
 

@@ -60,7 +60,7 @@ pub use request::{Answer, Request, Response};
 pub use trace::{parse_recorded_arrivals, TraceConfig, TrafficShape};
 
 use cogsys::CogSysConfig;
-use cogsys_workloads::SolverConfig;
+use cogsys_workloads::{SolveError, SolverConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -418,6 +418,12 @@ impl<E: ChunkEngine> ServeLoop<E> {
         responses
     }
 
+    /// [`Response::latency_micros`] of a request that arrived at
+    /// `arrival_micros` and is resolved now.
+    fn latency_since(&self, arrival_micros: u64) -> u32 {
+        u32::try_from(self.clock_micros.saturating_sub(arrival_micros)).unwrap_or(u32::MAX)
+    }
+
     /// Admission control: bounded queue, immediate shed beyond the bound.
     fn admit(&mut self, request: Request, responses: &mut Vec<Response>) {
         self.counters.submitted += 1;
@@ -431,8 +437,8 @@ impl<E: ChunkEngine> ServeLoop<E> {
                     limit: self.config.max_queue_depth,
                 }),
                 degradation: self.level,
-                arrival_micros: request.arrival_micros,
                 completed_micros: self.clock_micros,
+                latency_micros: self.latency_since(request.arrival_micros),
                 retried: false,
                 missed_deadline: false,
             });
@@ -472,8 +478,8 @@ impl<E: ChunkEngine> ServeLoop<E> {
                         now_micros: self.clock_micros,
                     }),
                     degradation: self.level,
-                    arrival_micros: request.arrival_micros,
                     completed_micros: self.clock_micros,
+                    latency_micros: self.latency_since(request.arrival_micros),
                     retried: false,
                     missed_deadline: true,
                 });
@@ -527,8 +533,8 @@ impl<E: ChunkEngine> ServeLoop<E> {
                                 correct: request.problem.is_correct(choice),
                             }),
                             degradation: self.level,
-                            arrival_micros: request.arrival_micros,
                             completed_micros: self.clock_micros,
+                            latency_micros: self.latency_since(request.arrival_micros),
                             retried,
                             missed_deadline: missed,
                         });
@@ -538,16 +544,20 @@ impl<E: ChunkEngine> ServeLoop<E> {
                 Err(error) => {
                     // Failed attempts still burn the per-invocation overhead.
                     extra_micros += self.config.service.overhead_micros();
-                    if let Some(index) = error.problem_index() {
+                    if let SolveError::Malformed {
+                        problem: index,
+                        fault,
+                    } = &error
+                    {
                         // Poison isolation: the malformed request fails alone…
-                        let victim = batch.remove(index.min(batch.len().saturating_sub(1)));
+                        let victim = batch.remove((*index).min(batch.len().saturating_sub(1)));
                         self.counters.invalid += 1;
                         responses.push(Response {
                             id: victim.id,
-                            outcome: Err(Rejection::Invalid(error.clone())),
+                            outcome: Err(Rejection::Invalid(fault.clone())),
                             degradation: self.level,
-                            arrival_micros: victim.arrival_micros,
                             completed_micros: self.clock_micros,
+                            latency_micros: self.latency_since(victim.arrival_micros),
                             retried: false,
                             missed_deadline: false,
                         });
@@ -565,8 +575,8 @@ impl<E: ChunkEngine> ServeLoop<E> {
                                 id: request.id,
                                 outcome: Err(Rejection::Failed(error.clone())),
                                 degradation: self.level,
-                                arrival_micros: request.arrival_micros,
                                 completed_micros: self.clock_micros,
+                                latency_micros: self.latency_since(request.arrival_micros),
                                 retried,
                                 missed_deadline: false,
                             });
@@ -587,7 +597,7 @@ impl<E: ChunkEngine> ServeLoop<E> {
 mod tests {
     use super::*;
     use cogsys_datasets::Problem;
-    use cogsys_workloads::{NeurosymbolicSolver, SolveError, SolverReport};
+    use cogsys_workloads::{NeurosymbolicSolver, ProblemFault, SolverReport};
 
     /// Loop-logic stub: validates like the real engine, answers candidate 0,
     /// optionally fails its first `transient_faults` calls.
@@ -771,6 +781,18 @@ mod tests {
     }
 
     #[test]
+    fn response_latency_saturates() {
+        let mut serve = ServeLoop::with_engine(quick_config(), StubEngine::clean()).unwrap();
+        serve.clock_micros = 10;
+        assert_eq!(serve.latency_since(10), 0);
+        assert_eq!(serve.latency_since(20), 0);
+        serve.clock_micros = 1_010;
+        assert_eq!(serve.latency_since(10), 1_000);
+        serve.clock_micros = u64::MAX;
+        assert_eq!(serve.latency_since(0), u32::MAX);
+    }
+
+    #[test]
     fn poisoned_request_fails_alone_and_batchmates_complete() {
         let mut trace = TraceConfig::steady(4).generate();
         // Make all four arrive together so they form one batch, and poison one.
@@ -784,10 +806,10 @@ mod tests {
         let invalid: Vec<_> = responses.iter().filter(|r| !r.is_answered()).collect();
         assert_eq!(invalid.len(), 1);
         assert_eq!(invalid[0].id, 2);
-        assert!(matches!(
+        assert_eq!(
             invalid[0].outcome,
-            Err(Rejection::Invalid(SolveError::Malformed { .. }))
-        ));
+            Err(Rejection::Invalid(Box::new(ProblemFault::NoCandidates)))
+        );
         let answered: Vec<_> = responses.iter().filter(|r| r.is_answered()).collect();
         assert_eq!(answered.len(), 3);
         assert!(

@@ -104,7 +104,7 @@ pub fn windowed(responses: &[Response], window_micros: u64) -> Vec<WindowStats> 
             if response.retried {
                 stats[w].retried += 1;
             }
-            latencies[w].push(response.latency_micros());
+            latencies[w].push(u64::from(response.latency_micros));
         } else {
             stats[w].rejected += 1;
         }
@@ -127,7 +127,7 @@ mod tests {
     use crate::error::Rejection;
     use crate::request::Answer;
 
-    fn answered(id: u64, completed: u64, latency: u64, level: DegradationLevel) -> Response {
+    fn answered(id: u64, completed: u64, latency: u32, level: DegradationLevel) -> Response {
         Response {
             id,
             outcome: Ok(Answer {
@@ -135,8 +135,8 @@ mod tests {
                 correct: true,
             }),
             degradation: level,
-            arrival_micros: completed - latency,
             completed_micros: completed,
+            latency_micros: latency,
             retried: false,
             missed_deadline: false,
         }
@@ -163,8 +163,8 @@ mod tests {
                     limit: 4,
                 }),
                 degradation: DegradationLevel::Full,
-                arrival_micros: 1_200,
                 completed_micros: 1_200,
+                latency_micros: 0,
                 retried: false,
                 missed_deadline: false,
             },

@@ -10,7 +10,7 @@ use cogsys_serve::{
     ChaosConfig, ChaosEngine, DegradationLevel, Rejection, ServeConfig, ServeLoop, SolverEngine,
     TraceConfig,
 };
-use cogsys_workloads::{NeurosymbolicSolver, SolveError, SolverConfig, SolverScratch};
+use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn serve_config() -> ServeConfig {
@@ -80,11 +80,11 @@ fn adversarial_chaos_run_isolates_faults_and_keeps_level0_identity() {
                 );
                 assert!(answer.choice < problem.candidates.len());
             }
-            Err(Rejection::Invalid(error)) => {
-                assert!(matches!(error, SolveError::Malformed { .. }));
-                assert!(
-                    NeurosymbolicSolver::validate_problem(problem).is_err(),
-                    "request {} rejected as invalid but validates clean",
+            Err(Rejection::Invalid(fault)) => {
+                assert_eq!(
+                    NeurosymbolicSolver::validate_problem(problem),
+                    Err((**fault).clone()),
+                    "request {} rejected with a fault validation does not report",
                     response.id
                 );
             }

@@ -70,8 +70,9 @@ impl fmt::Display for ProblemFault {
 
 /// Errors of the end-to-end solving engine.
 ///
-/// The two 40-byte payloads are boxed, which keeps the error at 32 bytes: serving
-/// layers store one per rejected request inside every response record.
+/// The two 40-byte payloads are boxed and the messages are `Box<str>`, which
+/// keeps the error at 24 bytes: serving layers store one per failed request
+/// inside every response record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// A VSA substrate operation failed (shape mismatch, missing packed planes, …).
@@ -89,14 +90,14 @@ pub enum SolveError {
     /// probabilities, an invalid factorizer configuration).
     Config {
         /// Human-readable description of the violated constraint.
-        message: String,
+        message: Box<str>,
     },
     /// A transient infrastructure fault: not produced by the engine itself, but by
     /// wrappers on the request path (fault injection in tests, transport layers).
     /// Serving layers treat it as retryable.
     Fault {
         /// Description of the injected or encountered fault.
-        message: String,
+        message: Box<str>,
     },
 }
 
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn solve_error_stays_small() {
         // Serving keeps one per rejected request inside every response record.
-        assert!(std::mem::size_of::<SolveError>() <= 32);
+        assert!(std::mem::size_of::<SolveError>() <= 24);
     }
 
     #[test]

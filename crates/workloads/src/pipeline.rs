@@ -41,7 +41,10 @@ pub struct SolverConfig {
     /// Probability that the emulated neural frontend mis-reads an attribute.
     pub perception_noise: f64,
     /// Bit-flip noise applied to the encoded scene hypervector (emulating an imperfect
-    /// neural-to-symbolic interface).
+    /// neural-to-symbolic interface): each dimension of each context scene flips
+    /// independently with this probability. The flips are sampled per problem by
+    /// geometric gaps over its scenes' dimensions, one draw per flip rather than
+    /// one per dimension.
     pub encoding_noise: f64,
     /// Arithmetic precision of the encoding / similarity stages.
     pub precision: Precision,
@@ -310,7 +313,7 @@ impl NeurosymbolicSolver {
     pub fn try_new<R: Rng + ?Sized>(config: SolverConfig, rng: &mut R) -> Result<Self, SolveError> {
         if config.vector_dim == 0 {
             return Err(SolveError::Config {
-                message: "vector_dim must be > 0".to_string(),
+                message: "vector_dim must be > 0".into(),
             });
         }
         for (name, p) in [
@@ -319,14 +322,16 @@ impl NeurosymbolicSolver {
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(SolveError::Config {
-                    message: format!("{name} must be a probability in [0, 1], got {p}"),
+                    message: format!("{name} must be a probability in [0, 1], got {p}").into(),
                 });
             }
         }
         config
             .factorizer
             .validate()
-            .map_err(|message| SolveError::Config { message })?;
+            .map_err(|message| SolveError::Config {
+                message: message.into(),
+            })?;
         let attribute_codebooks: Vec<_> = Attribute::ALL
             .iter()
             .map(|a| {
@@ -816,7 +821,9 @@ impl NeurosymbolicSolver {
     ///   factorizer stream seeds) is made **in the sequential order** and buffered,
     ///   so the generator state evolves exactly as if each problem were solved on
     ///   its own — which also makes the result independent of how a problem
-    ///   stream is chunked into batches;
+    ///   stream is chunked into batches. The bit flips take one draw per flip
+    ///   (plus at most one to end the problem): the gap to the next flip is
+    ///   geometric over the problem's context rows × dimensions, read row-major;
     /// * encoding and factorization are row-independent batch kernels driven by those
     ///   per-query streams (the scene planes are XOR/AND-composed from cached
     ///   codebook planes, bitwise equal to an f32 encode at every precision);
@@ -909,7 +916,8 @@ impl NeurosymbolicSolver {
                 message: format!(
                     "plan compiled for {:?}, solver shape is {:?}",
                     plan.key, expected
-                ),
+                )
+                .into(),
             });
         }
         Ok(())
@@ -972,16 +980,9 @@ impl NeurosymbolicSolver {
                 });
             }
             let rows_q = problem.context.len();
-            if self.config.encoding_noise > 0.0 {
-                let p = self.config.encoding_noise.clamp(0.0, 1.0);
-                for r in 0..rows_q {
-                    for j in 0..dim {
-                        if rng.gen_bool(p) {
-                            flips.push(((base + r) as u32, j as u32));
-                        }
-                    }
-                }
-            }
+            sample_flips(rng, self.config.encoding_noise, rows_q * dim, |pos| {
+                flips.push(((base + pos / dim) as u32, (pos % dim) as u32));
+            });
             for _ in 0..num_blocks {
                 for _ in 0..rows_q {
                     seeds.push(rng.next_u64());
@@ -1074,6 +1075,40 @@ impl NeurosymbolicSolver {
     }
 }
 
+/// Draws one problem's interface bit flips: a Bernoulli(`p`) process over
+/// `positions` positions (its context rows × dimensions, one row-major stream),
+/// calling `flip` with each flipped position in increasing order.
+///
+/// Rather than one draw per position, it draws the gap to the next flip, which
+/// is geometric: `floor(ln(1 − u) / ln(1 − p))` for a uniform `u` (Devroye,
+/// *Non-Uniform Random Variate Generation*, 1986, ch. X). That is one draw per
+/// flip, plus one for the gap that runs past the end unless the last position
+/// flips. The gap is compared as an `f64` against the positions left, so a huge
+/// gap (tiny `p`) ends the stream instead of overflowing. `p <= 0` (or NaN)
+/// draws nothing; `p >= 1` flips every position.
+fn sample_flips<R: Rng + ?Sized>(
+    rng: &mut R,
+    p: f64,
+    positions: usize,
+    mut flip: impl FnMut(usize),
+) {
+    if p.is_nan() || p <= 0.0 {
+        return;
+    }
+    let ln_q = (-p.min(1.0)).ln_1p();
+    let mut pos = 0usize;
+    while pos < positions {
+        let u: f64 = rng.gen();
+        let skip = ((1.0 - u).ln() / ln_q).floor();
+        if skip.is_nan() || skip >= (positions - pos) as f64 {
+            return;
+        }
+        pos += skip as usize;
+        flip(pos);
+        pos += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1128,16 +1163,11 @@ mod tests {
                 scenes.push(self.encode_panel_f32(&perceived));
             }
             let mut encoded = HvMatrix::from_rows(&scenes)?;
-            if self.config.encoding_noise > 0.0 {
-                let p = self.config.encoding_noise.clamp(0.0, 1.0);
-                for q in 0..n {
-                    for v in encoded.row_mut(q) {
-                        if rng.gen_bool(p) {
-                            *v = -*v;
-                        }
-                    }
-                }
-            }
+            let dim = encoded.dim();
+            sample_flips(rng, self.config.encoding_noise, n * dim, |pos| {
+                let v = &mut encoded.row_mut(pos / dim)[pos % dim];
+                *v = -*v;
+            });
             let bits = BitMatrix::from_matrix(&encoded).expect("encodings are bipolar");
             let mut ds = DecodeScratch::default();
             let mut values = vec![[0usize; 5]; n];
@@ -1193,6 +1223,97 @@ mod tests {
             }
             Ok((best.0, report))
         }
+    }
+
+    /// Pearson's chi-square statistic of `observed` counts against `expected`.
+    fn chi_square(observed: &[u64], expected: &[f64]) -> f64 {
+        observed
+            .iter()
+            .zip(expected)
+            .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+            .sum()
+    }
+
+    #[test]
+    fn flip_sampler_draws_the_bernoulli_process() {
+        // 64 problem streams of 8 rows × 2048 dimensions: 2^20 positions per p.
+        // Chi-square cut-offs sit near the 1e-4 tail of each distribution.
+        const ROWS: usize = 8;
+        const DIM: usize = 2048;
+        const STREAMS: usize = 64;
+        // Gap bins [0], [1], [2, 4), [4, 16), [16, 64), [64, ∞).
+        const GAP_EDGES: [u64; 6] = [0, 1, 2, 4, 16, 64];
+        let mut r = rng(24);
+        for p in [0.005, 0.05] {
+            let positions = ROWS * DIM;
+            let n = (STREAMS * positions) as f64;
+            let mut total = 0u64;
+            let mut bit_offsets = [0u64; 64];
+            let mut rows = [0u64; ROWS];
+            let mut gaps = [0u64; GAP_EDGES.len()];
+            for _ in 0..STREAMS {
+                let mut last: Option<usize> = None;
+                sample_flips(&mut r, p, positions, |pos| {
+                    assert!(pos < positions, "position {pos} past the stream");
+                    assert!(last.is_none_or(|l| pos > l), "positions must increase");
+                    let gap = (pos - last.map_or(0, |l| l + 1)) as u64;
+                    let bin = GAP_EDGES.iter().rposition(|&e| gap >= e).unwrap();
+                    gaps[bin] += 1;
+                    last = Some(pos);
+                    total += 1;
+                    bit_offsets[pos % DIM % 64] += 1;
+                    rows[pos / DIM] += 1;
+                });
+            }
+            let sigma = (n * p * (1.0 - p)).sqrt();
+            assert!(
+                (total as f64 - n * p).abs() <= 4.0 * sigma,
+                "p={p}: {total} flips, expected {} ± {sigma:.1}",
+                n * p
+            );
+            let chi_bits = chi_square(&bit_offsets, &[total as f64 / 64.0; 64]);
+            assert!(
+                chi_bits < 113.6,
+                "p={p}: bit-offset chi-square {chi_bits:.1}"
+            );
+            let chi_rows = chi_square(&rows, &[total as f64 / ROWS as f64; ROWS]);
+            assert!(chi_rows < 30.4, "p={p}: row chi-square {chi_rows:.1}");
+            // Gap k has probability (1 − p)^k p; bin [a, b) has (1 − p)^a − (1 − p)^b.
+            let surv = |k: u64| (1.0 - p).powf(k as f64);
+            let expected: Vec<f64> = (0..GAP_EDGES.len())
+                .map(|i| {
+                    let tail = GAP_EDGES.get(i + 1).map_or(0.0, |&b| surv(b));
+                    total as f64 * (surv(GAP_EDGES[i]) - tail)
+                })
+                .collect();
+            let chi_gaps = chi_square(&gaps, &expected);
+            assert!(chi_gaps < 26.3, "p={p}: gap chi-square {chi_gaps:.1}");
+        }
+    }
+
+    #[test]
+    fn flip_sampler_edges() {
+        let count = |p: f64, positions: usize| {
+            let mut r = rng(5);
+            let mut flipped = Vec::new();
+            sample_flips(&mut r, p, positions, |pos| flipped.push(pos));
+            (flipped, r.next_u64())
+        };
+        let untouched = rng(5).next_u64();
+        // Zero (or NaN) probability draws nothing at all.
+        for p in [0.0, -1.0, f64::NAN] {
+            assert_eq!(count(p, 1 << 20), (Vec::new(), untouched));
+        }
+        assert_eq!(count(0.5, 0), (Vec::new(), untouched));
+        // Certainty flips every position, in order.
+        let all: Vec<usize> = (0..1000).collect();
+        assert_eq!(count(1.0, 1000).0, all);
+        assert_eq!(count(2.0, 1000).0, all);
+        // A vanishing probability yields a gap too large for any stream: one draw
+        // and no flip, without overflowing the position.
+        let mut r = rng(5);
+        r.next_u64();
+        assert_eq!(count(1e-300, usize::MAX), (Vec::new(), r.next_u64()));
     }
 
     fn solver(seed: u64, config: SolverConfig) -> (NeurosymbolicSolver, rand::rngs::StdRng) {

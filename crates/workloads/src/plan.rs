@@ -141,7 +141,11 @@ impl PlanStage {
     /// * `Predict`: control-flow-only symbolic work, lowered as a per-problem
     ///   element-wise op so the scheduler still sees (and orders) the stage.
     /// * `Score`: each candidate is compared with its own problem's prediction
-    ///   only — `problems × 8` row dots, a one-row similarity.
+    ///   only — `problems × 8` row dots with no operand shared across rows, so
+    ///   they lower to element-wise dot products on the SIMD unit
+    ///   ([`Kernel::ElementWise`] over `problems × 8 × dim`). As a one-column
+    ///   [`Kernel::Similarity`] they would occupy one column of the systolic
+    ///   array and be priced almost entirely by its pipeline fill.
     pub fn kernel(&self, dim: usize, resonate_trips: f64) -> Kernel {
         match self {
             PlanStage::Encode { rows, factors } => Kernel::ElementWise {
@@ -170,10 +174,9 @@ impl PlanStage {
                 elements: problems * NOMINAL_CANDIDATES,
                 op: "predict".into(),
             },
-            PlanStage::Score { problems } => Kernel::Similarity {
-                rows: 1,
-                dim,
-                count: problems * NOMINAL_CANDIDATES,
+            PlanStage::Score { problems } => Kernel::ElementWise {
+                elements: problems * NOMINAL_CANDIDATES * dim,
+                op: "dot".into(),
             },
         }
     }

@@ -3,7 +3,7 @@
 //! direct `solve_batch_with` call with the chunk's seed.
 
 use cogsys_serve::{DegradationLevel, Rejection, ServeConfig, ServeLoop, TraceConfig};
-use cogsys_workloads::{NeurosymbolicSolver, SolveError, SolverConfig, SolverScratch};
+use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
@@ -40,9 +40,11 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
                 assert_eq!(response.degradation, DegradationLevel::Full);
                 excised_mates += usize::from(response.retried);
             }
-            Err(Rejection::Invalid(error)) => {
-                assert!(matches!(error, SolveError::Malformed { .. }));
-                assert!(NeurosymbolicSolver::validate_problem(problem).is_err());
+            Err(Rejection::Invalid(fault)) => {
+                assert_eq!(
+                    NeurosymbolicSolver::validate_problem(problem),
+                    Err((**fault).clone())
+                );
             }
             Err(other) => panic!("request {}: unexpected rejection {other:?}", response.id),
         }
