@@ -1,15 +1,11 @@
-//! Backend comparison (reference vs parallel vs bit-packed) on the two hot batch
-//! kernels: circular-convolution binding and codebook cleanup, across dimensionality
-//! d ∈ {256, 1024, 4096} and batch size ∈ {1, 32, 256}.
+//! Backend comparison (reference vs bit-packed) on codebook cleanup, the hot batch
+//! kernel, across dimensionality d ∈ {256, 1024, 4096} and batch size ∈ {1, 32, 256}.
 //!
 //! Run with `cargo bench --bench backends`. The headline acceptance number is the
 //! `packed` cleanup speedup at d = 1024, batch = 256 (the packed backend reads the
-//! codebook's cached sign planes and only packs the queries per call); on circular
-//! convolution the packed backend falls back to the dense parallel kernels, so its
-//! bind rows double as a fallback-overhead check.
+//! codebook's cached sign planes and only packs the queries per call).
 
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
-use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::{Codebook, Hypervector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -29,37 +25,6 @@ fn random_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         .map(|_| Hypervector::random_bipolar(dim, &mut rng))
         .collect();
     HvMatrix::from_rows(&hvs).expect("rows share a dimension")
-}
-
-fn bench_bind(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bind_circular");
-    group.sample_size(10);
-    for dim in DIMS {
-        for batch in BATCHES {
-            let a = random_matrix(batch, dim, 1);
-            let b = random_matrix(batch, dim, 2);
-            for backend in backends() {
-                let mut out = HvMatrix::zeros(batch, dim);
-                group.bench_with_input(
-                    BenchmarkId::new(backend.name(), format!("d{dim}_b{batch}")),
-                    &dim,
-                    |bench, _| {
-                        bench.iter(|| {
-                            backend
-                                .bind_batch_into(
-                                    black_box(&a),
-                                    black_box(&b),
-                                    BindingOp::CircularConvolution,
-                                    &mut out,
-                                )
-                                .expect("shapes match")
-                        })
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
 }
 
 fn bench_cleanup(c: &mut Criterion) {
@@ -88,5 +53,5 @@ fn bench_cleanup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bind, bench_cleanup);
+criterion_group!(benches, bench_cleanup);
 criterion_main!(benches);

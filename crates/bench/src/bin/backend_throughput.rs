@@ -1,7 +1,7 @@
 //! Backend throughput sweep with machine-readable output and a regression guard.
 //!
-//! Measures the circular-convolution binding and codebook-cleanup kernels (both `f32`
-//! and pre-packed `BitMatrix` queries) for every [`cogsys_vsa::BackendKind`] across
+//! Measures the codebook-cleanup kernels (both `f32` and pre-packed `BitMatrix`
+//! queries) and the sign-plane kernels for every [`cogsys_vsa::BackendKind`] across
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch) at 8- and 64-problem batches with its plan-compile and per-stage cells,
@@ -114,20 +114,21 @@ fn main() -> ExitCode {
     println!("wrote {} records to {path}", records.len());
 
     // Surface the headline acceptance numbers: packed cleanup at d=1024, batch=256,
-    // with and without the per-call query packing.
+    // against the reference backend, and with and without the per-call query packing.
     let cell = |backend: &str, kernel: &str| {
         records
             .iter()
             .find(|r| r.backend == backend && r.kernel == kernel && r.dim == 1024 && r.batch == 256)
             .map(|r| r.ns_per_op)
     };
-    if let (Some(parallel), Some(packed)) = (cell("parallel", "cleanup"), cell("packed", "cleanup"))
+    if let (Some(reference), Some(packed)) =
+        (cell("reference", "cleanup"), cell("packed", "cleanup"))
     {
         println!(
-            "cleanup d=1024 batch=256: parallel {:.3} ms, packed {:.3} ms ({:.1}x)",
-            parallel / 1e6,
+            "cleanup d=1024 batch=256: reference {:.3} ms, packed {:.3} ms ({:.1}x)",
+            reference / 1e6,
             packed / 1e6,
-            parallel / packed.max(1.0)
+            reference / packed.max(1.0)
         );
     }
     if let (Some(per_call), Some(prepacked)) = (

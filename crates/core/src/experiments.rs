@@ -84,13 +84,13 @@ impl fmt::Display for ExperimentTable {
 /// batch)` cell with its wall-clock cost per batched kernel invocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Backend name (`reference`, `parallel`, `packed`).
+    /// Backend name (`reference`, `packed`, or a bench-local twin such as
+    /// `scalar_twin`).
     pub backend: String,
-    /// Kernel name: `bind_circular` (row-wise circular-convolution binding),
-    /// `cleanup` (codebook cleanup of an `f32` query batch), `cleanup_prepacked`
-    /// (codebook cleanup of pre-packed `BitMatrix` queries), `solve_batch` (the
-    /// cross-problem batched solver over `batch` problems, reused scratch), and the
-    /// further kernels the producing functions below document.
+    /// Kernel name: `cleanup` (codebook cleanup of an `f32` query batch),
+    /// `cleanup_prepacked` (codebook cleanup of pre-packed `BitMatrix` queries),
+    /// `solve_batch` (the cross-problem batched solver over `batch` problems, reused
+    /// scratch), and the further kernels the producing functions below document.
     pub kernel: String,
     /// Hypervector dimensionality.
     pub dim: usize,
@@ -111,12 +111,11 @@ impl BenchRecord {
 /// Number of codebook rows used by the throughput sweep's cleanup kernel.
 pub const BENCH_CODEBOOK_ROWS: usize = 64;
 
-/// Measures the hot batch kernels — circular-convolution binding, codebook cleanup of
-/// `f32` queries, codebook cleanup and the full similarity GEMM of **pre-packed**
-/// `BitMatrix` queries, the fused sign projection, and the bounded-noise sign
-/// perturbation — for every [`BackendKind`] across the requested dimensionalities and
-/// batch sizes. Each record is the best (minimum) of five timed rounds after one
-/// warm-up.
+/// Measures the hot batch kernels — codebook cleanup of `f32` queries, codebook
+/// cleanup and the full similarity GEMM of **pre-packed** `BitMatrix` queries, the
+/// fused sign projection, and the bounded-noise sign perturbation — for every
+/// [`BackendKind`] across the requested dimensionalities and batch sizes. Each record
+/// is the best (minimum) of five timed rounds after one warm-up.
 ///
 /// The cleanup measurements go through [`Codebook::cleanup_batch`] /
 /// [`Codebook::cleanup_batch_bits`], so packed-aware backends get their cached
@@ -150,11 +149,7 @@ pub fn backend_throughput_records(
             let rows: Vec<Hypervector> = (0..batch)
                 .map(|_| Hypervector::random_bipolar(dim, &mut rng))
                 .collect();
-            let others: Vec<Hypervector> = (0..batch)
-                .map(|_| Hypervector::random_bipolar(dim, &mut rng))
-                .collect();
             let a = HvMatrix::from_rows(&rows).expect("rows share a dimension");
-            let b = HvMatrix::from_rows(&others).expect("rows share a dimension");
             let a_bits = BitMatrix::from_matrix(&a).expect("bipolar queries pack");
             // Projection weights: one row per query, one weight per codebook row,
             // on the similarity scale the resonator feeds this kernel.
@@ -179,18 +174,6 @@ pub fn backend_throughput_records(
             };
 
             for backend in &backends {
-                let bind = time(&mut || {
-                    let _ = backend
-                        .bind_batch(&a, &b, BindingOp::CircularConvolution)
-                        .expect("shapes match");
-                });
-                records.push(BenchRecord {
-                    backend: backend.name().to_string(),
-                    kernel: "bind_circular".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: bind * 1e9,
-                });
                 let cleanup = time(&mut || {
                     let _ = codebook
                         .cleanup_batch(backend.as_ref(), &a)
@@ -719,13 +702,7 @@ pub fn backend_throughput_json(seed: u64, records: &[BenchRecord]) -> String {
 pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "Backend throughput: wall-clock speedup over the reference backend",
-        &[
-            "parallel bind x",
-            "packed bind x",
-            "parallel cleanup x",
-            "packed cleanup x",
-            "packed prepacked x",
-        ],
+        &["packed cleanup x", "packed prepacked x"],
     );
     let mut cells: Vec<(usize, usize)> = Vec::new();
     for cell in records.iter().map(|r| (r.dim, r.batch)) {
@@ -751,9 +728,6 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
         table.push(
             format!("d={dim} batch={batch}"),
             vec![
-                speedup("parallel", "bind_circular"),
-                speedup("packed", "bind_circular"),
-                speedup("parallel", "cleanup"),
                 speedup("packed", "cleanup"),
                 // Pre-packed BitMatrix queries on both sides: packed popcount
                 // cleanup vs the reference default (unpack + f32 cleanup) — the
@@ -765,14 +739,14 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
     table
 }
 
-/// Backend throughput comparison: wall-clock speedup of the batched backends over the
-/// reference backend on the two hot kernels — circular-convolution binding and
-/// codebook cleanup — across dimensionalities and batch sizes.
+/// Backend throughput comparison: wall-clock speedup of the packed backend over the
+/// reference backend on codebook cleanup (`f32` and pre-packed queries) across
+/// dimensionalities and batch sizes.
 ///
 /// This is the software analogue of the paper's array-level batching argument: the
 /// same operations, re-shaped from one-vector-at-a-time calls into matrix batches,
-/// with the speedup coming purely from the execution engine (row parallelism and
-/// cached FFT plans for `parallel`, XOR/popcount sign planes for `packed`).
+/// with the speedup coming purely from the execution engine (XOR/popcount sign
+/// planes for `packed`).
 pub fn backend_throughput(dims: &[usize], batches: &[usize], seed: u64) -> ExperimentTable {
     backend_throughput_table(&backend_throughput_records(dims, batches, seed))
 }
@@ -1285,7 +1259,8 @@ pub fn tab07_factorization_accuracy(trials: usize, seed: u64) -> ExperimentTable
 }
 
 /// [`tab07_factorization_accuracy`] on an explicit execution backend — used to verify
-/// that the bit-packed backend reproduces the f32 backends' factorization accuracy.
+/// that the bit-packed backend reproduces the reference backend's factorization
+/// accuracy.
 pub fn tab07_factorization_accuracy_with_backend(
     trials: usize,
     seed: u64,
@@ -1677,13 +1652,6 @@ mod tests {
                 ns_per_op: 8000.0,
             },
             BenchRecord {
-                backend: "parallel".into(),
-                kernel: "cleanup".into(),
-                dim: 1024,
-                batch: 256,
-                ns_per_op: 2000.0,
-            },
-            BenchRecord {
                 backend: "packed".into(),
                 kernel: "cleanup".into(),
                 dim: 1024,
@@ -1692,10 +1660,6 @@ mod tests {
             },
         ];
         let table = backend_throughput_table(&records);
-        assert_eq!(
-            table.value("d=1024 batch=256", "parallel cleanup x"),
-            Some(4.0)
-        );
         assert_eq!(
             table.value("d=1024 batch=256", "packed cleanup x"),
             Some(20.0)
@@ -1707,7 +1671,7 @@ mod tests {
             "{\"backend\": \"packed\", \"kernel\": \"cleanup\", \"dim\": 1024, \"batch\": 256, \"ns_per_op\": 400.0}"
         ));
         // One record per line, valid trailing-comma structure (last record bare).
-        assert_eq!(json.matches("\"backend\":").count(), 3);
+        assert_eq!(json.matches("\"backend\":").count(), 2);
         assert!(json.trim_end().ends_with('}'));
     }
 
@@ -1722,8 +1686,8 @@ mod tests {
                 ns_per_op: 123456.0,
             },
             BenchRecord {
-                backend: "parallel".into(),
-                kernel: "bind_circular".into(),
+                backend: "reference".into(),
+                kernel: "cleanup".into(),
                 dim: 256,
                 batch: 1,
                 ns_per_op: 900.5,
@@ -1752,7 +1716,7 @@ mod tests {
             rec("reference", "cleanup", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-            rec("parallel", "cleanup", 256, 300_000.0), // dense backend: never gated
+            rec("scalar_twin", "cleanup", 256, 300_000.0), // not packed: never gated
         ];
 
         // A machine-wide 2x slowdown (packed and reference both doubled) cancels out.
@@ -1844,9 +1808,9 @@ mod tests {
     #[test]
     fn tab07_packed_accuracy_matches_dense_backends() {
         // The acceptance gate for the packed backend: factorization accuracy on the
-        // Tab. VII workload must be unchanged relative to the f32 backends.
+        // Tab. VII workload must be unchanged relative to the f32 reference backend.
         let packed = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Packed);
-        let dense = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Parallel);
+        let dense = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Reference);
         assert_eq!(packed.rows.len(), dense.rows.len());
         for ((label, p), (_, d)) in packed.rows.iter().zip(&dense.rows) {
             assert!(

@@ -351,7 +351,7 @@ mod tests {
     fn precision_sweep_keeps_configuration_consistent() {
         let config = CogSysConfig::default().with_precision(Precision::Fp8);
         assert_eq!(config.accelerator.precision, Precision::Fp8);
-        assert_eq!(config.solver.precision, Precision::Fp8);
+        assert_eq!(config.solver.factorizer.precision, Precision::Fp8);
         let system = CogSysSystem::new(config);
         assert!(system.seconds_per_task().unwrap() > 0.0);
     }

@@ -75,12 +75,11 @@ pub struct FactorizerConfig {
     pub limit_cycle_window: usize,
     /// Which batched execution backend runs the three factorization steps.
     ///
-    /// The backends agree within a 1e-4 cosine tolerance (binding/bundling are
-    /// bitwise identical). The default, [`BackendKind::Packed`], runs the whole
-    /// resonator loop on bit-packed sign planes for bipolar Hadamard configurations
-    /// (XOR unbinding, popcount similarity, fused packed projection) and falls back
-    /// to [`BackendKind::Parallel`] — row parallelism, cached FFT plans, vectorised
-    /// similarity kernels — for HRR/circular binding and non-bipolar operands.
+    /// The default, [`BackendKind::Packed`], runs the whole resonator loop on
+    /// bit-packed sign planes for bipolar Hadamard configurations (XOR unbinding,
+    /// popcount similarity, fused packed projection) with decisions identical to
+    /// [`BackendKind::Reference`]; HRR/circular binding and non-bipolar operands run
+    /// the f32 reference resonator on the reference kernels under either backend.
     pub backend: BackendKind,
 }
 

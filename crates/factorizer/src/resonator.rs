@@ -5,7 +5,7 @@
 //! planes and steps a whole query batch through the packed backend's fused kernel.
 //! The `f32` resonator is the reference engine: it runs one query at a time through
 //! a [`VsaBackend`]'s `f32` kernels, and it decodes everything the packed engine
-//! cannot (circular binding, non-bipolar queries, the dense backends). Every query
+//! cannot (circular binding, non-bipolar queries, the reference backend). Every query
 //! carries its own derived noise stream, which makes
 //! [`Factorizer::factorize_matrix_scratch`] return *exactly* the results of calling
 //! [`Factorizer::factorize`] per query — batching is a pure performance transform.
@@ -1166,7 +1166,7 @@ mod tests {
         let matrix = HvMatrix::from_hypervector(&query);
         let bits = BitMatrix::from_matrix(&matrix).unwrap();
         let factorizer =
-            Factorizer::new(FactorizerConfig::default().with_backend(BackendKind::Parallel));
+            Factorizer::new(FactorizerConfig::default().with_backend(BackendKind::Reference));
         assert!(!factorizer.packed_pipeline(&set));
         let mut s1 = [StdRng::seed_from_u64(9)];
         let mut s2 = [StdRng::seed_from_u64(9)];
@@ -1203,25 +1203,6 @@ mod tests {
             let single = factorizer.factorize(&set, query, &mut rng_single).unwrap();
             assert_eq!(batch[q], single, "query {q}");
         }
-    }
-
-    #[test]
-    fn reference_and_parallel_backends_decode_identically() {
-        let (set, mut r) = standard_set(401, &[8, 8], 512);
-        let query = ops::flip_noise(&set.bind_indices(&[2, 6]).unwrap(), 0.05, &mut r);
-        let reference =
-            Factorizer::new(FactorizerConfig::default().with_backend(BackendKind::Reference));
-        let parallel =
-            Factorizer::new(FactorizerConfig::default().with_backend(BackendKind::Parallel));
-        let mut r1 = rng(55);
-        let mut r2 = rng(55);
-        let a = reference.factorize(&set, &query, &mut r1).unwrap();
-        let b = parallel.factorize(&set, &query, &mut r2).unwrap();
-        // Decoded indices must agree; the similarity score may differ within the
-        // backends' 1e-4 cosine contract (lane-split similarity accumulation).
-        assert_eq!(a.indices, b.indices);
-        assert_eq!(a.converged, b.converged);
-        assert!((a.similarity - b.similarity).abs() < 1e-4);
     }
 
     #[test]
@@ -1316,7 +1297,7 @@ mod tests {
         };
         let mut r1 = rng(21);
         let mut r2 = rng(21);
-        let a = Factorizer::new(config.clone().with_backend(BackendKind::Parallel))
+        let a = Factorizer::new(config.clone().with_backend(BackendKind::Reference))
             .factorize(&set, &query, &mut r1)
             .unwrap();
         let b = Factorizer::new(config.with_backend(BackendKind::Packed))

@@ -588,7 +588,7 @@ impl ProductCodebook {
             }
         })?;
         let mut best = Vec::new();
-        PackedBackend::serial().cleanup_batch_packed_into(
+        PackedBackend.cleanup_batch_packed_into(
             &self.planes,
             &bits,
             &mut CleanupScratch::default(),

@@ -117,189 +117,6 @@ pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
     }
 }
 
-/// A precomputed radix-2 FFT plan for one transform size.
-///
-/// [`fft_in_place`] recomputes every twiddle factor and re-derives the bit-reversal
-/// permutation on each call; a plan hoists both into lookup tables so the batched
-/// backends can amortise that work across thousands of transforms. The twiddle tables
-/// are filled with the *same* `w ← w·w_len` recurrence the direct implementation uses,
-/// so planned and direct transforms produce bitwise-identical results.
-#[derive(Debug, Clone)]
-pub struct FftPlan {
-    n: usize,
-    /// Swap pairs `(i, j)` with `i < j` of the bit-reversal permutation.
-    swaps: Vec<(u32, u32)>,
-    /// Forward twiddles, stages concatenated: len = 2, 4, ..., n (n − 1 entries).
-    forward: Vec<Complex>,
-    /// Inverse twiddles in the same layout.
-    inverse: Vec<Complex>,
-}
-
-impl FftPlan {
-    /// Builds a plan for transforms of size `n`.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    pub fn new(n: usize) -> Self {
-        assert!(is_power_of_two(n), "fft size must be a power of two");
-
-        let mut swaps = Vec::new();
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                swaps.push((i as u32, j as u32));
-            }
-        }
-
-        let mut tables = [
-            Vec::with_capacity(n.saturating_sub(1)),
-            Vec::with_capacity(n.saturating_sub(1)),
-        ];
-        for (slot, inverse) in tables.iter_mut().zip([false, true]) {
-            let mut len = 2;
-            while len <= n {
-                let angle = 2.0 * PI / len as f64 * if inverse { 1.0 } else { -1.0 };
-                let wlen = Complex::new(angle.cos(), angle.sin());
-                let mut w = Complex::new(1.0, 0.0);
-                for _ in 0..len / 2 {
-                    slot.push(w);
-                    w = w.mul(wlen);
-                }
-                len <<= 1;
-            }
-        }
-        let [forward, inverse] = tables;
-
-        Self {
-            n,
-            swaps,
-            forward,
-            inverse,
-        }
-    }
-
-    /// The transform size this plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` for the degenerate size-0 plan.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place FFT using the precomputed tables; identical semantics (and identical
-    /// floating-point results) to [`fft_in_place`].
-    ///
-    /// # Panics
-    /// Panics if `data.len()` differs from the planned size.
-    pub fn apply(&self, data: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        assert_eq!(data.len(), n, "fft plan size mismatch");
-        if n <= 1 {
-            return;
-        }
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-        let twiddles = if inverse {
-            &self.inverse
-        } else {
-            &self.forward
-        };
-        let mut len = 2;
-        let mut stage_offset = 0;
-        while len <= n {
-            let half = len / 2;
-            let stage = &twiddles[stage_offset..stage_offset + half];
-            let mut i = 0;
-            while i < n {
-                for (k, w) in stage.iter().enumerate() {
-                    let u = data[i + k];
-                    let v = data[i + k + half].mul(*w);
-                    data[i + k] = u.add(v);
-                    data[i + k + half] = u.sub(v);
-                }
-                i += len;
-            }
-            stage_offset += half;
-            len <<= 1;
-        }
-    }
-
-    /// Planned circular convolution of two real rows into `out`, using caller-provided
-    /// scratch buffers (resized on first use, reused afterwards — no steady-state
-    /// allocation).
-    ///
-    /// # Panics
-    /// Panics if `a`, `b` or `out` differ from the planned size.
-    pub fn circular_convolve_into(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        scratch_a: &mut Vec<Complex>,
-        scratch_b: &mut Vec<Complex>,
-    ) {
-        self.transform_pair(a, b, scratch_a, scratch_b);
-        for (x, y) in scratch_a.iter_mut().zip(scratch_b.iter()) {
-            *x = x.mul(*y);
-        }
-        self.finish_real(out, scratch_a);
-    }
-
-    /// Planned circular correlation of `a` with `b` into `out` (see
-    /// [`circular_correlate_fft`]).
-    ///
-    /// # Panics
-    /// Panics if `a`, `b` or `out` differ from the planned size.
-    pub fn circular_correlate_into(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        scratch_a: &mut Vec<Complex>,
-        scratch_b: &mut Vec<Complex>,
-    ) {
-        self.transform_pair(a, b, scratch_a, scratch_b);
-        for (x, y) in scratch_a.iter_mut().zip(scratch_b.iter()) {
-            *x = x.mul(y.conj());
-        }
-        self.finish_real(out, scratch_a);
-    }
-
-    fn transform_pair(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        scratch_a: &mut Vec<Complex>,
-        scratch_b: &mut Vec<Complex>,
-    ) {
-        assert_eq!(a.len(), self.n, "fft plan size mismatch");
-        assert_eq!(b.len(), self.n, "fft plan size mismatch");
-        scratch_a.clear();
-        scratch_a.extend(a.iter().map(|&x| Complex::new(x as f64, 0.0)));
-        scratch_b.clear();
-        scratch_b.extend(b.iter().map(|&x| Complex::new(x as f64, 0.0)));
-        self.apply(scratch_a, false);
-        self.apply(scratch_b, false);
-    }
-
-    fn finish_real(&self, out: &mut [f32], scratch: &mut [Complex]) {
-        assert_eq!(out.len(), self.n, "fft plan size mismatch");
-        self.apply(scratch, true);
-        for (slot, c) in out.iter_mut().zip(scratch.iter()) {
-            *slot = (c.re / self.n as f64) as f32;
-        }
-    }
-}
-
 /// Circular convolution of two equal-length real sequences via FFT.
 ///
 /// Returns `None` when the length is not a power of two (callers then use the naive
@@ -407,53 +224,6 @@ mod tests {
             assert!((c1 - orig).abs() < 1e-4);
             assert!((c2 - orig).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn plan_matches_direct_fft_bitwise() {
-        for n in [1usize, 2, 8, 64, 256] {
-            let plan = FftPlan::new(n);
-            let mut direct: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.7).cos()))
-                .collect();
-            let mut planned = direct.clone();
-            for inverse in [false, true] {
-                fft_in_place(&mut direct, inverse);
-                plan.apply(&mut planned, inverse);
-                for (d, p) in direct.iter().zip(&planned) {
-                    assert_eq!(d.re.to_bits(), p.re.to_bits());
-                    assert_eq!(d.im.to_bits(), p.im.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn planned_convolution_matches_unplanned_bitwise() {
-        let n = 128;
-        let a: Vec<f32> = (0..n).map(|i| ((i * 7 % 13) as f32) - 6.0).collect();
-        let b: Vec<f32> = (0..n).map(|i| ((i * 5 % 11) as f32) - 5.0).collect();
-        let plan = FftPlan::new(n);
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        let mut out = vec![0.0f32; n];
-        plan.circular_convolve_into(&a, &b, &mut out, &mut sa, &mut sb);
-        let reference = circular_convolve_fft(&a, &b).unwrap();
-        assert_eq!(
-            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        // Scratch buffers are reusable: a second call must give the same answer.
-        let mut out2 = vec![0.0f32; n];
-        plan.circular_convolve_into(&a, &b, &mut out2, &mut sa, &mut sb);
-        assert_eq!(out, out2);
-
-        let mut corr = vec![0.0f32; n];
-        plan.circular_correlate_into(&a, &b, &mut corr, &mut sa, &mut sb);
-        let corr_ref = circular_correlate_fft(&a, &b).unwrap();
-        assert_eq!(
-            corr.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            corr_ref.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! use cogsys_vsa::{BackendKind, Codebook, HvMatrix, Hypervector, ops};
 //!
 //! let mut rng = cogsys_vsa::rng(7);
-//! let backend = BackendKind::Parallel.create();
+//! let backend = BackendKind::Reference.create();
 //! let codebook = Codebook::random("color", 16, 256, &mut rng);
 //!
 //! // A batch of noisy queries, one per row.
@@ -67,7 +67,7 @@
 //! cache their sign planes, and callers that already hold sign planes pass
 //! [`BitMatrix`] queries end to end (`cleanup_batch_bits`, `similarities_batch_bits`)
 //! without packing per call; the packed backend's `f32` [`VsaBackend`] surface is
-//! the dense [`ParallelBackend`].
+//! the [`ReferenceBackend`].
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
 // kernel module `packed::simd` (the Hamming tiers — scalar `popcnt`, Harley–Seal
@@ -88,7 +88,7 @@ pub mod ops;
 pub mod packed;
 pub mod quant;
 
-pub use batch::{BackendKind, HvMatrix, ParallelBackend, ReferenceBackend, VsaBackend};
+pub use batch::{BackendKind, HvMatrix, ReferenceBackend, VsaBackend};
 pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};

@@ -14,7 +14,7 @@
 //! runs the sign-plane kernels on it. Callers that hold sign planes (the cached
 //! codebook planes, the packed resonator, the solver's encoded scenes) reach those
 //! kernels through [`VsaBackend::as_packed`]; the backend's `f32` [`VsaBackend`]
-//! surface is the dense [`ParallelBackend`], so `BackendKind::Packed` is always safe
+//! surface is the [`ReferenceBackend`], so `BackendKind::Packed` is always safe
 //! to select.
 //!
 //! Sign convention: a set bit means **negative** (`-1.0`), mirroring the IEEE-754 sign
@@ -30,7 +30,7 @@
 //! [`projection_tier`]). Every tier adds the same `±w` sequence to each dimension in
 //! ascending codebook-row order from `+0.0`, so every tier packs the same signs.
 
-use crate::batch::{HvMatrix, ParallelBackend, VsaBackend};
+use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use crate::codebook::BindingOp;
 use crate::error::VsaError;
 use crate::hypervector::{Hypervector, VsaKind};
@@ -1289,31 +1289,20 @@ impl CleanupScratch {
 /// * the sign projection and the fused resonator step that the packed resonator
 ///   runs every iteration, both on one register-blocked row kernel.
 ///
-/// Its `f32` [`VsaBackend`] surface is the wrapped dense [`ParallelBackend`]: every
-/// trait method delegates, so `f32` operands are never re-packed per call.
+/// Its `f32` [`VsaBackend`] surface is the [`ReferenceBackend`]: every trait method
+/// delegates, so `f32` operands are never re-packed per call.
 ///
 /// Numerics: the popcount dot products are **exact** (bitwise equal to the reference
 /// on bipolar inputs — `f32` sums of `±1` are themselves exact). Cleanup cosines
 /// divide by `d` instead of the product of `f32` norms, which agrees with the
 /// reference within the documented 1e-4 cosine contract.
-#[derive(Debug, Default)]
-pub struct PackedBackend {
-    dense: ParallelBackend,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PackedBackend;
 
 impl PackedBackend {
-    /// Creates a packed backend whose `f32` surface is a fresh [`ParallelBackend`].
+    /// Creates a packed backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A packed backend whose `f32` surface stays on the calling thread. Free to
-    /// construct (no core-count probe), for the crate's own sign-plane searches,
-    /// which never touch that surface.
-    pub(crate) fn serial() -> Self {
-        Self {
-            dense: ParallelBackend::with_threads(1),
-        }
+        Self
     }
 
     /// Packed GEMM: `out[q][m] = queries[q] · codebook[m] = d − 2·hamming`, exact.
@@ -1348,7 +1337,7 @@ impl PackedBackend {
 
     /// Packed cleanup: per query, the index and bipolar cosine (`1 − 2·hamming/d`) of
     /// the best-matching codebook row. Ties resolve to the lowest index, matching the
-    /// dense backends. Blocked over codebook rows so each block stays cache-resident
+    /// reference backend. Blocked over codebook rows so each block stays cache-resident
     /// across the whole query batch. The running per-query best and the results land
     /// in caller-owned buffers, so repeated calls on the hot serving path allocate
     /// nothing.
@@ -1570,8 +1559,8 @@ impl PackedBackend {
     }
 }
 
-/// The `f32` surface: every method is the dense backend's. Sign-plane callers use
-/// the inherent kernels through [`VsaBackend::as_packed`] instead.
+/// The `f32` surface: every method is the [`ReferenceBackend`]'s. Sign-plane callers
+/// use the inherent kernels through [`VsaBackend::as_packed`] instead.
 impl VsaBackend for PackedBackend {
     fn name(&self) -> &'static str {
         "packed"
@@ -1588,7 +1577,7 @@ impl VsaBackend for PackedBackend {
         op: BindingOp,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        self.dense.bind_batch_into(a, b, op, out)
+        ReferenceBackend.bind_batch_into(a, b, op, out)
     }
 
     fn unbind_batch_into(
@@ -1598,7 +1587,7 @@ impl VsaBackend for PackedBackend {
         op: BindingOp,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        self.dense.unbind_batch_into(a, b, op, out)
+        ReferenceBackend.unbind_batch_into(a, b, op, out)
     }
 
     fn similarity_matrix_into(
@@ -1607,7 +1596,7 @@ impl VsaBackend for PackedBackend {
         queries: &HvMatrix,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        self.dense.similarity_matrix_into(codebook, queries, out)
+        ReferenceBackend.similarity_matrix_into(codebook, queries, out)
     }
 
     fn project_batch_into(
@@ -1616,11 +1605,11 @@ impl VsaBackend for PackedBackend {
         weights: &HvMatrix,
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
-        self.dense.project_batch_into(codebook, weights, out)
+        ReferenceBackend.project_batch_into(codebook, weights, out)
     }
 
     fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        self.dense.bundle(items)
+        ReferenceBackend.bundle(items)
     }
 
     fn cleanup_batch(
@@ -1628,14 +1617,13 @@ impl VsaBackend for PackedBackend {
         codebook: &HvMatrix,
         queries: &HvMatrix,
     ) -> Result<Vec<(usize, f32)>, VsaError> {
-        self.dense.cleanup_batch(codebook, queries)
+        ReferenceBackend.cleanup_batch(codebook, queries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ReferenceBackend;
     use crate::rng;
 
     fn random_bipolar_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
@@ -1758,9 +1746,9 @@ mod tests {
     }
 
     #[test]
-    fn f32_surface_is_the_dense_backend() {
+    fn f32_surface_is_the_reference_backend() {
         // Bipolar and real operands alike: every VsaBackend method returns exactly
-        // what the wrapped ParallelBackend returns.
+        // what the ReferenceBackend returns.
         let mut r = rng(9);
         let hvs: Vec<Hypervector> = (0..3)
             .map(|_| Hypervector::random_real(64, &mut r))
@@ -1769,8 +1757,8 @@ mod tests {
         let b = random_bipolar_matrix(3, 64, 10);
         let bipolar = random_bipolar_matrix(3, 64, 11);
         let weights = random_bipolar_matrix(2, 3, 12);
-        let packed = PackedBackend::new();
-        let dense = ParallelBackend::new();
+        let packed = PackedBackend;
+        let dense = ReferenceBackend;
         for a in [&real, &bipolar] {
             for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
                 assert_eq!(

@@ -46,8 +46,6 @@ pub struct SolverConfig {
     /// geometric gaps over its scenes' dimensions, one draw per flip rather than
     /// one per dimension.
     pub encoding_noise: f64,
-    /// Arithmetic precision of the encoding / similarity stages.
-    pub precision: Precision,
     /// Batched execution backend used for encoding, factorization and answer scoring.
     pub backend: BackendKind,
     /// Attribute vocabulary the solver's codebooks cover. Defaults to the RAVEN
@@ -68,7 +66,6 @@ impl Default for SolverConfig {
             factorizer: FactorizerConfig::default(),
             perception_noise: 0.0,
             encoding_noise: 0.005,
-            precision: Precision::Fp32,
             backend: BackendKind::default(),
             vocab: AttributeVocab::raven(),
         }
@@ -76,9 +73,10 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Returns a copy running the whole pipeline at the given precision.
+    /// Returns a copy running the whole pipeline at the given precision. Encode,
+    /// polish and score run on sign planes, which every precision maps exactly, so
+    /// the precision is the factorizer's.
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self.factorizer = self.factorizer.with_precision(precision);
         self
     }
@@ -356,7 +354,7 @@ impl NeurosymbolicSolver {
             })
             .collect::<Result<Vec<_>, VsaError>>()?;
         // One shared backend instance serves both the solver's own batch kernels and
-        // the factorizer (sharing the FFT-plan cache when the backend is parallel).
+        // the factorizer.
         let backend = config.backend.create();
         let factorizer = Self::block_factorizer(&config, Arc::clone(&backend));
         Ok(Self {
@@ -388,17 +386,15 @@ impl NeurosymbolicSolver {
     /// one place. It decodes *blocks* of the scene superposition, so it runs with the
     /// per-block convergence threshold (`min` keeps a deliberately lower configured
     /// threshold in charge; it never tightens past the block plateau). The solver's
-    /// backend and precision are pinned onto it, so the factorizer quantizes at the
-    /// solver's precision and its resonator engine follows the solver's backend
-    /// alone.
+    /// backend is pinned onto it, so its resonator engine follows the solver's
+    /// backend alone.
     fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
         let factorizer_config = FactorizerConfig {
             convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
                 .min(config.factorizer.convergence_threshold),
             ..config.factorizer.clone()
         }
-        .with_backend(config.backend)
-        .with_precision(config.precision);
+        .with_backend(config.backend);
         Factorizer::with_backend(factorizer_config, backend)
     }
 
@@ -834,7 +830,7 @@ impl NeurosymbolicSolver {
     ///
     /// The whole call is one pass on every backend: the packed resonator steps
     /// all `8·N` rows at once, and the f32 reference resonator (the `Reference`
-    /// and `Parallel` backends) runs them one query at a time.
+    /// backend) runs them one query at a time.
     ///
     /// # Errors
     /// Returns [`SolveError::Malformed`] naming the first invalid problem's index
@@ -1139,7 +1135,7 @@ mod tests {
             for v in &mut scene {
                 *v = if *v < 0.0 { -1.0 } else { 1.0 };
             }
-            fake_quantize_slice(&mut scene, self.config.precision);
+            fake_quantize_slice(&mut scene, self.config.factorizer.precision);
             Hypervector::from_values(scene)
         }
 
@@ -1563,36 +1559,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_reaches_same_accuracy() {
-        let config = SolverConfig::default();
-        let (fast, mut r1) = solver(11, config.clone().with_backend(BackendKind::Parallel));
-        let (slow, mut r2) = solver(11, config.with_backend(BackendKind::Reference));
-        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r1);
-        let fast_report = fast.solve_batch(&problems, &mut r1).unwrap();
-        // Re-sync the second rng stream to the same state the first solver consumed.
-        let _ = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r2);
-        let slow_report = slow.solve_batch(&problems, &mut r2).unwrap();
-        // The backends agree within the 1e-4 cosine contract, far inside the
-        // resonator's decision margins: identical codebooks and rng streams must give
-        // near-identical reports (allow one problem of divergence) and both must
-        // decode panels reliably.
-        assert_eq!(fast_report.problems, slow_report.problems);
-        assert_eq!(fast_report.panels_total, slow_report.panels_total);
-        assert!(
-            (fast_report.correct as i64 - slow_report.correct as i64).abs() <= 1,
-            "fast {} vs slow {}",
-            fast_report.correct,
-            slow_report.correct
-        );
-        assert!(fast_report.accuracy() >= 0.66, "{}", fast_report.accuracy());
-        assert!(slow_report.accuracy() >= 0.66, "{}", slow_report.accuracy());
-        assert!(fast_report.factorization_accuracy() >= 0.85);
-        assert!(slow_report.factorization_accuracy() >= 0.85);
-        assert_eq!(fast.backend().name(), "parallel");
-        assert_eq!(slow.backend().name(), "reference");
-    }
-
-    #[test]
     fn block_threshold_stops_factorizer_early() {
         // The scene superposition caps the per-block rebind cosine around
         // 1/sqrt(#blocks), so with the flat 0.9 threshold every panel used to burn the
@@ -1617,10 +1583,10 @@ mod tests {
     #[test]
     fn packed_backend_reaches_same_accuracy() {
         // BackendKind::Packed end to end: the XOR/popcount pipeline must match the
-        // dense backends' reasoning quality (its similarity decisions are exact).
+        // reference backend's reasoning quality (its similarity decisions are exact).
         let config = SolverConfig::default();
         let (packed, mut r1) = solver(13, config.clone().with_backend(BackendKind::Packed));
-        let (dense, mut r2) = solver(13, config.with_backend(BackendKind::Parallel));
+        let (dense, mut r2) = solver(13, config.with_backend(BackendKind::Reference));
         let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r1);
         let packed_report = packed.solve_batch(&problems, &mut r1).unwrap();
         let _ = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r2);
@@ -1638,8 +1604,15 @@ mod tests {
             "{}",
             packed_report.accuracy()
         );
+        assert!(
+            dense_report.accuracy() >= 0.66,
+            "{}",
+            dense_report.accuracy()
+        );
         assert!(packed_report.factorization_accuracy() >= 0.85);
+        assert!(dense_report.factorization_accuracy() >= 0.85);
         assert_eq!(packed.backend().name(), "packed");
+        assert_eq!(dense.backend().name(), "reference");
     }
 
     /// The sequential reference: a plain loop over the per-problem oracle,
@@ -1975,7 +1948,7 @@ mod tests {
             // solves the whole batch in one pass: each resonate stage spans all
             // 8 context rows of all 8 problems.
             for dim in [1000, 1024, 2048, 4096] {
-                for backend in [BackendKind::Packed, BackendKind::Parallel] {
+                for backend in BackendKind::ALL {
                     let config = SolverConfig {
                         vector_dim: dim,
                         ..SolverConfig::default()
@@ -2026,7 +1999,7 @@ mod tests {
             // A plan compiled at serve chunk formation (say 64 problems) must serve
             // any submitted batch size with unchanged decisions, on the packed
             // resonator and the f32 resonator alike.
-            for kind in [BackendKind::Packed, BackendKind::Parallel] {
+            for kind in BackendKind::ALL {
                 let (s, mut r) = solver(71, SolverConfig::default().with_backend(kind));
                 let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(6, &mut r);
                 let mut r1 = r.clone();
@@ -2093,7 +2066,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(4))]
 
             // Planned execution equals the sequential per-problem path — choices,
-            // reports, final rng state — across all three backends × pow2/non-pow2
+            // reports, final rng state — across both backends × pow2/non-pow2
             // dims.
             #[test]
             fn prop_planned_execution_is_decision_identical(seed in 0u64..500) {

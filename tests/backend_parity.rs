@@ -3,20 +3,21 @@
 //!
 //! These are the repository-level guarantees the `VsaBackend` seam rests on:
 //!
-//! 1. `ReferenceBackend` and `ParallelBackend` agree (bitwise for Hadamard ops and the
-//!    planned FFT, within float tolerance when compared against the `O(d²)` kernel);
+//! 1. every backend's `f32` surface is the reference kernels: bitwise equal across
+//!    backends, and within float tolerance of the `O(d²)` convolution;
 //! 2. `PackedBackend` reproduces the reference exactly where the bit-packed algebra
 //!    applies (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling)
 //!    and within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
 //!    power-of-two and non-power-of-two dimensions (tail-word padding included);
-//! 3. batching is a pure performance transform — `factorize_matrix_scratch` returns
+//! 3. the packed decode and polish never touch the `f32` surface;
+//! 4. batching is a pure performance transform — `factorize_matrix_scratch` returns
 //!    exactly the per-query `factorize` results.
 
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
-use cogsys_vsa::batch::{BackendKind, HvMatrix};
+use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::BindingOp;
-use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
-use cogsys_vsa::{ops, rng, CodebookSet, Hypervector, Precision};
+use cogsys_vsa::packed::{BitMatrix, CleanupScratch, PackedBackend};
+use cogsys_vsa::{ops, rng, CodebookSet, Hypervector, Precision, VsaError};
 use proptest::prelude::*;
 
 fn random_batch(rows: usize, dim: usize, seed: u64) -> (Vec<Hypervector>, HvMatrix) {
@@ -43,8 +44,8 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Reference, parallel, and the naive O(d²) kernel agree on circular-convolution
-    /// binding for random dimensions — power-of-two (FFT path) and not (naive path).
+    /// Every backend matches the naive O(d²) kernel on circular-convolution binding
+    /// for random dimensions — power-of-two (FFT path) and not (naive path).
     #[test]
     fn prop_backends_match_naive_convolution(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
         // Mix of power-of-two dims (64..512) and non-power-of-two neighbours.
@@ -53,19 +54,18 @@ proptest! {
         let (rows_b, b) = random_batch(3, dim, seed ^ 0x5eed);
 
         let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
         let r = reference.bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-        let p = parallel.bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-
-        for i in 0..3 {
-            // The two backends agree within 1e-4 cosine (they are in fact bitwise
-            // equal; the cosine bound is the documented contract).
-            prop_assert!(cosine(r.row(i), p.row(i)) > 1.0 - 1e-4);
-            prop_assert_eq!(r.row(i), p.row(i));
-            // And both match the O(d²) time-domain definition within float tolerance.
-            let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
-            for (x, y) in p.row(i).iter().zip(&naive) {
-                prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
+        for kind in BackendKind::ALL {
+            let p = kind.create().bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
+            // Every backend's f32 surface is the reference kernels, bitwise.
+            prop_assert!(r == p, "{} diverged from the reference", kind);
+            for i in 0..3 {
+                // And the O(d²) time-domain definition agrees within float tolerance.
+                let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
+                prop_assert!(cosine(p.row(i), &naive) > 1.0 - 1e-4);
+                for (x, y) in p.row(i).iter().zip(&naive) {
+                    prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
+                }
             }
         }
     }
@@ -76,10 +76,10 @@ proptest! {
         let (_, a) = random_batch(2, dim, seed);
         let (_, b) = random_batch(2, dim, seed + 17);
         let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
+        let packed = BackendKind::Packed.create();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
             let r = reference.unbind_batch(&a, &b, op).unwrap();
-            let p = parallel.unbind_batch(&a, &b, op).unwrap();
+            let p = packed.unbind_batch(&a, &b, op).unwrap();
             prop_assert_eq!(r, p);
         }
     }
@@ -95,23 +95,18 @@ proptest! {
         let (_, cb) = random_batch(code_rows, dim, seed);
         let (_, q) = random_batch(queries, dim, seed + 101);
         let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
-        let rs = reference.similarity_matrix(&cb, &q).unwrap();
-        let ps = parallel.similarity_matrix(&cb, &q).unwrap();
-        for (x, y) in rs.as_slice().iter().zip(ps.as_slice()) {
-            // Dots of bipolar rows grow with dim; bound the reordering error
-            // relative to the dimension.
-            prop_assert!((x - y).abs() < 1e-4 * dim as f32, "{x} vs {y}");
-        }
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
-        let pc = parallel.cleanup_batch(&cb, &q).unwrap();
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            prop_assert_eq!(ri, pi);
-            prop_assert!((rsim - psim).abs() < 1e-4);
-        }
+        let packed = BackendKind::Packed.create();
+        prop_assert_eq!(
+            reference.similarity_matrix(&cb, &q).unwrap(),
+            packed.similarity_matrix(&cb, &q).unwrap()
+        );
+        prop_assert_eq!(
+            reference.cleanup_batch(&cb, &q).unwrap(),
+            packed.cleanup_batch(&cb, &q).unwrap()
+        );
         prop_assert_eq!(
             reference.bundle(&q).unwrap().values(),
-            parallel.bundle(&q).unwrap().values()
+            packed.bundle(&q).unwrap().values()
         );
     }
 
@@ -204,7 +199,6 @@ proptest! {
         queries in 1usize..6,
         noise_sel in 0usize..2,
     ) {
-        use cogsys_vsa::packed::PackedBackend;
         use rand::SeedableRng;
         use rand_distr::{Distribution, Normal};
 
@@ -305,7 +299,7 @@ proptest! {
         noise_sel in 0usize..2,
         decline_sel in 0usize..2,
     ) {
-        use cogsys_vsa::packed::{PackedBackend, ResonatePhase};
+        use cogsys_vsa::packed::ResonatePhase;
         use rand::{RngCore, SeedableRng};
         use rand_distr::{Distribution, Normal};
 
@@ -404,7 +398,7 @@ proptest! {
     }
 
     /// Non-bipolar operands must not silently lose magnitude: the packed backend's
-    /// results match the dense fallback bitwise.
+    /// results match the reference backend bitwise.
     #[test]
     fn prop_packed_falls_back_on_real_inputs(seed in 0u64..500, dim in 2usize..130) {
         let mut r = rng(seed);
@@ -413,16 +407,16 @@ proptest! {
             .collect();
         let a = HvMatrix::from_rows(&hvs).unwrap();
         let (_, b) = random_batch(3, dim, seed + 7);
-        let parallel = BackendKind::Parallel.create();
+        let reference = BackendKind::Reference.create();
         let packed = BackendKind::Packed.create();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
             prop_assert_eq!(
-                parallel.bind_batch(&a, &b, op).unwrap(),
+                reference.bind_batch(&a, &b, op).unwrap(),
                 packed.bind_batch(&a, &b, op).unwrap()
             );
         }
         prop_assert_eq!(
-            parallel.similarity_matrix(&a, &b).unwrap(),
+            reference.similarity_matrix(&a, &b).unwrap(),
             packed.similarity_matrix(&a, &b).unwrap()
         );
     }
@@ -482,10 +476,10 @@ fn factorize_batch_regression_matches_per_query_results() {
 
 #[test]
 fn packed_solver_is_decision_identical_to_dense_end_to_end() {
-    // The packed fused resonator against the f32 resonator of the parallel
-    // backend, both inside the one sign-plane solve (encode, XOR polish,
-    // popcount scoring), from the same seed: reports, answer choices and final
-    // rng state must all match on every dataset family and at every precision.
+    // The packed fused resonator against the f32 reference resonator, both
+    // inside the one sign-plane solve (encode, XOR polish, popcount scoring),
+    // from the same seed: reports, answer choices and final rng state must all
+    // match on every dataset family and at every precision.
     // Perception noise makes some rows exit on a limit cycle or the iteration
     // cap, and below FP32 the packed engine quantizes its projection
     // accumulators where the f32 engine quantizes its projections.
@@ -505,7 +499,7 @@ fn packed_solver_is_decision_identical_to_dense_end_to_end() {
             )
         };
         let packed = solver(BackendKind::Packed);
-        let dense = solver(BackendKind::Parallel);
+        let dense = solver(BackendKind::Reference);
         let mut row_exits = 0;
         for kind in DatasetKind::ALL {
             let mut r = rng(0xCD);
@@ -552,12 +546,171 @@ fn backends_agree_through_the_factorizer_on_both_bindings() {
         let a = Factorizer::new(config.clone().with_backend(BackendKind::Reference))
             .factorize(&set, &query, &mut r1)
             .unwrap();
-        let b = Factorizer::new(config.with_backend(BackendKind::Parallel))
+        let b = Factorizer::new(config.with_backend(BackendKind::Packed))
             .factorize(&set, &query, &mut r2)
             .unwrap();
         assert_eq!(a.indices, b.indices, "backends disagree under {binding:?}");
         assert_eq!(a.converged, b.converged);
         assert!((a.similarity - b.similarity).abs() < 1e-4);
         assert_eq!(a.indices, vec![2, 4]);
+    }
+}
+
+/// A packed backend whose `f32` surface panics: anything it decodes or polishes
+/// ran on sign planes alone.
+#[derive(Debug)]
+struct SignPlanesOnly(PackedBackend);
+
+impl VsaBackend for SignPlanesOnly {
+    fn name(&self) -> &'static str {
+        "sign-planes-only"
+    }
+
+    fn as_packed(&self) -> Option<&PackedBackend> {
+        Some(&self.0)
+    }
+
+    fn bind_batch_into(
+        &self,
+        _: &HvMatrix,
+        _: &HvMatrix,
+        _: BindingOp,
+        _: &mut HvMatrix,
+    ) -> Result<(), VsaError> {
+        panic!("packed path called the f32 bind_batch_into")
+    }
+
+    fn unbind_batch_into(
+        &self,
+        _: &HvMatrix,
+        _: &HvMatrix,
+        _: BindingOp,
+        _: &mut HvMatrix,
+    ) -> Result<(), VsaError> {
+        panic!("packed path called the f32 unbind_batch_into")
+    }
+
+    fn similarity_matrix_into(
+        &self,
+        _: &HvMatrix,
+        _: &HvMatrix,
+        _: &mut HvMatrix,
+    ) -> Result<(), VsaError> {
+        panic!("packed path called the f32 similarity_matrix_into")
+    }
+
+    fn project_batch_into(
+        &self,
+        _: &HvMatrix,
+        _: &HvMatrix,
+        _: &mut HvMatrix,
+    ) -> Result<(), VsaError> {
+        panic!("packed path called the f32 project_batch_into")
+    }
+
+    fn bundle(&self, _: &HvMatrix) -> Result<Hypervector, VsaError> {
+        panic!("packed path called the f32 bundle")
+    }
+
+    fn cleanup_batch(&self, _: &HvMatrix, _: &HvMatrix) -> Result<Vec<(usize, f32)>, VsaError> {
+        panic!("packed path called the f32 cleanup_batch")
+    }
+}
+
+#[test]
+fn packed_decode_and_polish_never_touch_the_f32_surface() {
+    // A RAVEN-sized block decode: block 0's 9×9×5 codebooks at d=2048 on 64
+    // scenes, each the sign of the block-0 product plus a block-1 product (the
+    // other block's crosstalk) with interface bit flips, at the solver's block
+    // convergence threshold. Every row the packed engine decodes and every
+    // polish cleanup must run on sign planes: the backend's f32 methods panic.
+    use cogsys_workloads::NeurosymbolicSolver;
+    use rand::{Rng, RngCore, SeedableRng};
+    use std::sync::Arc;
+
+    let dim = 2048;
+    let mut setup = rng(0x5167);
+    let block0 = CodebookSet::random(&[9, 9, 5], dim, BindingOp::Hadamard, &mut setup);
+    let block1 = CodebookSet::random(&[6, 10], dim, BindingOp::Hadamard, &mut setup);
+    let tuples: Vec<[usize; 3]> = (0..64)
+        .map(|_| {
+            [
+                setup.gen_range(0..9),
+                setup.gen_range(0..9),
+                setup.gen_range(0..5),
+            ]
+        })
+        .collect();
+    let scenes: Vec<Hypervector> = tuples
+        .iter()
+        .map(|t| {
+            let own = block0.bind_indices(t).unwrap();
+            let other = block1
+                .bind_indices(&[setup.gen_range(0..6), setup.gen_range(0..10)])
+                .unwrap();
+            let scene = own
+                .values()
+                .iter()
+                .zip(other.values())
+                .map(|(a, b)| if a + b < 0.0 { -1.0 } else { 1.0 })
+                .collect();
+            ops::flip_noise(&Hypervector::from_values(scene), 0.005, &mut setup)
+        })
+        .collect();
+    let queries = BitMatrix::from_matrix(&HvMatrix::from_rows(&scenes).unwrap()).unwrap();
+
+    let pinned: Arc<dyn VsaBackend> = Arc::new(SignPlanesOnly(PackedBackend));
+    for precision in [Precision::Fp32, Precision::Int8] {
+        let config = FactorizerConfig {
+            convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
+            ..FactorizerConfig::default()
+        }
+        .with_backend(BackendKind::Packed)
+        .with_precision(precision);
+        let decode = |backend: Arc<dyn VsaBackend>| {
+            let mut seeds = rng(0xB10C);
+            let mut streams: Vec<_> = (0..queries.rows())
+                .map(|_| rand::rngs::StdRng::seed_from_u64(seeds.next_u64()))
+                .collect();
+            Factorizer::with_backend(config.clone(), backend)
+                .factorize_matrix_bits_scratch(
+                    &block0,
+                    &queries,
+                    &mut streams,
+                    &mut FactorizerScratch::default(),
+                )
+                .unwrap()
+        };
+        let results = decode(Arc::clone(&pinned));
+        assert_eq!(
+            results,
+            decode(BackendKind::Packed.create()),
+            "{precision}: the pinned backend decoded differently"
+        );
+        let exact = results
+            .iter()
+            .zip(&tuples)
+            .filter(|(r, t)| r.indices == t.to_vec())
+            .count();
+        assert!(
+            exact >= 56,
+            "{precision}: only {exact}/64 rows decoded exactly"
+        );
+    }
+
+    // The polish router: per-factor cleanups of the unbound scenes.
+    let mut scratch = CleanupScratch::default();
+    let mut out = Vec::new();
+    for f in 0..block0.num_factors() {
+        let codebook = block0.factor(f).unwrap();
+        codebook
+            .cleanup_batch_bits_into(pinned.as_ref(), &queries, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(
+            out,
+            codebook
+                .cleanup_batch_bits(&PackedBackend, &queries)
+                .unwrap()
+        );
     }
 }

@@ -1,55 +1,25 @@
 //! Repository-level invariants of the batched solver, through the public API only:
 //!
-//! 1. the factorizer runs at the solver's precision, whatever precision the
-//!    factorizer config carries;
-//! 2. solving is chunk-invariant on every backend — one call, 3+5 and 1×8 give the
+//! 1. solving is chunk-invariant on every backend — one call, 3+5 and 1×8 give the
 //!    same reports, answers and rng consumption;
-//! 3. a fixed seed gives a fixed end-to-end outcome;
-//! 4. limit-cycle detection only stops resonator rows that would never converge;
-//! 5. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
+//! 2. a fixed seed gives a fixed end-to-end outcome;
+//! 3. limit-cycle detection only stops resonator rows that would never converge;
+//! 4. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
 //!    solve with a fixed outcome per seed on their own 600-row codebooks;
-//! 6. a planned serving stream reallocates no factorizer scratch after its first,
+//! 5. a planned serving stream reallocates no factorizer scratch after its first,
 //!    under-full chunk.
 
 use cogsys::{CogSysConfig, CogSysSystem};
 use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
-use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet, Precision};
+use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet};
 use cogsys_workloads::{
     NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch, StageNanos,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
-
-#[test]
-fn mismatched_factorizer_precision_solves_like_the_pinned_config() {
-    // The factorizer always runs at the solver's precision, so a struct literal
-    // that leaves the factorizer at FP32 under an INT8 solver makes exactly the
-    // decisions of `with_precision(Int8)`, which sets both.
-    let pinned = SolverConfig {
-        vector_dim: 512,
-        ..SolverConfig::default()
-    }
-    .with_precision(Precision::Int8);
-    let mixed = SolverConfig {
-        factorizer: FactorizerConfig::default(),
-        ..pinned.clone()
-    };
-    assert_ne!(mixed.factorizer.precision, mixed.precision);
-    let solve = |config: SolverConfig| {
-        let mut r = rng(5);
-        let solver = NeurosymbolicSolver::new(config, &mut r);
-        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(3, &mut r);
-        let mut scratch = SolverScratch::default();
-        let report = solver
-            .solve_batch_with(&problems, &mut r, &mut scratch)
-            .unwrap();
-        (report, scratch.choices().to_vec(), r.next_u64())
-    };
-    assert_eq!(solve(mixed), solve(pinned));
-}
 
 #[test]
 fn batched_solve_is_invariant_to_chunking() {
