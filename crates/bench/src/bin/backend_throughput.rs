@@ -6,7 +6,10 @@
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch) at 8- and 64-problem batches with its plan-compile and per-stage cells,
 //! plus the **resonator-iteration** cell `resonate_iter` (one full fused resonator
-//! iteration vs the split three-pass sequence of reference kernels at d=4096) —
+//! iteration vs the split three-pass sequence of reference kernels at d=4096),
+//! plus the **rescue-route** cells `product_scan_<rows>` and
+//! `resonate_sweep_<rows>` (one product-plane scan and one resonator sweep of
+//! 512 scene rows at the RAVEN block shapes, d=2048 and 4096) —
 //! prints the speedup table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
@@ -109,6 +112,10 @@ fn main() -> ExitCode {
     // sequence, one full iteration over all factors at d=4096.
     records.extend(cogsys::experiments::resonate_iter_records(SEED));
 
+    // The rescue route's kernels at the RAVEN block shapes: one product-plane
+    // scan against one resonator sweep of the same 512 scene rows.
+    records.extend(cogsys::experiments::product_scan_records(SEED));
+
     let json = cogsys::experiments::backend_throughput_json(SEED, &records);
     std::fs::write(path, &json).expect("BENCH_backends.json is writable");
     println!("wrote {} records to {path}", records.len());
@@ -196,6 +203,31 @@ fn main() -> ExitCode {
             fused / 1e6,
             split / fused.max(1.0),
         );
+    }
+
+    // Per scene row: the product scan against one resonator sweep, per block
+    // shape and dimension.
+    let scan_cell = |kernel: &str, dim: usize| {
+        records
+            .iter()
+            .find(|r| r.backend == "packed" && r.kernel == kernel && r.dim == dim)
+            .map(|r| r.ns_per_op / r.batch as f64)
+    };
+    for dim in [2048, 4096] {
+        for products in [405, 60] {
+            if let (Some(scan), Some(sweep)) = (
+                scan_cell(&format!("product_scan_{products}"), dim),
+                scan_cell(&format!("resonate_sweep_{products}"), dim),
+            ) {
+                println!(
+                    "product_scan d={dim} products={products}: {:.2} us/row scan, {:.2} us/row \
+                     sweep ({:.2}x)",
+                    scan / 1e3,
+                    sweep / 1e3,
+                    sweep / scan.max(1e-3),
+                );
+            }
+        }
     }
 
     // Scheduler/simulator consumption of the real plan stages: the adSCH

@@ -59,19 +59,27 @@ impl ExperimentTable {
 
 impl fmt::Display for ExperimentTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Each column is at least 16 wide and one wider than its label, so a long
+        // label keeps a space before it.
+        let widths: Vec<usize> = self
+            .columns
+            .iter()
+            .map(|c| (c.chars().count() + 1).max(16))
+            .collect();
         writeln!(f, "== {} ==", self.title)?;
         write!(f, "{:<28}", "")?;
-        for c in &self.columns {
-            write!(f, "{c:>16}")?;
+        for (c, &w) in self.columns.iter().zip(&widths) {
+            write!(f, "{c:>w$}")?;
         }
         writeln!(f)?;
         for (label, values) in &self.rows {
             write!(f, "{label:<28}")?;
-            for v in values {
+            for (i, v) in values.iter().enumerate() {
+                let w = widths.get(i).copied().unwrap_or(16);
                 if v.abs() >= 1000.0 || (*v != 0.0 && v.abs() < 0.01) {
-                    write!(f, "{v:>16.3e}")?;
+                    write!(f, "{v:>w$.3e}")?;
                 } else {
-                    write!(f, "{v:>16.3}")?;
+                    write!(f, "{v:>w$.3}")?;
                 }
             }
             writeln!(f)?;
@@ -576,6 +584,111 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
     ]
 }
 
+/// Query rows of the product-scan cells: one 64-problem RAVEN call's panel rows.
+pub const PRODUCT_SCAN_BENCH_ROWS: usize = 512;
+
+/// Measures the rescue route's two kernels at the RAVEN block shapes (9×9×5 =
+/// 405 and 6×10 = 60 product rows) for d = 2048 and 4096, over
+/// [`PRODUCT_SCAN_BENCH_ROWS`] scene rows that superpose one product of each
+/// block, as the solver's encode does:
+///
+/// * `product_scan_<rows>`: one batch search of the block's product planes
+///   ([`cogsys_vsa::ProductCodebook::search_batch_bits_into`]), the rescue scan;
+/// * `resonate_sweep_<rows>`: one packed resonator sweep of the same rows over
+///   the block's factor codebooks (the solver's block factorizer capped at one
+///   iteration, noise draws included).
+///
+/// Both are recorded as `packed`, best of five rounds after one warm-up. Per
+/// row, the scan costs `product_scan / rows` and the sweep `resonate_sweep /
+/// rows`; their ratio is what the solver's product-row limit for the rescue
+/// route is set from.
+pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
+    use cogsys_factorizer::{Factorizer, FactorizerScratch};
+    use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
+    use cogsys_vsa::ProductCodebook;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::time::Instant;
+
+    let rows = PRODUCT_SCAN_BENCH_ROWS;
+    let backend = BackendKind::Packed.create();
+    let mut records = Vec::new();
+    for dim in [2048, 4096] {
+        let mut rng = cogsys_vsa::rng(seed);
+        let blocks = [
+            CodebookSet::random(&[9, 9, 5], dim, BindingOp::Hadamard, &mut rng),
+            CodebookSet::random(&[6, 10], dim, BindingOp::Hadamard, &mut rng),
+        ];
+        let mut scenes = HvMatrix::zeros(rows, dim);
+        for q in 0..rows {
+            let mut sum = vec![0.0f32; dim];
+            for set in &blocks {
+                let tuple: Vec<usize> = set
+                    .codebooks()
+                    .iter()
+                    .map(|cb| rng.gen_range(0..cb.len()))
+                    .collect();
+                let product = set.bind_indices(&tuple).expect("in-range tuple");
+                for (slot, v) in sum.iter_mut().zip(product.values()) {
+                    *slot += v;
+                }
+            }
+            for (slot, v) in scenes.row_mut(q).iter_mut().zip(&sum) {
+                *slot = if *v < 0.0 { -1.0 } else { 1.0 };
+            }
+        }
+        let queries = BitMatrix::from_matrix(&scenes).expect("scenes are bipolar");
+        let streams: Vec<StdRng> = (0..rows)
+            .map(|q| StdRng::seed_from_u64(seed ^ q as u64))
+            .collect();
+        let time = |f: &mut dyn FnMut()| {
+            f();
+            (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        for set in &blocks {
+            let product = ProductCodebook::expand(set).expect("RAVEN product spaces expand");
+            let mut scratch = CleanupScratch::default();
+            let mut best = Vec::new();
+            let scan = time(&mut || {
+                product
+                    .search_batch_bits_into(&queries, &mut scratch, &mut best)
+                    .expect("shapes match");
+            });
+            let factorizer = Factorizer::with_backend(
+                FactorizerConfig {
+                    convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
+                    ..FactorizerConfig::default()
+                }
+                .with_max_iterations(1),
+                std::sync::Arc::clone(&backend),
+            );
+            let mut fscratch = FactorizerScratch::default();
+            let sweep = time(&mut || {
+                let mut round = streams.clone();
+                factorizer
+                    .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch)
+                    .expect("shapes match");
+            });
+            for (kernel, secs) in [("product_scan", scan), ("resonate_sweep", sweep)] {
+                records.push(BenchRecord {
+                    backend: "packed".to_string(),
+                    kernel: format!("{kernel}_{}", product.len()),
+                    dim,
+                    batch: rows,
+                    ns_per_op: secs * 1e9,
+                });
+            }
+        }
+    }
+    records
+}
+
 /// Parses a `BENCH_backends.json` payload produced by
 /// [`backend_throughput_json`] back into records (a hand-rolled line scanner — the
 /// build is offline, so no JSON crate is available). Unparseable lines are skipped.
@@ -761,7 +874,7 @@ pub const PLAN_DECODE_SHARE_TOLERANCE_PP: f64 = 15.0;
 fn plan_stage_group(name: &str) -> &'static str {
     match name {
         "encode" => "encode",
-        "resonate" | "polish" => "decode",
+        "resonate" | "rescue" | "polish" => "decode",
         _ => "score",
     }
 }
@@ -781,6 +894,8 @@ fn plan_stage_group(name: &str) -> &'static str {
 /// The resonate stages are charged the solver's measured trip count: the
 /// report solves one RAVEN batch of each shape and lowers with the mean
 /// row-iterations per block decode (the `trips` column), not the iteration cap.
+/// The rescue stages are charged the same solve's rescued share: rescued rows
+/// over the rows of the rescue blocks (the `rescued %` column).
 ///
 /// Returned mismatches (empty = valid) cover two contracts. *Structural*: the
 /// graph must schedule without violations, every macro stage must receive
@@ -805,6 +920,7 @@ pub fn plan_schedule_report(records: &[BenchRecord]) -> (ExperimentTable, Vec<St
             "measured ms",
             "meas share %",
             "trips",
+            "rescued %",
         ],
     );
     let mut mismatches = Vec::new();
@@ -824,21 +940,28 @@ pub fn plan_schedule_report(records: &[BenchRecord]) -> (ExperimentTable, Vec<St
     };
     for &batch in &SOLVER_BENCH_PROBLEMS {
         let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(batch, &mut rng);
-        let trips = match solver.solve_batch_with(
+        let report = match solver.solve_batch_with(
             &problems,
             &mut rng,
             &mut cogsys_workloads::SolverScratch::default(),
         ) {
-            Ok(report) => {
-                report.factorizer_iterations as f64 / (report.panels_total * blocks).max(1) as f64
-            }
+            Ok(report) => report,
             Err(e) => {
                 mismatches.push(format!("batch={batch}: trip-count solve failed: {e}"));
                 continue;
             }
         };
         let plan = solver.plan_for_batch(batch);
-        let graph = plan.op_graph(0, trips);
+        let trips =
+            report.factorizer_iterations as f64 / (report.panels_total * blocks).max(1) as f64;
+        let rescue_blocks = plan
+            .stages
+            .iter()
+            .filter(|stage| stage.name() == "rescue")
+            .count();
+        let rescued =
+            report.rows_rescued as f64 / (report.panels_total * rescue_blocks).max(1) as f64;
+        let graph = plan.op_graph(0, trips, rescued);
         let schedule = match AdSchScheduler::new(Default::default()).schedule(&array, &graph) {
             Ok(schedule) => schedule,
             Err(e) => {
@@ -889,6 +1012,7 @@ pub fn plan_schedule_report(records: &[BenchRecord]) -> (ExperimentTable, Vec<St
                     ns.map_or(f64::NAN, |ns| ns / 1e6),
                     ns.map_or(f64::NAN, |ns| 100.0 * ns / measured_total.max(1.0)),
                     trips,
+                    100.0 * rescued,
                 ],
             );
         }
@@ -1629,6 +1753,31 @@ mod tests {
     }
 
     #[test]
+    fn product_scan_cells_cover_both_raven_blocks_at_both_dims() {
+        let records = product_scan_records(7);
+        let mut cells: Vec<(String, usize)> =
+            records.iter().map(|r| (r.kernel.clone(), r.dim)).collect();
+        cells.sort();
+        let mut expected = Vec::new();
+        for kernel in ["product_scan", "resonate_sweep"] {
+            for products in [405, 60] {
+                for dim in [2048, 4096] {
+                    expected.push((format!("{kernel}_{products}"), dim));
+                }
+            }
+        }
+        expected.sort();
+        assert_eq!(cells, expected);
+        for r in &records {
+            assert_eq!(
+                (r.backend.as_str(), r.batch),
+                ("packed", PRODUCT_SCAN_BENCH_ROWS)
+            );
+            assert!(r.ns_per_op > 0.0, "{r:?}");
+        }
+    }
+
+    #[test]
     fn experiment_table_accessors_and_display() {
         let mut t = ExperimentTable::new("demo", &["a", "b"]);
         t.push("row1", vec![1.0, 2.0]);
@@ -1639,6 +1788,26 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("demo"));
         assert!(s.contains("row2"));
+    }
+
+    #[test]
+    fn experiment_table_keeps_long_column_labels_apart() {
+        let long = "a label longer than sixteen";
+        let mut t = ExperimentTable::new("wide", &["short", long, "packed prepacked x"]);
+        t.push("row", vec![1.0, 2.5, 40000.0]);
+        let text = t.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        // Every label is preceded by a space, and each value ends where its
+        // column's label ends.
+        assert!(
+            lines[1].contains(&format!(" {long} packed prepacked x")),
+            "{text}"
+        );
+        assert_eq!(lines[1].len(), lines[2].len(), "{text}");
+        let end_of = |line: &str, needle: &str| line.find(needle).unwrap() + needle.len();
+        assert_eq!(end_of(lines[1], "short"), end_of(lines[2], "1.000"));
+        assert_eq!(end_of(lines[1], long), end_of(lines[2], "2.500"));
+        assert_eq!(lines[1].len(), 28 + 16 + (long.len() + 1) + 19);
     }
 
     #[test]

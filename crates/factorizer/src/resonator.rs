@@ -883,7 +883,9 @@ impl Factorizer {
                 }
             }
 
-            if survivors.len() < rows {
+            // After the last iteration nothing reads the planes again, so the
+            // survivors are not compacted.
+            if survivors.len() < rows && iteration < self.config.max_iterations {
                 query_bits.gather_into(survivors, gather_tmp_bits)?;
                 std::mem::swap(query_bits, gather_tmp_bits);
                 for est in estimates.iter_mut() {

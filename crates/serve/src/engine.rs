@@ -34,6 +34,11 @@ pub enum DegradationLevel {
     ReducedIterations = 2,
     /// Quarter-size batches and a coarse single-pass cleanup (iteration cap 1):
     /// the cheapest answer the pipeline can produce.
+    ///
+    /// The iteration caps of this rung and the previous one bind only attribute
+    /// blocks on the solver's polish route. Blocks small enough for the rescue
+    /// route (both RAVEN blocks) already run one sweep, so on RAVEN
+    /// vocabularies both rungs decide exactly like `Full`.
     CoarseCleanup = 3,
 }
 
@@ -155,6 +160,21 @@ impl SolverEngine {
         &self.solvers[0]
     }
 
+    /// The solver chunks at `level` run on, so a caller can replay an executed
+    /// chunk on exactly that rung's solver.
+    pub fn solver_at(&self, level: DegradationLevel) -> &NeurosymbolicSolver {
+        &self.solvers[Self::rung(level)]
+    }
+
+    /// Index into `solvers` of the solver chunks at `level` run on.
+    fn rung(level: DegradationLevel) -> usize {
+        match level {
+            DegradationLevel::Full | DegradationLevel::HalvedBatch => 0,
+            DegradationLevel::ReducedIterations => 1,
+            DegradationLevel::CoarseCleanup => 2,
+        }
+    }
+
     /// Plan-cache hit/miss counters summed over all three rungs' solvers.
     ///
     /// Each rung's solver compiles a [`cogsys_workloads::SolvePlan`] per
@@ -186,14 +206,10 @@ impl ChunkEngine for SolverEngine {
         level: DegradationLevel,
     ) -> Result<ChunkResult, SolveError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let solver = match level {
-            DegradationLevel::Full | DegradationLevel::HalvedBatch => &self.solvers[0],
-            DegradationLevel::ReducedIterations => &self.solvers[1],
-            DegradationLevel::CoarseCleanup => &self.solvers[2],
-        };
         // `solve_batch_with` looks the plan up in the rung's cache: steady traffic
         // pays plan compilation once per batch size per rung, then executes cache
         // hits.
+        let solver = &self.solvers[Self::rung(level)];
         let report = solver.solve_batch_with(problems, &mut rng, &mut self.scratch)?;
         Ok(ChunkResult {
             choices: self.scratch.choices().to_vec(),
@@ -292,13 +308,54 @@ mod tests {
             .unwrap();
         assert_eq!(engine.plan_stats().misses, 2);
 
+        // RAVEN blocks take the rescue route, so the plan has no polish stage.
         let description = engine.describe_plan(problems.len());
-        for stage in ["encode", "resonate", "polish", "predict", "score"] {
+        assert!(!description.contains("polish"), "{description}");
+        for stage in ["encode", "resonate", "rescue", "predict", "score"] {
             assert!(
                 description.contains(stage),
                 "describe_plan missing `{stage}`: {description}"
             );
         }
+    }
+
+    #[test]
+    fn solver_at_is_the_solver_each_rungs_chunks_run_on() {
+        // 100-value attributes keep both blocks on the polish route, where each
+        // rung's iteration cap binds.
+        let vocab = cogsys_datasets::AttributeVocab::uniform(100);
+        let config = SolverConfig {
+            vocab,
+            ..small_config()
+        };
+        let mut engine = SolverEngine::new(config, 13).unwrap();
+        let budget = engine.solver().config().factorizer.max_iterations;
+        let mut rng = StdRng::seed_from_u64(7);
+        let problems =
+            ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut rng);
+        for level in DegradationLevel::ALL {
+            assert_eq!(
+                engine.solver_at(level).config().factorizer.max_iterations,
+                level.iteration_cap(budget),
+                "{level:?}"
+            );
+            let served = engine.solve_chunk(&problems, 21, level).unwrap();
+            let mut scratch = SolverScratch::default();
+            let report = engine
+                .solver_at(level)
+                .solve_batch_with(&problems, &mut StdRng::seed_from_u64(21), &mut scratch)
+                .unwrap();
+            assert_eq!(served.report, report, "{level:?}");
+            assert_eq!(served.choices, scratch.choices(), "{level:?}");
+        }
+        assert!(std::ptr::eq(
+            engine.solver_at(DegradationLevel::Full),
+            engine.solver()
+        ));
+        assert!(std::ptr::eq(
+            engine.solver_at(DegradationLevel::HalvedBatch),
+            engine.solver()
+        ));
     }
 
     #[test]

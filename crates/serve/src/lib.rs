@@ -155,8 +155,8 @@ impl ServiceModel {
     /// problems at a degradation rung with the given service divisor.
     ///
     /// With per-stage fits, the divisor — which models the reduced-iteration
-    /// rungs of the ladder — applies only to the decode (resonate + polish)
-    /// stage; encode and score work is unchanged by degradation. Without
+    /// rungs of the ladder — applies only to the decode (resonate + polish or
+    /// rescue) stage; encode and score work is unchanged by degradation. Without
     /// stage fits the legacy whole-chunk formula applies the divisor to the
     /// entire marginal term.
     pub fn invocation_micros(&self, problems: u64, service_divisor: u64) -> u64 {

@@ -588,19 +588,48 @@ impl ProductCodebook {
             }
         })?;
         let mut best = Vec::new();
-        PackedBackend.cleanup_batch_packed_into(
-            &self.planes,
-            &bits,
-            &mut CleanupScratch::default(),
-            &mut best,
-        );
-        let (mut row, similarity) = best[0];
+        self.search_batch_bits_into(&bits, &mut CleanupScratch::default(), &mut best)?;
+        let (row, similarity) = best[0];
         let mut indices = vec![0; self.factor_sizes.len()];
-        for (slot, &m) in indices.iter_mut().zip(&self.factor_sizes).rev() {
+        self.factor_indices_into(row, &mut indices);
+        Ok((indices, similarity))
+    }
+
+    /// Batch search of **bit-packed** queries: `out[q]` is the best product row for
+    /// query row `q` and its cosine similarity, ties resolving to the lowest row. It
+    /// is one call of the linear popcount scan
+    /// ([`PackedBackend::cleanup_batch_packed_into`]) over the product planes;
+    /// [`ProductCodebook::factor_indices_into`] turns a row into its index tuple.
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] for queries of another dimension.
+    pub fn search_batch_bits_into(
+        &self,
+        queries: &BitMatrix,
+        scratch: &mut CleanupScratch,
+        out: &mut Vec<(usize, f32)>,
+    ) -> Result<(), VsaError> {
+        if queries.rows() > 0 && queries.dim() != self.planes.dim() {
+            return Err(VsaError::DimensionMismatch {
+                left: self.planes.dim(),
+                right: queries.dim(),
+            });
+        }
+        PackedBackend.cleanup_batch_packed_into(&self.planes, queries, scratch, out);
+        Ok(())
+    }
+
+    /// Writes the factor indices of product row `row` into `out`: the mixed-radix
+    /// digits of `row`, last factor fastest.
+    ///
+    /// # Panics
+    /// Panics if `out` does not hold one slot per factor.
+    pub fn factor_indices_into(&self, mut row: usize, out: &mut [usize]) {
+        assert_eq!(out.len(), self.factor_sizes.len(), "one slot per factor");
+        for (slot, &m) in out.iter_mut().zip(&self.factor_sizes).rev() {
             *slot = row % m;
             row /= m;
         }
-        Ok((indices, similarity))
     }
 
     /// Memory footprint in bytes of the `f32`-equivalent expansion, assuming
@@ -775,6 +804,38 @@ mod tests {
         assert_eq!(product.footprint_bytes(4), 60 * 256 * 4);
         assert_eq!(product.footprint_bytes(4), set.product_footprint_bytes(4));
         assert!(set.footprint_bytes(4) < product.footprint_bytes(4));
+    }
+
+    #[test]
+    fn product_batch_search_decodes_every_query_row() {
+        let mut r = rng(29);
+        let set = CodebookSet::random(&[3, 4, 5], 256, BindingOp::Hadamard, &mut r);
+        let product = ProductCodebook::expand(&set).unwrap();
+        let tuples = [[2, 1, 4], [0, 3, 0], [1, 0, 2]];
+        let rows: Vec<_> = tuples
+            .iter()
+            .map(|t| ops::flip_noise(&set.bind_indices(t).unwrap(), 0.2, &mut r))
+            .collect();
+        let queries = BitMatrix::from_hypervectors(&rows).unwrap();
+        let mut best = Vec::new();
+        product
+            .search_batch_bits_into(&queries, &mut CleanupScratch::default(), &mut best)
+            .unwrap();
+        assert_eq!(best.len(), tuples.len());
+        let mut indices = [0; 3];
+        for ((t, query), &(row, sim)) in tuples.iter().zip(&rows).zip(&best) {
+            product.factor_indices_into(row, &mut indices);
+            assert_eq!(&indices, t);
+            assert_eq!(
+                product.brute_force_search(query).unwrap(),
+                (t.to_vec(), sim)
+            );
+        }
+        let wide = BitMatrix::zeros(1, 320);
+        assert!(matches!(
+            product.search_batch_bits_into(&wide, &mut CleanupScratch::default(), &mut best),
+            Err(VsaError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan};
 use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
 use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
-use cogsys_vsa::codebook::{BindingOp, CodebookSet};
+use cogsys_vsa::codebook::{BindingOp, CodebookSet, ProductCodebook};
 use cogsys_vsa::packed::BitMatrix;
 use cogsys_vsa::{Precision, VsaError};
 use rand::rngs::StdRng;
@@ -111,6 +111,10 @@ pub struct SolverReport {
     pub rows_limit_cycle: usize,
     /// Per-block panel decodes that ran the whole iteration budget unconverged.
     pub rows_capped: usize,
+    /// The capped decodes of rescue blocks (a subset of `rows_capped`): rows the
+    /// one-sweep resonator left unconverged, decoded by the product-plane scan.
+    #[serde(default)]
+    pub rows_rescued: usize,
 }
 
 impl SolverReport {
@@ -141,6 +145,7 @@ impl SolverReport {
         self.rows_converged += other.rows_converged;
         self.rows_limit_cycle += other.rows_limit_cycle;
         self.rows_capped += other.rows_capped;
+        self.rows_rescued += other.rows_rescued;
     }
 
     /// Adds one block decode's iterations and row outcomes.
@@ -250,6 +255,24 @@ impl SolverScratch {
     }
 }
 
+/// Largest product space (rows of the XOR-composed product planes) an attribute
+/// block may have to take the rescue route: one resonator sweep, then an exact
+/// product-plane scan of the rows that sweep leaves unconverged.
+///
+/// Set from the `product_scan_405` / `product_scan_60` and `resonate_sweep_405`
+/// cells of `BENCH_backends.json` (512 scene rows, 2-vCPU AVX-512 VM). Per scene
+/// row, the scan costs 0.55 µs over 60 products and 3.38 µs over 405 at d=2048
+/// (0.73 and 4.32 µs at d=4096), about 8–10 ns per product row, while one 9×9×5
+/// resonator sweep costs 8.5 µs (11.8 µs). Scanning a row therefore costs less
+/// than one more sweep of it up to ~1,000 products at either dimension (~660–1,550
+/// over seven sweep runs); 512 is the largest power of two under all of them. Both
+/// RAVEN blocks (405 and 60 products) are under it, a 600-value vocabulary's
+/// 360,000-product block is not.
+const RESCUE_PRODUCT_ROW_LIMIT: usize = 512;
+
+/// Resonator sweeps a rescue block runs before its unconverged rows are scanned.
+const RESCUE_SWEEPS: usize = 1;
+
 /// The end-to-end neurosymbolic reasoner.
 ///
 /// Scene encoding follows NVSA's block structure: the five attributes are split into
@@ -258,12 +281,23 @@ impl SolverScratch {
 /// CogSys iterative factorizer on each block. Splitting keeps every factorization
 /// problem well inside the resonator's operational capacity while still exercising the
 /// paper's factorization machinery end to end.
+///
+/// A block whose product space has at most `RESCUE_PRODUCT_ROW_LIMIT` rows (both
+/// RAVEN blocks: 9×9×5 = 405 and 6×10 = 60) runs the resonator for one sweep,
+/// and the rows that sweep leaves unconverged are decoded exactly by one scan of
+/// the block's product planes. Larger blocks run the full iteration budget plus
+/// the polish sweep.
 #[derive(Debug, Clone)]
 pub struct NeurosymbolicSolver {
     config: SolverConfig,
     codebooks: CodebookSet,
     blocks: Vec<(CodebookSet, Vec<usize>)>,
+    /// Per block, its product planes when the block takes the rescue route.
+    /// Built once at construction; `with_iteration_cap` clones share them.
+    products: Vec<Option<Arc<ProductCodebook>>>,
     factorizer: Factorizer,
+    /// The block factorizer capped at `RESCUE_SWEEPS`, run on rescue blocks.
+    sweep: Factorizer,
     backend: Arc<dyn VsaBackend>,
     /// Compiled [`SolvePlan`]s by workload shape. Cloning the solver yields a fresh,
     /// empty cache (a `with_iteration_cap` clone compiles a different iteration cap
@@ -353,15 +387,34 @@ impl NeurosymbolicSolver {
                 Ok((set, attrs.to_vec()))
             })
             .collect::<Result<Vec<_>, VsaError>>()?;
+        let products = blocks
+            .iter()
+            .map(|(set, _)| {
+                Ok(if set.combinations() <= RESCUE_PRODUCT_ROW_LIMIT {
+                    Some(Arc::new(ProductCodebook::expand(set)?))
+                } else {
+                    None
+                })
+            })
+            .collect::<Result<Vec<_>, VsaError>>()?;
         // One shared backend instance serves both the solver's own batch kernels and
-        // the factorizer.
+        // the factorizers.
         let backend = config.backend.create();
         let factorizer = Self::block_factorizer(&config, Arc::clone(&backend));
+        let sweep = Self::block_factorizer(
+            &SolverConfig {
+                factorizer: config.factorizer.clone().with_max_iterations(RESCUE_SWEEPS),
+                ..config.clone()
+            },
+            Arc::clone(&backend),
+        );
         Ok(Self {
             config,
             codebooks,
             blocks,
+            products,
             factorizer,
+            sweep,
             backend,
             plans: PlanCache::default(),
         })
@@ -373,7 +426,9 @@ impl NeurosymbolicSolver {
     ///
     /// This is the degradation knob of the `cogsys-serve` ladder: level 2 steps the
     /// budget down, level 3 runs a coarse single pass (`max_iterations == 1`, i.e.
-    /// one resonator step plus the coordinate-descent polish sweep).
+    /// one resonator step plus the coordinate-descent polish sweep). The cap binds
+    /// only blocks on the polish route: a rescue block already runs one sweep, and
+    /// the clone shares its product planes instead of rebuilding them.
     pub fn with_iteration_cap(&self, max_iterations: usize) -> Self {
         let mut degraded = self.clone();
         degraded.config.factorizer.max_iterations = max_iterations.max(1);
@@ -396,6 +451,16 @@ impl NeurosymbolicSolver {
         }
         .with_backend(config.backend);
         Factorizer::with_backend(factorizer_config, backend)
+    }
+
+    /// The factorizer block `block` decodes with: the one-sweep factorizer on the
+    /// rescue route, the iteration-capped one otherwise.
+    fn block_factorizer_for(&self, block: usize) -> &Factorizer {
+        if self.products[block].is_some() {
+            &self.sweep
+        } else {
+            &self.factorizer
+        }
     }
 
     /// Number of context panels every problem must carry (the 3×3 matrix minus the
@@ -501,7 +566,10 @@ impl NeurosymbolicSolver {
     /// Compiles a [`SolvePlan`] for a `batch`-problem solve call: the stage IR,
     /// resolved once, up front. The plan decides nothing: every backend solves
     /// the whole call in one pass, and the stages only describe that pass for
-    /// `--explain` and the adSCH schedule.
+    /// `--explain` and the adSCH schedule. They state each block's route, which
+    /// construction fixed: a block with product planes compiles to
+    /// `Resonate { iterations: 1 }` then `Rescue`, any other block to `Resonate`
+    /// at the iteration cap then `Polish`.
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
@@ -514,7 +582,7 @@ impl NeurosymbolicSolver {
             rows,
             factors: self.blocks.iter().map(|(set, _)| set.num_factors()).sum(),
         });
-        for (b, (set, _)) in self.blocks.iter().enumerate() {
+        for (b, ((set, _), product)) in self.blocks.iter().zip(&self.products).enumerate() {
             let codebook_rows: Vec<usize> = (0..set.num_factors())
                 .map(|f| set.factor(f).map_or(0, |cb| cb.len()))
                 .collect();
@@ -523,12 +591,19 @@ impl NeurosymbolicSolver {
                 rows,
                 factors: set.num_factors(),
                 codebook_rows,
-                iterations: self.factorizer.config().max_iterations,
+                iterations: self.block_factorizer_for(b).config().max_iterations,
             });
-            stages.push(PlanStage::Polish {
-                block: b,
-                rows,
-                factors: set.num_factors(),
+            stages.push(match product {
+                Some(product) => PlanStage::Rescue {
+                    block: b,
+                    rows,
+                    products: product.len(),
+                },
+                None => PlanStage::Polish {
+                    block: b,
+                    rows,
+                    factors: set.num_factors(),
+                },
             });
         }
         stages.push(PlanStage::Predict { problems: batch });
@@ -607,16 +682,22 @@ impl NeurosymbolicSolver {
         Ok(())
     }
 
-    /// Factorizes every row of the encoded scene batch against attribute block
-    /// `block`, runs the one-sweep coordinate-descent polish, and writes the block's decoded
-    /// attribute values into `values` (row-indexed). Returns a report holding only
-    /// the block's factorizer iterations and row outcomes.
+    /// Decodes every row of the encoded scene batch against attribute block
+    /// `block` and writes the block's decoded attribute values into `values`
+    /// (row-indexed). Returns a report holding only the block's factorizer
+    /// iterations and row outcomes.
     ///
-    /// The polish sweep repairs single-attribute decode errors cheaply with the same
-    /// unbind→search primitive the factorizer iterates: per factor, the other
-    /// factors' decoded codevector planes are XOR-unbound from the scene (bipolar
-    /// Hadamard unbinding is exactly XOR) and the result goes through the cleanup
-    /// router ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
+    /// The route is the block's, fixed at construction (see
+    /// [`NeurosymbolicSolver::compile_plan`]):
+    ///
+    /// * **rescue** (the block has product planes): the resonator runs one sweep,
+    ///   and every row it leaves unconverged is decoded by one batch scan of the
+    ///   product planes ([`ProductCodebook::search_batch_bits_into`]). The scan
+    ///   returns the exact argmax over the product space, which is a fixed point
+    ///   of the polish sweep up to tie order, so no polish runs. The scan draws
+    ///   no noise, so the row streams see only the sweep's draws;
+    /// * **polish** (any other block): the resonator runs up to the iteration
+    ///   cap, then [`NeurosymbolicSolver::polish_into`] sweeps every row once.
     fn decode_block_into(
         &self,
         block: usize,
@@ -625,6 +706,66 @@ impl NeurosymbolicSolver {
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
     ) -> Result<SolverReport, VsaError> {
+        let (set, attrs) = &self.blocks[block];
+        let product = self.products[block].as_deref();
+        let results = self
+            .block_factorizer_for(block)
+            .factorize_matrix_bits_scratch(set, scenes, streams, &mut ds.factorizer)?;
+        let mut report = SolverReport::default();
+        report.record_block(&results);
+
+        let DecodeScratch {
+            factorizer: fscratch,
+            tuples,
+            gather_idx,
+            unbound_bits,
+            ..
+        } = ds;
+        tuples.resize_with(results.len(), Vec::new);
+        for (t, r) in tuples.iter_mut().zip(&results) {
+            t.clear();
+            t.extend_from_slice(&r.indices);
+        }
+
+        match product {
+            Some(product) => {
+                gather_idx.clear();
+                gather_idx.extend((0..results.len()).filter(|&row| !results[row].converged));
+                if !gather_idx.is_empty() {
+                    scenes.gather_into(gather_idx, unbound_bits)?;
+                    let (cscratch, best) = fscratch.cleanup_buffers();
+                    product.search_batch_bits_into(unbound_bits, cscratch, best)?;
+                    for (&row, &(product_row, _)) in gather_idx.iter().zip(best.iter()) {
+                        product.factor_indices_into(product_row, &mut tuples[row]);
+                    }
+                }
+                report.rows_rescued = gather_idx.len();
+            }
+            None => self.polish_into(block, scenes, ds)?,
+        }
+
+        let vocab = self.config.vocab;
+        for (row, tuple) in ds.tuples.iter().enumerate() {
+            for (&attr_index, &idx) in attrs.iter().zip(tuple) {
+                let attr = Attribute::ALL[attr_index];
+                values[row][attr_index] = idx.min(vocab.cardinality(attr) - 1);
+            }
+        }
+        Ok(report)
+    }
+
+    /// One coordinate-descent polish sweep over the decoded tuples in
+    /// `ds.tuples`, which repairs single-attribute decode errors cheaply with the
+    /// same unbind→search primitive the factorizer iterates: per factor, the other
+    /// factors' decoded codevector planes are XOR-unbound from the scene (bipolar
+    /// Hadamard unbinding is exactly XOR) and the result goes through the cleanup
+    /// router ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
+    fn polish_into(
+        &self,
+        block: usize,
+        scenes: &BitMatrix,
+        ds: &mut DecodeScratch,
+    ) -> Result<(), VsaError> {
         let DecodeScratch {
             factorizer: fscratch,
             tuples,
@@ -632,20 +773,8 @@ impl NeurosymbolicSolver {
             unbound_bits,
             est_bits,
         } = ds;
-        let (set, attrs) = &self.blocks[block];
+        let set = &self.blocks[block].0;
         let backend = self.backend.as_ref();
-        let results = self
-            .factorizer
-            .factorize_matrix_bits_scratch(set, scenes, streams, fscratch)?;
-        let mut report = SolverReport::default();
-        report.record_block(&results);
-
-        tuples.resize_with(results.len(), Vec::new);
-        for (t, r) in tuples.iter_mut().zip(&results) {
-            t.clear();
-            t.extend_from_slice(&r.indices);
-        }
-
         for f in 0..set.num_factors() {
             unbound_bits.copy_from(scenes);
             for g in 0..set.num_factors() {
@@ -669,15 +798,7 @@ impl NeurosymbolicSolver {
                 t[f] = best;
             }
         }
-
-        let vocab = self.config.vocab;
-        for (row, tuple) in tuples.iter().enumerate() {
-            for (&attr_index, &idx) in attrs.iter().zip(tuple) {
-                let attr = Attribute::ALL[attr_index];
-                values[row][attr_index] = idx.min(vocab.cardinality(attr) - 1);
-            }
-        }
-        Ok(report)
+        Ok(())
     }
 
     /// Abduces the rule governing one attribute from the two complete rows and executes
@@ -1365,6 +1486,14 @@ mod tests {
                 report.panels_total * s.blocks.len()
             );
             assert!(report.rows_converged > 0);
+            // Both RAVEN blocks rescue: one sweep cannot revisit a state, so every
+            // unconverged row is capped, and each one is rescued.
+            assert_eq!(report.rows_limit_cycle, 0);
+            assert_eq!(report.rows_rescued, report.rows_capped);
+            assert_eq!(
+                report.factorizer_iterations,
+                report.panels_total * s.blocks.len()
+            );
         }
     }
 
@@ -1443,6 +1572,73 @@ mod tests {
     }
 
     #[test]
+    fn rescue_blocks_decode_by_one_sweep_then_the_product_scan() {
+        // The solver's decode of a rescue block is exactly the one-sweep
+        // resonator, with every unconverged row replaced by its best product
+        // row, and the report counts each of those rows as rescued.
+        let (s, mut r) = solver(
+            14,
+            SolverConfig {
+                vector_dim: 512,
+                ..SolverConfig::default()
+            },
+        );
+        let panels: Vec<Panel> = (0..48).map(|_| Panel::random(&mut r)).collect();
+        let mut scenes = s.encode_panels(&panels).unwrap();
+        for v in scenes.as_mut_slice() {
+            if r.gen_bool(0.02) {
+                *v = -*v;
+            }
+        }
+        let bits = BitMatrix::from_matrix(&scenes).unwrap();
+        let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
+        let streams =
+            || -> Vec<StdRng> { seeds.iter().map(|&q| StdRng::seed_from_u64(q)).collect() };
+        for (block, (set, attrs)) in s.blocks.iter().enumerate() {
+            let product = s.products[block].as_deref().expect("RAVEN blocks rescue");
+            let mut values = vec![[0usize; 5]; panels.len()];
+            let report = s
+                .decode_block_into(
+                    block,
+                    &bits,
+                    &mut streams(),
+                    &mut DecodeScratch::default(),
+                    &mut values,
+                )
+                .unwrap();
+            let sweep = s
+                .sweep
+                .factorize_matrix_bits_scratch(
+                    set,
+                    &bits,
+                    &mut streams(),
+                    &mut FactorizerScratch::default(),
+                )
+                .unwrap();
+            let mut best = Vec::new();
+            product
+                .search_batch_bits_into(&bits, &mut Default::default(), &mut best)
+                .unwrap();
+            let mut expected = SolverReport::default();
+            expected.record_block(&sweep);
+            expected.rows_rescued = sweep.iter().filter(|r| !r.converged).count();
+            assert_eq!(report, expected, "block {block}");
+            assert!(
+                report.rows_rescued > 0 && report.rows_converged > 0,
+                "{report:?}"
+            );
+            for (row, (one, &(product_row, _))) in sweep.iter().zip(&best).enumerate() {
+                let mut tuple = one.indices.clone();
+                if !one.converged {
+                    product.factor_indices_into(product_row, &mut tuple);
+                }
+                let decoded: Vec<usize> = attrs.iter().map(|&a| values[row][a]).collect();
+                assert_eq!(decoded, tuple, "block {block} row {row}");
+            }
+        }
+    }
+
+    #[test]
     fn solver_handles_iraven_and_pgm() {
         for dataset in [DatasetKind::IRaven, DatasetKind::Pgm] {
             let (s, mut r) = solver(3, SolverConfig::default());
@@ -1497,6 +1693,7 @@ mod tests {
             rows_converged: 30,
             rows_limit_cycle: 1,
             rows_capped: 1,
+            rows_rescued: 1,
         };
         let b = SolverReport {
             problems: 2,
@@ -1507,12 +1704,18 @@ mod tests {
             rows_converged: 31,
             rows_limit_cycle: 0,
             rows_capped: 1,
+            rows_rescued: 0,
         };
         a.merge(&b);
         assert_eq!(a.problems, 4);
         assert_eq!(
-            (a.rows_converged, a.rows_limit_cycle, a.rows_capped),
-            (61, 1, 2)
+            (
+                a.rows_converged,
+                a.rows_limit_cycle,
+                a.rows_capped,
+                a.rows_rescued
+            ),
+            (61, 1, 2, 1)
         );
         assert!((a.accuracy() - 0.75).abs() < 1e-12);
         assert!((a.factorization_accuracy() - 26.0 / 32.0).abs() < 1e-12);
@@ -1865,9 +2068,19 @@ mod tests {
     fn iteration_capped_solver_shares_codebooks_and_still_answers() {
         // The degradation knob: a capped clone must produce in-range answers from
         // the same codebooks, and at the full cap it is the identical engine.
+        // 100-value attributes put both blocks over the product-row limit, so
+        // they run the polish route and the cap binds every block.
         use cogsys_datasets::ProblemGenerator;
-        let (s, mut r) = solver(55, SolverConfig::default());
-        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(2, &mut r);
+        let vocab = AttributeVocab::uniform(100);
+        let config = SolverConfig {
+            vector_dim: 512,
+            vocab,
+            ..SolverConfig::default()
+        };
+        let (s, mut r) = solver(55, config);
+        assert!(s.products.iter().all(Option::is_none));
+        let problems =
+            ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut r);
 
         let full_cap = s.with_iteration_cap(s.config().factorizer.max_iterations);
         let mut r1 = r.clone();
@@ -1903,6 +2116,37 @@ mod tests {
         for &c in scratch.choices() {
             assert!(c < problems[0].candidates.len());
         }
+
+        // On RAVEN vocabularies both blocks take the rescue route: one sweep,
+        // then the product scan, whatever the cap. A capped clone shares the
+        // product planes and decides exactly like the full solver.
+        let (raven, mut r) = solver(55, SolverConfig::default());
+        let text = raven.plan_for_batch(2).describe();
+        assert_eq!(text.matches("iters=1\n").count(), 2, "{text}");
+        assert_eq!(text.matches("rescue").count(), 2, "{text}");
+        assert!(!text.contains("polish"), "{text}");
+        assert!(
+            text.contains("products=405") && text.contains("products=60"),
+            "{text}"
+        );
+        let raven_coarse = raven.with_iteration_cap(1);
+        for (full, capped) in raven.products.iter().zip(&raven_coarse.products) {
+            assert!(Arc::ptr_eq(
+                full.as_ref().unwrap(),
+                capped.as_ref().unwrap()
+            ));
+        }
+        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
+        let mut r1 = r.clone();
+        let full = raven
+            .solve_batch_with(&problems, &mut r1, &mut scratch)
+            .unwrap();
+        let full_choices = scratch.choices().to_vec();
+        let capped = raven_coarse
+            .solve_batch_with(&problems, &mut r, &mut scratch)
+            .unwrap();
+        assert_eq!(full, capped);
+        assert_eq!(full_choices, scratch.choices());
     }
 
     #[test]

@@ -13,10 +13,15 @@
 //!   (backend, dim, blocks, batch, codebook_rows)          PlanKey
 //!                    │ compile_plan (once, cached)
 //!                    ▼
-//!   Encode → [Resonate → Polish]×blocks → Predict → Score  SolvePlan (stage IR)
+//!   Encode → [block route]×blocks → Predict → Score        SolvePlan (stage IR)
 //!                    │ solve_batch_with (per call, cached plan)
 //!                    ▼
 //!   thin executor over sign planes: the whole call in one pass
+//!
+//!   block route, by the block's product-space size:
+//!     small  Resonate{iterations: 1} → Rescue   (product-plane scan of the
+//!                                                rows the sweep leaves unconverged)
+//!     large  Resonate{iterations: cap} → Polish
 //! ```
 //!
 //! The plan also gives `cogsys-scheduler` (ADSCH) and `cogsys-sim` their first live
@@ -89,6 +94,17 @@ pub enum PlanStage {
         /// scheduler lowering charges a measured trip count, clamped to this).
         iterations: usize,
     },
+    /// Exact decode of the rows a one-sweep `Resonate` stage leaves unconverged:
+    /// one linear popcount scan of the block's XOR-composed product planes. It
+    /// replaces `Polish` on blocks whose product space is small enough to scan.
+    Rescue {
+        /// Attribute-block index.
+        block: usize,
+        /// Rows of the block; the executor scans only the unconverged ones.
+        rows: usize,
+        /// Product planes scanned per rescued row (the block's product-space size).
+        products: usize,
+    },
     /// One coordinate-descent polish sweep (XOR unbind-all-but + cleanup per factor).
     Polish {
         /// Attribute-block index.
@@ -117,6 +133,7 @@ impl PlanStage {
         match self {
             PlanStage::Encode { .. } => "encode",
             PlanStage::Resonate { .. } => "resonate",
+            PlanStage::Rescue { .. } => "rescue",
             PlanStage::Polish { .. } => "polish",
             PlanStage::Predict { .. } => "predict",
             PlanStage::Score { .. } => "score",
@@ -137,6 +154,10 @@ impl PlanStage {
     ///   `2 × rows × resonate_trips` queries. `resonate_trips` is the mean
     ///   row-iterations per block decode (measure it; rows converge long before
     ///   the cap), clamped to `[1, iterations]`.
+    /// * `Rescue`: one similarity search over the block's product planes per
+    ///   rescued row, charged `rows × rescued_share` queries. `rescued_share` is
+    ///   the measured fraction of a rescue block's rows that its sweep leaves
+    ///   unconverged, clamped to `[0, 1]` (at least one query is charged).
     /// * `Polish`: one cleanup search per factor.
     /// * `Predict`: control-flow-only symbolic work, lowered as a per-problem
     ///   element-wise op so the scheduler still sees (and orders) the stage.
@@ -146,7 +167,7 @@ impl PlanStage {
     ///   ([`Kernel::ElementWise`] over `problems × 8 × dim`). As a one-column
     ///   [`Kernel::Similarity`] they would occupy one column of the systolic
     ///   array and be priced almost entirely by its pipeline fill.
-    pub fn kernel(&self, dim: usize, resonate_trips: f64) -> Kernel {
+    pub fn kernel(&self, dim: usize, resonate_trips: f64, rescued_share: f64) -> Kernel {
         match self {
             PlanStage::Encode { rows, factors } => Kernel::ElementWise {
                 elements: rows * dim * factors.max(&1),
@@ -165,6 +186,11 @@ impl PlanStage {
                     count: (2.0 * *rows as f64 * trips).round() as usize,
                 }
             }
+            PlanStage::Rescue { rows, products, .. } => Kernel::Similarity {
+                rows: (*products).max(1),
+                dim,
+                count: ((*rows as f64 * rescued_share.clamp(0.0, 1.0)).round() as usize).max(1),
+            },
             PlanStage::Polish { rows, factors, .. } => Kernel::Similarity {
                 rows: (*factors).max(1),
                 dim,
@@ -220,6 +246,11 @@ impl SolvePlan {
                     "block={block} rows={rows} factors={factors} cb={codebook_rows:?} \
                      iters={iterations}"
                 ),
+                PlanStage::Rescue {
+                    block,
+                    rows,
+                    products,
+                } => format!("block={block} rows={rows} products={products}"),
                 PlanStage::Polish {
                     block,
                     rows,
@@ -237,13 +268,14 @@ impl SolvePlan {
     /// linear dependence chain under task id `task` (the executor's stages are
     /// sequential over one batch; cross-batch parallelism comes from appending
     /// several tasks' graphs). Resonate stages are charged `resonate_trips` mean
-    /// row-iterations (see [`PlanStage::kernel`]).
-    pub fn op_graph(&self, task: usize, resonate_trips: f64) -> OpGraph {
+    /// row-iterations and Rescue stages `rescued_share` of their rows (see
+    /// [`PlanStage::kernel`]).
+    pub fn op_graph(&self, task: usize, resonate_trips: f64, rescued_share: f64) -> OpGraph {
         let mut graph = OpGraph::new();
         let mut prev = None;
         for stage in &self.stages {
             let deps: Vec<usize> = prev.into_iter().collect();
-            let kernel = stage.kernel(self.key.dim, resonate_trips);
+            let kernel = stage.kernel(self.key.dim, resonate_trips, rescued_share);
             prev = Some(graph.add_op(task, kernel, &deps));
         }
         graph
@@ -352,6 +384,18 @@ mod tests {
                     rows: batch * 8,
                     factors: 3,
                 },
+                PlanStage::Resonate {
+                    block: 1,
+                    rows: batch * 8,
+                    factors: 2,
+                    codebook_rows: vec![6, 10],
+                    iterations: 1,
+                },
+                PlanStage::Rescue {
+                    block: 1,
+                    rows: batch * 8,
+                    products: 60,
+                },
                 PlanStage::Predict { problems: batch },
                 PlanStage::Score { problems: batch },
             ],
@@ -370,6 +414,8 @@ mod tests {
             "predict",
             "score",
             "iters=200",
+            "iters=1\n",
+            "rescue   block=1 rows=32 products=60",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -381,12 +427,12 @@ mod tests {
         // row per charged iteration; the charge is clamped to [1, cap].
         let p = plan(4);
         let dim = p.key.dim;
-        let flops = |trips: f64| p.stages[1].kernel(dim, trips).flops();
+        let flops = |trips: f64| p.stages[1].kernel(dim, trips, 0.5).flops();
         assert_eq!(flops(3.0), 3 * flops(1.0));
         assert_eq!(flops(1.5), 3 * flops(1.0) / 2);
         assert_eq!(flops(0.0), flops(1.0));
         assert_eq!(flops(1e9), 200 * flops(1.0));
-        if let Kernel::Similarity { rows, count, .. } = p.stages[1].kernel(dim, 1.0) {
+        if let Kernel::Similarity { rows, count, .. } = p.stages[1].kernel(dim, 1.0, 0.5) {
             assert_eq!((rows, count), (9 + 9 + 5, 2 * 4 * 8));
         } else {
             panic!("resonate must lower to a similarity search");
@@ -394,11 +440,30 @@ mod tests {
     }
 
     #[test]
+    fn rescue_lowering_charges_the_rescued_share_of_the_rows() {
+        // One product-plane search per rescued row: the query count follows the
+        // measured share, clamped to [0, 1] and to at least one query, and the
+        // resonator trip count does not move it.
+        let p = plan(4);
+        let dim = p.key.dim;
+        let rescue = |trips: f64, share: f64| match p.stages[4].kernel(dim, trips, share) {
+            Kernel::Similarity { rows, dim, count } => (rows, dim, count),
+            other => panic!("rescue must lower to a similarity search, got {other:?}"),
+        };
+        assert_eq!(rescue(1.0, 0.25), (60, dim, 8));
+        assert_eq!(rescue(9.0, 0.25), (60, dim, 8));
+        assert_eq!(rescue(1.0, 2.0), (60, dim, 32));
+        assert_eq!(rescue(1.0, 0.0), (60, dim, 1));
+        assert_eq!(rescue(1.0, f64::NAN).2, 1);
+    }
+
+    #[test]
     fn encode_and_score_lower_to_their_linear_kernels() {
         // Hadamard binding is element-wise and scoring compares each candidate
         // with one prediction: both stages grow linearly with the batch.
         let dim = key(1).dim;
-        let flops = |batch: usize, stage: usize| plan(batch).stages[stage].kernel(dim, 1.0).flops();
+        let flops =
+            |batch: usize, stage: usize| plan(batch).stages[stage].kernel(dim, 1.0, 0.5).flops();
         let score = plan(1).stages.len() - 1;
         for stage in [0, score] {
             assert_eq!(flops(64, stage), 64 * flops(1, stage), "stage {stage}");
@@ -409,7 +474,7 @@ mod tests {
     #[test]
     fn op_graph_is_a_valid_linear_chain_over_the_stages() {
         let p = plan(4);
-        let g = p.op_graph(3, 1.5);
+        let g = p.op_graph(3, 1.5, 0.0);
         assert_eq!(g.len(), p.stages.len());
         assert!(g.validate().is_ok());
         for (i, node) in g.iter().enumerate() {

@@ -79,7 +79,7 @@ fn main() {
         total.merge(&report);
         println!(
             "window {window}: {:7.1} problems/s  ({:6.2} ms/batch, accuracy {:5.1} %, {} factorizer iterations, \
-             rows {} converged / {} limit-cycle / {} capped)",
+             rows {} converged / {} limit-cycle / {} capped ({} rescued))",
             batch as f64 / seconds,
             seconds * 1e3,
             100.0 * report.accuracy(),
@@ -87,6 +87,7 @@ fn main() {
             report.rows_converged,
             report.rows_limit_cycle,
             report.rows_capped,
+            report.rows_rescued,
         );
     }
 

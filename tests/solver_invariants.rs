@@ -7,13 +7,16 @@
 //! 4. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
 //!    solve with a fixed outcome per seed on their own 600-row codebooks;
 //! 5. a planned serving stream reallocates no factorizer scratch after its first,
-//!    under-full chunk.
+//!    under-full chunk;
+//! 6. on the RAVEN block shapes, the rescue route (one resonator sweep, then a
+//!    product-plane scan of the unconverged rows) is a fixed point of the polish
+//!    sweep and keeps the full resonator's decisions on the rows it converges.
 
 use cogsys::{CogSysConfig, CogSysSystem};
 use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
-use cogsys_vsa::{rng, BackendKind, BitMatrix, CodebookSet};
+use cogsys_vsa::{rng, BackendKind, BitMatrix, CleanupScratch, CodebookSet, ProductCodebook};
 use cogsys_workloads::{
     NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch, StageNanos,
 };
@@ -241,6 +244,147 @@ fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
             scratch.factorizer_capacity_fingerprint(),
             fingerprint,
             "steady-state serving reallocated factorizer scratch"
+        );
+    }
+}
+
+/// The coordinate-descent polish sweep over one decoded `tuple` of `scene` (a
+/// one-row sign plane): per factor in order, the other factors' decoded
+/// codevectors are XOR-unbound from the scene and the factor takes its best
+/// cleanup match, the lowest index on ties. With `keep_ties`, a factor whose
+/// value already ties for the best match keeps it, so the sweep changes a
+/// tuple only where some factor can strictly improve.
+fn polish_row(
+    set: &CodebookSet,
+    backend: &dyn cogsys_vsa::VsaBackend,
+    scene: &BitMatrix,
+    tuple: &[usize],
+    keep_ties: bool,
+) -> Vec<usize> {
+    let mut tuple = tuple.to_vec();
+    let mut plane = BitMatrix::default();
+    for f in 0..set.num_factors() {
+        let mut unbound = scene.clone();
+        for (g, &index) in tuple.iter().enumerate() {
+            if g != f {
+                let planes = set.factor(g).unwrap().packed().unwrap();
+                planes.gather_into(&[index], &mut plane).unwrap();
+                unbound.xor_assign(&plane).unwrap();
+            }
+        }
+        let sims = set
+            .factor(f)
+            .unwrap()
+            .similarities_batch_bits(backend, &unbound)
+            .unwrap();
+        let row = sims.row(0);
+        let best = (0..row.len()).fold(0, |best, m| if row[m] > row[best] { m } else { best });
+        if !(keep_ties && row[tuple[f]] == row[best]) {
+            tuple[f] = best;
+        }
+    }
+    tuple
+}
+
+#[test]
+fn product_scan_rescue_is_a_polish_fixed_point_and_keeps_converged_decisions() {
+    // The premise of the rescue route on the RAVEN block shapes (9×9×5 = 405
+    // and 6×10 = 60 products): one resonator sweep, then an exact scan of the
+    // block's product planes for the rows the sweep leaves unconverged, and no
+    // polish. Scenes superpose both blocks and carry interface bit flips, so
+    // every block decodes through the other block's crosstalk. Checked:
+    // (a) the polish sweep changes no tuple the route decodes, up to tie order;
+    // (b) on every row the sweep converges, the route decides what the full
+    //     resonator followed by the polish sweep decides.
+    let backend = BackendKind::Packed.create();
+    for dim in [512, 2048] {
+        let mut r = rng(0x5C4A);
+        let config = SolverConfig {
+            vector_dim: dim,
+            ..SolverConfig::default()
+        };
+        let solver = NeurosymbolicSolver::new(config.clone(), &mut r);
+        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(16, &mut r);
+        let panels: Vec<Panel> = problems
+            .iter()
+            .flat_map(|p| p.context.iter().copied())
+            .collect();
+        let mut scenes = solver.encode_panels(&panels).unwrap();
+        for q in 0..scenes.rows() {
+            for v in scenes.row_mut(q) {
+                if r.gen_bool(0.02) {
+                    *v = -*v;
+                }
+            }
+        }
+        let bits = BitMatrix::from_matrix(&scenes).unwrap();
+        let (mut converged, mut rescued) = (0, 0);
+        for attrs in [0..3, 3..5] {
+            let set = CodebookSet::new(
+                attrs
+                    .clone()
+                    .map(|a| solver.codebooks().factor(a).unwrap().clone())
+                    .collect(),
+                BindingOp::Hadamard,
+            )
+            .unwrap();
+            let product = ProductCodebook::expand(&set).unwrap();
+            let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
+            let decode = |max_iterations: usize| {
+                let factorizer = Factorizer::with_backend(
+                    FactorizerConfig {
+                        convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
+                        ..config.factorizer.clone()
+                    }
+                    .with_max_iterations(max_iterations),
+                    Arc::clone(&backend),
+                );
+                let mut streams: Vec<StdRng> =
+                    seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+                factorizer
+                    .factorize_matrix_bits_scratch(
+                        &set,
+                        &bits,
+                        &mut streams,
+                        &mut FactorizerScratch::default(),
+                    )
+                    .unwrap()
+            };
+            let sweep = decode(1);
+            let full = decode(config.factorizer.max_iterations);
+            let mut best = Vec::new();
+            product
+                .search_batch_bits_into(&bits, &mut CleanupScratch::default(), &mut best)
+                .unwrap();
+            let mut scene = BitMatrix::default();
+            for (row, (one, &(product_row, _))) in sweep.iter().zip(&best).enumerate() {
+                let case = format!("d={dim} attrs={attrs:?} row {row}");
+                let mut route = one.indices.clone();
+                if one.converged {
+                    converged += 1;
+                } else {
+                    rescued += 1;
+                    product.factor_indices_into(product_row, &mut route);
+                }
+                bits.gather_into(&[row], &mut scene).unwrap();
+                assert_eq!(
+                    polish_row(&set, backend.as_ref(), &scene, &route, true),
+                    route,
+                    "{case}: polish moves the decoded tuple"
+                );
+                if one.converged {
+                    assert_eq!(full[row], *one, "{case}: sweep 1 decides as the full run");
+                    assert_eq!(
+                        polish_row(&set, backend.as_ref(), &scene, &full[row].indices, false),
+                        route,
+                        "{case}: resonate + polish decides otherwise"
+                    );
+                }
+            }
+        }
+        assert!(
+            converged > 0 && rescued > 0,
+            "d={dim}: {converged} converged, {rescued} rescued"
         );
     }
 }
