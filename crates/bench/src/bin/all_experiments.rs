@@ -27,8 +27,9 @@ fn main() {
     println!("{}", cogsys::experiments::fig18_accelerators());
     println!("{}", cogsys::experiments::fig19_ablation());
     println!("{}", cogsys::experiments::tab10_codesign());
+    let records = cogsys::experiments::backend_throughput_records(&[256, 1024], &[1, 32, 256], 7);
     println!(
         "{}",
-        cogsys::experiments::backend_throughput(&[256, 1024], &[1, 32, 256], 7)
+        cogsys::experiments::backend_throughput_table(&records)
     );
 }

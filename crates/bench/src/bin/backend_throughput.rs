@@ -165,8 +165,7 @@ fn main() -> ExitCode {
     }
 
     // End-to-end solver throughput at a 64-problem serving batch (8·64 = 512 panel
-    // rows per factorize call) on the packed backend, and the amortized
-    // plan-compilation cost.
+    // rows per factorize call) on the packed backend.
     let solver_cell = |backend: &str, kernel: &str| {
         records
             .iter()
@@ -178,12 +177,6 @@ fn main() -> ExitCode {
             "solver 64-problem batch (packed): {:.1} ms ({:.0} problems/s)",
             batched / 1e6,
             64.0 / (batched / 1e9),
-        );
-    }
-    if let Some(compile) = solver_cell("packed", "plan_compile") {
-        println!(
-            "plan_compile (packed, 64-problem key): {:.1} us per cold cache miss",
-            compile / 1e3
         );
     }
 

@@ -353,22 +353,17 @@ pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 
 /// Measures end-to-end solver throughput for every [`BackendKind`]: the
 /// `solve_batch` kernel runs the cross-problem batched engine (one reused
-/// [`cogsys_workloads::SolverScratch`], all problems in one call, the plan a
-/// cache hit after the warm-up). Tracking it against the committed baseline
-/// guards the whole serving path (encode, factorize, polish, answer scoring)
-/// rather than single kernels.
+/// [`cogsys_workloads::SolverScratch`], all problems in one call). Tracking it
+/// against the committed baseline guards the whole serving path (encode,
+/// factorize, polish, answer scoring) rather than single kernels.
 ///
 /// `ns_per_op` is the best wall clock for solving the *whole* batch (one warm-up,
 /// best of three), mirroring the per-batched-call convention of
 /// [`backend_throughput_records`].
 ///
-/// The sweep also measures the plan layer:
-///
-/// * `plan_compile` — one [`NeurosymbolicSolver::compile_plan`] call (the cost a
-///   cold plan-cache miss adds to the first chunk of a new shape);
-/// * `plan_stage_{encode,decode,score}` (packed only) — the per-stage wall clock
-///   of the best timed round, the cells `cogsys-serve`'s per-stage
-///   `ServiceModel` fit and the adSCH stage-cost validation consume.
+/// On the packed backend the sweep also records `plan_stage_{encode,decode,score}`:
+/// the per-stage wall clock of the best timed round, the cells `cogsys-serve`'s
+/// per-stage `ServiceModel` fit and the adSCH stage-cost validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
     use cogsys_workloads::{SolverScratch, StageNanos};
     use std::time::Instant;
@@ -407,22 +402,6 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
                 dim,
                 batch: count,
                 ns_per_op: batched * 1e9,
-            });
-
-            // Plan compilation cost: microsecond-scale, so each timed round runs a
-            // small inner loop and reports the per-call cost.
-            const COMPILES_PER_ROUND: usize = 16;
-            let compile = time(&mut || {
-                for _ in 0..COMPILES_PER_ROUND {
-                    std::hint::black_box(solver.compile_plan(count, true));
-                }
-            });
-            records.push(BenchRecord {
-                backend: backend.to_string(),
-                kernel: "plan_compile".to_string(),
-                dim,
-                batch: count,
-                ns_per_op: compile * 1e9 / COMPILES_PER_ROUND as f64,
             });
 
             if backend == BackendKind::Packed {
@@ -850,18 +829,6 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
         );
     }
     table
-}
-
-/// Backend throughput comparison: wall-clock speedup of the packed backend over the
-/// reference backend on codebook cleanup (`f32` and pre-packed queries) across
-/// dimensionalities and batch sizes.
-///
-/// This is the software analogue of the paper's array-level batching argument: the
-/// same operations, re-shaped from one-vector-at-a-time calls into matrix batches,
-/// with the speedup coming purely from the execution engine (XOR/popcount sign
-/// planes for `packed`).
-pub fn backend_throughput(dims: &[usize], batches: &[usize], seed: u64) -> ExperimentTable {
-    backend_throughput_table(&backend_throughput_records(dims, batches, seed))
 }
 
 /// Maximum tolerated gap, in percentage points, between the scheduled and

@@ -23,7 +23,7 @@
 //! assert_eq!(problem.context.len(), 8);
 //! assert_eq!(problem.candidates.len(), 8);
 //! // The labelled answer really does complete every row rule.
-//! assert!(problem.verify_answer());
+//! assert!(problem.verify_answer_with(generator.vocab()));
 //! ```
 
 #![forbid(unsafe_code)]

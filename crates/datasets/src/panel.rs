@@ -221,14 +221,9 @@ impl Panel {
         }
     }
 
-    /// Returns `true` when every attribute value is inside its cardinality — the
-    /// invariant [`Panel::new`] enforces and [`Panel::new_unchecked`] deliberately
-    /// does not.
-    pub fn is_well_formed(&self) -> bool {
-        self.is_well_formed_with(AttributeVocab::raven())
-    }
-
-    /// [`Panel::is_well_formed`] against a configurable vocabulary.
+    /// Returns `true` when every attribute value is inside its cardinality in
+    /// `vocab` — under [`AttributeVocab::raven`], the invariant [`Panel::new`]
+    /// enforces and [`Panel::new_unchecked`] deliberately does not.
     pub fn is_well_formed_with(&self, vocab: AttributeVocab) -> bool {
         self.values
             .iter()
@@ -236,12 +231,7 @@ impl Panel {
             .all(|(&v, c)| (v as usize) < c)
     }
 
-    /// Samples a uniformly random panel.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self::random_with(AttributeVocab::raven(), rng)
-    }
-
-    /// [`Panel::random`] over a configurable vocabulary.
+    /// Samples a uniformly random panel over `vocab`.
     pub fn random_with<R: Rng + ?Sized>(vocab: AttributeVocab, rng: &mut R) -> Self {
         let mut values = [0u16; 5];
         for (v, c) in values.iter_mut().zip(vocab.cardinalities()) {
@@ -255,12 +245,7 @@ impl Panel {
         self.values[attribute.index()] as usize
     }
 
-    /// Returns a copy with one attribute replaced (wrapped into range).
-    pub fn with_value(&self, attribute: Attribute, value: usize) -> Self {
-        self.with_value_with(AttributeVocab::raven(), attribute, value)
-    }
-
-    /// [`Panel::with_value`] wrapping into a configurable vocabulary's range.
+    /// Returns a copy with one attribute replaced (wrapped into `vocab`'s range).
     pub fn with_value_with(
         &self,
         vocab: AttributeVocab,
@@ -287,15 +272,8 @@ impl Panel {
     }
 
     /// Applies perception noise: each attribute is independently replaced by a random
-    /// value with probability `p`, emulating neural-frontend errors.
-    pub fn perturbed<R: Rng + ?Sized>(&self, p: f64, rng: &mut R) -> Self {
-        self.perturbed_with(AttributeVocab::raven(), p, rng)
-    }
-
-    /// [`Panel::perturbed`] drawing replacement values from a configurable
-    /// vocabulary. The draw pattern (one `gen_bool` per attribute, one `gen_range`
-    /// per flip) is identical to [`Panel::perturbed`], so with the RAVEN vocab the
-    /// rng stream and results match exactly.
+    /// value of `vocab` with probability `p`, emulating neural-frontend errors. The
+    /// draws are one `gen_bool` per attribute and one `gen_range` per flip.
     pub fn perturbed_with<R: Rng + ?Sized>(
         &self,
         vocab: AttributeVocab,
@@ -345,13 +323,14 @@ mod tests {
         assert_eq!(p.value(Attribute::Position), 1);
         assert_eq!(p.value(Attribute::Color), 5);
         assert_eq!(p.values(), [1, 2, 3, 4, 5]);
-        let q = p.with_value(Attribute::Color, 7);
+        let q = p.with_value_with(AttributeVocab::raven(), Attribute::Color, 7);
         assert_eq!(q.value(Attribute::Color), 7);
         assert_eq!(p.distance(&q), 1);
         assert_eq!(p.distance(&p), 0);
         // with_value wraps out-of-range inputs.
         assert_eq!(
-            p.with_value(Attribute::Type, 12).value(Attribute::Type),
+            p.with_value_with(AttributeVocab::raven(), Attribute::Type, 12)
+                .value(Attribute::Type),
             12 % 5
         );
         assert!(p.to_string().contains("color=5"));
@@ -366,7 +345,7 @@ mod tests {
         for v in [usize::MAX, big + 1] {
             let p = Panel::new_unchecked([0, 0, v, 0, 0]);
             assert_eq!(p.value(Attribute::Type), big);
-            assert!(!p.is_well_formed());
+            assert!(!p.is_well_formed_with(AttributeVocab::raven()));
             // Even the widest vocabulary keeps a saturated value out of range.
             assert!(!p.is_well_formed_with(AttributeVocab::uniform(MAX_CARDINALITY)));
         }
@@ -405,10 +384,10 @@ mod tests {
     fn perturbation_extremes() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let p = Panel::new([0, 1, 2, 3, 4]);
-        assert_eq!(p.perturbed(0.0, &mut rng), p);
+        assert_eq!(p.perturbed_with(AttributeVocab::raven(), 0.0, &mut rng), p);
         // With p=1 every attribute is resampled; it may coincide by chance but over many
         // attributes at least one should change.
-        let q = p.perturbed(1.0, &mut rng);
+        let q = p.perturbed_with(AttributeVocab::raven(), 1.0, &mut rng);
         assert!(q
             .values()
             .iter()
@@ -420,7 +399,7 @@ mod tests {
         #[test]
         fn prop_random_panels_are_in_range(seed in 0u64..1000) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let p = Panel::random(&mut rng);
+            let p = Panel::random_with(AttributeVocab::raven(), &mut rng);
             for (v, c) in p.values().iter().zip(ATTRIBUTE_CARDINALITIES) {
                 prop_assert!(*v < c);
             }
@@ -429,8 +408,8 @@ mod tests {
         #[test]
         fn prop_distance_is_symmetric_and_bounded(seed in 0u64..500) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let a = Panel::random(&mut rng);
-            let b = Panel::random(&mut rng);
+            let a = Panel::random_with(AttributeVocab::raven(), &mut rng);
+            let b = Panel::random_with(AttributeVocab::raven(), &mut rng);
             prop_assert_eq!(a.distance(&b), b.distance(&a));
             prop_assert!(a.distance(&b) <= 5);
         }

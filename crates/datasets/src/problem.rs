@@ -153,15 +153,9 @@ impl Problem {
     }
 
     /// Checks the generator's own consistency: every complete row satisfies every rule,
-    /// and the labelled answer completes the bottom row.
-    pub fn verify_answer(&self) -> bool {
-        self.verify_answer_with(AttributeVocab::raven())
-    }
-
-    /// [`Problem::verify_answer`] under a configurable attribute vocabulary. Problems
-    /// produced by [`ProblemGenerator::with_vocab`] must be checked with the same
-    /// vocabulary they were generated with (rule arithmetic is modulo the vocab's
-    /// cardinalities).
+    /// and the labelled answer completes the bottom row. A problem must be checked
+    /// with the vocabulary it was generated with ([`ProblemGenerator::vocab`]): rule
+    /// arithmetic is modulo the vocab's cardinalities.
     pub fn verify_answer_with(&self, vocab: AttributeVocab) -> bool {
         let row0 = [self.context[0], self.context[1], self.context[2]];
         let row1 = [self.context[3], self.context[4], self.context[5]];
@@ -399,7 +393,10 @@ mod tests {
                 assert_eq!(p.context.len(), 8);
                 assert_eq!(p.candidates.len(), dataset.num_candidates());
                 assert!(p.answer_index < p.candidates.len());
-                assert!(p.verify_answer(), "{dataset}: answer fails its own rules");
+                assert!(
+                    p.verify_answer_with(AttributeVocab::raven()),
+                    "{dataset}: answer fails its own rules"
+                );
                 assert!(p.is_correct(p.answer_index));
             }
         }
@@ -418,7 +415,10 @@ mod tests {
                 .candidates
                 .iter()
                 .enumerate()
-                .filter(|(_, cand)| p.rules.row_satisfied(&[c0, c1, **cand]))
+                .filter(|(_, cand)| {
+                    p.rules
+                        .row_satisfied_with(AttributeVocab::raven(), &[c0, c1, **cand])
+                })
                 .map(|(i, _)| i)
                 .collect();
             assert_eq!(consistent, vec![p.answer_index]);
@@ -464,8 +464,12 @@ mod tests {
             let well_formed = p.context.len() == 8
                 && !p.candidates.is_empty()
                 && p.answer_index < p.candidates.len()
-                && p.context.iter().all(Panel::is_well_formed)
-                && p.candidates.iter().all(Panel::is_well_formed);
+                && p.context
+                    .iter()
+                    .all(|panel| panel.is_well_formed_with(AttributeVocab::raven()))
+                && p.candidates
+                    .iter()
+                    .all(|panel| panel.is_well_formed_with(AttributeVocab::raven()));
             assert!(!well_formed, "generate_malformed produced a valid problem");
         }
     }
@@ -474,8 +478,8 @@ mod tests {
     fn unchecked_panels_carry_out_of_range_values() {
         let p = Panel::new_unchecked([100, 0, 0, 0, 0]);
         assert_eq!(p.values()[0], 100);
-        assert!(!p.is_well_formed());
-        assert!(Panel::new([1, 2, 3, 4, 5]).is_well_formed());
+        assert!(!p.is_well_formed_with(AttributeVocab::raven()));
+        assert!(Panel::new([1, 2, 3, 4, 5]).is_well_formed_with(AttributeVocab::raven()));
     }
 
     #[test]
@@ -549,7 +553,9 @@ mod tests {
         let mut r = rng(11);
         let batch = ProblemGenerator::new(DatasetKind::Pgm).generate_batch(12, &mut r);
         assert_eq!(batch.len(), 12);
-        assert!(batch.iter().all(Problem::verify_answer));
+        assert!(batch
+            .iter()
+            .all(|p| p.verify_answer_with(AttributeVocab::raven())));
     }
 
     proptest! {
@@ -559,7 +565,7 @@ mod tests {
             let dataset = DatasetKind::ALL[kind_idx];
             let mut r = rng(seed);
             let p = ProblemGenerator::new(dataset).generate(&mut r);
-            prop_assert!(p.verify_answer());
+            prop_assert!(p.verify_answer_with(AttributeVocab::raven()));
             prop_assert_eq!(p.context.len(), 8);
             // Candidates are pairwise structurally valid panels.
             for c in &p.candidates {

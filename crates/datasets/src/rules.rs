@@ -75,15 +75,9 @@ pub struct Rule {
 }
 
 impl Rule {
-    /// Samples a random rule of the given kind for an attribute.
-    pub fn random<R: Rng + ?Sized>(attribute: Attribute, kind: RuleKind, rng: &mut R) -> Self {
-        Self::random_with(attribute, kind, AttributeVocab::raven(), rng)
-    }
-
-    /// [`Rule::random`] drawing family parameters from a configurable vocabulary
-    /// (the Distribute-Three triple seed ranges over the vocab's cardinality).
-    /// The draw pattern matches [`Rule::random`], so with the RAVEN vocab the rng
-    /// stream and resulting rule are identical.
+    /// Samples a random rule of the given kind for an attribute, drawing family
+    /// parameters from `vocab` (the Distribute-Three triple seed ranges over the
+    /// attribute's cardinality).
     pub fn random_with<R: Rng + ?Sized>(
         attribute: Attribute,
         kind: RuleKind,
@@ -103,13 +97,8 @@ impl Rule {
     }
 
     /// The value triple `(v0, v1, v2)` this rule produces for one row, given the first
-    /// two values (which the generator may choose freely for most rules).
-    pub fn complete_row(&self, v0: usize, v1: usize) -> (usize, usize, usize) {
-        self.complete_row_with(AttributeVocab::raven(), v0, v1)
-    }
-
-    /// [`Rule::complete_row`] with values taken modulo a configurable vocabulary's
-    /// cardinality for this rule's attribute.
+    /// two values (which the generator may choose freely for most rules). Values are
+    /// taken modulo `vocab`'s cardinality for this rule's attribute.
     pub fn complete_row_with(
         &self,
         vocab: AttributeVocab,
@@ -139,18 +128,13 @@ impl Rule {
     }
 
     /// The unique third value that completes a row whose first two panels carry the
-    /// values `v0` and `v1`.
+    /// values `v0` and `v1`, with arithmetic modulo `vocab`'s cardinality for this
+    /// rule's attribute.
     ///
-    /// Unlike [`Rule::complete_row`] (which *generates* a row and may reinterpret `v0`
+    /// Unlike [`Rule::complete_row_with`] (which *generates* a row and may reinterpret `v0`
     /// as a free parameter, e.g. the rotation of a Distribute-Three triple), this takes
     /// `v0`/`v1` as the actual observed panel values — it is what a reasoner uses to
     /// execute an abduced rule.
-    pub fn third_value(&self, v0: usize, v1: usize) -> usize {
-        self.third_value_with(AttributeVocab::raven(), v0, v1)
-    }
-
-    /// [`Rule::third_value`] with arithmetic taken modulo a configurable
-    /// vocabulary's cardinality for this rule's attribute.
     pub fn third_value_with(&self, vocab: AttributeVocab, v0: usize, v1: usize) -> usize {
         let card = vocab.cardinality(self.attribute);
         match self.kind {
@@ -171,13 +155,8 @@ impl Rule {
         }
     }
 
-    /// Whether a value triple satisfies this rule.
-    pub fn satisfied(&self, v0: usize, v1: usize, v2: usize) -> bool {
-        self.satisfied_with(AttributeVocab::raven(), v0, v1, v2)
-    }
-
-    /// [`Rule::satisfied`] with arithmetic taken modulo a configurable
-    /// vocabulary's cardinality for this rule's attribute.
+    /// Whether a value triple satisfies this rule, with arithmetic modulo `vocab`'s
+    /// cardinality for this rule's attribute.
     pub fn satisfied_with(&self, vocab: AttributeVocab, v0: usize, v1: usize, v2: usize) -> bool {
         let card = vocab.cardinality(self.attribute);
         match self.kind {
@@ -220,12 +199,8 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// Samples one random rule per attribute from the given rule-kind pool.
-    pub fn random<R: Rng + ?Sized>(pool: &[RuleKind], rng: &mut R) -> Self {
-        Self::random_with(pool, AttributeVocab::raven(), rng)
-    }
-
-    /// [`RuleSet::random`] drawing rule parameters from a configurable vocabulary.
+    /// Samples one random rule per attribute from the given rule-kind pool, drawing
+    /// rule parameters from `vocab`.
     pub fn random_with<R: Rng + ?Sized>(
         pool: &[RuleKind],
         vocab: AttributeVocab,
@@ -257,15 +232,8 @@ impl RuleSet {
         }
     }
 
-    /// Generates one complete row of three panels consistent with every rule.
-    pub fn generate_row<R: Rng + ?Sized>(&self, rng: &mut R) -> [Panel; 3] {
-        self.generate_row_with(AttributeVocab::raven(), rng)
-    }
-
-    /// [`RuleSet::generate_row`] drawing free panel values from a configurable
-    /// vocabulary. The per-rule draw pattern (two `gen_range` calls) matches
-    /// [`RuleSet::generate_row`], so with the RAVEN vocab the rng stream and
-    /// generated row are identical.
+    /// Generates one complete row of three panels consistent with every rule,
+    /// drawing free panel values from `vocab` (two `gen_range` calls per rule).
     pub fn generate_row_with<R: Rng + ?Sized>(
         &self,
         vocab: AttributeVocab,
@@ -289,12 +257,8 @@ impl RuleSet {
         ]
     }
 
-    /// Completes a row's third panel given its first two panels.
-    pub fn complete(&self, first: &Panel, second: &Panel) -> Panel {
-        self.complete_with(AttributeVocab::raven(), first, second)
-    }
-
-    /// [`RuleSet::complete`] with rule arithmetic over a configurable vocabulary.
+    /// Completes a row's third panel given its first two panels, with rule
+    /// arithmetic over `vocab`.
     pub fn complete_with(&self, vocab: AttributeVocab, first: &Panel, second: &Panel) -> Panel {
         let mut values = [0usize; 5];
         for rule in self.rules() {
@@ -305,12 +269,7 @@ impl RuleSet {
         Panel::new_unchecked(values)
     }
 
-    /// Whether a full row satisfies every rule.
-    pub fn row_satisfied(&self, row: &[Panel; 3]) -> bool {
-        self.row_satisfied_with(AttributeVocab::raven(), row)
-    }
-
-    /// [`RuleSet::row_satisfied`] with rule arithmetic over a configurable vocabulary.
+    /// Whether a full row satisfies every rule, with rule arithmetic over `vocab`.
     pub fn row_satisfied_with(&self, vocab: AttributeVocab, row: &[Panel; 3]) -> bool {
         self.rules().iter().all(|rule| {
             rule.satisfied_with(
@@ -347,12 +306,13 @@ mod tests {
         let mut r = rng(10);
         for kind in RuleKind::PGM {
             for _ in 0..20 {
-                let rule = Rule::random(Attribute::Color, kind, &mut r);
+                let rule =
+                    Rule::random_with(Attribute::Color, kind, AttributeVocab::raven(), &mut r);
                 let v0 = r.gen_range(0..10);
                 let v1 = r.gen_range(0..10);
-                let (a, b, c) = rule.complete_row(v0, v1);
+                let (a, b, c) = rule.complete_row_with(AttributeVocab::raven(), v0, v1);
                 assert!(
-                    rule.satisfied(a, b, c),
+                    rule.satisfied_with(AttributeVocab::raven(), a, b, c),
                     "kind {kind}: ({a},{b},{c}) does not satisfy {rule}"
                 );
             }
@@ -366,18 +326,24 @@ mod tests {
             kind: RuleKind::Constant,
             parameter: 0,
         };
-        assert_eq!(constant.complete_row(3, 5), (3, 3, 3));
-        assert!(constant.satisfied(2, 2, 2));
-        assert!(!constant.satisfied(2, 2, 3));
+        assert_eq!(
+            constant.complete_row_with(AttributeVocab::raven(), 3, 5),
+            (3, 3, 3)
+        );
+        assert!(constant.satisfied_with(AttributeVocab::raven(), 2, 2, 2));
+        assert!(!constant.satisfied_with(AttributeVocab::raven(), 2, 2, 3));
 
         let prog = Rule {
             attribute: Attribute::Number,
             kind: RuleKind::Progression,
             parameter: 2,
         };
-        assert_eq!(prog.complete_row(7, 0), (7, 0, 2)); // wraps modulo 9
-        assert!(prog.satisfied(1, 3, 5));
-        assert!(!prog.satisfied(1, 3, 6));
+        assert_eq!(
+            prog.complete_row_with(AttributeVocab::raven(), 7, 0),
+            (7, 0, 2)
+        ); // wraps modulo 9
+        assert!(prog.satisfied_with(AttributeVocab::raven(), 1, 3, 5));
+        assert!(!prog.satisfied_with(AttributeVocab::raven(), 1, 3, 6));
     }
 
     #[test]
@@ -387,25 +353,37 @@ mod tests {
             kind: RuleKind::Arithmetic,
             parameter: 0,
         };
-        assert_eq!(arith.complete_row(6, 7), (6, 7, 3)); // (6+7) mod 10
+        assert_eq!(
+            arith.complete_row_with(AttributeVocab::raven(), 6, 7),
+            (6, 7, 3)
+        ); // (6+7) mod 10
         let xor = Rule {
             attribute: Attribute::Color,
             kind: RuleKind::Xor,
             parameter: 0,
         };
-        assert_eq!(xor.complete_row(6, 3), (6, 3, 5));
+        assert_eq!(
+            xor.complete_row_with(AttributeVocab::raven(), 6, 3),
+            (6, 3, 5)
+        );
         let and = Rule {
             attribute: Attribute::Color,
             kind: RuleKind::And,
             parameter: 0,
         };
-        assert_eq!(and.complete_row(6, 3), (6, 3, 2));
+        assert_eq!(
+            and.complete_row_with(AttributeVocab::raven(), 6, 3),
+            (6, 3, 2)
+        );
         let or = Rule {
             attribute: Attribute::Color,
             kind: RuleKind::Or,
             parameter: 0,
         };
-        assert_eq!(or.complete_row(6, 3), (6, 3, 7));
+        assert_eq!(
+            or.complete_row_with(AttributeVocab::raven(), 6, 3),
+            (6, 3, 7)
+        );
     }
 
     #[test]
@@ -415,14 +393,17 @@ mod tests {
             kind: RuleKind::DistributeThree,
             parameter: 2,
         };
-        let (a, b, c) = rule.complete_row(0, 0);
+        let (a, b, c) = rule.complete_row_with(AttributeVocab::raven(), 0, 0);
         let mut values = [a, b, c];
         values.sort_unstable();
         assert_eq!(values, [2, 3, 4]);
-        assert!(rule.satisfied(4, 2, 3));
-        assert!(!rule.satisfied(4, 2, 2));
+        assert!(rule.satisfied_with(AttributeVocab::raven(), 4, 2, 3));
+        assert!(!rule.satisfied_with(AttributeVocab::raven(), 4, 2, 2));
         // Different rotations for different v0.
-        assert_ne!(rule.complete_row(0, 0).0, rule.complete_row(1, 0).0);
+        assert_ne!(
+            rule.complete_row_with(AttributeVocab::raven(), 0, 0).0,
+            rule.complete_row_with(AttributeVocab::raven(), 1, 0).0
+        );
     }
 
     #[test]
@@ -430,10 +411,10 @@ mod tests {
         let mut r = rng(11);
         for seed in 0..20u64 {
             let mut r2 = rng(seed);
-            let rules = RuleSet::random(&RuleKind::RAVEN, &mut r2);
-            let row = rules.generate_row(&mut r);
-            assert!(rules.row_satisfied(&row));
-            let completed = rules.complete(&row[0], &row[1]);
+            let rules = RuleSet::random_with(&RuleKind::RAVEN, AttributeVocab::raven(), &mut r2);
+            let row = rules.generate_row_with(AttributeVocab::raven(), &mut r);
+            assert!(rules.row_satisfied_with(AttributeVocab::raven(), &row));
+            let completed = rules.complete_with(AttributeVocab::raven(), &row[0], &row[1]);
             assert_eq!(completed, row[2]);
             assert_eq!(rules.rules().len(), 5);
             assert_eq!(rules.rule_for(Attribute::Color).attribute, Attribute::Color);
@@ -465,18 +446,18 @@ mod tests {
         fn prop_complete_row_always_satisfies(seed in 0u64..300, kind_idx in 0usize..7, v0 in 0usize..10, v1 in 0usize..10) {
             let mut r = rng(seed);
             let kind = RuleKind::PGM[kind_idx];
-            let rule = Rule::random(Attribute::Color, kind, &mut r);
-            let (a, b, c) = rule.complete_row(v0 % 10, v1 % 10);
-            prop_assert!(rule.satisfied(a, b, c));
+            let rule = Rule::random_with(Attribute::Color, kind, AttributeVocab::raven(), &mut r);
+            let (a, b, c) = rule.complete_row_with(AttributeVocab::raven(), v0 % 10, v1 % 10);
+            prop_assert!(rule.satisfied_with(AttributeVocab::raven(), a, b, c));
             prop_assert!(a < 10 && b < 10 && c < 10);
         }
 
         #[test]
         fn prop_generated_rows_are_in_range(seed in 0u64..200) {
             let mut r = rng(seed);
-            let rules = RuleSet::random(&RuleKind::PGM, &mut r);
-            let row = rules.generate_row(&mut r);
-            prop_assert!(rules.row_satisfied(&row));
+            let rules = RuleSet::random_with(&RuleKind::PGM, AttributeVocab::raven(), &mut r);
+            let row = rules.generate_row_with(AttributeVocab::raven(), &mut r);
+            prop_assert!(rules.row_satisfied_with(AttributeVocab::raven(), &row));
         }
     }
 }

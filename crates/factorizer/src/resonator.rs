@@ -13,9 +13,7 @@
 use crate::config::FactorizerConfig;
 use cogsys_vsa::batch::{HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
-use cogsys_vsa::packed::{
-    amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase, PROJ_LANE_ROWS,
-};
+use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase};
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, VsaError};
 use rand::rngs::StdRng;
@@ -360,75 +358,6 @@ impl FactorizerScratch {
     /// ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
     pub fn cleanup_buffers(&mut self) -> (&mut CleanupScratch, &mut Vec<(usize, f32)>) {
         (&mut self.cleanup, &mut self.cleanup_results)
-    }
-
-    /// Pre-sizes every packed-engine buffer for a decode of up to `rows`
-    /// queries of dimension `dim` against `num_factors` codebooks of at most
-    /// `max_codebook_rows` rows each — the shapes a compiled solve plan fixes
-    /// up front — so the steady-state serving loop never reallocates scratch
-    /// mid-stream. `ensure_shape` / `resize` within these bounds reuse the
-    /// backing storage (buffers are never shrunk), which
-    /// [`FactorizerScratch::packed_capacity_fingerprint`] lets callers assert.
-    pub fn reserve_packed(
-        &mut self,
-        rows: usize,
-        dim: usize,
-        num_factors: usize,
-        max_codebook_rows: usize,
-    ) {
-        if rows == 0 || dim == 0 {
-            return;
-        }
-        self.states.reserve(rows.saturating_sub(self.states.len()));
-        self.order.reserve(rows.saturating_sub(self.order.len()));
-        self.survivors
-            .reserve(rows.saturating_sub(self.survivors.len()));
-        self.rebind_sims
-            .reserve(rows.saturating_sub(self.rebind_sims.len()));
-        self.sims.ensure_shape(rows, max_codebook_rows.max(1));
-        self.query_bits.ensure_shape(rows, dim);
-        if self.estimates_bits.len() < num_factors {
-            self.estimates_bits
-                .resize_with(num_factors, BitMatrix::default);
-        }
-        for est in self.estimates_bits.iter_mut().take(num_factors) {
-            est.ensure_shape(rows, dim);
-        }
-        // The fused resonator step unbinds one lane block at a time.
-        self.unbound_bits.ensure_shape(PROJ_LANE_ROWS, dim);
-        self.rebound_bits.ensure_shape(1, dim);
-        self.init_bits.ensure_shape(1, dim);
-        self.gather_tmp_bits.ensure_shape(rows, dim);
-        // ...and projects one row at a time into a `dim`-wide accumulator.
-        self.proj_acc
-            .reserve(dim.saturating_sub(self.proj_acc.len()));
-        self.cleanup.reserve_queries(rows);
-        self.cleanup_results
-            .reserve(rows.saturating_sub(self.cleanup_results.len()));
-    }
-
-    /// Capacities of every packed-engine buffer, in a fixed order — equality of
-    /// two fingerprints straddling a stream of decode calls proves the calls
-    /// allocated no scratch (capacities only ever grow).
-    pub fn packed_capacity_fingerprint(&self) -> Vec<usize> {
-        let mut fp = vec![
-            self.states.capacity(),
-            self.order.capacity(),
-            self.survivors.capacity(),
-            self.rebind_sims.capacity(),
-            self.sims.capacity(),
-            self.query_bits.word_capacity(),
-            self.unbound_bits.word_capacity(),
-            self.rebound_bits.word_capacity(),
-            self.init_bits.word_capacity(),
-            self.gather_tmp_bits.word_capacity(),
-            self.proj_acc.capacity(),
-            self.cleanup.best_capacity(),
-            self.cleanup_results.capacity(),
-            self.estimates_bits.capacity(),
-        ];
-        fp.extend(self.estimates_bits.iter().map(BitMatrix::word_capacity));
-        fp
     }
 }
 

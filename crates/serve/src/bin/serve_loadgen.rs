@@ -27,8 +27,7 @@
 //! a smoke gate for CI: it exits nonzero unless the run completed with every
 //! request accounted for, zero panics (trivially, by finishing), and — for the
 //! adversarial shape — nonzero shed and poison counts. `--explain` prints the
-//! compiled solve plan for a full-size batch before the run and the plan-cache
-//! hit/miss counters after it.
+//! compiled solve plan for a full-size batch before the run.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -288,13 +287,6 @@ fn run(options: &Options) -> Result<bool, String> {
         counters.peak_queue_depth,
         counters.max_level,
     );
-    if options.explain {
-        let plan_stats = serve.engine().inner().plan_stats();
-        println!(
-            "plan_cache: hits={} misses={}",
-            plan_stats.hits, plan_stats.misses
-        );
-    }
     let chaos_stats = serve.engine().stats();
     if options.chaos {
         println!(

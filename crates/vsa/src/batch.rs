@@ -193,13 +193,6 @@ impl HvMatrix {
         Ok(())
     }
 
-    /// Capacity of the backing element buffer — a reallocation fingerprint for
-    /// steady-state-allocation regression tests ([`HvMatrix::ensure_shape`]
-    /// never shrinks it).
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Reshapes the buffer to `rows × dim` for reuse as an output buffer (avoids
     /// reallocation when the capacity already suffices). Contents are preserved when
     /// the shape is unchanged and **zeroed on any shape change** — a plain `resize`

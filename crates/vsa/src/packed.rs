@@ -49,8 +49,7 @@ const CODEBOOK_BLOCK_ROWS: usize = 128;
 /// Query rows per lane block of the fused resonator step
 /// ([`PackedBackend::resonate_step_fused_into`]): each block unbinds this many
 /// rows into an L1-resident scratch and runs their similarity scan and hooks
-/// together before projecting them one row at a time. Public so scratch
-/// pre-sizing can bound the unbind scratch.
+/// together before projecting them one row at a time.
 pub const PROJ_LANE_ROWS: usize = 8;
 
 /// A dense, row-major batch of **sign planes**: the bit-packed mirror of [`HvMatrix`]
@@ -1023,13 +1022,6 @@ impl BitMatrix {
         self.rows
     }
 
-    /// Capacity of the backing word buffer — a reallocation fingerprint for
-    /// steady-state-allocation regression tests ([`BitMatrix::ensure_shape`]
-    /// never shrinks it).
-    pub fn word_capacity(&self) -> usize {
-        self.words.capacity()
-    }
-
     /// Dimensionality (in bits) of each row.
     pub fn dim(&self) -> usize {
         self.dim
@@ -1259,20 +1251,6 @@ impl BitMatrix {
 pub struct CleanupScratch {
     /// Per-query running best of the linear scan.
     best: Vec<(usize, u32)>,
-}
-
-impl CleanupScratch {
-    /// Pre-sizes the per-query buffer for a batch of `queries` rows, so the
-    /// first cleanup call of a pre-sized serving loop allocates nothing.
-    pub fn reserve_queries(&mut self, queries: usize) {
-        self.best.reserve(queries.saturating_sub(self.best.len()));
-    }
-
-    /// Capacity of the per-query buffer — a reallocation fingerprint for
-    /// steady-state-allocation regression tests.
-    pub fn best_capacity(&self) -> usize {
-        self.best.capacity()
-    }
 }
 
 // ---------------------------------------------------------------------------

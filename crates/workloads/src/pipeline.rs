@@ -245,14 +245,6 @@ impl SolverScratch {
     pub fn choices(&self) -> &[usize] {
         &self.choices
     }
-
-    /// Capacities of every factorizer scratch buffer (see
-    /// [`FactorizerScratch::packed_capacity_fingerprint`]) — the regression hook
-    /// asserting a pre-sized serving loop reallocates nothing across a chunked
-    /// stream.
-    pub fn factorizer_capacity_fingerprint(&self) -> Vec<usize> {
-        self.decode.factorizer.packed_capacity_fingerprint()
-    }
 }
 
 /// Largest product space (rows of the XOR-composed product planes) an attribute
@@ -615,8 +607,8 @@ impl NeurosymbolicSolver {
     }
 
     /// The cached plan for a `batch`-problem call, compiling on first use. Same shape →
-    /// same `Arc` — the compile-once/run-many entry the serving loop and
-    /// `solve_batch_with` share.
+    /// same `Arc`. Only explicit calls (`--explain`, the schedule reports) look
+    /// plans up; no solve call does.
     pub fn plan_for_batch(&self, batch: usize) -> Arc<SolvePlan> {
         let key = self.plan_key(batch);
         self.plans
@@ -929,8 +921,8 @@ impl NeurosymbolicSolver {
     /// encode → factorize → score pipeline live in `scratch` and are reused across
     /// calls; `scratch.choices()` afterwards holds the chosen candidate per problem.
     ///
-    /// The call looks up (or compiles once) the cached [`SolvePlan`] for the batch
-    /// shape ([`NeurosymbolicSolver::plan_for_batch`]) and executes it.
+    /// The call compiles and looks up no [`SolvePlan`]: every scratch buffer grows
+    /// to the call's shape on first use and is never shrunk.
     ///
     /// Decision identity with solving one problem at a time is by construction:
     ///
@@ -971,16 +963,16 @@ impl NeurosymbolicSolver {
             return Ok(SolverReport::default());
         }
         self.validate_problems(problems)?;
-        let plan = self.plan_for_batch(problems.len());
-        self.execute_plan(&plan, problems, rng, scratch, None)
+        self.execute_batch(problems, rng, scratch, None)
     }
 
-    /// [`NeurosymbolicSolver::solve_batch_with`] executing a **pre-compiled plan**
-    /// and accumulating per-stage wall-clock time into `timings` — the measurement
-    /// hook behind the `plan_stage_*` bench cells and `cogsys-serve`'s per-stage
-    /// service-time fit. Timing is observation only, and the plan decides nothing,
-    /// so a plan compiled for one batch size is valid for any other and decisions
-    /// and rng consumption equal [`NeurosymbolicSolver::solve_batch_with`]'s.
+    /// [`NeurosymbolicSolver::solve_batch_with`] accumulating per-stage wall-clock
+    /// time into `timings` — the measurement hook behind the `plan_stage_*` bench
+    /// cells and `cogsys-serve`'s per-stage service-time fit. The plan is only
+    /// checked against the solver's shape, then the call solves exactly like
+    /// [`NeurosymbolicSolver::solve_batch_with`]: timing is observation only and
+    /// the plan decides nothing, so a plan compiled for one batch size is valid
+    /// for any other, and decisions and rng consumption are the same.
     ///
     /// # Errors
     /// Returns [`SolveError::Config`] when the plan was compiled for a different
@@ -1000,29 +992,7 @@ impl NeurosymbolicSolver {
         }
         self.check_plan(plan)?;
         self.validate_problems(problems)?;
-        self.execute_plan(plan, problems, rng, scratch, Some(timings))
-    }
-
-    /// Pre-sizes the factorizer scratch from the plan's workload shape — batch
-    /// rows, dimension, per-block factor count and codebook widths are all fixed
-    /// by the [`PlanKey`], so the buffers the packed resonator and the fused
-    /// kernel reshape per call can be bounded **before** the stream starts and
-    /// the steady-state serving loop stays allocation-free
-    /// (`SolverScratch::factorizer_capacity_fingerprint` is the regression hook).
-    /// Draws no rng and touches no decision state; a no-op once sized.
-    fn reserve_scratch_for_plan(&self, plan: &SolvePlan, scratch: &mut SolverScratch) {
-        let rows = plan.key.batch * Self::CONTEXT_PANELS;
-        let num_factors = self
-            .blocks
-            .iter()
-            .map(|(set, _)| set.num_factors())
-            .max()
-            .unwrap_or(0);
-        let max_cb_rows = plan.key.codebook_rows.iter().copied().max().unwrap_or(0);
-        scratch
-            .decode
-            .factorizer
-            .reserve_packed(rows, plan.key.dim, num_factors, max_cb_rows);
+        self.execute_batch(problems, rng, scratch, Some(timings))
     }
 
     /// Rejects a plan compiled for a different solver shape before any rng draw.
@@ -1041,17 +1011,14 @@ impl NeurosymbolicSolver {
     }
 
     /// One pass of the engine over the whole of `problems`, appending to
-    /// `scratch.choices`. Every stage runs on sign planes; the plan only sizes the
-    /// scratch (see [`NeurosymbolicSolver::compile_plan`]).
-    fn execute_plan<R: Rng + ?Sized>(
+    /// `scratch.choices`. Every stage runs on sign planes.
+    fn execute_batch<R: Rng + ?Sized>(
         &self,
-        plan: &SolvePlan,
         problems: &[Problem],
         rng: &mut R,
         scratch: &mut SolverScratch,
         mut timings: Option<&mut StageNanos>,
     ) -> Result<SolverReport, SolveError> {
-        self.reserve_scratch_for_plan(plan, scratch);
         let mut mark = Instant::now();
         let mut report = SolverReport::default();
         let SolverScratch {
@@ -1583,7 +1550,9 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
-        let panels: Vec<Panel> = (0..48).map(|_| Panel::random(&mut r)).collect();
+        let panels: Vec<Panel> = (0..48)
+            .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+            .collect();
         let mut scenes = s.encode_panels(&panels).unwrap();
         for v in scenes.as_mut_slice() {
             if r.gen_bool(0.02) {
@@ -1753,7 +1722,9 @@ mod tests {
     #[test]
     fn batch_factorization_decodes_whole_context() {
         let (s, mut r) = solver(9, SolverConfig::default());
-        let panels: Vec<Panel> = (0..6).map(|_| Panel::random(&mut r)).collect();
+        let panels: Vec<Panel> = (0..6)
+            .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+            .collect();
         let (decoded, report) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
         assert_eq!(decoded.len(), panels.len());
         assert!(report.factorizer_iterations >= panels.len());
@@ -1771,7 +1742,9 @@ mod tests {
         assert!(
             (NeurosymbolicSolver::block_convergence_threshold(2) - 0.6 / 2f32.sqrt()).abs() < 1e-6
         );
-        let panels: Vec<Panel> = (0..4).map(|_| Panel::random(&mut r)).collect();
+        let panels: Vec<Panel> = (0..4)
+            .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+            .collect();
         let (decoded, report) = s.perceive_and_factorize_batch(&panels, &mut r).unwrap();
         let iters = report.factorizer_iterations;
         let exact = decoded.iter().zip(&panels).filter(|(a, b)| a == b).count();
@@ -1907,21 +1880,24 @@ mod tests {
 
     #[test]
     fn batched_solve_reuses_scratch_across_shapes() {
-        // One scratch must serve alternating batch shapes and datasets without state
-        // leaking between calls: each call equals a fresh-scratch run.
-        let (s, mut r) = solver(42, SolverConfig::default());
-        let raven = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
-        let cvr = ProblemGenerator::new(DatasetKind::Cvr).generate_batch(2, &mut r);
-        let mut shared = SolverScratch::default();
-        for problems in [&raven[..], &cvr[..], &raven[..1]] {
-            let mut r1 = r.clone();
-            let mut r2 = r.clone();
-            let reused = s.solve_batch_with(problems, &mut r1, &mut shared).unwrap();
-            let reused_choices = shared.choices().to_vec();
-            let mut fresh = SolverScratch::default();
-            let fresh_report = s.solve_batch_with(problems, &mut r2, &mut fresh).unwrap();
-            assert_eq!(reused, fresh_report);
-            assert_eq!(reused_choices, fresh.choices());
+        // One scratch must serve growing and shrinking batch shapes (1 → 4 → 2 → 1
+        // problems) and datasets without state leaking between calls: each call
+        // equals a fresh-scratch run. Scratch grows with the call on every backend.
+        for kind in BackendKind::ALL {
+            let (s, mut r) = solver(42, SolverConfig::default().with_backend(kind));
+            let raven = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
+            let cvr = ProblemGenerator::new(DatasetKind::Cvr).generate_batch(2, &mut r);
+            let mut shared = SolverScratch::default();
+            for problems in [&raven[..1], &raven[..], &cvr[..], &raven[..1]] {
+                let mut r1 = r.clone();
+                let mut r2 = r.clone();
+                let reused = s.solve_batch_with(problems, &mut r1, &mut shared).unwrap();
+                let reused_choices = shared.choices().to_vec();
+                let mut fresh = SolverScratch::default();
+                let fresh_report = s.solve_batch_with(problems, &mut r2, &mut fresh).unwrap();
+                assert_eq!(reused, fresh_report, "{kind}");
+                assert_eq!(reused_choices, fresh.choices(), "{kind}");
+            }
         }
     }
 
@@ -1937,7 +1913,9 @@ mod tests {
                     .with_backend(kind)
                     .with_precision(precision);
                 let (s, mut r) = solver(43, config);
-                let panels: Vec<Panel> = (0..7).map(|_| Panel::random(&mut r)).collect();
+                let panels: Vec<Panel> = (0..7)
+                    .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+                    .collect();
                 let f32_rows: Vec<Hypervector> =
                     panels.iter().map(|p| s.encode_panel_f32(p)).collect();
                 let dense = HvMatrix::from_rows(&f32_rows).unwrap();
@@ -2176,9 +2154,14 @@ mod tests {
             assert!(!Arc::ptr_eq(&p1, &p3));
             assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 1, misses: 2 });
 
-            // The plain solve entry point goes through the same cache.
+            // No solve entry point looks a plan up, at a cached shape or a new one.
             let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
             s.solve_batch(&problems, &mut r).unwrap();
+            s.solve_batch_with(&problems[..3], &mut r, &mut SolverScratch::default())
+                .unwrap();
+            assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 1, misses: 2 });
+            // Explicit lookups still hit and miss as before.
+            assert!(Arc::ptr_eq(&p1, &s.plan_for_batch(4)));
             assert_eq!(s.plan_cache_stats(), PlanCacheStats { hits: 2, misses: 2 });
 
             // Clones start with a cold cache (a capped clone compiles other plans).

@@ -1,20 +1,23 @@
-//! Compile-once/run-many plan IR for the batched solve pipeline.
+//! Plan IR describing the batched solve pipeline.
 //!
-//! The paper's codesign story decides layout, kernel tiers and schedule per workload
-//! shape **once**, then executes that decision at line rate. This module is the
-//! software analogue: [`NeurosymbolicSolver::compile_plan`] resolves the stage IR
-//! of a workload shape into a [`SolvePlan`], cached per [`PlanKey`] in a
-//! [`PlanCache`]. There is one solve format: every backend and precision
-//! encodes, polishes and scores on sign planes, and only the resonator inside the
-//! factorizer picks its engine (packed, or f32 on unpacked queries). The executor
-//! ([`NeurosymbolicSolver::solve_batch_with`]) then just replays the plan.
+//! The paper's codesign story compiles a schedule per workload shape **once** for
+//! adSCH to place. This module is the software analogue:
+//! [`NeurosymbolicSolver::compile_plan`] resolves the stage IR of a workload shape
+//! into a [`SolvePlan`], cached per [`PlanKey`] in a [`PlanCache`] by
+//! [`NeurosymbolicSolver::plan_for_batch`]. The plan is a description, not an
+//! input of the solve: the executor ([`NeurosymbolicSolver::solve_batch_with`])
+//! compiles and looks up no plan, and every backend and precision encodes,
+//! polishes and scores on sign planes while only the resonator inside the
+//! factorizer picks its engine (packed, or f32 on unpacked queries).
 //!
 //! ```text
 //!   (backend, dim, blocks, batch, codebook_rows)          PlanKey
-//!                    │ compile_plan (once, cached)
+//!                    │ compile_plan (plan_for_batch caches it)
 //!                    ▼
 //!   Encode → [block route]×blocks → Predict → Score        SolvePlan (stage IR)
-//!                    │ solve_batch_with (per call, cached plan)
+//!                    │ --explain, op_graph → adSCH schedule
+//!
+//!   solve_batch_with (per call, no plan)
 //!                    ▼
 //!   thin executor over sign planes: the whole call in one pass
 //!
@@ -30,6 +33,7 @@
 //! scheduled and their cost estimates validated against measured kernel cells.
 //!
 //! [`NeurosymbolicSolver::compile_plan`]: crate::NeurosymbolicSolver::compile_plan
+//! [`NeurosymbolicSolver::plan_for_batch`]: crate::NeurosymbolicSolver::plan_for_batch
 //! [`NeurosymbolicSolver::solve_batch_with`]: crate::NeurosymbolicSolver::solve_batch_with
 
 use cogsys_scheduler::OpGraph;
@@ -41,7 +45,7 @@ use std::sync::{Arc, Mutex};
 
 /// The workload-shape key a [`SolvePlan`] is compiled for.
 ///
-/// Two solve calls with equal keys are served by the same cached plan: its stage IR
+/// Two lookups with equal keys return the same cached plan: its stage IR
 /// depends only on these fields (plus solver configuration, which is fixed per
 /// solver instance — each solver owns its own [`PlanCache`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -52,8 +56,8 @@ pub struct PlanKey {
     pub dim: usize,
     /// Number of attribute blocks in the scene superposition.
     pub blocks: usize,
-    /// Problems per solve call: the stage row counts in the IR — and therefore the
-    /// lowered op graph — and the pre-sized scratch depend on it.
+    /// Problems per solve call: the stage row counts in the IR, and therefore the
+    /// lowered op graph, depend on it.
     pub batch: usize,
     /// Rows of each attribute codebook, in attribute order (Similarity-kernel shapes
     /// depend on them).
@@ -208,12 +212,12 @@ impl PlanStage {
     }
 }
 
-/// A compiled, immutable execution plan for one workload shape.
+/// A compiled, immutable stage plan describing the solve pass for one workload shape.
 ///
-/// Produced by `NeurosymbolicSolver::compile_plan`, cached in a [`PlanCache`], and
-/// executed by `solve_batch_with` (or `solve_batch_with_plan_timed`). The plan
-/// decides nothing: every backend solves the whole call in one pass, and the stages
-/// describe that pass for `--explain` and the adSCH schedule.
+/// Produced by `NeurosymbolicSolver::compile_plan` and cached in a [`PlanCache`].
+/// No solve call executes it: every backend solves the whole call in one pass, and
+/// the stages describe that pass for `--explain` and the adSCH schedule.
+/// `solve_batch_with_plan_timed` only checks that its plan matches the solver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolvePlan {
     /// The workload shape this plan was compiled for.
@@ -299,7 +303,7 @@ struct PlanCacheInner {
 
 /// Per-solver cache of compiled [`SolvePlan`]s, keyed by [`PlanKey`].
 ///
-/// Interior-mutable (`&self` lookups) so the solver's `solve_batch_with` — which
+/// Interior-mutable (`&self` lookups) so the solver's `plan_for_batch` — which
 /// takes `&self` — can compile lazily. Cloning a solver yields a **fresh, empty**
 /// cache: a `with_iteration_cap` clone compiles a different `Resonate.iterations`
 /// for the same [`PlanKey`] (the key does not carry the iteration cap), so plans

@@ -18,7 +18,7 @@ use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::{rng, BackendKind, BitMatrix, CleanupScratch, CodebookSet, ProductCodebook};
 use cogsys_workloads::{
-    NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch, StageNanos,
+    NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -212,39 +212,6 @@ fn enlarged_vocabularies_solve_with_a_fixed_outcome_per_seed() {
         assert_eq!(report, SolverReport { correct, ..capped }, "seed {seed}");
         assert_eq!(scratch.choices(), choices, "seed {seed}");
         assert_eq!(r.next_u64(), next, "seed {seed}");
-    }
-}
-
-#[test]
-fn planned_serving_scratch_never_reallocates_after_the_first_chunk() {
-    // The planned executor pre-sizes the factorizer scratch (the packed
-    // resonator's buffers and its cleanup scratch) from the plan's batch, so an
-    // under-full first chunk already leaves every buffer at full capacity. The
-    // fingerprint is the ordered capacity vector of that scratch:
-    // any buffer regrowing across the stream changes it.
-    let mut r = rng(76);
-    let solver = NeurosymbolicSolver::new(SolverConfig::default(), &mut r);
-    let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(10, &mut r);
-    let plan = solver.plan_for_batch(4);
-    let mut scratch = SolverScratch::default();
-    let mut timings = StageNanos::default();
-    solver
-        .solve_batch_with_plan_timed(&plan, &problems[..2], &mut r, &mut scratch, &mut timings)
-        .unwrap();
-    let fingerprint = scratch.factorizer_capacity_fingerprint();
-    assert!(
-        fingerprint.iter().any(|&c| c > 0),
-        "presize must have reserved the packed scratch"
-    );
-    for chunk in problems[2..].chunks(4) {
-        solver
-            .solve_batch_with_plan_timed(&plan, chunk, &mut r, &mut scratch, &mut timings)
-            .unwrap();
-        assert_eq!(
-            scratch.factorizer_capacity_fingerprint(),
-            fingerprint,
-            "steady-state serving reallocated factorizer scratch"
-        );
     }
 }
 
