@@ -8,8 +8,9 @@
 //! plus the **resonator-iteration** cell `resonate_iter` (one full fused resonator
 //! iteration vs the split three-pass sequence of reference kernels at d=4096),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
-//! `resonate_sweep_<rows>` (one product-plane scan and one resonator sweep of
-//! 512 scene rows at the RAVEN block shapes, d=2048 and 4096) —
+//! `factorize_sweep_<rows>` (one product-plane scan and one resonator sweep of
+//! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the sweep beside
+//! its same-run `noise_free_twin`, which no guard reads) —
 //! prints the speedup table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
@@ -199,18 +200,20 @@ fn main() -> ExitCode {
     }
 
     // Per scene row: the product scan against one resonator sweep, per block
-    // shape and dimension.
-    let scan_cell = |kernel: &str, dim: usize| {
+    // shape and dimension, and the sweep against its noise-free twin (the share
+    // of the sweep the noise costs).
+    let scan_cell = |backend: &str, kernel: &str, dim: usize| {
         records
             .iter()
-            .find(|r| r.backend == "packed" && r.kernel == kernel && r.dim == dim)
+            .find(|r| r.backend == backend && r.kernel == kernel && r.dim == dim)
             .map(|r| r.ns_per_op / r.batch as f64)
     };
     for dim in [2048, 4096] {
         for products in [405, 60] {
+            let sweep_kernel = format!("factorize_sweep_{products}");
             if let (Some(scan), Some(sweep)) = (
-                scan_cell(&format!("product_scan_{products}"), dim),
-                scan_cell(&format!("resonate_sweep_{products}"), dim),
+                scan_cell("packed", &format!("product_scan_{products}"), dim),
+                scan_cell("packed", &sweep_kernel, dim),
             ) {
                 println!(
                     "product_scan d={dim} products={products}: {:.2} us/row scan, {:.2} us/row \
@@ -219,6 +222,15 @@ fn main() -> ExitCode {
                     sweep / 1e3,
                     sweep / scan.max(1e-3),
                 );
+                if let Some(quiet) = scan_cell("noise_free_twin", &sweep_kernel, dim) {
+                    println!(
+                        "factorize_sweep d={dim} products={products}: {:.2} us/row, noise-free \
+                         twin {:.2} us/row (noise {:.0}% of the sweep)",
+                        sweep / 1e3,
+                        quiet / 1e3,
+                        100.0 * (1.0 - quiet / sweep.max(1e-3)),
+                    );
+                }
             }
         }
     }

@@ -105,8 +105,9 @@ pub struct BenchRecord {
     /// Number of rows in the batch.
     pub batch: usize,
     /// Best-of-N wall-clock nanoseconds for one batched kernel call (one warm-up,
-    /// then best of five rounds for the micro-kernels, best of three for the
-    /// end-to-end solver kernels — see the producing functions).
+    /// then best of five rounds for the micro-kernels, best of seven for
+    /// `solve_batch` and of three for its stage cells — see the producing
+    /// functions).
     pub ns_per_op: f64,
 }
 
@@ -351,99 +352,111 @@ pub fn backend_throughput_records(
 /// kernels); d = 2048 is the solver's production dimensionality.
 pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 
+/// Timed rounds per backend of the `solve_batch` cells.
+const SOLVE_BATCH_ROUNDS: usize = 7;
+
 /// Measures end-to-end solver throughput for every [`BackendKind`]: the
 /// `solve_batch` kernel runs the cross-problem batched engine (one reused
 /// [`cogsys_workloads::SolverScratch`], all problems in one call). Tracking it
 /// against the committed baseline guards the whole serving path (encode,
 /// factorize, polish, answer scoring) rather than single kernels.
 ///
-/// `ns_per_op` is the best wall clock for solving the *whole* batch (one warm-up,
-/// best of three), mirroring the per-batched-call convention of
-/// [`backend_throughput_records`].
+/// `ns_per_op` is the best wall clock for solving the *whole* batch: one warm-up
+/// per backend, then seven (`SOLVE_BATCH_ROUNDS`) timed rounds in which the backends
+/// take turns, so host noise lands on both sides of the guard's packed/reference
+/// ratio instead of on one.
 ///
 /// On the packed backend the sweep also records `plan_stage_{encode,decode,score}`:
 /// the per-stage wall clock of the best timed round, the cells `cogsys-serve`'s
 /// per-stage `ServiceModel` fit and the adSCH stage-cost validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
+    use cogsys_datasets::Problem;
     use cogsys_workloads::{SolverScratch, StageNanos};
     use std::time::Instant;
 
+    // Every backend's solver and problem batches come from the same seed, so
+    // both sides solve the same problems.
+    let mut sides: Vec<_> = BackendKind::ALL
+        .iter()
+        .map(|&backend| {
+            let mut rng = cogsys_vsa::rng(seed);
+            let solver =
+                NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
+            let batches: Vec<_> = problem_counts
+                .iter()
+                .map(|&count| {
+                    ProblemGenerator::new(DatasetKind::Raven).generate_batch(count, &mut rng)
+                })
+                .collect();
+            (backend, solver, batches, SolverScratch::default())
+        })
+        .collect();
+
+    let solve =
+        |solver: &NeurosymbolicSolver, problems: &[Problem], scratch: &mut SolverScratch| {
+            let t = Instant::now();
+            let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
+            let _ = solver
+                .solve_batch_with(problems, &mut r, scratch)
+                .expect("well-formed problems solve");
+            t.elapsed().as_secs_f64()
+        };
     let mut records = Vec::new();
-    for &backend in &BackendKind::ALL {
-        let mut rng = cogsys_vsa::rng(seed);
-        let solver =
-            NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
-        let dim = solver.config().vector_dim;
-        for &count in problem_counts {
-            let problems =
-                ProblemGenerator::new(DatasetKind::Raven).generate_batch(count, &mut rng);
-            let mut scratch = SolverScratch::default();
-
-            let time = |f: &mut dyn FnMut()| {
-                f();
-                (0..3)
-                    .map(|_| {
-                        let t = Instant::now();
-                        f();
-                        t.elapsed().as_secs_f64()
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            };
-
-            let batched = time(&mut || {
-                let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                let _ = solver
-                    .solve_batch_with(&problems, &mut r, &mut scratch)
-                    .expect("well-formed problems solve");
-            });
+    for (i, &count) in problem_counts.iter().enumerate() {
+        let mut best = vec![f64::INFINITY; sides.len()];
+        for (_, solver, batches, scratch) in sides.iter_mut() {
+            solve(solver, &batches[i], scratch);
+        }
+        for _ in 0..SOLVE_BATCH_ROUNDS {
+            for ((_, solver, batches, scratch), best) in sides.iter_mut().zip(best.iter_mut()) {
+                *best = best.min(solve(solver, &batches[i], scratch));
+            }
+        }
+        for ((backend, solver, ..), secs) in sides.iter().zip(&best) {
             records.push(BenchRecord {
                 backend: backend.to_string(),
                 kernel: "solve_batch".to_string(),
-                dim,
+                dim: solver.config().vector_dim,
                 batch: count,
-                ns_per_op: batched * 1e9,
+                ns_per_op: secs * 1e9,
             });
+        }
 
-            if backend == BackendKind::Packed {
-                let plan = solver.plan_for_batch(count);
-                // Per-stage wall clock of the best timed round (by total), the
-                // cells the serving front end's per-stage service fit consumes.
-                let mut run_timed = || {
-                    let mut timings = StageNanos::default();
-                    let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-                    let _ = solver
-                        .solve_batch_with_plan_timed(
-                            &plan,
-                            &problems,
-                            &mut r,
-                            &mut scratch,
-                            &mut timings,
-                        )
-                        .expect("well-formed problems solve");
-                    timings
-                };
-                run_timed();
-                let mut best = run_timed();
-                for _ in 0..2 {
-                    let round = run_timed();
-                    if round.total() < best.total() {
-                        best = round;
-                    }
-                }
-                for (stage, ns) in [
-                    ("plan_stage_encode", best.encode),
-                    ("plan_stage_decode", best.decode),
-                    ("plan_stage_score", best.score),
-                ] {
-                    records.push(BenchRecord {
-                        backend: backend.to_string(),
-                        kernel: stage.to_string(),
-                        dim,
-                        batch: count,
-                        ns_per_op: ns as f64,
-                    });
-                }
+        let (backend, solver, batches, scratch) = sides
+            .iter_mut()
+            .find(|(backend, ..)| *backend == BackendKind::Packed)
+            .expect("the packed backend is benchmarked");
+        let plan = solver.plan_for_batch(count);
+        // Per-stage wall clock of the best timed round (by total), the cells the
+        // serving front end's per-stage service fit consumes.
+        let mut run_timed = || {
+            let mut timings = StageNanos::default();
+            let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
+            let _ = solver
+                .solve_batch_with_plan_timed(&plan, &batches[i], &mut r, scratch, &mut timings)
+                .expect("well-formed problems solve");
+            timings
+        };
+        run_timed();
+        let mut best = run_timed();
+        for _ in 0..2 {
+            let round = run_timed();
+            if round.total() < best.total() {
+                best = round;
             }
+        }
+        for (stage, ns) in [
+            ("plan_stage_encode", best.encode),
+            ("plan_stage_decode", best.decode),
+            ("plan_stage_score", best.score),
+        ] {
+            records.push(BenchRecord {
+                backend: backend.to_string(),
+                kernel: stage.to_string(),
+                dim: solver.config().vector_dim,
+                batch: count,
+                ns_per_op: ns as f64,
+            });
         }
     }
     records
@@ -573,16 +586,18 @@ pub const PRODUCT_SCAN_BENCH_ROWS: usize = 512;
 ///
 /// * `product_scan_<rows>`: one batch search of the block's product planes
 ///   ([`cogsys_vsa::ProductCodebook::search_batch_bits_into`]), the rescue scan;
-/// * `resonate_sweep_<rows>`: one packed resonator sweep of the same rows over
+/// * `factorize_sweep_<rows>`: one packed resonator sweep of the same rows over
 ///   the block's factor codebooks (the solver's block factorizer capped at one
-///   iteration, noise draws included).
+///   iteration, at the default stochasticity, noise draws included).
 ///
 /// Both are recorded as `packed`, best of five rounds after one warm-up. Per
-/// row, the scan costs `product_scan / rows` and the sweep `resonate_sweep /
+/// row, the scan costs `product_scan / rows` and the sweep `factorize_sweep /
 /// rows`; their ratio is what the solver's product-row limit for the rescue
-/// route is set from.
+/// route is set from. Beside each sweep, a same-run `noise_free_twin` record
+/// times the same sweep with stochasticity off (the guard never reads it): the
+/// gap between the two is what the resonator's noise costs.
 pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
-    use cogsys_factorizer::{Factorizer, FactorizerScratch};
+    use cogsys_factorizer::{Factorizer, FactorizerScratch, StochasticityConfig};
     use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
     use cogsys_vsa::ProductCodebook;
     use rand::rngs::StdRng;
@@ -639,24 +654,33 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                     .search_batch_bits_into(&queries, &mut scratch, &mut best)
                     .expect("shapes match");
             });
-            let factorizer = Factorizer::with_backend(
-                FactorizerConfig {
-                    convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
-                    ..FactorizerConfig::default()
-                }
-                .with_max_iterations(1),
-                std::sync::Arc::clone(&backend),
-            );
-            let mut fscratch = FactorizerScratch::default();
-            let sweep = time(&mut || {
-                let mut round = streams.clone();
-                factorizer
-                    .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch)
-                    .expect("shapes match");
-            });
-            for (kernel, secs) in [("product_scan", scan), ("resonate_sweep", sweep)] {
+            let sweep = |stochasticity| {
+                let factorizer = Factorizer::with_backend(
+                    FactorizerConfig {
+                        convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
+                        stochasticity,
+                        ..FactorizerConfig::default()
+                    }
+                    .with_max_iterations(1),
+                    std::sync::Arc::clone(&backend),
+                );
+                let mut fscratch = FactorizerScratch::default();
+                time(&mut || {
+                    let mut round = streams.clone();
+                    factorizer
+                        .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch)
+                        .expect("shapes match");
+                })
+            };
+            let noisy = sweep(FactorizerConfig::default().stochasticity);
+            let noise_free = sweep(StochasticityConfig::disabled());
+            for (backend, kernel, secs) in [
+                ("packed", "product_scan", scan),
+                ("packed", "factorize_sweep", noisy),
+                ("noise_free_twin", "factorize_sweep", noise_free),
+            ] {
                 records.push(BenchRecord {
-                    backend: "packed".to_string(),
+                    backend: backend.to_string(),
                     kernel: format!("{kernel}_{}", product.len()),
                     dim,
                     batch: rows,
@@ -1722,24 +1746,27 @@ mod tests {
     #[test]
     fn product_scan_cells_cover_both_raven_blocks_at_both_dims() {
         let records = product_scan_records(7);
-        let mut cells: Vec<(String, usize)> =
-            records.iter().map(|r| (r.kernel.clone(), r.dim)).collect();
+        let mut cells: Vec<(String, String, usize)> = records
+            .iter()
+            .map(|r| (r.backend.clone(), r.kernel.clone(), r.dim))
+            .collect();
         cells.sort();
         let mut expected = Vec::new();
-        for kernel in ["product_scan", "resonate_sweep"] {
+        for (backend, kernel) in [
+            ("packed", "product_scan"),
+            ("packed", "factorize_sweep"),
+            ("noise_free_twin", "factorize_sweep"),
+        ] {
             for products in [405, 60] {
                 for dim in [2048, 4096] {
-                    expected.push((format!("{kernel}_{products}"), dim));
+                    expected.push((backend.to_string(), format!("{kernel}_{products}"), dim));
                 }
             }
         }
         expected.sort();
         assert_eq!(cells, expected);
         for r in &records {
-            assert_eq!(
-                (r.backend.as_str(), r.batch),
-                ("packed", PRODUCT_SCAN_BENCH_ROWS)
-            );
+            assert_eq!(r.batch, PRODUCT_SCAN_BENCH_ROWS);
             assert!(r.ns_per_op > 0.0, "{r:?}");
         }
     }

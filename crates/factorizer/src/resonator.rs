@@ -17,7 +17,7 @@ use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, CleanupScratch, ResonateP
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, VsaError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -66,16 +66,17 @@ impl Default for Factorizer {
 
 /// The stochasticity kernel: zero-mean symmetric **triangular** noise on
 /// `[-amplitude, amplitude]` with `amplitude = sqrt(6)·sigma` (so the variance is
-/// exactly `sigma²`), sampled as the difference of two uniform draws from the query's
-/// private stream.
+/// exactly `sigma²`), sampled as the difference of two independent uniforms cut
+/// from one word of the query's private stream.
 ///
 /// Two properties make this the right noise source for the resonator's hot loop:
 ///
-/// * **Cheap.** One sample is two generator words and a multiply. The Box–Muller
-///   Gaussian it replaces spent ~10× longer in `ln`/`cos` per sample, and the
-///   projection step consumes one sample per *dimension* per factor per iteration —
-///   profiling showed noise generation, not VSA arithmetic, dominating the whole
-///   solver (≈230 µs vs ≈46 µs per row-iteration at d = 2048).
+/// * **Cheap.** One sample is one generator word, two shifts and a multiply. The
+///   Box–Muller Gaussian it replaces spent ~10× longer in `ln`/`cos` per sample,
+///   and the projection step consumes one sample per *dimension* per factor per
+///   iteration, so the generator itself is the cost that is left: on a 2-vCPU
+///   AVX-512 VM at d = 2048, two words per sample were ~2.5 of the ~3.7 ns of a
+///   projection draw.
 /// * **Bounded.** A sample can never exceed `amplitude` in magnitude, so the
 ///   projection step can prove `sign(v + z) == sign(v)` whenever `|v| > amplitude`
 ///   and skip the draw entirely ([`BoundedNoise::perturb_signs`]). On the FP32 path
@@ -112,12 +113,18 @@ impl BoundedNoise {
     }
 
     /// One sample: `(u1 - u2) · amplitude`, triangular on `[-amplitude, amplitude]`.
-    /// The uniforms are 24-bit multiples of 2⁻²⁴ in `[0, 1)`, so the difference is
-    /// exact in `f32` and the bound is tight (`|z| ≤ amplitude` after rounding).
+    /// Both uniforms come from one `next_u64`: `u1` from bits 40–63, `u2` from bits
+    /// 16–39 (xoshiro256**'s low bits are as strong as its high ones, and the two
+    /// fields are disjoint, so the uniforms are independent). Each is a 24-bit
+    /// multiple of 2⁻²⁴ in `[0, 1)`, so the difference is exact in `f32` and the
+    /// bound is tight (`|z| ≤ amplitude` after rounding).
     #[inline]
     fn sample(&self, rng: &mut StdRng) -> f32 {
-        let u1: f32 = rng.gen();
-        let u2: f32 = rng.gen();
+        const FIELD: u64 = (1 << 24) - 1;
+        const SCALE: f32 = 1.0 / (1u32 << 24) as f32;
+        let word = rng.next_u64();
+        let u1 = (word >> 40) as f32 * SCALE;
+        let u2 = ((word >> 16) & FIELD) as f32 * SCALE;
         (u1 - u2) * self.amplitude
     }
 
@@ -148,13 +155,14 @@ impl BoundedNoise {
     /// 64-dimension blocks (one packed sign-plane word), each block's
     /// `|v| <= amplitude` mask comes from one vector compare per eight values
     /// ([`cogsys_vsa::packed::amplitude_mask_fn`], behind the `COGSYS_SIMD`
-    /// dispatch), and only the set bits draw, in ascending order. No per-element
-    /// branch remains, so eligibility scattered inside a word costs no
-    /// mispredictions. This is bitwise-equal to the element-wise rule (exposed as
-    /// [`BoundedNoise::perturb_signs_elementwise`] for tests and benchmarks): the
-    /// mask holds exactly the elements that rule perturbs, visited in the same
-    /// order, so values and rng stream positions agree — NaN included, since the
-    /// ordered compare is false for NaN exactly like `NaN.abs() <= a`.
+    /// dispatch), and only the set bits draw, one generator word each, in
+    /// ascending order. No per-element branch remains, so eligibility scattered
+    /// inside a word costs no mispredictions. This is bitwise-equal to the
+    /// element-wise rule (exposed as [`BoundedNoise::perturb_signs_elementwise`]
+    /// for tests and benchmarks): the mask holds exactly the elements that rule
+    /// perturbs, visited in the same order, so values and rng stream positions
+    /// agree — NaN included, since the ordered compare is false for NaN exactly
+    /// like `NaN.abs() <= a`.
     pub fn perturb_signs(&self, values: &mut [f32], rng: &mut StdRng) {
         let a = self.amplitude;
         let mask_of = amplitude_mask_fn();
@@ -241,12 +249,22 @@ impl QueryState {
         self.result = None;
     }
 
+    /// Whether anything reads the row's estimate state after `iteration`: a later
+    /// iteration does, and so does the limit-cycle check, which compares it against
+    /// the row's fingerprint history. At the last iteration with an empty history
+    /// (always so for a one-iteration budget, or with detection off) nothing does.
+    fn reads_final_state(&self, config: &FactorizerConfig, iteration: usize) -> bool {
+        iteration < config.max_iterations || !self.fingerprints.is_empty()
+    }
+
     /// End-of-iteration bookkeeping for one query: records the rebind `similarity`,
     /// detects convergence and limit cycles, and decays the noise schedule. Returns
     /// `true` when the query is finished.
     ///
     /// `fingerprint` hashes the row's estimate state after this iteration; it runs
-    /// only for rows that did not converge, and only with detection on.
+    /// only for rows that did not converge, only with detection on, and only when
+    /// [`QueryState::reads_final_state`] holds (at the last iteration an empty
+    /// history cannot match it).
     fn finish_iteration(
         &mut self,
         config: &FactorizerConfig,
@@ -275,7 +293,7 @@ impl QueryState {
         // state has, in practice, stopped exploring: the decayed noise no longer
         // moves it off the cycle.
         let window = config.limit_cycle_window;
-        if window > 0 {
+        if window > 0 && self.reads_final_state(config, iteration) {
             let fp = fingerprint();
             if self.fingerprints.contains(&fp) {
                 self.result = Some(FactorizationResult {
@@ -662,7 +680,11 @@ impl Factorizer {
     /// written straight into the estimate planes). The rebind convergence check runs inside the last
     /// factor's similarity hook — the row's decoded codevector planes XOR-bound
     /// together, then popcount against the query — so a row that converges there
-    /// skips that factor's projection, whose estimate nothing would read again. No
+    /// skips that factor's projection, whose estimate nothing would read again. So
+    /// does every row at the last iteration whose limit-cycle window is still empty
+    /// (every row of a one-iteration sweep): only a fingerprint compared against an
+    /// earlier state could read that estimate. Both skips drop the projection's
+    /// noise draws and sign pack with it, and the second also the fingerprint. No
     /// dense estimate or projection matrix exists anywhere in this engine. The
     /// projection hook quantizes the perturbed accumulator at the configured
     /// precision right before the sign pack, the point where the f32 resonator
@@ -670,7 +692,7 @@ impl Factorizer {
     /// no quantize: sign planes are ±1, which every precision keeps exact).
     /// Decisions (argmax, convergence, limit cycles) are identical to the f32
     /// resonator on the same noise streams: every row that survives an iteration
-    /// consumes the same draws in the same order, and a converged row's stream is
+    /// consumes the same draws in the same order, and a finished row's stream is
     /// never read again.
     #[allow(clippy::needless_range_loop)]
     fn factorize_matrix_packed(
@@ -771,8 +793,9 @@ impl Factorizer {
                                     return true;
                                 }
                                 // Every factor is decoded: rebind them and compare
-                                // to the query. A converged row is finished, so its
-                                // last projection would never be read.
+                                // to the query. The last projection of a converged
+                                // row, or of any row at the last iteration whose
+                                // fingerprint history is empty, would never be read.
                                 for (g, &index) in state.decoded.iter().enumerate() {
                                     let row = std::slice::from_ref(&index);
                                     if g == 0 {
@@ -785,6 +808,7 @@ impl Factorizer {
                                 let similarity = rebound_bits.cosine_rows(0, query_bits, slot);
                                 rebind_sims[slot] = similarity;
                                 !converges(&self.config, similarity)
+                                    && state.reads_final_state(&self.config, iteration)
                             }
                             ResonatePhase::Projection => {
                                 if let Some(noise) = &state.proj_noise {
@@ -1260,6 +1284,71 @@ mod tests {
             assert!((a.similarity - b.similarity).abs() < 1e-4, "{precision:?}");
             assert_eq!(b.indices, vec![7, 2, 5], "{precision:?}");
         }
+    }
+
+    #[test]
+    fn noise_sample_consumes_one_generator_word() {
+        let noise = BoundedNoise::for_sigma(0.5).unwrap();
+        for k in [0, 1, 2, 7, 100] {
+            let mut sampled = StdRng::seed_from_u64(0xA11CE ^ k);
+            let mut advanced = sampled.clone();
+            for _ in 0..k {
+                noise.sample(&mut sampled);
+                advanced.next_u64();
+            }
+            assert_eq!(sampled, advanced, "{k} samples");
+        }
+    }
+
+    #[test]
+    fn noise_samples_are_triangular_within_the_amplitude() {
+        // 2^20 samples: every one inside the support, the first two moments within
+        // 4 standard errors of (0, sigma²), and a 16-bin chi-square against the
+        // triangular density below the 0.1% critical value of 15 degrees of
+        // freedom (37.70).
+        const N: usize = 1 << 20;
+        const BINS: usize = 16;
+        let sigma = 0.7_f64;
+        let noise = BoundedNoise::for_sigma(sigma as f32).unwrap();
+        let a = noise.amplitude();
+        let mut r = StdRng::seed_from_u64(0x7E1A);
+        let (mut sum, mut sum_sq) = (0.0_f64, 0.0_f64);
+        let mut counts = [0usize; BINS];
+        for _ in 0..N {
+            let z = noise.sample(&mut r);
+            assert!(z.abs() <= a, "sample {z} outside ±{a}");
+            let z = f64::from(z);
+            sum += z;
+            sum_sq += z * z;
+            let x = z / f64::from(a);
+            counts[(((x + 1.0) * BINS as f64 / 2.0) as usize).min(BINS - 1)] += 1;
+        }
+        let n = N as f64;
+        let mean = sum / n;
+        assert!(mean.abs() < 4.0 * sigma / n.sqrt(), "mean {mean}");
+        // The triangular distribution's fourth moment is 2.4·sigma⁴, so the
+        // second-moment estimate has standard error sqrt(1.4 / n)·sigma².
+        let var = sum_sq / n;
+        let var_se = (1.4 / n).sqrt() * sigma * sigma;
+        assert!((var - sigma * sigma).abs() < 4.0 * var_se, "variance {var}");
+        // CDF of the triangular density on [-1, 1] (in units of the amplitude).
+        let cdf = |x: f64| {
+            if x < 0.0 {
+                (1.0 + x).powi(2) / 2.0
+            } else {
+                1.0 - (1.0 - x).powi(2) / 2.0
+            }
+        };
+        let chi2: f64 = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &observed)| {
+                let edge = |j: usize| -1.0 + 2.0 * j as f64 / BINS as f64;
+                let expected = n * (cdf(edge(i + 1)) - cdf(edge(i)));
+                (observed as f64 - expected).powi(2) / expected
+            })
+            .sum();
+        assert!(chi2 < 37.70, "chi-square {chi2} over {counts:?}");
     }
 
     proptest! {

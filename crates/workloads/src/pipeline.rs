@@ -251,7 +251,7 @@ impl SolverScratch {
 /// block may have to take the rescue route: one resonator sweep, then an exact
 /// product-plane scan of the rows that sweep leaves unconverged.
 ///
-/// Set from the `product_scan_405` / `product_scan_60` and `resonate_sweep_405`
+/// Set from the `product_scan_405` / `product_scan_60` and `factorize_sweep_405`
 /// cells of `BENCH_backends.json` (512 scene rows, 2-vCPU AVX-512 VM). Per scene
 /// row, the scan costs 0.55 µs over 60 products and 3.38 µs over 405 at d=2048
 /// (0.73 and 4.32 µs at d=4096), about 8–10 ns per product row, while one 9×9×5
@@ -1464,13 +1464,63 @@ mod tests {
         }
     }
 
+    /// Decodes `queries` against `set` on the engine `kind` picks, with streams
+    /// seeded per row, and returns the results with their outcome counts.
+    fn decode_on_engine(
+        set: &CodebookSet,
+        queries: &HvMatrix,
+        config: &FactorizerConfig,
+        kind: BackendKind,
+    ) -> (Vec<FactorizationResult>, SolverReport) {
+        let mut streams: Vec<_> = (0..queries.rows() as u64)
+            .map(|q| StdRng::seed_from_u64(0x5EED ^ q))
+            .collect();
+        let results = Factorizer::new(config.clone().with_backend(kind))
+            .factorize_matrix_scratch(
+                set,
+                queries,
+                &mut streams,
+                &mut FactorizerScratch::default(),
+            )
+            .unwrap();
+        let mut report = SolverReport::default();
+        report.record_block(&results);
+        (results, report)
+    }
+
+    /// Asserts that the packed engine decides every row exactly like the dense
+    /// engine (indices, iterations, outcome flags) and counts the same outcomes.
+    fn assert_packed_matches_dense(
+        set: &CodebookSet,
+        queries: &HvMatrix,
+        config: &FactorizerConfig,
+        case: &str,
+    ) -> (Vec<FactorizationResult>, SolverReport) {
+        let (dense, dense_report) = decode_on_engine(set, queries, config, BackendKind::Reference);
+        let (packed, packed_report) = decode_on_engine(set, queries, config, BackendKind::Packed);
+        for (q, (d, p)) in dense.iter().zip(&packed).enumerate() {
+            assert_eq!(
+                (&d.indices, d.iterations, d.converged, d.limit_cycle),
+                (&p.indices, p.iterations, p.converged, p.limit_cycle),
+                "{case}: row {q}"
+            );
+            assert!(
+                (d.similarity - p.similarity).abs() < 1e-4,
+                "{case}: row {q}"
+            );
+        }
+        assert_eq!(dense_report, packed_report, "{case}");
+        (dense, dense_report)
+    }
+
     #[test]
     fn packed_engine_matches_dense_across_every_row_outcome() {
         // One batch whose rows converge at different iterations, exit on a limit
         // cycle, or run into the cap. The packed engine skips the last projection
-        // of every row that converges, and quantizes its projection accumulators
-        // below FP32; neither may change a result or an outcome count against the
-        // dense engine, which projects every row, at any precision.
+        // of every row that converges, and of every row at the last iteration whose
+        // limit-cycle history is empty, and quantizes its projection accumulators
+        // below FP32; none of that may change a result or an outcome count against
+        // the dense engine, which projects every row, at any precision.
         let mut r = rng(4);
         let set = CodebookSet::random(&[16, 16, 16], 512, BindingOp::Hadamard, &mut r);
         let flips = [0.0, 0.01, 0.02, 0.03, 0.04, 0.3, 0.4];
@@ -1483,29 +1533,24 @@ mod tests {
             })
             .collect();
         let matrix = HvMatrix::from_rows(&queries).unwrap();
-        let decode = |kind: BackendKind, precision: Precision| {
+        // Rows flipped at 30% against 8-value codebooks never converge; they wander
+        // between states where only some factors move, which is where a fingerprint
+        // over a stale last estimate would mistake a new state for an old one.
+        let mut r = rng(0);
+        let small = CodebookSet::random(&[8, 8, 8], 512, BindingOp::Hadamard, &mut r);
+        let stuck: Vec<_> = (0..8)
+            .map(|i| {
+                let clean = small.bind_indices(&[i, (i + 3) % 8, (5 * i) % 8]).unwrap();
+                ops::flip_noise(&clean, if i % 2 == 0 { 0.3 } else { 0.02 }, &mut r)
+            })
+            .collect();
+        let stuck = HvMatrix::from_rows(&stuck).unwrap();
+        for precision in Precision::all() {
             let config = FactorizerConfig::default()
                 .with_max_iterations(12)
-                .with_backend(kind)
                 .with_precision(precision);
-            let mut streams: Vec<_> = (0..queries.len() as u64)
-                .map(|q| StdRng::seed_from_u64(0x5EED ^ q))
-                .collect();
-            let results = Factorizer::new(config)
-                .factorize_matrix_scratch(
-                    &set,
-                    &matrix,
-                    &mut streams,
-                    &mut FactorizerScratch::default(),
-                )
-                .unwrap();
-            let mut report = SolverReport::default();
-            report.record_block(&results);
-            (results, report)
-        };
-        for precision in Precision::all() {
-            let (dense, dense_report) = decode(BackendKind::Reference, precision);
-            let (packed, packed_report) = decode(BackendKind::Packed, precision);
+            let (dense, dense_report) =
+                assert_packed_matches_dense(&set, &matrix, &config, &format!("{precision}"));
             // The batch really covers every outcome, with convergence spread over
             // several iterations (first iteration included).
             let mut converged_at: Vec<_> = dense
@@ -1523,19 +1568,50 @@ mod tests {
                 dense_report.rows_limit_cycle > 0 && dense_report.rows_capped > 0,
                 "{precision}: {dense_report:?}"
             );
-            for (q, (d, p)) in dense.iter().zip(&packed).enumerate() {
-                assert_eq!(
-                    (&d.indices, d.iterations, d.converged, d.limit_cycle),
-                    (&p.indices, p.iterations, p.converged, p.limit_cycle),
-                    "{precision}: row {q}"
-                );
-                assert!(
-                    (d.similarity - p.similarity).abs() < 1e-4,
-                    "{precision}: row {q}"
-                );
+
+            // Every cap up to 12, on this batch and on the stuck rows. At each, the
+            // rows still running stop at the last iteration, and at the iteration
+            // a limit cycle closes, that row's cycle closes exactly at the last
+            // iteration, so the last projection (and fingerprint) of a row with a
+            // history must still run.
+            let mut closes_at_cap = false;
+            for cap in 1..=12 {
+                for (codebooks, queries) in [(&set, &matrix), (&small, &stuck)] {
+                    let (dense, _) = assert_packed_matches_dense(
+                        codebooks,
+                        queries,
+                        &config.clone().with_max_iterations(cap),
+                        &format!("{precision}, cap {cap}"),
+                    );
+                    closes_at_cap |= dense.iter().any(|d| d.limit_cycle && d.iterations == cap);
+                }
             }
-            assert_eq!(dense_report, packed_report, "{precision}");
+            assert!(closes_at_cap, "{precision}: no cycle closes at a cap");
         }
+
+        // The rescue route's sweep: one iteration over block 0 (9×9×5, d = 2048)
+        // of noisy scenes that superpose block 1 as crosstalk. No row has a
+        // fingerprint history there, so the packed engine projects no last
+        // factor at all; the rows it leaves unconverged must still match.
+        let (s, mut r) = solver(9, SolverConfig::default());
+        let panels: Vec<Panel> = (0..96)
+            .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+            .collect();
+        let mut scenes = s.encode_panels(&panels).unwrap();
+        for v in scenes.as_mut_slice() {
+            if r.gen_bool(0.05) {
+                *v = -*v;
+            }
+        }
+        let (set, _) = &s.blocks[0];
+        assert_eq!(set.combinations(), 405);
+        let config = s.sweep.config().clone();
+        assert_eq!(config.max_iterations, 1);
+        let (_, report) = assert_packed_matches_dense(set, &scenes, &config, "one sweep");
+        assert!(
+            report.rows_converged > 0 && report.rows_capped > 0,
+            "{report:?}"
+        );
     }
 
     #[test]
