@@ -4,14 +4,14 @@
 //! run on one of two engines. The serving engine keeps the factor estimates as sign
 //! planes and steps a whole query batch through the packed backend's fused kernel.
 //! The `f32` resonator is the reference engine: it runs one query at a time through
-//! a [`VsaBackend`]'s `f32` kernels, and it decodes everything the packed engine
+//! the [`ReferenceBackend`] kernels, and it decodes everything the packed engine
 //! cannot (circular binding, non-bipolar queries, the reference backend). Every query
 //! carries its own derived noise stream, which makes
 //! [`Factorizer::factorize_matrix_scratch`] return *exactly* the results of calling
 //! [`Factorizer::factorize`] per query — batching is a pure performance transform.
 
 use crate::config::FactorizerConfig;
-use cogsys_vsa::batch::{HvMatrix, VsaBackend};
+use cogsys_vsa::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
 use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase};
 use cogsys_vsa::quant::fake_quantize_slice;
@@ -50,8 +50,8 @@ impl FactorizationResult {
 /// The CogSys iterative factorizer.
 ///
 /// Construct once with a [`FactorizerConfig`] and reuse across queries; the struct holds
-/// no per-query state. The configured [`cogsys_vsa::BackendKind`] decides how the batch
-/// kernels execute.
+/// no per-query state. The configured [`cogsys_vsa::BackendKind`] decides which engine
+/// runs.
 #[derive(Debug, Clone)]
 pub struct Factorizer {
     config: FactorizerConfig,
@@ -407,7 +407,7 @@ impl Factorizer {
         &self.config
     }
 
-    /// The execution backend the batch kernels run on.
+    /// The backend whose [`VsaBackend::as_packed`] probe picks the engine.
     pub fn backend(&self) -> &Arc<dyn VsaBackend> {
         &self.backend
     }
@@ -457,7 +457,7 @@ impl Factorizer {
     ///   and compacts converged rows out with a gather, so early-converging queries
     ///   stop consuming kernel lanes;
     /// * the `f32` reference resonator decodes everything else, one query at a
-    ///   time on the backend's `f32` kernels.
+    ///   time on the [`ReferenceBackend`] kernels.
     ///
     /// The packed engine's sign planes and per-query state live in the
     /// caller-owned `scratch` and are reused across calls, so a steady-state
@@ -566,8 +566,8 @@ impl Factorizer {
     }
 
     /// The `f32` reference resonator: runs each query of the already-quantized
-    /// batch in `scratch.query_q` to completion, one at a time, on the backend's
-    /// own `f32` kernels over one-row operands. Rows are independent and every
+    /// batch in `scratch.query_q` to completion, one at a time, on the
+    /// [`ReferenceBackend`] kernels over one-row operands. Rows are independent and every
     /// query draws only from its own stream, so this returns exactly what a
     /// batched run would.
     fn factorize_matrix_dense(
@@ -579,7 +579,6 @@ impl Factorizer {
         let FactorizerScratch { sims, query_q, .. } = scratch;
         let num_factors = set.num_factors();
         let dim = set.dim();
-        let backend = self.backend.as_ref();
         let precision = self.config.precision;
 
         // Initial estimates: bundle of every codevector in each factor, snapped to
@@ -612,25 +611,18 @@ impl Factorizer {
                     // factors in the same sweep already see the refreshed earlier
                     // factors — the "interactive" factorization the paper describes,
                     // which converges in fewer iterations than a synchronous update.
-                    set.unbind_all_but_batch(
-                        backend,
-                        &query,
-                        &estimates,
-                        f,
-                        &mut unbound,
-                        &mut work,
-                    )?;
+                    set.unbind_all_but_batch(&query, &estimates, f, &mut unbound, &mut work)?;
                     fake_quantize_slice(unbound.row_mut(0), precision);
 
                     // Step 2: similarity search against the factor codebook.
-                    backend.similarity_matrix_into(cb_matrix, &unbound, sims)?;
+                    ReferenceBackend.similarity_matrix_into(cb_matrix, &unbound, sims)?;
                     if let Some(noise) = &state.sim_noise {
                         noise.perturb_all(sims.row_mut(0), stream);
                     }
                     state.decoded[f] = ops::argmax(sims.row(0)).unwrap_or(0);
 
                     // Step 3: project back into the codevector space and binarise.
-                    backend.project_batch_into(cb_matrix, sims, &mut projected)?;
+                    ReferenceBackend.project_batch_into(cb_matrix, sims, &mut projected)?;
                     if let Some(noise) = &state.proj_noise {
                         noise.perturb_signs(projected.row_mut(0), stream);
                     }
@@ -648,7 +640,12 @@ impl Factorizer {
                 for f in 1..num_factors {
                     work.row_mut(0)
                         .copy_from_slice(set.factor(f)?.matrix().row(state.decoded[f]));
-                    backend.bind_batch_into(&rebound, &work, set.binding(), &mut unbound)?;
+                    ReferenceBackend.bind_batch_into(
+                        &rebound,
+                        &work,
+                        set.binding(),
+                        &mut unbound,
+                    )?;
                     std::mem::swap(&mut rebound, &mut unbound);
                 }
                 let similarity = ops::cosine_slices(rebound.row(0), query.row(0));

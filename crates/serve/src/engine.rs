@@ -65,13 +65,16 @@ impl DegradationLevel {
         }
     }
 
-    /// Factorizer iteration cap at this rung, given the configured budget.
+    /// Factorizer iteration cap at this rung, given the configured budget. Every
+    /// rung's cap lies in `[1, configured]`, so no rung runs more iterations than
+    /// full service.
     pub fn iteration_cap(self, configured: usize) -> usize {
-        match self {
-            DegradationLevel::Full | DegradationLevel::HalvedBatch => configured.max(1),
+        let cap = match self {
+            DegradationLevel::Full | DegradationLevel::HalvedBatch => configured,
             DegradationLevel::ReducedIterations => (configured / 8).max(2),
             DegradationLevel::CoarseCleanup => 1,
-        }
+        };
+        cap.clamp(1, configured.max(1))
     }
 
     /// Divisor applied to the per-problem service time (reduced iteration
@@ -248,6 +251,16 @@ mod tests {
         }
         assert_eq!(DegradationLevel::CoarseCleanup.iteration_cap(240), 1);
         assert_eq!(DegradationLevel::ReducedIterations.iteration_cap(240), 30);
+        // No rung exceeds the budget, and caps never rise down the ladder.
+        for budget in 1..=240 {
+            let caps = DegradationLevel::ALL.map(|level| level.iteration_cap(budget));
+            assert_eq!(caps[0], budget);
+            assert!(
+                caps.iter().all(|&cap| (1..=budget).contains(&cap)),
+                "{caps:?}"
+            );
+            assert!(caps.windows(2).all(|w| w[0] >= w[1]), "{caps:?}");
+        }
     }
 
     #[test]

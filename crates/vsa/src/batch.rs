@@ -3,26 +3,25 @@
 //! The paper's performance story (Sec. IV–VI) treats circular convolution, similarity
 //! search and bundling as *batch* kernels mapped onto a shared compute array. This
 //! module is the software seam for that view: a contiguous row-major matrix of
-//! hypervectors ([`HvMatrix`]) plus a pluggable execution backend ([`VsaBackend`])
-//! exposing the array-level operations — batched binding/unbinding, bundling,
-//! codebook-vs-queries similarity (GEMM-style) and batched cleanup.
+//! hypervectors ([`HvMatrix`]), the one `f32` kernel set over it, and the route
+//! probe ([`VsaBackend`]) that picks between those kernels and the sign planes.
 //!
-//! Two implementations ship:
-//!
-//! * [`ReferenceBackend`] — row-at-a-time delegation to [`crate::ops`], kept as ground
-//!   truth and as the one `f32` engine;
+//! * [`ReferenceBackend`] — the `f32` kernels (batched binding/unbinding,
+//!   codebook-vs-queries similarity GEMM, weighted projection and cleanup) as
+//!   inherent methods, row at a time through [`crate::ops`];
 //! * [`PackedBackend`] (the default) — popcount kernels over bit-packed sign planes
 //!   ([`crate::packed::BitMatrix`]) for the bipolar MAP/Hadamard algebra, reached
-//!   through [`VsaBackend::as_packed`]; its `f32` surface is [`ReferenceBackend`].
+//!   through [`VsaBackend::as_packed`].
 //!
-//! Backend compatibility contract: every `f32` [`VsaBackend`] method is bitwise
-//! identical across backends (the packed backend delegates them). The sign-plane
-//! kernels reproduce the reference exactly where the bit-packed algebra applies, and
-//! their cleanup cosines agree with it within **1e-4**.
+//! Backend compatibility contract: operands without sign planes (circular binding,
+//! non-bipolar codebooks or queries) run the `f32` kernels on every backend, so
+//! their results are bitwise identical across backends. The sign-plane kernels
+//! reproduce the `f32` kernels exactly where the bit-packed algebra applies, and
+//! their cleanup cosines agree with them within **1e-4**.
 
 use crate::codebook::BindingOp;
 use crate::error::VsaError;
-use crate::hypervector::{Hypervector, VsaKind};
+use crate::hypervector::Hypervector;
 use crate::ops;
 use crate::packed::PackedBackend;
 use std::sync::Arc;
@@ -173,26 +172,6 @@ impl HvMatrix {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// Appends one row.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if `values.len()` differs from `dim()`
-    /// (the first pushed row fixes the dimension of an empty matrix).
-    pub fn push_row(&mut self, values: &[f32]) -> Result<(), VsaError> {
-        if self.rows == 0 && self.dim == 0 {
-            self.dim = values.len();
-        }
-        if values.len() != self.dim {
-            return Err(VsaError::DimensionMismatch {
-                left: values.len(),
-                right: self.dim,
-            });
-        }
-        self.data.extend_from_slice(values);
-        self.rows += 1;
-        Ok(())
-    }
-
     /// Reshapes the buffer to `rows × dim` for reuse as an output buffer (avoids
     /// reallocation when the capacity already suffices). Contents are preserved when
     /// the shape is unchanged and **zeroed on any shape change** — a plain `resize`
@@ -235,27 +214,6 @@ impl HvMatrix {
         self.ensure_shape(src.rows, src.dim);
         self.data.copy_from_slice(&src.data);
     }
-
-    /// Converts row `i` into an owned [`Hypervector`] with the given kind tag.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::IndexOutOfRange`] on a bad row index.
-    pub fn row_hypervector(&self, i: usize, kind: VsaKind) -> Result<Hypervector, VsaError> {
-        if i >= self.rows {
-            return Err(VsaError::IndexOutOfRange {
-                index: i,
-                len: self.rows,
-            });
-        }
-        Ok(Hypervector::with_kind(self.row(i).to_vec(), kind))
-    }
-
-    /// Unpacks into owned hypervectors, all tagged `kind`.
-    pub fn to_hypervectors(&self, kind: VsaKind) -> Vec<Hypervector> {
-        (0..self.rows)
-            .map(|i| Hypervector::with_kind(self.row(i).to_vec(), kind))
-            .collect()
-    }
 }
 
 /// Which [`VsaBackend`] implementation a pipeline runs on.
@@ -275,8 +233,8 @@ pub enum BackendKind {
     ///
     /// The **default**: every hot pipeline in the repository runs bipolar Hadamard
     /// configurations, where the packed kernels are exact and several times faster.
-    /// The backend's `f32` surface, and with it HRR/circular-convolution and
-    /// non-bipolar workloads, is the [`ReferenceBackend`].
+    /// HRR/circular-convolution and non-bipolar workloads run the
+    /// [`ReferenceBackend`] kernels on it.
     #[default]
     Packed,
 }
@@ -319,143 +277,17 @@ fn check_same_shape(a: &HvMatrix, b: &HvMatrix) -> Result<(), VsaError> {
     Ok(())
 }
 
-/// The batched execution engine every pipeline layer talks to.
+/// The route probe every backend answers: whether it has a sign-plane fast path.
 ///
-/// All operations are *batch*-shaped: operands are [`HvMatrix`] values and the
-/// per-row semantics exactly match the scalar functions in [`crate::ops`]. The
-/// `*_into` variants are the required methods so implementations can be allocation-free
-/// in steady state; the allocating variants are provided conveniences.
+/// Layers that cache packed operands (codebook sign planes, the factorizer's packed
+/// estimates) probe [`VsaBackend::as_packed`] to take the sign-plane kernels; every
+/// other operand runs the one `f32` kernel set, [`ReferenceBackend`]'s inherent
+/// methods.
 pub trait VsaBackend: Send + Sync + std::fmt::Debug {
-    /// Short identifier for logs and benchmark output.
-    fn name(&self) -> &'static str;
-
-    /// The bit-packed bipolar fast path, when this backend has one.
-    ///
-    /// Layers that cache packed operands (codebook sign planes, the factorizer's
-    /// packed estimates) probe this to route around the `f32` surface; the default of
-    /// `None` keeps dense backends on the dense path.
+    /// The bit-packed bipolar fast path, when this backend has one. The default of
+    /// `None` keeps dense backends on the `f32` kernels.
     fn as_packed(&self) -> Option<&PackedBackend> {
         None
-    }
-
-    /// Row-wise binding: `out[i] = bind(a[i], b[i])` under `op`, writing into `out`
-    /// (reshaped as needed).
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `a` and `b` disagree in shape.
-    fn bind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError>;
-
-    /// Row-wise unbinding, the approximate inverse of [`VsaBackend::bind_batch_into`]
-    /// (`⊘` for Hadamard, circular correlation for convolution binding).
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `a` and `b` disagree in shape.
-    fn unbind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError>;
-
-    /// GEMM-style similarity: `out[q][m] = queries[q] · codebook[m]`, with `out`
-    /// reshaped to `queries.rows() × codebook.rows()`.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree.
-    fn similarity_matrix_into(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError>;
-
-    /// Batched weighted superposition (the factorizer's projection step):
-    /// `out[q] = Σ_m weights[q][m] · codebook[m]`, with `out` reshaped to
-    /// `weights.rows() × codebook.dim()`.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when `weights.dim() != codebook.rows()`
-    /// and [`VsaError::Empty`] for an empty codebook.
-    fn project_batch_into(
-        &self,
-        codebook: &HvMatrix,
-        weights: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError>;
-
-    /// Bundles (superposes) all rows into a single hypervector, matching
-    /// [`crate::ops::bundle`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::Empty`] for a matrix with no rows.
-    fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError>;
-
-    /// Batched cleanup: for each query row, the index and cosine similarity of the
-    /// best-matching codebook row (ties resolve to the first, zero-norm pairs score 0).
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree and
-    /// [`VsaError::Empty`] for an empty codebook.
-    fn cleanup_batch(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError>;
-
-    /// Allocating variant of [`VsaBackend::bind_batch_into`].
-    ///
-    /// # Errors
-    /// See [`VsaBackend::bind_batch_into`].
-    fn bind_batch(&self, a: &HvMatrix, b: &HvMatrix, op: BindingOp) -> Result<HvMatrix, VsaError> {
-        let mut out = HvMatrix::default();
-        self.bind_batch_into(a, b, op, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocating variant of [`VsaBackend::unbind_batch_into`].
-    ///
-    /// # Errors
-    /// See [`VsaBackend::unbind_batch_into`].
-    fn unbind_batch(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-    ) -> Result<HvMatrix, VsaError> {
-        let mut out = HvMatrix::default();
-        self.unbind_batch_into(a, b, op, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocating variant of [`VsaBackend::similarity_matrix_into`].
-    ///
-    /// # Errors
-    /// See [`VsaBackend::similarity_matrix_into`].
-    fn similarity_matrix(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-    ) -> Result<HvMatrix, VsaError> {
-        let mut out = HvMatrix::default();
-        self.similarity_matrix_into(codebook, queries, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocating variant of [`VsaBackend::project_batch_into`].
-    ///
-    /// # Errors
-    /// See [`VsaBackend::project_batch_into`].
-    fn project_batch(&self, codebook: &HvMatrix, weights: &HvMatrix) -> Result<HvMatrix, VsaError> {
-        let mut out = HvMatrix::default();
-        self.project_batch_into(codebook, weights, &mut out)?;
-        Ok(out)
     }
 }
 
@@ -517,18 +349,26 @@ fn check_gemm_shapes(codebook: &HvMatrix, queries: &HvMatrix) -> Result<(), VsaE
 // Reference backend
 // ---------------------------------------------------------------------------
 
-/// Ground-truth backend: one row at a time, straight through [`crate::ops`].
+/// The one `f32` kernel set: row at a time, straight through [`crate::ops`].
 ///
-/// Kept deliberately boring — every other backend is validated against it.
+/// All kernels are *batch*-shaped: operands are [`HvMatrix`] values, the per-row
+/// semantics exactly match the scalar functions in [`crate::ops`], and results land
+/// in caller-owned buffers so steady-state callers allocate nothing. The f32
+/// reference resonator, [`crate::CodebookSet::unbind_all_but_batch`] and the dense
+/// fallbacks of the [`crate::Codebook`] routers call them; the sign-plane kernels
+/// are validated against them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
 
-impl VsaBackend for ReferenceBackend {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
+impl VsaBackend for ReferenceBackend {}
 
-    fn bind_batch_into(
+impl ReferenceBackend {
+    /// Row-wise binding: `out[i] = bind(a[i], b[i])` under `op`, writing into `out`
+    /// (reshaped as needed).
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] when `a` and `b` disagree in shape.
+    pub fn bind_batch_into(
         &self,
         a: &HvMatrix,
         b: &HvMatrix,
@@ -553,7 +393,13 @@ impl VsaBackend for ReferenceBackend {
         Ok(())
     }
 
-    fn unbind_batch_into(
+    /// Row-wise unbinding, the approximate inverse of
+    /// [`ReferenceBackend::bind_batch_into`] (`⊘` for Hadamard, circular correlation
+    /// for convolution binding).
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] when `a` and `b` disagree in shape.
+    pub fn unbind_batch_into(
         &self,
         a: &HvMatrix,
         b: &HvMatrix,
@@ -578,7 +424,12 @@ impl VsaBackend for ReferenceBackend {
         Ok(())
     }
 
-    fn similarity_matrix_into(
+    /// GEMM-style similarity: `out[q][m] = queries[q] · codebook[m]`, with `out`
+    /// reshaped to `queries.rows() × codebook.rows()`.
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree.
+    pub fn similarity_matrix_into(
         &self,
         codebook: &HvMatrix,
         queries: &HvMatrix,
@@ -595,7 +446,14 @@ impl VsaBackend for ReferenceBackend {
         Ok(())
     }
 
-    fn project_batch_into(
+    /// Batched weighted superposition (the factorizer's projection step):
+    /// `out[q] = Σ_m weights[q][m] · codebook[m]`, with `out` reshaped to
+    /// `weights.rows() × codebook.dim()`.
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] when `weights.dim() != codebook.rows()`
+    /// and [`VsaError::Empty`] for an empty codebook.
+    pub fn project_batch_into(
         &self,
         codebook: &HvMatrix,
         weights: &HvMatrix,
@@ -617,22 +475,13 @@ impl VsaBackend for ReferenceBackend {
         Ok(())
     }
 
-    fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        if items.rows() == 0 {
-            return Err(VsaError::Empty {
-                what: "bundle input",
-            });
-        }
-        let mut acc = items.row(0).to_vec();
-        for i in 1..items.rows() {
-            for (slot, v) in acc.iter_mut().zip(items.row(i)) {
-                *slot += v;
-            }
-        }
-        Ok(Hypervector::with_kind(acc, VsaKind::Dense))
-    }
-
-    fn cleanup_batch(
+    /// Batched cleanup: for each query row, the index and cosine similarity of the
+    /// best-matching codebook row (ties resolve to the first, zero-norm pairs score 0).
+    ///
+    /// # Errors
+    /// Returns [`VsaError::DimensionMismatch`] when the dimensionalities disagree and
+    /// [`VsaError::Empty`] for an empty codebook.
+    pub fn cleanup_batch(
         &self,
         codebook: &HvMatrix,
         queries: &HvMatrix,
@@ -662,9 +511,8 @@ mod tests {
         let m = HvMatrix::from_rows(&hvs).unwrap();
         assert_eq!(m.rows(), 4);
         assert_eq!(m.dim(), 16);
-        let back = m.to_hypervectors(VsaKind::Bipolar);
-        for (orig, round) in hvs.iter().zip(&back) {
-            assert_eq!(orig.values(), round.values());
+        for (orig, row) in hvs.iter().zip(m.row_iter()) {
+            assert_eq!(orig.values(), row);
         }
     }
 
@@ -679,11 +527,8 @@ mod tests {
     }
 
     #[test]
-    fn hv_matrix_push_and_gather() {
-        let mut m = HvMatrix::default();
-        m.push_row(&[1.0, 2.0]).unwrap();
-        m.push_row(&[3.0, 4.0]).unwrap();
-        assert!(m.push_row(&[5.0]).is_err());
+    fn hv_matrix_gather() {
+        let m = HvMatrix::from_vec(vec![1.0, 2.0, 3.0, 4.0], 2, 2).unwrap();
         let g = m.gather(&[1, 0, 1]).unwrap();
         assert_eq!(g.rows(), 3);
         assert_eq!(g.row(0), &[3.0, 4.0]);
@@ -702,19 +547,20 @@ mod tests {
             .collect();
         let ma = HvMatrix::from_rows(&a).unwrap();
         let mb = HvMatrix::from_rows(&b).unwrap();
-        for backend in BackendKind::ALL.map(BackendKind::create) {
-            let bound = backend
-                .bind_batch(&ma, &mb, BindingOp::CircularConvolution)
-                .unwrap();
-            for i in 0..3 {
-                let scalar = ops::circular_convolve(&a[i], &b[i]);
-                assert_eq!(bound.row(i), scalar.values(), "{} row {i}", backend.name());
-            }
-            let had = backend.bind_batch(&ma, &mb, BindingOp::Hadamard).unwrap();
-            for i in 0..3 {
-                let scalar = ops::hadamard_bind(&a[i], &b[i]).unwrap();
-                assert_eq!(had.row(i), scalar.values());
-            }
+        let mut bound = HvMatrix::default();
+        ReferenceBackend
+            .bind_batch_into(&ma, &mb, BindingOp::CircularConvolution, &mut bound)
+            .unwrap();
+        for i in 0..3 {
+            let scalar = ops::circular_convolve(&a[i], &b[i]);
+            assert_eq!(bound.row(i), scalar.values(), "row {i}");
+        }
+        ReferenceBackend
+            .bind_batch_into(&ma, &mb, BindingOp::Hadamard, &mut bound)
+            .unwrap();
+        for i in 0..3 {
+            let scalar = ops::hadamard_bind(&a[i], &b[i]).unwrap();
+            assert_eq!(bound.row(i), scalar.values());
         }
     }
 
@@ -728,30 +574,29 @@ mod tests {
         let cb = HvMatrix::from_rows(&code).unwrap();
         let q = HvMatrix::from_hypervector(&query);
         let scalar = ops::matvec_similarity(&code, &query).unwrap();
-        for backend in BackendKind::ALL.map(BackendKind::create) {
-            let sims = backend.similarity_matrix(&cb, &q).unwrap();
-            for (x, y) in sims.row(0).iter().zip(&scalar) {
-                assert!((x - y).abs() < 1e-3, "{}: {x} vs {y}", backend.name());
-            }
+        let mut sims = HvMatrix::default();
+        ReferenceBackend
+            .similarity_matrix_into(&cb, &q, &mut sims)
+            .unwrap();
+        for (x, y) in sims.row(0).iter().zip(&scalar) {
+            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
     }
 
     #[test]
-    fn cleanup_batch_matches_codebook_cleanup() {
+    fn cleanup_batch_matches_scalar_cosine_argmax() {
         let mut r = rng(35);
         let cb = crate::Codebook::random("c", 12, 256, &mut r);
         let queries: Vec<Hypervector> = (0..5)
             .map(|i| ops::flip_noise(cb.vector(i * 2).unwrap(), 0.15, &mut r))
             .collect();
         let qm = HvMatrix::from_rows(&queries).unwrap();
-        let cbm = HvMatrix::from_rows(cb.as_slice()).unwrap();
-        for backend in BackendKind::ALL.map(BackendKind::create) {
-            let batch = backend.cleanup_batch(&cbm, &qm).unwrap();
-            for (q, hv) in queries.iter().enumerate() {
-                let (idx, sim) = cb.cleanup(hv).unwrap();
-                assert_eq!(batch[q].0, idx, "{} query {q}", backend.name());
-                assert!((batch[q].1 - sim).abs() < 1e-4);
-            }
+        let batch = ReferenceBackend.cleanup_batch(cb.matrix(), &qm).unwrap();
+        for (q, hv) in queries.iter().enumerate() {
+            let sims: Vec<f32> = cb.iter().map(|c| ops::cosine_similarity(c, hv)).collect();
+            let idx = ops::argmax(&sims).unwrap();
+            assert_eq!((batch[q].0, idx), (q * 2, q * 2), "query {q}");
+            assert!((batch[q].1 - sims[idx]).abs() < 1e-4);
         }
     }
 
@@ -761,13 +606,17 @@ mod tests {
         let a = HvMatrix::zeros(2, 8);
         let b = HvMatrix::zeros(3, 8);
         let c = HvMatrix::zeros(2, 4);
-        assert!(backend.bind_batch(&a, &b, BindingOp::Hadamard).is_err());
-        assert!(backend.bind_batch(&a, &c, BindingOp::Hadamard).is_err());
-        assert!(backend.similarity_matrix(&c, &a).is_err());
+        let mut out = HvMatrix::default();
+        assert!(backend
+            .bind_batch_into(&a, &b, BindingOp::Hadamard, &mut out)
+            .is_err());
+        assert!(backend
+            .unbind_batch_into(&a, &c, BindingOp::Hadamard, &mut out)
+            .is_err());
+        assert!(backend.similarity_matrix_into(&c, &a, &mut out).is_err());
         assert!(backend.cleanup_batch(&HvMatrix::default(), &a).is_err());
-        assert!(backend.bundle(&HvMatrix::default()).is_err());
         let w = HvMatrix::zeros(2, 5);
-        assert!(backend.project_batch(&a, &w).is_err());
+        assert!(backend.project_batch_into(&a, &w, &mut out).is_err());
     }
 
     #[test]
@@ -789,11 +638,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_round_trip() {
+    fn backend_kind_routes_and_names() {
         for kind in BackendKind::ALL {
-            let backend = kind.create();
-            assert_eq!(backend.name(), kind.to_string());
+            let packed = kind.create().as_packed().is_some();
+            assert_eq!(packed, kind == BackendKind::Packed, "{kind}");
         }
+        assert_eq!(BackendKind::Packed.to_string(), "packed");
+        assert_eq!(BackendKind::Reference.to_string(), "reference");
         assert_eq!(BackendKind::default(), BackendKind::Packed);
     }
 

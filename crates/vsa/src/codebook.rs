@@ -143,7 +143,7 @@ impl Codebook {
     }
 
     /// The codevectors as one contiguous row-major matrix (`len() × dim()`), the
-    /// operand shape the [`VsaBackend`] batch kernels consume.
+    /// operand shape the [`ReferenceBackend`] batch kernels consume.
     pub fn matrix(&self) -> &HvMatrix {
         &self.matrix
     }
@@ -162,13 +162,13 @@ impl Codebook {
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
     pub fn cleanup(&self, query: &Hypervector) -> Result<(usize, f32), VsaError> {
         let queries = HvMatrix::from_hypervector(query);
-        let mut results = self.cleanup_batch(&ReferenceBackend, &queries)?;
+        let mut results = ReferenceBackend.cleanup_batch(&self.matrix, &queries)?;
         Ok(results.pop().expect("one query row yields one result"))
     }
 
     /// Batched cleanup of many queries at once. Bipolar queries on a packed
     /// backend are packed once and take [`Codebook::cleanup_batch_bits_into`];
-    /// anything else runs the backend's dense cleanup.
+    /// anything else runs the dense [`ReferenceBackend::cleanup_batch`].
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -182,7 +182,7 @@ impl Codebook {
                 return self.cleanup_batch_bits(backend, &bits);
             }
         }
-        backend.cleanup_batch(&self.matrix, queries)
+        ReferenceBackend.cleanup_batch(&self.matrix, queries)
     }
 
     /// Batched cleanup of **bit-packed** queries; the allocating form of
@@ -204,9 +204,9 @@ impl Codebook {
     /// and cached sign planes the queries hit the linear popcount scan
     /// ([`PackedBackend::cleanup_batch_packed_into`]) directly, with no per-call
     /// packing on either operand. Other backends (and non-bipolar codebooks) unpack
-    /// the queries and run their dense cleanup. Results land in `out` and
-    /// intermediate state in `scratch`, so the steady-state serving path allocates
-    /// nothing; both kernels return identical decisions.
+    /// the queries and run the dense [`ReferenceBackend::cleanup_batch`]. Results
+    /// land in `out` and intermediate state in `scratch`, so the steady-state serving
+    /// path allocates nothing; both kernels return identical decisions.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -225,14 +225,14 @@ impl Codebook {
         }
         let mut dense = HvMatrix::default();
         queries.unpack_into(&mut dense);
-        *out = backend.cleanup_batch(&self.matrix, &dense)?;
+        *out = ReferenceBackend.cleanup_batch(&self.matrix, &dense)?;
         Ok(())
     }
 
     /// Similarities of a batch of **bit-packed** queries: `out[q][m] = queries[q] ·
     /// code[m]`, exact integer dot products via popcount when both sides are sign
     /// planes. Other backends (and non-bipolar codebooks) unpack the queries and run
-    /// their dense similarity GEMM.
+    /// the dense [`ReferenceBackend::similarity_matrix_into`].
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
@@ -241,16 +241,17 @@ impl Codebook {
         backend: &dyn VsaBackend,
         queries: &BitMatrix,
     ) -> Result<HvMatrix, VsaError> {
+        let mut out = HvMatrix::default();
         if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), self.packed()) {
             if queries.dim() == self.dim() {
-                let mut out = HvMatrix::default();
                 packed_backend.similarity_matrix_packed_into(packed_cb, queries, &mut out);
                 return Ok(out);
             }
         }
         let mut dense = HvMatrix::default();
         queries.unpack_into(&mut dense);
-        backend.similarity_matrix(&self.matrix, &dense)
+        ReferenceBackend.similarity_matrix_into(&self.matrix, &dense, &mut out)?;
+        Ok(out)
     }
 
     /// Memory footprint of the codebook in bytes assuming `bytes_per_element` storage.
@@ -431,7 +432,6 @@ impl CodebookSet {
     /// Returns [`VsaError::DimensionMismatch`] on arity or shape mismatches.
     pub fn unbind_all_but_batch(
         &self,
-        backend: &dyn VsaBackend,
         queries: &HvMatrix,
         estimates: &[HvMatrix],
         keep: usize,
@@ -450,7 +450,7 @@ impl CodebookSet {
             if f == keep {
                 continue;
             }
-            backend.unbind_batch_into(out, est, self.binding, scratch)?;
+            ReferenceBackend.unbind_batch_into(out, est, self.binding, scratch)?;
             std::mem::swap(out, scratch);
         }
         Ok(())
@@ -1019,12 +1019,16 @@ mod tests {
                     "{kind}"
                 );
                 // Popcount dot products of sign planes are exact, so the packed path
-                // equals the backend's dense GEMM bit for bit.
+                // equals the dense GEMM bit for bit.
+                let mut dense = HvMatrix::default();
+                ReferenceBackend
+                    .similarity_matrix_into(codebook.matrix(), &qm, &mut dense)
+                    .unwrap();
                 assert_eq!(
                     codebook
                         .similarities_batch_bits(backend.as_ref(), &bits)
                         .unwrap(),
-                    backend.similarity_matrix(codebook.matrix(), &qm).unwrap(),
+                    dense,
                     "{kind}"
                 );
             }
@@ -1036,7 +1040,6 @@ mod tests {
 
     #[test]
     fn unbind_all_but_batch_matches_scalar_unbind() {
-        use crate::batch::{BackendKind, HvMatrix};
         let mut r = rng(63);
         let set = CodebookSet::random(&[4, 4, 4], 128, BindingOp::Hadamard, &mut r);
         let tuples = [[1usize, 2, 3], [0, 0, 0]];
@@ -1055,31 +1058,16 @@ mod tests {
             })
             .collect();
         for keep in 0..3 {
-            for kind in BackendKind::ALL {
-                let backend = kind.create();
-                let (mut out, mut scratch) = (HvMatrix::default(), HvMatrix::default());
-                set.unbind_all_but_batch(
-                    backend.as_ref(),
-                    &queries,
-                    &estimates,
-                    keep,
-                    &mut out,
-                    &mut scratch,
-                )
+            let (mut out, mut scratch) = (HvMatrix::default(), HvMatrix::default());
+            set.unbind_all_but_batch(&queries, &estimates, keep, &mut out, &mut scratch)
                 .unwrap();
-                for (q, t) in tuples.iter().enumerate() {
-                    let est: Vec<Hypervector> = (0..3)
-                        .map(|f| set.factor(f).unwrap().vector(t[f]).unwrap().clone())
-                        .collect();
-                    let scalar = set
-                        .unbind_all_but(
-                            &queries.row_hypervector(q, crate::VsaKind::Dense).unwrap(),
-                            &est,
-                            keep,
-                        )
-                        .unwrap();
-                    assert_eq!(out.row(q), scalar.values(), "{kind} keep {keep} row {q}");
-                }
+            for (q, t) in tuples.iter().enumerate() {
+                let est: Vec<Hypervector> = (0..3)
+                    .map(|f| set.factor(f).unwrap().vector(t[f]).unwrap().clone())
+                    .collect();
+                let query = Hypervector::from_values(queries.row(q).to_vec());
+                let scalar = set.unbind_all_but(&query, &est, keep).unwrap();
+                assert_eq!(out.row(q), scalar.values(), "keep {keep} row {q}");
             }
         }
     }

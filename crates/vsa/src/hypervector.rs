@@ -248,25 +248,6 @@ impl Hypervector {
         }
     }
 
-    /// Returns the number of entries where `self` and `other` have identical sign.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the dimensionalities differ.
-    pub fn sign_agreement(&self, other: &Self) -> Result<usize, VsaError> {
-        if self.dim() != other.dim() {
-            return Err(VsaError::DimensionMismatch {
-                left: self.dim(),
-                right: other.dim(),
-            });
-        }
-        Ok(self
-            .values
-            .iter()
-            .zip(&other.values)
-            .filter(|(a, b)| (**a >= 0.0) == (**b >= 0.0))
-            .count())
-    }
-
     /// Approximate in-memory footprint of this vector in bytes (FP32 storage).
     pub fn footprint_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<f32>()
@@ -443,13 +424,6 @@ mod tests {
         assert_eq!((&b - &a).values(), &[2.0, 3.0]);
         assert_eq!((&a * 2.0).values(), &[2.0, 4.0]);
         assert_eq!((-a).values(), &[-1.0, -2.0]);
-    }
-
-    #[test]
-    fn sign_agreement_counts_matches() {
-        let a = Hypervector::from_values(vec![1.0, -1.0, 1.0, -1.0]);
-        let b = Hypervector::from_values(vec![1.0, 1.0, 1.0, -1.0]);
-        assert_eq!(a.sign_agreement(&b).unwrap(), 3);
     }
 
     #[test]

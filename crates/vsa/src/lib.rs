@@ -36,8 +36,10 @@
 //!
 //! The scalar functions above are the ground truth; production paths go through the
 //! [`batch`] module, which phrases the same algebra over contiguous row-major batches
-//! ([`HvMatrix`]) dispatched to a pluggable [`VsaBackend`] — the software analogue of
-//! the paper's array-level batch kernels (Sec. IV–VI):
+//! ([`HvMatrix`]) as one `f32` kernel set, the [`ReferenceBackend`]'s methods — the
+//! software analogue of the paper's array-level batch kernels (Sec. IV–VI). Layers
+//! that can run on sign planes take a [`VsaBackend`] and probe it for the packed
+//! route:
 //!
 //! ```rust
 //! use cogsys_vsa::{BackendKind, Codebook, HvMatrix, Hypervector, ops};
@@ -66,8 +68,8 @@
 //! ([`PackedBackend`], [`BackendKind::Packed`] — the **default** backend). Codebooks
 //! cache their sign planes, and callers that already hold sign planes pass
 //! [`BitMatrix`] queries end to end (`cleanup_batch_bits`, `similarities_batch_bits`)
-//! without packing per call; the packed backend's `f32` [`VsaBackend`] surface is
-//! the [`ReferenceBackend`].
+//! without packing per call; operands without sign planes run the
+//! [`ReferenceBackend`] kernels on either backend.
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
 // kernel module `packed::simd` (the Hamming tiers — scalar `popcnt`, Harley–Seal

@@ -8,7 +8,6 @@ use crate::error::VsaError;
 use crate::fft;
 use crate::hypervector::{Hypervector, VsaKind};
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
 /// Circular convolution of two hypervectors: `C[n] = Σ_k A[k]·B[(n−k) mod d]`.
 ///
@@ -229,34 +228,6 @@ pub fn cosine_slices(a: &[f32], b: &[f32]) -> f32 {
     dot / denom
 }
 
-/// Normalised Hamming-style similarity for bipolar vectors: fraction of positions with
-/// matching sign, mapped to `[-1, 1]`.
-///
-/// # Errors
-/// Returns [`VsaError::DimensionMismatch`] when the operands differ in dimension.
-pub fn sign_similarity(a: &Hypervector, b: &Hypervector) -> Result<f32, VsaError> {
-    let agree = a.sign_agreement(b)? as f32;
-    let d = a.dim().max(1) as f32;
-    Ok(2.0 * agree / d - 1.0)
-}
-
-/// Adds i.i.d. Gaussian noise with standard deviation `sigma` to a copy of `hv`.
-///
-/// This is the stochasticity-injection primitive of Sec. IV-B: noise added to the
-/// similarity and projection steps lets the factorizer escape limit cycles.
-pub fn add_gaussian_noise<R: Rng + ?Sized>(
-    hv: &Hypervector,
-    sigma: f32,
-    rng: &mut R,
-) -> Hypervector {
-    if sigma <= 0.0 {
-        return hv.clone();
-    }
-    let normal = Normal::new(0.0_f32, sigma).expect("sigma is positive and finite");
-    let values = hv.values().iter().map(|v| v + normal.sample(rng)).collect();
-    Hypervector::with_kind(values, VsaKind::Dense)
-}
-
 /// Flips the sign of each entry independently with probability `p` (bit-flip noise).
 ///
 /// Used by the dataset generators to emulate imperfect neural perception.
@@ -288,43 +259,6 @@ pub fn matvec_similarity(
     query: &Hypervector,
 ) -> Result<Vec<f32>, VsaError> {
     matrix.iter().map(|row| row.dot(query)).collect()
-}
-
-/// Weighted sum of rows: `Σ_i weights[i] · matrix[i]`.
-///
-/// This is the factorizer's Step 3 projection (`α_f(t) · X_fᵀ`) before the sign
-/// non-linearity.
-///
-/// # Errors
-/// Returns [`VsaError::Empty`] for an empty matrix, [`VsaError::DimensionMismatch`] if
-/// `weights.len() != matrix.len()`.
-pub fn weighted_superposition(
-    matrix: &[Hypervector],
-    weights: &[f32],
-) -> Result<Hypervector, VsaError> {
-    if matrix.is_empty() {
-        return Err(VsaError::Empty { what: "codebook" });
-    }
-    if matrix.len() != weights.len() {
-        return Err(VsaError::DimensionMismatch {
-            left: matrix.len(),
-            right: weights.len(),
-        });
-    }
-    let dim = matrix[0].dim();
-    let mut acc = vec![0.0f32; dim];
-    for (row, &w) in matrix.iter().zip(weights) {
-        if row.dim() != dim {
-            return Err(VsaError::DimensionMismatch {
-                left: dim,
-                right: row.dim(),
-            });
-        }
-        for (slot, v) in acc.iter_mut().zip(row.values()) {
-            *slot += w * v;
-        }
-    }
-    Ok(Hypervector::with_kind(acc, VsaKind::Dense))
 }
 
 /// Softmax over a similarity vector with an inverse-temperature parameter `beta`.
@@ -455,33 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn sign_similarity_matches_cosine_for_bipolar() {
-        let mut r = rng(9);
-        let a = Hypervector::random_bipolar(4096, &mut r);
-        let b = Hypervector::random_bipolar(4096, &mut r);
-        let cs = cosine_similarity(&a, &b);
-        let ss = sign_similarity(&a, &b).unwrap();
-        assert!((cs - ss).abs() < 1e-4);
-    }
-
-    #[test]
-    fn gaussian_noise_zero_sigma_is_identity() {
-        let mut r = rng(10);
-        let a = Hypervector::random_bipolar(64, &mut r);
-        let noisy = add_gaussian_noise(&a, 0.0, &mut r);
-        assert_eq!(noisy.values(), a.values());
-    }
-
-    #[test]
-    fn gaussian_noise_perturbs_but_preserves_similarity() {
-        let mut r = rng(11);
-        let a = Hypervector::random_bipolar(1024, &mut r);
-        let noisy = add_gaussian_noise(&a, 0.5, &mut r);
-        assert_ne!(noisy.values(), a.values());
-        assert!(cosine_similarity(&a, &noisy) > 0.7);
-    }
-
-    #[test]
     fn flip_noise_extremes() {
         let mut r = rng(12);
         let a = Hypervector::random_bipolar(128, &mut r);
@@ -501,29 +408,6 @@ mod tests {
             .collect();
         let sims = matvec_similarity(&rows, &rows[3]).unwrap();
         assert_eq!(argmax(&sims), Some(3));
-    }
-
-    #[test]
-    fn weighted_superposition_one_hot_selects_row() {
-        let mut r = rng(14);
-        let rows: Vec<_> = (0..4)
-            .map(|_| Hypervector::random_bipolar(64, &mut r))
-            .collect();
-        let mut w = vec![0.0; 4];
-        w[2] = 1.0;
-        let hv = weighted_superposition(&rows, &w).unwrap();
-        assert_eq!(hv.values(), rows[2].values());
-    }
-
-    #[test]
-    fn weighted_superposition_validates_lengths() {
-        let rows = vec![Hypervector::zeros(4)];
-        assert!(weighted_superposition(&rows, &[1.0, 2.0]).is_err());
-        let empty: Vec<Hypervector> = vec![];
-        assert!(matches!(
-            weighted_superposition(&empty, &[]),
-            Err(VsaError::Empty { .. })
-        ));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! word, 32× smaller than the `f32` [`HvMatrix`] it mirrors — and [`PackedBackend`]
 //! runs the sign-plane kernels on it. Callers that hold sign planes (the cached
 //! codebook planes, the packed resonator, the solver's encoded scenes) reach those
-//! kernels through [`VsaBackend::as_packed`]; the backend's `f32` [`VsaBackend`]
-//! surface is the [`ReferenceBackend`], so `BackendKind::Packed` is always safe
-//! to select.
+//! kernels through [`VsaBackend::as_packed`]; operands without sign planes run the
+//! [`ReferenceBackend`](crate::ReferenceBackend) kernels, so `BackendKind::Packed`
+//! is always safe to select.
 //!
 //! Sign convention: a set bit means **negative** (`-1.0`), mirroring the IEEE-754 sign
 //! bit; `+1.0` packs to 0. The unused tail bits of the last word in each row are kept
@@ -30,10 +30,9 @@
 //! [`projection_tier`]). Every tier adds the same `±w` sequence to each dimension in
 //! ascending codebook-row order from `+0.0`, so every tier packs the same signs.
 
-use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
-use crate::codebook::BindingOp;
+use crate::batch::{HvMatrix, VsaBackend};
 use crate::error::VsaError;
-use crate::hypervector::{Hypervector, VsaKind};
+use crate::hypervector::Hypervector;
 use serde::{Deserialize, Serialize};
 
 /// Bits per storage word.
@@ -1060,22 +1059,6 @@ impl BitMatrix {
         }
     }
 
-    /// Unpacks row `i` into an owned [`Hypervector`] tagged [`VsaKind::Bipolar`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::IndexOutOfRange`] on a bad row index.
-    pub fn row_hypervector(&self, i: usize) -> Result<Hypervector, VsaError> {
-        if i >= self.rows {
-            return Err(VsaError::IndexOutOfRange {
-                index: i,
-                len: self.rows,
-            });
-        }
-        let mut row = vec![0.0f32; self.dim];
-        unpack_row(self.row_words(i), &mut row);
-        Ok(Hypervector::with_kind(row, VsaKind::Bipolar))
-    }
-
     /// Selects `indices` rows into `out` (the packed analogue of [`HvMatrix::gather`]).
     ///
     /// # Errors
@@ -1266,9 +1249,6 @@ pub struct CleanupScratch {
 ///   the cleanup scan, blocked over codebook rows for cache residency;
 /// * the sign projection and the fused resonator step that the packed resonator
 ///   runs every iteration, both on one register-blocked row kernel.
-///
-/// Its `f32` [`VsaBackend`] surface is the [`ReferenceBackend`]: every trait method
-/// delegates, so `f32` operands are never re-packed per call.
 ///
 /// Numerics: the popcount dot products are **exact** (bitwise equal to the reference
 /// on bipolar inputs — `f32` sums of `±1` are themselves exact). Cleanup cosines
@@ -1537,71 +1517,18 @@ impl PackedBackend {
     }
 }
 
-/// The `f32` surface: every method is the [`ReferenceBackend`]'s. Sign-plane callers
-/// use the inherent kernels through [`VsaBackend::as_packed`] instead.
+/// The sign-plane route: layers that hold packed operands call the inherent kernels.
 impl VsaBackend for PackedBackend {
-    fn name(&self) -> &'static str {
-        "packed"
-    }
-
     fn as_packed(&self) -> Option<&PackedBackend> {
         Some(self)
-    }
-
-    fn bind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        ReferenceBackend.bind_batch_into(a, b, op, out)
-    }
-
-    fn unbind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        ReferenceBackend.unbind_batch_into(a, b, op, out)
-    }
-
-    fn similarity_matrix_into(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        ReferenceBackend.similarity_matrix_into(codebook, queries, out)
-    }
-
-    fn project_batch_into(
-        &self,
-        codebook: &HvMatrix,
-        weights: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        ReferenceBackend.project_batch_into(codebook, weights, out)
-    }
-
-    fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        ReferenceBackend.bundle(items)
-    }
-
-    fn cleanup_batch(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        ReferenceBackend.cleanup_batch(codebook, queries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::ReferenceBackend;
+    use crate::codebook::BindingOp;
     use crate::rng;
 
     fn random_bipolar_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
@@ -1642,8 +1569,10 @@ mod tests {
         for dim in [64usize, 96, 1024] {
             let a = random_bipolar_matrix(4, dim, 1);
             let b = random_bipolar_matrix(4, dim, 2);
-            let reference = ReferenceBackend;
-            let r = reference.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
+            let mut r = HvMatrix::default();
+            ReferenceBackend
+                .bind_batch_into(&a, &b, BindingOp::Hadamard, &mut r)
+                .unwrap();
             let (mut p, b_bits) = (
                 BitMatrix::from_matrix(&a).unwrap(),
                 BitMatrix::from_matrix(&b).unwrap(),
@@ -1660,7 +1589,10 @@ mod tests {
     fn popcount_similarity_is_exact() {
         let cb = random_bipolar_matrix(9, 100, 3);
         let q = random_bipolar_matrix(5, 100, 4);
-        let rs = ReferenceBackend.similarity_matrix(&cb, &q).unwrap();
+        let mut rs = HvMatrix::default();
+        ReferenceBackend
+            .similarity_matrix_into(&cb, &q, &mut rs)
+            .unwrap();
         let mut ps = HvMatrix::default();
         PackedBackend::new().similarity_matrix_packed_into(
             &BitMatrix::from_matrix(&cb).unwrap(),
@@ -1724,52 +1656,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_surface_is_the_reference_backend() {
-        // Bipolar and real operands alike: every VsaBackend method returns exactly
-        // what the ReferenceBackend returns.
-        let mut r = rng(9);
-        let hvs: Vec<Hypervector> = (0..3)
-            .map(|_| Hypervector::random_real(64, &mut r))
-            .collect();
-        let real = HvMatrix::from_rows(&hvs).unwrap();
-        let b = random_bipolar_matrix(3, 64, 10);
-        let bipolar = random_bipolar_matrix(3, 64, 11);
-        let weights = random_bipolar_matrix(2, 3, 12);
-        let packed = PackedBackend;
-        let dense = ReferenceBackend;
-        for a in [&real, &bipolar] {
-            for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-                assert_eq!(
-                    packed.bind_batch(a, &b, op).unwrap(),
-                    dense.bind_batch(a, &b, op).unwrap(),
-                    "{op:?}"
-                );
-                assert_eq!(
-                    packed.unbind_batch(a, &b, op).unwrap(),
-                    dense.unbind_batch(a, &b, op).unwrap(),
-                    "{op:?}"
-                );
-            }
-            assert_eq!(
-                packed.similarity_matrix(a, &b).unwrap(),
-                dense.similarity_matrix(a, &b).unwrap()
-            );
-            assert_eq!(
-                packed.cleanup_batch(a, &b).unwrap(),
-                dense.cleanup_batch(a, &b).unwrap()
-            );
-            assert_eq!(
-                packed.project_batch(a, &weights).unwrap(),
-                dense.project_batch(a, &weights).unwrap()
-            );
-            assert_eq!(
-                packed.bundle(a).unwrap().values(),
-                dense.bundle(a).unwrap().values()
-            );
-        }
-    }
-
-    #[test]
     fn pack_signs_row_uses_strict_negative_convention() {
         let mut bits = BitMatrix::zeros(1, 4);
         bits.pack_signs_row(0, &[-0.5, 0.0, -0.0, 2.0]);
@@ -1818,7 +1704,6 @@ mod tests {
 
     #[test]
     fn project_signs_matches_dense_projection_and_threshold() {
-        let reference = ReferenceBackend;
         let packed = PackedBackend::new();
         for dim in [64usize, 70, 128, 200, 1000] {
             let cb = random_bipolar_matrix(9, dim, 20 + dim as u64);
@@ -1832,7 +1717,10 @@ mod tests {
             )
             .unwrap();
 
-            let dense = reference.project_batch(&cb, &weights).unwrap();
+            let mut dense = HvMatrix::default();
+            ReferenceBackend
+                .project_batch_into(&cb, &weights, &mut dense)
+                .unwrap();
             let mut out = BitMatrix::default();
             let mut acc = Vec::new();
             let mut seen: Vec<Vec<f32>> = Vec::new();

@@ -56,7 +56,7 @@ fn main() {
         batch,
         batch * 8,
         solver.config().vector_dim,
-        solver.backend().name(),
+        solver.config().backend,
     );
 
     // Warm-up: one full-size batch so every scratch buffer reaches its steady-state

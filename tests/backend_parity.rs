@@ -1,23 +1,27 @@
-//! Cross-checks of the batched execution backends against each other and against the
-//! naive time-domain kernels, plus the batch-vs-single factorization regression.
+//! Cross-checks of the batched kernels against each other and against the scalar
+//! `ops` and the naive time-domain kernels, plus the batch-vs-single factorization
+//! regression.
 //!
-//! These are the repository-level guarantees the `VsaBackend` seam rests on:
+//! These are the repository-level guarantees the batch layer rests on:
 //!
-//! 1. every backend's `f32` surface is the reference kernels: bitwise equal across
-//!    backends, and within float tolerance of the `O(d²)` convolution;
+//! 1. the one `f32` kernel set, `ReferenceBackend`'s methods, matches the scalar
+//!    `ops` and the `O(d²)` convolution within float tolerance, and every operand
+//!    without sign planes reaches it on either backend;
 //! 2. `PackedBackend` reproduces the reference exactly where the bit-packed algebra
 //!    applies (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling)
 //!    and within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
 //!    power-of-two and non-power-of-two dimensions (tail-word padding included);
-//! 3. the packed decode and polish never touch the `f32` surface;
+//! 3. the packed engine decodes a RAVEN-sized block exactly on nearly every row at
+//!    FP32 and INT8, and the polish router's sign-plane cleanups decide like the
+//!    dense route;
 //! 4. batching is a pure performance transform — `factorize_matrix_scratch` returns
 //!    exactly the per-query `factorize` results.
 
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
-use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
+use cogsys_vsa::batch::{BackendKind, HvMatrix, ReferenceBackend};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::packed::{BitMatrix, CleanupScratch, PackedBackend};
-use cogsys_vsa::{ops, rng, CodebookSet, Hypervector, Precision, VsaError};
+use cogsys_vsa::{ops, rng, Codebook, CodebookSet, Hypervector, Precision};
 use proptest::prelude::*;
 
 fn random_batch(rows: usize, dim: usize, seed: u64) -> (Vec<Hypervector>, HvMatrix) {
@@ -44,47 +48,48 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every backend matches the naive O(d²) kernel on circular-convolution binding
-    /// for random dimensions — power-of-two (FFT path) and not (naive path).
+    /// The reference kernels match the naive O(d²) kernel on circular-convolution
+    /// binding for random dimensions — power-of-two (FFT path) and not (naive path).
     #[test]
-    fn prop_backends_match_naive_convolution(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
+    fn prop_reference_convolution_matches_naive(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
         // Mix of power-of-two dims (64..512) and non-power-of-two neighbours.
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let (rows_a, a) = random_batch(3, dim, seed);
         let (rows_b, b) = random_batch(3, dim, seed ^ 0x5eed);
-
-        let reference = BackendKind::Reference.create();
-        let r = reference.bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-        for kind in BackendKind::ALL {
-            let p = kind.create().bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-            // Every backend's f32 surface is the reference kernels, bitwise.
-            prop_assert!(r == p, "{} diverged from the reference", kind);
-            for i in 0..3 {
-                // And the O(d²) time-domain definition agrees within float tolerance.
-                let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
-                prop_assert!(cosine(p.row(i), &naive) > 1.0 - 1e-4);
-                for (x, y) in p.row(i).iter().zip(&naive) {
-                    prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
-                }
+        let mut bound = HvMatrix::default();
+        ReferenceBackend.bind_batch_into(&a, &b, BindingOp::CircularConvolution, &mut bound).unwrap();
+        for i in 0..3 {
+            let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
+            prop_assert!(cosine(bound.row(i), &naive) > 1.0 - 1e-4);
+            for (x, y) in bound.row(i).iter().zip(&naive) {
+                prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
             }
         }
     }
 
-    /// Unbinding (circular correlation) agrees across backends on random dims.
+    /// Batched unbinding equals the scalar unbind of every row, bitwise, under both
+    /// bindings on random dims.
     #[test]
-    fn prop_backends_match_on_unbind(seed in 0u64..1000, dim in 2usize..160) {
-        let (_, a) = random_batch(2, dim, seed);
-        let (_, b) = random_batch(2, dim, seed + 17);
-        let reference = BackendKind::Reference.create();
-        let packed = BackendKind::Packed.create();
+    fn prop_reference_unbind_matches_scalar_ops(seed in 0u64..1000, dim in 2usize..160) {
+        let (rows_a, a) = random_batch(2, dim, seed);
+        let (rows_b, b) = random_batch(2, dim, seed + 17);
+        let mut unbound = HvMatrix::default();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-            let r = reference.unbind_batch(&a, &b, op).unwrap();
-            let p = packed.unbind_batch(&a, &b, op).unwrap();
-            prop_assert_eq!(r, p);
+            ReferenceBackend.unbind_batch_into(&a, &b, op, &mut unbound).unwrap();
+            for i in 0..2 {
+                let scalar = match op {
+                    BindingOp::Hadamard => ops::hadamard_unbind(&rows_a[i], &rows_b[i]),
+                    BindingOp::CircularConvolution => ops::try_circular_correlate(&rows_a[i], &rows_b[i]),
+                }
+                .unwrap();
+                prop_assert!(unbound.row(i) == scalar.values(), "{:?} row {}", op, i);
+            }
         }
     }
 
-    /// Similarity GEMM and cleanup agree across backends on random shapes.
+    /// Similarity GEMM and cleanup on random shapes: the reference kernels and the
+    /// codebook routers of both backends all give the scalar dot products exactly
+    /// (dots of ±1 rows are exact in f32) and the scalar argmax, lowest row on ties.
     #[test]
     fn prop_backends_match_on_similarity_and_cleanup(
         seed in 0u64..1000,
@@ -92,41 +97,50 @@ proptest! {
         code_rows in 2usize..24,
         queries in 1usize..12,
     ) {
-        let (_, cb) = random_batch(code_rows, dim, seed);
-        let (_, q) = random_batch(queries, dim, seed + 101);
-        let reference = BackendKind::Reference.create();
-        let packed = BackendKind::Packed.create();
-        prop_assert_eq!(
-            reference.similarity_matrix(&cb, &q).unwrap(),
-            packed.similarity_matrix(&cb, &q).unwrap()
-        );
-        prop_assert_eq!(
-            reference.cleanup_batch(&cb, &q).unwrap(),
-            packed.cleanup_batch(&cb, &q).unwrap()
-        );
-        prop_assert_eq!(
-            reference.bundle(&q).unwrap().values(),
-            packed.bundle(&q).unwrap().values()
-        );
+        let (code, cb) = random_batch(code_rows, dim, seed);
+        let (rows, q) = random_batch(queries, dim, seed + 101);
+        let codebook = Codebook::new("c", code).unwrap();
+        let q_bits = BitMatrix::from_matrix(&q).unwrap();
+        let mut dots = HvMatrix::zeros(queries, code_rows);
+        for (i, row) in rows.iter().enumerate() {
+            dots.row_mut(i).copy_from_slice(&ops::matvec_similarity(codebook.as_slice(), row).unwrap());
+        }
+        let expected: Vec<(usize, f32)> = dots
+            .row_iter()
+            .map(|row| {
+                let m = ops::argmax(row).unwrap();
+                (m, row[m] / dim as f32)
+            })
+            .collect();
+        let mut sims = HvMatrix::default();
+        ReferenceBackend.similarity_matrix_into(&cb, &q, &mut sims).unwrap();
+        prop_assert_eq!(&sims, &dots);
+        let mut cleanups = vec![ReferenceBackend.cleanup_batch(&cb, &q).unwrap()];
+        for kind in BackendKind::ALL {
+            let backend = kind.create();
+            prop_assert_eq!(&codebook.similarities_batch_bits(backend.as_ref(), &q_bits).unwrap(), &dots);
+            cleanups.push(codebook.cleanup_batch(backend.as_ref(), &q).unwrap());
+        }
+        for cleanup in cleanups {
+            for ((ei, esim), (ci, csim)) in expected.iter().zip(&cleanup) {
+                prop_assert_eq!(ei, ci);
+                prop_assert!((esim - csim).abs() < 1e-4, "{} vs {}", esim, csim);
+            }
+        }
     }
 
     /// Packed parity on bipolar inputs: bind/unbind are *exact* (the XOR of sign
-    /// planes equals the Hadamard product of signs, and the packed backend's `f32`
-    /// surface equals the reference), across power-of-two and non-power-of-two dims
-    /// so tail-word padding is exercised.
+    /// planes equals the reference Hadamard product of signs), across power-of-two
+    /// and non-power-of-two dims so tail-word padding is exercised.
     #[test]
     fn prop_packed_bind_unbind_exact_on_bipolar(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let (_, a) = random_batch(3, dim, seed);
         let (_, b) = random_batch(3, dim, seed ^ 0xb17);
-        let reference = BackendKind::Reference.create();
-        let packed = BackendKind::Packed.create();
-        let r = reference.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        let p = packed.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        prop_assert_eq!(&r, &p);
-        let ru = reference.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        let pu = packed.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        prop_assert_eq!(&ru, &pu);
+        let (mut r, mut ru) = (HvMatrix::default(), HvMatrix::default());
+        ReferenceBackend.bind_batch_into(&a, &b, BindingOp::Hadamard, &mut r).unwrap();
+        ReferenceBackend.unbind_batch_into(&r, &b, BindingOp::Hadamard, &mut ru).unwrap();
+        prop_assert_eq!(&ru, &a);
         // Packed round trip through the BitMatrix representation is lossless.
         let mut bits = BitMatrix::from_matrix(&a).expect("bipolar rows pack");
         prop_assert_eq!(&bits.to_matrix(), &a);
@@ -139,11 +153,11 @@ proptest! {
         prop_assert_eq!(bits.to_matrix(), a);
     }
 
-    /// Popcount similarity over sign planes is the exact integer dot product and the
+    /// Popcount similarity over sign planes is the exact integer dot product, the
     /// packed cleanup agrees with the reference within 1e-4 cosine after the
-    /// Hamming→cosine mapping; the packed backend's `f32` surface (similarity,
-    /// cleanup, bundle) matches the reference the same way, bundling exactly, which
-    /// pins down the tie behaviour of any later sign threshold.
+    /// Hamming→cosine mapping, and the per-dimension vote count of the sign planes
+    /// equals the scalar bundle exactly, which pins down the tie behaviour of any
+    /// later sign threshold.
     #[test]
     fn prop_packed_similarity_cleanup_bundle(
         seed in 0u64..1000,
@@ -154,35 +168,33 @@ proptest! {
     ) {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let (_, cb) = random_batch(code_rows, dim, seed);
-        let (_, q) = random_batch(queries, dim, seed + 131);
-        let reference = BackendKind::Reference.create();
-        let packed = BackendKind::Packed.create();
-        // Dots of ±1 rows are exact in f32, so popcount similarity is bitwise equal.
-        prop_assert_eq!(
-            reference.similarity_matrix(&cb, &q).unwrap(),
-            packed.similarity_matrix(&cb, &q).unwrap()
-        );
+        let (rows, q) = random_batch(queries, dim, seed + 131);
         let cb_bits = BitMatrix::from_matrix(&cb).unwrap();
         let q_bits = BitMatrix::from_matrix(&q).unwrap();
-        let kernels = packed.as_packed().expect("packed backend");
-        let mut sims = HvMatrix::default();
-        kernels.similarity_matrix_packed_into(&cb_bits, &q_bits, &mut sims);
-        prop_assert_eq!(reference.similarity_matrix(&cb, &q).unwrap(), sims);
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
-        let mut bits_cleanup = Vec::new();
+        let packed = PackedBackend::new();
+        // Dots of ±1 rows are exact in f32, so popcount similarity is bitwise equal.
+        let (mut reference, mut sims) = (HvMatrix::default(), HvMatrix::default());
+        ReferenceBackend.similarity_matrix_into(&cb, &q, &mut reference).unwrap();
+        packed.similarity_matrix_packed_into(&cb_bits, &q_bits, &mut sims);
+        prop_assert_eq!(reference, sims);
+        let rc = ReferenceBackend.cleanup_batch(&cb, &q).unwrap();
+        let mut pc = Vec::new();
         let mut scratch = CleanupScratch::default();
-        kernels.cleanup_batch_packed_into(&cb_bits, &q_bits, &mut scratch, &mut bits_cleanup);
-        for pc in [packed.cleanup_batch(&cb, &q).unwrap(), bits_cleanup] {
-            prop_assert_eq!(rc.len(), pc.len());
-            for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-                prop_assert_eq!(ri, pi);
-                prop_assert!((rsim - psim).abs() < 1e-4, "{} vs {}", rsim, psim);
-            }
+        packed.cleanup_batch_packed_into(&cb_bits, &q_bits, &mut scratch, &mut pc);
+        prop_assert_eq!(rc.len(), pc.len());
+        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
+            prop_assert_eq!(ri, pi);
+            prop_assert!((rsim - psim).abs() < 1e-4, "{} vs {}", rsim, psim);
         }
-        prop_assert_eq!(
-            reference.bundle(&q).unwrap().values(),
-            packed.bundle(&q).unwrap().values()
-        );
+        let votes: Vec<f32> = (0..dim)
+            .map(|j| {
+                let negative = (0..queries)
+                    .filter(|&i| q_bits.row_words(i)[j / 64] >> (j % 64) & 1 == 1)
+                    .count();
+                queries as f32 - 2.0 * negative as f32
+            })
+            .collect();
+        prop_assert_eq!(ops::bundle(&rows).unwrap().values(), votes.as_slice());
     }
 
     /// The fused packed weighted-projection kernel (per-dimension f32 accumulators
@@ -216,8 +228,8 @@ proptest! {
 
         let noise = Normal::new(0.0_f32, 0.75).unwrap();
         // Dense path: project, perturb with a per-query stream, sign-threshold.
-        let reference = BackendKind::Reference.create();
-        let dense = reference.project_batch(&cb, &weights).unwrap();
+        let mut dense = HvMatrix::default();
+        ReferenceBackend.project_batch_into(&cb, &weights, &mut dense).unwrap();
         let mut expected = Vec::new();
         for q in 0..queries {
             let mut row = dense.row(q).to_vec();
@@ -259,8 +271,6 @@ proptest! {
         code_rows in 2usize..24,
         queries in 1usize..10,
     ) {
-        use cogsys_vsa::Codebook;
-
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let mut r = rng(seed);
         let cb = Codebook::random("p", code_rows, dim, &mut r);
@@ -397,8 +407,9 @@ proptest! {
         }
     }
 
-    /// Non-bipolar operands must not silently lose magnitude: the packed backend's
-    /// results match the reference backend bitwise.
+    /// Non-bipolar operands must not silently lose magnitude: the reference kernels
+    /// equal the scalar `ops` bitwise on real rows, and a real-valued codebook (no
+    /// sign planes) cleans up on the packed backend exactly as on the reference.
     #[test]
     fn prop_packed_falls_back_on_real_inputs(seed in 0u64..500, dim in 2usize..130) {
         let mut r = rng(seed);
@@ -406,18 +417,27 @@ proptest! {
             .map(|_| Hypervector::random_real(dim, &mut r))
             .collect();
         let a = HvMatrix::from_rows(&hvs).unwrap();
-        let (_, b) = random_batch(3, dim, seed + 7);
-        let reference = BackendKind::Reference.create();
-        let packed = BackendKind::Packed.create();
+        let (rows_b, b) = random_batch(3, dim, seed + 7);
+        let mut out = HvMatrix::default();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-            prop_assert_eq!(
-                reference.bind_batch(&a, &b, op).unwrap(),
-                packed.bind_batch(&a, &b, op).unwrap()
-            );
+            ReferenceBackend.bind_batch_into(&a, &b, op, &mut out).unwrap();
+            for i in 0..3 {
+                let scalar = match op {
+                    BindingOp::Hadamard => ops::hadamard_bind(&hvs[i], &rows_b[i]).unwrap(),
+                    BindingOp::CircularConvolution => ops::circular_convolve(&hvs[i], &rows_b[i]),
+                };
+                prop_assert!(out.row(i) == scalar.values(), "{:?} row {}", op, i);
+            }
         }
+        ReferenceBackend.similarity_matrix_into(&a, &b, &mut out).unwrap();
+        for (i, row) in rows_b.iter().enumerate() {
+            prop_assert_eq!(out.row(i), ops::matvec_similarity(&hvs, row).unwrap().as_slice());
+        }
+        let codebook = Codebook::new("real", hvs.clone()).unwrap();
+        prop_assert!(codebook.packed().is_none());
         prop_assert_eq!(
-            reference.similarity_matrix(&a, &b).unwrap(),
-            packed.similarity_matrix(&a, &b).unwrap()
+            codebook.cleanup_batch(&PackedBackend, &b).unwrap(),
+            ReferenceBackend.cleanup_batch(&a, &b).unwrap()
         );
     }
 }
@@ -556,77 +576,16 @@ fn backends_agree_through_the_factorizer_on_both_bindings() {
     }
 }
 
-/// A packed backend whose `f32` surface panics: anything it decodes or polishes
-/// ran on sign planes alone.
-#[derive(Debug)]
-struct SignPlanesOnly(PackedBackend);
-
-impl VsaBackend for SignPlanesOnly {
-    fn name(&self) -> &'static str {
-        "sign-planes-only"
-    }
-
-    fn as_packed(&self) -> Option<&PackedBackend> {
-        Some(&self.0)
-    }
-
-    fn bind_batch_into(
-        &self,
-        _: &HvMatrix,
-        _: &HvMatrix,
-        _: BindingOp,
-        _: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        panic!("packed path called the f32 bind_batch_into")
-    }
-
-    fn unbind_batch_into(
-        &self,
-        _: &HvMatrix,
-        _: &HvMatrix,
-        _: BindingOp,
-        _: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        panic!("packed path called the f32 unbind_batch_into")
-    }
-
-    fn similarity_matrix_into(
-        &self,
-        _: &HvMatrix,
-        _: &HvMatrix,
-        _: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        panic!("packed path called the f32 similarity_matrix_into")
-    }
-
-    fn project_batch_into(
-        &self,
-        _: &HvMatrix,
-        _: &HvMatrix,
-        _: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        panic!("packed path called the f32 project_batch_into")
-    }
-
-    fn bundle(&self, _: &HvMatrix) -> Result<Hypervector, VsaError> {
-        panic!("packed path called the f32 bundle")
-    }
-
-    fn cleanup_batch(&self, _: &HvMatrix, _: &HvMatrix) -> Result<Vec<(usize, f32)>, VsaError> {
-        panic!("packed path called the f32 cleanup_batch")
-    }
-}
-
 #[test]
-fn packed_decode_and_polish_never_touch_the_f32_surface() {
+fn packed_raven_block_decodes_and_polishes_exactly() {
     // A RAVEN-sized block decode: block 0's 9×9×5 codebooks at d=2048 on 64
     // scenes, each the sign of the block-0 product plus a block-1 product (the
     // other block's crosstalk) with interface bit flips, at the solver's block
-    // convergence threshold. Every row the packed engine decodes and every
-    // polish cleanup must run on sign planes: the backend's f32 methods panic.
+    // convergence threshold. The packed engine must decode nearly every row
+    // exactly, and every polish cleanup on sign planes must decide like the
+    // dense route.
     use cogsys_workloads::NeurosymbolicSolver;
     use rand::{Rng, RngCore, SeedableRng};
-    use std::sync::Arc;
 
     let dim = 2048;
     let mut setup = rng(0x5167);
@@ -659,7 +618,6 @@ fn packed_decode_and_polish_never_touch_the_f32_surface() {
         .collect();
     let queries = BitMatrix::from_matrix(&HvMatrix::from_rows(&scenes).unwrap()).unwrap();
 
-    let pinned: Arc<dyn VsaBackend> = Arc::new(SignPlanesOnly(PackedBackend));
     for precision in [Precision::Fp32, Precision::Int8] {
         let config = FactorizerConfig {
             convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
@@ -667,26 +625,18 @@ fn packed_decode_and_polish_never_touch_the_f32_surface() {
         }
         .with_backend(BackendKind::Packed)
         .with_precision(precision);
-        let decode = |backend: Arc<dyn VsaBackend>| {
-            let mut seeds = rng(0xB10C);
-            let mut streams: Vec<_> = (0..queries.rows())
-                .map(|_| rand::rngs::StdRng::seed_from_u64(seeds.next_u64()))
-                .collect();
-            Factorizer::with_backend(config.clone(), backend)
-                .factorize_matrix_bits_scratch(
-                    &block0,
-                    &queries,
-                    &mut streams,
-                    &mut FactorizerScratch::default(),
-                )
-                .unwrap()
-        };
-        let results = decode(Arc::clone(&pinned));
-        assert_eq!(
-            results,
-            decode(BackendKind::Packed.create()),
-            "{precision}: the pinned backend decoded differently"
-        );
+        let mut seeds = rng(0xB10C);
+        let mut streams: Vec<_> = (0..queries.rows())
+            .map(|_| rand::rngs::StdRng::seed_from_u64(seeds.next_u64()))
+            .collect();
+        let results = Factorizer::new(config)
+            .factorize_matrix_bits_scratch(
+                &block0,
+                &queries,
+                &mut streams,
+                &mut FactorizerScratch::default(),
+            )
+            .unwrap();
         let exact = results
             .iter()
             .zip(&tuples)
@@ -698,19 +648,22 @@ fn packed_decode_and_polish_never_touch_the_f32_surface() {
         );
     }
 
-    // The polish router: per-factor cleanups of the unbound scenes.
+    // The polish router: per-factor cleanups of the scenes on sign planes and on
+    // the dense route.
     let mut scratch = CleanupScratch::default();
-    let mut out = Vec::new();
+    let (mut packed, mut dense) = (Vec::new(), Vec::new());
     for f in 0..block0.num_factors() {
         let codebook = block0.factor(f).unwrap();
         codebook
-            .cleanup_batch_bits_into(pinned.as_ref(), &queries, &mut scratch, &mut out)
+            .cleanup_batch_bits_into(&PackedBackend, &queries, &mut scratch, &mut packed)
             .unwrap();
-        assert_eq!(
-            out,
-            codebook
-                .cleanup_batch_bits(&PackedBackend, &queries)
-                .unwrap()
-        );
+        codebook
+            .cleanup_batch_bits_into(&ReferenceBackend, &queries, &mut scratch, &mut dense)
+            .unwrap();
+        assert_eq!(packed.len(), dense.len());
+        for ((pi, psim), (di, dsim)) in packed.iter().zip(&dense) {
+            assert_eq!(pi, di, "factor {f}");
+            assert!((psim - dsim).abs() < 1e-4, "factor {f}: {psim} vs {dsim}");
+        }
     }
 }
