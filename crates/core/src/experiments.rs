@@ -104,10 +104,10 @@ pub struct BenchRecord {
     pub dim: usize,
     /// Number of rows in the batch.
     pub batch: usize,
-    /// Wall-clock nanoseconds for one batched kernel call (one warm-up, then best
-    /// of five rounds for the micro-kernels, best of seven for `solve_batch` and
-    /// its stage cells, and the median of nine for the rescue-route cells — see
-    /// the producing functions).
+    /// Wall-clock nanoseconds for one batched kernel call (one warm-up, then the
+    /// median of [`RESCUE_BENCH_ROUNDS`] rounds for the micro-kernel and
+    /// rescue-route cells, best of seven for `solve_batch` and its stage cells,
+    /// and best of five for `resonate_iter` — see the producing functions).
     pub ns_per_op: f64,
 }
 
@@ -120,11 +120,32 @@ impl BenchRecord {
 /// Number of codebook rows used by the throughput sweep's cleanup kernel.
 pub const BENCH_CODEBOOK_ROWS: usize = 64;
 
+/// Timed rounds behind each micro-kernel cell of [`backend_throughput_records`]
+/// and each rescue-route cell of [`product_scan_records`].
+pub const RESCUE_BENCH_ROUNDS: usize = 9;
+
+/// Seconds per call of `f`: one warm-up call, then the median of
+/// [`RESCUE_BENCH_ROUNDS`] timed calls. On a shared core a median is not moved
+/// by the odd round that runs fast or slow the way a minimum is.
+fn median_secs(f: &mut dyn FnMut()) -> f64 {
+    use std::time::Instant;
+    f();
+    let mut rounds: Vec<f64> = (0..RESCUE_BENCH_ROUNDS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    rounds.sort_by(f64::total_cmp);
+    rounds[RESCUE_BENCH_ROUNDS / 2]
+}
+
 /// Measures the hot batch kernels — codebook cleanup of `f32` queries, codebook
 /// cleanup and the full similarity GEMM of **pre-packed** `BitMatrix` queries, the
 /// fused sign projection, and the bounded-noise sign perturbation — for every
 /// [`BackendKind`] across the requested dimensionalities and batch sizes. Each record
-/// is the best (minimum) of five timed rounds after one warm-up.
+/// is the median of [`RESCUE_BENCH_ROUNDS`] timed rounds after one warm-up.
 ///
 /// The cleanup measurements go through [`Codebook::cleanup_batch`] /
 /// [`Codebook::cleanup_batch_bits`], so packed-aware backends get their cached
@@ -147,7 +168,6 @@ pub fn backend_throughput_records(
 ) -> Vec<BenchRecord> {
     use cogsys_vsa::packed::BitMatrix;
     use rand::Rng;
-    use std::time::Instant;
 
     let mut records = Vec::new();
     let mut rng = cogsys_vsa::rng(seed);
@@ -168,22 +188,9 @@ pub fn backend_throughput_records(
                 }
             }
 
-            let time = |f: &mut dyn FnMut()| {
-                // One warm-up round, then the best (minimum) of five timed rounds —
-                // the minimum is the least noisy statistic on a shared CI core.
-                f();
-                (0..5)
-                    .map(|_| {
-                        let t = Instant::now();
-                        f();
-                        t.elapsed().as_secs_f64()
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            };
-
             for kind in BackendKind::ALL {
                 let backend = kind.create();
-                let cleanup = time(&mut || {
+                let cleanup = median_secs(&mut || {
                     let _ = codebook
                         .cleanup_batch(backend.as_ref(), &a)
                         .expect("shapes match");
@@ -195,7 +202,7 @@ pub fn backend_throughput_records(
                     batch,
                     ns_per_op: cleanup * 1e9,
                 });
-                let prepacked = time(&mut || {
+                let prepacked = median_secs(&mut || {
                     let _ = codebook
                         .cleanup_batch_bits(backend.as_ref(), &a_bits)
                         .expect("shapes match");
@@ -207,7 +214,7 @@ pub fn backend_throughput_records(
                     batch,
                     ns_per_op: prepacked * 1e9,
                 });
-                let sims_prepacked = time(&mut || {
+                let sims_prepacked = median_secs(&mut || {
                     let _ = codebook
                         .similarities_batch_bits(backend.as_ref(), &a_bits)
                         .expect("shapes match");
@@ -226,7 +233,7 @@ pub fn backend_throughput_records(
                 let mut proj_bits = BitMatrix::default();
                 let mut proj_acc: Vec<f32> = Vec::new();
                 let mut proj_dense = HvMatrix::default();
-                let project = time(&mut || {
+                let project = median_secs(&mut || {
                     if let (Some(packed), Some(cb_bits)) = (backend.as_packed(), codebook.packed())
                     {
                         packed.project_signs_packed_into(
@@ -263,7 +270,7 @@ pub fn backend_throughput_records(
             if let Some(cb_bits) = codebook.packed() {
                 let mut acc = vec![0.0f32; dim];
                 let mut twin_bits = BitMatrix::zeros(batch, dim);
-                let scalar = time(&mut || {
+                let scalar = median_secs(&mut || {
                     for q in 0..batch {
                         acc.fill(0.0);
                         for (m, &w) in weights.row(q).iter().enumerate() {
@@ -321,7 +328,7 @@ pub fn backend_throughput_records(
                 .collect();
             let mut values = base.clone();
             for (label, elementwise) in [("packed", false), ("reference", true)] {
-                let perturb = time(&mut || {
+                let perturb = median_secs(&mut || {
                     values.copy_from_slice(&base);
                     let mut r = cogsys_vsa::rng(seed ^ 0x4015E);
                     for row in values.chunks_mut(dim) {
@@ -586,9 +593,6 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
 /// Query rows of the product-scan cells: one 64-problem RAVEN call's panel rows.
 pub const PRODUCT_SCAN_BENCH_ROWS: usize = 512;
 
-/// Timed rounds behind each rescue-route cell of [`product_scan_records`].
-pub const RESCUE_BENCH_ROUNDS: usize = 9;
-
 /// Measures the rescue route's two kernels at the RAVEN block shapes (9×9×5 =
 /// 405 and 6×10 = 60 product rows) for d = 2048 and 4096, over
 /// [`PRODUCT_SCAN_BENCH_ROWS`] scene rows that superpose one product of each
@@ -602,9 +606,7 @@ pub const RESCUE_BENCH_ROUNDS: usize = 9;
 ///
 /// Both are recorded as `packed`, the median of [`RESCUE_BENCH_ROUNDS`] rounds
 /// after one warm-up: these cells have no same-run reference twin, so the guard
-/// compares them through the host factor, and a median is not moved by the odd
-/// round that runs fast or slow on a shared core the way a minimum is. Per
-/// row, the scan costs `product_scan / rows` and the sweep `factorize_sweep /
+/// compares them through the host factor. Per row, the scan costs `product_scan / rows` and the sweep `factorize_sweep /
 /// rows`; their ratio is what the solver's product-row limit for the rescue
 /// route is set from. Beside each sweep, a same-run `noise_free_twin` record
 /// times the same sweep with stochasticity off (the guard never reads it): the
@@ -615,7 +617,6 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
     use cogsys_vsa::ProductCodebook;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::time::Instant;
 
     let rows = PRODUCT_SCAN_BENCH_ROWS;
     let backend = BackendKind::Packed.create();
@@ -648,23 +649,11 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
         let streams: Vec<StdRng> = (0..rows)
             .map(|q| StdRng::seed_from_u64(seed ^ q as u64))
             .collect();
-        let time = |f: &mut dyn FnMut()| {
-            f();
-            let mut rounds: Vec<f64> = (0..RESCUE_BENCH_ROUNDS)
-                .map(|_| {
-                    let t = Instant::now();
-                    f();
-                    t.elapsed().as_secs_f64()
-                })
-                .collect();
-            rounds.sort_by(f64::total_cmp);
-            rounds[RESCUE_BENCH_ROUNDS / 2]
-        };
         for set in &blocks {
             let product = ProductCodebook::expand(set).expect("RAVEN product spaces expand");
             let mut scratch = CleanupScratch::default();
             let mut best = Vec::new();
-            let scan = time(&mut || {
+            let scan = median_secs(&mut || {
                 product
                     .search_batch_bits_into(&queries, &mut scratch, &mut best)
                     .expect("shapes match");
@@ -680,7 +669,7 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                     std::sync::Arc::clone(&backend),
                 );
                 let mut fscratch = FactorizerScratch::default();
-                time(&mut || {
+                median_secs(&mut || {
                     let mut round = streams.clone();
                     factorizer
                         .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch)

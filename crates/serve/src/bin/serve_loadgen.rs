@@ -25,7 +25,8 @@
 //! `--chaos` additionally wraps the engine in the fault-injection harness
 //! (forced transient faults + injected latency). `--check` turns the run into
 //! a smoke gate for CI: it exits nonzero unless the run completed with every
-//! request accounted for, zero panics (trivially, by finishing), and — for the
+//! request accounted for, zero panics (trivially, by finishing), no request
+//! failed by a malformed problem (admission rejects those), and — for the
 //! adversarial shape — nonzero shed and poison counts. `--explain` prints the
 //! compiled solve plan for a full-size batch before the run.
 
@@ -33,8 +34,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cogsys_serve::{
-    metrics, ChaosConfig, ChaosEngine, ServeConfig, ServeLoop, SolverEngine, TraceConfig,
+    metrics, ChaosConfig, ChaosEngine, Rejection, ServeConfig, ServeLoop, SolverEngine, TraceConfig,
 };
+use cogsys_workloads::SolveError;
 use std::process::ExitCode;
 
 struct Options {
@@ -302,7 +304,17 @@ fn run(options: &Options) -> Result<bool, String> {
         wall.as_secs_f64() * 1e3,
     );
 
-    let mut ok = responses.len() == trace.len() && counters.accounted() == counters.submitted;
+    // Admission rejects every malformed request, so an engine `Malformed`
+    // means admission and the engine disagree.
+    let malformed_failed = responses.iter().any(|r| {
+        matches!(
+            r.outcome,
+            Err(Rejection::Failed(SolveError::Malformed { .. }))
+        )
+    });
+    let mut ok = responses.len() == trace.len()
+        && counters.accounted() == counters.submitted
+        && !malformed_failed;
     if options.shape == "adversarial" {
         // The adversarial smoke must actually exercise backpressure and
         // poison isolation; a run that sheds or rejects nothing is a bug.

@@ -175,7 +175,6 @@ mod tests {
             .solve_chunk(&problems, 0, DegradationLevel::Full)
             .unwrap_err();
         assert!(matches!(err, SolveError::Fault { .. }));
-        assert!(err.problem_index().is_none());
         assert_eq!(engine.stats().forced_errors, 1);
     }
 

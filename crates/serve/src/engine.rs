@@ -7,10 +7,8 @@
 //! Determinism contract: an engine invocation is a pure function of
 //! `(problems, seed, level)` — [`SolverEngine`] seeds a fresh rng from `seed`
 //! per call. The loop fixes a chunk's seed at formation time and reuses it on
-//! retries, so retrying a batch after excising a malformed member produces
-//! exactly what the reduced batch would have produced outright (the engine
-//! validates before drawing randomness), and an executed-chunk log replays
-//! bit-identically.
+//! transient-fault retries of the unchanged batch, so an executed-chunk log
+//! replays bit-identically.
 
 use cogsys_datasets::Problem;
 use cogsys_workloads::{

@@ -3,8 +3,8 @@
 //! Two distinct failure surfaces exist:
 //!
 //! * [`Rejection`] — a *per-request* outcome: the request was not answered, and
-//!   the variant records exactly why (shed at admission, deadline passed, the
-//!   request itself was malformed, or its batch exhausted the retry budget).
+//!   the variant records exactly why (malformed or shed at admission, deadline
+//!   passed, or its batch failed).
 //!   Rejections are normal operation under overload and chaos; they appear in
 //!   [`crate::Response::outcome`].
 //! * [`ServeError`] — a *serving-loop* construction failure: an invalid
@@ -33,12 +33,11 @@ pub enum Rejection {
         /// Virtual time at which the expiry was detected.
         now_micros: u64,
     },
-    /// The request itself was malformed: engine-boundary validation rejected it
-    /// with this typed fault. The poisoned request fails alone; its batch-mates
-    /// are retried without it.
+    /// The request itself was malformed: admission validation rejected it on
+    /// arrival with this typed fault, so it was never queued or batched.
     Invalid(Box<ProblemFault>),
-    /// The request's batch kept failing (transient faults, substrate errors)
-    /// until the bounded retry budget was exhausted.
+    /// The request's batch failed: transient faults outlasted the bounded retry
+    /// budget, or the engine returned an error that is not transient.
     Failed(SolveError),
 }
 
@@ -64,7 +63,7 @@ impl fmt::Display for Rejection {
                 "deadline {deadline_micros}us expired (now {now_micros}us)"
             ),
             Rejection::Invalid(fault) => write!(f, "invalid request: {fault}"),
-            Rejection::Failed(e) => write!(f, "retry budget exhausted: {e}"),
+            Rejection::Failed(e) => write!(f, "batch failed: {e}"),
         }
     }
 }

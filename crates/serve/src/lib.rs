@@ -7,25 +7,24 @@
 //! * **intake queue + dynamic batch former** — requests arrive on a virtual
 //!   clock, wait in a bounded queue, and are coalesced into cache-resident
 //!   chunks sized by the current degradation level;
-//! * **admission control & backpressure** — arrivals beyond the queue bound are
-//!   shed immediately with [`Rejection::Overloaded`] instead of growing the
-//!   tail;
+//! * **admission control & backpressure** — a malformed request is answered
+//!   [`Rejection::Invalid`] on arrival and never queued, so it costs no engine
+//!   call; well-formed arrivals beyond the queue bound are shed immediately with
+//!   [`Rejection::Overloaded`] instead of growing the tail;
 //! * **deadlines** — requests whose deadline passes in the queue are dropped at
 //!   batch formation; answers landing past the deadline are flagged;
 //! * **graceful degradation** — a four-rung ladder
 //!   ([`DegradationLevel`]: full → halved batches → reduced factorizer
 //!   iterations → coarse single-pass cleanup) engaged by queue-depth
 //!   watermarks, recorded on every response;
-//! * **fault isolation & bounded retry** — a malformed request fails alone with
-//!   a typed error while its batch-mates are retried without it; transient
-//!   faults re-run the batch under a bounded retry budget.
+//! * **bounded retry** — a transient fault re-runs the unchanged batch under a
+//!   bounded retry budget; any other engine error fails the batch at once.
 //!
 //! The loop is single-core and fully deterministic: time is virtual (a
-//! discrete-event clock driven by a service-time model), every chunk's solver
-//! randomness comes from a seed fixed at formation time, and the engine
-//! validates inputs before drawing randomness — so level-0 responses are
-//! decision-identical to calling the solver directly on the same problems, and
-//! the [`ExecutedChunk`] log replays bit-for-bit.
+//! discrete-event clock driven by a service-time model) and every chunk's
+//! solver randomness comes from a seed fixed at formation time — so level-0
+//! responses are decision-identical to calling the solver directly on the same
+//! problems, and the [`ExecutedChunk`] log replays bit-for-bit.
 //!
 //! # Example
 //!
@@ -60,7 +59,7 @@ pub use request::{Answer, Request, Response};
 pub use trace::{parse_recorded_arrivals, TraceConfig, TrafficShape};
 
 use cogsys::CogSysConfig;
-use cogsys_workloads::{SolveError, SolverConfig};
+use cogsys_workloads::{NeurosymbolicSolver, SolveError, SolverConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -235,8 +234,9 @@ pub struct ServeConfig {
     pub max_queue_depth: usize,
     /// Largest batch the former coalesces at full service.
     pub max_batch: usize,
-    /// Retries a formed batch may consume (excisions of malformed members and
-    /// transient-fault re-runs both count) before its remainder fails.
+    /// Re-runs a formed batch may take after transient faults
+    /// ([`SolveError::Fault`]) before it fails. Malformed requests never reach
+    /// a batch, and any other engine error fails the batch without a retry.
     pub retry_budget: usize,
     /// Virtual service-time model.
     pub service: ServiceModel,
@@ -424,24 +424,40 @@ impl<E: ChunkEngine> ServeLoop<E> {
         u32::try_from(self.clock_micros.saturating_sub(arrival_micros)).unwrap_or(u32::MAX)
     }
 
-    /// Admission control: bounded queue, immediate shed beyond the bound.
+    /// A [`Response`] resolving `request` now at the current level with
+    /// `outcome`, neither retried nor late.
+    fn resolve(&self, request: &Request, outcome: Result<Answer, Rejection>) -> Response {
+        Response {
+            id: request.id,
+            outcome,
+            degradation: self.level,
+            completed_micros: self.clock_micros,
+            latency_micros: self.latency_since(request.arrival_micros),
+            retried: false,
+            missed_deadline: false,
+        }
+    }
+
+    /// Admission control: a malformed request is rejected at once, before it
+    /// can reach the queue or an engine call; a well-formed one is shed when
+    /// the queue is at its bound.
     fn admit(&mut self, request: Request, responses: &mut Vec<Response>) {
         self.counters.submitted += 1;
+        if let Err(fault) =
+            NeurosymbolicSolver::validate_problem_with(self.config.solver.vocab, &request.problem)
+        {
+            self.counters.invalid += 1;
+            responses.push(self.resolve(&request, Err(Rejection::Invalid(Box::new(fault)))));
+            return;
+        }
         let depth = self.queue.len();
         if depth >= self.config.max_queue_depth {
             self.counters.shed += 1;
-            responses.push(Response {
-                id: request.id,
-                outcome: Err(Rejection::Overloaded {
-                    queue_depth: depth,
-                    limit: self.config.max_queue_depth,
-                }),
-                degradation: self.level,
-                completed_micros: self.clock_micros,
-                latency_micros: self.latency_since(request.arrival_micros),
-                retried: false,
-                missed_deadline: false,
-            });
+            let overloaded = Rejection::Overloaded {
+                queue_depth: depth,
+                limit: self.config.max_queue_depth,
+            };
+            responses.push(self.resolve(&request, Err(overloaded)));
             return;
         }
         self.queue.push_back(request);
@@ -459,8 +475,8 @@ impl<E: ChunkEngine> ServeLoop<E> {
         self.counters.max_level = self.counters.max_level.max(self.level.as_u8());
     }
 
-    /// Coalesces the next batch, dropping expired requests, and executes it
-    /// with excision-and-retry under the bounded retry budget.
+    /// Coalesces the next batch, dropping expired requests, and executes it,
+    /// re-running it on transient faults under the bounded retry budget.
     fn form_and_execute(&mut self, responses: &mut Vec<Response>) {
         self.update_ladder();
         let limit = (self.config.max_batch / self.level.batch_divisor()).max(1);
@@ -471,17 +487,13 @@ impl<E: ChunkEngine> ServeLoop<E> {
             };
             if request.deadline_micros < self.clock_micros {
                 self.counters.expired += 1;
+                let expired = Rejection::DeadlineExpired {
+                    deadline_micros: request.deadline_micros,
+                    now_micros: self.clock_micros,
+                };
                 responses.push(Response {
-                    id: request.id,
-                    outcome: Err(Rejection::DeadlineExpired {
-                        deadline_micros: request.deadline_micros,
-                        now_micros: self.clock_micros,
-                    }),
-                    degradation: self.level,
-                    completed_micros: self.clock_micros,
-                    latency_micros: self.latency_since(request.arrival_micros),
-                    retried: false,
                     missed_deadline: true,
+                    ..self.resolve(&request, Err(expired))
                 });
                 continue;
             }
@@ -491,104 +503,71 @@ impl<E: ChunkEngine> ServeLoop<E> {
             return;
         }
 
-        // The chunk's solver seed is fixed now and reused across retries: the
-        // engine validates before drawing randomness, so a retry after excising
-        // a malformed member equals solving the reduced batch outright.
+        // The chunk's solver seed is fixed now and reused across retries, and
+        // the batch never changes between attempts, so every attempt solves
+        // the same call.
         let seed = mix_seed(self.config.chunk_seed, self.chunk_counter);
         self.chunk_counter += 1;
-        let mut retries_left = self.config.retry_budget;
-        let mut retried = false;
-        let mut extra_micros = 0u64;
-        loop {
-            let problems: Vec<_> = batch.iter().map(|r| r.problem.clone()).collect();
+        let problems: Vec<_> = batch.iter().map(|r| r.problem.clone()).collect();
+        let mut retries = 0;
+        let outcome = loop {
             match self.engine.solve_chunk(&problems, seed, self.level) {
-                Ok(result) => {
-                    extra_micros += result.extra_micros;
-                    let service = self
-                        .config
-                        .service
-                        .invocation_micros(batch.len() as u64, self.level.service_divisor())
-                        + extra_micros;
-                    self.clock_micros += service;
-                    self.counters.batches += 1;
-                    if self.level.as_u8() > 0 {
-                        self.counters.degraded_batches += 1;
-                    }
-                    self.executed.push(ExecutedChunk {
-                        ids: batch.iter().map(|r| r.id).collect(),
-                        seed,
-                        level: self.level,
-                        choices: result.choices.clone(),
-                    });
-                    for (request, &choice) in batch.iter().zip(&result.choices) {
-                        let missed = self.clock_micros > request.deadline_micros;
-                        self.counters.completed += 1;
-                        if missed {
-                            self.counters.late += 1;
-                        }
-                        responses.push(Response {
-                            id: request.id,
-                            outcome: Ok(Answer {
-                                choice,
-                                correct: request.problem.is_correct(choice),
-                            }),
-                            degradation: self.level,
-                            completed_micros: self.clock_micros,
-                            latency_micros: self.latency_since(request.arrival_micros),
-                            retried,
-                            missed_deadline: missed,
-                        });
-                    }
-                    return;
+                // Only a transient fault is worth a re-run. Admission rejected
+                // every malformed request, so an engine `Malformed` means
+                // admission and the engine disagree: a bug that fails the
+                // batch at once, like any other non-transient error.
+                Err(SolveError::Fault { .. }) if retries < self.config.retry_budget => {
+                    retries += 1;
                 }
-                Err(error) => {
-                    // Failed attempts still burn the per-invocation overhead.
-                    extra_micros += self.config.service.overhead_micros();
-                    if let SolveError::Malformed {
-                        problem: index,
-                        fault,
-                    } = &error
-                    {
-                        // Poison isolation: the malformed request fails alone…
-                        let victim = batch.remove((*index).min(batch.len().saturating_sub(1)));
-                        self.counters.invalid += 1;
-                        responses.push(Response {
-                            id: victim.id,
-                            outcome: Err(Rejection::Invalid(fault.clone())),
-                            degradation: self.level,
-                            completed_micros: self.clock_micros,
-                            latency_micros: self.latency_since(victim.arrival_micros),
-                            retried: false,
-                            missed_deadline: false,
-                        });
-                        if batch.is_empty() {
-                            self.clock_micros += extra_micros;
-                            return;
-                        }
-                    }
-                    // …and the remainder is retried under the bounded budget.
-                    if retries_left == 0 {
-                        self.clock_micros += extra_micros;
-                        self.counters.failed += batch.len();
-                        for request in batch.drain(..) {
-                            responses.push(Response {
-                                id: request.id,
-                                outcome: Err(Rejection::Failed(error.clone())),
-                                degradation: self.level,
-                                completed_micros: self.clock_micros,
-                                latency_micros: self.latency_since(request.arrival_micros),
-                                retried,
-                                missed_deadline: false,
-                            });
-                        }
-                        return;
-                    }
-                    retries_left -= 1;
-                    retried = true;
-                    self.counters.retries += 1;
-                }
+                outcome => break outcome,
             }
+        };
+        self.counters.retries += retries;
+        let retried = retries > 0;
+        // Failed attempts still burn the per-invocation overhead.
+        self.clock_micros += retries as u64 * self.config.service.overhead_micros();
+        let result = match outcome {
+            Ok(result) => result,
+            Err(error) => {
+                self.clock_micros += self.config.service.overhead_micros();
+                self.counters.failed += batch.len();
+                for request in &batch {
+                    responses.push(Response {
+                        retried,
+                        ..self.resolve(request, Err(Rejection::Failed(error.clone())))
+                    });
+                }
+                return;
+            }
+        };
+        self.clock_micros += self
+            .config
+            .service
+            .invocation_micros(batch.len() as u64, self.level.service_divisor())
+            + result.extra_micros;
+        self.counters.batches += 1;
+        if self.level.as_u8() > 0 {
+            self.counters.degraded_batches += 1;
         }
+        for (request, &choice) in batch.iter().zip(&result.choices) {
+            let missed = self.clock_micros > request.deadline_micros;
+            self.counters.completed += 1;
+            if missed {
+                self.counters.late += 1;
+            }
+            let correct = request.problem.is_correct(choice);
+            responses.push(Response {
+                retried,
+                missed_deadline: missed,
+                ..self.resolve(request, Ok(Answer { choice, correct }))
+            });
+        }
+        self.executed.push(ExecutedChunk {
+            ids: batch.iter().map(|r| r.id).collect(),
+            seed,
+            level: self.level,
+            choices: result.choices,
+        });
     }
 }
 
@@ -792,14 +771,18 @@ mod tests {
         assert_eq!(serve.latency_since(0), u32::MAX);
     }
 
-    #[test]
-    fn poisoned_request_fails_alone_and_batchmates_complete() {
-        let mut trace = TraceConfig::steady(4).generate();
-        // Make all four arrive together so they form one batch, and poison one.
+    /// `trace` with every request arriving at t=1, so they form one batch.
+    fn co_arriving(mut trace: Vec<Request>) -> Vec<Request> {
         for request in &mut trace {
             request.arrival_micros = 1;
             request.deadline_micros = 1_000_000;
         }
+        trace
+    }
+
+    #[test]
+    fn poisoned_request_is_rejected_at_admission_and_batchmates_complete() {
+        let mut trace = co_arriving(TraceConfig::steady(4).generate());
         trace[2].problem.candidates.clear();
         let mut serve = ServeLoop::with_engine(quick_config(), StubEngine::clean()).unwrap();
         let responses = serve.run_trace(&trace);
@@ -812,12 +795,66 @@ mod tests {
         );
         let answered: Vec<_> = responses.iter().filter(|r| r.is_answered()).collect();
         assert_eq!(answered.len(), 3);
-        assert!(
-            answered.iter().all(|r| r.retried),
-            "batch-mates were retried"
-        );
+        assert!(answered.iter().all(|r| !r.retried), "nothing was retried");
         assert_eq!(serve.counters().invalid, 1);
-        assert_eq!(serve.counters().retries, 1);
+        assert_eq!(serve.counters().retries, 0);
+        // The poisoned request never reached the engine: one call, three problems.
+        assert_eq!(serve.engine().calls, 1);
+        assert_eq!(serve.executed()[0].ids, vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn poison_beyond_the_retry_budget_costs_batchmates_nothing() {
+        // Two malformed and three well-formed requests in one batch, no retries
+        // to spend: every well-formed request is still answered first time.
+        let mut trace = co_arriving(TraceConfig::steady(5).generate());
+        trace[1].problem.candidates.clear();
+        trace[3].problem.context.pop();
+        let config = ServeConfig {
+            retry_budget: 0,
+            max_batch: 8,
+            ..quick_config()
+        };
+        let mut serve = ServeLoop::with_engine(config, StubEngine::clean()).unwrap();
+        let responses = serve.run_trace(&trace);
+        let answered: Vec<_> = responses.iter().filter(|r| r.is_answered()).collect();
+        assert_eq!(
+            answered.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![0, 2, 4]
+        );
+        assert!(answered.iter().all(|r| !r.retried));
+        let counters = serve.counters();
+        assert_eq!(counters.retries, 0);
+        assert_eq!(counters.invalid, 2);
+        assert_eq!(counters.failed, 0);
+        assert_eq!(counters.accounted(), counters.submitted);
+    }
+
+    #[test]
+    fn engine_malformed_fails_the_batch_without_retry() {
+        // Admission checks a 100-value vocabulary while the stub engine checks
+        // RAVEN's: a value admission accepts and the engine rejects is a
+        // disagreement, so the batch fails at once, budget or not.
+        let mut trace = co_arriving(TraceConfig::steady(3).generate());
+        let mut values = trace[1].problem.context[0].values();
+        values[0] = 50;
+        trace[1].problem.context[0] = cogsys_datasets::Panel::new_unchecked(values);
+        let mut config = quick_config();
+        config.solver.vocab = cogsys_datasets::AttributeVocab::uniform(100);
+        let mut serve = ServeLoop::with_engine(config, StubEngine::clean()).unwrap();
+        let responses = serve.run_trace(&trace);
+        assert_eq!(
+            serve.engine().calls,
+            1,
+            "no retry after an engine Malformed"
+        );
+        assert_eq!(serve.counters().retries, 0);
+        assert_eq!(serve.counters().invalid, 0);
+        assert_eq!(serve.counters().failed, 3);
+        assert!(responses.iter().all(|r| matches!(
+            r.outcome,
+            Err(Rejection::Failed(SolveError::Malformed { problem: 1, .. }))
+        ) && !r.retried));
     }
 
     #[test]

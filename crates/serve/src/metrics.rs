@@ -15,11 +15,11 @@ pub struct Counters {
     pub completed: usize,
     /// Answered requests that completed after their deadline.
     pub late: usize,
-    /// Requests rejected as malformed (typed engine-boundary fault).
+    /// Requests rejected as malformed at admission (never queued).
     pub invalid: usize,
     /// Requests failed after the retry budget ran out.
     pub failed: usize,
-    /// Batch retries performed (excisions and transient-fault re-runs).
+    /// Batch re-runs after transient faults.
     pub retries: usize,
     /// Batches successfully executed.
     pub batches: usize,

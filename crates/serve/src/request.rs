@@ -62,8 +62,8 @@ pub struct Response {
     /// request's arrival, saturating at `u32::MAX` µs (~71 virtual minutes).
     /// Every response of a run is kept, so the record stays at 48 bytes.
     pub latency_micros: u32,
-    /// True when the request's batch needed at least one retry (a batch-mate was
-    /// excised as malformed, or a transient fault forced a re-run).
+    /// True when a transient fault forced at least one re-run of the request's
+    /// batch.
     pub retried: bool,
     /// True when the request completed, but only after its deadline had passed.
     pub missed_deadline: bool,

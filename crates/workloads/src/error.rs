@@ -2,9 +2,9 @@
 //!
 //! Every fallible entry point of [`crate::NeurosymbolicSolver`] returns
 //! `Result<_, SolveError>`: malformed inputs are rejected at the engine boundary
-//! with [`SolveError::Malformed`] (carrying the offending problem's index so a
-//! serving layer can excise exactly that request and retry its batch-mates), VSA
-//! substrate failures propagate as [`SolveError::Vsa`], and infrastructure
+//! with [`SolveError::Malformed`] (carrying the offending problem's index in the
+//! batch, so hostile input fails typed instead of panicking), VSA substrate
+//! failures propagate as [`SolveError::Vsa`], and infrastructure
 //! wrappers (the `cogsys-serve` chaos harness, future transport layers) surface
 //! transient faults as [`SolveError::Fault`]. Nothing on the request path panics.
 
@@ -78,8 +78,7 @@ pub enum SolveError {
     /// A VSA substrate operation failed (shape mismatch, missing packed planes, …).
     Vsa(Box<VsaError>),
     /// One problem failed the engine-boundary validation. `problem` is its index in
-    /// the batch passed to the solve call, so callers can fail that request alone
-    /// and retry the rest.
+    /// the batch passed to the solve call.
     Malformed {
         /// Index of the offending problem in the submitted batch.
         problem: usize,
@@ -99,18 +98,6 @@ pub enum SolveError {
         /// Description of the injected or encountered fault.
         message: Box<str>,
     },
-}
-
-impl SolveError {
-    /// The index of the offending problem, when this error isolates one request
-    /// of a batch (serving layers use it to excise the poisoned request and retry
-    /// the remainder).
-    pub fn problem_index(&self) -> Option<usize> {
-        match self {
-            SolveError::Malformed { problem, .. } => Some(*problem),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SolveError {
@@ -155,12 +142,11 @@ mod tests {
     fn display_and_conversion() {
         let e = SolveError::from(VsaError::Empty { what: "codebook" });
         assert!(e.to_string().contains("codebook"));
-        assert!(e.problem_index().is_none());
+        assert!(!matches!(e, SolveError::Malformed { .. }));
         let e = SolveError::Malformed {
             problem: 3,
             fault: Box::new(ProblemFault::NoCandidates),
         };
-        assert_eq!(e.problem_index(), Some(3));
         assert!(e.to_string().contains("malformed problem 3"));
         let e = SolveError::Malformed {
             problem: 0,

@@ -947,10 +947,11 @@ impl NeurosymbolicSolver {
     ///
     /// # Errors
     /// Returns [`SolveError::Malformed`] naming the first invalid problem's index
-    /// in `problems`. Validation happens **before any rng draw**, so a caller that
-    /// excises the offender and resubmits the remainder (with the same generator
-    /// state or seed) gets exactly the results the reduced batch would have
-    /// produced outright — the contract the `cogsys-serve` retry path relies on.
+    /// in `problems`. Validation happens **before any rng draw**, so a rejected
+    /// call leaves the generator untouched: resubmitting the batch without the
+    /// offender gets exactly the results that batch would have produced
+    /// outright. Callers that validate up front
+    /// ([`NeurosymbolicSolver::validate_problem_with`]) never see this error.
     /// VSA-stage failures propagate as [`SolveError::Vsa`].
     pub fn solve_batch_with<R: Rng + ?Sized>(
         &self,
@@ -2044,15 +2045,14 @@ mod tests {
                 matches!(err, SolveError::Malformed { problem: 0, .. }),
                 "unexpected error {err:?}"
             );
-            assert_eq!(err.problem_index(), Some(0));
         }
     }
 
     #[test]
     fn excising_the_poisoned_problem_reproduces_the_clean_batch() {
-        // The serve-layer retry contract: validation consumes no rng, so dropping
-        // the malformed problem and re-running with the same seed is bitwise the
-        // same as never having submitted it.
+        // Validation consumes no rng, so dropping the malformed problem and
+        // re-running with the same generator is bitwise the same as never having
+        // submitted it.
         use cogsys_datasets::ProblemGenerator;
         let (s, mut r) = solver(52, SolverConfig::default());
         let clean = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
@@ -2067,7 +2067,13 @@ mod tests {
         let err = s
             .solve_batch_with(&poisoned, &mut r1, &mut scratch)
             .unwrap_err();
-        let victim = err.problem_index().expect("typed poison index");
+        let SolveError::Malformed {
+            problem: victim, ..
+        } = err
+        else {
+            panic!("expected a typed poison index, got {err:?}");
+        };
+        assert_eq!(victim, 2);
         poisoned.remove(victim);
         let retried = s
             .solve_batch_with(&poisoned, &mut r1, &mut scratch)

@@ -1,13 +1,14 @@
-//! Serving-layer invariants through the public API: a poisoned batch is excised
-//! and retried, and every full-service (level-0) chunk replays exactly through a
-//! direct `solve_batch_with` call with the chunk's seed.
+//! Serving-layer invariants through the public API: poisoned requests are
+//! rejected at admission and never reach an engine call, and every
+//! full-service (level-0) chunk replays exactly through a direct
+//! `solve_batch_with` call with the chunk's seed.
 
 use cogsys_serve::{DegradationLevel, Rejection, ServeConfig, ServeLoop, TraceConfig};
 use cogsys_workloads::{NeurosymbolicSolver, SolverConfig, SolverScratch};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
-fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
+fn poisoned_requests_are_rejected_at_admission_and_level0_chunks_replay_exactly() {
     let config = ServeConfig {
         solver: SolverConfig {
             vector_dim: 256,
@@ -17,7 +18,7 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
         ..ServeConfig::default()
     };
     // Arrivals 1 µs apart queue up behind the first chunk, so later chunks are
-    // full and a poisoned spec shares its batch with well-formed ones.
+    // full and poisoned specs arrive among well-formed ones.
     let trace = TraceConfig {
         interarrival_micros: 1,
         poison_fraction: 0.2,
@@ -29,8 +30,7 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
     assert_eq!(responses.len(), trace.len());
 
     // Every malformed request fails alone with a typed error; every well-formed
-    // one is answered at full service, some after a batch-mate was excised.
-    let mut excised_mates = 0;
+    // one is answered at full service, first time.
     for response in &responses {
         let problem = &trace[response.id as usize].problem;
         match &response.outcome {
@@ -38,7 +38,7 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
                 assert!(NeurosymbolicSolver::validate_problem(problem).is_ok());
                 assert!(answer.choice < problem.candidates.len());
                 assert_eq!(response.degradation, DegradationLevel::Full);
-                excised_mates += usize::from(response.retried);
+                assert!(!response.retried, "request {} was retried", response.id);
             }
             Err(Rejection::Invalid(fault)) => {
                 assert_eq!(
@@ -50,13 +50,11 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
         }
     }
     let counters = *serve.counters();
-    assert!(counters.invalid > 0, "no poison reached the engine");
-    assert!(
-        counters.retries > 0 && excised_mates > 0,
-        "no batch was excised"
-    );
+    assert!(counters.invalid > 0, "the trace carried no poison");
+    assert_eq!(counters.retries, 0, "poison cost a retry");
 
-    // Level-0 identity: the executed chunks (post-excision) replay exactly.
+    // Level-0 identity: the executed chunks hold only well-formed requests and
+    // replay exactly.
     let mut scratch = SolverScratch::default();
     for chunk in serve.executed() {
         assert_eq!(chunk.level, DegradationLevel::Full);
@@ -65,6 +63,9 @@ fn poisoned_batches_are_excised_and_level0_chunks_replay_exactly() {
             .iter()
             .map(|&id| trace[id as usize].problem.clone())
             .collect();
+        assert!(problems
+            .iter()
+            .all(|p| NeurosymbolicSolver::validate_problem(p).is_ok()));
         let mut rng = StdRng::seed_from_u64(chunk.seed);
         serve
             .engine()
