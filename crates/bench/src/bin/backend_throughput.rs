@@ -1,10 +1,10 @@
 //! Backend throughput sweep with machine-readable output and a regression guard.
 //!
-//! Measures the codebook-cleanup kernels (both `f32` and pre-packed `BitMatrix`
-//! queries) and the sign-plane kernels for every [`cogsys_vsa::BackendKind`] across
+//! Measures the codebook-cleanup and similarity kernels on pre-packed `BitMatrix`
+//! queries and the sign-plane kernels for every [`cogsys_vsa::BackendKind`] across
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
-//! scratch) at 8- and 64-problem batches with its plan-compile and per-stage cells,
+//! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
 //! plus the **resonator-iteration** cell `resonate_iter` (one full fused resonator
 //! iteration vs the split three-pass sequence of reference kernels at d=4096),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
@@ -121,35 +121,24 @@ fn main() -> ExitCode {
     std::fs::write(path, &json).expect("BENCH_backends.json is writable");
     println!("wrote {} records to {path}", records.len());
 
-    // Surface the headline acceptance numbers: packed cleanup at d=1024, batch=256,
-    // against the reference backend, and with and without the per-call query packing.
+    // Surface the headline kernel numbers at d=1024, batch=256: the packed cleanup
+    // scan against its f32 oracle.
     let cell = |backend: &str, kernel: &str| {
         records
             .iter()
             .find(|r| r.backend == backend && r.kernel == kernel && r.dim == 1024 && r.batch == 256)
             .map(|r| r.ns_per_op)
     };
-    if let (Some(reference), Some(packed)) =
-        (cell("reference", "cleanup"), cell("packed", "cleanup"))
-    {
-        println!(
-            "cleanup d=1024 batch=256: reference {:.3} ms, packed {:.3} ms ({:.1}x)",
-            reference / 1e6,
-            packed / 1e6,
-            reference / packed.max(1.0)
-        );
-    }
-    if let (Some(per_call), Some(prepacked)) = (
-        cell("packed", "cleanup"),
-        cell("packed", "cleanup_prepacked"),
-    ) {
-        println!(
-            "packed cleanup d=1024 batch=256: pack-per-call {:.3} ms, prepacked BitMatrix \
-             queries {:.3} ms ({:.2}x)",
-            per_call / 1e6,
-            prepacked / 1e6,
-            per_call / prepacked.max(1.0)
-        );
+    for kernel in ["cleanup_prepacked", "similarity_prepacked"] {
+        if let (Some(reference), Some(packed)) = (cell("reference", kernel), cell("packed", kernel))
+        {
+            println!(
+                "{kernel} d=1024 batch=256: reference {:.3} ms, packed {:.3} ms ({:.1}x)",
+                reference / 1e6,
+                packed / 1e6,
+                reference / packed.max(1.0)
+            );
+        }
     }
 
     // The projection row kernel against its bench-local scalar twin.

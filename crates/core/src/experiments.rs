@@ -95,10 +95,10 @@ pub struct BenchRecord {
     /// Backend name (`reference`, `packed`, or a bench-local twin such as
     /// `scalar_twin`).
     pub backend: String,
-    /// Kernel name: `cleanup` (codebook cleanup of an `f32` query batch),
-    /// `cleanup_prepacked` (codebook cleanup of pre-packed `BitMatrix` queries),
-    /// `solve_batch` (the cross-problem batched solver over `batch` problems, reused
-    /// scratch), and the further kernels the producing functions below document.
+    /// Kernel name: `cleanup_prepacked` (codebook cleanup of pre-packed `BitMatrix`
+    /// queries), `solve_batch` (the cross-problem batched solver over `batch`
+    /// problems, reused scratch), and the further kernels the producing functions
+    /// below document.
     pub kernel: String,
     /// Hypervector dimensionality.
     pub dim: usize,
@@ -141,24 +141,25 @@ fn median_secs(f: &mut dyn FnMut()) -> f64 {
     rounds[RESCUE_BENCH_ROUNDS / 2]
 }
 
-/// Measures the hot batch kernels — codebook cleanup of `f32` queries, codebook
-/// cleanup and the full similarity GEMM of **pre-packed** `BitMatrix` queries, the
-/// fused sign projection, and the bounded-noise sign perturbation — for every
-/// [`BackendKind`] across the requested dimensionalities and batch sizes. Each record
-/// is the median of [`RESCUE_BENCH_ROUNDS`] timed rounds after one warm-up.
+/// Measures the hot batch kernels — codebook cleanup and the full similarity GEMM
+/// of **pre-packed** `BitMatrix` queries, the fused sign projection, and the
+/// bounded-noise sign perturbation — for every [`BackendKind`] across the requested
+/// dimensionalities and batch sizes. Each record is the median of
+/// [`RESCUE_BENCH_ROUNDS`] timed rounds after one warm-up.
 ///
-/// The cleanup measurements go through [`Codebook::cleanup_batch`] /
-/// [`Codebook::cleanup_batch_bits`], so packed-aware backends get their cached
-/// codebook sign planes — exactly the production call paths. The gap between
-/// `cleanup` and `cleanup_prepacked` on the packed backend is the per-call query
-/// packing cost that end-to-end `BitMatrix` pipelines avoid. `similarity_prepacked`
-/// is the popcount GEMM behind the resonator's similarity step; `project_signs` is
-/// the fused weighted-superposition → sign-threshold kernel (the register-blocked
-/// row kernel on the packed backend, dense projection + packing elsewhere), with a
-/// same-run `scalar_twin` record: a bench-local scalar sum over the same sign
-/// planes, checked bitwise against the packed output; `noise_signs` pits the
-/// masked draw of `perturb_signs` (one vector-compare eligibility mask per 64-dim
-/// word, recorded as `packed`) against the element-wise rule (recorded as
+/// The cleanup and similarity cells call the kernels directly on a random
+/// [`Codebook`]: on the packed backend, the popcount scan behind every codebook
+/// search ([`cogsys_vsa::PackedBackend::cleanup_batch_packed_into`], the kernel
+/// under [`Codebook::cleanup_batch_bits_into`]) and the popcount GEMM behind the
+/// resonator's similarity step, over the codebook's cached sign planes; on the
+/// reference backend, their `f32` oracles ([`ReferenceBackend::cleanup_batch`],
+/// [`ReferenceBackend::similarity_matrix_into`]) on the unpacked queries.
+/// `project_signs` is the fused weighted-superposition → sign-threshold kernel (the
+/// register-blocked row kernel on the packed backend, dense projection + packing
+/// elsewhere), with a same-run `scalar_twin` record: a bench-local scalar sum over
+/// the same sign planes, checked bitwise against the packed output; `noise_signs`
+/// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
+/// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
 /// `reference`) on accumulators where a third of the elements, scattered inside
 /// every word, lie within the amplitude.
 pub fn backend_throughput_records(
@@ -166,7 +167,7 @@ pub fn backend_throughput_records(
     batches: &[usize],
     seed: u64,
 ) -> Vec<BenchRecord> {
-    use cogsys_vsa::packed::BitMatrix;
+    use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
     use rand::Rng;
 
     let mut records = Vec::new();
@@ -188,24 +189,25 @@ pub fn backend_throughput_records(
                 }
             }
 
+            let planes = codebook.packed().expect("random codebooks are bipolar");
             for kind in BackendKind::ALL {
                 let backend = kind.create();
-                let cleanup = median_secs(&mut || {
-                    let _ = codebook
-                        .cleanup_batch(backend.as_ref(), &a)
-                        .expect("shapes match");
-                });
-                records.push(BenchRecord {
-                    backend: kind.to_string(),
-                    kernel: "cleanup".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: cleanup * 1e9,
-                });
-                let prepacked = median_secs(&mut || {
-                    let _ = codebook
-                        .cleanup_batch_bits(backend.as_ref(), &a_bits)
-                        .expect("shapes match");
+                // Pre-packed queries on both sides: the packed kernels scan the
+                // cached sign planes, the reference kernels unpack the queries and
+                // run on the f32 codebook matrix.
+                let mut dense = HvMatrix::default();
+                let mut scratch = CleanupScratch::default();
+                let mut best = Vec::new();
+                let prepacked = median_secs(&mut || match backend.as_packed() {
+                    Some(packed) => {
+                        packed.cleanup_batch_packed_into(planes, &a_bits, &mut scratch, &mut best)
+                    }
+                    None => {
+                        a_bits.unpack_into(&mut dense);
+                        best = ReferenceBackend
+                            .cleanup_batch(codebook.matrix(), &dense)
+                            .expect("shapes match");
+                    }
                 });
                 records.push(BenchRecord {
                     backend: kind.to_string(),
@@ -214,10 +216,17 @@ pub fn backend_throughput_records(
                     batch,
                     ns_per_op: prepacked * 1e9,
                 });
-                let sims_prepacked = median_secs(&mut || {
-                    let _ = codebook
-                        .similarities_batch_bits(backend.as_ref(), &a_bits)
-                        .expect("shapes match");
+                let mut sims = HvMatrix::default();
+                let sims_prepacked = median_secs(&mut || match backend.as_packed() {
+                    Some(packed) => {
+                        packed.similarity_matrix_packed_into(planes, &a_bits, &mut sims)
+                    }
+                    None => {
+                        a_bits.unpack_into(&mut dense);
+                        ReferenceBackend
+                            .similarity_matrix_into(codebook.matrix(), &dense, &mut sims)
+                            .expect("shapes match");
+                    }
                 });
                 records.push(BenchRecord {
                     backend: kind.to_string(),
@@ -234,10 +243,9 @@ pub fn backend_throughput_records(
                 let mut proj_acc: Vec<f32> = Vec::new();
                 let mut proj_dense = HvMatrix::default();
                 let project = median_secs(&mut || {
-                    if let (Some(packed), Some(cb_bits)) = (backend.as_packed(), codebook.packed())
-                    {
+                    if let Some(packed) = backend.as_packed() {
                         packed.project_signs_packed_into(
-                            cb_bits,
+                            planes,
                             &weights,
                             |_, _| {},
                             &mut proj_acc,
@@ -267,43 +275,41 @@ pub fn backend_throughput_records(
             // bench-local scalar sum over the same sign planes and weights —
             // codebook row outer, dimension inner, the walk every projection tier
             // must match bitwise — followed by the same sign pack.
-            if let Some(cb_bits) = codebook.packed() {
-                let mut acc = vec![0.0f32; dim];
-                let mut twin_bits = BitMatrix::zeros(batch, dim);
-                let scalar = median_secs(&mut || {
-                    for q in 0..batch {
-                        acc.fill(0.0);
-                        for (m, &w) in weights.row(q).iter().enumerate() {
-                            let words = cb_bits.row_words(m);
-                            for (chunk, &word) in acc.chunks_mut(64).zip(words) {
-                                for (bit, slot) in chunk.iter_mut().enumerate() {
-                                    *slot += if (word >> bit) & 1 == 1 { -w } else { w };
-                                }
+            let mut acc = vec![0.0f32; dim];
+            let mut twin_bits = BitMatrix::zeros(batch, dim);
+            let scalar = median_secs(&mut || {
+                for q in 0..batch {
+                    acc.fill(0.0);
+                    for (m, &w) in weights.row(q).iter().enumerate() {
+                        let words = planes.row_words(m);
+                        for (chunk, &word) in acc.chunks_mut(64).zip(words) {
+                            for (bit, slot) in chunk.iter_mut().enumerate() {
+                                *slot += if (word >> bit) & 1 == 1 { -w } else { w };
                             }
                         }
-                        twin_bits.pack_signs_row(q, &acc);
                     }
-                });
-                let mut packed_bits = BitMatrix::default();
-                cogsys_vsa::PackedBackend::new().project_signs_packed_into(
-                    cb_bits,
-                    &weights,
-                    |_, _| {},
-                    &mut acc,
-                    &mut packed_bits,
-                );
-                assert_eq!(
-                    packed_bits, twin_bits,
-                    "packed project_signs diverged from its scalar twin"
-                );
-                records.push(BenchRecord {
-                    backend: "scalar_twin".to_string(),
-                    kernel: "project_signs".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: scalar * 1e9,
-                });
-            }
+                    twin_bits.pack_signs_row(q, &acc);
+                }
+            });
+            let mut packed_bits = BitMatrix::default();
+            cogsys_vsa::PackedBackend::new().project_signs_packed_into(
+                planes,
+                &weights,
+                |_, _| {},
+                &mut acc,
+                &mut packed_bits,
+            );
+            assert_eq!(
+                packed_bits, twin_bits,
+                "packed project_signs diverged from its scalar twin"
+            );
+            records.push(BenchRecord {
+                backend: "scalar_twin".to_string(),
+                kernel: "project_signs".to_string(),
+                dim,
+                batch,
+                ns_per_op: scalar * 1e9,
+            });
 
             // Bounded-noise sign perturbation on accumulator-shaped values whose
             // regimes are scattered element by element (one third within the
@@ -359,81 +365,61 @@ pub fn backend_throughput_records(
 /// kernels); d = 2048 is the solver's production dimensionality.
 pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 
-/// Timed rounds per backend of the `solve_batch` cells.
+/// Timed rounds of the `solve_batch` cells and of their stage cells.
 const SOLVE_BATCH_ROUNDS: usize = 7;
 
-/// Measures end-to-end solver throughput for every [`BackendKind`]: the
-/// `solve_batch` kernel runs the cross-problem batched engine (one reused
+/// Measures end-to-end solver throughput on the packed backend: the `solve_batch`
+/// kernel runs the cross-problem batched engine (one reused
 /// [`cogsys_workloads::SolverScratch`], all problems in one call). Tracking it
-/// against the committed baseline guards the whole serving path (encode,
-/// factorize, polish, answer scoring) rather than single kernels.
+/// against the committed baseline guards the whole serving path (encode, decode,
+/// answer scoring) rather than single kernels.
 ///
-/// `ns_per_op` is the best wall clock for solving the *whole* batch: one warm-up
-/// per backend, then seven (`SOLVE_BATCH_ROUNDS`) timed rounds in which the backends
-/// take turns, so host noise lands on both sides of the guard's packed/reference
-/// ratio instead of on one.
+/// `ns_per_op` is the best wall clock for solving the *whole* batch: one warm-up,
+/// then seven (`SOLVE_BATCH_ROUNDS`) timed rounds. The cells have no `reference`
+/// twin, so [`packed_bench_regressions`] normalises them by the run's host factor:
+/// the f32 reference solver shares the encode and score stages but not the
+/// decode, so a ratio to it reads a change that speeds up both engines as a
+/// packed slowdown.
 ///
-/// On the packed backend the sweep also records `plan_stage_{encode,decode,score}`:
-/// the per-stage wall clock of the best (by total) of seven further timed packed
-/// rounds, the cells `cogsys-serve`'s per-stage `ServiceModel` fit and the adSCH
-/// stage-cost validation consume.
+/// The sweep also records `plan_stage_{encode,decode,score}`: the per-stage wall
+/// clock of the best (by total) of seven further timed rounds, the cells
+/// `cogsys-serve`'s per-stage `ServiceModel` fit and the adSCH stage-cost
+/// validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
-    use cogsys_datasets::Problem;
     use cogsys_workloads::{SolverScratch, StageNanos};
     use std::time::Instant;
 
-    // Every backend's solver and problem batches come from the same seed, so
-    // both sides solve the same problems.
-    let mut sides: Vec<_> = BackendKind::ALL
+    let backend = BackendKind::Packed;
+    let mut rng = cogsys_vsa::rng(seed);
+    let solver = NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
+    let dim = solver.config().vector_dim;
+    let batches: Vec<_> = problem_counts
         .iter()
-        .map(|&backend| {
-            let mut rng = cogsys_vsa::rng(seed);
-            let solver =
-                NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
-            let batches: Vec<_> = problem_counts
-                .iter()
-                .map(|&count| {
-                    ProblemGenerator::new(DatasetKind::Raven).generate_batch(count, &mut rng)
-                })
-                .collect();
-            (backend, solver, batches, SolverScratch::default())
-        })
+        .map(|&count| ProblemGenerator::new(DatasetKind::Raven).generate_batch(count, &mut rng))
         .collect();
-
-    let solve =
-        |solver: &NeurosymbolicSolver, problems: &[Problem], scratch: &mut SolverScratch| {
+    let mut scratch = SolverScratch::default();
+    let mut records = Vec::new();
+    for (problems, &count) in batches.iter().zip(problem_counts) {
+        let mut solve = || {
             let t = Instant::now();
             let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
             let _ = solver
-                .solve_batch_with(problems, &mut r, scratch)
+                .solve_batch_with(problems, &mut r, &mut scratch)
                 .expect("well-formed problems solve");
             t.elapsed().as_secs_f64()
         };
-    let mut records = Vec::new();
-    for (i, &count) in problem_counts.iter().enumerate() {
-        let mut best = vec![f64::INFINITY; sides.len()];
-        for (_, solver, batches, scratch) in sides.iter_mut() {
-            solve(solver, &batches[i], scratch);
-        }
-        for _ in 0..SOLVE_BATCH_ROUNDS {
-            for ((_, solver, batches, scratch), best) in sides.iter_mut().zip(best.iter_mut()) {
-                *best = best.min(solve(solver, &batches[i], scratch));
-            }
-        }
-        for ((backend, solver, ..), secs) in sides.iter().zip(&best) {
-            records.push(BenchRecord {
-                backend: backend.to_string(),
-                kernel: "solve_batch".to_string(),
-                dim: solver.config().vector_dim,
-                batch: count,
-                ns_per_op: secs * 1e9,
-            });
-        }
+        solve();
+        let best = (0..SOLVE_BATCH_ROUNDS)
+            .map(|_| solve())
+            .fold(f64::INFINITY, f64::min);
+        records.push(BenchRecord {
+            backend: backend.to_string(),
+            kernel: "solve_batch".to_string(),
+            dim,
+            batch: count,
+            ns_per_op: best * 1e9,
+        });
 
-        let (backend, solver, batches, scratch) = sides
-            .iter_mut()
-            .find(|(backend, ..)| *backend == BackendKind::Packed)
-            .expect("the packed backend is benchmarked");
         let plan = solver.plan_for_batch(count);
         // Per-stage wall clock of the best timed round (by total), the cells the
         // serving front end's per-stage service fit consumes.
@@ -441,7 +427,7 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
             let mut timings = StageNanos::default();
             let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
             let _ = solver
-                .solve_batch_with_plan_timed(&plan, &batches[i], &mut r, scratch, &mut timings)
+                .solve_batch_with_plan_timed(&plan, problems, &mut r, &mut scratch, &mut timings)
                 .expect("well-formed problems solve");
             timings
         };
@@ -461,7 +447,7 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
             records.push(BenchRecord {
                 backend: backend.to_string(),
                 kernel: stage.to_string(),
-                dim: solver.config().vector_dim,
+                dim,
                 batch: count,
                 ns_per_op: ns as f64,
             });
@@ -731,8 +717,9 @@ pub fn parse_backend_throughput_json(text: &str) -> Vec<BenchRecord> {
 ///   the same `(kernel, dim, batch)` cell, so a machine-wide slowdown (busier
 ///   container, different host generation) cancels out — what is gated is the packed
 ///   kernel's advantage over the reference, not absolute nanoseconds. A packed cell
-///   without a reference twin in both runs (the rescue route's `product_scan_*` and
-///   `factorize_sweep_*` cells) is normalised by the run's **host factor** instead:
+///   without a reference twin in both runs (`solve_batch` and the rescue route's
+///   `product_scan_*` and `factorize_sweep_*` cells) is normalised by the run's
+///   **host factor** instead:
 ///   the geometric mean of fresh/baseline time over every reference cell present in
 ///   both record sets. The `plan_stage_*` cells stay ungated: they split the gated
 ///   `solve_batch` cell into stages of 0.02–8 ms, and the sub-millisecond encode and
@@ -849,7 +836,7 @@ pub fn backend_throughput_json(seed: u64, records: &[BenchRecord]) -> String {
 pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "Backend throughput: wall-clock speedup over the reference backend",
-        &["packed cleanup x", "packed prepacked x"],
+        &["packed cleanup x", "packed similarity x"],
     );
     let mut cells: Vec<(usize, usize)> = Vec::new();
     for cell in records.iter().map(|r| (r.dim, r.batch)) {
@@ -874,12 +861,11 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
         };
         table.push(
             format!("d={dim} batch={batch}"),
+            // Pre-packed BitMatrix queries on both sides: the popcount kernels vs
+            // their f32 oracles on the unpacked queries.
             vec![
-                speedup("packed", "cleanup"),
-                // Pre-packed BitMatrix queries on both sides: packed popcount
-                // cleanup vs the reference default (unpack + f32 cleanup) — the
-                // end-to-end packed pipeline's advantage, query packing excluded.
                 speedup("packed", "cleanup_prepacked"),
+                speedup("packed", "similarity_prepacked"),
             ],
         );
     }
@@ -1845,14 +1831,14 @@ mod tests {
         let records = vec![
             BenchRecord {
                 backend: "reference".into(),
-                kernel: "cleanup".into(),
+                kernel: "cleanup_prepacked".into(),
                 dim: 1024,
                 batch: 256,
                 ns_per_op: 8000.0,
             },
             BenchRecord {
                 backend: "packed".into(),
-                kernel: "cleanup".into(),
+                kernel: "cleanup_prepacked".into(),
                 dim: 1024,
                 batch: 256,
                 ns_per_op: 400.0,
@@ -1867,7 +1853,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"cogsys-backend-throughput/v1\""));
         assert!(json.contains("\"seed\": 7"));
         assert!(json.contains(
-            "{\"backend\": \"packed\", \"kernel\": \"cleanup\", \"dim\": 1024, \"batch\": 256, \"ns_per_op\": 400.0}"
+            "{\"backend\": \"packed\", \"kernel\": \"cleanup_prepacked\", \"dim\": 1024, \"batch\": 256, \"ns_per_op\": 400.0}"
         ));
         // One record per line, valid trailing-comma structure (last record bare).
         assert_eq!(json.matches("\"backend\":").count(), 2);
@@ -1886,7 +1872,7 @@ mod tests {
             },
             BenchRecord {
                 backend: "reference".into(),
-                kernel: "cleanup".into(),
+                kernel: "similarity_prepacked".into(),
                 dim: 256,
                 batch: 1,
                 ns_per_op: 900.5,
@@ -1909,13 +1895,13 @@ mod tests {
             ns_per_op: ns,
         };
         let baseline = vec![
-            rec("packed", "cleanup", 256, 100_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
-            rec("packed", "cleanup", 1024, 400_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
+            rec("packed", "similarity_prepacked", 256, 100_000.0),
+            rec("reference", "similarity_prepacked", 256, 1_000_000.0),
+            rec("packed", "similarity_prepacked", 1024, 400_000.0),
+            rec("reference", "similarity_prepacked", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-            rec("scalar_twin", "cleanup", 256, 300_000.0), // not packed: never gated
+            rec("scalar_twin", "similarity_prepacked", 256, 300_000.0), // not packed: never gated
         ];
 
         // A machine-wide 2x slowdown (packed and reference both doubled) cancels out.
@@ -1928,10 +1914,10 @@ mod tests {
         // Opposite single-cell jitter (one cell 1.4x up, its sibling 1.4x down)
         // cancels in the per-kernel geometric mean instead of tripping the gate.
         let jitter = vec![
-            rec("packed", "cleanup", 256, 140_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
-            rec("packed", "cleanup", 1024, 285_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
+            rec("packed", "similarity_prepacked", 256, 140_000.0),
+            rec("reference", "similarity_prepacked", 256, 1_000_000.0),
+            rec("packed", "similarity_prepacked", 1024, 285_000.0),
+            rec("reference", "similarity_prepacked", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
         ];
@@ -1939,10 +1925,10 @@ mod tests {
 
         // A packed-only slowdown of one kernel is flagged, and names the kernel.
         let regressed = vec![
-            rec("packed", "cleanup", 256, 100_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
-            rec("packed", "cleanup", 1024, 400_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
+            rec("packed", "similarity_prepacked", 256, 100_000.0),
+            rec("reference", "similarity_prepacked", 256, 1_000_000.0),
+            rec("packed", "similarity_prepacked", 1024, 400_000.0),
+            rec("reference", "similarity_prepacked", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 200_000.0), // 4x slower
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
         ];
@@ -1987,6 +1973,61 @@ mod tests {
         let mut slow_stage = with_stage.clone();
         slow_stage.last_mut().unwrap().ns_per_op *= 3.0;
         assert!(packed_bench_regressions(&with_stage, &slow_stage, 1.3).is_empty());
+    }
+
+    #[test]
+    fn bench_guard_gates_solve_batch_by_the_host_factor() {
+        let rec = |backend: &str, kernel: &str, batch: usize, ns: f64| BenchRecord {
+            backend: backend.into(),
+            kernel: kernel.into(),
+            dim: 2048,
+            batch,
+            ns_per_op: ns,
+        };
+        // A baseline that still holds the f32 reference `solve_batch` twin.
+        let baseline = vec![
+            rec("packed", "cleanup_prepacked", 256, 50_000.0),
+            rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
+            rec("reference", "similarity_prepacked", 256, 2_000_000.0),
+            rec("packed", "solve_batch", 64, 9_750_000.0),
+            rec("reference", "solve_batch", 64, 114_600_000.0),
+        ];
+        // What the sweep records: no reference `solve_batch`, every cell scaled
+        // by the host's speed.
+        let fresh = |host: f64, packed_solve: f64| {
+            vec![
+                rec("packed", "cleanup_prepacked", 256, 50_000.0 * host),
+                rec("reference", "cleanup_prepacked", 256, 1_000_000.0 * host),
+                rec("reference", "similarity_prepacked", 256, 2_000_000.0 * host),
+                rec("packed", "solve_batch", 64, packed_solve * host),
+            ]
+        };
+        // A decode change that sped up both engines, the reference more
+        // (114.6 -> 63.7 ms) than packed (9.75 -> 7.12 ms), read 1.31x slower
+        // against the reference twin. Through the host factor it is the speed-up
+        // it is.
+        let mut twinned = fresh(1.0, 7_120_000.0);
+        twinned.push(rec("reference", "solve_batch", 64, 63_700_000.0));
+        assert_eq!(packed_bench_regressions(&baseline, &twinned, 1.3).len(), 1);
+        assert!(packed_bench_regressions(&baseline, &fresh(1.0, 7_120_000.0), 1.3).is_empty());
+        // Equal speed-ups of both engines, on an unchanged or a 1.5x slower host,
+        // are not flagged.
+        for host in [1.0, 1.5] {
+            let mut both_faster = fresh(host, 9_750_000.0 / 2.0);
+            both_faster.push(rec(
+                "reference",
+                "solve_batch",
+                64,
+                114_600_000.0 / 2.0 * host,
+            ));
+            assert!(packed_bench_regressions(&baseline, &both_faster, 1.3).is_empty());
+            assert!(packed_bench_regressions(&baseline, &fresh(host, 9_750_000.0), 1.3).is_empty());
+        }
+        // A packed-only 2x `solve_batch` slowdown is flagged, through the host factor.
+        let flagged = packed_bench_regressions(&baseline, &fresh(1.0, 19_500_000.0), 1.3);
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert!(flagged[0].contains("solve_batch"));
+        assert!(flagged[0].contains("host-normalised"));
     }
 
     #[test]

@@ -127,34 +127,6 @@ impl Rule {
         }
     }
 
-    /// The unique third value that completes a row whose first two panels carry the
-    /// values `v0` and `v1`, with arithmetic modulo `vocab`'s cardinality for this
-    /// rule's attribute.
-    ///
-    /// Unlike [`Rule::complete_row_with`] (which *generates* a row and may reinterpret `v0`
-    /// as a free parameter, e.g. the rotation of a Distribute-Three triple), this takes
-    /// `v0`/`v1` as the actual observed panel values — it is what a reasoner uses to
-    /// execute an abduced rule.
-    pub fn third_value_with(&self, vocab: AttributeVocab, v0: usize, v1: usize) -> usize {
-        let card = vocab.cardinality(self.attribute);
-        match self.kind {
-            RuleKind::Constant => v0,
-            RuleKind::Progression => (v0 + 2 * self.parameter.max(1)) % card,
-            RuleKind::Arithmetic => (v0 + v1) % card,
-            RuleKind::DistributeThree => {
-                let p = self.parameter;
-                let triple = [p % card, (p + 1) % card, (p + 2) % card];
-                triple
-                    .into_iter()
-                    .find(|v| *v != v0 && *v != v1)
-                    .unwrap_or(triple[0])
-            }
-            RuleKind::Xor => (v0 ^ v1) % card,
-            RuleKind::And => (v0 & v1) % card,
-            RuleKind::Or => (v0 | v1) % card,
-        }
-    }
-
     /// Whether a value triple satisfies this rule, with arithmetic modulo `vocab`'s
     /// cardinality for this rule's attribute.
     pub fn satisfied_with(&self, vocab: AttributeVocab, v0: usize, v1: usize, v2: usize) -> bool {
@@ -255,18 +227,6 @@ impl RuleSet {
             Panel::new_unchecked(row[1]),
             Panel::new_unchecked(row[2]),
         ]
-    }
-
-    /// Completes a row's third panel given its first two panels, with rule
-    /// arithmetic over `vocab`.
-    pub fn complete_with(&self, vocab: AttributeVocab, first: &Panel, second: &Panel) -> Panel {
-        let mut values = [0usize; 5];
-        for rule in self.rules() {
-            let v0 = first.value(rule.attribute);
-            let v1 = second.value(rule.attribute);
-            values[rule.attribute.index()] = rule.third_value_with(vocab, v0, v1);
-        }
-        Panel::new_unchecked(values)
     }
 
     /// Whether a full row satisfies every rule, with rule arithmetic over `vocab`.
@@ -414,8 +374,6 @@ mod tests {
             let rules = RuleSet::random_with(&RuleKind::RAVEN, AttributeVocab::raven(), &mut r2);
             let row = rules.generate_row_with(AttributeVocab::raven(), &mut r);
             assert!(rules.row_satisfied_with(AttributeVocab::raven(), &row));
-            let completed = rules.complete_with(AttributeVocab::raven(), &row[0], &row[1]);
-            assert_eq!(completed, row[2]);
             assert_eq!(rules.rules().len(), 5);
             assert_eq!(rules.rule_for(Attribute::Color).attribute, Attribute::Color);
         }

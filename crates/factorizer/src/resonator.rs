@@ -371,9 +371,8 @@ pub struct FactorizerScratch {
 }
 
 impl FactorizerScratch {
-    /// The cleanup scratch and result buffer, borrowed together for the
-    /// scratch-reusing cleanup entry points
-    /// ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
+    /// The cleanup scratch and result buffer, borrowed together for the codebook
+    /// search ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
     pub fn cleanup_buffers(&mut self) -> (&mut CleanupScratch, &mut Vec<(usize, f32)>) {
         (&mut self.cleanup, &mut self.cleanup_results)
     }
@@ -584,7 +583,7 @@ impl Factorizer {
         // Initial estimates: bundle of every codevector in each factor, snapped to
         // bipolar so the Hadamard unbinding stays well-conditioned.
         let init = (0..num_factors)
-            .map(|f| ops::majority_bundle(set.factor(f)?.iter()))
+            .map(|f| ops::majority_bundle(set.factor(f)?.matrix().row_iter()))
             .collect::<Result<Vec<_>, _>>()?;
         let mut query = HvMatrix::zeros(1, dim);
         let mut estimates = vec![HvMatrix::zeros(1, dim); num_factors];
@@ -725,7 +724,8 @@ impl Factorizer {
         estimates.resize_with(num_factors, BitMatrix::default);
         for (f, est) in estimates.iter_mut().enumerate() {
             let cb = set.factor(f).expect("factor index in range");
-            let init = ops::majority_bundle(cb.iter()).expect("codebooks are non-empty");
+            let init =
+                ops::majority_bundle(cb.matrix().row_iter()).expect("codebooks are non-empty");
             let row = HvMatrix::from_hypervector(&init);
             assert!(
                 init_bits.pack_from(&row),

@@ -279,10 +279,9 @@ fn check_same_shape(a: &HvMatrix, b: &HvMatrix) -> Result<(), VsaError> {
 
 /// The route probe every backend answers: whether it has a sign-plane fast path.
 ///
-/// Layers that cache packed operands (codebook sign planes, the factorizer's packed
-/// estimates) probe [`VsaBackend::as_packed`] to take the sign-plane kernels; every
-/// other operand runs the one `f32` kernel set, [`ReferenceBackend`]'s inherent
-/// methods.
+/// The factorizer probes [`VsaBackend::as_packed`] to pick its resonator engine:
+/// the sign-plane kernels on the packed backend, else the one `f32` kernel set,
+/// [`ReferenceBackend`]'s inherent methods.
 pub trait VsaBackend: Send + Sync + std::fmt::Debug {
     /// The bit-packed bipolar fast path, when this backend has one. The default of
     /// `None` keeps dense backends on the `f32` kernels.
@@ -354,9 +353,8 @@ fn check_gemm_shapes(codebook: &HvMatrix, queries: &HvMatrix) -> Result<(), VsaE
 /// All kernels are *batch*-shaped: operands are [`HvMatrix`] values, the per-row
 /// semantics exactly match the scalar functions in [`crate::ops`], and results land
 /// in caller-owned buffers so steady-state callers allocate nothing. The f32
-/// reference resonator, [`crate::CodebookSet::unbind_all_but_batch`] and the dense
-/// fallbacks of the [`crate::Codebook`] routers call them; the sign-plane kernels
-/// are validated against them.
+/// reference resonator and [`crate::CodebookSet::unbind_all_but_batch`] call them;
+/// the sign-plane kernels are validated against them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
 
@@ -588,12 +586,16 @@ mod tests {
         let mut r = rng(35);
         let cb = crate::Codebook::random("c", 12, 256, &mut r);
         let queries: Vec<Hypervector> = (0..5)
-            .map(|i| ops::flip_noise(cb.vector(i * 2).unwrap(), 0.15, &mut r))
+            .map(|i| ops::flip_noise(&cb.vector(i * 2).unwrap(), 0.15, &mut r))
             .collect();
         let qm = HvMatrix::from_rows(&queries).unwrap();
         let batch = ReferenceBackend.cleanup_batch(cb.matrix(), &qm).unwrap();
         for (q, hv) in queries.iter().enumerate() {
-            let sims: Vec<f32> = cb.iter().map(|c| ops::cosine_similarity(c, hv)).collect();
+            let sims: Vec<f32> = cb
+                .matrix()
+                .row_iter()
+                .map(|c| ops::cosine_slices(c, hv.values()))
+                .collect();
             let idx = ops::argmax(&sims).unwrap();
             assert_eq!((batch[q].0, idx), (q * 2, q * 2), "query {q}");
             assert!((batch[q].1 - sims[idx]).abs() < 1e-4);

@@ -11,7 +11,7 @@
 //! codebooks' planes. Every exhaustive search over either runs the one linear blocked
 //! popcount scan, [`PackedBackend::cleanup_batch_packed_into`].
 
-use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
+use crate::batch::{HvMatrix, ReferenceBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
 use crate::ops;
@@ -34,15 +34,17 @@ pub enum BindingOp {
 ///
 /// # Example
 /// ```
-/// use cogsys_vsa::Codebook;
+/// use cogsys_vsa::{BitMatrix, CleanupScratch, Codebook};
 /// let mut rng = cogsys_vsa::rng(0);
 /// let cb = Codebook::random("color", 8, 256, &mut rng);
 /// assert_eq!(cb.len(), 8);
 /// assert_eq!(cb.dim(), 256);
 /// // Cleanup finds the exact codevector.
-/// let (idx, sim) = cb.cleanup(cb.vector(5).unwrap()).unwrap();
-/// assert_eq!(idx, 5);
-/// assert!(sim > 0.99);
+/// let query = BitMatrix::from_hypervectors(&[cb.vector(5).unwrap()]).unwrap();
+/// let mut best = Vec::new();
+/// cb.cleanup_batch_bits_into(&query, &mut CleanupScratch::default(), &mut best)
+///     .unwrap();
+/// assert_eq!(best, vec![(5, 1.0)]);
 /// ```
 ///
 /// The storage is immutable after construction and shared behind [`Arc`]s, so a
@@ -51,24 +53,20 @@ pub enum BindingOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Codebook {
     name: String,
-    vectors: Arc<[Hypervector]>,
-    /// Contiguous row-major copy of `vectors` — the similarity-search operand the
-    /// batched backends consume (one GEMV/GEMM row per codevector).
+    /// The codevectors as one row-major matrix (one row per codevector), the
+    /// operand of the [`ReferenceBackend`] kernels.
     matrix: Arc<HvMatrix>,
     /// Bit-packed sign planes of `matrix`, cached once at construction when every
-    /// codevector is exactly bipolar (`None` otherwise). The packed similarity and
-    /// cleanup paths read this instead of re-packing per call.
+    /// codevector is exactly bipolar (`None` otherwise). Every search scans these.
     packed: Option<Arc<BitMatrix>>,
 }
 
 impl Codebook {
-    /// Derives the matrix and sign planes of `vectors` (which share one
-    /// dimension) and moves everything into shared storage.
-    fn from_rows(name: String, vectors: Vec<Hypervector>, matrix: HvMatrix) -> Self {
+    /// Derives the sign planes of `matrix` and moves both into shared storage.
+    fn from_matrix(name: String, matrix: HvMatrix) -> Self {
         let packed = BitMatrix::from_matrix(&matrix).map(Arc::new);
         Self {
             name,
-            vectors: vectors.into(),
             matrix: Arc::new(matrix),
             packed,
         }
@@ -83,22 +81,25 @@ impl Codebook {
         if vectors.is_empty() {
             return Err(VsaError::Empty { what: "codebook" });
         }
-        let matrix = HvMatrix::from_rows(&vectors)?;
-        Ok(Self::from_rows(name.into(), vectors, matrix))
+        Ok(Self::from_matrix(
+            name.into(),
+            HvMatrix::from_rows(&vectors)?,
+        ))
     }
 
-    /// Generates a codebook of `size` random bipolar codevectors of dimension `dim`.
+    /// Generates a codebook of `size` random bipolar codevectors of dimension `dim`,
+    /// drawn row by row exactly as [`Hypervector::random_bipolar`] draws one.
     pub fn random<R: Rng + ?Sized>(
         name: impl Into<String>,
         size: usize,
         dim: usize,
         rng: &mut R,
     ) -> Self {
-        let vectors: Vec<Hypervector> = (0..size)
-            .map(|_| Hypervector::random_bipolar(dim, rng))
-            .collect();
-        let matrix = HvMatrix::from_rows(&vectors).expect("generated rows share a dimension");
-        Self::from_rows(name.into(), vectors, matrix)
+        let mut matrix = HvMatrix::zeros(size, dim);
+        for v in matrix.as_mut_slice() {
+            *v = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+        }
+        Self::from_matrix(name.into(), matrix)
     }
 
     /// The attribute name this codebook represents (e.g. `"color"`, `"size"`).
@@ -108,38 +109,32 @@ impl Codebook {
 
     /// Number of codevectors.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.matrix.rows()
     }
 
     /// Returns `true` if the codebook holds no codevectors (cannot happen via [`Codebook::new`]).
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len() == 0
     }
 
     /// Dimensionality of the codevectors.
     pub fn dim(&self) -> usize {
-        self.vectors.first().map_or(0, Hypervector::dim)
+        self.matrix.dim()
     }
 
-    /// Returns the codevector at `index`.
+    /// Returns an owned copy of the codevector at `index`; [`Codebook::matrix`]
+    /// lends the rows without copying.
     ///
     /// # Errors
     /// Returns [`VsaError::IndexOutOfRange`] when `index >= len()`.
-    pub fn vector(&self, index: usize) -> Result<&Hypervector, VsaError> {
-        self.vectors.get(index).ok_or(VsaError::IndexOutOfRange {
-            index,
-            len: self.vectors.len(),
-        })
-    }
-
-    /// Iterates over the codevectors.
-    pub fn iter(&self) -> std::slice::Iter<'_, Hypervector> {
-        self.vectors.iter()
-    }
-
-    /// Returns all codevectors as a slice (rows of the similarity-search matrix).
-    pub fn as_slice(&self) -> &[Hypervector] {
-        &self.vectors
+    pub fn vector(&self, index: usize) -> Result<Hypervector, VsaError> {
+        if index >= self.len() {
+            return Err(VsaError::IndexOutOfRange {
+                index,
+                len: self.len(),
+            });
+        }
+        Ok(Hypervector::from_values(self.matrix.row(index).to_vec()))
     }
 
     /// The codevectors as one contiguous row-major matrix (`len() × dim()`), the
@@ -149,123 +144,44 @@ impl Codebook {
     }
 
     /// The bit-packed sign planes of the codebook, cached at construction — `Some`
-    /// exactly when every codevector is bipolar. Packed-aware layers use this to skip
-    /// re-packing the codebook on every similarity/cleanup call.
+    /// exactly when every codevector is bipolar.
     pub fn packed(&self) -> Option<&BitMatrix> {
         self.packed.as_deref()
     }
 
-    /// Cleanup memory: returns the index and cosine similarity of the best-matching
-    /// codevector, through the reference backend's dense cleanup.
+    /// The codebook search: `out[q]` is the best codevector for query row `q` and its
+    /// cosine similarity, ties resolving to the lowest index. It is one call of the
+    /// linear popcount scan ([`PackedBackend::cleanup_batch_packed_into`]) over the
+    /// cached sign planes, with no per-call packing on either operand; results land
+    /// in `out` and intermediate state in `scratch`, so a reused pair allocates
+    /// nothing.
     ///
     /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn cleanup(&self, query: &Hypervector) -> Result<(usize, f32), VsaError> {
-        let queries = HvMatrix::from_hypervector(query);
-        let mut results = ReferenceBackend.cleanup_batch(&self.matrix, &queries)?;
-        Ok(results.pop().expect("one query row yields one result"))
-    }
-
-    /// Batched cleanup of many queries at once. Bipolar queries on a packed
-    /// backend are packed once and take [`Codebook::cleanup_batch_bits_into`];
-    /// anything else runs the dense [`ReferenceBackend::cleanup_batch`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn cleanup_batch(
-        &self,
-        backend: &dyn VsaBackend,
-        queries: &HvMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        if backend.as_packed().is_some() {
-            if let Some(bits) = BitMatrix::from_matrix(queries) {
-                return self.cleanup_batch_bits(backend, &bits);
-            }
-        }
-        ReferenceBackend.cleanup_batch(&self.matrix, queries)
-    }
-
-    /// Batched cleanup of **bit-packed** queries; the allocating form of
-    /// [`Codebook::cleanup_batch_bits_into`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn cleanup_batch_bits(
-        &self,
-        backend: &dyn VsaBackend,
-        queries: &BitMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        let mut out = Vec::new();
-        self.cleanup_batch_bits_into(backend, queries, &mut CleanupScratch::default(), &mut out)?;
-        Ok(out)
-    }
-
-    /// The cleanup router: every codebook cleanup ends here. With a packed backend
-    /// and cached sign planes the queries hit the linear popcount scan
-    /// ([`PackedBackend::cleanup_batch_packed_into`]) directly, with no per-call
-    /// packing on either operand. Other backends (and non-bipolar codebooks) unpack
-    /// the queries and run the dense [`ReferenceBackend::cleanup_batch`]. Results
-    /// land in `out` and intermediate state in `scratch`, so the steady-state serving
-    /// path allocates nothing; both kernels return identical decisions.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
+    /// Returns [`VsaError::Unsupported`] for a codebook without sign planes (not
+    /// every codevector bipolar) and [`VsaError::DimensionMismatch`] for queries of
+    /// another dimension.
     pub fn cleanup_batch_bits_into(
         &self,
-        backend: &dyn VsaBackend,
         queries: &BitMatrix,
         scratch: &mut CleanupScratch,
         out: &mut Vec<(usize, f32)>,
     ) -> Result<(), VsaError> {
-        if let (Some(packed_backend), Some(planes)) = (backend.as_packed(), &self.packed) {
-            if queries.dim() == self.dim() {
-                packed_backend.cleanup_batch_packed_into(planes, queries, scratch, out);
-                return Ok(());
-            }
+        let planes = self.packed().ok_or(VsaError::Unsupported {
+            what: "codebook search requires bipolar codevectors",
+        })?;
+        if queries.rows() > 0 && queries.dim() != planes.dim() {
+            return Err(VsaError::DimensionMismatch {
+                left: planes.dim(),
+                right: queries.dim(),
+            });
         }
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        *out = ReferenceBackend.cleanup_batch(&self.matrix, &dense)?;
+        PackedBackend.cleanup_batch_packed_into(planes, queries, scratch, out);
         Ok(())
-    }
-
-    /// Similarities of a batch of **bit-packed** queries: `out[q][m] = queries[q] ·
-    /// code[m]`, exact integer dot products via popcount when both sides are sign
-    /// planes. Other backends (and non-bipolar codebooks) unpack the queries and run
-    /// the dense [`ReferenceBackend::similarity_matrix_into`].
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
-    pub fn similarities_batch_bits(
-        &self,
-        backend: &dyn VsaBackend,
-        queries: &BitMatrix,
-    ) -> Result<HvMatrix, VsaError> {
-        let mut out = HvMatrix::default();
-        if let (Some(packed_backend), Some(packed_cb)) = (backend.as_packed(), self.packed()) {
-            if queries.dim() == self.dim() {
-                packed_backend.similarity_matrix_packed_into(packed_cb, queries, &mut out);
-                return Ok(out);
-            }
-        }
-        let mut dense = HvMatrix::default();
-        queries.unpack_into(&mut dense);
-        ReferenceBackend.similarity_matrix_into(&self.matrix, &dense, &mut out)?;
-        Ok(out)
     }
 
     /// Memory footprint of the codebook in bytes assuming `bytes_per_element` storage.
     pub fn footprint_bytes(&self, bytes_per_element: usize) -> usize {
         self.len() * self.dim() * bytes_per_element
-    }
-}
-
-impl<'a> IntoIterator for &'a Codebook {
-    type Item = &'a Hypervector;
-    type IntoIter = std::slice::Iter<'a, Hypervector>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.vectors.iter()
     }
 }
 
@@ -381,52 +297,22 @@ impl CodebookSet {
                 right: indices.len(),
             });
         }
-        let mut product = self.codebooks[0].vector(indices[0])?.clone();
+        let mut product = self.codebooks[0].vector(indices[0])?;
         for (cb, &idx) in self.codebooks.iter().zip(indices).skip(1) {
             let v = cb.vector(idx)?;
             product = match self.binding {
-                BindingOp::Hadamard => ops::hadamard_bind(&product, v)?,
-                BindingOp::CircularConvolution => ops::try_circular_convolve(&product, v)?,
+                BindingOp::Hadamard => ops::hadamard_bind(&product, &v)?,
+                BindingOp::CircularConvolution => ops::try_circular_convolve(&product, &v)?,
             };
         }
         Ok(product)
     }
 
-    /// Unbinds all factors except `keep` from `query` using the current factor estimates.
-    ///
-    /// This is Step 1 of the factorization procedure (Fig. 8): `x̃_i = q ⊘ Π_{f≠i} x̂_f`.
-    ///
-    /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if `estimates.len() != num_factors()` or
-    /// if any estimate dimension differs from the query.
-    pub fn unbind_all_but(
-        &self,
-        query: &Hypervector,
-        estimates: &[Hypervector],
-        keep: usize,
-    ) -> Result<Hypervector, VsaError> {
-        if estimates.len() != self.codebooks.len() {
-            return Err(VsaError::DimensionMismatch {
-                left: self.codebooks.len(),
-                right: estimates.len(),
-            });
-        }
-        let mut result = query.clone();
-        for (f, est) in estimates.iter().enumerate() {
-            if f == keep {
-                continue;
-            }
-            result = match self.binding {
-                BindingOp::Hadamard => ops::hadamard_unbind(&result, est)?,
-                BindingOp::CircularConvolution => ops::try_circular_correlate(&result, est)?,
-            };
-        }
-        Ok(result)
-    }
-
-    /// Batched [`CodebookSet::unbind_all_but`]: row `q` of the result unbinds every
-    /// factor's estimate except `keep` from `queries` row `q`. `estimates[f]` holds the
-    /// current estimate of factor `f` for every query (`queries.rows() × dim()`).
+    /// Unbinds all factors except `keep` from every query using the current factor
+    /// estimates — Step 1 of the factorization procedure (Fig. 8),
+    /// `x̃_i = q ⊘ Π_{f≠i} x̂_f`: row `q` of the result unbinds every factor's estimate
+    /// except `keep` from `queries` row `q`. `estimates[f]` holds the current estimate
+    /// of factor `f` for every query (`queries.rows() × dim()`).
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] on arity or shape mismatches.
@@ -659,14 +545,47 @@ mod tests {
         ));
     }
 
+    /// One search of `cb` for the bipolar `queries`.
+    fn search(cb: &Codebook, queries: &[Hypervector]) -> Result<Vec<(usize, f32)>, VsaError> {
+        let bits = BitMatrix::from_hypervectors(queries)?;
+        let mut out = Vec::new();
+        cb.cleanup_batch_bits_into(&bits, &mut CleanupScratch::default(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn cleanup_recovers_noisy_codevector() {
         let mut r = rng(20);
         let cb = Codebook::random("type", 16, 1024, &mut r);
-        let noisy = ops::flip_noise(cb.vector(7).unwrap(), 0.2, &mut r);
-        let (idx, sim) = cb.cleanup(&noisy).unwrap();
+        let noisy = ops::flip_noise(&cb.vector(7).unwrap(), 0.2, &mut r);
+        let (idx, sim) = search(&cb, &[noisy]).unwrap()[0];
         assert_eq!(idx, 7);
         assert!(sim > 0.4);
+    }
+
+    #[test]
+    fn random_codebooks_keep_their_seeded_sign_planes() {
+        // FNV-1a over every sign-plane word, and the generator's next draw after
+        // the codebook, for fixed seeds and shapes: pins the draw order (row-major,
+        // one `gen::<bool>()` per element) that every seeded codebook, and with it
+        // every seeded decision, depends on. 300 dims end in a padded tail word.
+        for (size, dim, words_hash, next_draw) in [
+            (7, 300, 0x569f_a40c_b3ca_3308_u64, 0x28e2_fbb8_354d_d16c_u64),
+            (10, 2048, 0xe3b3_1d6a_7ba5_5064, 0xdc23_6153_20fc_bcc2),
+            (1, 64, 0xa573_98dd_74d7_9d21, 0x524e_9a85_6e9e_de70),
+        ] {
+            let mut r = rng(0xC0DE);
+            let cb = Codebook::random("pin", size, dim, &mut r);
+            let planes = cb.packed().expect("random codebooks are bipolar");
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for row in 0..planes.rows() {
+                for &word in planes.row_words(row) {
+                    hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(hash, words_hash, "{size} x {dim}");
+            assert_eq!(r.gen::<u64>(), next_draw, "{size} x {dim}");
+        }
     }
 
     #[test]
@@ -680,39 +599,68 @@ mod tests {
     }
 
     #[test]
-    fn cleanup_router_linear_and_dense_kernels_agree() {
-        use crate::packed::PackedBackend;
+    fn search_decides_like_the_dense_oracle_ties_included() {
         let mut r = rng(30);
-        let cb = Codebook::random("large", 600, 512, &mut r);
-        // Perturbed codevectors as queries.
-        let queries: Vec<Hypervector> = (0..5)
-            .map(|i| ops::flip_noise(cb.vector(i * 100).unwrap(), 0.02, &mut r))
-            .collect();
-        let dense = HvMatrix::from_rows(&queries).unwrap();
-        let bits = BitMatrix::from_matrix(&dense).unwrap();
-        let backend = PackedBackend::new();
-
-        let linear = cb.cleanup_batch(&backend, &dense).unwrap();
-        let linear_bits = cb.cleanup_batch_bits(&backend, &bits).unwrap();
-        let mut scratch = CleanupScratch::default();
-        let mut linear_into = Vec::new();
-        cb.cleanup_batch_bits_into(&backend, &bits, &mut scratch, &mut linear_into)
-            .unwrap();
-
-        // The router's second kernel: a backend without a packed fast path runs
-        // its dense cleanup on the unpacked queries.
-        let mut dense_into = Vec::new();
-        cb.cleanup_batch_bits_into(&ReferenceBackend, &bits, &mut scratch, &mut dense_into)
-            .unwrap();
-
-        assert_eq!(linear_bits, linear);
-        assert_eq!(linear_into, linear);
-        for (q, ((idx, sim), (dense_idx, dense_sim))) in linear.iter().zip(&dense_into).enumerate()
-        {
-            assert_eq!(*idx, q * 100, "query {q} should recover its source row");
-            assert_eq!(idx, dense_idx, "query {q}");
-            assert!((sim - dense_sim).abs() < 1e-4, "query {q}");
+        let large = Codebook::random("large", 600, 512, &mut r);
+        // Row 1 repeats row 0, so a query on either ties exactly and the lowest
+        // index must win; row 3 is row 2 negated, an anti-match that must not.
+        let mut rows: Vec<Hypervector> = (0..6).map(|i| large.vector(i).unwrap()).collect();
+        rows[1] = rows[0].clone();
+        rows[3] = -rows[2].clone();
+        let tied = Codebook::new("tied", rows).unwrap();
+        for (cb, sources) in [
+            (&large, [0, 100, 200, 300, 400, 500]),
+            (&tied, [0, 1, 2, 4, 5, 0]),
+        ] {
+            let mut queries: Vec<Hypervector> = sources
+                .iter()
+                .map(|&i| ops::flip_noise(&cb.vector(i).unwrap(), 0.02, &mut r))
+                .collect();
+            queries.push(cb.vector(sources[1]).unwrap());
+            let dense = HvMatrix::from_rows(&queries).unwrap();
+            let found = search(cb, &queries).unwrap();
+            let oracle = ReferenceBackend.cleanup_batch(cb.matrix(), &dense).unwrap();
+            assert_eq!(found.len(), queries.len());
+            for (q, ((idx, sim), (dense_idx, dense_sim))) in found.iter().zip(&oracle).enumerate() {
+                assert_eq!(idx, dense_idx, "{} query {q}", cb.name());
+                assert!((sim - dense_sim).abs() < 1e-4, "{} query {q}", cb.name());
+            }
+            if cb.name() == "tied" {
+                // The clean query on row 1 is row 0 itself: the tie goes to row 0.
+                assert_eq!(found.last().unwrap(), &(0, 1.0));
+            } else {
+                for (q, &(idx, _)) in found.iter().take(sources.len()).enumerate() {
+                    assert_eq!(idx, sources[q], "query {q} recovers its source row");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn search_rejects_real_codebooks_and_foreign_dimensions() {
+        let mut r = rng(62);
+        let real = Codebook::new(
+            "real",
+            (0..4)
+                .map(|_| Hypervector::random_real(256, &mut r))
+                .collect(),
+        )
+        .unwrap();
+        assert!(real.packed().is_none());
+        let query = Hypervector::random_bipolar(256, &mut r);
+        assert!(matches!(
+            search(&real, std::slice::from_ref(&query)),
+            Err(VsaError::Unsupported { .. })
+        ));
+        let cb = Codebook::random("bits", 10, 256, &mut r);
+        assert_eq!(search(&cb, &[query]).unwrap().len(), 1);
+        assert!(matches!(
+            search(&cb, &[Hypervector::random_bipolar(320, &mut r)]),
+            Err(VsaError::DimensionMismatch {
+                left: 256,
+                right: 320
+            })
+        ));
     }
 
     #[test]
@@ -744,6 +692,31 @@ mod tests {
         assert!(set.bind_indices(&[1, 1]).is_ok());
     }
 
+    /// One-query [`CodebookSet::unbind_all_but_batch`], with the codevectors at
+    /// `indices` as the factor estimates.
+    fn unbind_all_but(
+        set: &CodebookSet,
+        query: &Hypervector,
+        indices: &[usize],
+        keep: usize,
+    ) -> Hypervector {
+        let estimates: Vec<HvMatrix> = indices
+            .iter()
+            .enumerate()
+            .map(|(f, &i)| set.factor(f).unwrap().matrix().gather(&[i]).unwrap())
+            .collect();
+        let (mut out, mut scratch) = (HvMatrix::default(), HvMatrix::default());
+        set.unbind_all_but_batch(
+            &HvMatrix::from_hypervector(query),
+            &estimates,
+            keep,
+            &mut out,
+            &mut scratch,
+        )
+        .unwrap();
+        Hypervector::from_values(out.row(0).to_vec())
+    }
+
     #[test]
     fn unbind_all_but_recovers_factor_hadamard() {
         let mut r = rng(25);
@@ -751,13 +724,8 @@ mod tests {
         let product = set.bind_indices(&[1, 2, 3]).unwrap();
         // With the true codevectors of the other factors as estimates, unbinding exactly
         // recovers the kept factor (bipolar Hadamard binding is exactly invertible).
-        let estimates = vec![
-            set.factor(0).unwrap().vector(1).unwrap().clone(),
-            set.factor(1).unwrap().vector(2).unwrap().clone(),
-            set.factor(2).unwrap().vector(3).unwrap().clone(),
-        ];
-        let recovered = set.unbind_all_but(&product, &estimates, 1).unwrap();
-        let (idx, sim) = set.factor(1).unwrap().cleanup(&recovered).unwrap();
+        let recovered = unbind_all_but(&set, &product, &[1, 2, 3], 1);
+        let (idx, sim) = search(set.factor(1).unwrap(), &[recovered]).unwrap()[0];
         assert_eq!(idx, 2);
         assert!(sim > 0.99);
     }
@@ -767,12 +735,14 @@ mod tests {
         let mut r = rng(26);
         let set = CodebookSet::random(&[4, 4], 1024, BindingOp::CircularConvolution, &mut r);
         let product = set.bind_indices(&[3, 1]).unwrap();
-        let estimates = vec![
-            set.factor(0).unwrap().vector(3).unwrap().clone(),
-            set.factor(1).unwrap().vector(1).unwrap().clone(),
-        ];
-        let recovered = set.unbind_all_but(&product, &estimates, 1).unwrap();
-        let (idx, sim) = set.factor(1).unwrap().cleanup(&recovered).unwrap();
+        let recovered = unbind_all_but(&set, &product, &[3, 1], 1);
+        // Circular unbinding leaves a real-valued query: the dense kernel scores it.
+        let (idx, sim) = ReferenceBackend
+            .cleanup_batch(
+                set.factor(1).unwrap().matrix(),
+                &HvMatrix::from_hypervector(&recovered),
+            )
+            .unwrap()[0];
         assert_eq!(idx, 1);
         assert!(sim > 0.3, "similarity {sim}");
     }
@@ -962,77 +932,42 @@ mod tests {
     }
 
     #[test]
-    fn backend_similarities_match_scalar_path() {
-        use crate::batch::BackendKind;
+    fn packed_kernels_match_their_dense_oracles() {
         let mut r = rng(61);
-        let cb = Codebook::random("s", 10, 256, &mut r);
-        let query = ops::flip_noise(cb.vector(4).unwrap(), 0.2, &mut r);
-        // The scalar path: one dot product per codevector, and the reference cleanup.
-        let scalar = ops::matvec_similarity(cb.as_slice(), &query).unwrap();
-        let scalar_cleanup = cb.cleanup(&query).unwrap();
-        let dense = HvMatrix::from_hypervector(&query);
-        let bits = BitMatrix::from_matrix(&dense).unwrap();
-        for kind in BackendKind::ALL {
-            let backend = kind.create();
-            let sims = cb.similarities_batch_bits(backend.as_ref(), &bits).unwrap();
-            for (x, y) in sims.row(0).iter().zip(&scalar) {
-                assert!((x - y).abs() < 1e-3, "{kind}: {x} vs {y}");
-            }
-            for (idx, sim) in [
-                cb.cleanup_batch(backend.as_ref(), &dense).unwrap()[0],
-                cb.cleanup_batch_bits(backend.as_ref(), &bits).unwrap()[0],
-            ] {
-                assert_eq!(idx, scalar_cleanup.0, "{kind}");
-                assert!((sim - scalar_cleanup.1).abs() < 1e-4, "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn cleanup_batch_bits_matches_dense_queries() {
-        use crate::batch::BackendKind;
-        let mut r = rng(64);
-        let cb = Codebook::random("bits", 10, 260, &mut r);
+        let cb = Codebook::random("s", 10, 260, &mut r);
         let queries: Vec<Hypervector> = (0..5)
-            .map(|i| ops::flip_noise(cb.vector(i).unwrap(), 0.2, &mut r))
+            .map(|i| ops::flip_noise(&cb.vector(i).unwrap(), 0.2, &mut r))
             .collect();
         let qm = HvMatrix::from_rows(&queries).unwrap();
         let bits = BitMatrix::from_matrix(&qm).expect("flip noise keeps queries bipolar");
-        // A non-bipolar codebook has no sign planes, so packed queries take the
-        // unpacking fallback on every backend, the packed one included.
-        let real_cb = Codebook::new(
-            "real",
-            (0..4)
-                .map(|_| Hypervector::random_real(260, &mut r))
-                .collect(),
-        )
-        .unwrap();
-        assert!(real_cb.packed().is_none());
-        for kind in BackendKind::ALL {
-            let backend = kind.create();
-            for codebook in [&cb, &real_cb] {
-                assert_eq!(
-                    codebook
-                        .cleanup_batch_bits(backend.as_ref(), &bits)
-                        .unwrap(),
-                    codebook.cleanup_batch(backend.as_ref(), &qm).unwrap(),
-                    "{kind}"
-                );
-                // Popcount dot products of sign planes are exact, so the packed path
-                // equals the dense GEMM bit for bit.
-                let mut dense = HvMatrix::default();
-                ReferenceBackend
-                    .similarity_matrix_into(codebook.matrix(), &qm, &mut dense)
-                    .unwrap();
-                assert_eq!(
-                    codebook
-                        .similarities_batch_bits(backend.as_ref(), &bits)
-                        .unwrap(),
-                    dense,
-                    "{kind}"
-                );
+        let planes = cb.packed().unwrap();
+        // Popcount dot products of sign planes are exact, so the packed similarity
+        // GEMM equals the dense one bit for bit, and both equal the scalar dots.
+        let (mut packed, mut dense) = (HvMatrix::default(), HvMatrix::default());
+        PackedBackend.similarity_matrix_packed_into(planes, &bits, &mut packed);
+        ReferenceBackend
+            .similarity_matrix_into(cb.matrix(), &qm, &mut dense)
+            .unwrap();
+        assert_eq!(packed, dense);
+        for (q, query) in queries.iter().enumerate() {
+            for (m, row) in cb.matrix().row_iter().enumerate() {
+                let dot: f32 = row.iter().zip(query.values()).map(|(a, b)| a * b).sum();
+                assert_eq!(packed.row(q)[m], dot, "query {q} row {m}");
             }
         }
+        let mut found = Vec::new();
+        PackedBackend.cleanup_batch_packed_into(
+            planes,
+            &bits,
+            &mut CleanupScratch::default(),
+            &mut found,
+        );
+        let oracle = ReferenceBackend.cleanup_batch(cb.matrix(), &qm).unwrap();
+        for (q, ((idx, sim), (dense_idx, dense_sim))) in found.iter().zip(&oracle).enumerate() {
+            assert_eq!((*idx, *dense_idx), (q, q), "query {q}");
+            assert!((sim - dense_sim).abs() < 1e-4, "query {q}");
+        }
+        assert_eq!(search(&cb, &queries).unwrap(), found);
         assert!(CodebookSet::new(vec![cb], BindingOp::Hadamard)
             .unwrap()
             .all_packed());
@@ -1062,11 +997,11 @@ mod tests {
             set.unbind_all_but_batch(&queries, &estimates, keep, &mut out, &mut scratch)
                 .unwrap();
             for (q, t) in tuples.iter().enumerate() {
-                let est: Vec<Hypervector> = (0..3)
-                    .map(|f| set.factor(f).unwrap().vector(t[f]).unwrap().clone())
-                    .collect();
-                let query = Hypervector::from_values(queries.row(q).to_vec());
-                let scalar = set.unbind_all_but(&query, &est, keep).unwrap();
+                let mut scalar = Hypervector::from_values(queries.row(q).to_vec());
+                for f in (0..3).filter(|&f| f != keep) {
+                    let est = set.factor(f).unwrap().vector(t[f]).unwrap();
+                    scalar = ops::hadamard_unbind(&scalar, &est).unwrap();
+                }
                 assert_eq!(out.row(q), scalar.values(), "keep {keep} row {q}");
             }
         }
@@ -1097,7 +1032,8 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(f, cb)| {
-                        let mut rows = cb.as_slice().to_vec();
+                        let mut rows: Vec<Hypervector> =
+                            (0..cb.len()).map(|i| cb.vector(i).unwrap()).collect();
                         if f == 0 || f + 1 == sizes.len() {
                             rows[cb.len() - 1] = rows[0].clone();
                         }
@@ -1156,7 +1092,7 @@ mod tests {
             let cb = Codebook::random("c", 8, 2048, &mut r);
             for i in 0..cb.len() {
                 for j in 0..cb.len() {
-                    let sim = ops::cosine_similarity(cb.vector(i).unwrap(), cb.vector(j).unwrap());
+                    let sim = ops::cosine_similarity(&cb.vector(i).unwrap(), &cb.vector(j).unwrap());
                     if i == j {
                         prop_assert!((sim - 1.0).abs() < 1e-5);
                     } else {

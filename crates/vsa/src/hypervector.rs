@@ -11,33 +11,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, Mul, Neg, Sub};
 
-/// The family of VSA encodings a vector belongs to.
-///
-/// CogSys (following NVSA) uses bipolar dense vectors bound with circular convolution
-/// (holographic reduced representation, HRR) or element-wise multiplication (MAP). The
-/// kind is carried alongside the data so pipelines can assert they are composing
-/// representations from the same algebra.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum VsaKind {
-    /// Bipolar entries in `{-1, +1}`, bound with circular convolution or Hadamard product.
-    #[default]
-    Bipolar,
-    /// Real-valued entries (e.g. Gaussian), bound with circular convolution (HRR).
-    Real,
-    /// Values produced as intermediate results (sums of bipolar vectors, similarities...).
-    Dense,
-}
-
-impl fmt::Display for VsaKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VsaKind::Bipolar => write!(f, "bipolar"),
-            VsaKind::Real => write!(f, "real"),
-            VsaKind::Dense => write!(f, "dense"),
-        }
-    }
-}
-
 /// A dense hypervector.
 ///
 /// The element type is `f32` throughout the repository; reduced-precision behaviour is
@@ -54,28 +27,18 @@ impl fmt::Display for VsaKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Hypervector {
     values: Vec<f32>,
-    kind: VsaKind,
 }
 
 impl Hypervector {
-    /// Creates a hypervector from raw values, tagged as [`VsaKind::Dense`].
+    /// Creates a hypervector from raw values.
     pub fn from_values(values: Vec<f32>) -> Self {
-        Self {
-            values,
-            kind: VsaKind::Dense,
-        }
-    }
-
-    /// Creates a hypervector from raw values with an explicit kind tag.
-    pub fn with_kind(values: Vec<f32>, kind: VsaKind) -> Self {
-        Self { values, kind }
+        Self { values }
     }
 
     /// Creates an all-zero vector of dimension `dim`.
     pub fn zeros(dim: usize) -> Self {
         Self {
             values: vec![0.0; dim],
-            kind: VsaKind::Dense,
         }
     }
 
@@ -87,10 +50,7 @@ impl Hypervector {
         if dim > 0 {
             values[0] = 1.0;
         }
-        Self {
-            values,
-            kind: VsaKind::Real,
-        }
+        Self { values }
     }
 
     /// Samples a random bipolar vector with entries drawn uniformly from `{-1, +1}`.
@@ -102,10 +62,7 @@ impl Hypervector {
         let values = (0..dim)
             .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
             .collect();
-        Self {
-            values,
-            kind: VsaKind::Bipolar,
-        }
+        Self { values }
     }
 
     /// Samples a random real-valued vector with i.i.d. `N(0, 1/d)` entries (HRR-style).
@@ -117,10 +74,7 @@ impl Hypervector {
         let normal = Normal::new(0.0_f32, (1.0 / dim.max(1) as f32).sqrt())
             .expect("standard deviation is finite and positive");
         let values = (0..dim).map(|_| normal.sample(rng)).collect();
-        Self {
-            values,
-            kind: VsaKind::Real,
-        }
+        Self { values }
     }
 
     /// Returns the dimensionality.
@@ -131,11 +85,6 @@ impl Hypervector {
     /// Returns `true` if the vector has zero dimensions.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    /// Returns the VSA kind tag.
-    pub fn kind(&self) -> VsaKind {
-        self.kind
     }
 
     /// Returns a view of the underlying values.
@@ -182,10 +131,7 @@ impl Hypervector {
             .iter()
             .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
             .collect();
-        Self {
-            values,
-            kind: VsaKind::Bipolar,
-        }
+        Self { values }
     }
 
     /// Returns an L2-normalised copy (zero vectors are returned unchanged).
@@ -195,10 +141,7 @@ impl Hypervector {
             return self.clone();
         }
         let values = self.values.iter().map(|v| v / n).collect();
-        Self {
-            values,
-            kind: self.kind,
-        }
+        Self { values }
     }
 
     /// Returns a copy with entries cyclically rotated right by `shift` positions.
@@ -215,10 +158,7 @@ impl Hypervector {
         // Element i of the result takes element (i - shift) mod d of the input.
         values.extend_from_slice(&self.values[d - shift..]);
         values.extend_from_slice(&self.values[..d - shift]);
-        Self {
-            values,
-            kind: self.kind,
-        }
+        Self { values }
     }
 
     /// Returns the involution `A*` of the vector: `A*[n] = A[(-n) mod d]`.
@@ -235,10 +175,7 @@ impl Hypervector {
         let mut values = Vec::with_capacity(d);
         values.push(self.values[0]);
         values.extend(self.values[1..].iter().rev().copied());
-        Self {
-            values,
-            kind: self.kind,
-        }
+        Self { values }
     }
 
     /// Flips the sign of every entry in place.
@@ -257,6 +194,12 @@ impl Hypervector {
 impl Default for Hypervector {
     fn default() -> Self {
         Self::zeros(0)
+    }
+}
+
+impl AsRef<[f32]> for Hypervector {
+    fn as_ref(&self) -> &[f32] {
+        &self.values
     }
 }
 
@@ -284,7 +227,7 @@ impl<'a> Add for &'a Hypervector {
             .zip(&rhs.values)
             .map(|(a, b)| a + b)
             .collect();
-        Hypervector::with_kind(values, VsaKind::Dense)
+        Hypervector::from_values(values)
     }
 }
 
@@ -303,7 +246,7 @@ impl<'a> Sub for &'a Hypervector {
             .zip(&rhs.values)
             .map(|(a, b)| a - b)
             .collect();
-        Hypervector::with_kind(values, VsaKind::Dense)
+        Hypervector::from_values(values)
     }
 }
 
@@ -313,7 +256,7 @@ impl Mul<f32> for &Hypervector {
     /// Scalar multiplication.
     fn mul(self, rhs: f32) -> Hypervector {
         let values = self.values.iter().map(|v| v * rhs).collect();
-        Hypervector::with_kind(values, self.kind)
+        Hypervector::from_values(values)
     }
 }
 
@@ -334,7 +277,7 @@ impl FromIterator<f32> for Hypervector {
 
 impl fmt::Display for Hypervector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Hypervector(d={}, kind={})", self.dim(), self.kind)
+        write!(f, "Hypervector(d={})", self.dim())
     }
 }
 
@@ -347,7 +290,6 @@ mod tests {
         let mut rng = crate::rng(1);
         let hv = Hypervector::random_bipolar(256, &mut rng);
         assert!(hv.values().iter().all(|&v| v == 1.0 || v == -1.0));
-        assert_eq!(hv.kind(), VsaKind::Bipolar);
     }
 
     #[test]
@@ -373,7 +315,6 @@ mod tests {
         let hv = Hypervector::from_values(vec![0.5, -0.2, 0.0, -7.0]);
         let s = hv.sign();
         assert_eq!(s.values(), &[1.0, -1.0, 1.0, -1.0]);
-        assert_eq!(s.kind(), VsaKind::Bipolar);
     }
 
     #[test]

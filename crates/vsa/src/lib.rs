@@ -37,39 +37,43 @@
 //! The scalar functions above are the ground truth; production paths go through the
 //! [`batch`] module, which phrases the same algebra over contiguous row-major batches
 //! ([`HvMatrix`]) as one `f32` kernel set, the [`ReferenceBackend`]'s methods — the
-//! software analogue of the paper's array-level batch kernels (Sec. IV–VI). Layers
-//! that can run on sign planes take a [`VsaBackend`] and probe it for the packed
-//! route:
+//! software analogue of the paper's array-level batch kernels (Sec. IV–VI).
+//!
+//! For bipolar `{-1, +1}` data under the MAP/Hadamard algebra, the [`packed`] module
+//! stores sign planes instead of floats ([`BitMatrix`], 32× smaller) and runs the
+//! similarity, cleanup and resonator kernels as word-wise XOR and popcount
+//! ([`PackedBackend`], [`BackendKind::Packed`] — the **default** backend). A bipolar
+//! [`Codebook`] caches its sign planes at construction, and its one search,
+//! [`Codebook::cleanup_batch_bits_into`], scans them with pre-packed [`BitMatrix`]
+//! queries, so nothing is packed per call:
 //!
 //! ```rust
-//! use cogsys_vsa::{BackendKind, Codebook, HvMatrix, Hypervector, ops};
+//! use cogsys_vsa::{BitMatrix, CleanupScratch, Codebook, Hypervector, ops};
 //!
 //! let mut rng = cogsys_vsa::rng(7);
-//! let backend = BackendKind::Reference.create();
 //! let codebook = Codebook::random("color", 16, 256, &mut rng);
 //!
-//! // A batch of noisy queries, one per row.
+//! // A batch of noisy queries, one per row, packed once.
 //! let queries: Vec<Hypervector> = (0..8)
-//!     .map(|i| ops::flip_noise(codebook.vector(i).unwrap(), 0.2, &mut rng))
+//!     .map(|i| ops::flip_noise(&codebook.vector(i).unwrap(), 0.2, &mut rng))
 //!     .collect();
-//! let batch = HvMatrix::from_rows(&queries).unwrap();
+//! let batch = BitMatrix::from_hypervectors(&queries).unwrap();
 //!
 //! // One batched cleanup replaces eight vector-at-a-time searches.
-//! let decoded = codebook.cleanup_batch(backend.as_ref(), &batch).unwrap();
+//! let mut decoded = Vec::new();
+//! codebook
+//!     .cleanup_batch_bits_into(&batch, &mut CleanupScratch::default(), &mut decoded)
+//!     .unwrap();
 //! for (i, (index, similarity)) in decoded.iter().enumerate() {
 //!     assert_eq!(*index, i);
 //!     assert!(*similarity > 0.4);
 //! }
 //! ```
 //!
-//! For bipolar `{-1, +1}` data under the MAP/Hadamard algebra, the [`packed`] module
-//! stores sign planes instead of floats ([`BitMatrix`], 32× smaller) and runs the
-//! similarity, cleanup and resonator kernels as word-wise XOR and popcount
-//! ([`PackedBackend`], [`BackendKind::Packed`] — the **default** backend). Codebooks
-//! cache their sign planes, and callers that already hold sign planes pass
-//! [`BitMatrix`] queries end to end (`cleanup_batch_bits`, `similarities_batch_bits`)
-//! without packing per call; operands without sign planes run the
-//! [`ReferenceBackend`] kernels on either backend.
+//! The codebook's `f32` rows ([`Codebook::matrix`]) stay the operand of the
+//! [`ReferenceBackend`] kernels, the oracles every sign-plane kernel is tested
+//! against. Layers with two resonator engines take a [`VsaBackend`] and probe it
+//! for the packed route.
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
 // kernel module `packed::simd` (the Hamming tiers — scalar `popcnt`, Harley–Seal
@@ -93,7 +97,7 @@ pub mod quant;
 pub use batch::{BackendKind, HvMatrix, ReferenceBackend, VsaBackend};
 pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
-pub use hypervector::{Hypervector, VsaKind};
+pub use hypervector::Hypervector;
 pub use packed::{
     dispatch_tier, projection_tier, BitMatrix, CleanupScratch, DispatchTier, PackedBackend,
     ProjectionVerdict, ResonatePhase,

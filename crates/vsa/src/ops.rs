@@ -6,7 +6,7 @@
 
 use crate::error::VsaError;
 use crate::fft;
-use crate::hypervector::{Hypervector, VsaKind};
+use crate::hypervector::Hypervector;
 use rand::Rng;
 
 /// Circular convolution of two hypervectors: `C[n] = Σ_k A[k]·B[(n−k) mod d]`.
@@ -43,12 +43,12 @@ pub fn try_circular_convolve(a: &Hypervector, b: &Hypervector) -> Result<Hyperve
         });
     }
     if let Some(values) = fft::circular_convolve_fft(a.values(), b.values()) {
-        return Ok(Hypervector::with_kind(values, VsaKind::Real));
+        return Ok(Hypervector::from_values(values));
     }
-    Ok(Hypervector::with_kind(
-        circular_convolve_naive(a.values(), b.values()),
-        VsaKind::Real,
-    ))
+    Ok(Hypervector::from_values(circular_convolve_naive(
+        a.values(),
+        b.values(),
+    )))
 }
 
 /// Time-domain `O(d²)` circular convolution over raw slices.
@@ -97,7 +97,7 @@ pub fn try_circular_correlate(a: &Hypervector, b: &Hypervector) -> Result<Hyperv
         });
     }
     if let Some(values) = fft::circular_correlate_fft(a.values(), b.values()) {
-        return Ok(Hypervector::with_kind(values, VsaKind::Real));
+        return Ok(Hypervector::from_values(values));
     }
     let d = a.dim();
     let av = a.values();
@@ -110,7 +110,7 @@ pub fn try_circular_correlate(a: &Hypervector, b: &Hypervector) -> Result<Hyperv
         }
         *slot = acc;
     }
-    Ok(Hypervector::with_kind(out, VsaKind::Real))
+    Ok(Hypervector::from_values(out))
 }
 
 /// Element-wise (Hadamard) binding, the MAP-style multiplicative binding used by NVSA's
@@ -133,7 +133,7 @@ pub fn hadamard_bind(a: &Hypervector, b: &Hypervector) -> Result<Hypervector, Vs
         .zip(b.values())
         .map(|(x, y)| x * y)
         .collect();
-    Ok(Hypervector::with_kind(values, VsaKind::Dense))
+    Ok(Hypervector::from_values(values))
 }
 
 /// Element-wise unbinding (for bipolar vectors identical to [`hadamard_bind`]).
@@ -147,32 +147,35 @@ pub fn hadamard_unbind(a: &Hypervector, b: &Hypervector) -> Result<Hypervector, 
     hadamard_bind(a, b)
 }
 
-/// Bundles (superposes) a set of hypervectors by element-wise summation.
+/// Bundles (superposes) a set of vectors by element-wise summation, in item order.
+/// The items are hypervectors or raw rows, e.g. [`crate::HvMatrix::row_iter`].
 ///
 /// # Errors
 /// Returns [`VsaError::Empty`] when `items` is empty and
 /// [`VsaError::DimensionMismatch`] when members disagree in dimension.
-pub fn bundle<'a, I>(items: I) -> Result<Hypervector, VsaError>
+pub fn bundle<I>(items: I) -> Result<Hypervector, VsaError>
 where
-    I: IntoIterator<Item = &'a Hypervector>,
+    I: IntoIterator,
+    I::Item: AsRef<[f32]>,
 {
     let mut iter = items.into_iter();
     let first = iter.next().ok_or(VsaError::Empty {
         what: "bundle input",
     })?;
-    let mut acc = first.values().to_vec();
-    for hv in iter {
-        if hv.dim() != acc.len() {
+    let mut acc = first.as_ref().to_vec();
+    for item in iter {
+        let values = item.as_ref();
+        if values.len() != acc.len() {
             return Err(VsaError::DimensionMismatch {
                 left: acc.len(),
-                right: hv.dim(),
+                right: values.len(),
             });
         }
-        for (slot, v) in acc.iter_mut().zip(hv.values()) {
+        for (slot, v) in acc.iter_mut().zip(values) {
             *slot += v;
         }
     }
-    Ok(Hypervector::with_kind(acc, VsaKind::Dense))
+    Ok(Hypervector::from_values(acc))
 }
 
 /// Bundles bipolar vectors and snaps the result back to `{-1, +1}` by majority vote.
@@ -182,9 +185,10 @@ where
 ///
 /// # Errors
 /// Propagates the errors of [`bundle`].
-pub fn majority_bundle<'a, I>(items: I) -> Result<Hypervector, VsaError>
+pub fn majority_bundle<I>(items: I) -> Result<Hypervector, VsaError>
 where
-    I: IntoIterator<Item = &'a Hypervector>,
+    I: IntoIterator,
+    I::Item: AsRef<[f32]>,
 {
     Ok(bundle(items)?.sign())
 }
@@ -243,7 +247,7 @@ pub fn flip_noise<R: Rng + ?Sized>(hv: &Hypervector, p: f64, rng: &mut R) -> Hyp
             }
         })
         .collect();
-    Hypervector::with_kind(values, hv.kind())
+    Hypervector::from_values(values)
 }
 
 /// Matrix–vector similarity: the dot product of `query` with every row of `matrix`.

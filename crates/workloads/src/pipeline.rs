@@ -46,7 +46,10 @@ pub struct SolverConfig {
     /// geometric gaps over its scenes' dimensions, one draw per flip rather than
     /// one per dimension.
     pub encoding_noise: f64,
-    /// Batched execution backend used for encoding, factorization and answer scoring.
+    /// The resonator engine: [`BackendKind::Packed`] runs the sign-plane resonator,
+    /// [`BackendKind::Reference`] the `f32` reference resonator, one query at a
+    /// time. Encoding, polish, the product-plane rescue and answer scoring run on
+    /// sign planes on either backend.
     pub backend: BackendKind,
     /// Attribute vocabulary the solver's codebooks cover. Defaults to the RAVEN
     /// cardinalities; enlarged vocabularies (e.g. [`AttributeVocab::uniform`] with
@@ -81,8 +84,8 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy running the whole pipeline (encoding, factorization, answer
-    /// scoring) on the given execution backend.
+    /// Returns a copy whose resonator runs on the given backend (see
+    /// [`SolverConfig::backend`]).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self.factorizer = self.factorizer.with_backend(backend);
@@ -389,8 +392,7 @@ impl NeurosymbolicSolver {
                 })
             })
             .collect::<Result<Vec<_>, VsaError>>()?;
-        // One shared backend instance serves both the solver's own batch kernels and
-        // the factorizers.
+        // One shared backend instance serves both factorizers and `backend()`.
         let backend = config.backend.create();
         let factorizer = Self::block_factorizer(&config, Arc::clone(&backend));
         let sweep = Self::block_factorizer(
@@ -537,7 +539,7 @@ impl NeurosymbolicSolver {
         &self.codebooks
     }
 
-    /// The batched execution backend this solver runs on.
+    /// The backend this solver's factorizers pick their resonator engine by.
     pub fn backend(&self) -> &Arc<dyn VsaBackend> {
         &self.backend
     }
@@ -750,8 +752,8 @@ impl NeurosymbolicSolver {
     /// `ds.tuples`, which repairs single-attribute decode errors cheaply with the
     /// same unbind→search primitive the factorizer iterates: per factor, the other
     /// factors' decoded codevector planes are XOR-unbound from the scene (bipolar
-    /// Hadamard unbinding is exactly XOR) and the result goes through the cleanup
-    /// router ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
+    /// Hadamard unbinding is exactly XOR) and the result goes through the codebook
+    /// search ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
     fn polish_into(
         &self,
         block: usize,
@@ -766,7 +768,6 @@ impl NeurosymbolicSolver {
             est_bits,
         } = ds;
         let set = &self.blocks[block].0;
-        let backend = self.backend.as_ref();
         for f in 0..set.num_factors() {
             unbound_bits.copy_from(scenes);
             for g in 0..set.num_factors() {
@@ -785,7 +786,7 @@ impl NeurosymbolicSolver {
             }
             let (cscratch, cleaned) = fscratch.cleanup_buffers();
             set.factor(f)?
-                .cleanup_batch_bits_into(backend, unbound_bits, cscratch, cleaned)?;
+                .cleanup_batch_bits_into(unbound_bits, cscratch, cleaned)?;
             for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
                 t[f] = best;
             }

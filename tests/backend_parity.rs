@@ -5,15 +5,15 @@
 //! These are the repository-level guarantees the batch layer rests on:
 //!
 //! 1. the one `f32` kernel set, `ReferenceBackend`'s methods, matches the scalar
-//!    `ops` and the `O(d²)` convolution within float tolerance, and every operand
-//!    without sign planes reaches it on either backend;
+//!    `ops` and the `O(d²)` convolution within float tolerance, and serves as the
+//!    oracle of every sign-plane kernel;
 //! 2. `PackedBackend` reproduces the reference exactly where the bit-packed algebra
 //!    applies (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling)
 //!    and within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
 //!    power-of-two and non-power-of-two dimensions (tail-word padding included);
 //! 3. the packed engine decodes a RAVEN-sized block exactly on nearly every row at
-//!    FP32 and INT8, and the polish router's sign-plane cleanups decide like the
-//!    dense route;
+//!    FP32 and INT8, and the codebook search that polish runs decides like the
+//!    dense oracle;
 //! 4. batching is a pure performance transform — `factorize_matrix_scratch` returns
 //!    exactly the per-query `factorize` results.
 
@@ -21,7 +21,7 @@ use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, ReferenceBackend};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::packed::{BitMatrix, CleanupScratch, PackedBackend};
-use cogsys_vsa::{ops, rng, Codebook, CodebookSet, Hypervector, Precision};
+use cogsys_vsa::{ops, rng, Codebook, CodebookSet, Hypervector, Precision, VsaError};
 use proptest::prelude::*;
 
 fn random_batch(rows: usize, dim: usize, seed: u64) -> (Vec<Hypervector>, HvMatrix) {
@@ -87,9 +87,10 @@ proptest! {
         }
     }
 
-    /// Similarity GEMM and cleanup on random shapes: the reference kernels and the
-    /// codebook routers of both backends all give the scalar dot products exactly
-    /// (dots of ±1 rows are exact in f32) and the scalar argmax, lowest row on ties.
+    /// Similarity GEMM and cleanup on random shapes: the reference kernels, the
+    /// packed kernels over a codebook's cached sign planes and the codebook search
+    /// all give the scalar dot products exactly (dots of ±1 rows are exact in f32)
+    /// and the scalar argmax, lowest row on ties.
     #[test]
     fn prop_backends_match_on_similarity_and_cleanup(
         seed in 0u64..1000,
@@ -99,12 +100,13 @@ proptest! {
     ) {
         let (code, cb) = random_batch(code_rows, dim, seed);
         let (rows, q) = random_batch(queries, dim, seed + 101);
-        let codebook = Codebook::new("c", code).unwrap();
         let q_bits = BitMatrix::from_matrix(&q).unwrap();
         let mut dots = HvMatrix::zeros(queries, code_rows);
         for (i, row) in rows.iter().enumerate() {
-            dots.row_mut(i).copy_from_slice(&ops::matvec_similarity(codebook.as_slice(), row).unwrap());
+            dots.row_mut(i).copy_from_slice(&ops::matvec_similarity(&code, row).unwrap());
         }
+        let codebook = Codebook::new("c", code).unwrap();
+        let planes = codebook.packed().unwrap();
         let expected: Vec<(usize, f32)> = dots
             .row_iter()
             .map(|row| {
@@ -115,12 +117,13 @@ proptest! {
         let mut sims = HvMatrix::default();
         ReferenceBackend.similarity_matrix_into(&cb, &q, &mut sims).unwrap();
         prop_assert_eq!(&sims, &dots);
-        let mut cleanups = vec![ReferenceBackend.cleanup_batch(&cb, &q).unwrap()];
-        for kind in BackendKind::ALL {
-            let backend = kind.create();
-            prop_assert_eq!(&codebook.similarities_batch_bits(backend.as_ref(), &q_bits).unwrap(), &dots);
-            cleanups.push(codebook.cleanup_batch(backend.as_ref(), &q).unwrap());
-        }
+        PackedBackend.similarity_matrix_packed_into(planes, &q_bits, &mut sims);
+        prop_assert_eq!(&sims, &dots);
+        let mut scratch = CleanupScratch::default();
+        let (mut packed, mut searched) = (Vec::new(), Vec::new());
+        PackedBackend.cleanup_batch_packed_into(planes, &q_bits, &mut scratch, &mut packed);
+        codebook.cleanup_batch_bits_into(&q_bits, &mut scratch, &mut searched).unwrap();
+        let cleanups = [ReferenceBackend.cleanup_batch(&cb, &q).unwrap(), packed, searched];
         for cleanup in cleanups {
             for ((ei, esim), (ci, csim)) in expected.iter().zip(&cleanup) {
                 prop_assert_eq!(ei, ci);
@@ -260,9 +263,10 @@ proptest! {
         }
     }
 
-    /// Pre-packed `BitMatrix` queries through `Codebook::cleanup_batch_bits` decode
-    /// exactly like the same queries through the f32 `cleanup_batch` surface, on every
-    /// backend — the end-to-end packed query path changes cost, never results.
+    /// Pre-packed `BitMatrix` queries through `Codebook::cleanup_batch_bits_into`
+    /// decode exactly like the same `f32` queries through the dense oracle,
+    /// `ReferenceBackend::cleanup_batch` on the codebook's matrix — the sign-plane
+    /// search changes cost, never results.
     #[test]
     fn prop_packed_query_cleanup_equals_dense_query(
         seed in 0u64..1000,
@@ -276,14 +280,13 @@ proptest! {
         let cb = Codebook::random("p", code_rows, dim, &mut r);
         let (_, q) = random_batch(queries, dim, seed + 211);
         let bits = BitMatrix::from_matrix(&q).expect("bipolar queries pack");
-        for kind in BackendKind::ALL {
-            let backend = kind.create();
-            let dense = cb.cleanup_batch(backend.as_ref(), &q).unwrap();
-            let packed = cb.cleanup_batch_bits(backend.as_ref(), &bits).unwrap();
-            for ((di, dsim), (pi, psim)) in dense.iter().zip(&packed) {
-                prop_assert_eq!(di, pi);
-                prop_assert!((dsim - psim).abs() < 1e-4, "{}: {} vs {}", kind, dsim, psim);
-            }
+        let dense = ReferenceBackend.cleanup_batch(cb.matrix(), &q).unwrap();
+        let mut packed = Vec::new();
+        cb.cleanup_batch_bits_into(&bits, &mut CleanupScratch::default(), &mut packed).unwrap();
+        prop_assert_eq!(dense.len(), packed.len());
+        for ((di, dsim), (pi, psim)) in dense.iter().zip(&packed) {
+            prop_assert_eq!(di, pi);
+            prop_assert!((dsim - psim).abs() < 1e-4, "{} vs {}", dsim, psim);
         }
     }
 
@@ -409,7 +412,8 @@ proptest! {
 
     /// Non-bipolar operands must not silently lose magnitude: the reference kernels
     /// equal the scalar `ops` bitwise on real rows, and a real-valued codebook (no
-    /// sign planes) cleans up on the packed backend exactly as on the reference.
+    /// sign planes) is refused by the sign-plane search, typed, rather than scanned
+    /// on signs it does not have; its f32 rows stay the dense kernels' operand.
     #[test]
     fn prop_packed_falls_back_on_real_inputs(seed in 0u64..500, dim in 2usize..130) {
         let mut r = rng(seed);
@@ -435,10 +439,13 @@ proptest! {
         }
         let codebook = Codebook::new("real", hvs.clone()).unwrap();
         prop_assert!(codebook.packed().is_none());
-        prop_assert_eq!(
-            codebook.cleanup_batch(&PackedBackend, &b).unwrap(),
-            ReferenceBackend.cleanup_batch(&a, &b).unwrap()
-        );
+        prop_assert_eq!(codebook.matrix(), &a);
+        let b_bits = BitMatrix::from_matrix(&b).unwrap();
+        let mut best = Vec::new();
+        prop_assert!(matches!(
+            codebook.cleanup_batch_bits_into(&b_bits, &mut CleanupScratch::default(), &mut best),
+            Err(VsaError::Unsupported { .. })
+        ));
     }
 }
 
@@ -648,17 +655,18 @@ fn packed_raven_block_decodes_and_polishes_exactly() {
         );
     }
 
-    // The polish router: per-factor cleanups of the scenes on sign planes and on
-    // the dense route.
+    // Polish's codebook search: per-factor cleanups of the scenes on sign planes
+    // against the dense oracle on the unpacked scenes.
     let mut scratch = CleanupScratch::default();
-    let (mut packed, mut dense) = (Vec::new(), Vec::new());
+    let mut packed = Vec::new();
+    let unpacked = queries.to_matrix();
     for f in 0..block0.num_factors() {
         let codebook = block0.factor(f).unwrap();
         codebook
-            .cleanup_batch_bits_into(&PackedBackend, &queries, &mut scratch, &mut packed)
+            .cleanup_batch_bits_into(&queries, &mut scratch, &mut packed)
             .unwrap();
-        codebook
-            .cleanup_batch_bits_into(&ReferenceBackend, &queries, &mut scratch, &mut dense)
+        let dense = ReferenceBackend
+            .cleanup_batch(codebook.matrix(), &unpacked)
             .unwrap();
         assert_eq!(packed.len(), dense.len());
         for ((pi, psim), (di, dsim)) in packed.iter().zip(&dense) {

@@ -16,7 +16,10 @@ use cogsys::{CogSysConfig, CogSysSystem};
 use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
-use cogsys_vsa::{rng, BackendKind, BitMatrix, CleanupScratch, CodebookSet, ProductCodebook};
+use cogsys_vsa::{
+    rng, BackendKind, BitMatrix, CleanupScratch, CodebookSet, HvMatrix, PackedBackend,
+    ProductCodebook,
+};
 use cogsys_workloads::{
     NeurosymbolicSolver, SolveError, SolverConfig, SolverReport, SolverScratch,
 };
@@ -223,13 +226,12 @@ fn enlarged_vocabularies_solve_with_a_fixed_outcome_per_seed() {
 /// tuple only where some factor can strictly improve.
 fn polish_row(
     set: &CodebookSet,
-    backend: &dyn cogsys_vsa::VsaBackend,
     scene: &BitMatrix,
     tuple: &[usize],
     keep_ties: bool,
 ) -> Vec<usize> {
     let mut tuple = tuple.to_vec();
-    let mut plane = BitMatrix::default();
+    let (mut plane, mut sims) = (BitMatrix::default(), HvMatrix::default());
     for f in 0..set.num_factors() {
         let mut unbound = scene.clone();
         for (g, &index) in tuple.iter().enumerate() {
@@ -239,11 +241,8 @@ fn polish_row(
                 unbound.xor_assign(&plane).unwrap();
             }
         }
-        let sims = set
-            .factor(f)
-            .unwrap()
-            .similarities_batch_bits(backend, &unbound)
-            .unwrap();
+        let planes = set.factor(f).unwrap().packed().unwrap();
+        PackedBackend.similarity_matrix_packed_into(planes, &unbound, &mut sims);
         let row = sims.row(0);
         let best = (0..row.len()).fold(0, |best, m| if row[m] > row[best] { m } else { best });
         if !(keep_ties && row[tuple[f]] == row[best]) {
@@ -335,14 +334,14 @@ fn product_scan_rescue_is_a_polish_fixed_point_and_keeps_converged_decisions() {
                 }
                 bits.gather_into(&[row], &mut scene).unwrap();
                 assert_eq!(
-                    polish_row(&set, backend.as_ref(), &scene, &route, true),
+                    polish_row(&set, &scene, &route, true),
                     route,
                     "{case}: polish moves the decoded tuple"
                 );
                 if one.converged {
                     assert_eq!(full[row], *one, "{case}: sweep 1 decides as the full run");
                     assert_eq!(
-                        polish_row(&set, backend.as_ref(), &scene, &full[row].indices, false),
+                        polish_row(&set, &scene, &full[row].indices, false),
                         route,
                         "{case}: resonate + polish decides otherwise"
                     );
