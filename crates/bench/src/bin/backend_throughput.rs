@@ -5,12 +5,14 @@
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
-//! plus the **resonator-iteration** cell `resonate_iter` (one full fused resonator
-//! iteration vs the split three-pass sequence of reference kernels at d=4096),
+//! plus the **resonator-iteration** cells `resonate_iter` (one full fused resonator
+//! iteration vs the split three-pass sequence of reference kernels, at d=4096 and
+//! at the RAVEN block-0 shape d=2048 / 512 rows / codebooks 9, 9, 5),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
 //! `factorize_sweep_<rows>` (one product-plane scan and one resonator sweep of
-//! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the sweep beside
-//! its same-run `noise_free_twin`, which no guard reads) —
+//! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the scan beside its
+//! same-run `reference` twin, the f32 cleanup over the unpacked product planes,
+//! and the sweep beside its same-run `noise_free_twin`, which no guard reads) —
 //! prints the speedup table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
@@ -110,7 +112,8 @@ fn main() -> ExitCode {
     ));
 
     // Resonator-iteration microbench: the fused kernel vs the split three-pass
-    // sequence, one full iteration over all factors at d=4096.
+    // sequence, one full iteration over all factors, at d=4096 and at the RAVEN
+    // block-0 shape.
     records.extend(cogsys::experiments::resonate_iter_records(SEED));
 
     // The rescue route's kernels at the RAVEN block shapes: one product-plane
@@ -170,22 +173,26 @@ fn main() -> ExitCode {
         );
     }
 
-    // The isolated per-iteration kernel: fused vs the split reference sequence.
-    let iter_cell = |backend: &str| {
-        records
-            .iter()
-            .find(|r| r.backend == backend && r.kernel == "resonate_iter")
-            .map(|r| r.ns_per_op)
-    };
-    if let (Some(fused), Some(split)) = (iter_cell("packed"), iter_cell("reference")) {
-        println!(
-            "resonate_iter d={} rows={}: split {:.3} ms/iter, fused {:.3} ms/iter ({:.2}x)",
-            cogsys::experiments::RESONATE_ITER_BENCH_DIM,
-            cogsys::experiments::RESONATE_ITER_BENCH_ROWS,
-            split / 1e6,
-            fused / 1e6,
-            split / fused.max(1.0),
-        );
+    // The isolated per-iteration kernel, per shape: fused vs the split
+    // reference sequence.
+    for fused in records
+        .iter()
+        .filter(|r| r.backend == "packed" && r.kernel == "resonate_iter")
+    {
+        if let Some(split) = records.iter().find(|r| {
+            r.backend == "reference"
+                && r.kernel == "resonate_iter"
+                && (r.dim, r.batch) == (fused.dim, fused.batch)
+        }) {
+            println!(
+                "resonate_iter d={} rows={}: split {:.3} ms/iter, fused {:.3} ms/iter ({:.2}x)",
+                fused.dim,
+                fused.batch,
+                split.ns_per_op / 1e6,
+                fused.ns_per_op / 1e6,
+                split.ns_per_op / fused.ns_per_op.max(1.0),
+            );
+        }
     }
 
     // Per scene row: the product scan against one resonator sweep, per block
@@ -211,6 +218,16 @@ fn main() -> ExitCode {
                     sweep / 1e3,
                     sweep / scan.max(1e-3),
                 );
+                if let Some(oracle) =
+                    scan_cell("reference", &format!("product_scan_{products}"), dim)
+                {
+                    println!(
+                        "product_scan d={dim} products={products}: reference twin {:.2} us/row \
+                         ({:.1}x the scan)",
+                        oracle / 1e3,
+                        oracle / scan.max(1e-3),
+                    );
+                }
                 if let Some(quiet) = scan_cell("noise_free_twin", &sweep_kernel, dim) {
                     println!(
                         "factorize_sweep d={dim} products={products}: {:.2} us/row, noise-free \

@@ -456,20 +456,19 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
     records
 }
 
-/// Hypervector dimensionality of the resonator-iteration microbench.
-pub const RESONATE_ITER_BENCH_DIM: usize = 4096;
-
-/// Query rows of the resonator-iteration microbench.
-pub const RESONATE_ITER_BENCH_ROWS: usize = 256;
-
-/// Factors of the resonator-iteration microbench (NVSA's RAVEN attribute arity).
-pub const RESONATE_ITER_BENCH_FACTORS: usize = 3;
+/// Shapes of the resonator-iteration microbench, as (dimensionality, query
+/// rows, rows of each factor codebook): a wide synthetic iteration (d=4096, 256
+/// rows, three 64-row codebooks) and the RAVEN block-0 shape (d=2048, one
+/// 64-problem call's 512 panel rows, the 9/9/5 attribute codebooks).
+pub const RESONATE_ITER_BENCH_SHAPES: [(usize, usize, &[usize]); 2] =
+    [(4096, 256, &[64, 64, 64]), (2048, 512, &[9, 9, 5])];
 
 /// Measures one full packed resonator iteration — unbind, similarity, weighted
-/// sign projection across all [`RESONATE_ITER_BENCH_FACTORS`] factors — with the
-/// fused kernel the resonator runs ([`cogsys_vsa::PackedBackend::resonate_step_fused_into`],
-/// recorded as `packed` / `resonate_iter`) against the split three-pass sequence
-/// built from the reference kernels (full-batch unbind materialization,
+/// sign projection across every factor — at each of
+/// [`RESONATE_ITER_BENCH_SHAPES`], with the fused kernel the resonator runs
+/// ([`cogsys_vsa::PackedBackend::resonate_step_fused_into`], recorded as `packed`
+/// / `resonate_iter`) against the split three-pass sequence built from the
+/// reference kernels (full-batch unbind materialization,
 /// [`cogsys_vsa::PackedBackend::similarity_matrix_packed_into`],
 /// [`cogsys_vsa::PackedBackend::project_signs_packed_into`]; recorded as
 /// `reference` / `resonate_iter`). Both paths run over the same planes with no-op
@@ -477,16 +476,30 @@ pub const RESONATE_ITER_BENCH_FACTORS: usize = 3;
 /// sign-plane word once per iteration where the split sequence streams the batch
 /// planes three times.
 pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
+    RESONATE_ITER_BENCH_SHAPES
+        .iter()
+        .flat_map(|&(dim, rows, codebook_rows)| resonate_iter_cell(seed, dim, rows, codebook_rows))
+        .collect()
+}
+
+/// The fused and split records of one [`resonate_iter_records`] shape.
+fn resonate_iter_cell(
+    seed: u64,
+    dim: usize,
+    rows: usize,
+    codebook_rows: &[usize],
+) -> [BenchRecord; 2] {
     use cogsys_vsa::packed::{BitMatrix, PackedBackend};
     use std::time::Instant;
 
-    let dim = RESONATE_ITER_BENCH_DIM;
-    let rows = RESONATE_ITER_BENCH_ROWS;
-    let factors = RESONATE_ITER_BENCH_FACTORS;
+    let factors = codebook_rows.len();
     let backend = PackedBackend::new();
     let mut rng = cogsys_vsa::rng(seed);
 
-    let codebook = BitMatrix::random_bipolar(BENCH_CODEBOOK_ROWS, dim, &mut rng);
+    let codebooks: Vec<BitMatrix> = codebook_rows
+        .iter()
+        .map(|&m| BitMatrix::random_bipolar(m, dim, &mut rng))
+        .collect();
     let query = BitMatrix::random_bipolar(rows, dim, &mut rng);
     let mut estimates: Vec<BitMatrix> = (0..factors)
         .map(|_| BitMatrix::random_bipolar(rows, dim, &mut rng))
@@ -498,9 +511,9 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
     let mut acc = Vec::new();
 
     let mut fused_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
-        for f in 0..factors {
+        for (f, codebook) in codebooks.iter().enumerate() {
             backend.resonate_step_fused_into(
-                &codebook,
+                codebook,
                 &query,
                 estimates,
                 f,
@@ -512,7 +525,7 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
         }
     };
     let mut split_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
-        for f in 0..factors {
+        for (f, codebook) in codebooks.iter().enumerate() {
             let (head, rest) = estimates.split_at_mut(f);
             let (out, tail) = rest.split_first_mut().expect("factor index in range");
             unbound_full.copy_from(&query);
@@ -521,8 +534,8 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
                     .xor_assign(est)
                     .expect("estimate planes share the query shape");
             }
-            backend.similarity_matrix_packed_into(&codebook, &unbound_full, sims);
-            backend.project_signs_packed_into(&codebook, sims, |_, _| {}, acc, out);
+            backend.similarity_matrix_packed_into(codebook, &unbound_full, sims);
+            backend.project_signs_packed_into(codebook, sims, |_, _| {}, acc, out);
         }
     };
 
@@ -558,7 +571,7 @@ pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
         }));
     }
 
-    vec![
+    [
         BenchRecord {
             backend: "packed".to_string(),
             kernel: "resonate_iter".to_string(),
@@ -591,12 +604,16 @@ pub const PRODUCT_SCAN_BENCH_ROWS: usize = 512;
 ///   iteration, at the default stochasticity, noise draws included).
 ///
 /// Both are recorded as `packed`, the median of [`RESCUE_BENCH_ROUNDS`] rounds
-/// after one warm-up: these cells have no same-run reference twin, so the guard
-/// compares them through the host factor. Per row, the scan costs `product_scan / rows` and the sweep `factorize_sweep /
-/// rows`; their ratio is what the solver's product-row limit for the rescue
-/// route is set from. Beside each sweep, a same-run `noise_free_twin` record
-/// times the same sweep with stochasticity off (the guard never reads it): the
-/// gap between the two is what the resonator's noise costs.
+/// after one warm-up. Each scan has a same-run `reference` twin, as
+/// `cleanup_prepacked` has: [`ReferenceBackend::cleanup_batch`] over the unpacked
+/// product planes and queries, checked to pick the scan's rows, so the guard
+/// gates the scan by its twin. The sweeps have none, so the guard compares them
+/// through the host factor. Per row, the scan costs `product_scan / rows` and
+/// the sweep `factorize_sweep / rows`; their ratio is what the solver's
+/// product-row limit for the rescue route is set from. Beside each sweep, a
+/// same-run `noise_free_twin` record times the same sweep with stochasticity off
+/// (the guard never reads it): the gap between the two is what the resonator's
+/// noise costs.
 pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
     use cogsys_factorizer::{Factorizer, FactorizerScratch, StochasticityConfig};
     use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
@@ -644,6 +661,31 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                     .search_batch_bits_into(&queries, &mut scratch, &mut best)
                     .expect("shapes match");
             });
+            // The scan's same-run reference twin, as `cleanup_prepacked` has:
+            // the f32 oracle cleanup over the unpacked product planes, on the
+            // unpacked queries. It must pick the scan's rows.
+            let mut tuple = vec![0; set.num_factors()];
+            let products: Vec<Hypervector> = (0..product.len())
+                .map(|r| {
+                    product.factor_indices_into(r, &mut tuple);
+                    set.bind_indices(&tuple).expect("in-range tuple")
+                })
+                .collect();
+            let products = HvMatrix::from_rows(&products).expect("products share a dimension");
+            let mut dense = HvMatrix::default();
+            let mut oracle = Vec::new();
+            let twin = median_secs(&mut || {
+                queries.unpack_into(&mut dense);
+                oracle = ReferenceBackend
+                    .cleanup_batch(&products, &dense)
+                    .expect("shapes match");
+            });
+            let rows_of = |best: &[(usize, f32)]| best.iter().map(|b| b.0).collect::<Vec<_>>();
+            assert_eq!(
+                rows_of(&best),
+                rows_of(&oracle),
+                "product scan diverged from its reference twin"
+            );
             let sweep = |stochasticity| {
                 let factorizer = Factorizer::with_backend(
                     FactorizerConfig {
@@ -666,6 +708,7 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
             let noise_free = sweep(StochasticityConfig::disabled());
             for (backend, kernel, secs) in [
                 ("packed", "product_scan", scan),
+                ("reference", "product_scan", twin),
                 ("packed", "factorize_sweep", noisy),
                 ("noise_free_twin", "factorize_sweep", noise_free),
             ] {
@@ -718,8 +761,8 @@ pub fn parse_backend_throughput_json(text: &str) -> Vec<BenchRecord> {
 ///   container, different host generation) cancels out — what is gated is the packed
 ///   kernel's advantage over the reference, not absolute nanoseconds. A packed cell
 ///   without a reference twin in both runs (`solve_batch` and the rescue route's
-///   `product_scan_*` and `factorize_sweep_*` cells) is normalised by the run's
-///   **host factor** instead:
+///   `factorize_sweep_*` cells) is normalised by the run's **host factor**
+///   instead:
 ///   the geometric mean of fresh/baseline time over every reference cell present in
 ///   both record sets. The `plan_stage_*` cells stay ungated: they split the gated
 ///   `solve_batch` cell into stages of 0.02–8 ms, and the sub-millisecond encode and
@@ -1776,6 +1819,7 @@ mod tests {
         let mut expected = Vec::new();
         for (backend, kernel) in [
             ("packed", "product_scan"),
+            ("reference", "product_scan"),
             ("packed", "factorize_sweep"),
             ("noise_free_twin", "factorize_sweep"),
         ] {

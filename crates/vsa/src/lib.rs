@@ -76,9 +76,9 @@
 //! for the packed route.
 
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
-// kernel module `packed::simd` (the Hamming tiers — scalar `popcnt`, Harley–Seal
-// AVX2, AVX-512 `vpopcntq` — plus the AVX2/AVX-512 sign projection, sign pack and
-// noise mask; `#[target_feature]` functions cannot be called or coerced without
+// kernel module `packed::simd` (the Hamming register tiles — scalar `popcnt`,
+// AVX2 lookup popcount, AVX-512 `vpopcntq` — plus the AVX2/AVX-512 sign
+// projection, sign pack and noise mask; `#[target_feature]` functions cannot be called or coerced without
 // `unsafe` even when the feature was verified via cpuid, and the vector load/store
 // intrinsics take raw pointers), which carries a scoped `#![allow(unsafe_code)]`
 // and per-call safety arguments.

@@ -22,6 +22,14 @@
 //! at zero (see [`BitMatrix::tail_mask`]), which lets every kernel run whole-word
 //! XOR/popcount without per-row masking.
 //!
+//! Every Hamming scan — the similarity GEMM, the cleanup (codebook and product)
+//! scan and the fused resonator step's similarity loop — is one register-tiled
+//! kernel: a 2-query × 4-row tile keeps one popcount accumulator per (query, row)
+//! pair across every word and reduces all eight together once, so no pair pays a
+//! call or a horizontal reduce of its own. The single-pair dot products run the
+//! same tile at 1 × 1. Every tier ([`dispatch_tier`]) returns the same integer
+//! distances.
+//!
 //! The one `f32` kernel on sign planes is the resonator's weighted sign projection,
 //! `acc[j] = Σ_m ±w[m]` over a codebook's rows. It runs one query row at a time: for
 //! each 64-dim word the row kernel keeps that word's accumulators in registers
@@ -38,12 +46,22 @@ use serde::{Deserialize, Serialize};
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
 
-/// Codebook rows per cache block in the popcount cleanup/similarity kernels.
+/// Codebook rows per cache block of the sign-plane scan ([`scan_hamming`]), at most.
 ///
-/// A block of 128 rows at d = 4096 is 64 KiB of packed words — resident in L1/L2 while
-/// it is streamed against every query, so large codebooks are read from DRAM once per
-/// block instead of once per query.
+/// A block also holds at most [`SCAN_BLOCK_WORDS`] words, so it stays L1-resident
+/// while every query streams past it (128 rows up to d = 2048, 64 at d = 4096), and
+/// a large codebook is read from DRAM once per block instead of once per query.
 const CODEBOOK_BLOCK_ROWS: usize = 128;
+
+/// Words per codebook block of the sign-plane scan, at most: 32 KiB of planes.
+const SCAN_BLOCK_WORDS: usize = 4096;
+
+/// Query rows per block of the sign-plane scan: one query block's distances to
+/// one codebook block fill a 4 KiB buffer on the stack.
+const SCAN_QUERY_ROWS: usize = 8;
+
+/// Distance buffer of one (query block, codebook block) pair of [`scan_hamming`].
+type ScanBuffer = [u32; SCAN_QUERY_ROWS * CODEBOOK_BLOCK_ROWS];
 
 /// Query rows per lane block of the fused resonator step
 /// ([`PackedBackend::resonate_step_fused_into`]): each block unbinds this many
@@ -158,15 +176,123 @@ fn unpack_row(words: &[u64], row: &mut [f32]) {
     }
 }
 
-/// Portable Hamming distance between two equal-length word rows (tail bits are zero
+/// Function-pointer type of the Hamming block kernels behind [`Dispatch`]:
+/// `hamming_block(queries, rows, wpr, out)` writes the Hamming distance of query
+/// row `q` and codebook row `r` to `out[q * n_rows + r]`, for the
+/// `queries.len() / wpr` query rows and `n_rows = rows.len() / wpr` codebook rows
+/// of two row-major sign-plane slices (`wpr` words per row; the tail bits are zero
 /// on both sides, so whole-word popcount needs no masking).
-#[inline]
-fn hamming_generic(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+type HammingBlockFn = fn(&[u64], &[u64], usize, &mut [u32]);
+
+/// One Hamming tier's register tile: the distances of `Q` query rows against `R`
+/// codebook rows (`queries` holds `Q · wpr` words, `rows` `R · wpr`). Each of the
+/// `Q · R` pairs keeps its own popcount accumulator across every word, and the
+/// tile reduces them all together once, so no pair pays a call or a horizontal
+/// reduce of its own. `Q · R` is at most 8.
+trait HammingTile {
+    fn tile<const Q: usize, const R: usize>(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+    ) -> [[u32; R]; Q];
 }
 
-/// Function-pointer type of the Hamming kernels behind [`hamming_fn`].
-type HammingFn = fn(&[u64], &[u64]) -> u32;
+/// The [`HammingBlockFn`] contract on tier `T`: 2-query × 4-row register tiles,
+/// narrowed to the 1–3 rows and the single query left at the block's ragged
+/// edges. Inlined into each tier's entry point, so the tiles compile with that
+/// tier's target features.
+#[inline(always)]
+fn hamming_block_with<T: HammingTile>(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
+    let n_rows = rows.len() / wpr;
+    if n_rows == 0 {
+        return;
+    }
+    for (qs, out) in queries.chunks(2 * wpr).zip(out.chunks_mut(2 * n_rows)) {
+        if qs.len() == 2 * wpr {
+            tile_rows::<T, 2>(qs, rows, wpr, out);
+        } else {
+            tile_rows::<T, 1>(qs, rows, wpr, out);
+        }
+    }
+}
+
+/// One strip of [`hamming_block_with`]: `Q` query rows against every codebook
+/// row, four rows per tile.
+#[inline(always)]
+fn tile_rows<T: HammingTile, const Q: usize>(
+    queries: &[u64],
+    rows: &[u64],
+    wpr: usize,
+    out: &mut [u32],
+) {
+    let n_rows = rows.len() / wpr;
+    let mut quads = rows.chunks_exact(4 * wpr);
+    for (t, quad) in quads.by_ref().enumerate() {
+        store_tile(&T::tile::<Q, 4>(queries, quad, wpr), out, n_rows, 4 * t);
+    }
+    let rest = quads.remainder();
+    let first = n_rows - rest.len() / wpr;
+    match rest.len() / wpr {
+        3 => store_tile(&T::tile::<Q, 3>(queries, rest, wpr), out, n_rows, first),
+        2 => store_tile(&T::tile::<Q, 2>(queries, rest, wpr), out, n_rows, first),
+        1 => store_tile(&T::tile::<Q, 1>(queries, rest, wpr), out, n_rows, first),
+        _ => {}
+    }
+}
+
+/// Copies a tile's distances into the strip's output, rows `first..first + R`.
+#[inline(always)]
+fn store_tile<const Q: usize, const R: usize>(
+    tile: &[[u32; R]; Q],
+    out: &mut [u32],
+    n_rows: usize,
+    first: usize,
+) {
+    for (q, dist) in tile.iter().enumerate() {
+        out[q * n_rows + first..][..R].copy_from_slice(dist);
+    }
+}
+
+/// The scalar register tile, `u64::count_ones()` per word. Compiled as-is it is
+/// the generic tier; inlined into a `popcnt`-enabled entry point it is the
+/// `popcnt` tier.
+struct ScalarTile;
+
+impl HammingTile for ScalarTile {
+    #[inline(always)]
+    fn tile<const Q: usize, const R: usize>(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+    ) -> [[u32; R]; Q] {
+        let queries: [&[u64]; Q] = std::array::from_fn(|q| &queries[q * wpr..][..wpr]);
+        let rows: [&[u64]; R] = std::array::from_fn(|r| &rows[r * wpr..][..wpr]);
+        let mut acc = [[0u32; R]; Q];
+        for w in 0..wpr {
+            for (acc, query) in acc.iter_mut().zip(queries) {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    *a += (query[w] ^ row[w]).count_ones();
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The generic tier of the Hamming block kernel.
+fn hamming_block_generic(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
+    hamming_block_with::<ScalarTile>(queries, rows, wpr, out);
+}
+
+/// Function-pointer type of the single-pair entry points behind [`Dispatch`]:
+/// each is its tier's 1 × 1 register tile, the Hamming distance of two rows of
+/// equal length.
+type HammingPairFn = fn(&[u64], &[u64]) -> u32;
+
+/// The generic tier's 1 × 1 tile.
+fn hamming_pair_generic(a: &[u64], b: &[u64]) -> u32 {
+    ScalarTile::tile::<1, 1>(a, b, a.len())[0][0]
+}
 
 /// SIMD width a kernel family resolved to on this CPU: the Hamming kernels report
 /// theirs through [`dispatch_tier`], the sign projection through
@@ -181,10 +307,9 @@ type HammingFn = fn(&[u64], &[u64]) -> u32;
 pub enum DispatchTier {
     /// Portable `u64::count_ones()` — a ~12-operation bit hack on baseline x86-64.
     Generic,
-    /// Scalar `popcnt` instruction, four independent accumulators.
+    /// Scalar `popcnt` instruction, one accumulator per pair of the tile.
     Popcnt,
-    /// Harley–Seal carry-save adder tree over 256-bit AVX2 lanes (nibble-LUT
-    /// `vpshufb` popcount), with a plain lookup loop below one 64-word block.
+    /// Nibble-LUT `vpshufb` popcount of four words per 256-bit lane.
     Avx2,
     /// AVX-512 `vpopcntq` (VPOPCNTDQ): hardware popcount of eight words per lane.
     Avx512,
@@ -222,31 +347,18 @@ mod simd {
 
     use std::arch::x86_64::*;
 
-    /// Hamming distance compiled with the `popcnt` target feature enabled.
-    ///
-    /// The workspace builds for baseline x86-64, where `u64::count_ones()` lowers to
-    /// a ~12-operation bit-twiddling sequence; with the feature enabled it is a
-    /// single `popcnt` instruction. Four independent accumulators break the serial
-    /// add chain so the XOR+popcount stream runs at popcount-unit throughput instead
-    /// of add latency.
+    /// The `popcnt` tier of the Hamming block kernel: the scalar tile compiled
+    /// with the `popcnt` target feature, where `u64::count_ones()` is a single
+    /// instruction instead of the baseline x86-64 bit hack.
     #[target_feature(enable = "popcnt")]
-    fn hamming_popcnt(a: &[u64], b: &[u64]) -> u32 {
-        let chunks_a = a.chunks_exact(4);
-        let chunks_b = b.chunks_exact(4);
-        let tail: u32 = chunks_a
-            .remainder()
-            .iter()
-            .zip(chunks_b.remainder())
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        let mut acc = [0u32; 4];
-        for (xa, xb) in chunks_a.zip(chunks_b) {
-            acc[0] += (xa[0] ^ xb[0]).count_ones();
-            acc[1] += (xa[1] ^ xb[1]).count_ones();
-            acc[2] += (xa[2] ^ xb[2]).count_ones();
-            acc[3] += (xa[3] ^ xb[3]).count_ones();
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    fn hamming_block_popcnt(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
+        super::hamming_block_with::<super::ScalarTile>(queries, rows, wpr, out);
+    }
+
+    /// The `popcnt` tier's 1 × 1 tile.
+    #[target_feature(enable = "popcnt")]
+    fn hamming_pair_popcnt(a: &[u64], b: &[u64]) -> u32 {
+        <super::ScalarTile as super::HammingTile>::tile::<1, 1>(a, b, a.len())[0][0]
     }
 
     /// Per-64-bit-lane popcount of a 256-bit vector: nibble-LUT `vpshufb` counts
@@ -268,118 +380,263 @@ mod simd {
         _mm256_sad_epu8(cnt, _mm256_setzero_si256())
     }
 
-    /// Loads four words from each operand at `i` and XORs them.
+    /// Adds the popcounts of four words at `w` of every (query, row) pair of an
+    /// AVX2 tile to its accumulators. Only the words `keep` selects are loaded
+    /// (the others read as zero), so the ragged last words of a row never read
+    /// into the next one.
+    ///
+    /// # Safety
+    /// `queries` must hold `Q · wpr` words and `rows` `R · wpr`, and `keep` may
+    /// select only words below `wpr`: lane `i` set means `w + i < wpr`.
     #[target_feature(enable = "avx2")]
-    fn load_xor(a: &[u64], b: &[u64], i: usize) -> __m256i {
-        debug_assert!(i + 4 <= a.len() && i + 4 <= b.len());
-        // SAFETY: callers keep i + 4 <= len on both operands; loadu has no
-        // alignment requirement.
-        unsafe {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            _mm256_xor_si256(va, vb)
+    #[inline]
+    unsafe fn accumulate_avx2<const Q: usize, const R: usize>(
+        acc: &mut [[__m256i; Q]; R],
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+        w: usize,
+        keep: __m256i,
+    ) {
+        let mut qv = [_mm256_setzero_si256(); Q];
+        for (q, v) in qv.iter_mut().enumerate() {
+            // SAFETY: by the contract, `keep` selects only words of query row q,
+            // all inside `queries`; masked-off lanes are never accessed and
+            // maskload has no alignment requirement.
+            *v = unsafe { _mm256_maskload_epi64(queries.as_ptr().add(q * wpr + w).cast(), keep) };
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            // SAFETY: as above, for codebook row r inside `rows`.
+            let rv = unsafe { _mm256_maskload_epi64(rows.as_ptr().add(r * wpr + w).cast(), keep) };
+            for (a, &v) in acc.iter_mut().zip(&qv) {
+                *a = _mm256_add_epi64(*a, popcount256(_mm256_xor_si256(v, rv)));
+            }
         }
     }
 
-    /// Carry-save adder: returns `(carry, sum)` of three one-bit-per-position
-    /// addends — the Harley–Seal compression step.
+    /// `[a0 + a1, b0 + b1, a2 + a3, b2 + b3]`: adjacent lanes of `a` and `b`
+    /// summed and interleaved, the first step of [`reduce4_avx2`].
     #[target_feature(enable = "avx2")]
-    fn csa(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
-        let u = _mm256_xor_si256(a, b);
-        (
-            _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c)),
-            _mm256_xor_si256(u, c),
+    fn pair_sum_avx2(a: __m256i, b: __m256i) -> __m256i {
+        _mm256_add_epi64(_mm256_unpacklo_epi64(a, b), _mm256_unpackhi_epi64(a, b))
+    }
+
+    /// Lane `i` of the result is the sum of the four lanes of `v[i]`.
+    #[target_feature(enable = "avx2")]
+    fn reduce4_avx2(v: &[__m256i; 4]) -> __m256i {
+        let (s01, s23) = (pair_sum_avx2(v[0], v[1]), pair_sum_avx2(v[2], v[3]));
+        _mm256_add_epi64(
+            _mm256_permute2x128_si256::<0x20>(s01, s23),
+            _mm256_permute2x128_si256::<0x31>(s01, s23),
         )
     }
 
-    /// AVX2 Hamming distance: Harley–Seal carry-save adder tree over blocks of 16
-    /// 256-bit vectors (64 words), then a plain lookup-popcount loop for the
-    /// remainder. The CSA tree popcounts one vector of `sixteens` per block instead
-    /// of sixteen, trading cheap bitwise ops for 15 of the 16 `vpshufb` reductions —
-    /// the Muła/Kurz/Lemire result that pays off exactly at the d ≥ 4096 row widths
-    /// of the GEMM/cleanup kernels. Rows shorter than one block skip the tree (and
-    /// its fold-out overhead) entirely, keeping small-d dispatch profitable too.
+    /// The AVX2 register tile: per four-word step, two query loads, four row
+    /// loads and eight lookup popcounts into eight `u64x4` accumulators, reduced
+    /// together at the end by one transposing add tree. The last step loads its
+    /// ragged words masked.
     #[target_feature(enable = "avx2")]
-    fn hamming_avx2(a: &[u64], b: &[u64]) -> u32 {
-        let mut total = _mm256_setzero_si256();
-        let mut i = 0;
-        if a.len() >= 64 {
-            let mut ones = _mm256_setzero_si256();
-            let mut twos = _mm256_setzero_si256();
-            let mut fours = _mm256_setzero_si256();
-            let mut eights = _mm256_setzero_si256();
-            while i + 64 <= a.len() {
-                let (twos_a, o1) = csa(ones, load_xor(a, b, i), load_xor(a, b, i + 4));
-                let (twos_b, o2) = csa(o1, load_xor(a, b, i + 8), load_xor(a, b, i + 12));
-                let (fours_a, t1) = csa(twos, twos_a, twos_b);
-                let (twos_a, o3) = csa(o2, load_xor(a, b, i + 16), load_xor(a, b, i + 20));
-                let (twos_b, o4) = csa(o3, load_xor(a, b, i + 24), load_xor(a, b, i + 28));
-                let (fours_b, t2) = csa(t1, twos_a, twos_b);
-                let (eights_a, f1) = csa(fours, fours_a, fours_b);
-                let (twos_a, o5) = csa(o4, load_xor(a, b, i + 32), load_xor(a, b, i + 36));
-                let (twos_b, o6) = csa(o5, load_xor(a, b, i + 40), load_xor(a, b, i + 44));
-                let (fours_a, t3) = csa(t2, twos_a, twos_b);
-                let (twos_a, o7) = csa(o6, load_xor(a, b, i + 48), load_xor(a, b, i + 52));
-                let (twos_b, o8) = csa(o7, load_xor(a, b, i + 56), load_xor(a, b, i + 60));
-                let (fours_b, t4) = csa(t3, twos_a, twos_b);
-                let (eights_b, f2) = csa(f1, fours_a, fours_b);
-                let (sixteens, e) = csa(eights, eights_a, eights_b);
-                ones = o8;
-                twos = t4;
-                fours = f2;
-                eights = e;
-                total = _mm256_add_epi64(total, popcount256(sixteens));
-                i += 64;
+    fn tile_avx2<const Q: usize, const R: usize>(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+    ) -> [[u32; R]; Q] {
+        assert!(queries.len() >= Q * wpr && rows.len() >= R * wpr);
+        let mut acc = [[_mm256_setzero_si256(); Q]; R];
+        let full = wpr & !3;
+        let all = _mm256_set1_epi64x(-1);
+        for w in (0..full).step_by(4) {
+            // SAFETY: lengths asserted above; w + 4 <= full <= wpr.
+            unsafe { accumulate_avx2(&mut acc, queries, rows, wpr, w, all) };
+        }
+        if full < wpr {
+            let keep = _mm256_cmpgt_epi64(
+                _mm256_set1_epi64x((wpr - full) as i64),
+                _mm256_setr_epi64x(0, 1, 2, 3),
+            );
+            // SAFETY: lengths asserted above; `keep` selects words full..wpr.
+            unsafe { accumulate_avx2(&mut acc, queries, rows, wpr, full, keep) };
+        }
+        let mut flat = [_mm256_setzero_si256(); 8];
+        for (r, acc) in acc.iter().enumerate() {
+            for (q, &a) in acc.iter().enumerate() {
+                flat[q * R + r] = a;
             }
-            // Fold the carry levels back in: each level's population counts with
-            // weight 16/8/4/2/1.
-            total = _mm256_slli_epi64(total, 4);
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(eights), 3));
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(fours), 2));
-            total = _mm256_add_epi64(total, _mm256_slli_epi64(popcount256(twos), 1));
-            total = _mm256_add_epi64(total, popcount256(ones));
         }
-        let n4 = a.len() & !3;
-        while i < n4 {
-            total = _mm256_add_epi64(total, popcount256(load_xor(a, b, i)));
-            i += 4;
+        // Pairs of accumulators share one u64 lane (a distance is below 2^32),
+        // so one four-way reduce yields all eight sums.
+        let mut packed = [_mm256_setzero_si256(); 4];
+        for (p, ab) in packed.iter_mut().zip(flat.chunks_exact(2)) {
+            *p = _mm256_add_epi64(ab[0], _mm256_slli_epi64::<32>(ab[1]));
         }
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is exactly 32 bytes; storeu has no alignment requirement.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), total) };
-        let tail: u32 = a[n4..]
-            .iter()
-            .zip(&b[n4..])
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        (lanes.iter().sum::<u64>() as u32) + tail
+        let mut sums = [0u32; 8];
+        // SAFETY: `sums` is exactly 32 bytes; storeu has no alignment requirement.
+        unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), reduce4_avx2(&packed)) };
+        tile_from_sums(&sums)
     }
 
-    /// AVX-512 Hamming distance: `vpopcntq` counts eight words per instruction into
-    /// 64-bit lane accumulators; no adder tree is needed because the popcount itself
-    /// is one hardware op.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn hamming_avx512(a: &[u64], b: &[u64]) -> u32 {
-        let mut acc = _mm512_setzero_si512();
-        let n = a.len() & !7;
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= len on both operands; loadu has no alignment
-            // requirement.
-            let v = unsafe {
-                let va = _mm512_loadu_si512(a.as_ptr().add(i).cast());
-                let vb = _mm512_loadu_si512(b.as_ptr().add(i).cast());
-                _mm512_xor_si512(va, vb)
-            };
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-            i += 8;
+    /// Unflattens a tile's reduced sums: entry `q · R + r` is pair `(q, r)`.
+    #[inline(always)]
+    fn tile_from_sums<const Q: usize, const R: usize>(sums: &[u32; 8]) -> [[u32; R]; Q] {
+        let mut tile = [[0u32; R]; Q];
+        for (q, row) in tile.iter_mut().enumerate() {
+            row.copy_from_slice(&sums[q * R..(q + 1) * R]);
         }
-        let tail: u32 = a[n..]
-            .iter()
-            .zip(&b[n..])
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        _mm512_reduce_add_epi64(acc) as u32 + tail
+        tile
+    }
+
+    /// Routes the tile walk to [`tile_avx2`]; only built inside
+    /// [`hamming_block_avx2`].
+    struct Avx2Tile;
+
+    impl super::HammingTile for Avx2Tile {
+        #[inline(always)]
+        fn tile<const Q: usize, const R: usize>(
+            queries: &[u64],
+            rows: &[u64],
+            wpr: usize,
+        ) -> [[u32; R]; Q] {
+            // SAFETY: this private tile is walked only by hamming_block_avx2,
+            // which detect() returns only when avx2 was detected.
+            unsafe { tile_avx2::<Q, R>(queries, rows, wpr) }
+        }
+    }
+
+    /// The AVX2 tier of the Hamming block kernel.
+    #[target_feature(enable = "avx2")]
+    fn hamming_block_avx2(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
+        super::hamming_block_with::<Avx2Tile>(queries, rows, wpr, out);
+    }
+
+    /// Adds the popcounts of eight words at `w` of every (query, row) pair of an
+    /// AVX-512 tile to its accumulators. Only the words `keep` selects are
+    /// loaded (the others read as zero), so the ragged last words of a row never
+    /// read into the next one.
+    ///
+    /// # Safety
+    /// `queries` must hold `Q · wpr` words and `rows` `R · wpr`, and `keep` may
+    /// select only words below `wpr`: bit `i` set means `w + i < wpr`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    #[inline]
+    unsafe fn accumulate_avx512<const Q: usize, const R: usize>(
+        acc: &mut [[__m512i; Q]; R],
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+        w: usize,
+        keep: __mmask8,
+    ) {
+        let mut qv = [_mm512_setzero_si512(); Q];
+        for (q, v) in qv.iter_mut().enumerate() {
+            // SAFETY: by the contract, `keep` selects only words of query row q,
+            // all inside `queries`; masked-off lanes are never accessed and
+            // loadu has no alignment requirement.
+            *v =
+                unsafe { _mm512_maskz_loadu_epi64(keep, queries.as_ptr().add(q * wpr + w).cast()) };
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            // SAFETY: as above, for codebook row r inside `rows`.
+            let rv =
+                unsafe { _mm512_maskz_loadu_epi64(keep, rows.as_ptr().add(r * wpr + w).cast()) };
+            for (a, &v) in acc.iter_mut().zip(&qv) {
+                *a = _mm512_add_epi64(*a, _mm512_popcnt_epi64(_mm512_xor_si512(v, rv)));
+            }
+        }
+    }
+
+    /// `[a0 + a1, b0 + b1, a2 + a3, b2 + b3, …]`: adjacent lanes of `a` and `b`
+    /// summed and interleaved, the first step of [`reduce8_avx512`].
+    #[target_feature(enable = "avx512f")]
+    fn pair_sum_avx512(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi64(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b))
+    }
+
+    /// Lane `i` of the result (as `u32`) is the sum of the eight lanes of
+    /// `v[i]`, for sums below 2^32 (a Hamming distance is at most d). Pairs of
+    /// accumulators first share one `u64` lane (`v[2k] + (v[2k+1] << 32)`), which
+    /// halves the transposing add tree: four unpacks, two two-source permutes
+    /// and one extract for all eight sums.
+    #[target_feature(enable = "avx512f")]
+    fn reduce8_avx512(v: &[__m512i; 8]) -> __m256i {
+        let mut packed = [_mm512_setzero_si512(); 4];
+        for (p, ab) in packed.iter_mut().zip(v.chunks_exact(2)) {
+            *p = _mm512_add_epi64(ab[0], _mm512_slli_epi64::<32>(ab[1]));
+        }
+        // 128-bit lane j of `a` holds lane pair j of packed[0] and packed[1]
+        // summed, of `b` the same for packed[2] and packed[3].
+        let a = pair_sum_avx512(packed[0], packed[1]);
+        let b = pair_sum_avx512(packed[2], packed[3]);
+        // [a0, b0, a1, b1] + [a2, b2, a3, b3] by 128-bit lane, then the halves.
+        let low = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+        let high = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+        let t = _mm512_add_epi64(
+            _mm512_permutex2var_epi64(a, low, b),
+            _mm512_permutex2var_epi64(a, high, b),
+        );
+        _mm256_add_epi64(_mm512_castsi512_si256(t), _mm512_extracti64x4_epi64::<1>(t))
+    }
+
+    /// The AVX-512 register tile: per eight-word step, two query loads, four row
+    /// loads and eight `vpopcntq` into eight `u64x8` accumulators, reduced
+    /// together at the end by one transposing add tree. The last step loads its
+    /// ragged words masked.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn tile_avx512<const Q: usize, const R: usize>(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+    ) -> [[u32; R]; Q] {
+        assert!(queries.len() >= Q * wpr && rows.len() >= R * wpr);
+        let mut acc = [[_mm512_setzero_si512(); Q]; R];
+        let full = wpr & !7;
+        for w in (0..full).step_by(8) {
+            // SAFETY: lengths asserted above; w + 8 <= full <= wpr.
+            unsafe { accumulate_avx512(&mut acc, queries, rows, wpr, w, 0xff) };
+        }
+        if full < wpr {
+            let keep = ((1u32 << (wpr - full)) - 1) as __mmask8;
+            // SAFETY: lengths asserted above; `keep` selects words full..wpr.
+            unsafe { accumulate_avx512(&mut acc, queries, rows, wpr, full, keep) };
+        }
+        let mut sums = [0u32; 8];
+        if Q * R == 1 {
+            sums[0] = _mm512_reduce_add_epi64(acc[0][0]) as u32;
+        } else {
+            let mut flat = [_mm512_setzero_si512(); 8];
+            for (r, acc) in acc.iter().enumerate() {
+                for (q, &a) in acc.iter().enumerate() {
+                    flat[q * R + r] = a;
+                }
+            }
+            // SAFETY: `sums` is exactly 32 bytes; storeu has no alignment
+            // requirement.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), reduce8_avx512(&flat)) };
+        }
+        tile_from_sums(&sums)
+    }
+
+    /// Routes the tile walk to [`tile_avx512`]; only built inside
+    /// [`hamming_block_avx512`].
+    struct Avx512Tile;
+
+    impl super::HammingTile for Avx512Tile {
+        #[inline(always)]
+        fn tile<const Q: usize, const R: usize>(
+            queries: &[u64],
+            rows: &[u64],
+            wpr: usize,
+        ) -> [[u32; R]; Q] {
+            // SAFETY: this private tile is walked only by hamming_block_avx512,
+            // which detect() returns only when avx512f and avx512vpopcntdq were
+            // detected.
+            unsafe { tile_avx512::<Q, R>(queries, rows, wpr) }
+        }
+    }
+
+    /// The AVX-512 tier of the Hamming block kernel.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn hamming_block_avx512(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
+        super::hamming_block_with::<Avx512Tile>(queries, rows, wpr, out);
     }
 
     /// Stores up to 16 accumulators per vector into `dst`, whose length may be
@@ -641,25 +898,67 @@ mod simd {
         unsafe { pack_row_signs_avx2(row, words) }
     }
 
-    /// Safe wrapper over [`hamming_popcnt`]; only reachable after cpuid detection.
-    pub(super) fn hamming_popcnt_checked(a: &[u64], b: &[u64]) -> u32 {
+    /// Safe wrapper over [`hamming_block_popcnt`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn hamming_block_popcnt_checked(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+        out: &mut [u32],
+    ) {
         // SAFETY: detect() returns this function only when the popcnt feature was
         // detected on the running CPU.
-        unsafe { hamming_popcnt(a, b) }
+        unsafe { hamming_block_popcnt(queries, rows, wpr, out) }
     }
 
-    /// Safe wrapper over [`hamming_avx2`]; only reachable after cpuid detection.
-    pub(super) fn hamming_avx2_checked(a: &[u64], b: &[u64]) -> u32 {
+    /// Safe wrapper over [`hamming_pair_popcnt`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn hamming_pair_popcnt_checked(a: &[u64], b: &[u64]) -> u32 {
+        // SAFETY: detect() returns this function only when the popcnt feature was
+        // detected on the running CPU.
+        unsafe { hamming_pair_popcnt(a, b) }
+    }
+
+    /// Safe wrapper over [`tile_avx2`] as a 1 × 1 tile; only reachable after
+    /// cpuid detection.
+    pub(super) fn hamming_pair_avx2_checked(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: detect() returns this function only when the avx2 feature was
         // detected on the running CPU.
-        unsafe { hamming_avx2(a, b) }
+        unsafe { tile_avx2::<1, 1>(a, b, a.len())[0][0] }
     }
 
-    /// Safe wrapper over [`hamming_avx512`]; only reachable after cpuid detection.
-    pub(super) fn hamming_avx512_checked(a: &[u64], b: &[u64]) -> u32 {
+    /// Safe wrapper over [`tile_avx512`] as a 1 × 1 tile; only reachable after
+    /// cpuid detection.
+    pub(super) fn hamming_pair_avx512_checked(a: &[u64], b: &[u64]) -> u32 {
         // SAFETY: detect() returns this function only when the avx512f and
         // avx512vpopcntdq features were detected on the running CPU.
-        unsafe { hamming_avx512(a, b) }
+        unsafe { tile_avx512::<1, 1>(a, b, a.len())[0][0] }
+    }
+
+    /// Safe wrapper over [`hamming_block_avx2`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn hamming_block_avx2_checked(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+        out: &mut [u32],
+    ) {
+        // SAFETY: detect() returns this function only when the avx2 feature was
+        // detected on the running CPU.
+        unsafe { hamming_block_avx2(queries, rows, wpr, out) }
+    }
+
+    /// Safe wrapper over [`hamming_block_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn hamming_block_avx512_checked(
+        queries: &[u64],
+        rows: &[u64],
+        wpr: usize,
+        out: &mut [u32],
+    ) {
+        // SAFETY: detect() returns this function only when the avx512f and
+        // avx512vpopcntdq features were detected on the running CPU.
+        unsafe { hamming_block_avx512(queries, rows, wpr, out) }
     }
 }
 
@@ -669,7 +968,8 @@ mod simd {
 #[derive(Clone, Copy)]
 struct Dispatch {
     hamming_tier: DispatchTier,
-    hamming: HammingFn,
+    hamming_block: HammingBlockFn,
+    hamming_pair: HammingPairFn,
     projection_tier: DispatchTier,
     project_row: ProjectRowFn,
     pack_signs: PackSignsFn,
@@ -690,7 +990,8 @@ fn detect() -> Dispatch {
         .unwrap_or(DispatchTier::Avx512);
     let mut found = Dispatch {
         hamming_tier: DispatchTier::Generic,
-        hamming: hamming_generic,
+        hamming_block: hamming_block_generic,
+        hamming_pair: hamming_pair_generic,
         projection_tier: DispatchTier::Generic,
         project_row: project_row_generic,
         pack_signs: pack_row_signs,
@@ -701,13 +1002,17 @@ fn detect() -> Dispatch {
         let avx512f = cap >= DispatchTier::Avx512 && is_x86_feature_detected!("avx512f");
         let avx2 = cap >= DispatchTier::Avx2 && is_x86_feature_detected!("avx2");
         if avx512f && is_x86_feature_detected!("avx512vpopcntdq") {
-            (found.hamming_tier, found.hamming) =
-                (DispatchTier::Avx512, simd::hamming_avx512_checked);
+            found.hamming_tier = DispatchTier::Avx512;
+            found.hamming_block = simd::hamming_block_avx512_checked;
+            found.hamming_pair = simd::hamming_pair_avx512_checked;
         } else if avx2 {
-            (found.hamming_tier, found.hamming) = (DispatchTier::Avx2, simd::hamming_avx2_checked);
+            found.hamming_tier = DispatchTier::Avx2;
+            found.hamming_block = simd::hamming_block_avx2_checked;
+            found.hamming_pair = simd::hamming_pair_avx2_checked;
         } else if cap >= DispatchTier::Popcnt && is_x86_feature_detected!("popcnt") {
-            (found.hamming_tier, found.hamming) =
-                (DispatchTier::Popcnt, simd::hamming_popcnt_checked);
+            found.hamming_tier = DispatchTier::Popcnt;
+            found.hamming_block = simd::hamming_block_popcnt_checked;
+            found.hamming_pair = simd::hamming_pair_popcnt_checked;
         }
         if avx512f {
             found.projection_tier = DispatchTier::Avx512;
@@ -726,8 +1031,8 @@ fn detect() -> Dispatch {
 /// The resolved kernels, cached process-wide: after the first call, dispatch is
 /// one atomic load — cheap enough that even the single-pair
 /// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths pay no cpuid or env
-/// probe per call. The batch kernels still hoist the function pointer outside their
-/// row loops so nothing at all sits on the per-row path.
+/// probe per call. The scans fetch the kernel once per call, so nothing at all
+/// sits on the per-row path.
 static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
 #[inline]
@@ -753,21 +1058,6 @@ pub fn dispatch_tier() -> DispatchTier {
 /// changes a packed sign.
 pub fn projection_tier() -> DispatchTier {
     dispatch().projection_tier
-}
-
-/// Resolves the fastest available Hamming kernel for this CPU (cached; see
-/// [`DISPATCH`]). The hot loops fetch the function pointer outside their row loops,
-/// so dispatch never sits on the per-row path.
-#[inline]
-fn hamming_fn() -> HammingFn {
-    dispatch().hamming
-}
-
-/// Hamming distance via the best kernel for this CPU (single-shot entry point; the
-/// batch kernels hoist [`hamming_fn`] instead).
-#[inline]
-fn hamming(a: &[u64], b: &[u64]) -> u32 {
-    hamming_fn()(a, b)
 }
 
 /// Function-pointer type of the amplitude-mask kernels behind
@@ -1213,9 +1503,11 @@ impl BitMatrix {
     /// `d − 2·hamming`.
     ///
     /// # Panics
-    /// Panics on out-of-range rows (shapes are caller-checked in the kernels).
+    /// Panics on out-of-range rows and on operands of different dimensions.
     pub fn dot_rows(&self, i: usize, other: &Self, j: usize) -> i32 {
-        self.dim as i32 - 2 * hamming(self.row_words(i), other.row_words(j)) as i32
+        assert_eq!(self.dim, other.dim, "operand dims must match");
+        let dist = (dispatch().hamming_pair)(self.row_words(i), other.row_words(j));
+        self.dim as i32 - 2 * dist as i32
     }
 
     /// Bipolar cosine of rows `self[i]` and `other[j]`: `1 − 2·hamming/d`.
@@ -1224,6 +1516,43 @@ impl BitMatrix {
             return 0.0;
         }
         self.dot_rows(i, other, j) as f32 / self.dim as f32
+    }
+}
+
+/// The one sign-plane scan: the Hamming distance of every row of `queries`
+/// (row-major sign planes, the codebook's words per row) to every codebook row,
+/// by the dispatched register-tile kernel. It walks codebook blocks of at most
+/// [`CODEBOOK_BLOCK_ROWS`] rows and [`SCAN_BLOCK_WORDS`] words, each
+/// cache-resident across the whole query batch, and inside each block query
+/// blocks of [`SCAN_QUERY_ROWS`] rows.
+/// `sink(q0, m0, n, dist)` receives one block pair: `dist[i * n + j]` is the
+/// distance of query `q0 + i` to codebook row `m0 + j`, and every query meets the
+/// codebook rows in ascending order. `buffer` is the caller's scratch, so a caller
+/// that scans one lane block at a time zeroes it once per call.
+fn scan_hamming(
+    codebook: &BitMatrix,
+    queries: &[u64],
+    buffer: &mut ScanBuffer,
+    mut sink: impl FnMut(usize, usize, usize, &[u32]),
+) {
+    let wpr = codebook.words_per_row().max(1);
+    let hamming_block = dispatch().hamming_block;
+    let block_rows = (SCAN_BLOCK_WORDS / wpr).clamp(4, CODEBOOK_BLOCK_ROWS);
+    for (b, block) in codebook.words.chunks(block_rows * wpr).enumerate() {
+        let n = block.len() / wpr;
+        for (c, qs) in queries.chunks(SCAN_QUERY_ROWS * wpr).enumerate() {
+            let dist = &mut buffer[..qs.len() / wpr * n];
+            hamming_block(qs, block, wpr, dist);
+            sink(c * SCAN_QUERY_ROWS, b * block_rows, n, dist);
+        }
+    }
+}
+
+/// Maps one row of Hamming distances to bipolar dot products, `dim − 2·hamming`.
+fn write_dots(dim: usize, dist: &[u32], out: &mut [f32]) {
+    let d = dim as i32;
+    for (slot, &h) in out.iter_mut().zip(dist) {
+        *slot = (d - 2 * h as i32) as f32;
     }
 }
 
@@ -1272,25 +1601,12 @@ impl PackedBackend {
     ) {
         debug_assert_eq!(codebook.dim(), queries.dim(), "operand dims must match");
         out.ensure_shape(queries.rows(), codebook.rows());
-        let d = codebook.dim() as i32;
-        let wpr = codebook.words_per_row().max(1);
-        let ham = hamming_fn();
-        for block_start in (0..codebook.rows()).step_by(CODEBOOK_BLOCK_ROWS) {
-            let block_end = (block_start + CODEBOOK_BLOCK_ROWS).min(codebook.rows());
-            // One contiguous slice per block: the row iteration below is a plain
-            // chunked walk with no per-row bounds-checked slicing.
-            let block_words = &codebook.words[block_start * wpr..block_end * wpr];
-            for q in 0..queries.rows() {
-                let qw = queries.row_words(q);
-                let sims = out.row_mut(q);
-                for (slot, row) in sims[block_start..block_end]
-                    .iter_mut()
-                    .zip(block_words.chunks_exact(wpr))
-                {
-                    *slot = (d - 2 * ham(qw, row) as i32) as f32;
-                }
+        let dim = codebook.dim();
+        scan_hamming(codebook, &queries.words, &mut [0; _], |q0, m0, n, dist| {
+            for (i, dist) in dist.chunks_exact(n).enumerate() {
+                write_dots(dim, dist, &mut out.row_mut(q0 + i)[m0..m0 + n]);
             }
-        }
+        });
     }
 
     /// Packed cleanup: per query, the index and bipolar cosine (`1 − 2·hamming/d`) of
@@ -1315,23 +1631,18 @@ impl PackedBackend {
         let best = &mut scratch.best;
         best.clear();
         best.resize(queries.rows(), (0usize, u32::MAX));
-        let wpr = codebook.words_per_row().max(1);
-        let ham = hamming_fn();
-        for block_start in (0..codebook.rows()).step_by(CODEBOOK_BLOCK_ROWS) {
-            let block_end = (block_start + CODEBOOK_BLOCK_ROWS).min(codebook.rows());
-            let block_words = &codebook.words[block_start * wpr..block_end * wpr];
-            for (q, slot) in best.iter_mut().enumerate() {
-                let qw = queries.row_words(q);
-                for (offset, row) in block_words.chunks_exact(wpr).enumerate() {
-                    let h = ham(qw, row);
-                    // Strictly smaller Hamming distance wins; equal keeps the earlier
-                    // index — identical tie-breaking to the dense `sim > best` scan.
-                    if h < slot.1 {
-                        *slot = (block_start + offset, h);
-                    }
+        scan_hamming(codebook, &queries.words, &mut [0; _], |q0, m0, n, dist| {
+            for (slot, dist) in best[q0..].iter_mut().zip(dist.chunks_exact(n)) {
+                // Strictly smaller Hamming distance wins, and the block's first
+                // row at its minimum: equal keeps the earlier row — identical
+                // tie-breaking to the dense `sim > best` scan.
+                let h = dist.iter().copied().min().unwrap_or(u32::MAX);
+                if h < slot.1 {
+                    let j = dist.iter().position(|&d| d == h).unwrap_or(0);
+                    *slot = (m0 + j, h);
                 }
             }
-        }
+        });
         // A non-empty BitMatrix always has dim > 0 (enforced at construction), so the
         // cosine mapping never needs a degenerate-input mask.
         let d = queries.dim() as f32;
@@ -1450,17 +1761,13 @@ impl PackedBackend {
         debug_assert!(factor < estimates.len(), "factor index in range");
         debug_assert_eq!(query.dim(), dim, "operand dims must match");
         let wpr = codebook.words_per_row().max(1);
-        let d = dim as i32;
         sims.ensure_shape(rows, cb_rows);
         let (head, rest) = estimates.split_at_mut(factor);
         let (out, tail) = rest.split_first_mut().expect("factor index in range");
         out.ensure_shape(rows, dim);
         unbound.ensure_shape(PROJ_LANE_ROWS, dim);
-        let Dispatch {
-            hamming: ham,
-            project_row,
-            ..
-        } = dispatch();
+        let project_row = dispatch().project_row;
+        let mut buffer: ScanBuffer = [0; _];
         acc.clear();
         acc.resize(dim, 0.0);
         for block_start in (0..rows).step_by(PROJ_LANE_ROWS) {
@@ -1479,19 +1786,19 @@ impl PackedBackend {
                     }
                 }
             }
-            // Similarity scan for the lane block — same codebook blocking and
+            // Similarity scan for the lane block — the same scan and
             // `d − 2·hamming` mapping as the standalone similarity GEMM.
-            for cb_start in (0..cb_rows).step_by(CODEBOOK_BLOCK_ROWS) {
-                let cb_end = (cb_start + CODEBOOK_BLOCK_ROWS).min(cb_rows);
-                let block_words = &codebook.words[cb_start * wpr..cb_end * wpr];
-                for lane in 0..block_len {
-                    let qw = &unbound.words[lane * wpr..(lane + 1) * wpr];
-                    let sims_row = &mut sims.row_mut(block_start + lane)[cb_start..cb_end];
-                    for (slot, row) in sims_row.iter_mut().zip(block_words.chunks_exact(wpr)) {
-                        *slot = (d - 2 * ham(qw, row) as i32) as f32;
+            scan_hamming(
+                codebook,
+                &unbound.words[..block_len * wpr],
+                &mut buffer,
+                |_, m0, n, dist| {
+                    for (lane, dist) in dist.chunks_exact(n).enumerate() {
+                        let row = &mut sims.row_mut(block_start + lane)[m0..m0 + n];
+                        write_dots(dim, dist, row);
                     }
-                }
-            }
+                },
+            );
             // The rows whose hook asks for a projection, in ascending order.
             let mut live = [0usize; PROJ_LANE_ROWS];
             let mut live_len = 0;
@@ -1537,6 +1844,113 @@ mod tests {
             .map(|_| Hypervector::random_bipolar(dim, &mut r))
             .collect();
         HvMatrix::from_rows(&hvs).unwrap()
+    }
+
+    /// The test-only scalar oracle of every sign-plane scan:
+    /// `(a ^ b).count_ones()` summed per (query, row) pair, query-major.
+    fn oracle_distances(queries: &BitMatrix, rows: &BitMatrix) -> Vec<u32> {
+        (0..queries.rows())
+            .flat_map(|q| {
+                (0..rows.rows()).map(move |m| {
+                    queries
+                        .row_words(q)
+                        .iter()
+                        .zip(rows.row_words(m))
+                        .map(|(a, b)| (a ^ b).count_ones())
+                        .sum()
+                })
+            })
+            .collect()
+    }
+
+    /// `n_rows` codebook rows built to tie: copies of query rows (distance 0),
+    /// their complements (distance `dim`, the anti-match), repeats of earlier
+    /// rows, and random rows.
+    fn tie_heavy_rows(queries: &BitMatrix, n_rows: usize, r: &mut impl rand::Rng) -> BitMatrix {
+        let (dim, wpr) = (queries.dim(), queries.words_per_row());
+        let mut rows = BitMatrix::random_bipolar(n_rows, dim, r);
+        for m in 0..n_rows {
+            let q = r.gen_range(0..queries.rows());
+            let src: Vec<u64> = match r.gen_range(0..4) {
+                0 => queries.row_words(q).to_vec(),
+                1 => {
+                    let mut words: Vec<u64> = queries.row_words(q).iter().map(|w| !w).collect();
+                    words[wpr - 1] &= BitMatrix::tail_mask(dim);
+                    words
+                }
+                2 if m > 0 => rows.row_words(r.gen_range(0..m)).to_vec(),
+                _ => continue,
+            };
+            rows.words[m * wpr..(m + 1) * wpr].copy_from_slice(&src);
+        }
+        rows
+    }
+
+    /// The oracle's cleanup: per query, the first row of least distance.
+    fn oracle_argmin(dist: &[u32], n_rows: usize) -> Vec<(usize, u32)> {
+        dist.chunks_exact(n_rows)
+            .map(|row| {
+                let min = *row.iter().min().unwrap();
+                (row.iter().position(|&h| h == min).unwrap(), min)
+            })
+            .collect()
+    }
+
+    /// The three scans on the dispatched kernel — cleanup, the similarity GEMM
+    /// and the fused step's similarity rows — against the scalar oracle, over
+    /// every tile remainder, query counts across the 8-row query block and
+    /// codebooks across the 128-row cache block, on ragged dims and tie-heavy
+    /// rows: the same distances, and the lowest row of least distance.
+    #[test]
+    fn scans_match_scalar_oracle_on_every_remainder() {
+        let backend = PackedBackend::new();
+        let mut r = rng(41);
+        let mut scratch = CleanupScratch::default();
+        let (mut best, mut sims) = (Vec::new(), HvMatrix::default());
+        for dim in [1usize, 63, 64, 65, 129, 2048] {
+            for n_queries in (1..=9).chain([17]) {
+                let queries = BitMatrix::random_bipolar(n_queries, dim, &mut r);
+                for n_rows in (1..=13).chain([130, 300]) {
+                    let rows = tie_heavy_rows(&queries, n_rows, &mut r);
+                    let dist = oracle_distances(&queries, &rows);
+                    let argmin = oracle_argmin(&dist, n_rows);
+                    backend.cleanup_batch_packed_into(&rows, &queries, &mut scratch, &mut best);
+                    let d = dim as f32;
+                    let expected: Vec<(usize, f32)> = argmin
+                        .iter()
+                        .map(|&(m, h)| (m, (d - 2.0 * h as f32) / d))
+                        .collect();
+                    assert_eq!(best, expected, "cleanup dim {dim} {n_queries}x{n_rows}");
+                    let dots: Vec<f32> = dist
+                        .iter()
+                        .map(|&h| (dim as i32 - 2 * h as i32) as f32)
+                        .collect();
+                    backend.similarity_matrix_packed_into(&rows, &queries, &mut sims);
+                    assert_eq!(sims.as_slice(), &dots[..], "similarity dim {dim}");
+                    // The fused step with no other factor unbinds nothing, so
+                    // its similarity rows are the query's own dots.
+                    let mut estimates = [BitMatrix::zeros(n_queries, dim)];
+                    let (mut unbound, mut acc) = (BitMatrix::default(), Vec::new());
+                    let mut fused = vec![f32::NAN; dots.len()];
+                    backend.resonate_step_fused_into(
+                        &rows,
+                        &queries,
+                        &mut estimates,
+                        0,
+                        &mut unbound,
+                        &mut sims,
+                        &mut acc,
+                        |phase, q, values| {
+                            if phase == ResonatePhase::Similarity {
+                                fused[q * n_rows..(q + 1) * n_rows].copy_from_slice(values);
+                            }
+                            false
+                        },
+                    );
+                    assert_eq!(fused, dots, "fused step dim {dim} {n_queries}x{n_rows}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1928,26 +2342,26 @@ mod tests {
         use proptest::prelude::*;
         use rand::Rng;
 
-        /// A named Hamming kernel: one detected SIMD tier.
-        type TierKernel = (&'static str, HammingFn);
+        /// A named Hamming block kernel: one tier.
+        type TierKernel = (&'static str, HammingBlockFn);
 
-        /// Every SIMD tier available on the running CPU, by name; the generic kernel
-        /// is the reference the rest are pinned against.
+        /// Every Hamming tier available on the running CPU, by name, the generic
+        /// tile first; each is pinned against the scalar oracle.
         fn available_tier_kernels() -> Vec<TierKernel> {
-            let mut kernels: Vec<TierKernel> = Vec::new();
+            let mut kernels: Vec<TierKernel> = vec![("generic", hamming_block_generic)];
             #[cfg(target_arch = "x86_64")]
             {
                 use std::arch::is_x86_feature_detected;
                 if is_x86_feature_detected!("popcnt") {
-                    kernels.push(("popcnt", simd::hamming_popcnt_checked));
+                    kernels.push(("popcnt", simd::hamming_block_popcnt_checked));
                 }
                 if is_x86_feature_detected!("avx2") {
-                    kernels.push(("avx2", simd::hamming_avx2_checked));
+                    kernels.push(("avx2", simd::hamming_block_avx2_checked));
                 }
                 if is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512vpopcntdq")
                 {
-                    kernels.push(("avx512", simd::hamming_avx512_checked));
+                    kernels.push(("avx512", simd::hamming_block_avx512_checked));
                 }
             }
             kernels
@@ -2071,23 +2485,34 @@ mod tests {
                 }
             }
 
-            /// Every detected tier returns exactly `hamming_generic` on packed rows
-            /// across pow2 and non-pow2 dims — including dims that exercise the
-            /// Harley–Seal 64-word block path (4096), block+remainder (4224), and
-            /// multi-block+scalar-tail shapes (8200) — with the zero-padded tail
-            /// words the packers guarantee.
+            /// Every tier's block kernel writes exactly the scalar oracle's
+            /// distances, so every tier takes the same argmin, on every tile
+            /// remainder (1–9 query rows × 1–13 codebook rows: full 2 × 4 tiles,
+            /// a lone query, 1–3 leftover rows) and ragged dims (one word, a word
+            /// edge, one bit past it, a masked vector tail, 32 full words).
+            /// Codebook rows repeat query rows (distance 0) and their complements
+            /// (distance `dim`), and repeat each other, so exact ties and
+            /// anti-matches are in every block.
             #[test]
-            fn prop_hamming_tiers_match_generic(seed in 0u64..1000, dim_sel in 0usize..8) {
-                let dim = [1usize, 65, 100, 257, 1000, 4096, 4224, 8200][dim_sel];
-                let m = random_bipolar_matrix(2, dim, seed);
-                let bits = BitMatrix::from_matrix(&m).unwrap();
-                let a = bits.row_words(0);
-                let b = bits.row_words(1);
-                let expected_ab = hamming_generic(a, b);
-                let expected_aa = hamming_generic(a, a);
-                for (name, kernel) in available_tier_kernels() {
-                    prop_assert_eq!((name, kernel(a, b)), (name, expected_ab));
-                    prop_assert_eq!((name, kernel(a, a)), (name, expected_aa));
+            fn prop_hamming_block_tiers_match_scalar_oracle(seed in 0u64..1000) {
+                let mut r = rng(seed);
+                for dim in [1usize, 63, 64, 65, 129, 2048] {
+                    let wpr = BitMatrix::words_for_dim(dim);
+                    for n_queries in 1..=9 {
+                        let queries = BitMatrix::random_bipolar(n_queries, dim, &mut r);
+                        for n_rows in 1..=13 {
+                            let rows = tie_heavy_rows(&queries, n_rows, &mut r);
+                            let expected = oracle_distances(&queries, &rows);
+                            for (name, kernel) in available_tier_kernels() {
+                                let mut out = vec![u32::MAX; n_queries * n_rows];
+                                kernel(&queries.words, &rows.words, wpr, &mut out);
+                                prop_assert_eq!(
+                                    (name, dim, n_queries, n_rows, &out),
+                                    (name, dim, n_queries, n_rows, &expected)
+                                );
+                            }
+                        }
+                    }
                 }
             }
 

@@ -1686,6 +1686,83 @@ mod tests {
     }
 
     #[test]
+    fn rescued_rows_decode_the_same_under_the_tile_and_the_scalar_oracle() {
+        // The rows a RAVEN one-sweep batch leaves unconverged, at the default
+        // d = 2048: the product scan (the register-tile kernel) picks, for each,
+        // the same product row as a scalar `(a ^ b).count_ones()` scan over the
+        // products bound from the factor codebooks, first row on ties, and the
+        // solver decodes that row.
+        let (s, mut r) = solver(21, SolverConfig::default());
+        let panels: Vec<Panel> = (0..64)
+            .map(|_| Panel::random_with(AttributeVocab::raven(), &mut r))
+            .collect();
+        let mut scenes = s.encode_panels(&panels).unwrap();
+        for v in scenes.as_mut_slice() {
+            if r.gen_bool(0.02) {
+                *v = -*v;
+            }
+        }
+        let bits = BitMatrix::from_matrix(&scenes).unwrap();
+        let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
+        let streams =
+            || -> Vec<StdRng> { seeds.iter().map(|&q| StdRng::seed_from_u64(q)).collect() };
+        for (block, (set, attrs)) in s.blocks.iter().enumerate() {
+            let product = s.products[block].as_deref().expect("RAVEN blocks rescue");
+            let sweep = s
+                .sweep
+                .factorize_matrix_bits_scratch(
+                    set,
+                    &bits,
+                    &mut streams(),
+                    &mut FactorizerScratch::default(),
+                )
+                .unwrap();
+            let rescued: Vec<usize> = (0..sweep.len()).filter(|&q| !sweep[q].converged).collect();
+            assert!(!rescued.is_empty(), "block {block} rescues no row");
+            let queries = bits.gather(&rescued).unwrap();
+            let mut best = Vec::new();
+            product
+                .search_batch_bits_into(&queries, &mut Default::default(), &mut best)
+                .unwrap();
+            let mut tuple = vec![0; set.num_factors()];
+            let products: Vec<Hypervector> = (0..product.len())
+                .map(|m| {
+                    product.factor_indices_into(m, &mut tuple);
+                    set.bind_indices(&tuple).unwrap()
+                })
+                .collect();
+            let planes = BitMatrix::from_hypervectors(&products).unwrap();
+            let mut values = vec![[0usize; 5]; panels.len()];
+            s.decode_block_into(
+                block,
+                &bits,
+                &mut streams(),
+                &mut DecodeScratch::default(),
+                &mut values,
+            )
+            .unwrap();
+            for (i, &row) in rescued.iter().enumerate() {
+                let distances: Vec<u32> = (0..planes.rows())
+                    .map(|m| {
+                        queries
+                            .row_words(i)
+                            .iter()
+                            .zip(planes.row_words(m))
+                            .map(|(a, b)| (a ^ b).count_ones())
+                            .sum()
+                    })
+                    .collect();
+                let least = *distances.iter().min().unwrap();
+                let oracle = distances.iter().position(|&h| h == least).unwrap();
+                assert_eq!(best[i].0, oracle, "block {block} row {row}");
+                product.factor_indices_into(oracle, &mut tuple);
+                let decoded: Vec<usize> = attrs.iter().map(|&a| values[row][a]).collect();
+                assert_eq!(decoded, tuple, "block {block} row {row}");
+            }
+        }
+    }
+
+    #[test]
     fn solver_handles_iraven_and_pgm() {
         for dataset in [DatasetKind::IRaven, DatasetKind::Pgm] {
             let (s, mut r) = solver(3, SolverConfig::default());
