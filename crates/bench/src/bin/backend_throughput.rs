@@ -5,9 +5,6 @@
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
-//! plus the **resonator-iteration** cells `resonate_iter` (one full fused resonator
-//! iteration vs the split three-pass sequence of reference kernels, at d=4096 and
-//! at the RAVEN block-0 shape d=2048 / 512 rows / codebooks 9, 9, 5),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
 //! `factorize_sweep_<rows>` (one product-plane scan and one resonator sweep of
 //! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the scan beside its
@@ -111,11 +108,6 @@ fn main() -> ExitCode {
         SEED,
     ));
 
-    // Resonator-iteration microbench: the fused kernel vs the split three-pass
-    // sequence, one full iteration over all factors, at d=4096 and at the RAVEN
-    // block-0 shape.
-    records.extend(cogsys::experiments::resonate_iter_records(SEED));
-
     // The rescue route's kernels at the RAVEN block shapes: one product-plane
     // scan against one resonator sweep of the same 512 scene rows.
     records.extend(cogsys::experiments::product_scan_records(SEED));
@@ -171,28 +163,6 @@ fn main() -> ExitCode {
             batched / 1e6,
             64.0 / (batched / 1e9),
         );
-    }
-
-    // The isolated per-iteration kernel, per shape: fused vs the split
-    // reference sequence.
-    for fused in records
-        .iter()
-        .filter(|r| r.backend == "packed" && r.kernel == "resonate_iter")
-    {
-        if let Some(split) = records.iter().find(|r| {
-            r.backend == "reference"
-                && r.kernel == "resonate_iter"
-                && (r.dim, r.batch) == (fused.dim, fused.batch)
-        }) {
-            println!(
-                "resonate_iter d={} rows={}: split {:.3} ms/iter, fused {:.3} ms/iter ({:.2}x)",
-                fused.dim,
-                fused.batch,
-                split.ns_per_op / 1e6,
-                fused.ns_per_op / 1e6,
-                split.ns_per_op / fused.ns_per_op.max(1.0),
-            );
-        }
     }
 
     // Per scene row: the product scan against one resonator sweep, per block

@@ -106,8 +106,8 @@ pub struct BenchRecord {
     pub batch: usize,
     /// Wall-clock nanoseconds for one batched kernel call (one warm-up, then the
     /// median of [`RESCUE_BENCH_ROUNDS`] rounds for the micro-kernel and
-    /// rescue-route cells, best of seven for `solve_batch` and its stage cells,
-    /// and best of five for `resonate_iter` — see the producing functions).
+    /// rescue-route cells, best of seven for `solve_batch` and its stage cells —
+    /// see the producing functions).
     pub ns_per_op: f64,
 }
 
@@ -454,139 +454,6 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
         }
     }
     records
-}
-
-/// Shapes of the resonator-iteration microbench, as (dimensionality, query
-/// rows, rows of each factor codebook): a wide synthetic iteration (d=4096, 256
-/// rows, three 64-row codebooks) and the RAVEN block-0 shape (d=2048, one
-/// 64-problem call's 512 panel rows, the 9/9/5 attribute codebooks).
-pub const RESONATE_ITER_BENCH_SHAPES: [(usize, usize, &[usize]); 2] =
-    [(4096, 256, &[64, 64, 64]), (2048, 512, &[9, 9, 5])];
-
-/// Measures one full packed resonator iteration — unbind, similarity, weighted
-/// sign projection across every factor — at each of
-/// [`RESONATE_ITER_BENCH_SHAPES`], with the fused kernel the resonator runs
-/// ([`cogsys_vsa::PackedBackend::resonate_step_fused_into`], recorded as `packed`
-/// / `resonate_iter`) against the split three-pass sequence built from the
-/// reference kernels (full-batch unbind materialization,
-/// [`cogsys_vsa::PackedBackend::similarity_matrix_packed_into`],
-/// [`cogsys_vsa::PackedBackend::project_signs_packed_into`]; recorded as
-/// `reference` / `resonate_iter`). Both paths run over the same planes with no-op
-/// hooks, so the ratio is pure dataflow: the fused kernel loads each codebook
-/// sign-plane word once per iteration where the split sequence streams the batch
-/// planes three times.
-pub fn resonate_iter_records(seed: u64) -> Vec<BenchRecord> {
-    RESONATE_ITER_BENCH_SHAPES
-        .iter()
-        .flat_map(|&(dim, rows, codebook_rows)| resonate_iter_cell(seed, dim, rows, codebook_rows))
-        .collect()
-}
-
-/// The fused and split records of one [`resonate_iter_records`] shape.
-fn resonate_iter_cell(
-    seed: u64,
-    dim: usize,
-    rows: usize,
-    codebook_rows: &[usize],
-) -> [BenchRecord; 2] {
-    use cogsys_vsa::packed::{BitMatrix, PackedBackend};
-    use std::time::Instant;
-
-    let factors = codebook_rows.len();
-    let backend = PackedBackend::new();
-    let mut rng = cogsys_vsa::rng(seed);
-
-    let codebooks: Vec<BitMatrix> = codebook_rows
-        .iter()
-        .map(|&m| BitMatrix::random_bipolar(m, dim, &mut rng))
-        .collect();
-    let query = BitMatrix::random_bipolar(rows, dim, &mut rng);
-    let mut estimates: Vec<BitMatrix> = (0..factors)
-        .map(|_| BitMatrix::random_bipolar(rows, dim, &mut rng))
-        .collect();
-
-    let mut unbound_lanes = BitMatrix::default();
-    let mut unbound_full = BitMatrix::zeros(rows, dim);
-    let mut sims = HvMatrix::default();
-    let mut acc = Vec::new();
-
-    let mut fused_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
-        for (f, codebook) in codebooks.iter().enumerate() {
-            backend.resonate_step_fused_into(
-                codebook,
-                &query,
-                estimates,
-                f,
-                &mut unbound_lanes,
-                sims,
-                acc,
-                |_, _, _| {},
-            );
-        }
-    };
-    let mut split_iter = |estimates: &mut [BitMatrix], sims: &mut HvMatrix, acc: &mut Vec<f32>| {
-        for (f, codebook) in codebooks.iter().enumerate() {
-            let (head, rest) = estimates.split_at_mut(f);
-            let (out, tail) = rest.split_first_mut().expect("factor index in range");
-            unbound_full.copy_from(&query);
-            for est in head.iter().chain(tail.iter()) {
-                unbound_full
-                    .xor_assign(est)
-                    .expect("estimate planes share the query shape");
-            }
-            backend.similarity_matrix_packed_into(codebook, &unbound_full, sims);
-            backend.project_signs_packed_into(codebook, sims, |_, _| {}, acc, out);
-        }
-    };
-
-    // Decision-identity sanity check before timing: one iteration through each
-    // path from the same starting planes must produce bitwise-identical
-    // estimates (the proptests pin this exhaustively; this catches drift in the
-    // bench harness itself).
-    let mut fused_est = estimates.clone();
-    let mut split_est = estimates.clone();
-    fused_iter(&mut fused_est, &mut sims, &mut acc);
-    split_iter(&mut split_est, &mut sims, &mut acc);
-    assert_eq!(
-        fused_est, split_est,
-        "fused resonator step diverged from the split sequence"
-    );
-
-    // One warm-up each, then best of five rounds in which the two paths take
-    // turns, so host noise lands on both sides of the guard's ratio.
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    fused_iter(&mut estimates, &mut sims, &mut acc);
-    split_iter(&mut estimates, &mut sims, &mut acc);
-    let (mut fused, mut split) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        fused = fused.min(time(&mut || {
-            fused_iter(&mut estimates, &mut sims, &mut acc)
-        }));
-        split = split.min(time(&mut || {
-            split_iter(&mut estimates, &mut sims, &mut acc)
-        }));
-    }
-
-    [
-        BenchRecord {
-            backend: "packed".to_string(),
-            kernel: "resonate_iter".to_string(),
-            dim,
-            batch: rows,
-            ns_per_op: fused * 1e9,
-        },
-        BenchRecord {
-            backend: "reference".to_string(),
-            kernel: "resonate_iter".to_string(),
-            dim,
-            batch: rows,
-            ns_per_op: split * 1e9,
-        },
-    ]
 }
 
 /// Query rows of the product-scan cells: one 64-problem RAVEN call's panel rows.
@@ -1788,25 +1655,6 @@ pub fn tab10_codesign() -> ExperimentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Manual microbenchmark for the fused-vs-split resonator iteration (the
-    /// records also embed a full bitwise identity check). Ignored by default —
-    /// it is a timing probe, not an assertion; run it release with
-    /// `cargo test --release -p cogsys resonate_iter -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn resonate_iter_microbench() {
-        for record in resonate_iter_records(7) {
-            println!(
-                "{}/{} d={} rows={}: {:.3} ms/iter",
-                record.backend,
-                record.kernel,
-                record.dim,
-                record.batch,
-                record.ns_per_op / 1e6
-            );
-        }
-    }
 
     #[test]
     fn product_scan_cells_cover_both_raven_blocks_at_both_dims() {

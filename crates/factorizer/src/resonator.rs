@@ -2,7 +2,8 @@
 //!
 //! The three factorization steps (unbind → similarity search → projection, Fig. 8)
 //! run on one of two engines. The serving engine keeps the factor estimates as sign
-//! planes and steps a whole query batch through the packed backend's fused kernel.
+//! planes and steps a whole query batch through the packed backend's resonator step,
+//! composed from its unbind, similarity and projection kernels.
 //! The `f32` resonator is the reference engine: it runs one query at a time through
 //! the [`ReferenceBackend`] kernels, and it decodes everything the packed engine
 //! cannot (circular binding, non-bipolar queries, the reference backend). Every query
@@ -334,8 +335,8 @@ impl QueryState {
 
 /// Caller-owned scratch for the resonator: every sign plane and bookkeeping vector
 /// the packed engine touches, reused across calls so a steady-state serving loop
-/// allocates nothing in the factorization stage beyond the returned
-/// [`FactorizationResult`]s themselves. The `f32` reference resonator keeps only its
+/// allocates only the returned [`FactorizationResult`]s and, per factor, the one
+/// `f32` bundle buffer its initial estimate is packed from. The `f32` reference resonator keeps only its
 /// quantized queries here and allocates its one-row operands per call.
 ///
 /// One scratch serves both engines and any sequence of shapes — buffers are reshaped
@@ -355,6 +356,8 @@ pub struct FactorizerScratch {
     // Packed engine.
     query_bits: BitMatrix,
     estimates_bits: Vec<BitMatrix>,
+    /// The whole batch's queries XOR-unbound against the other factors'
+    /// estimates: the similarity operand of one resonator step.
     unbound_bits: BitMatrix,
     /// One row's decoded codevectors XOR-bound together (the rebind check).
     rebound_bits: BitMatrix,
@@ -460,7 +463,8 @@ impl Factorizer {
     ///
     /// The packed engine's sign planes and per-query state live in the
     /// caller-owned `scratch` and are reused across calls, so a steady-state
-    /// serving loop allocates nothing in the factorization stage; a fresh scratch
+    /// serving loop allocates only the results and one `f32` bundle buffer per
+    /// factor (the initial estimate) in the factorization stage; a fresh scratch
     /// gives identical results.
     ///
     /// # Errors
@@ -517,7 +521,7 @@ impl Factorizer {
     }
 
     /// [`Factorizer::factorize_matrix_scratch`] with **bit-packed** queries: the
-    /// allocation-free entry point of the end-to-end packed serving path, for callers
+    /// scratch-reusing entry point of the end-to-end packed serving path, for callers
     /// that already hold the query batch as sign planes (e.g. a packed-encoded scene
     /// batch), skipping the per-call pack of the dense path.
     ///
@@ -670,7 +674,7 @@ impl Factorizer {
     ///
     /// Factor estimates live as [`BitMatrix`] sign planes. Each factor update is one
     /// call of [`cogsys_vsa::packed::PackedBackend::resonate_step_fused_into`]:
-    /// word-wise XOR unbind against the packed query, popcount similarity (exactly
+    /// word-wise XOR unbind of the whole batch, popcount similarity (exactly
     /// the integer dot products the f32 similarity kernel produces on bipolar
     /// inputs), and the weighted sign projection (noise and sign threshold included,
     /// written straight into the estimate planes). The rebind convergence check runs inside the last
@@ -722,15 +726,11 @@ impl Factorizer {
         let precision = self.config.precision;
 
         estimates.resize_with(num_factors, BitMatrix::default);
+        init_bits.ensure_shape(1, dim);
         for (f, est) in estimates.iter_mut().enumerate() {
+            // The majority bundle of the codebook: `v < 0` packs to -1, ties to +1.
             let cb = set.factor(f).expect("factor index in range");
-            let init =
-                ops::majority_bundle(cb.matrix().row_iter()).expect("codebooks are non-empty");
-            let row = HvMatrix::from_hypervector(&init);
-            assert!(
-                init_bits.pack_from(&row),
-                "majority bundle output is bipolar"
-            );
+            init_bits.pack_signs_row(0, ops::bundle(cb.matrix().row_iter())?.values());
             init_bits
                 .broadcast_row_into(0, n, est)
                 .expect("broadcast of row 0");
@@ -760,15 +760,11 @@ impl Factorizer {
             }
 
             for f in 0..num_factors {
-                // One pass over the codebook sign planes per 8-query lane block:
-                // unbind and popcount similarity per block, then the projection
-                // row kernel per live row while the codebook is cache-hot; no
-                // full-batch unbound plane is materialized. The hook does the
-                // per-row work in ascending row order per lane block
-                // (similarity perturb + argmax decode, then projection
-                // perturb); per-query streams are private, so each
-                // query's noise draws are consumed in the order of the unfused
-                // unbind → similarity → projection sequence.
+                // Unbind the whole batch, one similarity GEMM, then per row in
+                // ascending order the hook's similarity perturb + argmax decode
+                // and, for the rows it keeps, the projection row kernel and the
+                // projection perturb: each query's noise draws come in the order
+                // of the f32 resonator's unbind → similarity → projection.
                 packed.resonate_step_fused_into(
                     cb_planes(f),
                     query_bits,

@@ -22,8 +22,8 @@
 //! at zero (see [`BitMatrix::tail_mask`]), which lets every kernel run whole-word
 //! XOR/popcount without per-row masking.
 //!
-//! Every Hamming scan — the similarity GEMM, the cleanup (codebook and product)
-//! scan and the fused resonator step's similarity loop — is one register-tiled
+//! Every Hamming scan — the similarity GEMM (the resonator step's similarity
+//! included) and the cleanup (codebook and product) scan — is one register-tiled
 //! kernel: a 2-query × 4-row tile keeps one popcount accumulator per (query, row)
 //! pair across every word and reduces all eight together once, so no pair pays a
 //! call or a horizontal reduce of its own. The single-pair dot products run the
@@ -59,15 +59,6 @@ const SCAN_BLOCK_WORDS: usize = 4096;
 /// Query rows per block of the sign-plane scan: one query block's distances to
 /// one codebook block fill a 4 KiB buffer on the stack.
 const SCAN_QUERY_ROWS: usize = 8;
-
-/// Distance buffer of one (query block, codebook block) pair of [`scan_hamming`].
-type ScanBuffer = [u32; SCAN_QUERY_ROWS * CODEBOOK_BLOCK_ROWS];
-
-/// Query rows per lane block of the fused resonator step
-/// ([`PackedBackend::resonate_step_fused_into`]): each block unbinds this many
-/// rows into an L1-resident scratch and runs their similarity scan and hooks
-/// together before projecting them one row at a time.
-pub const PROJ_LANE_ROWS: usize = 8;
 
 /// A dense, row-major batch of **sign planes**: the bit-packed mirror of [`HvMatrix`]
 /// for bipolar data.
@@ -1091,13 +1082,12 @@ pub fn amplitude_mask_fn() -> AmplitudeMaskFn {
     amplitude_mask_generic
 }
 
-/// Which sub-step of the fused resonator iteration a
+/// Which sub-step of the resonator iteration a
 /// [`PackedBackend::resonate_step_fused_into`] hook invocation belongs to.
-/// The hook fires once per query row for [`ResonatePhase::Similarity`] and,
-/// for the rows whose Similarity hook asks for it ([`ProjectionVerdict`]),
-/// once for [`ResonatePhase::Projection`] — in ascending row order within
-/// each lane block, so per-query noise streams are consumed in exactly the
-/// order the split pipeline consumes them.
+/// Rows go in ascending order: each row's [`ResonatePhase::Similarity`] call,
+/// then, if that call asks for it ([`ProjectionVerdict`]), its
+/// [`ResonatePhase::Projection`] call, so per-query noise streams are consumed
+/// in exactly the order the split pipeline consumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResonatePhase {
     /// The row holds the freshly computed similarities (`d − 2·hamming`) for
@@ -1527,17 +1517,16 @@ impl BitMatrix {
 /// blocks of [`SCAN_QUERY_ROWS`] rows.
 /// `sink(q0, m0, n, dist)` receives one block pair: `dist[i * n + j]` is the
 /// distance of query `q0 + i` to codebook row `m0 + j`, and every query meets the
-/// codebook rows in ascending order. `buffer` is the caller's scratch, so a caller
-/// that scans one lane block at a time zeroes it once per call.
+/// codebook rows in ascending order.
 fn scan_hamming(
     codebook: &BitMatrix,
     queries: &[u64],
-    buffer: &mut ScanBuffer,
     mut sink: impl FnMut(usize, usize, usize, &[u32]),
 ) {
     let wpr = codebook.words_per_row().max(1);
     let hamming_block = dispatch().hamming_block;
     let block_rows = (SCAN_BLOCK_WORDS / wpr).clamp(4, CODEBOOK_BLOCK_ROWS);
+    let mut buffer = [0u32; SCAN_QUERY_ROWS * CODEBOOK_BLOCK_ROWS];
     for (b, block) in codebook.words.chunks(block_rows * wpr).enumerate() {
         let n = block.len() / wpr;
         for (c, qs) in queries.chunks(SCAN_QUERY_ROWS * wpr).enumerate() {
@@ -1576,8 +1565,9 @@ pub struct CleanupScratch {
 ///
 /// * popcount similarity GEMM ([`PackedBackend::similarity_matrix_packed_into`]) and
 ///   the cleanup scan, blocked over codebook rows for cache residency;
-/// * the sign projection and the fused resonator step that the packed resonator
-///   runs every iteration, both on one register-blocked row kernel.
+/// * the sign projection on one register-blocked row kernel, and the resonator
+///   step that the packed resonator runs every iteration, composed from the
+///   unbind, the similarity GEMM and that row kernel.
 ///
 /// Numerics: the popcount dot products are **exact** (bitwise equal to the reference
 /// on bipolar inputs — `f32` sums of `±1` are themselves exact). Cleanup cosines
@@ -1602,7 +1592,7 @@ impl PackedBackend {
         debug_assert_eq!(codebook.dim(), queries.dim(), "operand dims must match");
         out.ensure_shape(queries.rows(), codebook.rows());
         let dim = codebook.dim();
-        scan_hamming(codebook, &queries.words, &mut [0; _], |q0, m0, n, dist| {
+        scan_hamming(codebook, &queries.words, |q0, m0, n, dist| {
             for (i, dist) in dist.chunks_exact(n).enumerate() {
                 write_dots(dim, dist, &mut out.row_mut(q0 + i)[m0..m0 + n]);
             }
@@ -1631,7 +1621,7 @@ impl PackedBackend {
         let best = &mut scratch.best;
         best.clear();
         best.resize(queries.rows(), (0usize, u32::MAX));
-        scan_hamming(codebook, &queries.words, &mut [0; _], |q0, m0, n, dist| {
+        scan_hamming(codebook, &queries.words, |q0, m0, n, dist| {
             for (slot, dist) in best[q0..].iter_mut().zip(dist.chunks_exact(n)) {
                 // Strictly smaller Hamming distance wins, and the block's first
                 // row at its minimum: equal keeps the earlier row — identical
@@ -1706,40 +1696,36 @@ impl PackedBackend {
         }
     }
 
-    /// Fused resonator iteration step for one factor: XOR-unbind, Hamming
-    /// similarity, and weighted sign projection in a single pass over the
-    /// codebook sign planes, per [`PROJ_LANE_ROWS`]-query lane block.
+    /// One resonator iteration step for one factor, composed from the standalone
+    /// kernels: XOR-unbind, Hamming similarity, weighted sign projection.
     ///
-    /// The split pipeline streams three full-batch passes per factor per
-    /// iteration — materialize `unbound = query ⊕ ⊕_{g≠f} est_g` (one copy plus
-    /// `F−1` XOR sweeps over `rows × words` planes), then the similarity GEMM
-    /// re-reads `unbound`, then the projection re-reads the codebook. Here each
-    /// lane block unbinds its 8 rows into an L1-resident scratch, scans the
-    /// codebook once for similarities, and feeds the just-computed (and
-    /// hook-perturbed) similarity rows straight into the projection row kernel of
-    /// [`PackedBackend::project_signs_packed_into`] while the codebook is still
-    /// cache-hot. The full-batch `unbound` plane is never materialized.
+    /// 1. `unbound = query ⊕ ⊕_{g≠f} estimates[g]` for the whole batch;
+    /// 2. one [`PackedBackend::similarity_matrix_packed_into`] call into `sims`;
+    /// 3. per query row in ascending order: `hook(`[`ResonatePhase::Similarity`]`,
+    ///    row, sims_row)` (perturb + argmax decode); if its verdict
+    ///    ([`ProjectionVerdict`]) asks for a projection, the projection row kernel of
+    ///    [`PackedBackend::project_signs_packed_into`] weighted by that row, then
+    ///    `hook(`[`ResonatePhase::Projection`]`, row, acc)`, then the sign pack into
+    ///    `estimates[factor]`.
     ///
-    /// `estimates[factor]` is overwritten with the projected signs; the other
-    /// estimate planes are only read, and only by the unbind of *this* factor,
-    /// so the Gauss–Seidel in-place update order matches the split path.
-    /// `hook(phase, row, values)` runs per query row in ascending order within
-    /// each lane block — [`ResonatePhase::Similarity`] over the similarity row
-    /// (perturb + argmax decode), then [`ResonatePhase::Projection`] over the
-    /// sign accumulator row. Per-query noise streams see exactly the split
-    /// path's draw order (all of a query's similarity draws precede its
-    /// projection draws for the same factor); only the interleaving *across*
-    /// queries differs, which is unobservable because streams are private.
+    /// A row whose Similarity hook returns `false` gets no projection and no
+    /// Projection call, and keeps its previous `estimates[factor]` row. Each query's
+    /// noise draws (all similarity draws, then its projection draws) come in the
+    /// order of the split unbind → similarity → projection sequence, so the step is
+    /// bitwise identical to it. The other estimate planes are only read, so the
+    /// Gauss–Seidel in-place update order across factors is unchanged.
     ///
-    /// The Similarity call's return value ([`ProjectionVerdict`]) decides
-    /// whether the row is projected at all: a row whose hook returns `false`
-    /// is not projected, gets no Projection call, and keeps its previous
-    /// `estimates[factor]` row. The other rows' accumulators and draws are
-    /// unchanged by the skip (rows are projected independently).
+    /// The step no longer fuses its kernels (a lane-blocked fusion measured no
+    /// faster); the name and signature stay because the repository benchmark
+    /// calls them.
     ///
-    /// `unbound` (resized to `PROJ_LANE_ROWS` rows), `sims` (resized to
+    /// `unbound` (resized to the query batch), `sims` (resized to
     /// `rows × codebook.rows()`), and `acc` (resized to `codebook.dim()`) are
     /// caller-owned scratch, so steady-state calls allocate nothing.
+    ///
+    /// # Panics
+    /// Panics when `factor >= estimates.len()` or another factor's estimate plane
+    /// differs in shape from `query`.
     #[allow(clippy::too_many_arguments)]
     pub fn resonate_step_fused_into<F, V>(
         &self,
@@ -1755,70 +1741,25 @@ impl PackedBackend {
         F: FnMut(ResonatePhase, usize, &mut [f32]) -> V,
         V: ProjectionVerdict,
     {
-        let rows = query.rows();
-        let dim = codebook.dim();
-        let cb_rows = codebook.rows();
-        debug_assert!(factor < estimates.len(), "factor index in range");
-        debug_assert_eq!(query.dim(), dim, "operand dims must match");
-        let wpr = codebook.words_per_row().max(1);
-        sims.ensure_shape(rows, cb_rows);
+        debug_assert_eq!(query.dim(), codebook.dim(), "operand dims must match");
         let (head, rest) = estimates.split_at_mut(factor);
         let (out, tail) = rest.split_first_mut().expect("factor index in range");
-        out.ensure_shape(rows, dim);
-        unbound.ensure_shape(PROJ_LANE_ROWS, dim);
-        let project_row = dispatch().project_row;
-        let mut buffer: ScanBuffer = [0; _];
+        unbound.copy_from(query);
+        for est in head.iter().chain(tail.iter()) {
+            unbound
+                .xor_assign(est)
+                .expect("estimate planes share the query shape");
+        }
+        self.similarity_matrix_packed_into(codebook, unbound, sims);
+        out.ensure_shape(query.rows(), codebook.dim());
+        let (project_row, wpr) = (dispatch().project_row, codebook.words_per_row());
         acc.clear();
-        acc.resize(dim, 0.0);
-        for block_start in (0..rows).step_by(PROJ_LANE_ROWS) {
-            let block_len = (rows - block_start).min(PROJ_LANE_ROWS);
-            // Unbind the lane rows once into the 8-row scratch: query ⊕ every
-            // *other* factor's estimate. The scratch stays L1-resident across
-            // the similarity scan below.
-            for lane in 0..block_len {
-                let r = block_start + lane;
-                let dst = &mut unbound.words[lane * wpr..(lane + 1) * wpr];
-                dst.copy_from_slice(&query.words[r * wpr..(r + 1) * wpr]);
-                for est in head.iter().chain(tail.iter()) {
-                    let src = &est.words[r * wpr..(r + 1) * wpr];
-                    for (dw, &sw) in dst.iter_mut().zip(src) {
-                        *dw ^= sw;
-                    }
-                }
-            }
-            // Similarity scan for the lane block — the same scan and
-            // `d − 2·hamming` mapping as the standalone similarity GEMM.
-            scan_hamming(
-                codebook,
-                &unbound.words[..block_len * wpr],
-                &mut buffer,
-                |_, m0, n, dist| {
-                    for (lane, dist) in dist.chunks_exact(n).enumerate() {
-                        let row = &mut sims.row_mut(block_start + lane)[m0..m0 + n];
-                        write_dots(dim, dist, row);
-                    }
-                },
-            );
-            // The rows whose hook asks for a projection, in ascending order.
-            let mut live = [0usize; PROJ_LANE_ROWS];
-            let mut live_len = 0;
-            for lane in 0..block_len {
-                let slot = block_start + lane;
-                if hook(ResonatePhase::Similarity, slot, sims.row_mut(slot)).project() {
-                    live[live_len] = slot;
-                    live_len += 1;
-                }
-            }
-            if live_len == 0 {
-                continue;
-            }
-            // Projection, weights = the just-perturbed similarity rows: the
-            // same row kernel (and accumulation order) as
-            // `project_signs_packed_into`, restricted to the live rows.
-            for &slot in &live[..live_len] {
-                project_row(&codebook.words, wpr, cb_rows, sims.row(slot), acc);
-                hook(ResonatePhase::Projection, slot, acc);
-                out.pack_signs_row(slot, acc);
+        acc.resize(codebook.dim(), 0.0);
+        for q in 0..query.rows() {
+            if hook(ResonatePhase::Similarity, q, sims.row_mut(q)).project() {
+                project_row(&codebook.words, wpr, codebook.rows(), sims.row(q), acc);
+                hook(ResonatePhase::Projection, q, acc);
+                out.pack_signs_row(q, acc);
             }
         }
     }
@@ -1896,8 +1837,8 @@ mod tests {
             .collect()
     }
 
-    /// The three scans on the dispatched kernel — cleanup, the similarity GEMM
-    /// and the fused step's similarity rows — against the scalar oracle, over
+    /// The scans on the dispatched kernel — cleanup, the similarity GEMM and
+    /// the resonator step's similarity rows — against the scalar oracle, over
     /// every tile remainder, query counts across the 8-row query block and
     /// codebooks across the 128-row cache block, on ragged dims and tie-heavy
     /// rows: the same distances, and the lowest row of least distance.
@@ -1927,8 +1868,8 @@ mod tests {
                         .collect();
                     backend.similarity_matrix_packed_into(&rows, &queries, &mut sims);
                     assert_eq!(sims.as_slice(), &dots[..], "similarity dim {dim}");
-                    // The fused step with no other factor unbinds nothing, so
-                    // its similarity rows are the query's own dots.
+                    // The step with no other factor unbinds nothing, so its
+                    // similarity rows are the query's own dots.
                     let mut estimates = [BitMatrix::zeros(n_queries, dim)];
                     let (mut unbound, mut acc) = (BitMatrix::default(), Vec::new());
                     let mut fused = vec![f32::NAN; dots.len()];
@@ -2342,26 +2283,39 @@ mod tests {
         use proptest::prelude::*;
         use rand::Rng;
 
-        /// A named Hamming block kernel: one tier.
-        type TierKernel = (&'static str, HammingBlockFn);
+        /// A named Hamming tier: its block kernel and its single-pair kernel.
+        type TierKernel = (&'static str, HammingBlockFn, HammingPairFn);
 
         /// Every Hamming tier available on the running CPU, by name, the generic
         /// tile first; each is pinned against the scalar oracle.
         fn available_tier_kernels() -> Vec<TierKernel> {
-            let mut kernels: Vec<TierKernel> = vec![("generic", hamming_block_generic)];
+            let mut kernels: Vec<TierKernel> =
+                vec![("generic", hamming_block_generic, hamming_pair_generic)];
             #[cfg(target_arch = "x86_64")]
             {
                 use std::arch::is_x86_feature_detected;
                 if is_x86_feature_detected!("popcnt") {
-                    kernels.push(("popcnt", simd::hamming_block_popcnt_checked));
+                    kernels.push((
+                        "popcnt",
+                        simd::hamming_block_popcnt_checked,
+                        simd::hamming_pair_popcnt_checked,
+                    ));
                 }
                 if is_x86_feature_detected!("avx2") {
-                    kernels.push(("avx2", simd::hamming_block_avx2_checked));
+                    kernels.push((
+                        "avx2",
+                        simd::hamming_block_avx2_checked,
+                        simd::hamming_pair_avx2_checked,
+                    ));
                 }
                 if is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512vpopcntdq")
                 {
-                    kernels.push(("avx512", simd::hamming_block_avx512_checked));
+                    kernels.push((
+                        "avx512",
+                        simd::hamming_block_avx512_checked,
+                        simd::hamming_pair_avx512_checked,
+                    ));
                 }
             }
             kernels
@@ -2486,7 +2440,8 @@ mod tests {
             }
 
             /// Every tier's block kernel writes exactly the scalar oracle's
-            /// distances, so every tier takes the same argmin, on every tile
+            /// distances, and its pair kernel returns each of them, so every
+            /// tier takes the same argmin and the same dot product, on every tile
             /// remainder (1–9 query rows × 1–13 codebook rows: full 2 × 4 tiles,
             /// a lone query, 1–3 leftover rows) and ragged dims (one word, a word
             /// edge, one bit past it, a masked vector tail, 32 full words).
@@ -2503,13 +2458,20 @@ mod tests {
                         for n_rows in 1..=13 {
                             let rows = tie_heavy_rows(&queries, n_rows, &mut r);
                             let expected = oracle_distances(&queries, &rows);
-                            for (name, kernel) in available_tier_kernels() {
+                            for (name, block, pair) in available_tier_kernels() {
                                 let mut out = vec![u32::MAX; n_queries * n_rows];
-                                kernel(&queries.words, &rows.words, wpr, &mut out);
+                                block(&queries.words, &rows.words, wpr, &mut out);
                                 prop_assert_eq!(
                                     (name, dim, n_queries, n_rows, &out),
                                     (name, dim, n_queries, n_rows, &expected)
                                 );
+                                let mut pairs = Vec::with_capacity(expected.len());
+                                for q in 0..n_queries {
+                                    for m in 0..n_rows {
+                                        pairs.push(pair(queries.row_words(q), rows.row_words(m)));
+                                    }
+                                }
+                                prop_assert_eq!((name, dim, "pair", &pairs), (name, dim, "pair", &expected));
                             }
                         }
                     }
@@ -2600,7 +2562,7 @@ mod tests {
 
     #[test]
     fn fused_step_projects_only_rows_whose_hook_asks() {
-        // 11 query rows straddle the 8-row lane block; every third row declines.
+        // 11 query rows, every third row declines.
         let (rows, dim, cb_rows) = (11, 200, 10);
         let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(cb_rows, dim, 31)).unwrap();
         let query = BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, 32)).unwrap();
@@ -2612,7 +2574,7 @@ mod tests {
             let mut estimates = initial.clone();
             let (mut unbound, mut sims, mut acc) =
                 (BitMatrix::default(), HvMatrix::default(), Vec::new());
-            let mut projected = Vec::new();
+            let (mut calls, mut projected) = (Vec::new(), Vec::new());
             backend.resonate_step_fused_into(
                 &codebook,
                 &query,
@@ -2622,6 +2584,7 @@ mod tests {
                 &mut sims,
                 &mut acc,
                 |phase, slot, values| {
+                    calls.push((phase, slot));
                     if phase == ResonatePhase::Projection {
                         // A deterministic perturbation, so the pack sees hook edits.
                         values[slot % dim] -= 1000.0;
@@ -2631,6 +2594,15 @@ mod tests {
                     !skip(slot)
                 },
             );
+            // Per row, ascending: its Similarity call, then its Projection call
+            // only when the Similarity verdict asked for one.
+            let expected: Vec<_> = (0..rows)
+                .flat_map(|q| {
+                    let proj = (!skip(q)).then_some((ResonatePhase::Projection, q));
+                    std::iter::once((ResonatePhase::Similarity, q)).chain(proj)
+                })
+                .collect();
+            assert_eq!(calls, expected, "hook sequence");
             (estimates, projected, sims)
         };
         let (all_est, all_proj, all_sims) = run(|_| false);

@@ -290,12 +290,12 @@ proptest! {
         }
     }
 
-    /// The fused resonator mega-kernel equals the split three-pass sequence
+    /// The resonator step equals the split three-pass sequence called by hand
     /// (unbind materialization → similarity GEMM → weighted sign projection)
     /// **bitwise** — estimate sign planes, perturbed similarity rows, argmax
     /// decisions, and per-query noise-stream positions — with and without
     /// noise, across power-of-two and non-power-of-two dims (tail words
-    /// included) and 1, 7, 9, 16 or 17 rows, so the last 8-query lane block
+    /// included) and 1, 7, 9, 16 or 17 rows, so the scan's last 8-query block
     /// is partial (1 or 7 rows) or full, over two Gauss–Seidel iterations
     /// so the in-place estimate feedback is exercised. With `decline_sel`
     /// set, the Similarity hook declines a scattered subset of rows per
@@ -340,7 +340,7 @@ proptest! {
         };
 
         // Split reference: materialized unbind, standalone similarity, standalone
-        // projection — the pre-fusion resonator's exact pass structure.
+        // projection, each a separate full-batch pass.
         let mut est_split = initial.clone();
         let mut streams_split = streams();
         let mut split_decisions = Vec::new();
@@ -382,12 +382,12 @@ proptest! {
         let mut streams_fused = streams();
         let mut fused_decisions = Vec::new();
         let mut sims_fused = HvMatrix::default();
-        let (mut lanes, mut acc_f) = (BitMatrix::default(), Vec::new());
+        let (mut unbound_f, mut acc_f) = (BitMatrix::default(), Vec::new());
         for iter in 0..2 {
             for (f, codebook) in codebooks.iter().enumerate() {
                 packed.resonate_step_fused_into(
                     codebook, &query, &mut est_fused, f,
-                    &mut lanes, &mut sims_fused, &mut acc_f,
+                    &mut unbound_f, &mut sims_fused, &mut acc_f,
                     |phase, q, row| {
                         if with_noise {
                             for v in row.iter_mut() {
