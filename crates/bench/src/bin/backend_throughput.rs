@@ -5,6 +5,9 @@
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
 //! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
+//! plus the `project_signs_<rows>` cells (the sign projection onto the 9- and
+//! 6-row RAVEN factor codebooks at d=2048 and 4096, 512 weight rows, beside the
+//! same `reference` and `scalar_twin` twins as `project_signs`),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
 //! `factorize_sweep_<rows>` (one product-plane scan and one resonator sweep of
 //! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the scan beside its
@@ -108,8 +111,10 @@ fn main() -> ExitCode {
         SEED,
     ));
 
-    // The rescue route's kernels at the RAVEN block shapes: one product-plane
-    // scan against one resonator sweep of the same 512 scene rows.
+    // The projection at the RAVEN factor-codebook lengths, and the rescue
+    // route's kernels at the RAVEN block shapes: one product-plane scan against
+    // one resonator sweep of the same 512 scene rows.
+    records.extend(cogsys::experiments::raven_projection_records(SEED));
     records.extend(cogsys::experiments::product_scan_records(SEED));
 
     let json = cogsys::experiments::backend_throughput_json(SEED, &records);
@@ -147,6 +152,34 @@ fn main() -> ExitCode {
             packed / 1e6,
             scalar / packed.max(1.0)
         );
+    }
+
+    // The projection at the RAVEN codebook lengths against its twins.
+    for rows in cogsys::experiments::RAVEN_PROJECTION_ROWS {
+        let kernel = format!("project_signs_{rows}");
+        for dim in [2048, 4096] {
+            let raven_cell = |backend: &str| {
+                records
+                    .iter()
+                    .find(|r| r.backend == backend && r.kernel == kernel && r.dim == dim)
+                    .map(|r| r.ns_per_op)
+            };
+            if let (Some(packed), Some(scalar), Some(reference)) = (
+                raven_cell("packed"),
+                raven_cell("scalar_twin"),
+                raven_cell("reference"),
+            ) {
+                println!(
+                    "{kernel} d={dim} batch=512: packed {:.3} ms, scalar twin {:.3} ms ({:.1}x), \
+                     reference {:.3} ms ({:.1}x)",
+                    packed / 1e6,
+                    scalar / 1e6,
+                    scalar / packed.max(1.0),
+                    reference / 1e6,
+                    reference / packed.max(1.0),
+                );
+            }
+        }
     }
 
     // End-to-end solver throughput at a 64-problem serving batch (8·64 = 512 panel

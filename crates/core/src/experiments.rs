@@ -154,10 +154,11 @@ fn median_secs(f: &mut dyn FnMut()) -> f64 {
 /// resonator's similarity step, over the codebook's cached sign planes; on the
 /// reference backend, their `f32` oracles ([`ReferenceBackend::cleanup_batch`],
 /// [`ReferenceBackend::similarity_matrix_into`]) on the unpacked queries.
-/// `project_signs` is the fused weighted-superposition → sign-threshold kernel (the
-/// register-blocked row kernel on the packed backend, dense projection + packing
-/// elsewhere), with a same-run `scalar_twin` record: a bench-local scalar sum over
-/// the same sign planes, checked bitwise against the packed output; `noise_signs`
+/// `project_signs` is the fused weighted-superposition → sign-threshold kernel
+/// over a [`BENCH_CODEBOOK_ROWS`]-row codebook, beside a `reference` twin (the
+/// dense projection GEMM + sign packing) and a `scalar_twin` (a bench-local
+/// scalar sum over the same sign planes, checked bitwise against the packed
+/// output); `noise_signs`
 /// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
 /// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
 /// `reference`) on accumulators where a third of the elements, scattered inside
@@ -235,81 +236,8 @@ pub fn backend_throughput_records(
                     batch,
                     ns_per_op: sims_prepacked * 1e9,
                 });
-                // Fused projection → sign threshold: the packed backend runs the
-                // register-blocked row kernel on its cached sign planes; the dense
-                // backends run their projection GEMM followed by sign packing,
-                // which is the pre-packed pipeline's shape for the same step.
-                let mut proj_bits = BitMatrix::default();
-                let mut proj_acc: Vec<f32> = Vec::new();
-                let mut proj_dense = HvMatrix::default();
-                let project = median_secs(&mut || {
-                    if let Some(packed) = backend.as_packed() {
-                        packed.project_signs_packed_into(
-                            planes,
-                            &weights,
-                            |_, _| {},
-                            &mut proj_acc,
-                            &mut proj_bits,
-                        );
-                    } else {
-                        ReferenceBackend
-                            .project_batch_into(codebook.matrix(), &weights, &mut proj_dense)
-                            .expect("shapes match");
-                        proj_bits.ensure_shape(batch, dim);
-                        for q in 0..batch {
-                            proj_bits.pack_signs_row(q, proj_dense.row(q));
-                        }
-                    }
-                });
-                records.push(BenchRecord {
-                    backend: kind.to_string(),
-                    kernel: "project_signs".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: project * 1e9,
-                });
             }
-
-            // Same-run scalar twin of the packed `project_signs` cell, recorded as
-            // backend `scalar_twin` (the packed/reference guard never reads it): a
-            // bench-local scalar sum over the same sign planes and weights —
-            // codebook row outer, dimension inner, the walk every projection tier
-            // must match bitwise — followed by the same sign pack.
-            let mut acc = vec![0.0f32; dim];
-            let mut twin_bits = BitMatrix::zeros(batch, dim);
-            let scalar = median_secs(&mut || {
-                for q in 0..batch {
-                    acc.fill(0.0);
-                    for (m, &w) in weights.row(q).iter().enumerate() {
-                        let words = planes.row_words(m);
-                        for (chunk, &word) in acc.chunks_mut(64).zip(words) {
-                            for (bit, slot) in chunk.iter_mut().enumerate() {
-                                *slot += if (word >> bit) & 1 == 1 { -w } else { w };
-                            }
-                        }
-                    }
-                    twin_bits.pack_signs_row(q, &acc);
-                }
-            });
-            let mut packed_bits = BitMatrix::default();
-            cogsys_vsa::PackedBackend::new().project_signs_packed_into(
-                planes,
-                &weights,
-                |_, _| {},
-                &mut acc,
-                &mut packed_bits,
-            );
-            assert_eq!(
-                packed_bits, twin_bits,
-                "packed project_signs diverged from its scalar twin"
-            );
-            records.push(BenchRecord {
-                backend: "scalar_twin".to_string(),
-                kernel: "project_signs".to_string(),
-                dim,
-                batch,
-                ns_per_op: scalar * 1e9,
-            });
+            records.extend(project_signs_cells("project_signs", &codebook, &weights));
 
             // Bounded-noise sign perturbation on accumulator-shaped values whose
             // regimes are scattered element by element (one third within the
@@ -587,6 +515,113 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                     ns_per_op: secs * 1e9,
                 });
             }
+        }
+    }
+    records
+}
+
+/// The `project_signs` cells of one codebook and weight matrix, keyed
+/// `(backend, kernel, codebook dim, weight rows)`:
+///
+/// * `packed`: [`cogsys_vsa::PackedBackend::project_signs_packed_into`], the
+///   fused weighted-superposition → sign-threshold kernel on the codebook's
+///   cached sign planes (the dispatched row kernel, prefix codes included);
+/// * `reference`: the dense projection GEMM ([`ReferenceBackend::project_batch_into`])
+///   followed by sign packing, the pre-packed pipeline's shape for the step;
+/// * `scalar_twin`: a bench-local scalar sum over the same sign planes and
+///   weights — codebook row outer, dimension inner, the walk every projection
+///   tier must match bitwise — followed by the same sign pack, checked bitwise
+///   against the packed output. The packed/reference guard never reads it.
+///
+/// Each cell is the median of [`RESCUE_BENCH_ROUNDS`] rounds after a warm-up.
+fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) -> Vec<BenchRecord> {
+    use cogsys_vsa::packed::BitMatrix;
+
+    let (dim, batch) = (codebook.dim(), weights.rows());
+    let planes = codebook.packed().expect("random codebooks are bipolar");
+    let cell = |backend: &str, secs: f64| BenchRecord {
+        backend: backend.to_string(),
+        kernel: kernel.to_string(),
+        dim,
+        batch,
+        ns_per_op: secs * 1e9,
+    };
+    let packed = cogsys_vsa::PackedBackend::new();
+    let mut acc = Vec::new();
+    let mut packed_bits = BitMatrix::default();
+    let packed_secs = median_secs(&mut || {
+        packed.project_signs_packed_into(planes, weights, |_, _| {}, &mut acc, &mut packed_bits);
+    });
+    let mut dense = HvMatrix::default();
+    let mut dense_bits = BitMatrix::default();
+    let reference_secs = median_secs(&mut || {
+        ReferenceBackend
+            .project_batch_into(codebook.matrix(), weights, &mut dense)
+            .expect("shapes match");
+        dense_bits.ensure_shape(batch, dim);
+        for q in 0..batch {
+            dense_bits.pack_signs_row(q, dense.row(q));
+        }
+    });
+    let mut sums = vec![0.0f32; dim];
+    let mut twin_bits = BitMatrix::zeros(batch, dim);
+    let scalar_secs = median_secs(&mut || {
+        for q in 0..batch {
+            sums.fill(0.0);
+            for (m, &w) in weights.row(q).iter().enumerate() {
+                let words = planes.row_words(m);
+                for (chunk, &word) in sums.chunks_mut(64).zip(words) {
+                    for (bit, slot) in chunk.iter_mut().enumerate() {
+                        *slot += if (word >> bit) & 1 == 1 { -w } else { w };
+                    }
+                }
+            }
+            twin_bits.pack_signs_row(q, &sums);
+        }
+    });
+    assert_eq!(
+        packed_bits, twin_bits,
+        "packed {kernel} diverged from its scalar twin"
+    );
+    vec![
+        cell("packed", packed_secs),
+        cell("reference", reference_secs),
+        cell("scalar_twin", scalar_secs),
+    ]
+}
+
+/// Codebook lengths of the RAVEN factor codebooks the resonator projects onto
+/// most: the 9-row position/type codebooks of block 0 and the 6-row codebook of
+/// block 1.
+pub const RAVEN_PROJECTION_ROWS: [usize; 2] = [9, 6];
+
+/// The `project_signs_<rows>` cells — `packed`, `reference` and `scalar_twin`,
+/// as for `project_signs` in [`backend_throughput_records`] — at the RAVEN
+/// factor-codebook lengths ([`RAVEN_PROJECTION_ROWS`]) for d = 2048 and 4096,
+/// over [`PRODUCT_SCAN_BENCH_ROWS`] weight rows on the similarity scale the
+/// resonator feeds the kernel (`d − 2·hamming`, an even integer in `[-d, d]`).
+/// The `project_signs` cells of [`backend_throughput_records`] project onto 64
+/// rows, where the avx512 tier's five-row prefix table is a small share of
+/// the sweep; at 6 and 9 rows it is most of it.
+pub fn raven_projection_records(seed: u64) -> Vec<BenchRecord> {
+    use rand::Rng;
+
+    let mut records = Vec::new();
+    for dim in [2048, 4096] {
+        let mut rng = cogsys_vsa::rng(seed);
+        for rows in RAVEN_PROJECTION_ROWS {
+            let codebook = Codebook::random("raven", rows, dim, &mut rng);
+            let mut weights = HvMatrix::zeros(PRODUCT_SCAN_BENCH_ROWS, rows);
+            for q in 0..PRODUCT_SCAN_BENCH_ROWS {
+                for slot in weights.row_mut(q) {
+                    *slot = (dim as i32 - 2 * rng.gen_range(0..=dim as i32)) as f32;
+                }
+            }
+            records.extend(project_signs_cells(
+                &format!("project_signs_{rows}"),
+                &codebook,
+                &weights,
+            ));
         }
     }
     records

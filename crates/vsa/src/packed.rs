@@ -35,8 +35,12 @@
 //! each 64-dim word the row kernel keeps that word's accumulators in registers
 //! across the whole codebook sweep and stores them once (four zmm registers per
 //! word on AVX-512, eight ymm on AVX2, a 64-slot tile in the scalar fallback; see
-//! [`projection_tier`]). Every tier adds the same `±w` sequence to each dimension in
-//! ascending codebook-row order from `+0.0`, so every tier packs the same signs.
+//! [`projection_tier`]). On AVX-512 the first five codebook rows come from a
+//! 32-entry prefix table built once per weight row and read with one `vpermt2ps`
+//! per 16 dims, indexed by per-dimension codes built once per call (on AVX2 the
+//! first three, from an 8-entry table and `vpermps`). Every tier
+//! adds the same `±w` sequence to each dimension in ascending codebook-row order
+//! from `+0.0`, so every tier packs the same signs.
 
 use crate::batch::{HvMatrix, VsaBackend};
 use crate::error::VsaError;
@@ -645,12 +649,80 @@ mod simd {
         }
     }
 
+    /// Codebook rows the `avx512` projection tier sums through its prefix
+    /// table: a table of `2^5 = 32` entries fills the two zmm registers one
+    /// `vpermt2ps` indexes.
+    const AVX512_PREFIX_ROWS: usize = 5;
+
+    /// Writes one `k`-bit prefix code per dimension into `codes`, `k =
+    /// min(rows, AVX512_PREFIX_ROWS)`: bit `r` of dimension `j`'s code is bit
+    /// `j` of codebook row `r`, so the code is the index of that dimension's
+    /// entry in [`prefix_table_avx512`]. Each 16-dim slice of the first `k` rows' words
+    /// loads straight into a `k`-mask that ORs `1 << r` into the slice's 16 code
+    /// lanes; the codes are stored as `u32` bit patterns, 64 per codebook word
+    /// (the padding dims of the last word get code 0, which no lane reads).
+    #[target_feature(enable = "avx512f")]
+    fn prefix_codes_avx512(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
+        let k = rows.min(AVX512_PREFIX_ROWS);
+        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::WORD_BITS);
+        let slices = words.as_ptr().cast::<__mmask16>();
+        let bits: [__m512i; AVX512_PREFIX_ROWS] =
+            std::array::from_fn(|r| _mm512_set1_epi32(1 << r));
+        for (s, dst) in codes[..wpr * super::WORD_BITS]
+            .chunks_exact_mut(16)
+            .enumerate()
+        {
+            let mut code = _mm512_setzero_si512();
+            for (r, &bit) in bits[..k].iter().enumerate() {
+                // SAFETY: r < k <= rows and s < 4 · wpr keep this 16-bit slice
+                // inside words[r * wpr..(r + 1) * wpr] (asserted above).
+                let set = unsafe { _load_mask16(slices.add(4 * r * wpr + s)) };
+                code = _mm512_mask_or_epi32(code, set, code, bit);
+            }
+            // SAFETY: chunks_exact_mut(16) guarantees sixteen 4-byte slots;
+            // storeu has no alignment requirement.
+            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), code) };
+        }
+    }
+
+    /// The 32-entry prefix table of one weight row, in two zmm registers (entries
+    /// 0–15, 16–31): entry `c` is `((+0.0 + s₀) + s₁) + … + s_{k−1}`, `k =
+    /// min(weights.len(), AVX512_PREFIX_ROWS)`, where `s_r` is `weights[r]`
+    /// with its IEEE sign bit flipped when bit `r` of `c` is set — the same
+    /// `±w` adds, in the same order from `+0.0`, that
+    /// [`super::project_row_generic`] makes for a dimension whose first `k`
+    /// sign bits spell `c`. Each row's addends are a blend of `+w` and `-w`
+    /// under a fixed lane pattern of bit `r`.
+    #[target_feature(enable = "avx512f")]
+    fn prefix_table_avx512(weights: &[f32]) -> (__m512, __m512) {
+        const LOW: [__mmask16; AVX512_PREFIX_ROWS] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00, 0x0000];
+        const HIGH: [__mmask16; AVX512_PREFIX_ROWS] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00, 0xFFFF];
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let (mut low, mut high) = (_mm512_setzero_ps(), _mm512_setzero_ps());
+        for (r, &w) in weights.iter().take(AVX512_PREFIX_ROWS).enumerate() {
+            let w = _mm512_castps_si512(_mm512_set1_ps(w));
+            let neg = _mm512_xor_si512(w, sign);
+            low = _mm512_add_ps(
+                low,
+                _mm512_castsi512_ps(_mm512_mask_blend_epi32(LOW[r], w, neg)),
+            );
+            high = _mm512_add_ps(
+                high,
+                _mm512_castsi512_ps(_mm512_mask_blend_epi32(HIGH[r], w, neg)),
+            );
+        }
+        (low, high)
+    }
+
     /// Sums `N / 4` adjacent words' `±w` addends over the whole codebook into
     /// `N` zmm accumulators: lane `i` of accumulator `v` belongs to bit `16v + i`
-    /// of the column starting at word `first`.
+    /// of the column starting at word `first`. Each accumulator starts as its
+    /// lanes' first-`k`-row sums, one `vpermt2ps` of `table` by their prefix
+    /// codes, and adds rows `k..` one at a time.
     ///
     /// # Safety
-    /// `words` must hold `weights.len() * wpr` words, with `first + N / 4 <= wpr`.
+    /// `words` must hold `weights.len() * wpr` words and `codes` at least
+    /// `64 · (first + N / 4)` codes, with `first + N / 4 <= wpr`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn sweep_avx512<const N: usize>(
@@ -658,11 +730,21 @@ mod simd {
         wpr: usize,
         first: usize,
         weights: &[f32],
+        codes: &[f32],
+        (low, high): (__m512, __m512),
     ) -> [__m512; N] {
         let sign = _mm512_set1_epi32(i32::MIN);
         let slices = words.as_ptr().cast::<__mmask16>();
-        let mut acc = [_mm512_setzero_ps(); N];
-        for (m, &w) in weights.iter().enumerate() {
+        // SAFETY: first < wpr keeps this offset inside `codes`.
+        let lanes = unsafe { codes.as_ptr().add(super::WORD_BITS * first) };
+        let mut acc: [__m512; N] = std::array::from_fn(|v| {
+            // SAFETY: v < N keeps these 16 codes inside the first
+            // 64 · (first + N / 4) codes of `codes`.
+            let code = unsafe { _mm512_loadu_si512(lanes.add(16 * v).cast()) };
+            _mm512_permutex2var_ps(low, code, high)
+        });
+        let prefix = weights.len().min(AVX512_PREFIX_ROWS);
+        for (m, &w) in weights.iter().enumerate().skip(prefix) {
             let w = _mm512_castps_si512(_mm512_set1_ps(w));
             let neg = _mm512_xor_si512(w, sign);
             // SAFETY: m < weights.len() and first + N / 4 <= wpr keep the N
@@ -678,35 +760,44 @@ mod simd {
         acc
     }
 
-    /// The projection row kernel on AVX-512F: two 64-dim words per pass, their
-    /// 128 accumulators held in eight zmm registers across the whole codebook
-    /// sweep and stored once. Each codebook row's weight is broadcast once and
-    /// its two words' 16-bit slices are loaded straight into `k`-masks that
-    /// select `-w` over `+w` lane by lane. Two words per pass give eight
-    /// independent add chains, enough to hide the add latency.
+    /// The projection row kernel on AVX-512F, a prefix-table kernel: the first
+    /// `k = min(rows, AVX512_PREFIX_ROWS)` codebook rows are summed once per
+    /// weight row into the 32-entry [`prefix_table_avx512`], and every 16 dims
+    /// read their first-`k`-row sums from it with one `vpermt2ps` by the
+    /// per-dimension codes [`prefix_codes_avx512`] wrote. Rows `k..` are added as before: two 64-dim
+    /// words per pass, their 128 accumulators held in eight zmm registers across
+    /// the rest of the sweep and stored once; each row's weight is broadcast once
+    /// and its two words' 16-bit slices load straight into `k`-masks that select
+    /// `-w` over `+w` lane by lane (`vpblendmd` + `vaddps`), eight independent
+    /// add chains.
     ///
-    /// Bitwise identical to [`super::project_row_generic`]: every lane adds the
-    /// same `±w` values, in ascending codebook-row order, starting from `+0.0`.
+    /// Bitwise identical to [`super::project_row_generic`]: every lane's table
+    /// entry is its first `k` rows' `±w` added in ascending order from `+0.0`,
+    /// and the remaining rows follow in ascending order.
     #[target_feature(enable = "avx512f")]
     fn project_row_avx512(
         words: &[u64],
         wpr: usize,
         rows: usize,
         weights: &[f32],
+        codes: &[f32],
         acc_row: &mut [f32],
     ) {
         let weights = &weights[..rows];
         assert!(words.len() >= rows * wpr && acc_row.len() <= wpr * super::WORD_BITS);
+        assert!(codes.len() >= wpr * super::WORD_BITS);
+        let table = prefix_table_avx512(weights);
         for (pair, chunk) in acc_row.chunks_mut(2 * super::WORD_BITS).enumerate() {
             let first = 2 * pair;
-            // SAFETY: `words` holds rows · wpr words (asserted above), and a
-            // chunk of up to 64 (N = 4) or 128 (N = 8) dims covers words
-            // first..first + N / 4, which the acc_row assert keeps below wpr.
+            // SAFETY: `words` holds rows · wpr words and `codes` 64 · wpr codes
+            // (asserted above), and a chunk of up to 64 (N = 4) or 128 (N = 8)
+            // dims covers words first..first + N / 4, which the acc_row assert
+            // keeps below wpr.
             if chunk.len() > super::WORD_BITS {
-                let acc = unsafe { sweep_avx512::<8>(words, wpr, first, weights) };
+                let acc = unsafe { sweep_avx512::<8>(words, wpr, first, weights, codes, table) };
                 store_lanes_avx512(&acc, chunk);
             } else {
-                let acc = unsafe { sweep_avx512::<4>(words, wpr, first, weights) };
+                let acc = unsafe { sweep_avx512::<4>(words, wpr, first, weights, codes, table) };
                 store_lanes_avx512(&acc, chunk);
             }
         }
@@ -755,20 +846,83 @@ mod simd {
         }
     }
 
-    /// The projection row kernel on AVX2: one 64-dim word per pass, its 64
-    /// accumulators held in eight ymm registers across the whole codebook sweep
-    /// and stored once. Each codebook word is expanded into eight sign-mask
-    /// vectors with variable left shifts (bit `b` lands in the IEEE sign
-    /// position of slot `b`), XORed into the broadcast weight and added.
+    /// Codebook rows the `avx2` projection tier sums through its prefix table:
+    /// a table of `2^3 = 8` entries fills the one ymm register a `vpermps`
+    /// indexes.
+    const AVX2_PREFIX_ROWS: usize = 3;
+
+    /// Writes one `k`-bit prefix code per dimension into `codes`, `k =
+    /// min(rows, AVX2_PREFIX_ROWS)`, in the layout [`prefix_codes_avx512`]
+    /// writes: bit `r` of dimension `j`'s code is bit `j` of codebook row `r`.
+    /// Each 8-dim byte of the first `k` rows' words is broadcast, shifted right
+    /// lane by lane to bit 0, and ORed into the 8 code lanes at bit `r`.
+    #[target_feature(enable = "avx2")]
+    fn prefix_codes_avx2(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
+        let k = rows.min(AVX2_PREFIX_ROWS);
+        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::WORD_BITS);
+        let (one, lanes) = (
+            _mm256_set1_epi32(1),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        for (wi, word_codes) in codes[..wpr * super::WORD_BITS]
+            .chunks_exact_mut(super::WORD_BITS)
+            .enumerate()
+        {
+            for (g, dst) in word_codes.chunks_exact_mut(8).enumerate() {
+                let mut code = _mm256_setzero_si256();
+                for r in 0..k {
+                    let byte = _mm256_set1_epi32(i32::from((words[r * wpr + wi] >> (8 * g)) as u8));
+                    let bits = _mm256_and_si256(_mm256_srlv_epi32(byte, lanes), one);
+                    code =
+                        _mm256_or_si256(code, _mm256_sllv_epi32(bits, _mm256_set1_epi32(r as i32)));
+                }
+                // SAFETY: chunks_exact_mut(8) guarantees eight 4-byte slots;
+                // storeu has no alignment requirement.
+                unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), code) };
+            }
+        }
+    }
+
+    /// The 8-entry prefix table of one weight row in one ymm register: entry
+    /// `c` is `((+0.0 + s₀) + s₁) + s₂` over the first `min(weights.len(),
+    /// AVX2_PREFIX_ROWS)` rows, `s_r` being `weights[r]` with its IEEE sign bit
+    /// flipped when bit `r` of `c` is set (see [`prefix_table_avx512`]).
+    #[target_feature(enable = "avx2")]
+    fn prefix_table_avx2(weights: &[f32]) -> __m256 {
+        const NEG: i32 = i32::MIN;
+        let flips = [
+            _mm256_setr_epi32(0, NEG, 0, NEG, 0, NEG, 0, NEG),
+            _mm256_setr_epi32(0, 0, NEG, NEG, 0, 0, NEG, NEG),
+            _mm256_setr_epi32(0, 0, 0, 0, NEG, NEG, NEG, NEG),
+        ];
+        let mut table = _mm256_setzero_ps();
+        for (&w, flip) in weights.iter().zip(flips) {
+            let w = _mm256_set1_epi32(w.to_bits() as i32);
+            table = _mm256_add_ps(table, _mm256_castsi256_ps(_mm256_xor_si256(w, flip)));
+        }
+        table
+    }
+
+    /// The projection row kernel on AVX2, a prefix-table kernel like
+    /// [`project_row_avx512`]: the first `k = min(rows, AVX2_PREFIX_ROWS)`
+    /// codebook rows come from the 8-entry [`prefix_table_avx2`], one `vpermps`
+    /// per 8 dims by the codes [`prefix_codes_avx2`] wrote. Rows `k..` run one
+    /// 64-dim word per pass, its 64 accumulators held in eight ymm registers
+    /// across the rest of the sweep and stored once. Each codebook word is
+    /// expanded into eight sign-mask vectors with variable left shifts (bit `b`
+    /// lands in the IEEE sign position of slot `b`), XORed into the broadcast
+    /// weight and added.
     ///
-    /// Bitwise identical to [`super::project_row_generic`]: every lane adds the
-    /// same `±w` values, in ascending codebook-row order, starting from `+0.0`.
+    /// Bitwise identical to [`super::project_row_generic`]: every lane's table
+    /// entry is its first `k` rows' `±w` added in ascending order from `+0.0`,
+    /// and the remaining rows follow in ascending order.
     #[target_feature(enable = "avx2")]
     fn project_row_avx2(
         words: &[u64],
         wpr: usize,
         rows: usize,
         weights: &[f32],
+        codes: &[f32],
         acc_row: &mut [f32],
     ) {
         let sign = _mm256_set1_epi32(i32::MIN);
@@ -782,10 +936,20 @@ mod simd {
             _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0),
         ];
         let weights = &weights[..rows];
+        assert!(acc_row.len() <= wpr * super::WORD_BITS && codes.len() >= wpr * super::WORD_BITS);
+        let table = prefix_table_avx2(weights);
+        let prefix = rows.min(AVX2_PREFIX_ROWS);
         for (wi, chunk) in acc_row.chunks_mut(super::WORD_BITS).enumerate() {
+            let word_codes = &codes[wi * super::WORD_BITS..(wi + 1) * super::WORD_BITS];
             let mut acc = [_mm256_setzero_ps(); 8];
-            for (m, &w) in weights.iter().enumerate() {
-                let word = words[m * wpr + wi];
+            for (a, group) in acc.iter_mut().zip(word_codes.chunks_exact(8)) {
+                // SAFETY: chunks_exact(8) guarantees eight codes; loadu has no
+                // alignment requirement.
+                let code = unsafe { _mm256_loadu_si256(group.as_ptr().cast()) };
+                *a = _mm256_permutevar8x32_ps(table, code);
+            }
+            for m in prefix..rows {
+                let (word, w) = (words[m * wpr + wi], weights[m]);
                 let w = _mm256_set1_epi32(w.to_bits() as i32);
                 let halves = [
                     _mm256_set1_epi32(word as u32 as i32),
@@ -852,11 +1016,25 @@ mod simd {
         wpr: usize,
         rows: usize,
         weights: &[f32],
+        codes: &[f32],
         acc_row: &mut [f32],
     ) {
         // SAFETY: detect() returns this function only when the avx512f feature
         // was detected on the running CPU.
-        unsafe { project_row_avx512(words, wpr, rows, weights, acc_row) }
+        unsafe { project_row_avx512(words, wpr, rows, weights, codes, acc_row) }
+    }
+
+    /// Safe wrapper over [`prefix_codes_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn prefix_codes_avx512_checked(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        codes: &mut [f32],
+    ) {
+        // SAFETY: detect() returns this function only when the avx512f feature
+        // was detected on the running CPU.
+        unsafe { prefix_codes_avx512(words, wpr, rows, codes) }
     }
 
     /// Safe wrapper over [`project_row_avx2`]; only reachable after cpuid
@@ -866,11 +1044,25 @@ mod simd {
         wpr: usize,
         rows: usize,
         weights: &[f32],
+        codes: &[f32],
         acc_row: &mut [f32],
     ) {
         // SAFETY: detect() returns this function only when the avx2 feature was
         // detected on the running CPU.
-        unsafe { project_row_avx2(words, wpr, rows, weights, acc_row) }
+        unsafe { project_row_avx2(words, wpr, rows, weights, codes, acc_row) }
+    }
+
+    /// Safe wrapper over [`prefix_codes_avx2`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn prefix_codes_avx2_checked(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        codes: &mut [f32],
+    ) {
+        // SAFETY: detect() returns this function only when the avx2 feature was
+        // detected on the running CPU.
+        unsafe { prefix_codes_avx2(words, wpr, rows, codes) }
     }
 
     /// Safe wrapper over [`pack_row_signs_avx512`]; only reachable after cpuid
@@ -962,6 +1154,7 @@ struct Dispatch {
     hamming_block: HammingBlockFn,
     hamming_pair: HammingPairFn,
     projection_tier: DispatchTier,
+    prefix_codes: PrefixCodesFn,
     project_row: ProjectRowFn,
     pack_signs: PackSignsFn,
 }
@@ -984,6 +1177,7 @@ fn detect() -> Dispatch {
         hamming_block: hamming_block_generic,
         hamming_pair: hamming_pair_generic,
         projection_tier: DispatchTier::Generic,
+        prefix_codes: no_prefix_codes,
         project_row: project_row_generic,
         pack_signs: pack_row_signs,
     };
@@ -1007,10 +1201,12 @@ fn detect() -> Dispatch {
         }
         if avx512f {
             found.projection_tier = DispatchTier::Avx512;
+            found.prefix_codes = simd::prefix_codes_avx512_checked;
             found.project_row = simd::project_row_avx512_checked;
             found.pack_signs = simd::pack_row_signs_avx512_checked;
         } else if avx2 {
             found.projection_tier = DispatchTier::Avx2;
+            found.prefix_codes = simd::prefix_codes_avx2_checked;
             found.project_row = simd::project_row_avx2_checked;
             found.pack_signs = simd::pack_row_signs_avx2_checked;
         }
@@ -1123,12 +1319,26 @@ impl ProjectionVerdict for bool {
 }
 
 /// Function-pointer type of the projection row kernels behind [`Dispatch`]:
-/// `project_row(codebook_words, wpr, rows, weights, acc_row)` overwrites
+/// `project_row(codebook_words, wpr, rows, weights, codes, acc_row)` overwrites
 /// `acc_row[j]` with `Σ_m ±weights[m]` over the first `rows` codebook rows of the
 /// row-major sign planes `codebook_words` (`wpr` words per row), the sign of each
-/// addend flipped where bit `j` of row `m` is set. `acc_row.len()` is the
-/// codebook dimension.
-type ProjectRowFn = fn(&[u64], usize, usize, &[f32], &mut [f32]);
+/// addend flipped where bit `j` of row `m` is set, added in ascending `m` order
+/// from `+0.0`. `acc_row.len()` is the codebook dimension. `codes` holds the
+/// `64 · wpr` per-dimension prefix codes the tier's [`PrefixCodesFn`] wrote for
+/// the same codebook: the `avx512` kernel looks the first five rows' sums up by
+/// them, the `avx2` kernel the first three rows', and the scalar kernel ignores
+/// them.
+type ProjectRowFn = fn(&[u64], usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// Function-pointer type of the prefix-code builders behind [`Dispatch`]:
+/// `prefix_codes(codebook_words, wpr, rows, codes)` fills the first `64 · wpr`
+/// slots of `codes` with whatever per-dimension codes the tier's
+/// [`ProjectRowFn`] reads. Run once per projection call, not once per weight
+/// row; a no-op on the scalar tier, which has no prefix table.
+type PrefixCodesFn = fn(&[u64], usize, usize, &mut [f32]);
+
+/// The [`PrefixCodesFn`] of the scalar tier, whose row kernel reads no codes.
+fn no_prefix_codes(_words: &[u64], _wpr: usize, _rows: usize, _codes: &mut [f32]) {}
 
 /// Function-pointer type of the sign-pack kernels behind [`Dispatch`]: the
 /// [`pack_row_signs`] contract (`v < 0.0` sets the bit) on every tier.
@@ -1143,6 +1353,7 @@ fn project_row_generic(
     wpr: usize,
     rows: usize,
     weights: &[f32],
+    _codes: &[f32],
     acc_row: &mut [f32],
 ) {
     let weights = &weights[..rows];
@@ -1558,6 +1769,23 @@ pub struct CleanupScratch {
 // Packed backend
 // ---------------------------------------------------------------------------
 
+/// Sizes the caller's projection scratch to the codebook's `dim` accumulators
+/// followed by `64 · wpr` prefix-code slots, writes the codes of the dispatched
+/// tier once for the whole call, and returns the two halves: every weight row
+/// of the call reuses the same codes.
+fn projection_scratch<'a>(
+    kernels: &Dispatch,
+    codebook: &BitMatrix,
+    acc: &'a mut Vec<f32>,
+) -> (&'a mut [f32], &'a [f32]) {
+    let (dim, wpr) = (codebook.dim(), codebook.words_per_row());
+    acc.clear();
+    acc.resize(dim + wpr * WORD_BITS, 0.0);
+    let (acc, codes) = acc.split_at_mut(dim);
+    (kernels.prefix_codes)(&codebook.words, wpr, codebook.rows(), codes);
+    (acc, codes)
+}
+
 /// The sign-plane backend behind [`crate::BackendKind::Packed`].
 ///
 /// Its kernels are inherent methods over [`BitMatrix`] operands, reached through
@@ -1661,8 +1889,10 @@ impl PackedBackend {
     /// stored once. `perturb(q, acc_row)` and the sign packing run per query in
     /// ascending `q` order.
     ///
-    /// `acc` is caller-owned scratch (resized to `codebook.dim()`), so
-    /// steady-state calls allocate nothing.
+    /// `acc` is caller-owned scratch, resized to `codebook.dim()` accumulators
+    /// followed by the prefix codes (64 per codebook word) the row kernel reads,
+    /// built once per call; `perturb` sees only the accumulators. Steady-state
+    /// calls allocate nothing.
     pub fn project_signs_packed_into<F>(
         &self,
         codebook: &BitMatrix,
@@ -1678,17 +1908,16 @@ impl PackedBackend {
             codebook.rows(),
             "one weight per codebook row"
         );
-        let dim = codebook.dim();
-        out.ensure_shape(weights.rows(), dim);
-        let project_row = dispatch().project_row;
-        acc.clear();
-        acc.resize(dim, 0.0);
+        out.ensure_shape(weights.rows(), codebook.dim());
+        let kernels = dispatch();
+        let (acc, codes) = projection_scratch(&kernels, codebook, acc);
         for q in 0..weights.rows() {
-            project_row(
+            (kernels.project_row)(
                 &codebook.words,
                 codebook.words_per_row(),
                 codebook.rows(),
                 weights.row(q),
+                codes,
                 acc,
             );
             perturb(q, acc);
@@ -1720,8 +1949,10 @@ impl PackedBackend {
     /// calls them.
     ///
     /// `unbound` (resized to the query batch), `sims` (resized to
-    /// `rows × codebook.rows()`), and `acc` (resized to `codebook.dim()`) are
-    /// caller-owned scratch, so steady-state calls allocate nothing.
+    /// `rows × codebook.rows()`), and `acc` (resized to `codebook.dim()`
+    /// accumulators followed by the row kernel's prefix codes, built once per
+    /// step and reused by every projected row) are caller-owned scratch, so
+    /// steady-state calls allocate nothing.
     ///
     /// # Panics
     /// Panics when `factor >= estimates.len()` or another factor's estimate plane
@@ -1752,12 +1983,12 @@ impl PackedBackend {
         }
         self.similarity_matrix_packed_into(codebook, unbound, sims);
         out.ensure_shape(query.rows(), codebook.dim());
-        let (project_row, wpr) = (dispatch().project_row, codebook.words_per_row());
-        acc.clear();
-        acc.resize(codebook.dim(), 0.0);
+        let (kernels, wpr) = (dispatch(), codebook.words_per_row());
+        let (acc, codes) = projection_scratch(&kernels, codebook, acc);
         for q in 0..query.rows() {
             if hook(ResonatePhase::Similarity, q, sims.row_mut(q)).project() {
-                project_row(&codebook.words, wpr, codebook.rows(), sims.row(q), acc);
+                let weights = sims.row(q);
+                (kernels.project_row)(&codebook.words, wpr, codebook.rows(), weights, codes, acc);
                 hook(ResonatePhase::Projection, q, acc);
                 out.pack_signs_row(q, acc);
             }
@@ -2333,8 +2564,9 @@ mod tests {
             kernels
         }
 
-        /// A named projection tier: its row kernel and its sign pack.
-        type ProjectionKernels = (&'static str, ProjectRowFn, PackSignsFn);
+        /// A named projection tier: its prefix-code builder, its row kernel and
+        /// its sign pack.
+        type ProjectionKernels = (&'static str, PrefixCodesFn, ProjectRowFn, PackSignsFn);
 
         /// Every projection tier available on the running CPU, by name;
         /// `project_row_generic` / `pack_row_signs` are the reference the rest
@@ -2347,6 +2579,7 @@ mod tests {
                 if is_x86_feature_detected!("avx2") {
                     kernels.push((
                         "avx2",
+                        simd::prefix_codes_avx2_checked,
                         simd::project_row_avx2_checked,
                         simd::pack_row_signs_avx2_checked,
                     ));
@@ -2354,12 +2587,101 @@ mod tests {
                 if is_x86_feature_detected!("avx512f") {
                     kernels.push((
                         "avx512",
+                        simd::prefix_codes_avx512_checked,
                         simd::project_row_avx512_checked,
                         simd::pack_row_signs_avx512_checked,
                     ));
                 }
             }
             kernels
+        }
+
+        /// Weights at the edges the projection tiers must agree on: ±0.0,
+        /// subnormals, ±infinity (so sums hit NaN) and magnitudes large enough
+        /// to absorb small ones.
+        const PROJECTION_EDGES: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            3.0e38,
+            -1.0e30,
+            16_777_216.0,
+        ];
+
+        /// Runs every available tier on one codebook and weight row and checks
+        /// each against the scalar row kernel and sign pack, bitwise. Each tier
+        /// builds its codes into a slot buffer full of garbage, so a code it
+        /// leaves unwritten shows as a wrong sum.
+        fn check_projection_tiers(codebook: &BitMatrix, weights: &[f32]) -> Result<(), String> {
+            let (dim, wpr, rows) = (codebook.dim(), codebook.words_per_row(), codebook.rows());
+            let mut expected = vec![f32::NAN; dim];
+            project_row_generic(&codebook.words, wpr, rows, weights, &[], &mut expected);
+            let mut expected_signs = vec![0u64; wpr];
+            pack_row_signs(&expected, &mut expected_signs);
+            let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+            for (name, prefix_codes, project_row, pack_signs) in available_projection_kernels() {
+                let mut codes = vec![f32::from_bits(u32::MAX); wpr * WORD_BITS];
+                prefix_codes(&codebook.words, wpr, rows, &mut codes);
+                let mut acc = vec![f32::NAN; dim];
+                project_row(&codebook.words, wpr, rows, weights, &codes, &mut acc);
+                let mut signs = vec![u64::MAX; wpr];
+                pack_signs(&acc, &mut signs);
+                let bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
+                if bits != expected || signs != expected_signs {
+                    return Err(format!(
+                        "{name}: dim {dim}, {rows} rows, weights {weights:?}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// The deterministic sweep the proptest below reaches only by chance:
+        /// every codebook length from 0 to 12 rows (shorter than, equal to and
+        /// longer than the avx512 tier's five-row and the avx2 tier's three-row
+        /// prefix tables) × dims that end
+        /// mid-vector, on a word edge, one bit past it and at the RAVEN
+        /// dimension × weight rows built from the edge values alone (each edge
+        /// in every position, and ±infinity together inside the prefix so
+        /// table entries are NaN) and from edges mixed with ordinary weights.
+        #[test]
+        fn projection_tiers_match_scalar_on_every_prefix_length() {
+            let mut r = rng(0x9F1);
+            for cb_rows in 0..=12usize {
+                for dim in [1usize, 63, 64, 65, 129, 2048] {
+                    let codebook = BitMatrix::random_bipolar(cb_rows, dim, &mut r);
+                    let mut patterns: Vec<Vec<f32>> = (0..PROJECTION_EDGES.len())
+                        .map(|p| {
+                            (0..cb_rows)
+                                .map(|m| PROJECTION_EDGES[(p + m) % PROJECTION_EDGES.len()])
+                                .collect()
+                        })
+                        .collect();
+                    patterns.push(
+                        (0..cb_rows)
+                            .map(|m| [f32::INFINITY, f32::NEG_INFINITY, 1.5][m % 3])
+                            .collect(),
+                    );
+                    for _ in 0..4 {
+                        patterns.push(
+                            (0..cb_rows)
+                                .map(|_| match r.gen_range(0..3) {
+                                    0 => PROJECTION_EDGES[r.gen_range(0..PROJECTION_EDGES.len())],
+                                    _ => (r.gen::<f32>() - 0.5) * 200.0,
+                                })
+                                .collect(),
+                        );
+                    }
+                    for weights in &patterns {
+                        if let Err(diverged) = check_projection_tiers(&codebook, weights) {
+                            panic!("projection tier diverged from the scalar kernel: {diverged}");
+                        }
+                    }
+                }
+            }
         }
 
         proptest! {
@@ -2374,33 +2696,15 @@ mod tests {
             #[test]
             fn prop_projection_tiers_match_scalar(seed in 0u64..1000, cb_rows in 0usize..41) {
                 let mut r = rng(seed);
-                let edges = [
-                    0.0, -0.0, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE / 3.0,
-                    f32::INFINITY, f32::NEG_INFINITY, 3.0e38, -1.0e30, 16_777_216.0,
-                ];
                 let weights: Vec<f32> = (0..cb_rows)
                     .map(|_| match r.gen_range(0..3) {
-                        0 => edges[r.gen_range(0..edges.len())],
+                        0 => PROJECTION_EDGES[r.gen_range(0..PROJECTION_EDGES.len())],
                         _ => (r.gen::<f32>() - 0.5) * 200.0,
                     })
                     .collect();
                 for dim in [1usize, 63, 64, 65, 200, 321, 2048] {
                     let codebook = BitMatrix::random_bipolar(cb_rows, dim, &mut r);
-                    let wpr = codebook.words_per_row();
-                    let mut expected = vec![f32::NAN; dim];
-                    project_row_generic(&codebook.words, wpr, cb_rows, &weights, &mut expected);
-                    let mut expected_signs = vec![0u64; wpr];
-                    pack_row_signs(&expected, &mut expected_signs);
-                    let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-                    for (name, project_row, pack_signs) in available_projection_kernels() {
-                        let mut acc = vec![f32::NAN; dim];
-                        project_row(&codebook.words, wpr, cb_rows, &weights, &mut acc);
-                        let mut signs = vec![u64::MAX; wpr];
-                        pack_signs(&acc, &mut signs);
-                        let bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
-                        prop_assert_eq!((name, dim, &bits), (name, dim, &expected));
-                        prop_assert_eq!((name, dim, &signs), (name, dim, &expected_signs));
-                    }
+                    prop_assert_eq!(check_projection_tiers(&codebook, &weights), Ok(()));
                 }
             }
 
@@ -2630,6 +2934,81 @@ mod tests {
             );
         }
         assert_eq!((&some_est[0], &some_est[2]), (&initial[0], &initial[2]));
+    }
+
+    /// The step builds its prefix codes once and every projected row reads
+    /// them: with a hook that leaves values untouched, each row's accumulators
+    /// are exactly the scalar row kernel's over that row's similarities, and its
+    /// estimate row exactly their sign pack, on codebooks shorter than, equal
+    /// to and longer than the avx512 tier's five-row prefix (and longer than
+    /// the avx2 tier's three-row one). The similarities themselves are
+    /// `d − 2·hamming` of the unbound query against the scalar oracle.
+    #[test]
+    fn fused_step_projects_every_row_like_the_scalar_kernel() {
+        let rows = 7;
+        for cb_rows in [1usize, 5, 6, 9] {
+            for dim in [65usize, 2048] {
+                let seed = (cb_rows * 10_000 + dim) as u64;
+                let codebook =
+                    BitMatrix::from_matrix(&random_bipolar_matrix(cb_rows, dim, seed)).unwrap();
+                let query =
+                    BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, seed + 1)).unwrap();
+                let mut estimates: Vec<BitMatrix> = (0..3)
+                    .map(|f| {
+                        BitMatrix::from_matrix(&random_bipolar_matrix(rows, dim, seed + 2 + f))
+                            .unwrap()
+                    })
+                    .collect();
+                let mut unbound_oracle = query.clone();
+                unbound_oracle.xor_assign(&estimates[0]).unwrap();
+                unbound_oracle.xor_assign(&estimates[2]).unwrap();
+                let distances = oracle_distances(&unbound_oracle, &codebook);
+
+                let (mut unbound, mut sims, mut acc) =
+                    (BitMatrix::default(), HvMatrix::default(), Vec::new());
+                let mut projected = Vec::new();
+                PackedBackend::new().resonate_step_fused_into(
+                    &codebook,
+                    &query,
+                    &mut estimates,
+                    1,
+                    &mut unbound,
+                    &mut sims,
+                    &mut acc,
+                    |phase, slot, values| {
+                        if phase == ResonatePhase::Projection {
+                            projected.push((slot, values.to_vec()));
+                        }
+                    },
+                );
+
+                assert_eq!(projected.len(), rows, "{cb_rows} rows, dim {dim}");
+                let wpr = codebook.words_per_row();
+                for (slot, values) in &projected {
+                    let weights = sims.row(*slot);
+                    let expected_sims: Vec<f32> = distances[slot * cb_rows..(slot + 1) * cb_rows]
+                        .iter()
+                        .map(|&h| dim as f32 - 2.0 * h as f32)
+                        .collect();
+                    assert_eq!(weights, &expected_sims[..], "row {slot}: similarities");
+                    let mut expected = vec![f32::NAN; dim];
+                    project_row_generic(&codebook.words, wpr, cb_rows, weights, &[], &mut expected);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(values),
+                        bits(&expected),
+                        "{cb_rows} rows, dim {dim}, row {slot}: accumulators"
+                    );
+                    let mut signs = vec![0u64; wpr];
+                    pack_row_signs(&expected, &mut signs);
+                    assert_eq!(
+                        estimates[1].row_words(*slot),
+                        &signs[..],
+                        "{cb_rows} rows, dim {dim}, row {slot}: estimate"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

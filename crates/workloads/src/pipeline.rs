@@ -256,13 +256,13 @@ impl SolverScratch {
 ///
 /// Set from the `product_scan_405` / `product_scan_60` and `factorize_sweep_405`
 /// cells of `BENCH_backends.json` (512 scene rows, 2-vCPU AVX-512 VM). Per scene
-/// row, the scan costs 0.55 µs over 60 products and 3.38 µs over 405 at d=2048
-/// (0.73 and 4.32 µs at d=4096), about 8–10 ns per product row, while one 9×9×5
-/// resonator sweep costs 8.5 µs (11.8 µs). Scanning a row therefore costs less
-/// than one more sweep of it up to ~1,000 products at either dimension (~660–1,550
-/// over seven sweep runs); 512 is the largest power of two under all of them. Both
-/// RAVEN blocks (405 and 60 products) are under it, a 600-value vocabulary's
-/// 360,000-product block is not.
+/// row, the scan costs 0.34 µs over 60 products and 2.10 µs over 405 at d=2048
+/// (0.73 and 3.74 µs at d=4096), about 5–12 ns per product row, while one 9×9×5
+/// resonator sweep costs 8.2 µs (12.9 µs). Scanning a row therefore costs less
+/// than one more sweep of it up to ~1,400–1,600 products at either dimension
+/// (~900–1,900 over seven sweep runs); 512 is the largest power of two under all
+/// of them. Both RAVEN blocks (405 and 60 products) are under it, a 600-value
+/// vocabulary's 360,000-product block is not.
 const RESCUE_PRODUCT_ROW_LIMIT: usize = 512;
 
 /// Resonator sweeps a rescue block runs before its unconverged rows are scanned.
