@@ -7,7 +7,7 @@
 //! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
 //! plus the `project_signs_<rows>` cells (the sign projection onto the 9- and
 //! 6-row RAVEN factor codebooks at d=2048 and 4096, 512 weight rows, beside the
-//! same `reference` and `scalar_twin` twins as `project_signs`),
+//! same `reference` twin as `project_signs`, recorded in the JSON only),
 //! plus the **rescue-route** cells `product_scan_<rows>` and
 //! `factorize_sweep_<rows>` (one product-plane scan and one resonator sweep of
 //! 512 scene rows at the RAVEN block shapes, d=2048 and 4096, the scan beside its
@@ -138,47 +138,6 @@ fn main() -> ExitCode {
                 packed / 1e6,
                 reference / packed.max(1.0)
             );
-        }
-    }
-
-    // The projection row kernel against its bench-local scalar twin.
-    if let (Some(scalar), Some(packed)) = (
-        cell("scalar_twin", "project_signs"),
-        cell("packed", "project_signs"),
-    ) {
-        println!(
-            "project_signs d=1024 batch=256: scalar twin {:.3} ms, packed {:.3} ms ({:.1}x)",
-            scalar / 1e6,
-            packed / 1e6,
-            scalar / packed.max(1.0)
-        );
-    }
-
-    // The projection at the RAVEN codebook lengths against its twins.
-    for rows in cogsys::experiments::RAVEN_PROJECTION_ROWS {
-        let kernel = format!("project_signs_{rows}");
-        for dim in [2048, 4096] {
-            let raven_cell = |backend: &str| {
-                records
-                    .iter()
-                    .find(|r| r.backend == backend && r.kernel == kernel && r.dim == dim)
-                    .map(|r| r.ns_per_op)
-            };
-            if let (Some(packed), Some(scalar), Some(reference)) = (
-                raven_cell("packed"),
-                raven_cell("scalar_twin"),
-                raven_cell("reference"),
-            ) {
-                println!(
-                    "{kernel} d={dim} batch=512: packed {:.3} ms, scalar twin {:.3} ms ({:.1}x), \
-                     reference {:.3} ms ({:.1}x)",
-                    packed / 1e6,
-                    scalar / 1e6,
-                    scalar / packed.max(1.0),
-                    reference / 1e6,
-                    reference / packed.max(1.0),
-                );
-            }
         }
     }
 

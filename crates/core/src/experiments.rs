@@ -93,7 +93,7 @@ impl fmt::Display for ExperimentTable {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
     /// Backend name (`reference`, `packed`, or a bench-local twin such as
-    /// `scalar_twin`).
+    /// `noise_free_twin`).
     pub backend: String,
     /// Kernel name: `cleanup_prepacked` (codebook cleanup of pre-packed `BitMatrix`
     /// queries), `solve_batch` (the cross-problem batched solver over `batch`
@@ -156,8 +156,7 @@ fn median_secs(f: &mut dyn FnMut()) -> f64 {
 /// [`ReferenceBackend::similarity_matrix_into`]) on the unpacked queries.
 /// `project_signs` is the fused weighted-superposition → sign-threshold kernel
 /// over a [`BENCH_CODEBOOK_ROWS`]-row codebook, beside a `reference` twin (the
-/// dense projection GEMM + sign packing) and a `scalar_twin` (a bench-local
-/// scalar sum over the same sign planes, checked bitwise against the packed
+/// dense projection GEMM + sign packing, checked bitwise against the packed
 /// output); `noise_signs`
 /// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
 /// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
@@ -527,11 +526,9 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
 ///   fused weighted-superposition → sign-threshold kernel on the codebook's
 ///   cached sign planes (the dispatched row kernel, prefix codes included);
 /// * `reference`: the dense projection GEMM ([`ReferenceBackend::project_batch_into`])
-///   followed by sign packing, the pre-packed pipeline's shape for the step;
-/// * `scalar_twin`: a bench-local scalar sum over the same sign planes and
-///   weights — codebook row outer, dimension inner, the walk every projection
-///   tier must match bitwise — followed by the same sign pack, checked bitwise
-///   against the packed output. The packed/reference guard never reads it.
+///   followed by sign packing, the pre-packed pipeline's shape for the step. Its
+///   sign planes must equal the packed cell's bitwise: every projection tier sums
+///   in the reference's ascending row order.
 ///
 /// Each cell is the median of [`RESCUE_BENCH_ROUNDS`] rounds after a warm-up.
 fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) -> Vec<BenchRecord> {
@@ -563,30 +560,13 @@ fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) ->
             dense_bits.pack_signs_row(q, dense.row(q));
         }
     });
-    let mut sums = vec![0.0f32; dim];
-    let mut twin_bits = BitMatrix::zeros(batch, dim);
-    let scalar_secs = median_secs(&mut || {
-        for q in 0..batch {
-            sums.fill(0.0);
-            for (m, &w) in weights.row(q).iter().enumerate() {
-                let words = planes.row_words(m);
-                for (chunk, &word) in sums.chunks_mut(64).zip(words) {
-                    for (bit, slot) in chunk.iter_mut().enumerate() {
-                        *slot += if (word >> bit) & 1 == 1 { -w } else { w };
-                    }
-                }
-            }
-            twin_bits.pack_signs_row(q, &sums);
-        }
-    });
     assert_eq!(
-        packed_bits, twin_bits,
-        "packed {kernel} diverged from its scalar twin"
+        packed_bits, dense_bits,
+        "packed {kernel} diverged from its reference twin"
     );
     vec![
         cell("packed", packed_secs),
         cell("reference", reference_secs),
-        cell("scalar_twin", scalar_secs),
     ]
 }
 
@@ -595,8 +575,8 @@ fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) ->
 /// block 1.
 pub const RAVEN_PROJECTION_ROWS: [usize; 2] = [9, 6];
 
-/// The `project_signs_<rows>` cells — `packed`, `reference` and `scalar_twin`,
-/// as for `project_signs` in [`backend_throughput_records`] — at the RAVEN
+/// The `project_signs_<rows>` cells — `packed` and `reference`, as for
+/// `project_signs` in [`backend_throughput_records`] — at the RAVEN
 /// factor-codebook lengths ([`RAVEN_PROJECTION_ROWS`]) for d = 2048 and 4096,
 /// over [`PRODUCT_SCAN_BENCH_ROWS`] weight rows on the similarity scale the
 /// resonator feeds the kernel (`d − 2·hamming`, an even integer in `[-d, d]`).
@@ -1828,7 +1808,7 @@ mod tests {
             rec("reference", "similarity_prepacked", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-            rec("scalar_twin", "similarity_prepacked", 256, 300_000.0), // not packed: never gated
+            rec("noise_free_twin", "similarity_prepacked", 256, 300_000.0), // not packed: never gated
         ];
 
         // A machine-wide 2x slowdown (packed and reference both doubled) cancels out.

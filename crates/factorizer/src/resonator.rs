@@ -14,7 +14,7 @@
 use crate::config::FactorizerConfig;
 use cogsys_vsa::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
-use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, CleanupScratch, ResonatePhase};
+use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, ResonatePhase};
 use cogsys_vsa::quant::fake_quantize_slice;
 use cogsys_vsa::{ops, Hypervector, VsaError};
 use rand::rngs::StdRng;
@@ -335,9 +335,9 @@ impl QueryState {
 
 /// Caller-owned scratch for the resonator: every sign plane and bookkeeping vector
 /// the packed engine touches, reused across calls so a steady-state serving loop
-/// allocates only the returned [`FactorizationResult`]s and, per factor, the one
-/// `f32` bundle buffer its initial estimate is packed from. The `f32` reference resonator keeps only its
-/// quantized queries here and allocates its one-row operands per call.
+/// allocates only the returned [`FactorizationResult`]s. The `f32` reference
+/// resonator keeps only its quantized queries here and allocates its one-row
+/// operands per call.
 ///
 /// One scratch serves both engines and any sequence of shapes — buffers are reshaped
 /// per call (`ensure_shape` keeps the backing storage when the shape repeats). The
@@ -364,21 +364,8 @@ pub struct FactorizerScratch {
     /// Each batch row's rebind similarity, computed by the last factor's
     /// similarity hook and consumed by the end-of-iteration bookkeeping.
     rebind_sims: Vec<f32>,
-    init_bits: BitMatrix,
     proj_acc: Vec<f32>,
     gather_tmp_bits: BitMatrix,
-    // Cleanup (decode polish): the linear scan's per-query running best plus the
-    // per-factor result rows, reused across decode calls.
-    cleanup: CleanupScratch,
-    cleanup_results: Vec<(usize, f32)>,
-}
-
-impl FactorizerScratch {
-    /// The cleanup scratch and result buffer, borrowed together for the codebook
-    /// search ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
-    pub fn cleanup_buffers(&mut self) -> (&mut CleanupScratch, &mut Vec<(usize, f32)>) {
-        (&mut self.cleanup, &mut self.cleanup_results)
-    }
 }
 
 impl Factorizer {
@@ -416,9 +403,10 @@ impl Factorizer {
 
     /// Factorizes `query` against the codebooks in `set`.
     ///
-    /// The initial estimate for each factor is the (unnormalised) superposition of all
-    /// its codevectors, following the resonator-network convention: the search starts
-    /// from "every candidate in superposition" and sharpens each factor in parallel.
+    /// The initial estimate for each factor is the sign of the superposition of all
+    /// its codevectors ([`cogsys_vsa::Codebook::start_plane`]), following the
+    /// resonator-network convention: the search starts from "every candidate in
+    /// superposition" and sharpens each factor in parallel.
     ///
     /// One value is drawn from `rng` to seed the query's private noise stream, so a
     /// sequence of `factorize` calls returns exactly what one
@@ -427,7 +415,8 @@ impl Factorizer {
     ///
     /// # Errors
     /// Propagates [`VsaError`] for dimension mismatches between the query and the
-    /// codebooks.
+    /// codebooks, and returns [`VsaError::Empty`] for a codebook without
+    /// codevectors.
     pub fn factorize<R: Rng + ?Sized>(
         &self,
         set: &CodebookSet,
@@ -463,13 +452,13 @@ impl Factorizer {
     ///
     /// The packed engine's sign planes and per-query state live in the
     /// caller-owned `scratch` and are reused across calls, so a steady-state
-    /// serving loop allocates only the results and one `f32` bundle buffer per
-    /// factor (the initial estimate) in the factorization stage; a fresh scratch
-    /// gives identical results.
+    /// serving loop allocates only the results in the factorization stage; a
+    /// fresh scratch gives identical results.
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] when `queries.dim()` differs from the
-    /// codebook dimension or `streams.len() != queries.rows()`.
+    /// codebook dimension or `streams.len() != queries.rows()`, and
+    /// [`VsaError::Empty`] for a codebook without codevectors.
     pub fn factorize_matrix_scratch(
         &self,
         set: &CodebookSet,
@@ -584,11 +573,11 @@ impl Factorizer {
         let dim = set.dim();
         let precision = self.config.precision;
 
-        // Initial estimates: bundle of every codevector in each factor, snapped to
-        // bipolar so the Hadamard unbinding stays well-conditioned.
+        // Initial estimates: each codebook's cached starting plane, the sign of
+        // its bundle, bipolar so the Hadamard unbinding stays well-conditioned.
         let init = (0..num_factors)
-            .map(|f| ops::majority_bundle(set.factor(f)?.matrix().row_iter()))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|f| Ok(set.factor(f)?.start_plane()?.to_matrix()))
+            .collect::<Result<Vec<_>, VsaError>>()?;
         let mut query = HvMatrix::zeros(1, dim);
         let mut estimates = vec![HvMatrix::zeros(1, dim); num_factors];
         let (mut unbound, mut work) = (HvMatrix::zeros(1, dim), HvMatrix::zeros(1, dim));
@@ -601,7 +590,7 @@ impl Factorizer {
         for (q, stream) in streams.iter_mut().enumerate() {
             query.row_mut(0).copy_from_slice(query_q.row(q));
             for (est, init) in estimates.iter_mut().zip(&init) {
-                est.row_mut(0).copy_from_slice(init.values());
+                est.row_mut(0).copy_from_slice(init.row(0));
             }
             state.reset(&self.config, num_factors, noise_scale);
 
@@ -711,7 +700,6 @@ impl Factorizer {
             unbound_bits,
             rebound_bits,
             rebind_sims,
-            init_bits,
             proj_acc,
             gather_tmp_bits,
             ..
@@ -726,14 +714,10 @@ impl Factorizer {
         let precision = self.config.precision;
 
         estimates.resize_with(num_factors, BitMatrix::default);
-        init_bits.ensure_shape(1, dim);
         for (f, est) in estimates.iter_mut().enumerate() {
-            // The majority bundle of the codebook: `v < 0` packs to -1, ties to +1.
-            let cb = set.factor(f).expect("factor index in range");
-            init_bits.pack_signs_row(0, ops::bundle(cb.matrix().row_iter())?.values());
-            init_bits
-                .broadcast_row_into(0, n, est)
-                .expect("broadcast of row 0");
+            set.factor(f)?
+                .start_plane()?
+                .broadcast_row_into(0, n, est)?;
         }
 
         let noise_scale = (dim as f32).sqrt();
@@ -933,6 +917,22 @@ mod tests {
         let query = Hypervector::zeros(128);
         let f = Factorizer::default();
         assert!(f.factorize(&set, &query, &mut r).is_err());
+    }
+
+    #[test]
+    fn an_empty_codebook_fails_typed_on_both_engines() {
+        let (set, mut r) = standard_set(104, &[4, 0], 128);
+        let query = Hypervector::random_bipolar(128, &mut r);
+        for backend in [BackendKind::Packed, BackendKind::Reference] {
+            let f = Factorizer::new(FactorizerConfig::default().with_backend(backend));
+            assert!(
+                matches!(
+                    f.factorize(&set, &query, &mut r),
+                    Err(VsaError::Empty { .. })
+                ),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -59,16 +59,29 @@ pub struct Codebook {
     /// Bit-packed sign planes of `matrix`, cached once at construction when every
     /// codevector is exactly bipolar (`None` otherwise). Every search scans these.
     packed: Option<Arc<BitMatrix>>,
+    /// The resonator's starting estimate as a one-row sign plane, cached once at
+    /// construction (`None` for a codebook without codevectors or dimensions).
+    start: Option<Arc<BitMatrix>>,
 }
 
 impl Codebook {
-    /// Derives the sign planes of `matrix` and moves both into shared storage.
+    /// Derives the sign planes and the starting estimate of `matrix` and moves all
+    /// three into shared storage.
     fn from_matrix(name: String, matrix: HvMatrix) -> Self {
         let packed = BitMatrix::from_matrix(&matrix).map(Arc::new);
+        let start = ops::bundle(matrix.row_iter())
+            .ok()
+            .filter(|_| matrix.dim() > 0)
+            .map(|bundle| {
+                let mut plane = BitMatrix::zeros(1, matrix.dim());
+                plane.pack_signs_row(0, bundle.values());
+                Arc::new(plane)
+            });
         Self {
             name,
             matrix: Arc::new(matrix),
             packed,
+            start,
         }
     }
 
@@ -147,6 +160,21 @@ impl Codebook {
     /// exactly when every codevector is bipolar.
     pub fn packed(&self) -> Option<&BitMatrix> {
         self.packed.as_deref()
+    }
+
+    /// The resonator's starting estimate: the sign of the bundle of every
+    /// codevector (their sum in row order), ties to `+1`, as a one-row sign plane
+    /// (`v < 0` packs to a set bit, like every estimate plane). It is the
+    /// resonator-network convention of starting from "every candidate in
+    /// superposition", computed once at construction.
+    ///
+    /// # Errors
+    /// Returns [`VsaError::Empty`] for a codebook without codevectors (or of
+    /// dimension zero).
+    pub fn start_plane(&self) -> Result<&BitMatrix, VsaError> {
+        self.start.as_deref().ok_or(VsaError::Empty {
+            what: "codebook starting estimate",
+        })
     }
 
     /// The codebook search: `out[q]` is the best codevector for query row `q` and its
@@ -589,6 +617,41 @@ mod tests {
     }
 
     #[test]
+    fn start_plane_is_the_packed_majority_bundle() {
+        let mut r = rng(64);
+        // Six bipolar rows: an even count, so some dimensions sum to zero, and a
+        // tie must leave its bit clear (+1).
+        let even = Codebook::random("even", 6, 300, &mut r);
+        // Real-valued rows have no sign planes, yet start from their bundle's sign.
+        let real = Codebook::new(
+            "real",
+            (0..5)
+                .map(|_| Hypervector::random_real(300, &mut r))
+                .collect(),
+        )
+        .unwrap();
+        assert!(real.packed().is_none());
+        for cb in [&even, &real] {
+            let majority = ops::majority_bundle(cb.matrix().row_iter()).unwrap();
+            let expected = BitMatrix::from_hypervectors(&[majority]).unwrap();
+            let start = cb.start_plane().unwrap();
+            assert_eq!((start.rows(), start.dim()), (1, 300), "{}", cb.name());
+            assert_eq!(start.row_words(0), expected.row_words(0), "{}", cb.name());
+        }
+        let sums = ops::bundle(even.matrix().row_iter()).unwrap();
+        let words = even.start_plane().unwrap().row_words(0);
+        let ties: Vec<usize> = (0..300).filter(|&j| sums.values()[j] == 0.0).collect();
+        assert!(!ties.is_empty());
+        for j in ties {
+            assert_eq!((words[j / 64] >> (j % 64)) & 1, 0, "tie at {j}");
+        }
+        assert!(matches!(
+            Codebook::random("empty", 0, 64, &mut r).start_plane(),
+            Err(VsaError::Empty { .. })
+        ));
+    }
+
+    #[test]
     fn codebook_vector_out_of_range() {
         let mut r = rng(21);
         let cb = Codebook::random("c", 4, 32, &mut r);
@@ -1000,7 +1063,7 @@ mod tests {
                 let mut scalar = Hypervector::from_values(queries.row(q).to_vec());
                 for f in (0..3).filter(|&f| f != keep) {
                     let est = set.factor(f).unwrap().vector(t[f]).unwrap();
-                    scalar = ops::hadamard_unbind(&scalar, &est).unwrap();
+                    scalar = ops::hadamard_bind(&scalar, &est).unwrap();
                 }
                 assert_eq!(out.row(q), scalar.values(), "keep {keep} row {q}");
             }

@@ -102,7 +102,7 @@ pub use packed::{
     dispatch_tier, projection_tier, BitMatrix, CleanupScratch, DispatchTier, PackedBackend,
     ProjectionVerdict, ResonatePhase,
 };
-pub use quant::{Precision, QuantizedVector};
+pub use quant::Precision;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

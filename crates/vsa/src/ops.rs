@@ -136,17 +136,6 @@ pub fn hadamard_bind(a: &Hypervector, b: &Hypervector) -> Result<Hypervector, Vs
     Ok(Hypervector::from_values(values))
 }
 
-/// Element-wise unbinding (for bipolar vectors identical to [`hadamard_bind`]).
-///
-/// The factorizer's Step 1 (Fig. 8) "factor unbinding via element-wise multiplication ⊘"
-/// is this operation.
-///
-/// # Errors
-/// Returns [`VsaError::DimensionMismatch`] when the operands differ in dimension.
-pub fn hadamard_unbind(a: &Hypervector, b: &Hypervector) -> Result<Hypervector, VsaError> {
-    hadamard_bind(a, b)
-}
-
 /// Bundles (superposes) a set of vectors by element-wise summation, in item order.
 /// The items are hypervectors or raw rows, e.g. [`crate::HvMatrix::row_iter`].
 ///
@@ -265,23 +254,6 @@ pub fn matvec_similarity(
     matrix.iter().map(|row| row.dot(query)).collect()
 }
 
-/// Softmax over a similarity vector with an inverse-temperature parameter `beta`.
-///
-/// Used by the probabilistic abduction pipelines (LVRF/PrAE style) to turn similarity
-/// scores into rule probabilities; on the accelerator it runs on the custom SIMD unit.
-pub fn softmax(scores: &[f32], beta: f32) -> Vec<f32> {
-    if scores.is_empty() {
-        return Vec::new();
-    }
-    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = scores.iter().map(|&s| ((s - max) * beta).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    if sum == 0.0 {
-        return vec![1.0 / scores.len() as f32; scores.len()];
-    }
-    exps.iter().map(|e| e / sum).collect()
-}
-
 /// Returns the index of the largest element (ties resolve to the first).
 ///
 /// Returns `None` for an empty slice.
@@ -347,7 +319,7 @@ mod tests {
         let a = Hypervector::random_bipolar(256, &mut r);
         let b = Hypervector::random_bipolar(256, &mut r);
         let bound = hadamard_bind(&a, &b).unwrap();
-        let recovered = hadamard_unbind(&bound, &b).unwrap();
+        let recovered = hadamard_bind(&bound, &b).unwrap();
         assert_eq!(recovered.values(), a.values());
     }
 
@@ -412,20 +384,6 @@ mod tests {
             .collect();
         let sims = matvec_similarity(&rows, &rows[3]).unwrap();
         assert_eq!(argmax(&sims), Some(3));
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_orders_correctly() {
-        let p = softmax(&[1.0, 3.0, 2.0], 1.0);
-        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-        assert!(p[1] > p[2] && p[2] > p[0]);
-        assert!(softmax(&[], 1.0).is_empty());
-    }
-
-    #[test]
-    fn softmax_high_beta_approaches_argmax() {
-        let p = softmax(&[0.1, 0.9, 0.3], 50.0);
-        assert!(p[1] > 0.99);
     }
 
     #[test]
@@ -503,7 +461,7 @@ mod tests {
             let mut r = rng(seed);
             let a = Hypervector::random_bipolar(dim, &mut r);
             let b = Hypervector::random_bipolar(dim, &mut r);
-            let round = hadamard_unbind(&hadamard_bind(&a, &b).unwrap(), &b).unwrap();
+            let round = hadamard_bind(&hadamard_bind(&a, &b).unwrap(), &b).unwrap();
             prop_assert_eq!(round.values(), a.values());
         }
 

@@ -1413,8 +1413,8 @@ impl BitMatrix {
     }
 
     /// A matrix of uniformly random sign planes, drawn directly in packed form (64
-    /// dims per `gen::<u64>()` draw) — the cheap way to build the 10^5–10^6-row
-    /// codebooks the cleanup-at-scale benches need without a dense `f32` detour.
+    /// dims per `gen::<u64>()` draw) — the cheap way to build random codebooks and
+    /// queries for the scan and projection kernels without a dense `f32` detour.
     ///
     /// # Panics
     /// Panics when `dim == 0` with `rows > 0` (see [`BitMatrix::zeros`]).

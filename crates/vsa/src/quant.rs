@@ -7,7 +7,6 @@
 //! measure the accuracy impact, and so the energy/area model in `cogsys-sim` can key off
 //! the same [`Precision`] enum.
 
-use crate::hypervector::Hypervector;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -87,126 +86,11 @@ pub fn quantize_fp8_e4m3(x: f32) -> f32 {
     sign * q.min(FP8_E4M3_MAX)
 }
 
-/// A vector stored in reduced precision together with its dequantization metadata.
-///
-/// INT8 uses symmetric per-vector scaling (`value ≈ scale * int8`); FP8 stores the
-/// rounded values directly (scale = 1); FP32 is a pass-through.
-///
-/// # Example
-/// ```
-/// use cogsys_vsa::{Hypervector, Precision, QuantizedVector};
-/// let hv = Hypervector::from_values(vec![0.5, -1.0, 0.25, 1.0]);
-/// let q = QuantizedVector::quantize(&hv, Precision::Int8);
-/// let back = q.dequantize();
-/// for (a, b) in hv.values().iter().zip(back.values()) {
-///     assert!((a - b).abs() < 0.02);
-/// }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedVector {
-    precision: Precision,
-    scale: f32,
-    /// INT8 payload (used when `precision == Int8`).
-    int_values: Vec<i8>,
-    /// FP32/FP8 payload (rounded values for FP8).
-    float_values: Vec<f32>,
-}
-
-impl QuantizedVector {
-    /// Quantizes a hypervector into the requested precision.
-    pub fn quantize(hv: &Hypervector, precision: Precision) -> Self {
-        match precision {
-            Precision::Fp32 => Self {
-                precision,
-                scale: 1.0,
-                int_values: Vec::new(),
-                float_values: hv.values().to_vec(),
-            },
-            Precision::Fp8 => Self {
-                precision,
-                scale: 1.0,
-                int_values: Vec::new(),
-                float_values: hv.values().iter().copied().map(quantize_fp8_e4m3).collect(),
-            },
-            Precision::Int8 => {
-                let max_abs = hv.values().iter().fold(0.0f32, |acc, v| acc.max(v.abs()));
-                let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
-                let int_values = hv
-                    .values()
-                    .iter()
-                    .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-                    .collect();
-                Self {
-                    precision,
-                    scale,
-                    int_values,
-                    float_values: Vec::new(),
-                }
-            }
-        }
-    }
-
-    /// The precision this vector is stored in.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The per-vector scale factor (1.0 for FP32/FP8).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self.precision {
-            Precision::Int8 => self.int_values.len(),
-            _ => self.float_values.len(),
-        }
-    }
-
-    /// Returns `true` if the vector has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Storage footprint in bytes (payload only).
-    pub fn footprint_bytes(&self) -> usize {
-        self.len() * self.precision.bytes_per_element()
-    }
-
-    /// Reconstructs an f32 hypervector (lossy for FP8/INT8).
-    pub fn dequantize(&self) -> Hypervector {
-        match self.precision {
-            Precision::Int8 => Hypervector::from_values(
-                self.int_values
-                    .iter()
-                    .map(|&v| v as f32 * self.scale)
-                    .collect(),
-            ),
-            _ => Hypervector::from_values(self.float_values.clone()),
-        }
-    }
-}
-
-/// Applies a quantize→dequantize round trip, returning the precision-limited vector.
+/// Applies a quantize→dequantize round trip in place over a raw slice (one
+/// hypervector / matrix row). INT8 uses the per-vector symmetric scale of the slice.
 ///
 /// The functional pipelines use this "fake quantization" to run entire reasoning tasks
-/// at FP8/INT8 fidelity while keeping f32 as the working type.
-pub fn fake_quantize(hv: &Hypervector, precision: Precision) -> Hypervector {
-    match precision {
-        Precision::Fp32 => hv.clone(),
-        _ => {
-            let mut hv = hv.clone();
-            fake_quantize_slice(hv.values_mut(), precision);
-            hv
-        }
-    }
-}
-
-/// In-place [`fake_quantize`] over a raw slice (one hypervector / matrix row).
-///
-/// Identical numerics to `fake_quantize` — INT8 uses the per-vector symmetric scale of
-/// the slice — but without allocating, so the batched backends can quantize
+/// at FP8/INT8 fidelity while keeping f32 as the working type, quantizing
 /// [`crate::batch::HvMatrix`] rows in their preallocated storage.
 pub fn fake_quantize_slice(values: &mut [f32], precision: Precision) {
     match precision {
@@ -229,20 +113,9 @@ pub fn fake_quantize_slice(values: &mut [f32], precision: Precision) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypervector::Hypervector;
     use crate::rng;
     use proptest::prelude::*;
-
-    #[test]
-    fn fake_quantize_slice_matches_vector_path() {
-        let mut r = rng(77);
-        let hv = crate::Hypervector::random_real(512, &mut r);
-        for precision in Precision::all() {
-            let reference = fake_quantize(&hv, precision);
-            let mut slice = hv.values().to_vec();
-            fake_quantize_slice(&mut slice, precision);
-            assert_eq!(reference.values(), slice.as_slice(), "{precision}");
-        }
-    }
 
     #[test]
     fn precision_sizes() {
@@ -282,8 +155,9 @@ mod tests {
         let hv = Hypervector::random_real(1024, &mut r);
         let max_abs = hv.values().iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let half_step = max_abs / 127.0 / 2.0;
-        let q = fake_quantize(&hv, Precision::Int8);
-        for (x, y) in hv.values().iter().zip(q.values()) {
+        let mut q = hv.values().to_vec();
+        fake_quantize_slice(&mut q, Precision::Int8);
+        for (x, y) in hv.values().iter().zip(&q) {
             assert!((x - y).abs() <= half_step + max_abs * 1e-6, "{x} -> {y}");
         }
     }
@@ -292,7 +166,9 @@ mod tests {
     fn fp32_round_trip_is_exact() {
         let mut r = rng(32);
         let hv = Hypervector::random_real(256, &mut r);
-        assert_eq!(fake_quantize(&hv, Precision::Fp32).values(), hv.values());
+        let mut q = hv.values().to_vec();
+        fake_quantize_slice(&mut q, Precision::Fp32);
+        assert_eq!(q, hv.values());
     }
 
     #[test]
@@ -303,36 +179,17 @@ mod tests {
         let mut r = rng(33);
         let hv = Hypervector::random_bipolar(512, &mut r);
         for p in Precision::all() {
-            assert_eq!(fake_quantize(&hv, p).values(), hv.values(), "precision {p}");
+            let mut q = hv.values().to_vec();
+            fake_quantize_slice(&mut q, p);
+            assert_eq!(q, hv.values(), "precision {p}");
         }
     }
 
     #[test]
-    fn quantized_footprints() {
-        let mut r = rng(34);
-        let hv = Hypervector::random_real(1000, &mut r);
-        assert_eq!(
-            QuantizedVector::quantize(&hv, Precision::Fp32).footprint_bytes(),
-            4000
-        );
-        assert_eq!(
-            QuantizedVector::quantize(&hv, Precision::Int8).footprint_bytes(),
-            1000
-        );
-        assert_eq!(
-            QuantizedVector::quantize(&hv, Precision::Fp8).footprint_bytes(),
-            1000
-        );
-    }
-
-    #[test]
-    fn int8_zero_vector_has_unit_scale() {
-        let hv = Hypervector::zeros(16);
-        let q = QuantizedVector::quantize(&hv, Precision::Int8);
-        assert_eq!(q.scale(), 1.0);
-        assert!(q.dequantize().values().iter().all(|&v| v == 0.0));
-        assert_eq!(q.len(), 16);
-        assert!(!q.is_empty());
+    fn int8_zero_vector_stays_zero() {
+        let mut q = vec![0.0f32; 16];
+        fake_quantize_slice(&mut q, Precision::Int8);
+        assert!(q.iter().all(|&v| v == 0.0));
     }
 
     proptest! {
@@ -340,10 +197,11 @@ mod tests {
         fn prop_int8_error_bounded_by_scale(seed in 0u64..200) {
             let mut r = rng(seed);
             let hv = Hypervector::random_real(128, &mut r);
-            let q = QuantizedVector::quantize(&hv, Precision::Int8);
-            let back = q.dequantize();
-            for (a, b) in hv.values().iter().zip(back.values()) {
-                prop_assert!((a - b).abs() <= q.scale() * 0.5 + 1e-6);
+            let scale = hv.values().iter().fold(0.0f32, |a, v| a.max(v.abs())) / 127.0;
+            let mut back = hv.values().to_vec();
+            fake_quantize_slice(&mut back, Precision::Int8);
+            for (a, b) in hv.values().iter().zip(&back) {
+                prop_assert!((a - b).abs() <= scale * 0.5 + 1e-6);
             }
         }
 

@@ -23,7 +23,7 @@ use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, Ru
 use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet, ProductCodebook};
-use cogsys_vsa::packed::BitMatrix;
+use cogsys_vsa::packed::{BitMatrix, CleanupScratch};
 use cogsys_vsa::{Precision, VsaError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,8 +201,9 @@ struct EncodeScratch {
 #[derive(Debug, Default)]
 struct DecodeScratch {
     factorizer: FactorizerScratch,
-    /// Decoded per-factor index tuple per row (inner vectors reused).
-    tuples: Vec<Vec<usize>>,
+    /// Codebook and product-plane search scratch and results.
+    search: CleanupScratch,
+    best: Vec<(usize, f32)>,
     gather_idx: Vec<usize>,
     unbound_bits: BitMatrix,
     est_bits: BitMatrix,
@@ -212,7 +213,7 @@ struct DecodeScratch {
 /// ([`NeurosymbolicSolver::solve_batch_with`]): every matrix, sign plane, stream and
 /// bookkeeping vector of the encode → factorize → score pipeline lives here and is
 /// reshaped in place, so a steady-state serving loop performs no allocation beyond
-/// the factorizer's per-row result tuples.
+/// the factorizer's per-row results.
 ///
 /// The scratch carries no decision state between calls — a fresh scratch produces
 /// bitwise-identical answers, which is exactly what the plain
@@ -268,6 +269,46 @@ const RESCUE_PRODUCT_ROW_LIMIT: usize = 512;
 /// Resonator sweeps a rescue block runs before its unconverged rows are scanned.
 const RESCUE_SWEEPS: usize = 1;
 
+/// How an attribute block is decoded, chosen once at construction (see
+/// [`NeurosymbolicSolver::decode_block_into`]).
+#[derive(Debug, Clone)]
+enum BlockRoute {
+    /// One resonator sweep, then a product-plane scan of the unconverged rows.
+    Rescue {
+        sweep: Factorizer,
+        product: Arc<ProductCodebook>,
+    },
+    /// The resonator up to the iteration cap, then one polish sweep.
+    Polish { factorizer: Factorizer },
+}
+
+/// One attribute block of the scene encoding: its codebooks, the attributes
+/// they cover (indices into [`Attribute::ALL`]) and its decode route.
+#[derive(Debug, Clone)]
+struct AttributeBlock {
+    set: CodebookSet,
+    attrs: &'static [usize],
+    route: BlockRoute,
+}
+
+impl AttributeBlock {
+    /// The factorizer the block's resonator runs with.
+    fn factorizer(&self) -> &Factorizer {
+        match &self.route {
+            BlockRoute::Rescue { sweep, .. } => sweep,
+            BlockRoute::Polish { factorizer } => factorizer,
+        }
+    }
+}
+
+/// Writes decoded indices into the `attrs` slots of one row of values, each
+/// clamped to its attribute's cardinality, the bound of every later lookup.
+fn store(vocab: AttributeVocab, attrs: &[usize], indices: &[usize], row: &mut [usize; 5]) {
+    for (&attr, &index) in attrs.iter().zip(indices) {
+        row[attr] = index.min(vocab.cardinality(Attribute::ALL[attr]) - 1);
+    }
+}
+
 /// The end-to-end neurosymbolic reasoner.
 ///
 /// Scene encoding follows NVSA's block structure: the five attributes are split into
@@ -286,13 +327,7 @@ const RESCUE_SWEEPS: usize = 1;
 pub struct NeurosymbolicSolver {
     config: SolverConfig,
     codebooks: CodebookSet,
-    blocks: Vec<(CodebookSet, Vec<usize>)>,
-    /// Per block, its product planes when the block takes the rescue route.
-    /// Built once at construction; `with_iteration_cap` clones share them.
-    products: Vec<Option<Arc<ProductCodebook>>>,
-    factorizer: Factorizer,
-    /// The block factorizer capped at `RESCUE_SWEEPS`, run on rescue blocks.
-    sweep: Factorizer,
+    blocks: Vec<AttributeBlock>,
     backend: Arc<dyn VsaBackend>,
     /// Compiled [`SolvePlan`]s by workload shape. Cloning the solver yields a fresh,
     /// empty cache (a `with_iteration_cap` clone compiles a different iteration cap
@@ -371,44 +406,34 @@ impl NeurosymbolicSolver {
             })
             .collect();
         let codebooks = CodebookSet::new(attribute_codebooks.clone(), BindingOp::Hadamard)?;
+        // One shared backend instance serves every block factorizer and `backend()`.
+        let backend = config.backend.create();
         let blocks = Self::BLOCKS
             .iter()
-            .map(|attrs| {
+            .map(|&attrs| {
                 let members = attrs
                     .iter()
                     .map(|&i| attribute_codebooks[i].clone())
                     .collect();
                 let set = CodebookSet::new(members, BindingOp::Hadamard)?;
-                Ok((set, attrs.to_vec()))
-            })
-            .collect::<Result<Vec<_>, VsaError>>()?;
-        let products = blocks
-            .iter()
-            .map(|(set, _)| {
-                Ok(if set.combinations() <= RESCUE_PRODUCT_ROW_LIMIT {
-                    Some(Arc::new(ProductCodebook::expand(set)?))
+                let cap = config.factorizer.max_iterations;
+                let route = if set.combinations() <= RESCUE_PRODUCT_ROW_LIMIT {
+                    BlockRoute::Rescue {
+                        sweep: Self::block_factorizer(&config, RESCUE_SWEEPS, &backend),
+                        product: Arc::new(ProductCodebook::expand(&set)?),
+                    }
                 } else {
-                    None
-                })
+                    BlockRoute::Polish {
+                        factorizer: Self::block_factorizer(&config, cap, &backend),
+                    }
+                };
+                Ok(AttributeBlock { set, attrs, route })
             })
             .collect::<Result<Vec<_>, VsaError>>()?;
-        // One shared backend instance serves both factorizers and `backend()`.
-        let backend = config.backend.create();
-        let factorizer = Self::block_factorizer(&config, Arc::clone(&backend));
-        let sweep = Self::block_factorizer(
-            &SolverConfig {
-                factorizer: config.factorizer.clone().with_max_iterations(RESCUE_SWEEPS),
-                ..config.clone()
-            },
-            Arc::clone(&backend),
-        );
         Ok(Self {
             config,
             codebooks,
             blocks,
-            products,
-            factorizer,
-            sweep,
             backend,
             plans: PlanCache::default(),
         })
@@ -425,36 +450,35 @@ impl NeurosymbolicSolver {
     /// the clone shares its product planes instead of rebuilding them.
     pub fn with_iteration_cap(&self, max_iterations: usize) -> Self {
         let mut degraded = self.clone();
-        degraded.config.factorizer.max_iterations = max_iterations.max(1);
-        degraded.factorizer =
-            Self::block_factorizer(&degraded.config, Arc::clone(&degraded.backend));
+        let cap = max_iterations.max(1);
+        degraded.config.factorizer.max_iterations = cap;
+        for block in &mut degraded.blocks {
+            if let BlockRoute::Polish { factorizer } = &mut block.route {
+                *factorizer = Self::block_factorizer(&degraded.config, cap, &degraded.backend);
+            }
+        }
         degraded
     }
 
-    /// The factorizer every attribute block decodes with, derived from `config` in
-    /// one place. It decodes *blocks* of the scene superposition, so it runs with the
+    /// A block factorizer running `max_iterations`, derived from `config` in one
+    /// place. It decodes *blocks* of the scene superposition, so it runs with the
     /// per-block convergence threshold (`min` keeps a deliberately lower configured
     /// threshold in charge; it never tightens past the block plateau). The solver's
     /// backend is pinned onto it, so its resonator engine follows the solver's
     /// backend alone.
-    fn block_factorizer(config: &SolverConfig, backend: Arc<dyn VsaBackend>) -> Factorizer {
+    fn block_factorizer(
+        config: &SolverConfig,
+        max_iterations: usize,
+        backend: &Arc<dyn VsaBackend>,
+    ) -> Factorizer {
         let factorizer_config = FactorizerConfig {
             convergence_threshold: Self::block_convergence_threshold(Self::BLOCKS.len())
                 .min(config.factorizer.convergence_threshold),
+            max_iterations,
             ..config.factorizer.clone()
         }
         .with_backend(config.backend);
-        Factorizer::with_backend(factorizer_config, backend)
-    }
-
-    /// The factorizer block `block` decodes with: the one-sweep factorizer on the
-    /// rescue route, the iteration-capped one otherwise.
-    fn block_factorizer_for(&self, block: usize) -> &Factorizer {
-        if self.products[block].is_some() {
-            &self.sweep
-        } else {
-            &self.factorizer
-        }
+        Factorizer::with_backend(factorizer_config, Arc::clone(backend))
     }
 
     /// Number of context panels every problem must carry (the 3×3 matrix minus the
@@ -561,9 +585,9 @@ impl NeurosymbolicSolver {
     /// resolved once, up front. The plan decides nothing: every backend solves
     /// the whole call in one pass, and the stages only describe that pass for
     /// `--explain` and the adSCH schedule. They state each block's route, which
-    /// construction fixed: a block with product planes compiles to
-    /// `Resonate { iterations: 1 }` then `Rescue`, any other block to `Resonate`
-    /// at the iteration cap then `Polish`.
+    /// construction fixed: a rescue block compiles to `Resonate { iterations: 1 }`
+    /// then `Rescue`, a polish block to `Resonate` at the iteration cap then
+    /// `Polish`.
     ///
     /// `_specialize` has no effect: every packed operation has exactly one
     /// kernel, so there is nothing to specialize. The parameter is kept only so
@@ -574,26 +598,24 @@ impl NeurosymbolicSolver {
         let mut stages = Vec::with_capacity(2 * self.blocks.len() + 3);
         stages.push(PlanStage::Encode {
             rows,
-            factors: self.blocks.iter().map(|(set, _)| set.num_factors()).sum(),
+            factors: self.blocks.iter().map(|b| b.set.num_factors()).sum(),
         });
-        for (b, ((set, _), product)) in self.blocks.iter().zip(&self.products).enumerate() {
-            let codebook_rows: Vec<usize> = (0..set.num_factors())
-                .map(|f| set.factor(f).map_or(0, |cb| cb.len()))
-                .collect();
+        for (b, block) in self.blocks.iter().enumerate() {
+            let set = &block.set;
             stages.push(PlanStage::Resonate {
                 block: b,
                 rows,
                 factors: set.num_factors(),
-                codebook_rows,
-                iterations: self.block_factorizer_for(b).config().max_iterations,
+                codebook_rows: set.codebooks().iter().map(|cb| cb.len()).collect(),
+                iterations: block.factorizer().config().max_iterations,
             });
-            stages.push(match product {
-                Some(product) => PlanStage::Rescue {
+            stages.push(match &block.route {
+                BlockRoute::Rescue { product, .. } => PlanStage::Rescue {
                     block: b,
                     rows,
                     products: product.len(),
                 },
-                None => PlanStage::Polish {
+                BlockRoute::Polish { .. } => PlanStage::Polish {
                     block: b,
                     rows,
                     factors: set.num_factors(),
@@ -631,9 +653,7 @@ impl NeurosymbolicSolver {
     pub fn encode_panels(&self, panels: &[Panel]) -> Result<HvMatrix, VsaError> {
         let mut bits = BitMatrix::default();
         self.encode_panels_bits_into(panels, &mut EncodeScratch::default(), &mut bits)?;
-        let mut out = HvMatrix::default();
-        bits.unpack_into(&mut out);
-        Ok(out)
+        Ok(bits.to_matrix())
     }
 
     /// The scene encode: block products are XOR-composed straight from the cached
@@ -652,12 +672,10 @@ impl NeurosymbolicSolver {
             2,
             "sign(a + b) is a word-wise AND only for two blocks"
         );
-        let EncodeScratch {
-            idx, block_bits, ..
-        } = enc;
+        let EncodeScratch { idx, block_bits } = enc;
         let n = panels.len();
         out.ensure_shape(n, self.config.vector_dim);
-        for (block_index, (set, attrs)) in self.blocks.iter().enumerate() {
+        for (block_index, AttributeBlock { set, attrs, .. }) in self.blocks.iter().enumerate() {
             let dst: &mut BitMatrix = if block_index == 0 { out } else { block_bits };
             for (f, &attr) in attrs.iter().enumerate() {
                 idx.clear();
@@ -676,122 +694,90 @@ impl NeurosymbolicSolver {
         Ok(())
     }
 
-    /// Decodes every row of the encoded scene batch against attribute block
-    /// `block` and writes the block's decoded attribute values into `values`
-    /// (row-indexed). Returns a report holding only the block's factorizer
-    /// iterations and row outcomes.
+    /// Decodes every row of the encoded scene batch against `block` and writes
+    /// the block's decoded attribute values into `values` (row-indexed). Returns a
+    /// report holding only the block's factorizer iterations and row outcomes.
     ///
     /// The route is the block's, fixed at construction (see
     /// [`NeurosymbolicSolver::compile_plan`]):
     ///
-    /// * **rescue** (the block has product planes): the resonator runs one sweep,
-    ///   and every row it leaves unconverged is decoded by one batch scan of the
-    ///   product planes ([`ProductCodebook::search_batch_bits_into`]). The scan
-    ///   returns the exact argmax over the product space, which is a fixed point
-    ///   of the polish sweep up to tie order, so no polish runs. The scan draws
-    ///   no noise, so the row streams see only the sweep's draws;
-    /// * **polish** (any other block): the resonator runs up to the iteration
-    ///   cap, then [`NeurosymbolicSolver::polish_into`] sweeps every row once.
+    /// * **rescue**: the resonator runs one sweep, and every row it leaves
+    ///   unconverged is decoded by one batch scan of the product planes
+    ///   ([`ProductCodebook::search_batch_bits_into`]). The scan returns the
+    ///   exact argmax over the product space, which is a fixed point of the
+    ///   polish sweep up to tie order, so no polish runs. The scan draws no
+    ///   noise, so the row streams see only the sweep's draws;
+    /// * **polish**: the resonator runs up to the iteration cap, then one
+    ///   coordinate-descent polish sweep repairs single-attribute decode errors
+    ///   with the same unbind→search primitive the factorizer iterates: per
+    ///   factor, the other factors' decoded codevector planes are XOR-unbound
+    ///   from the scene (bipolar Hadamard unbinding is exactly XOR) and the
+    ///   result goes through the codebook search
+    ///   ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
     fn decode_block_into(
         &self,
-        block: usize,
+        block: &AttributeBlock,
         scenes: &BitMatrix,
         streams: &mut [StdRng],
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
     ) -> Result<SolverReport, VsaError> {
-        let (set, attrs) = &self.blocks[block];
-        let product = self.products[block].as_deref();
-        let results = self
-            .block_factorizer_for(block)
-            .factorize_matrix_bits_scratch(set, scenes, streams, &mut ds.factorizer)?;
-        let mut report = SolverReport::default();
-        report.record_block(&results);
-
         let DecodeScratch {
-            factorizer: fscratch,
-            tuples,
-            gather_idx,
-            unbound_bits,
-            ..
-        } = ds;
-        tuples.resize_with(results.len(), Vec::new);
-        for (t, r) in tuples.iter_mut().zip(&results) {
-            t.clear();
-            t.extend_from_slice(&r.indices);
-        }
-
-        match product {
-            Some(product) => {
-                gather_idx.clear();
-                gather_idx.extend((0..results.len()).filter(|&row| !results[row].converged));
-                if !gather_idx.is_empty() {
-                    scenes.gather_into(gather_idx, unbound_bits)?;
-                    let (cscratch, best) = fscratch.cleanup_buffers();
-                    product.search_batch_bits_into(unbound_bits, cscratch, best)?;
-                    for (&row, &(product_row, _)) in gather_idx.iter().zip(best.iter()) {
-                        product.factor_indices_into(product_row, &mut tuples[row]);
-                    }
-                }
-                report.rows_rescued = gather_idx.len();
-            }
-            None => self.polish_into(block, scenes, ds)?,
-        }
-
-        let vocab = self.config.vocab;
-        for (row, tuple) in ds.tuples.iter().enumerate() {
-            for (&attr_index, &idx) in attrs.iter().zip(tuple) {
-                let attr = Attribute::ALL[attr_index];
-                values[row][attr_index] = idx.min(vocab.cardinality(attr) - 1);
-            }
-        }
-        Ok(report)
-    }
-
-    /// One coordinate-descent polish sweep over the decoded tuples in
-    /// `ds.tuples`, which repairs single-attribute decode errors cheaply with the
-    /// same unbind→search primitive the factorizer iterates: per factor, the other
-    /// factors' decoded codevector planes are XOR-unbound from the scene (bipolar
-    /// Hadamard unbinding is exactly XOR) and the result goes through the codebook
-    /// search ([`cogsys_vsa::Codebook::cleanup_batch_bits_into`]).
-    fn polish_into(
-        &self,
-        block: usize,
-        scenes: &BitMatrix,
-        ds: &mut DecodeScratch,
-    ) -> Result<(), VsaError> {
-        let DecodeScratch {
-            factorizer: fscratch,
-            tuples,
+            factorizer,
+            search,
+            best,
             gather_idx,
             unbound_bits,
             est_bits,
         } = ds;
-        let set = &self.blocks[block].0;
-        for f in 0..set.num_factors() {
-            unbound_bits.copy_from(scenes);
-            for g in 0..set.num_factors() {
-                if g == f {
-                    continue;
-                }
+        let (set, attrs, vocab) = (&block.set, block.attrs, self.config.vocab);
+        let results = block
+            .factorizer()
+            .factorize_matrix_bits_scratch(set, scenes, streams, factorizer)?;
+        let mut report = SolverReport::default();
+        report.record_block(&results);
+        for (row, result) in values.iter_mut().zip(&results) {
+            store(vocab, attrs, &result.indices, row);
+        }
+
+        match &block.route {
+            BlockRoute::Rescue { product, .. } => {
                 gather_idx.clear();
-                gather_idx.extend(tuples.iter().map(|t| t[g]));
-                set.factor(g)?
-                    .packed()
-                    .ok_or(VsaError::Unsupported {
-                        what: "polish requires cached codebook sign planes",
-                    })?
-                    .gather_into(gather_idx, est_bits)?;
-                unbound_bits.xor_assign(est_bits)?;
+                gather_idx.extend((0..results.len()).filter(|&row| !results[row].converged));
+                if !gather_idx.is_empty() {
+                    scenes.gather_into(gather_idx, unbound_bits)?;
+                    product.search_batch_bits_into(unbound_bits, search, best)?;
+                    let tuple = &mut [0usize; 5][..attrs.len()];
+                    for (&row, &(product_row, _)) in gather_idx.iter().zip(best.iter()) {
+                        product.factor_indices_into(product_row, tuple);
+                        store(vocab, attrs, tuple, &mut values[row]);
+                    }
+                }
+                report.rows_rescued = gather_idx.len();
             }
-            let (cscratch, cleaned) = fscratch.cleanup_buffers();
-            set.factor(f)?
-                .cleanup_batch_bits_into(unbound_bits, cscratch, cleaned)?;
-            for (t, &(best, _)) in tuples.iter_mut().zip(cleaned.iter()) {
-                t[f] = best;
+            BlockRoute::Polish { .. } => {
+                for f in 0..set.num_factors() {
+                    unbound_bits.copy_from(scenes);
+                    for g in (0..set.num_factors()).filter(|&g| g != f) {
+                        gather_idx.clear();
+                        gather_idx.extend(values.iter().map(|row| row[attrs[g]]));
+                        set.factor(g)?
+                            .packed()
+                            .ok_or(VsaError::Unsupported {
+                                what: "polish requires cached codebook sign planes",
+                            })?
+                            .gather_into(gather_idx, est_bits)?;
+                        unbound_bits.xor_assign(est_bits)?;
+                    }
+                    set.factor(f)?
+                        .cleanup_batch_bits_into(unbound_bits, search, best)?;
+                    for (row, &(index, _)) in values.iter_mut().zip(best.iter()) {
+                        store(vocab, &attrs[f..=f], &[index], row);
+                    }
+                }
             }
         }
-        Ok(())
+        Ok(report)
     }
 
     /// Abduces the rule governing one attribute from the two complete rows and executes
@@ -1094,7 +1080,7 @@ impl NeurosymbolicSolver {
         // phase 1 — per-row dynamics identical to decoding one problem alone.
         values.clear();
         values.resize(total_rows, [0usize; 5]);
-        for b in 0..num_blocks {
+        for (b, block) in self.blocks.iter().enumerate() {
             streams.clear();
             for (q, problem) in problems.iter().enumerate() {
                 let rows_q = problem.context.len();
@@ -1103,7 +1089,7 @@ impl NeurosymbolicSolver {
                     streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
                 }
             }
-            report.merge(&self.decode_block_into(b, encoded, streams, decode, values)?);
+            report.merge(&self.decode_block_into(block, encoded, streams, decode, values)?);
         }
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
@@ -1215,7 +1201,7 @@ mod tests {
         /// sign-thresholded (ties to `+1`) and quantized at the solver's precision.
         fn encode_panel_f32(&self, panel: &Panel) -> Hypervector {
             let mut scene = vec![0.0f32; self.config.vector_dim];
-            for (set, attrs) in &self.blocks {
+            for AttributeBlock { set, attrs, .. } in &self.blocks {
                 let indices: Vec<usize> = attrs.iter().map(|&a| panel.values()[a]).collect();
                 let product = set.bind_indices(&indices).expect("in-range panel values");
                 for (slot, v) in scene.iter_mut().zip(product.values()) {
@@ -1258,12 +1244,12 @@ mod tests {
             let mut ds = DecodeScratch::default();
             let mut values = vec![[0usize; 5]; n];
             let mut report = SolverReport::default();
-            for b in 0..self.blocks.len() {
+            for block in &self.blocks {
                 let mut streams: Vec<StdRng> = (0..n)
                     .map(|_| StdRng::seed_from_u64(rng.next_u64()))
                     .collect();
                 report.merge(&self.decode_block_into(
-                    b,
+                    block,
                     &bits,
                     &mut streams,
                     &mut ds,
@@ -1308,6 +1294,14 @@ mod tests {
                 report.correct = 1;
             }
             Ok((best.0, report))
+        }
+    }
+
+    /// A rescue block's one-sweep factorizer and product planes.
+    fn rescue_route(block: &AttributeBlock) -> (&Factorizer, &Arc<ProductCodebook>) {
+        match &block.route {
+            BlockRoute::Rescue { sweep, product } => (sweep, product),
+            BlockRoute::Polish { .. } => panic!("RAVEN blocks rescue"),
         }
     }
 
@@ -1605,9 +1599,9 @@ mod tests {
                 *v = -*v;
             }
         }
-        let (set, _) = &s.blocks[0];
+        let set = &s.blocks[0].set;
         assert_eq!(set.combinations(), 405);
-        let config = s.sweep.config().clone();
+        let config = rescue_route(&s.blocks[0]).0.config().clone();
         assert_eq!(config.max_iterations, 1);
         let (_, report) = assert_packed_matches_dense(set, &scenes, &config, "one sweep");
         assert!(
@@ -1641,8 +1635,9 @@ mod tests {
         let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
         let streams =
             || -> Vec<StdRng> { seeds.iter().map(|&q| StdRng::seed_from_u64(q)).collect() };
-        for (block, (set, attrs)) in s.blocks.iter().enumerate() {
-            let product = s.products[block].as_deref().expect("RAVEN blocks rescue");
+        for (b, block) in s.blocks.iter().enumerate() {
+            let (set, attrs) = (&block.set, block.attrs);
+            let (sweep, product) = rescue_route(block);
             let mut values = vec![[0usize; 5]; panels.len()];
             let report = s
                 .decode_block_into(
@@ -1653,8 +1648,7 @@ mod tests {
                     &mut values,
                 )
                 .unwrap();
-            let sweep = s
-                .sweep
+            let sweep = sweep
                 .factorize_matrix_bits_scratch(
                     set,
                     &bits,
@@ -1669,7 +1663,7 @@ mod tests {
             let mut expected = SolverReport::default();
             expected.record_block(&sweep);
             expected.rows_rescued = sweep.iter().filter(|r| !r.converged).count();
-            assert_eq!(report, expected, "block {block}");
+            assert_eq!(report, expected, "block {b}");
             assert!(
                 report.rows_rescued > 0 && report.rows_converged > 0,
                 "{report:?}"
@@ -1680,7 +1674,7 @@ mod tests {
                     product.factor_indices_into(product_row, &mut tuple);
                 }
                 let decoded: Vec<usize> = attrs.iter().map(|&a| values[row][a]).collect();
-                assert_eq!(decoded, tuple, "block {block} row {row}");
+                assert_eq!(decoded, tuple, "block {b} row {row}");
             }
         }
     }
@@ -1706,10 +1700,10 @@ mod tests {
         let seeds: Vec<u64> = panels.iter().map(|_| r.next_u64()).collect();
         let streams =
             || -> Vec<StdRng> { seeds.iter().map(|&q| StdRng::seed_from_u64(q)).collect() };
-        for (block, (set, attrs)) in s.blocks.iter().enumerate() {
-            let product = s.products[block].as_deref().expect("RAVEN blocks rescue");
-            let sweep = s
-                .sweep
+        for (b, block) in s.blocks.iter().enumerate() {
+            let (set, attrs) = (&block.set, block.attrs);
+            let (sweep, product) = rescue_route(block);
+            let sweep = sweep
                 .factorize_matrix_bits_scratch(
                     set,
                     &bits,
@@ -1718,7 +1712,7 @@ mod tests {
                 )
                 .unwrap();
             let rescued: Vec<usize> = (0..sweep.len()).filter(|&q| !sweep[q].converged).collect();
-            assert!(!rescued.is_empty(), "block {block} rescues no row");
+            assert!(!rescued.is_empty(), "block {b} rescues no row");
             let queries = bits.gather(&rescued).unwrap();
             let mut best = Vec::new();
             product
@@ -1754,10 +1748,10 @@ mod tests {
                     .collect();
                 let least = *distances.iter().min().unwrap();
                 let oracle = distances.iter().position(|&h| h == least).unwrap();
-                assert_eq!(best[i].0, oracle, "block {block} row {row}");
+                assert_eq!(best[i].0, oracle, "block {b} row {row}");
                 product.factor_indices_into(oracle, &mut tuple);
                 let decoded: Vec<usize> = attrs.iter().map(|&a| values[row][a]).collect();
-                assert_eq!(decoded, tuple, "block {block} row {row}");
+                assert_eq!(decoded, tuple, "block {b} row {row}");
             }
         }
     }
@@ -2216,7 +2210,10 @@ mod tests {
             ..SolverConfig::default()
         };
         let (s, mut r) = solver(55, config);
-        assert!(s.products.iter().all(Option::is_none));
+        assert!(s
+            .blocks
+            .iter()
+            .all(|block| matches!(block.route, BlockRoute::Polish { .. })));
         let problems =
             ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(2, &mut r);
 
@@ -2268,11 +2265,8 @@ mod tests {
             "{text}"
         );
         let raven_coarse = raven.with_iteration_cap(1);
-        for (full, capped) in raven.products.iter().zip(&raven_coarse.products) {
-            assert!(Arc::ptr_eq(
-                full.as_ref().unwrap(),
-                capped.as_ref().unwrap()
-            ));
+        for (full, capped) in raven.blocks.iter().zip(&raven_coarse.blocks) {
+            assert!(Arc::ptr_eq(rescue_route(full).1, rescue_route(capped).1));
         }
         let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(4, &mut r);
         let mut r1 = r.clone();

@@ -78,7 +78,7 @@ proptest! {
             ReferenceBackend.unbind_batch_into(&a, &b, op, &mut unbound).unwrap();
             for i in 0..2 {
                 let scalar = match op {
-                    BindingOp::Hadamard => ops::hadamard_unbind(&rows_a[i], &rows_b[i]),
+                    BindingOp::Hadamard => ops::hadamard_bind(&rows_a[i], &rows_b[i]),
                     BindingOp::CircularConvolution => ops::try_circular_correlate(&rows_a[i], &rows_b[i]),
                 }
                 .unwrap();

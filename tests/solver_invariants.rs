@@ -10,7 +10,10 @@
 //!    under-full chunk;
 //! 6. on the RAVEN block shapes, the rescue route (one resonator sweep, then a
 //!    product-plane scan of the unconverged rows) is a fixed point of the polish
-//!    sweep and keeps the full resonator's decisions on the rows it converges.
+//!    sweep and keeps the full resonator's decisions on the rows it converges;
+//! 7. on a solver whose blocks take different routes, an iteration cap binds the
+//!    polish block only, and at the full cap the capped solver decides exactly
+//!    like the uncapped one.
 
 use cogsys::{CogSysConfig, CogSysSystem};
 use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
@@ -216,6 +219,56 @@ fn enlarged_vocabularies_solve_with_a_fixed_outcome_per_seed() {
         assert_eq!(scratch.choices(), choices, "seed {seed}");
         assert_eq!(r.next_u64(), next, "seed {seed}");
     }
+}
+
+#[test]
+fn mixed_route_solvers_cap_only_their_polish_block() {
+    // Nine values per attribute: block 0 (position, number, type) has
+    // 9×9×9 = 729 products, over the rescue limit, so it runs the resonator to
+    // the cap and polishes; block 1 (size, color) has 9×10 = 90 and is rescued.
+    let vocab = AttributeVocab::uniform(9);
+    let config = SolverConfig {
+        vector_dim: 512,
+        vocab,
+        ..SolverConfig::default()
+    };
+    let mut r = rng(70);
+    let solver = NeurosymbolicSolver::new(config, &mut r);
+    let problems =
+        ProblemGenerator::with_vocab(DatasetKind::Raven, vocab).generate_batch(4, &mut r);
+    let full = solver.config().factorizer.max_iterations;
+    for cap in [1, 3, full] {
+        let capped = solver.with_iteration_cap(cap);
+        let text = capped.plan_for_batch(problems.len()).describe();
+        let stages: Vec<&str> = text.lines().skip(1).map(str::trim).collect();
+        let stage = |i: usize, name: &str, detail: &str| {
+            assert!(
+                stages[i].starts_with(&format!("[{i}] {name} ")) && stages[i].contains(detail),
+                "cap {cap}, stage {i}: want {name} {detail}\n{text}"
+            );
+        };
+        stage(1, "resonate", "block=0 ");
+        assert!(
+            stages[1].ends_with(&format!("iters={cap}")),
+            "cap {cap}\n{text}"
+        );
+        stage(2, "polish", "block=0 ");
+        stage(3, "resonate", "block=1 ");
+        assert!(stages[3].ends_with("iters=1"), "cap {cap}\n{text}");
+        stage(4, "rescue", "block=1 rows=32 products=90");
+    }
+
+    let solve = |s: &NeurosymbolicSolver| {
+        let mut rr = r.clone();
+        let mut scratch = SolverScratch::default();
+        let report = s
+            .solve_batch_with(&problems, &mut rr, &mut scratch)
+            .unwrap();
+        (report, scratch.choices().to_vec(), rr.next_u64())
+    };
+    let uncapped = solve(&solver);
+    assert!(uncapped.0.rows_rescued > 0, "{:?}", uncapped.0);
+    assert_eq!(solve(&solver.with_iteration_cap(full)), uncapped);
 }
 
 /// The coordinate-descent polish sweep over one decoded `tuple` of `scene` (a
