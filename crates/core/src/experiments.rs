@@ -128,17 +128,27 @@ pub const RESCUE_BENCH_ROUNDS: usize = 9;
 /// [`RESCUE_BENCH_ROUNDS`] timed calls. On a shared core a median is not moved
 /// by the odd round that runs fast or slow the way a minimum is.
 fn median_secs(f: &mut dyn FnMut()) -> f64 {
+    median_secs_each::<1>(&mut |_| f())[0]
+}
+
+/// [`median_secs`] of `SIDES` calls `f(0)`, `f(1)`, … timed in alternating
+/// rounds of one loop: a swing in host speed reaches every side, so the ratio
+/// of a cell to its twin holds steadier than medians taken one after another.
+fn median_secs_each<const SIDES: usize>(f: &mut dyn FnMut(usize)) -> [f64; SIDES] {
     use std::time::Instant;
-    f();
-    let mut rounds: Vec<f64> = (0..RESCUE_BENCH_ROUNDS)
-        .map(|_| {
+    (0..SIDES).for_each(&mut *f);
+    let mut rounds = [[0.0f64; RESCUE_BENCH_ROUNDS]; SIDES];
+    for round in 0..RESCUE_BENCH_ROUNDS {
+        for (side, times) in rounds.iter_mut().enumerate() {
             let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    rounds.sort_by(f64::total_cmp);
-    rounds[RESCUE_BENCH_ROUNDS / 2]
+            f(side);
+            times[round] = t.elapsed().as_secs_f64();
+        }
+    }
+    rounds.map(|mut times| {
+        times.sort_by(f64::total_cmp);
+        times[RESCUE_BENCH_ROUNDS / 2]
+    })
 }
 
 /// Measures the hot batch kernels — codebook cleanup and the full similarity GEMM
@@ -161,7 +171,8 @@ fn median_secs(f: &mut dyn FnMut()) -> f64 {
 /// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
 /// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
 /// `reference`) on accumulators where a third of the elements, scattered inside
-/// every word, lie within the amplitude.
+/// every word, lie within the amplitude; the two rules are timed in alternating
+/// rounds of one loop, so a host-speed swing reaches both sides of the ratio.
 pub fn backend_throughput_records(
     dims: &[usize],
     batches: &[usize],
@@ -260,18 +271,18 @@ pub fn backend_throughput_records(
                 })
                 .collect();
             let mut values = base.clone();
-            for (label, elementwise) in [("packed", false), ("reference", true)] {
-                let perturb = median_secs(&mut || {
-                    values.copy_from_slice(&base);
-                    let mut r = cogsys_vsa::rng(seed ^ 0x4015E);
-                    for row in values.chunks_mut(dim) {
-                        if elementwise {
-                            noise.perturb_signs_elementwise(row, &mut r);
-                        } else {
-                            noise.perturb_signs(row, &mut r);
-                        }
+            let perturb = median_secs_each::<2>(&mut |side| {
+                values.copy_from_slice(&base);
+                let mut r = cogsys_vsa::rng(seed ^ 0x4015E);
+                for row in values.chunks_mut(dim) {
+                    if side == 1 {
+                        noise.perturb_signs_elementwise(row, &mut r);
+                    } else {
+                        noise.perturb_signs(row, &mut r);
                     }
-                });
+                }
+            });
+            for (label, perturb) in ["packed", "reference"].into_iter().zip(perturb) {
                 records.push(BenchRecord {
                     backend: label.to_string(),
                     kernel: "noise_signs".to_string(),

@@ -78,8 +78,10 @@ pub const ATTRIBUTE_CARDINALITIES: [usize; 5] = [9, 9, 5, 6, 10];
 /// `ProblemGenerator::with_vocab`) and the solver's codebook sizing.
 ///
 /// Every cardinality is at most [`MAX_CARDINALITY`] (65,535, the widest range a
-/// [`Panel`] stores). Every constructor enforces both bounds, and deserialization
-/// goes through the same check (the `TryFrom<[usize; 5]>` impl).
+/// [`Panel`] stores). Every constructor enforces both bounds, and so does the
+/// `TryFrom<[usize; 5]>` impl. The `#[serde(try_from = ...)]` attribute only names
+/// that impl as the intended wire format: the vendored `serde` shim derives
+/// nothing, so no workspace type can be serialized or deserialized today.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(try_from = "[usize; 5]", into = "[usize; 5]")]
 pub struct AttributeVocab {

@@ -19,7 +19,7 @@
 
 use crate::error::{ProblemFault, SolveError};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan};
-use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
+use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, Rule, RuleKind};
 use cogsys_factorizer::{FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet, ProductCodebook};
@@ -213,7 +213,8 @@ struct DecodeScratch {
 /// ([`NeurosymbolicSolver::solve_batch_with`]): every matrix, sign plane, stream and
 /// bookkeeping vector of the encode → factorize → score pipeline lives here and is
 /// reshaped in place, so a steady-state serving loop performs no allocation beyond
-/// the factorizer's per-row results.
+/// the factorizer's per-row results. Each fact is held once: the predictor reads
+/// the decoded rows where the decode wrote them, and only candidate offsets are stored.
 ///
 /// The scratch carries no decision state between calls — a fresh scratch produces
 /// bitwise-identical answers, which is exactly what the plain
@@ -228,15 +229,15 @@ pub struct SolverScratch {
     /// Recorded interface bit-flip positions as `(global row, dimension)`.
     flips: Vec<(u32, u32)>,
     /// Factorizer stream seeds, drawn per problem in sequential order; problem `q`
-    /// occupies `seed_base[q] ..` with its blocks consecutive (rows inner).
+    /// occupies `8q·blocks ..` with its blocks consecutive (rows inner).
     seeds: Vec<u64>,
-    row_base: Vec<usize>,
-    seed_base: Vec<usize>,
     encoded: BitMatrix,
+    /// Decoded attribute values, one row per context panel; problem `q`'s eight
+    /// rows start at `8q`. The predictor and the exact-panel count read them here.
     values: Vec<[usize; 5]>,
-    decoded: Vec<Panel>,
     predicted: Vec<Panel>,
     cand_panels: Vec<Panel>,
+    /// First candidate row of each problem (candidate counts differ by dataset).
     cand_base: Vec<usize>,
     pred_bits: BitMatrix,
     cand_bits: BitMatrix,
@@ -782,6 +783,12 @@ impl NeurosymbolicSolver {
 
     /// Abduces the rule governing one attribute from the two complete rows and executes
     /// it on the incomplete row, returning the predicted attribute value.
+    ///
+    /// Every rule of the dataset's pool (Progression once with step 1, then with
+    /// step 2) is scored by how many complete rows it satisfies, and the first
+    /// best-scoring rule completes the incomplete row. Distribute-Three is abduced
+    /// from the rows' value sets instead, because its generating triple cannot be
+    /// read off decoded rows.
     fn abduce_and_execute(
         dataset: DatasetKind,
         vocab: AttributeVocab,
@@ -789,12 +796,6 @@ impl NeurosymbolicSolver {
         rows: &[[usize; 3]; 2],
         last_row: (usize, usize),
     ) -> usize {
-        let card = vocab.cardinality(attribute);
-        let pool: &[RuleKind] = dataset.rule_pool();
-
-        // Score every candidate rule by how many of the two complete rows it explains,
-        // then execute the best-scoring rule on the incomplete row. Progression steps 1
-        // and 2 are tried separately.
         let mut best: Option<(usize, usize)> = None; // (score, predicted value)
         let mut consider = |score: usize, predicted: usize| {
             if best.is_none_or(|(s, _)| score > s) {
@@ -802,79 +803,58 @@ impl NeurosymbolicSolver {
             }
         };
 
-        for &kind in pool {
-            match kind {
-                RuleKind::Progression => {
-                    for step in 1..=2usize {
-                        let score = rows
-                            .iter()
-                            .filter(|r| {
-                                r[1] == (r[0] + step) % card && r[2] == (r[1] + step) % card
-                            })
-                            .count();
-                        consider(score, (last_row.0 + 2 * step) % card);
-                    }
-                }
-                RuleKind::Constant => {
-                    let score = rows.iter().filter(|r| r[0] == r[1] && r[1] == r[2]).count();
-                    consider(score, last_row.0);
-                }
-                RuleKind::Arithmetic => {
-                    let score = rows.iter().filter(|r| r[2] == (r[0] + r[1]) % card).count();
-                    consider(score, (last_row.0 + last_row.1) % card);
-                }
-                RuleKind::Xor => {
-                    let score = rows.iter().filter(|r| r[2] == (r[0] ^ r[1]) % card).count();
-                    consider(score, (last_row.0 ^ last_row.1) % card);
-                }
-                RuleKind::And => {
-                    let score = rows.iter().filter(|r| r[2] == (r[0] & r[1]) % card).count();
-                    consider(score, (last_row.0 & last_row.1) % card);
-                }
-                RuleKind::Or => {
-                    let score = rows.iter().filter(|r| r[2] == (r[0] | r[1]) % card).count();
-                    consider(score, (last_row.0 | last_row.1) % card);
-                }
-                RuleKind::DistributeThree => {
-                    // Both rows must share the same 3-value set; the prediction is the
-                    // member of that set missing from the incomplete row.
-                    let mut s0 = rows[0].to_vec();
-                    let mut s1 = rows[1].to_vec();
-                    s0.sort_unstable();
-                    s1.sort_unstable();
-                    let coherent = s0 == s1 && s0[0] != s0[1] && s0[1] != s0[2];
-                    let score = if coherent { 2 } else { 0 };
-                    let predicted = s0
-                        .iter()
-                        .copied()
-                        .find(|v| *v != last_row.0 && *v != last_row.1)
-                        .unwrap_or(last_row.1);
-                    consider(score, predicted);
-                }
+        for &kind in dataset.rule_pool() {
+            if kind == RuleKind::DistributeThree {
+                // Both rows must share the same 3-value set; the prediction is the
+                // member of that set missing from the incomplete row.
+                let mut s0 = rows[0];
+                let mut s1 = rows[1];
+                s0.sort_unstable();
+                s1.sort_unstable();
+                let coherent = s0 == s1 && s0[0] != s0[1] && s0[1] != s0[2];
+                let predicted = s0
+                    .into_iter()
+                    .find(|v| *v != last_row.0 && *v != last_row.1)
+                    .unwrap_or(last_row.1);
+                consider(if coherent { 2 } else { 0 }, predicted);
+                continue;
+            }
+            let parameters = if kind == RuleKind::Progression {
+                1..=2
+            } else {
+                0..=0
+            };
+            for parameter in parameters {
+                let rule = Rule {
+                    attribute,
+                    kind,
+                    parameter,
+                };
+                let score = rows
+                    .iter()
+                    .filter(|r| rule.satisfied_with(vocab, r[0], r[1], r[2]))
+                    .count();
+                consider(
+                    score,
+                    rule.complete_row_with(vocab, last_row.0, last_row.1).2,
+                );
             }
         }
         best.map(|(_, p)| p).unwrap_or(last_row.1)
     }
 
-    /// Abduces every attribute's rule from the decoded context panels (row-major, the
-    /// eight visible cells) and executes it on the incomplete row, producing the
-    /// predicted answer panel. Pure symbolic work.
-    fn predict_panel(dataset: DatasetKind, vocab: AttributeVocab, decoded: &[Panel]) -> Panel {
+    /// Abduces every attribute's rule from one problem's decoded context rows
+    /// (row-major, the eight visible cells) and executes it on the incomplete row,
+    /// producing the predicted answer panel. Pure symbolic work.
+    fn predict_panel(dataset: DatasetKind, vocab: AttributeVocab, ctx: &[[usize; 5]]) -> Panel {
         let mut predicted_values = [0usize; 5];
         for attr in Attribute::ALL {
+            let a = attr.index();
             let rows = [
-                [
-                    decoded[0].value(attr),
-                    decoded[1].value(attr),
-                    decoded[2].value(attr),
-                ],
-                [
-                    decoded[3].value(attr),
-                    decoded[4].value(attr),
-                    decoded[5].value(attr),
-                ],
+                [ctx[0][a], ctx[1][a], ctx[2][a]],
+                [ctx[3][a], ctx[4][a], ctx[5][a]],
             ];
-            let last_row = (decoded[6].value(attr), decoded[7].value(attr));
+            let last_row = (ctx[6][a], ctx[7][a]);
             predicted_values[attr.index()] =
                 Self::abduce_and_execute(dataset, vocab, attr, &rows, last_row)
                     .min(vocab.cardinality(attr) - 1);
@@ -1000,6 +980,10 @@ impl NeurosymbolicSolver {
 
     /// One pass of the engine over the whole of `problems`, appending to
     /// `scratch.choices`. Every stage runs on sign planes.
+    ///
+    /// `problems` must have passed `validate_problems`, so each carries exactly
+    /// [`NeurosymbolicSolver::CONTEXT_PANELS`] rows: problem `q`'s panel rows start at
+    /// `8q` and its stream seeds at `8q·blocks`, and no offset table is kept.
     fn execute_batch<R: Rng + ?Sized>(
         &self,
         problems: &[Problem],
@@ -1016,11 +1000,8 @@ impl NeurosymbolicSolver {
             perceived,
             flips,
             seeds,
-            row_base,
-            seed_base,
             encoded,
             values,
-            decoded,
             predicted,
             cand_panels,
             cand_base,
@@ -1038,11 +1019,7 @@ impl NeurosymbolicSolver {
         perceived.clear();
         flips.clear();
         seeds.clear();
-        row_base.clear();
-        seed_base.clear();
         for problem in problems {
-            row_base.push(perceived.len());
-            seed_base.push(seeds.len());
             let base = perceived.len();
             for panel in &problem.context {
                 perceived.push(if self.config.perception_noise > 0.0 {
@@ -1082,13 +1059,14 @@ impl NeurosymbolicSolver {
         values.resize(total_rows, [0usize; 5]);
         for (b, block) in self.blocks.iter().enumerate() {
             streams.clear();
-            for (q, problem) in problems.iter().enumerate() {
-                let rows_q = problem.context.len();
-                let sb = seed_base[q];
-                for r in 0..rows_q {
-                    streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
-                }
-            }
+            streams.extend(
+                seeds
+                    .chunks_exact(Self::CONTEXT_PANELS)
+                    .skip(b)
+                    .step_by(num_blocks)
+                    .flatten()
+                    .map(|&seed| StdRng::seed_from_u64(seed)),
+            );
             report.merge(&self.decode_block_into(block, encoded, streams, decode, values)?);
         }
         if let Some(t) = timings.as_deref_mut() {
@@ -1098,17 +1076,16 @@ impl NeurosymbolicSolver {
         }
 
         // ---- Phase 4: per-problem abduction + prediction (pure symbolic work).
-        decoded.clear();
-        decoded.extend(values.iter().map(|v| Panel::new_unchecked(*v)));
         predicted.clear();
-        for (q, problem) in problems.iter().enumerate() {
-            let base = row_base[q];
-            let ctx = &decoded[base..base + problem.context.len()];
+        for (problem, ctx) in problems
+            .iter()
+            .zip(values.chunks_exact(Self::CONTEXT_PANELS))
+        {
             report.panels_total += ctx.len();
             report.panels_exact += ctx
                 .iter()
                 .zip(&problem.context)
-                .filter(|(estimate, panel)| estimate == panel)
+                .filter(|(estimate, panel)| **estimate == panel.values())
                 .count();
             predicted.push(Self::predict_panel(problem.dataset, self.config.vocab, ctx));
         }
@@ -1276,7 +1253,8 @@ mod tests {
                 .zip(&problem.context)
                 .filter(|(estimate, panel)| estimate == panel)
                 .count();
-            let predicted = Self::predict_panel(problem.dataset, self.config.vocab, &decoded);
+            let rows: Vec<[usize; 5]> = decoded.iter().map(Panel::values).collect();
+            let predicted = Self::predict_panel(problem.dataset, self.config.vocab, &rows);
             // NVSA answer selection: most agreeing attributes wins, the full-vector
             // cosine against the prediction breaks ties.
             let predicted_hv = self.encode_panel_f32(&predicted);
@@ -2483,6 +2461,160 @@ mod tests {
                         prop_assert_eq!(planned, sequential);
                         prop_assert_eq!(sc.choices(), &seq_choices[..]);
                         prop_assert_eq!(r1.next_u64(), r2.next_u64());
+                    }
+                }
+            }
+        }
+    }
+
+    mod abduction {
+        use super::*;
+        use cogsys_datasets::RuleSet;
+        use proptest::prelude::*;
+
+        /// The abducer with every rule formula written out inline, in pool order:
+        /// the oracle the `Rule`-driven abducer must match prediction for
+        /// prediction, ties included.
+        fn abduce_oracle(
+            dataset: DatasetKind,
+            vocab: AttributeVocab,
+            attribute: Attribute,
+            rows: &[[usize; 3]; 2],
+            last_row: (usize, usize),
+        ) -> usize {
+            let card = vocab.cardinality(attribute);
+            let mut best: Option<(usize, usize)> = None; // (score, predicted value)
+            let mut consider = |score: usize, predicted: usize| {
+                if best.is_none_or(|(s, _)| score > s) {
+                    best = Some((score, predicted));
+                }
+            };
+            for &kind in dataset.rule_pool() {
+                match kind {
+                    RuleKind::Progression => {
+                        for step in 1..=2usize {
+                            let score = rows
+                                .iter()
+                                .filter(|r| {
+                                    r[1] == (r[0] + step) % card && r[2] == (r[1] + step) % card
+                                })
+                                .count();
+                            consider(score, (last_row.0 + 2 * step) % card);
+                        }
+                    }
+                    RuleKind::Constant => {
+                        let score = rows.iter().filter(|r| r[0] == r[1] && r[1] == r[2]).count();
+                        consider(score, last_row.0);
+                    }
+                    RuleKind::Arithmetic => {
+                        let score = rows.iter().filter(|r| r[2] == (r[0] + r[1]) % card).count();
+                        consider(score, (last_row.0 + last_row.1) % card);
+                    }
+                    RuleKind::Xor => {
+                        let score = rows.iter().filter(|r| r[2] == (r[0] ^ r[1]) % card).count();
+                        consider(score, (last_row.0 ^ last_row.1) % card);
+                    }
+                    RuleKind::And => {
+                        let score = rows.iter().filter(|r| r[2] == (r[0] & r[1]) % card).count();
+                        consider(score, (last_row.0 & last_row.1) % card);
+                    }
+                    RuleKind::Or => {
+                        let score = rows.iter().filter(|r| r[2] == (r[0] | r[1]) % card).count();
+                        consider(score, (last_row.0 | last_row.1) % card);
+                    }
+                    RuleKind::DistributeThree => {
+                        let mut s0 = rows[0].to_vec();
+                        let mut s1 = rows[1].to_vec();
+                        s0.sort_unstable();
+                        s1.sort_unstable();
+                        let coherent = s0 == s1 && s0[0] != s0[1] && s0[1] != s0[2];
+                        let score = if coherent { 2 } else { 0 };
+                        let predicted = s0
+                            .iter()
+                            .copied()
+                            .find(|v| *v != last_row.0 && *v != last_row.1)
+                            .unwrap_or(last_row.1);
+                        consider(score, predicted);
+                    }
+                }
+            }
+            best.map(|(_, p)| p).unwrap_or(last_row.1)
+        }
+
+        /// Checks one context (eight values: two complete rows, then the first two
+        /// cells of the incomplete one) on every dataset pool.
+        fn assert_matches_oracle(vocab: AttributeVocab, attribute: Attribute, v: [usize; 8]) {
+            let rows = [[v[0], v[1], v[2]], [v[3], v[4], v[5]]];
+            let last_row = (v[6], v[7]);
+            for dataset in DatasetKind::ALL {
+                assert_eq!(
+                    NeurosymbolicSolver::abduce_and_execute(
+                        dataset, vocab, attribute, &rows, last_row
+                    ),
+                    abduce_oracle(dataset, vocab, attribute, &rows, last_row),
+                    "{dataset} {attribute} {v:?} (cardinality {})",
+                    vocab.cardinality(attribute)
+                );
+            }
+        }
+
+        const VOCABS: [fn() -> AttributeVocab; 2] =
+            [AttributeVocab::raven, || AttributeVocab::uniform(600)];
+
+        #[test]
+        fn rule_abducer_matches_the_oracle_where_several_rules_fit() {
+            // Every context over values 0..3 — (0, 0, 0) rows, all-equal rows, and
+            // rows that fit Constant, Arithmetic and the logical rules at once, or
+            // Progression and Distribute-Three at once — then all-equal contexts
+            // across each attribute's range, so the tie order is pinned.
+            for vocab in VOCABS.map(|v| v()) {
+                for attribute in Attribute::ALL {
+                    for code in 0..3usize.pow(8) {
+                        let mut v = [0usize; 8];
+                        let mut c = code;
+                        for slot in &mut v {
+                            *slot = c % 3;
+                            c /= 3;
+                        }
+                        assert_matches_oracle(vocab, attribute, v);
+                    }
+                    let card = vocab.cardinality(attribute);
+                    for value in [card / 2, card - 2, card - 1] {
+                        assert_matches_oracle(vocab, attribute, [value; 8]);
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prop_rule_abducer_matches_the_oracle(seed in 0u64..u64::MAX) {
+                let mut r = StdRng::seed_from_u64(seed);
+                for vocab in VOCABS.map(|v| v()) {
+                    for attribute in Attribute::ALL {
+                        let card = vocab.cardinality(attribute);
+                        // Uniform in-range rows.
+                        let v: [usize; 8] = std::array::from_fn(|_| r.gen_range(0..card));
+                        assert_matches_oracle(vocab, attribute, v);
+                    }
+                    // Rows a generator drew from each dataset's rules, so that the
+                    // rules fire, with one cell mis-read half the time.
+                    for dataset in DatasetKind::ALL {
+                        let rules = RuleSet::random_with(dataset.rule_pool(), vocab, &mut r);
+                        let panels: Vec<Panel> = (0..3)
+                            .flat_map(|_| rules.generate_row_with(vocab, &mut r))
+                            .collect();
+                        for attribute in Attribute::ALL {
+                            let card = vocab.cardinality(attribute);
+                            let mut v: [usize; 8] =
+                                std::array::from_fn(|i| panels[i].value(attribute));
+                            if r.gen_bool(0.5) {
+                                v[r.gen_range(0..8usize)] = r.gen_range(0..card);
+                            }
+                            assert_matches_oracle(vocab, attribute, v);
+                        }
                     }
                 }
             }

@@ -1,7 +1,8 @@
 //! Repository-level invariants of the batched solver, through the public API only:
 //!
 //! 1. solving is chunk-invariant on every backend — one call, 3+5 and 1×8 give the
-//!    same reports, answers and rng consumption;
+//!    same reports, answers and rng consumption, and so do one call and 1×6 over a
+//!    stream that mixes RAVEN, CVR and PGM problems;
 //! 2. a fixed seed gives a fixed end-to-end outcome;
 //! 3. limit-cycle detection only stops resonator rows that would never converge;
 //! 4. enlarged vocabularies are rejected by a RAVEN solver before any rng draw, and
@@ -16,7 +17,7 @@
 //!    like the uncapped one.
 
 use cogsys::{CogSysConfig, CogSysSystem};
-use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, ProblemGenerator};
+use cogsys_datasets::{AttributeVocab, DatasetKind, Panel, Problem, ProblemGenerator};
 use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::{
@@ -36,9 +37,18 @@ fn batched_solve_is_invariant_to_chunking() {
         let mut setup = rng(41);
         let config = SolverConfig::default().with_backend(backend);
         let solver = NeurosymbolicSolver::new(config, &mut setup);
-        let problems = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut setup);
+        let raven = ProblemGenerator::new(DatasetKind::Raven).generate_batch(8, &mut setup);
+        // A mixed stream: RAVEN (8 candidates), CVR (4) and PGM (8, logical rules)
+        // interleaved in one call, so each problem's row, seed and candidate
+        // offsets differ from a single-dataset call's.
+        let mut mixed = Vec::new();
+        for _ in 0..2 {
+            for dataset in [DatasetKind::Raven, DatasetKind::Cvr, DatasetKind::Pgm] {
+                mixed.push(ProblemGenerator::new(dataset).generate(&mut setup));
+            }
+        }
 
-        let solve_in = |sizes: &[usize]| {
+        let solve_in = |problems: &[Problem], sizes: &[usize]| {
             let mut r = setup.clone();
             let mut scratch = SolverScratch::default();
             let mut report = SolverReport::default();
@@ -57,18 +67,26 @@ fn batched_solve_is_invariant_to_chunking() {
             assert_eq!(start, problems.len());
             (report, choices, r.next_u64())
         };
-        let whole = solve_in(&[8]);
+        let whole = solve_in(&raven, &[8]);
         assert_eq!(whole.0.problems, 8, "{backend}");
         assert_eq!(whole.1.len(), 8, "{backend}");
         assert_eq!(
-            solve_in(&[3, 5]),
+            solve_in(&raven, &[3, 5]),
             whole,
             "{backend}: 3+5 differs from one call"
         );
         assert_eq!(
-            solve_in(&[1; 8]),
+            solve_in(&raven, &[1; 8]),
             whole,
             "{backend}: 1x8 differs from one call"
+        );
+
+        let whole = solve_in(&mixed, &[6]);
+        assert_eq!(whole.0.problems, 6, "{backend}");
+        assert_eq!(
+            solve_in(&mixed, &[1; 6]),
+            whole,
+            "{backend}: mixed 1x6 differs from one call"
         );
     }
 }
