@@ -104,10 +104,10 @@ pub struct BenchRecord {
     pub dim: usize,
     /// Number of rows in the batch.
     pub batch: usize,
-    /// Wall-clock nanoseconds for one batched kernel call (one warm-up, then the
-    /// median of [`RESCUE_BENCH_ROUNDS`] rounds for the micro-kernel and
-    /// rescue-route cells, best of seven for `solve_batch` and its stage cells —
-    /// see the producing functions).
+    /// Wall-clock nanoseconds for one batched kernel call (the median of
+    /// [`RESCUE_BENCH_ROUNDS`] warm rounds for the micro-kernel and rescue-route
+    /// cells, one warm-up then the best of seven for `solve_batch` and its stage
+    /// cells — see the producing functions).
     pub ns_per_op: f64,
 }
 
@@ -124,22 +124,27 @@ pub const BENCH_CODEBOOK_ROWS: usize = 64;
 /// and each rescue-route cell of [`product_scan_records`].
 pub const RESCUE_BENCH_ROUNDS: usize = 9;
 
-/// Seconds per call of `f`: one warm-up call, then the median of
-/// [`RESCUE_BENCH_ROUNDS`] timed calls. On a shared core a median is not moved
-/// by the odd round that runs fast or slow the way a minimum is.
-fn median_secs(f: &mut dyn FnMut()) -> f64 {
-    median_secs_each::<1>(&mut |_| f())[0]
-}
-
-/// [`median_secs`] of `SIDES` calls `f(0)`, `f(1)`, … timed in alternating
-/// rounds of one loop: a swing in host speed reaches every side, so the ratio
-/// of a cell to its twin holds steadier than medians taken one after another.
-fn median_secs_each<const SIDES: usize>(f: &mut dyn FnMut(usize)) -> [f64; SIDES] {
+/// Seconds per call of each of `SIDES` calls `f(0)`, `f(1)`, …: one warm-up call
+/// each, then the median of [`RESCUE_BENCH_ROUNDS`] rounds, the sides alternating
+/// inside every round. On a shared core a median is not moved by the odd round
+/// that runs fast or slow the way a minimum is, and a swing in host speed reaches
+/// every side, so the ratio of a cell to its twin holds steadier than medians
+/// taken one after another.
+///
+/// With `rewarm`, each timed call also follows an untimed call of the same side.
+/// Twins that stream megabytes of `f32` need it: they evict a packed kernel's
+/// planes, and a packed call timed straight after one read 1.3–1.7× its in-loop
+/// cost on a 2-vCPU AVX-512 VM. Sides that share one buffer need none, and the
+/// `noise_signs` rules (branchy on identical input) read differently with it.
+fn median_secs_each<const SIDES: usize>(rewarm: bool, f: &mut dyn FnMut(usize)) -> [f64; SIDES] {
     use std::time::Instant;
     (0..SIDES).for_each(&mut *f);
     let mut rounds = [[0.0f64; RESCUE_BENCH_ROUNDS]; SIDES];
     for round in 0..RESCUE_BENCH_ROUNDS {
         for (side, times) in rounds.iter_mut().enumerate() {
+            if rewarm {
+                f(side);
+            }
             let t = Instant::now();
             f(side);
             times[round] = t.elapsed().as_secs_f64();
@@ -151,11 +156,31 @@ fn median_secs_each<const SIDES: usize>(f: &mut dyn FnMut(usize)) -> [f64; SIDES
     })
 }
 
+/// The records of a cell (side 0) and its same-run twin (side 1), timed
+/// together by [`median_secs_each`]: `backends[side]` names side `side`.
+fn twin_records(
+    backends: [&str; 2],
+    kernel: &str,
+    dim: usize,
+    batch: usize,
+    secs: [f64; 2],
+) -> [BenchRecord; 2] {
+    std::array::from_fn(|side| BenchRecord {
+        backend: backends[side].to_string(),
+        kernel: kernel.to_string(),
+        dim,
+        batch,
+        ns_per_op: secs[side] * 1e9,
+    })
+}
+
 /// Measures the hot batch kernels — codebook cleanup and the full similarity GEMM
 /// of **pre-packed** `BitMatrix` queries, the fused sign projection, and the
-/// bounded-noise sign perturbation — for every [`BackendKind`] across the requested
-/// dimensionalities and batch sizes. Each record is the median of
-/// [`RESCUE_BENCH_ROUNDS`] timed rounds after one warm-up.
+/// bounded-noise sign perturbation — as `packed` cells beside same-run
+/// `reference` twins, across the requested dimensionalities and batch sizes.
+/// Each record is the median of [`RESCUE_BENCH_ROUNDS`] timed rounds, every cell
+/// and its twin alternating round by round, so a host-speed swing reaches both
+/// sides of the ratio.
 ///
 /// The cleanup and similarity cells call the kernels directly on a random
 /// [`Codebook`]: on the packed backend, the popcount scan behind every codebook
@@ -171,8 +196,7 @@ fn median_secs_each<const SIDES: usize>(f: &mut dyn FnMut(usize)) -> [f64; SIDES
 /// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
 /// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
 /// `reference`) on accumulators where a third of the elements, scattered inside
-/// every word, lie within the amplitude; the two rules are timed in alternating
-/// rounds of one loop, so a host-speed swing reaches both sides of the ratio.
+/// every word, lie within the amplitude.
 pub fn backend_throughput_records(
     dims: &[usize],
     batches: &[usize],
@@ -201,51 +225,40 @@ pub fn backend_throughput_records(
             }
 
             let planes = codebook.packed().expect("random codebooks are bipolar");
-            for kind in BackendKind::ALL {
-                let backend = kind.create();
-                // Pre-packed queries on both sides: the packed kernels scan the
-                // cached sign planes, the reference kernels unpack the queries and
-                // run on the f32 codebook matrix.
-                let mut dense = HvMatrix::default();
-                let mut scratch = CleanupScratch::default();
-                let mut best = Vec::new();
-                let prepacked = median_secs(&mut || match backend.as_packed() {
-                    Some(packed) => {
-                        packed.cleanup_batch_packed_into(planes, &a_bits, &mut scratch, &mut best)
-                    }
-                    None => {
-                        a_bits.unpack_into(&mut dense);
-                        best = ReferenceBackend
-                            .cleanup_batch(codebook.matrix(), &dense)
-                            .expect("shapes match");
-                    }
-                });
-                records.push(BenchRecord {
-                    backend: kind.to_string(),
-                    kernel: "cleanup_prepacked".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: prepacked * 1e9,
-                });
-                let mut sims = HvMatrix::default();
-                let sims_prepacked = median_secs(&mut || match backend.as_packed() {
-                    Some(packed) => {
-                        packed.similarity_matrix_packed_into(planes, &a_bits, &mut sims)
-                    }
-                    None => {
-                        a_bits.unpack_into(&mut dense);
-                        ReferenceBackend
-                            .similarity_matrix_into(codebook.matrix(), &dense, &mut sims)
-                            .expect("shapes match");
-                    }
-                });
-                records.push(BenchRecord {
-                    backend: kind.to_string(),
-                    kernel: "similarity_prepacked".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: sims_prepacked * 1e9,
-                });
+            // Pre-packed queries on both sides: the packed kernels scan the cached
+            // sign planes, their reference twins unpack the queries and run on the
+            // f32 codebook matrix.
+            let packed = cogsys_vsa::PackedBackend::new();
+            let mut dense = HvMatrix::default();
+            let mut scratch = CleanupScratch::default();
+            let mut best = Vec::new();
+            let cleanup = median_secs_each::<2>(true, &mut |side| {
+                if side == 0 {
+                    packed.cleanup_batch_packed_into(planes, &a_bits, &mut scratch, &mut best);
+                } else {
+                    a_bits.unpack_into(&mut dense);
+                    best = ReferenceBackend
+                        .cleanup_batch(codebook.matrix(), &dense)
+                        .expect("shapes match");
+                }
+            });
+            let mut sims = HvMatrix::default();
+            let similarity = median_secs_each::<2>(true, &mut |side| {
+                if side == 0 {
+                    packed.similarity_matrix_packed_into(planes, &a_bits, &mut sims);
+                } else {
+                    a_bits.unpack_into(&mut dense);
+                    ReferenceBackend
+                        .similarity_matrix_into(codebook.matrix(), &dense, &mut sims)
+                        .expect("shapes match");
+                }
+            });
+            let twins = ["packed", "reference"];
+            for (kernel, secs) in [
+                ("cleanup_prepacked", cleanup),
+                ("similarity_prepacked", similarity),
+            ] {
+                records.extend(twin_records(twins, kernel, dim, batch, secs));
             }
             records.extend(project_signs_cells("project_signs", &codebook, &weights));
 
@@ -271,7 +284,7 @@ pub fn backend_throughput_records(
                 })
                 .collect();
             let mut values = base.clone();
-            let perturb = median_secs_each::<2>(&mut |side| {
+            let perturb = median_secs_each::<2>(false, &mut |side| {
                 values.copy_from_slice(&base);
                 let mut r = cogsys_vsa::rng(seed ^ 0x4015E);
                 for row in values.chunks_mut(dim) {
@@ -282,15 +295,7 @@ pub fn backend_throughput_records(
                     }
                 }
             });
-            for (label, perturb) in ["packed", "reference"].into_iter().zip(perturb) {
-                records.push(BenchRecord {
-                    backend: label.to_string(),
-                    kernel: "noise_signs".to_string(),
-                    dim,
-                    batch,
-                    ns_per_op: perturb * 1e9,
-                });
-            }
+            records.extend(twin_records(twins, "noise_signs", dim, batch, perturb));
         }
     }
     records
@@ -408,8 +413,9 @@ pub const PRODUCT_SCAN_BENCH_ROWS: usize = 512;
 ///   the block's factor codebooks (the solver's block factorizer capped at one
 ///   iteration, at the default stochasticity, noise draws included).
 ///
-/// Both are recorded as `packed`, the median of [`RESCUE_BENCH_ROUNDS`] rounds
-/// after one warm-up. Each scan has a same-run `reference` twin, as
+/// Both are recorded as `packed`, the median of [`RESCUE_BENCH_ROUNDS`] rounds,
+/// each timed in alternating rounds with its same-run twin.
+/// Each scan has a same-run `reference` twin, as
 /// `cleanup_prepacked` has: [`ReferenceBackend::cleanup_batch`] over the unpacked
 /// product planes and queries, checked to pick the scan's rows, so the guard
 /// gates the scan by its twin. The sweeps have none, so the guard compares them
@@ -459,13 +465,6 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
             .collect();
         for set in &blocks {
             let product = ProductCodebook::expand(set).expect("RAVEN product spaces expand");
-            let mut scratch = CleanupScratch::default();
-            let mut best = Vec::new();
-            let scan = median_secs(&mut || {
-                product
-                    .search_batch_bits_into(&queries, &mut scratch, &mut best)
-                    .expect("shapes match");
-            });
             // The scan's same-run reference twin, as `cleanup_prepacked` has:
             // the f32 oracle cleanup over the unpacked product planes, on the
             // unpacked queries. It must pick the scan's rows.
@@ -477,13 +476,21 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                 })
                 .collect();
             let products = HvMatrix::from_rows(&products).expect("products share a dimension");
+            let mut scratch = CleanupScratch::default();
+            let mut best = Vec::new();
             let mut dense = HvMatrix::default();
             let mut oracle = Vec::new();
-            let twin = median_secs(&mut || {
-                queries.unpack_into(&mut dense);
-                oracle = ReferenceBackend
-                    .cleanup_batch(&products, &dense)
-                    .expect("shapes match");
+            let scan = median_secs_each::<2>(true, &mut |side| {
+                if side == 0 {
+                    product
+                        .search_batch_bits_into(&queries, &mut scratch, &mut best)
+                        .expect("shapes match");
+                } else {
+                    queries.unpack_into(&mut dense);
+                    oracle = ReferenceBackend
+                        .cleanup_batch(&products, &dense)
+                        .expect("shapes match");
+                }
             });
             let rows_of = |best: &[(usize, f32)]| best.iter().map(|b| b.0).collect::<Vec<_>>();
             assert_eq!(
@@ -491,8 +498,13 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                 rows_of(&oracle),
                 "product scan diverged from its reference twin"
             );
-            let sweep = |stochasticity| {
-                let factorizer = Factorizer::with_backend(
+            // The sweep at the default stochasticity (side 0) and its noise-free twin.
+            let factorizers = [
+                FactorizerConfig::default().stochasticity,
+                StochasticityConfig::disabled(),
+            ]
+            .map(|stochasticity| {
+                Factorizer::with_backend(
                     FactorizerConfig {
                         convergence_threshold: NeurosymbolicSolver::block_convergence_threshold(2),
                         stochasticity,
@@ -500,30 +512,21 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
                     }
                     .with_max_iterations(1),
                     std::sync::Arc::clone(&backend),
-                );
-                let mut fscratch = FactorizerScratch::default();
-                median_secs(&mut || {
-                    let mut round = streams.clone();
-                    factorizer
-                        .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch)
-                        .expect("shapes match");
-                })
-            };
-            let noisy = sweep(FactorizerConfig::default().stochasticity);
-            let noise_free = sweep(StochasticityConfig::disabled());
-            for (backend, kernel, secs) in [
-                ("packed", "product_scan", scan),
-                ("reference", "product_scan", twin),
-                ("packed", "factorize_sweep", noisy),
-                ("noise_free_twin", "factorize_sweep", noise_free),
+                )
+            });
+            let mut fscratch: [FactorizerScratch; 2] = Default::default();
+            let sweep = median_secs_each::<2>(true, &mut |side| {
+                let mut round = streams.clone();
+                factorizers[side]
+                    .factorize_matrix_bits_scratch(set, &queries, &mut round, &mut fscratch[side])
+                    .expect("shapes match");
+            });
+            for (backends, kernel, secs) in [
+                (["packed", "reference"], "product_scan", scan),
+                (["packed", "noise_free_twin"], "factorize_sweep", sweep),
             ] {
-                records.push(BenchRecord {
-                    backend: backend.to_string(),
-                    kernel: format!("{kernel}_{}", product.len()),
-                    dim,
-                    batch: rows,
-                    ns_per_op: secs * 1e9,
-                });
+                let kernel = format!("{kernel}_{}", product.len());
+                records.extend(twin_records(backends, &kernel, dim, rows, secs));
             }
         }
     }
@@ -541,44 +544,42 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
 ///   sign planes must equal the packed cell's bitwise: every projection tier sums
 ///   in the reference's ascending row order.
 ///
-/// Each cell is the median of [`RESCUE_BENCH_ROUNDS`] rounds after a warm-up.
-fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) -> Vec<BenchRecord> {
+/// Each cell is the median of [`RESCUE_BENCH_ROUNDS`] rounds, the two timed in
+/// alternating rounds ([`median_secs_each`]).
+fn project_signs_cells(kernel: &str, codebook: &Codebook, weights: &HvMatrix) -> [BenchRecord; 2] {
     use cogsys_vsa::packed::BitMatrix;
 
     let (dim, batch) = (codebook.dim(), weights.rows());
     let planes = codebook.packed().expect("random codebooks are bipolar");
-    let cell = |backend: &str, secs: f64| BenchRecord {
-        backend: backend.to_string(),
-        kernel: kernel.to_string(),
-        dim,
-        batch,
-        ns_per_op: secs * 1e9,
-    };
     let packed = cogsys_vsa::PackedBackend::new();
     let mut acc = Vec::new();
     let mut packed_bits = BitMatrix::default();
-    let packed_secs = median_secs(&mut || {
-        packed.project_signs_packed_into(planes, weights, |_, _| {}, &mut acc, &mut packed_bits);
-    });
     let mut dense = HvMatrix::default();
     let mut dense_bits = BitMatrix::default();
-    let reference_secs = median_secs(&mut || {
-        ReferenceBackend
-            .project_batch_into(codebook.matrix(), weights, &mut dense)
-            .expect("shapes match");
-        dense_bits.ensure_shape(batch, dim);
-        for q in 0..batch {
-            dense_bits.pack_signs_row(q, dense.row(q));
+    let secs = median_secs_each::<2>(true, &mut |side| {
+        if side == 0 {
+            packed.project_signs_packed_into(
+                planes,
+                weights,
+                |_, _| {},
+                &mut acc,
+                &mut packed_bits,
+            );
+        } else {
+            ReferenceBackend
+                .project_batch_into(codebook.matrix(), weights, &mut dense)
+                .expect("shapes match");
+            dense_bits.ensure_shape(batch, dim);
+            for q in 0..batch {
+                dense_bits.pack_signs_row(q, dense.row(q));
+            }
         }
     });
     assert_eq!(
         packed_bits, dense_bits,
         "packed {kernel} diverged from its reference twin"
     );
-    vec![
-        cell("packed", packed_secs),
-        cell("reference", reference_secs),
-    ]
+    twin_records(["packed", "reference"], kernel, dim, batch, secs)
 }
 
 /// Codebook lengths of the RAVEN factor codebooks the resonator projects onto

@@ -221,11 +221,10 @@ fn converges(config: &FactorizerConfig, similarity: f32) -> bool {
 /// [`QueryState::reset`] per query, so the steady state reuses its vectors.
 #[derive(Debug, Default)]
 struct QueryState {
+    /// The noise schedule's current sigmas; each engine perturbs through
+    /// [`BoundedNoise::for_sigma`] of them.
     sim_sigma: f32,
     proj_sigma: f32,
-    /// Noise kernels for the current sigmas, rebuilt only when the schedule decays.
-    sim_noise: Option<BoundedNoise>,
-    proj_noise: Option<BoundedNoise>,
     decoded: Vec<usize>,
     best_indices: Vec<usize>,
     best_similarity: f32,
@@ -239,8 +238,6 @@ impl QueryState {
     fn reset(&mut self, config: &FactorizerConfig, num_factors: usize, noise_scale: f32) {
         self.sim_sigma = config.stochasticity.similarity_sigma * noise_scale;
         self.proj_sigma = config.stochasticity.projection_sigma * noise_scale;
-        self.sim_noise = BoundedNoise::for_sigma(self.sim_sigma);
-        self.proj_noise = BoundedNoise::for_sigma(self.proj_sigma);
         self.decoded.clear();
         self.decoded.resize(num_factors, 0);
         self.best_indices.clear();
@@ -315,8 +312,6 @@ impl QueryState {
         if config.stochasticity.decay != 1.0 {
             self.sim_sigma *= config.stochasticity.decay;
             self.proj_sigma *= config.stochasticity.decay;
-            self.sim_noise = BoundedNoise::for_sigma(self.sim_sigma);
-            self.proj_noise = BoundedNoise::for_sigma(self.proj_sigma);
         }
         false
     }
@@ -608,14 +603,14 @@ impl Factorizer {
 
                     // Step 2: similarity search against the factor codebook.
                     ReferenceBackend.similarity_matrix_into(cb_matrix, &unbound, sims)?;
-                    if let Some(noise) = &state.sim_noise {
+                    if let Some(noise) = BoundedNoise::for_sigma(state.sim_sigma) {
                         noise.perturb_all(sims.row_mut(0), stream);
                     }
                     state.decoded[f] = ops::argmax(sims.row(0)).unwrap_or(0);
 
                     // Step 3: project back into the codevector space and binarise.
                     ReferenceBackend.project_batch_into(cb_matrix, sims, &mut projected)?;
-                    if let Some(noise) = &state.proj_noise {
+                    if let Some(noise) = BoundedNoise::for_sigma(state.proj_sigma) {
                         noise.perturb_signs(projected.row_mut(0), stream);
                     }
                     fake_quantize_slice(projected.row_mut(0), precision);
@@ -762,7 +757,7 @@ impl Factorizer {
                         let state = &mut states[q];
                         match phase {
                             ResonatePhase::Similarity => {
-                                if let Some(noise) = &state.sim_noise {
+                                if let Some(noise) = BoundedNoise::for_sigma(state.sim_sigma) {
                                     noise.perturb_all(row, &mut streams[q]);
                                 }
                                 state.decoded[f] = ops::argmax(row).unwrap_or(0);
@@ -788,7 +783,7 @@ impl Factorizer {
                                     && state.reads_final_state(&self.config, iteration)
                             }
                             ResonatePhase::Projection => {
-                                if let Some(noise) = &state.proj_noise {
+                                if let Some(noise) = BoundedNoise::for_sigma(state.proj_sigma) {
                                     noise.perturb_signs(row, &mut streams[q]);
                                 }
                                 fake_quantize_slice(row, precision);

@@ -26,9 +26,10 @@
 //! included) and the cleanup (codebook and product) scan — is one register-tiled
 //! kernel: a 2-query × 4-row tile keeps one popcount accumulator per (query, row)
 //! pair across every word and reduces all eight together once, so no pair pays a
-//! call or a horizontal reduce of its own. The single-pair dot products run the
-//! same tile at 1 × 1. Every tier ([`dispatch_tier`]) returns the same integer
-//! distances.
+//! call or a horizontal reduce of its own. The single-pair dot products
+//! ([`BitMatrix::dot_rows`]) call the same kernel on one query and one row, which
+//! it runs as its 1 × 1 tile. Every tier ([`dispatch_tier`]) returns the same
+//! integer distances.
 //!
 //! The one `f32` kernel on sign planes is the resonator's weighted sign projection,
 //! `acc[j] = Σ_m ±w[m]` over a codebook's rows. It runs one query row at a time: for
@@ -40,7 +41,9 @@
 //! per 16 dims, indexed by per-dimension codes built once per call (on AVX2 the
 //! first three, from an 8-entry table and `vpermps`). Every tier
 //! adds the same `±w` sequence to each dimension in ascending codebook-row order
-//! from `+0.0`, so every tier packs the same signs.
+//! from `+0.0`, so every tier packs the same signs. That `v < 0.0` sign pack
+//! ([`BitMatrix::pack_signs_row`]) also packs the exactly-bipolar rows of the `f32`
+//! boundary ([`BitMatrix::pack_from`]).
 
 use crate::batch::{HvMatrix, VsaBackend};
 use crate::error::VsaError;
@@ -90,24 +93,6 @@ pub struct BitMatrix {
     words_per_row: usize,
 }
 
-/// IEEE sign bits of eight lanes gathered into the low byte — the scalar spelling of
-/// a `movmskps`-style extraction. The fixed `[f32; 8]` shape removes bounds checks and
-/// the variable per-bit shift of a 64-step loop, so the eight extractions are
-/// independent and combine as a tree instead of one serial OR chain.
-#[inline]
-fn sign_mask8(lane: &[f32; 8]) -> u64 {
-    let s = |i: usize| u64::from(lane[i].to_bits() >> 31) << i;
-    ((s(0) | s(1)) | (s(2) | s(3))) | ((s(4) | s(5)) | (s(6) | s(7)))
-}
-
-/// OR-accumulated "not exactly `±1.0`" detector for eight lanes: `|v| == 1.0` iff the
-/// magnitude bits equal those of `1.0`, so the XOR is zero exactly on bipolar input.
-#[inline]
-fn nonbipolar_mask8(lane: &[f32; 8]) -> u32 {
-    let b = |i: usize| (lane[i].to_bits() & 0x7fff_ffff) ^ 0x3f80_0000;
-    ((b(0) | b(1)) | (b(2) | b(3))) | ((b(4) | b(5)) | (b(6) | b(7)))
-}
-
 /// Negative-mask of eight lanes under the estimate-binarisation convention `v < 0.0`
 /// (`-0.0` packs to `+1`, unlike the raw IEEE sign bit).
 #[inline]
@@ -116,37 +101,18 @@ fn neg_mask8(lane: &[f32; 8]) -> u64 {
     ((s(0) | s(1)) | (s(2) | s(3))) | ((s(4) | s(5)) | (s(6) | s(7)))
 }
 
-/// Packs one `f32` row into sign-plane words, returning `false` if any element is not
-/// exactly `±1.0` (the packed representation would silently drop magnitudes).
-///
-/// Branchless: whole 8-lane groups flow through [`sign_mask8`] / [`nonbipolar_mask8`]
-/// and the bipolarity verdict is OR-accumulated instead of tested per element, so the
-/// first pack at the encode boundary runs at SIMD gather speed rather than one
-/// test-and-shift per dimension.
-fn pack_row_strict(row: &[f32], words: &mut [u64]) -> bool {
-    let mut bad = 0u32;
-    for (chunk, word) in row.chunks(WORD_BITS).zip(words.iter_mut()) {
-        let mut w = 0u64;
-        let mut lanes = chunk.chunks_exact(8);
-        for (group, lane) in lanes.by_ref().enumerate() {
-            let lane: &[f32; 8] = lane.try_into().expect("chunks_exact(8) yields 8 lanes");
-            bad |= nonbipolar_mask8(lane);
-            w |= sign_mask8(lane) << (group * 8);
-        }
-        let tail_base = chunk.len() - lanes.remainder().len();
-        for (offset, &v) in lanes.remainder().iter().enumerate() {
-            let b = v.to_bits();
-            bad |= (b & 0x7fff_ffff) ^ 0x3f80_0000;
-            w |= u64::from(b >> 31) << (tail_base + offset);
-        }
-        *word = w;
-    }
-    bad == 0
+/// Whether every element of `row` is exactly `±1.0`: a value's magnitude bits XOR
+/// those of `1.0` are zero only there, so one branchless OR over the row decides
+/// it, and `-0.0`, NaN and every other magnitude leave a bit set.
+fn is_bipolar(row: &[f32]) -> bool {
+    row.iter().fold(0u32, |bad, v| {
+        bad | ((v.to_bits() & 0x7fff_ffff) ^ 0x3f80_0000)
+    }) == 0
 }
 
 /// Packs the *signs* of an arbitrary `f32` row, using the `v < 0.0` convention of the
-/// estimate binarisation step (`-0.0` packs to `+1`, unlike the IEEE sign bit).
-/// Same unrolled 8-lane structure as [`pack_row_strict`].
+/// estimate binarisation step (`-0.0` packs to `+1`, unlike the IEEE sign bit): the
+/// scalar tier of the dispatched sign pack, eight lanes per [`neg_mask8`].
 fn pack_row_signs(row: &[f32], words: &mut [u64]) {
     for (chunk, word) in row.chunks(WORD_BITS).zip(words.iter_mut()) {
         let mut w = 0u64;
@@ -279,14 +245,12 @@ fn hamming_block_generic(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u
     hamming_block_with::<ScalarTile>(queries, rows, wpr, out);
 }
 
-/// Function-pointer type of the single-pair entry points behind [`Dispatch`]:
-/// each is its tier's 1 × 1 register tile, the Hamming distance of two rows of
-/// equal length.
-type HammingPairFn = fn(&[u64], &[u64]) -> u32;
-
-/// The generic tier's 1 × 1 tile.
-fn hamming_pair_generic(a: &[u64], b: &[u64]) -> u32 {
-    ScalarTile::tile::<1, 1>(a, b, a.len())[0][0]
+/// The Hamming distance of two rows of equal length through a block kernel: one
+/// query against one row, which [`hamming_block_with`] runs as its 1 × 1 tile.
+fn pair_distance(hamming_block: HammingBlockFn, a: &[u64], b: &[u64]) -> u32 {
+    let mut dist = [0];
+    hamming_block(a, b, a.len(), &mut dist);
+    dist[0]
 }
 
 /// SIMD width a kernel family resolved to on this CPU: the Hamming kernels report
@@ -328,14 +292,14 @@ impl std::fmt::Display for DispatchTier {
     }
 }
 
-/// Runtime-dispatched SIMD kernels: Hamming distance, the sign projection row
-/// kernel, the sign pack and the noise eligibility mask.
+/// Runtime-dispatched SIMD kernels: the Hamming block kernel, the sign projection
+/// row kernel, the sign pack and the noise eligibility mask.
 ///
 /// This module is the crate's **single scoped `unsafe_code` exception** (see the
 /// crate-level lint note): `#[target_feature]` functions cannot be called or coerced
 /// without `unsafe` even after cpuid verification, and the AVX loads go through raw
-/// pointers. Every function here is only reachable through a resolver ([`detect`],
-/// [`amplitude_mask_fn`]) that gates each tier on `is_x86_feature_detected!`.
+/// pointers. Every function here is only reachable through [`detect`], which gates
+/// each tier on `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
@@ -348,12 +312,6 @@ mod simd {
     #[target_feature(enable = "popcnt")]
     fn hamming_block_popcnt(queries: &[u64], rows: &[u64], wpr: usize, out: &mut [u32]) {
         super::hamming_block_with::<super::ScalarTile>(queries, rows, wpr, out);
-    }
-
-    /// The `popcnt` tier's 1 × 1 tile.
-    #[target_feature(enable = "popcnt")]
-    fn hamming_pair_popcnt(a: &[u64], b: &[u64]) -> u32 {
-        <super::ScalarTile as super::HammingTile>::tile::<1, 1>(a, b, a.len())[0][0]
     }
 
     /// Per-64-bit-lane popcount of a 256-bit vector: nibble-LUT `vpshufb` counts
@@ -1004,8 +962,8 @@ mod simd {
             values.len() <= super::WORD_BITS,
             "one mask word covers 64 values"
         );
-        // SAFETY: amplitude_mask_fn() returns this function only when the avx2
-        // feature was detected on the running CPU.
+        // SAFETY: detect() returns this function only when the avx2 feature was
+        // detected on the running CPU.
         unsafe { amplitude_mask_avx2(values, amplitude) }
     }
 
@@ -1094,30 +1052,6 @@ mod simd {
         unsafe { hamming_block_popcnt(queries, rows, wpr, out) }
     }
 
-    /// Safe wrapper over [`hamming_pair_popcnt`]; only reachable after cpuid
-    /// detection.
-    pub(super) fn hamming_pair_popcnt_checked(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: detect() returns this function only when the popcnt feature was
-        // detected on the running CPU.
-        unsafe { hamming_pair_popcnt(a, b) }
-    }
-
-    /// Safe wrapper over [`tile_avx2`] as a 1 × 1 tile; only reachable after
-    /// cpuid detection.
-    pub(super) fn hamming_pair_avx2_checked(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: detect() returns this function only when the avx2 feature was
-        // detected on the running CPU.
-        unsafe { tile_avx2::<1, 1>(a, b, a.len())[0][0] }
-    }
-
-    /// Safe wrapper over [`tile_avx512`] as a 1 × 1 tile; only reachable after
-    /// cpuid detection.
-    pub(super) fn hamming_pair_avx512_checked(a: &[u64], b: &[u64]) -> u32 {
-        // SAFETY: detect() returns this function only when the avx512f and
-        // avx512vpopcntdq features were detected on the running CPU.
-        unsafe { tile_avx512::<1, 1>(a, b, a.len())[0][0] }
-    }
-
     /// Safe wrapper over [`hamming_block_avx2`]; only reachable after cpuid
     /// detection.
     pub(super) fn hamming_block_avx2_checked(
@@ -1145,18 +1079,18 @@ mod simd {
     }
 }
 
-/// The kernels runtime dispatch resolved to, with the tier of each family: the
-/// Hamming tiers need popcount features the projection does not, so the two
-/// can differ on one CPU.
+/// The kernels runtime dispatch resolved to, one per sign-plane operation, with
+/// the tier of each family: the Hamming tiers need popcount features the
+/// projection does not, so the two can differ on one CPU.
 #[derive(Clone, Copy)]
 struct Dispatch {
     hamming_tier: DispatchTier,
     hamming_block: HammingBlockFn,
-    hamming_pair: HammingPairFn,
     projection_tier: DispatchTier,
     prefix_codes: PrefixCodesFn,
     project_row: ProjectRowFn,
     pack_signs: PackSignsFn,
+    amplitude_mask: AmplitudeMaskFn,
 }
 
 /// Probes the CPU once and picks the widest supported tier of each kernel family,
@@ -1175,11 +1109,11 @@ fn detect() -> Dispatch {
     let mut found = Dispatch {
         hamming_tier: DispatchTier::Generic,
         hamming_block: hamming_block_generic,
-        hamming_pair: hamming_pair_generic,
         projection_tier: DispatchTier::Generic,
         prefix_codes: no_prefix_codes,
         project_row: project_row_generic,
         pack_signs: pack_row_signs,
+        amplitude_mask: amplitude_mask_generic,
     };
     #[cfg(target_arch = "x86_64")]
     {
@@ -1189,15 +1123,12 @@ fn detect() -> Dispatch {
         if avx512f && is_x86_feature_detected!("avx512vpopcntdq") {
             found.hamming_tier = DispatchTier::Avx512;
             found.hamming_block = simd::hamming_block_avx512_checked;
-            found.hamming_pair = simd::hamming_pair_avx512_checked;
         } else if avx2 {
             found.hamming_tier = DispatchTier::Avx2;
             found.hamming_block = simd::hamming_block_avx2_checked;
-            found.hamming_pair = simd::hamming_pair_avx2_checked;
         } else if cap >= DispatchTier::Popcnt && is_x86_feature_detected!("popcnt") {
             found.hamming_tier = DispatchTier::Popcnt;
             found.hamming_block = simd::hamming_block_popcnt_checked;
-            found.hamming_pair = simd::hamming_pair_popcnt_checked;
         }
         if avx512f {
             found.projection_tier = DispatchTier::Avx512;
@@ -1210,6 +1141,9 @@ fn detect() -> Dispatch {
             found.project_row = simd::project_row_avx2_checked;
             found.pack_signs = simd::pack_row_signs_avx2_checked;
         }
+        if avx2 {
+            found.amplitude_mask = simd::amplitude_mask_avx2_checked;
+        }
     }
     let _ = cap;
     found
@@ -1217,9 +1151,9 @@ fn detect() -> Dispatch {
 
 /// The resolved kernels, cached process-wide: after the first call, dispatch is
 /// one atomic load — cheap enough that even the single-pair
-/// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths pay no cpuid or env
-/// probe per call. The scans fetch the kernel once per call, so nothing at all
-/// sits on the per-row path.
+/// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths and each
+/// [`amplitude_mask_fn`] call pay no cpuid or env probe. The scans fetch the
+/// kernel once per call, so nothing at all sits on the per-row path.
 static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
 #[inline]
@@ -1266,16 +1200,12 @@ fn amplitude_mask_generic(values: &[f32], amplitude: f32) -> u64 {
         .fold(0, |m, (j, v)| m | u64::from(v.abs() <= amplitude) << j)
 }
 
-/// Resolves the amplitude-mask kernel for this CPU: one vector compare per
-/// eight values on the avx2/avx512 tiers, the scalar rule otherwise. Capped by
-/// `COGSYS_SIMD` like every other kernel. Every tier returns the identical mask,
-/// and every tier panics on slices longer than 64 values.
+/// The amplitude-mask kernel runtime dispatch resolved to (cached with every
+/// other kernel): one vector compare per eight values when `avx2` is detected
+/// and `COGSYS_SIMD` allows it, the scalar rule otherwise. Every tier returns
+/// the identical mask, and every tier panics on slices longer than 64 values.
 pub fn amplitude_mask_fn() -> AmplitudeMaskFn {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_tier() >= DispatchTier::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        return simd::amplitude_mask_avx2_checked;
-    }
-    amplitude_mask_generic
+    dispatch().amplitude_mask
 }
 
 /// Which sub-step of the resonator iteration a
@@ -1457,19 +1387,24 @@ impl BitMatrix {
     }
 
     /// Re-packs `m` into this matrix's storage (reshaping as needed), returning whether
-    /// every element was exactly `±1.0`. On `false` the contents are unspecified —
-    /// packing bails at the first non-bipolar row so the dense fallback stays cheap.
-    /// A zero-dimension matrix with rows is refused like any other unpackable input.
+    /// every element was exactly `±1.0`. Each row is checked first and then packed by
+    /// the dispatched sign pack, whose `v < 0.0` rule sets the IEEE sign bit on a
+    /// bipolar row. On `false` the contents are unspecified — packing bails at the
+    /// first non-bipolar row so the dense fallback stays cheap. A zero-dimension
+    /// matrix with rows is refused like any other unpackable input.
     pub fn pack_from(&mut self, m: &HvMatrix) -> bool {
         if m.rows() > 0 && m.dim() == 0 {
             return false;
         }
         self.ensure_shape(m.rows(), m.dim());
+        let pack_signs = dispatch().pack_signs;
         for i in 0..m.rows() {
-            let start = i * self.words_per_row;
-            if !pack_row_strict(m.row(i), &mut self.words[start..start + self.words_per_row]) {
+            let row = m.row(i);
+            if !is_bipolar(row) {
                 return false;
             }
+            let start = i * self.words_per_row;
+            pack_signs(row, &mut self.words[start..start + self.words_per_row]);
         }
         true
     }
@@ -1707,7 +1642,11 @@ impl BitMatrix {
     /// Panics on out-of-range rows and on operands of different dimensions.
     pub fn dot_rows(&self, i: usize, other: &Self, j: usize) -> i32 {
         assert_eq!(self.dim, other.dim, "operand dims must match");
-        let dist = (dispatch().hamming_pair)(self.row_words(i), other.row_words(j));
+        let dist = pair_distance(
+            dispatch().hamming_block,
+            self.row_words(i),
+            other.row_words(j),
+        );
         self.dim as i32 - 2 * dist as i32
     }
 
@@ -2148,6 +2087,21 @@ mod tests {
         let zero = HvMatrix::zeros(2, 8);
         assert!(BitMatrix::from_matrix(&zero).is_none());
         assert!(BitMatrix::from_hypervectors(&[Hypervector::zeros(4)]).is_err());
+        // Values the `v < 0.0` sign pack would accept without complaint: `-0.0`
+        // (packs like `+1`), NaN (never negative) and a magnitude one ulp past
+        // `1.0`. Each is refused alone, in a full 8-lane group, in a ragged
+        // tail and in a later row.
+        for bad in [-0.0f32, f32::NAN, -f32::NAN, 1.000_000_1, -1.000_000_1] {
+            for (dim, at) in [(1usize, 0usize), (8, 5), (67, 66), (130, 64)] {
+                let mut m = random_bipolar_matrix(2, dim, dim as u64);
+                assert!(BitMatrix::from_matrix(&m).is_some());
+                m.row_mut(1)[at] = bad;
+                assert!(
+                    BitMatrix::from_matrix(&m).is_none(),
+                    "{bad} at {at} of dim {dim} packed"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2424,7 +2378,7 @@ mod tests {
         assert!(bits.broadcast_row_into(3, 5, &mut out).is_err());
     }
 
-    /// Reference (pre-SIMD) packers the branchless versions must reproduce bit-exactly.
+    /// Reference (pre-SIMD) packers the dispatched ones must reproduce bit-exactly.
     fn pack_row_strict_reference(row: &[f32], words: &mut [u64]) -> bool {
         let mut exact = true;
         for (chunk, word) in row.chunks(64).zip(words.iter_mut()) {
@@ -2462,18 +2416,13 @@ mod tests {
                 // Non-pow2 tails included: every tail length class mod 8 and mod 64.
                 let dim = [1usize, 7, 8, 63, 64, 65, 100, 257][dim_sel];
                 let m = random_bipolar_matrix(2, dim, seed);
+                let mut packed = BitMatrix::default();
+                prop_assert!(packed.pack_from(&m));
                 let words = BitMatrix::words_for_dim(dim);
                 for i in 0..2 {
-                    let mut fast = vec![0u64; words];
                     let mut slow = vec![0u64; words];
-                    let ok_fast = pack_row_strict(m.row(i), &mut fast);
-                    let ok_slow = pack_row_strict_reference(m.row(i), &mut slow);
-                    prop_assert_eq!(ok_fast, ok_slow);
-                    prop_assert_eq!(&fast, &slow);
-                    // Strict and signs agree on exactly-bipolar rows (no -0.0 present).
-                    let mut signs = vec![0u64; words];
-                    pack_row_signs(m.row(i), &mut signs);
-                    prop_assert_eq!(&fast, &signs);
+                    prop_assert!(pack_row_strict_reference(m.row(i), &mut slow));
+                    prop_assert_eq!(packed.row_words(i), &slow[..]);
                 }
             }
 
@@ -2500,11 +2449,11 @@ mod tests {
                 pack_row_signs(&row, &mut fast);
                 pack_row_signs_reference(&row, &mut slow);
                 prop_assert_eq!(&fast, &slow);
-                // Any non-bipolar element must fail the strict packer, exactly like
+                // Any non-bipolar element must fail the strict pack, exactly like
                 // the reference (|v| == 1.0 bit test, so -0.0 and 0.0 both fail it).
-                let strict_ok = pack_row_strict(&row, &mut fast);
-                let all_bipolar = row.iter().all(|v| (v.to_bits() & 0x7fff_ffff) == 0x3f80_0000);
-                prop_assert_eq!(strict_ok, all_bipolar);
+                let m = HvMatrix::from_vec(row.clone(), 1, dim).unwrap();
+                let strict_ok = BitMatrix::default().pack_from(&m);
+                prop_assert_eq!(strict_ok, pack_row_strict_reference(&row, &mut slow));
             }
         }
     }
@@ -2514,42 +2463,61 @@ mod tests {
         use proptest::prelude::*;
         use rand::Rng;
 
-        /// A named Hamming tier: its block kernel and its single-pair kernel.
-        type TierKernel = (&'static str, HammingBlockFn, HammingPairFn);
-
-        /// Every Hamming tier available on the running CPU, by name, the generic
-        /// tile first; each is pinned against the scalar oracle.
-        fn available_tier_kernels() -> Vec<TierKernel> {
-            let mut kernels: Vec<TierKernel> =
-                vec![("generic", hamming_block_generic, hamming_pair_generic)];
+        /// Every Hamming block kernel available on the running CPU, by tier
+        /// name, the generic tile first; each is pinned against the scalar oracle.
+        fn available_tier_kernels() -> Vec<(&'static str, HammingBlockFn)> {
+            let mut kernels: Vec<(&'static str, HammingBlockFn)> =
+                vec![("generic", hamming_block_generic)];
             #[cfg(target_arch = "x86_64")]
             {
                 use std::arch::is_x86_feature_detected;
                 if is_x86_feature_detected!("popcnt") {
-                    kernels.push((
-                        "popcnt",
-                        simd::hamming_block_popcnt_checked,
-                        simd::hamming_pair_popcnt_checked,
-                    ));
+                    kernels.push(("popcnt", simd::hamming_block_popcnt_checked));
                 }
                 if is_x86_feature_detected!("avx2") {
-                    kernels.push((
-                        "avx2",
-                        simd::hamming_block_avx2_checked,
-                        simd::hamming_pair_avx2_checked,
-                    ));
+                    kernels.push(("avx2", simd::hamming_block_avx2_checked));
                 }
                 if is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512vpopcntdq")
                 {
-                    kernels.push((
-                        "avx512",
-                        simd::hamming_block_avx512_checked,
-                        simd::hamming_pair_avx512_checked,
-                    ));
+                    kernels.push(("avx512", simd::hamming_block_avx512_checked));
                 }
             }
             kernels
+        }
+
+        /// The single-pair distance behind `dot_rows`/`cosine_rows` (the block
+        /// kernel at 1 × 1) on every tier, and the two methods on the
+        /// dispatched tier, against the scalar oracle: 1–5 words, every dim a
+        /// word edge or a ragged tail, pairs of equal, complementary and random
+        /// rows.
+        #[test]
+        fn dot_and_cosine_rows_match_scalar_oracle_on_every_tier() {
+            let mut r = rng(37);
+            for dim in [
+                1usize, 63, 64, 65, 127, 128, 129, 191, 192, 200, 255, 256, 257, 300, 320,
+            ] {
+                let a = BitMatrix::random_bipolar(3, dim, &mut r);
+                let b = tie_heavy_rows(&a, 6, &mut r);
+                let expected = oracle_distances(&a, &b);
+                for (q, m) in (0..a.rows()).flat_map(|q| (0..b.rows()).map(move |m| (q, m))) {
+                    let dist = expected[q * b.rows() + m];
+                    for (name, block) in available_tier_kernels() {
+                        assert_eq!(
+                            pair_distance(block, a.row_words(q), b.row_words(m)),
+                            dist,
+                            "{name} dim {dim} pair ({q}, {m})"
+                        );
+                    }
+                    let dot = dim as i32 - 2 * dist as i32;
+                    assert_eq!(a.dot_rows(q, &b, m), dot, "dim {dim} pair ({q}, {m})");
+                    assert_eq!(
+                        a.cosine_rows(q, &b, m),
+                        dot as f32 / dim as f32,
+                        "dim {dim} pair ({q}, {m})"
+                    );
+                }
+            }
         }
 
         /// Every amplitude-mask kernel available on the running CPU, by name;
@@ -2762,20 +2730,13 @@ mod tests {
                         for n_rows in 1..=13 {
                             let rows = tie_heavy_rows(&queries, n_rows, &mut r);
                             let expected = oracle_distances(&queries, &rows);
-                            for (name, block, pair) in available_tier_kernels() {
+                            for (name, block) in available_tier_kernels() {
                                 let mut out = vec![u32::MAX; n_queries * n_rows];
                                 block(&queries.words, &rows.words, wpr, &mut out);
                                 prop_assert_eq!(
                                     (name, dim, n_queries, n_rows, &out),
                                     (name, dim, n_queries, n_rows, &expected)
                                 );
-                                let mut pairs = Vec::with_capacity(expected.len());
-                                for q in 0..n_queries {
-                                    for m in 0..n_rows {
-                                        pairs.push(pair(queries.row_words(q), rows.row_words(m)));
-                                    }
-                                }
-                                prop_assert_eq!((name, dim, "pair", &pairs), (name, dim, "pair", &expected));
                             }
                         }
                     }

@@ -214,7 +214,8 @@ struct DecodeScratch {
 /// bookkeeping vector of the encode → factorize → score pipeline lives here and is
 /// reshaped in place, so a steady-state serving loop performs no allocation beyond
 /// the factorizer's per-row results. Each fact is held once: the predictor reads
-/// the decoded rows where the decode wrote them, and only candidate offsets are stored.
+/// the decoded rows where the decode wrote them, and the candidates are encoded
+/// straight from the problems.
 ///
 /// The scratch carries no decision state between calls — a fresh scratch produces
 /// bitwise-identical answers, which is exactly what the plain
@@ -236,9 +237,6 @@ pub struct SolverScratch {
     /// rows start at `8q`. The predictor and the exact-panel count read them here.
     values: Vec<[usize; 5]>,
     predicted: Vec<Panel>,
-    cand_panels: Vec<Panel>,
-    /// First candidate row of each problem (candidate counts differ by dataset).
-    cand_base: Vec<usize>,
     pred_bits: BitMatrix,
     cand_bits: BitMatrix,
     choices: Vec<usize>,
@@ -653,7 +651,7 @@ impl NeurosymbolicSolver {
     /// Propagates [`VsaError`] from the encode.
     pub fn encode_panels(&self, panels: &[Panel]) -> Result<HvMatrix, VsaError> {
         let mut bits = BitMatrix::default();
-        self.encode_panels_bits_into(panels, &mut EncodeScratch::default(), &mut bits)?;
+        self.encode_panels_bits_into(panels.iter(), &mut EncodeScratch::default(), &mut bits)?;
         Ok(bits.to_matrix())
     }
 
@@ -661,10 +659,11 @@ impl NeurosymbolicSolver {
     /// codebook sign planes (bipolar Hadamard binding is exactly XOR) and the two
     /// blocks are superposed with one word-wise AND ([`BitMatrix::and_assign`]),
     /// which is the sign threshold of their sum with ties to `+1`. No f32 row and
-    /// no pack call is involved.
-    fn encode_panels_bits_into(
+    /// no pack call is involved. `panels` is walked once per attribute, so any
+    /// cloneable iterator serves, e.g. every problem's candidates in turn.
+    fn encode_panels_bits_into<'p>(
         &self,
-        panels: &[Panel],
+        panels: impl Iterator<Item = &'p Panel> + Clone,
         enc: &mut EncodeScratch,
         out: &mut BitMatrix,
     ) -> Result<(), VsaError> {
@@ -674,13 +673,12 @@ impl NeurosymbolicSolver {
             "sign(a + b) is a word-wise AND only for two blocks"
         );
         let EncodeScratch { idx, block_bits } = enc;
-        let n = panels.len();
-        out.ensure_shape(n, self.config.vector_dim);
+        out.ensure_shape(panels.clone().count(), self.config.vector_dim);
         for (block_index, AttributeBlock { set, attrs, .. }) in self.blocks.iter().enumerate() {
             let dst: &mut BitMatrix = if block_index == 0 { out } else { block_bits };
             for (f, &attr) in attrs.iter().enumerate() {
                 idx.clear();
-                idx.extend(panels.iter().map(|p| p.values()[attr]));
+                idx.extend(panels.clone().map(|p| p.values()[attr]));
                 let planes = set.factor(f)?.packed().ok_or(VsaError::Unsupported {
                     what: "scene encode requires cached codebook sign planes",
                 })?;
@@ -1003,8 +1001,6 @@ impl NeurosymbolicSolver {
             encoded,
             values,
             predicted,
-            cand_panels,
-            cand_base,
             pred_bits,
             cand_bits,
             choices,
@@ -1042,7 +1038,7 @@ impl NeurosymbolicSolver {
 
         // ---- Phase 2: one encode over every context panel of every problem, born
         // as sign planes; the interface noise is applied as bit flips.
-        self.encode_panels_bits_into(perceived, encode, encoded)?;
+        self.encode_panels_bits_into(perceived.iter(), encode, encoded)?;
         for &(r, j) in flips.iter() {
             encoded.flip_bit(r as usize, j as usize);
         }
@@ -1091,18 +1087,13 @@ impl NeurosymbolicSolver {
         }
 
         // ---- Phase 5: batched answer selection. All predicted panels and all
-        // candidates are encoded together; the per-candidate similarity is one
-        // popcount row dot.
-        cand_panels.clear();
-        cand_base.clear();
-        for problem in problems {
-            cand_base.push(cand_panels.len());
-            cand_panels.extend_from_slice(&problem.candidates);
-        }
-        self.encode_panels_bits_into(predicted, encode, pred_bits)?;
-        self.encode_panels_bits_into(cand_panels, encode, cand_bits)?;
+        // candidates are encoded together, the candidates straight from each
+        // problem in turn; the per-candidate similarity is one popcount row dot.
+        self.encode_panels_bits_into(predicted.iter(), encode, pred_bits)?;
+        let candidates = problems.iter().flat_map(|problem| &problem.candidates);
+        self.encode_panels_bits_into(candidates, encode, cand_bits)?;
+        let mut base = 0;
         for (q, problem) in problems.iter().enumerate() {
-            let base = cand_base[q];
             let mut best = (0usize, 0usize, f32::NEG_INFINITY);
             for (i, candidate) in problem.candidates.iter().enumerate() {
                 let agreement = Attribute::ALL.len() - predicted[q].distance(candidate);
@@ -1111,6 +1102,7 @@ impl NeurosymbolicSolver {
                     best = (i, agreement, sim);
                 }
             }
+            base += problem.candidates.len();
             choices.push(best.0);
             report.problems += 1;
             if problem.is_correct(best.0) {
@@ -2048,7 +2040,7 @@ mod tests {
                 let dense = HvMatrix::from_rows(&f32_rows).unwrap();
                 let expected = BitMatrix::from_matrix(&dense).expect("encodings are bipolar");
                 let mut bits = BitMatrix::default();
-                s.encode_panels_bits_into(&panels, &mut EncodeScratch::default(), &mut bits)
+                s.encode_panels_bits_into(panels.iter(), &mut EncodeScratch::default(), &mut bits)
                     .unwrap();
                 assert_eq!(bits, expected, "{kind}/{precision}");
                 assert_eq!(
