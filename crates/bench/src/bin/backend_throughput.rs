@@ -157,49 +157,41 @@ fn main() -> ExitCode {
         );
     }
 
-    // Per scene row: the product scan against one resonator sweep, per block
-    // shape and dimension, and the sweep against its noise-free twin (the share
-    // of the sweep the noise costs).
+    // Per scene row, per block shape and dimension: the product scan against
+    // one resonator sweep and against its f32 reference twin, and the noise
+    // share of the sweep, 1 − noise_free_twin / factorize_sweep, from the two
+    // same-run cells.
     let scan_cell = |backend: &str, kernel: &str, dim: usize| {
         records
             .iter()
             .find(|r| r.backend == backend && r.kernel == kernel && r.dim == dim)
             .map(|r| r.ns_per_op / r.batch as f64)
     };
+    println!(
+        "rescue route per scene row (us): d, products, scan, one sweep, sweep/scan, \
+         reference twin of the scan, noise share of sweep"
+    );
     for dim in [2048, 4096] {
         for products in [405, 60] {
+            let scan_kernel = format!("product_scan_{products}");
             let sweep_kernel = format!("factorize_sweep_{products}");
-            if let (Some(scan), Some(sweep)) = (
-                scan_cell("packed", &format!("product_scan_{products}"), dim),
+            let (Some(scan), Some(sweep)) = (
+                scan_cell("packed", &scan_kernel, dim),
                 scan_cell("packed", &sweep_kernel, dim),
-            ) {
-                println!(
-                    "product_scan d={dim} products={products}: {:.2} us/row scan, {:.2} us/row \
-                     sweep ({:.2}x)",
-                    scan / 1e3,
-                    sweep / 1e3,
-                    sweep / scan.max(1e-3),
-                );
-                if let Some(oracle) =
-                    scan_cell("reference", &format!("product_scan_{products}"), dim)
-                {
-                    println!(
-                        "product_scan d={dim} products={products}: reference twin {:.2} us/row \
-                         ({:.1}x the scan)",
-                        oracle / 1e3,
-                        oracle / scan.max(1e-3),
-                    );
-                }
-                if let Some(quiet) = scan_cell("noise_free_twin", &sweep_kernel, dim) {
-                    println!(
-                        "factorize_sweep d={dim} products={products}: {:.2} us/row, noise-free \
-                         twin {:.2} us/row (noise {:.0}% of the sweep)",
-                        sweep / 1e3,
-                        quiet / 1e3,
-                        100.0 * (1.0 - quiet / sweep.max(1e-3)),
-                    );
-                }
-            }
+            ) else {
+                continue;
+            };
+            let oracle = scan_cell("reference", &scan_kernel, dim).unwrap_or(f64::NAN);
+            let quiet = scan_cell("noise_free_twin", &sweep_kernel, dim).unwrap_or(f64::NAN);
+            println!(
+                "  d={dim} products={products}: scan {:.2}, sweep {:.2} ({:.2}x), \
+                 reference {:.2}, noise {:.0}% of the sweep",
+                scan / 1e3,
+                sweep / 1e3,
+                sweep / scan.max(1e-3),
+                oracle / 1e3,
+                100.0 * (1.0 - quiet / sweep.max(1e-3)),
+            );
         }
     }
 

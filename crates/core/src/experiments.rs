@@ -746,7 +746,10 @@ pub fn packed_bench_regressions(
 }
 
 /// Renders throughput records as the machine-readable `BENCH_backends.json` payload:
-/// one object per `(backend, kernel, dim, batch)` cell with its `ns_per_op`.
+/// a header naming the kernels that produced it (the running process's
+/// [`cogsys_vsa::dispatch_tier`] as `hamming_tier` and
+/// [`cogsys_vsa::projection_tier`] as `projection_tier`), then one object per
+/// `(backend, kernel, dim, batch)` cell with its `ns_per_op`.
 ///
 /// Written by `cargo run --release -p cogsys-bench --bin backend_throughput` and
 /// consumed by the CI bench-smoke step so the perf trajectory is tracked across PRs.
@@ -754,6 +757,11 @@ pub fn backend_throughput_json(seed: u64, records: &[BenchRecord]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"cogsys-backend-throughput/v1\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
+    out.push_str(&format!(
+        "  \"hamming_tier\": \"{}\",\n  \"projection_tier\": \"{}\",\n",
+        cogsys_vsa::dispatch_tier(),
+        cogsys_vsa::projection_tier()
+    ));
     out.push_str(&format!(
         "  \"codebook_rows\": {BENCH_CODEBOOK_ROWS},\n  \"records\": [\n"
     ));
@@ -1797,7 +1805,20 @@ mod tests {
                 ns_per_op: 900.5,
             },
         ];
-        let parsed = parse_backend_throughput_json(&backend_throughput_json(7, &records));
+        let json = backend_throughput_json(7, &records);
+        // The header names the kernels that produced the cells, on lines the
+        // parser skips (they carry no "backend" key).
+        for (key, tier) in [
+            ("hamming_tier", cogsys_vsa::dispatch_tier()),
+            ("projection_tier", cogsys_vsa::projection_tier()),
+        ] {
+            assert!(
+                json.lines()
+                    .any(|line| line == format!("  \"{key}\": \"{tier}\",")),
+                "{key} header line missing from {json}"
+            );
+        }
+        let parsed = parse_backend_throughput_json(&json);
         assert_eq!(parsed, records);
         // Garbage lines are skipped, not fatal.
         assert!(parse_backend_throughput_json("{\"backend\": oops\n").is_empty());

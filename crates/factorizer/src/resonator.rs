@@ -94,10 +94,15 @@ pub struct BoundedNoise {
     amplitude: f32,
 }
 
-/// Dimensions per eligibility mask in [`BoundedNoise::perturb_signs`]: matches the
-/// 64-bit word width of the packed sign planes, so one mask corresponds to one
-/// whole word of the downstream [`cogsys_vsa::BitMatrix`] row.
+/// Dimensions per eligibility mask word in [`BoundedNoise::perturb_signs`]:
+/// matches the 64-bit word width of the packed sign planes, so one mask word
+/// corresponds to one whole word of the downstream [`cogsys_vsa::BitMatrix`] row.
 const NOISE_CHUNK_DIMS: usize = 64;
+
+/// Mask words [`BoundedNoise::perturb_signs`] stages on the stack per
+/// dispatched mask call: 4,096 dimensions, so a row of the RAVEN dimensions
+/// (2,048 and 4,096) is one call.
+const NOISE_STAGE_WORDS: usize = 64;
 
 impl BoundedNoise {
     /// The noise for one sigma, or `None` when disabled (`sigma == 0`). Sigmas are
@@ -152,28 +157,38 @@ impl BoundedNoise {
     /// bitwise-identical accumulators, so their skip patterns and therefore their
     /// decisions stay identical at every precision.
     ///
-    /// The eligibility test runs a word at a time: the slice is walked in
-    /// 64-dimension blocks (one packed sign-plane word), each block's
-    /// `|v| <= amplitude` mask comes from one vector compare per eight values
+    /// The eligibility test runs a row at a time: one dispatched call
     /// ([`cogsys_vsa::packed::amplitude_mask_fn`], behind the `COGSYS_SIMD`
-    /// dispatch), and only the set bits draw, one generator word each, in
-    /// ascending order. No per-element branch remains, so eligibility scattered
-    /// inside a word costs no mispredictions. This is bitwise-equal to the
-    /// element-wise rule (exposed as [`BoundedNoise::perturb_signs_elementwise`]
-    /// for tests and benchmarks): the mask holds exactly the elements that rule
-    /// perturbs, visited in the same order, so values and rng stream positions
-    /// agree — NaN included, since the ordered compare is false for NaN exactly
-    /// like `NaN.abs() <= a`.
+    /// dispatch) writes the `|v| <= amplitude` mask of every 64-dimension block
+    /// (one packed sign-plane word) into a stack buffer of up to 4,096
+    /// dimensions, and only then do the draws run: every set bit in ascending
+    /// order, one generator word each, on a local copy of the stream that is
+    /// written back once at the end. No call and no per-element branch sits
+    /// between two draws, so the stream stays in registers and eligibility
+    /// scattered inside a word costs no mispredictions. This is bitwise-equal
+    /// to the element-wise rule (exposed as
+    /// [`BoundedNoise::perturb_signs_elementwise`] for tests and benchmarks):
+    /// the masks hold exactly the elements that rule perturbs, and a draw
+    /// changes only its own element, which no later mask of the block reads,
+    /// so every draw lands on the same dimension in the same order and the
+    /// stream ends in the same position — NaN included, since the ordered
+    /// compare is false for NaN exactly like `NaN.abs() <= a`.
     pub fn perturb_signs(&self, values: &mut [f32], rng: &mut StdRng) {
         let a = self.amplitude;
         let mask_of = amplitude_mask_fn();
-        for chunk in values.chunks_mut(NOISE_CHUNK_DIMS) {
-            let mut mask = mask_of(chunk, a);
-            while mask != 0 {
-                chunk[mask.trailing_zeros() as usize] += self.sample(rng);
-                mask &= mask - 1;
+        let mut masks = [0u64; NOISE_STAGE_WORDS];
+        let mut stream = rng.clone();
+        for block in values.chunks_mut(NOISE_STAGE_WORDS * NOISE_CHUNK_DIMS) {
+            mask_of(block, a, &mut masks);
+            for (chunk, &mask) in block.chunks_mut(NOISE_CHUNK_DIMS).zip(&masks) {
+                let mut mask = mask;
+                while mask != 0 {
+                    chunk[mask.trailing_zeros() as usize] += self.sample(&mut stream);
+                    mask &= mask - 1;
+                }
             }
         }
+        *rng = stream;
     }
 
     /// The element-wise reference rule behind [`BoundedNoise::perturb_signs`],
@@ -1351,56 +1366,60 @@ mod tests {
 
         /// The masked `perturb_signs` is bitwise-equal to the element-wise
         /// reference rule — identical output values AND identical rng stream
-        /// position afterwards. Eligibility is either scattered element by element
-        /// inside every word (the resonator's real accumulators) or set per 64-dim
-        /// block (whole words eligible, ineligible or mixed), across
-        /// non-multiple-of-64 lengths, with the edge values placed at scattered
-        /// positions inside words: `|v| == amplitude` (draws), NaN (never draws),
-        /// ±0.0 (draws).
+        /// afterwards (equal state, equal next draw). Eligibility is either
+        /// scattered element by element inside every word (the resonator's real
+        /// accumulators) or set per 64-dim block (whole words eligible,
+        /// ineligible or mixed), across non-multiple-of-64 lengths and lengths
+        /// past the 4,096-dim block of masks staged per call (one and two blocks
+        /// plus a ragged word), with the edge values placed at scattered
+        /// positions inside words, in the first block and past it:
+        /// `|v| == amplitude` (draws), NaN (never draws), ±0.0 (draws).
         #[test]
         fn prop_masked_noise_matches_elementwise(
             seed in 0u64..200,
-            len_sel in 0usize..6,
             sigma_centi in 1u32..80,
             scatter_sel in 0usize..2,
         ) {
             let scattered = scatter_sel == 1;
-            let len = [1usize, 7, 63, 64, 130, 321][len_sel];
             let sigma = sigma_centi as f32 / 100.0;
             let noise = BoundedNoise::for_sigma(sigma).unwrap();
             let a = noise.amplitude();
             let mut r = cogsys_vsa::rng(seed);
-            let mut values: Vec<f32> = (0..len)
-                .map(|j| {
-                    let regime = if scattered {
-                        r.gen_range(0..3)
-                    } else {
-                        (j / 64 + seed as usize) % 3
-                    };
-                    let scale = match regime {
-                        0 => a * 0.5,
-                        1 => a * 4.0,
-                        _ => a * 2.0,
-                    };
-                    (r.gen::<f32>() - 0.5) * 2.0 * scale
-                })
-                .collect();
-            let edges = [a, -a, f32::NAN, -0.0, 0.0];
-            for (k, edge) in edges.iter().enumerate() {
-                let j = (k * 13 + seed as usize) % len;
-                values[j] = *edge;
+            for len in [1usize, 7, 63, 64, 130, 321, 4097, 8197] {
+                let mut values: Vec<f32> = (0..len)
+                    .map(|j| {
+                        let regime = if scattered {
+                            r.gen_range(0..3)
+                        } else {
+                            (j / 64 + seed as usize) % 3
+                        };
+                        let scale = match regime {
+                            0 => a * 0.5,
+                            1 => a * 4.0,
+                            _ => a * 2.0,
+                        };
+                        (r.gen::<f32>() - 0.5) * 2.0 * scale
+                    })
+                    .collect();
+                let edges = [a, -a, f32::NAN, -0.0, 0.0];
+                for (k, edge) in edges.iter().enumerate() {
+                    for j in [k * 13 + seed as usize, k * 4099 + 7 * seed as usize] {
+                        values[j % len] = *edge;
+                    }
+                }
+                let mut fast = values.clone();
+                let mut slow = values;
+                let mut rng_fast = StdRng::seed_from_u64(seed ^ 0xE0);
+                let mut rng_slow = StdRng::seed_from_u64(seed ^ 0xE0);
+                noise.perturb_signs(&mut fast, &mut rng_fast);
+                noise.perturb_signs_elementwise(&mut slow, &mut rng_slow);
+                let fast_bits: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
+                let slow_bits: Vec<u32> = slow.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!((len, fast_bits), (len, slow_bits));
+                // Same number of draws consumed: the streams stay in lockstep.
+                prop_assert_eq!((len, &rng_fast), (len, &rng_slow));
+                prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
             }
-            let mut fast = values.clone();
-            let mut slow = values;
-            let mut rng_fast = StdRng::seed_from_u64(seed ^ 0xE0);
-            let mut rng_slow = StdRng::seed_from_u64(seed ^ 0xE0);
-            noise.perturb_signs(&mut fast, &mut rng_fast);
-            noise.perturb_signs_elementwise(&mut slow, &mut rng_slow);
-            let fast_bits: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
-            let slow_bits: Vec<u32> = slow.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(fast_bits, slow_bits);
-            // Same number of draws consumed: the streams stay in lockstep.
-            prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
         }
     }
 

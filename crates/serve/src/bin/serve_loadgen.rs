@@ -254,7 +254,7 @@ fn run(options: &Options) -> Result<bool, String> {
         options.shape, request_count, options.dim, options.seed, options.chaos
     );
     println!("window_ms   done  rej  degr  retr    p50_ms    p99_ms   prob/s");
-    for w in metrics::windowed(&responses, options.window_micros) {
+    for w in metrics::windowed(&trace, &responses, options.window_micros) {
         println!(
             "{:>9.1} {:>6} {:>4} {:>5} {:>5} {:>9.2} {:>9.2} {:>8.1}",
             w.start_micros as f64 / 1e3,

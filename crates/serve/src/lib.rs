@@ -431,7 +431,6 @@ impl<E: ChunkEngine> ServeLoop<E> {
             id: request.id,
             outcome,
             degradation: self.level,
-            completed_micros: self.clock_micros,
             latency_micros: self.latency_since(request.arrival_micros),
             retried: false,
             missed_deadline: false,

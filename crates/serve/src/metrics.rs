@@ -1,6 +1,7 @@
 //! Serving counters and windowed latency/throughput statistics.
 
-use crate::request::Response;
+use crate::request::{Request, Response};
+use std::collections::HashMap;
 
 /// Monotone counters maintained by the serving loop over its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,9 +75,18 @@ pub fn percentile_micros(sorted: &[u64], p: f64) -> u64 {
 
 /// Buckets responses into fixed windows of `window_micros` by completion time
 /// and digests each. Windows with no traffic are omitted.
-pub fn windowed(responses: &[Response], window_micros: u64) -> Vec<WindowStats> {
+///
+/// A response's completion time is its request's arrival in `trace` (matched
+/// by id) plus its latency, so a latency saturated at `u32::MAX` µs buckets at
+/// that bound. A response whose id names no request of `trace` is not counted.
+pub fn windowed(trace: &[Request], responses: &[Response], window_micros: u64) -> Vec<WindowStats> {
     let window_micros = window_micros.max(1);
-    let Some(last) = responses.iter().map(|r| r.completed_micros).max() else {
+    let arrivals: HashMap<u64, u64> = trace.iter().map(|r| (r.id, r.arrival_micros)).collect();
+    let completed: Vec<(&Response, u64)> = responses
+        .iter()
+        .filter_map(|r| Some((r, arrivals.get(&r.id)? + u64::from(r.latency_micros))))
+        .collect();
+    let Some(last) = completed.iter().map(|&(_, at)| at).max() else {
         return Vec::new();
     };
     let windows = (last / window_micros + 1) as usize;
@@ -94,8 +104,8 @@ pub fn windowed(responses: &[Response], window_micros: u64) -> Vec<WindowStats> 
             problems_per_sec: 0.0,
         })
         .collect();
-    for response in responses {
-        let w = (response.completed_micros / window_micros) as usize;
+    for (response, completed) in completed {
+        let w = (completed / window_micros) as usize;
         if response.is_answered() {
             stats[w].completed += 1;
             if response.degradation.as_u8() > 0 {
@@ -126,8 +136,10 @@ mod tests {
     use crate::engine::DegradationLevel;
     use crate::error::Rejection;
     use crate::request::Answer;
+    use cogsys_datasets::{DatasetKind, ProblemGenerator};
+    use rand::{rngs::StdRng, SeedableRng};
 
-    fn answered(id: u64, completed: u64, latency: u32, level: DegradationLevel) -> Response {
+    fn answered(id: u64, latency: u32, level: DegradationLevel) -> Response {
         Response {
             id,
             outcome: Ok(Answer {
@@ -135,7 +147,6 @@ mod tests {
                 correct: true,
             }),
             degradation: level,
-            completed_micros: completed,
             latency_micros: latency,
             retried: false,
             missed_deadline: false,
@@ -151,11 +162,20 @@ mod tests {
         assert_eq!(percentile_micros(&[], 0.5), 0);
     }
 
+    /// Responses complete at their request's arrival plus their latency, and
+    /// are matched to their request by id, whatever order they come in; one
+    /// whose id names no request of the trace is not counted.
     #[test]
     fn windows_bucket_by_completion_time() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let problem = ProblemGenerator::new(DatasetKind::Raven).generate(&mut rng);
+        // Completions: request 0 at 500, request 1 at 900, request 2 at 1_200.
+        let trace: Vec<Request> = [400, 600, 1_200]
+            .into_iter()
+            .enumerate()
+            .map(|(id, arrival)| Request::new(id as u64, problem.clone(), arrival, 10_000))
+            .collect();
         let responses = vec![
-            answered(0, 500, 100, DegradationLevel::Full),
-            answered(1, 900, 300, DegradationLevel::HalvedBatch),
             Response {
                 id: 2,
                 outcome: Err(Rejection::Overloaded {
@@ -163,13 +183,15 @@ mod tests {
                     limit: 4,
                 }),
                 degradation: DegradationLevel::Full,
-                completed_micros: 1_200,
                 latency_micros: 0,
                 retried: false,
                 missed_deadline: false,
             },
+            answered(1, 300, DegradationLevel::HalvedBatch),
+            answered(0, 100, DegradationLevel::Full),
+            answered(9, 100, DegradationLevel::Full),
         ];
-        let windows = windowed(&responses, 1_000);
+        let windows = windowed(&trace, &responses, 1_000);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].completed, 2);
         assert_eq!(windows[0].degraded, 1);

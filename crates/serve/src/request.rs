@@ -56,11 +56,12 @@ pub struct Response {
     /// Level 0 responses are decision-identical to solving the same batch
     /// directly; higher levels traded answer quality for throughput.
     pub degradation: DegradationLevel,
-    /// Virtual time at which the outcome was determined.
-    pub completed_micros: u64,
-    /// Queueing + service latency on the virtual clock: completion minus the
-    /// request's arrival, saturating at `u32::MAX` µs (~71 virtual minutes).
-    /// Every response of a run is kept, so the record stays at 48 bytes.
+    /// Queueing + service latency on the virtual clock: the time the outcome
+    /// was determined minus the request's arrival, saturating at `u32::MAX` µs
+    /// (~71 virtual minutes). The completion time itself is not stored: it is
+    /// the arrival plus this latency ([`crate::metrics::windowed`] reads it
+    /// that way). Every response of a run is kept, so the record stays at 40
+    /// bytes.
     pub latency_micros: u32,
     /// True when a transient fault forced at least one re-run of the request's
     /// batch.
@@ -95,6 +96,6 @@ mod tests {
         // Serving keeps every response of a run; a rejection's payload is boxed
         // or two words, so it never widens the record.
         assert!(std::mem::size_of::<Rejection>() <= 24);
-        assert!(std::mem::size_of::<Response>() <= 48);
+        assert!(std::mem::size_of::<Response>() <= 40);
     }
 }

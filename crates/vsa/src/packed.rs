@@ -34,9 +34,9 @@
 //! The one `f32` kernel on sign planes is the resonator's weighted sign projection,
 //! `acc[j] = Σ_m ±w[m]` over a codebook's rows. It runs one query row at a time: for
 //! each 64-dim word the row kernel keeps that word's accumulators in registers
-//! across the whole codebook sweep and stores them once (four zmm registers per
-//! word on AVX-512, eight ymm on AVX2, a 64-slot tile in the scalar fallback; see
-//! [`projection_tier`]). On AVX-512 the first five codebook rows come from a
+//! across the whole codebook sweep and stores them once, straight from the
+//! registers (four zmm registers per word on AVX-512, eight ymm on AVX2, a
+//! 64-slot tile in the scalar fallback; see [`projection_tier`]). On AVX-512 the first five codebook rows come from a
 //! 32-entry prefix table built once per weight row and read with one `vpermt2ps`
 //! per 16 dims, indexed by per-dimension codes built once per call (on AVX2 the
 //! first three, from an 8-entry table and `vpermps`). Every tier
@@ -293,7 +293,7 @@ impl std::fmt::Display for DispatchTier {
 }
 
 /// Runtime-dispatched SIMD kernels: the Hamming block kernel, the sign projection
-/// row kernel, the sign pack and the noise eligibility mask.
+/// row kernel, the sign pack and the noise eligibility mask row kernel.
 ///
 /// This module is the crate's **single scoped `unsafe_code` exception** (see the
 /// crate-level lint note): `#[target_feature]` functions cannot be called or coerced
@@ -592,19 +592,64 @@ mod simd {
         super::hamming_block_with::<Avx512Tile>(queries, rows, wpr, out);
     }
 
-    /// Stores up to 16 accumulators per vector into `dst`, whose length may be
-    /// anything up to `16 · vectors.len()`; lanes past its end are dropped.
+    /// Stores the `N` accumulators of one chunk into `dst`, whose length may be
+    /// anything up to `16 · N`. A whole chunk (every chunk but a ragged last
+    /// one) takes one plain store per vector straight from the registers; a
+    /// ragged one drops the lanes past its end under a `k`-mask. The array is
+    /// taken by value and indexed by constants only, so it never lands on the
+    /// stack.
     #[target_feature(enable = "avx512f")]
-    fn store_lanes_avx512(vectors: &[__m512], dst: &mut [f32]) {
-        for (v, chunk) in vectors.iter().zip(dst.chunks_mut(16)) {
-            // SAFETY: the mask keeps only the first chunk.len() (<= 16) lanes, all
-            // inside `chunk`; masked-off lanes are never accessed and storeu has
-            // no alignment requirement.
+    #[inline]
+    fn store_lanes_avx512<const N: usize>(acc: [__m512; N], dst: &mut [f32]) {
+        assert!(dst.len() <= 16 * N);
+        let full = dst.len() == 16 * N;
+        let out = dst.as_mut_ptr();
+        for (v, lanes) in acc.into_iter().enumerate() {
+            let len = dst.len().saturating_sub(16 * v).min(16);
+            // SAFETY: lanes 16v..16v + len lie inside `dst` (len is clamped to
+            // what is left of it, and 16v <= dst.len() whenever len > 0); a
+            // plain store runs only on a whole chunk, where len is 16, and the
+            // masked store never touches a lane past len. storeu has no
+            // alignment requirement.
             unsafe {
-                let keep = ((1u32 << chunk.len()) - 1) as __mmask16;
-                _mm512_mask_storeu_ps(chunk.as_mut_ptr(), keep, *v);
+                if full {
+                    _mm512_storeu_ps(out.add(16 * v), lanes);
+                } else if len > 0 {
+                    let keep = ((1u32 << len) - 1) as __mmask16;
+                    _mm512_mask_storeu_ps(out.add(16 * v), keep, lanes);
+                }
             }
         }
+    }
+
+    /// The compare mask of up to 64 values in one word: bit `j` is set iff
+    /// `values[j]` (sign-cleared first when `ABS`) compares true against `rhs`
+    /// under the ordered predicate `P`, and bits past `values.len()` are zero.
+    /// A whole word is four plain loads and four compares straight into
+    /// `k`-masks; a ragged word loads its lanes under a `k`-mask and compares
+    /// only those.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn compare_word_avx512<const P: i32, const ABS: bool>(values: &[f32], rhs: __m512) -> u64 {
+        let lanes = |v: __m512| if ABS { _mm512_abs_ps(v) } else { v };
+        let mut word = 0u64;
+        if values.len() == super::WORD_BITS {
+            for g in 0..4 {
+                // SAFETY: g < 4 keeps these 16 lanes inside the 64 values;
+                // loadu has no alignment requirement.
+                let v = unsafe { _mm512_loadu_ps(values.as_ptr().add(16 * g)) };
+                word |= u64::from(_mm512_cmp_ps_mask::<P>(lanes(v), rhs)) << (16 * g);
+            }
+            return word;
+        }
+        for (g, part) in values.chunks(16).enumerate() {
+            let keep = ((1u32 << part.len()) - 1) as __mmask16;
+            // SAFETY: the mask keeps only the first part.len() (<= 16) lanes,
+            // all inside `part`; masked-off lanes are never accessed.
+            let v = unsafe { _mm512_maskz_loadu_ps(keep, part.as_ptr()) };
+            word |= u64::from(_mm512_mask_cmp_ps_mask::<P>(keep, lanes(v), rhs)) << (16 * g);
+        }
+        word
     }
 
     /// Codebook rows the `avx512` projection tier sums through its prefix
@@ -753,31 +798,24 @@ mod simd {
             // keeps below wpr.
             if chunk.len() > super::WORD_BITS {
                 let acc = unsafe { sweep_avx512::<8>(words, wpr, first, weights, codes, table) };
-                store_lanes_avx512(&acc, chunk);
+                store_lanes_avx512(acc, chunk);
             } else {
                 let acc = unsafe { sweep_avx512::<4>(words, wpr, first, weights, codes, table) };
-                store_lanes_avx512(&acc, chunk);
+                store_lanes_avx512(acc, chunk);
             }
         }
     }
 
-    /// Sign pack on AVX-512F: each 16-value slice of a 64-dim word is one
-    /// ordered `v < 0.0` compare straight into a `k`-mask (NaN and `-0.0` pack
-    /// to `+1`, as in [`super::pack_row_signs`]). A ragged tail is loaded masked,
-    /// its missing lanes read as `+0.0` and so pack to the zero padding bits.
+    /// Sign pack on AVX-512F: each whole 64-dim word is four plain loads and
+    /// four ordered `v < 0.0` compares straight into `k`-masks (NaN and `-0.0`
+    /// pack to `+1`, as in [`super::pack_row_signs`]); a ragged last word loads
+    /// its lanes masked and compares only those, so its padding bits stay zero.
     #[target_feature(enable = "avx512f")]
     fn pack_row_signs_avx512(row: &[f32], words: &mut [u64]) {
+        assert!(words.len() >= row.len().div_ceil(super::WORD_BITS));
         let zero = _mm512_setzero_ps();
         for (chunk, word) in row.chunks(super::WORD_BITS).zip(words.iter_mut()) {
-            let mut w = 0u64;
-            for (g, part) in chunk.chunks(16).enumerate() {
-                let keep = ((1u32 << part.len()) - 1) as __mmask16;
-                // SAFETY: the mask keeps only the first part.len() (<= 16) lanes,
-                // all inside `part`; masked-off lanes are never accessed.
-                let v = unsafe { _mm512_maskz_loadu_ps(keep, part.as_ptr()) };
-                w |= u64::from(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(v, zero)) << (16 * g);
-            }
-            *word = w;
+            *word = compare_word_avx512::<_CMP_LT_OQ, false>(chunk, zero);
         }
     }
 
@@ -921,50 +959,83 @@ mod simd {
                     }
                 }
             }
-            let mut lanes = [0.0f32; super::WORD_BITS];
-            for (v, dst) in acc.iter().zip(lanes.chunks_exact_mut(8)) {
-                // SAFETY: chunks_exact_mut(8) guarantees exactly eight f32s;
-                // storeu has no alignment requirement.
-                unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), *v) };
+            if chunk.len() == super::WORD_BITS {
+                store_lanes_avx2(&acc, chunk);
+            } else {
+                let mut lanes = [0.0f32; super::WORD_BITS];
+                store_lanes_avx2(&acc, &mut lanes);
+                chunk.copy_from_slice(&lanes[..chunk.len()]);
             }
-            chunk.copy_from_slice(&lanes[..chunk.len()]);
         }
     }
 
-    /// `|v| <= amplitude` mask of up to 64 values, compiled with AVX2: eight
-    /// lanes per `vcmpps` (ordered compare, so NaN never qualifies) on the
-    /// sign-cleared values, their `vmovmskps` bytes shifted into place. A
-    /// ragged tail shorter than one vector takes the scalar rule.
+    /// Stores eight accumulators per vector into `dst`, which holds exactly
+    /// `8 · vectors.len()` slots.
     #[target_feature(enable = "avx2")]
-    fn amplitude_mask_avx2(values: &[f32], amplitude: f32) -> u64 {
+    #[inline]
+    fn store_lanes_avx2(vectors: &[__m256], dst: &mut [f32]) {
+        assert_eq!(dst.len(), 8 * vectors.len());
+        for (v, slots) in vectors.iter().zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: chunks_exact_mut(8) guarantees exactly eight f32s;
+            // storeu has no alignment requirement.
+            unsafe { _mm256_storeu_ps(slots.as_mut_ptr(), *v) };
+        }
+    }
+
+    /// The amplitude-mask row kernel on AVX-512F: per 64-dim word, four
+    /// ordered `|v| <= amplitude` compares of the sign-cleared values (so NaN
+    /// never qualifies and `-0.0` does) straight into `k`-masks; a ragged last
+    /// word compares only its loaded lanes.
+    #[target_feature(enable = "avx512f")]
+    fn amplitude_mask_avx512(values: &[f32], amplitude: f32, masks: &mut [u64]) {
+        let amp = _mm512_set1_ps(amplitude);
+        for (chunk, mask) in values.chunks(super::WORD_BITS).zip(masks.iter_mut()) {
+            *mask = compare_word_avx512::<_CMP_LE_OQ, true>(chunk, amp);
+        }
+    }
+
+    /// The amplitude-mask row kernel on AVX2: per 64-dim word, eight lanes per
+    /// `vcmpps` (ordered compare, so NaN never qualifies) on the sign-cleared
+    /// values, their `vmovmskps` bytes shifted into place. A ragged tail
+    /// shorter than one vector takes the scalar rule.
+    #[target_feature(enable = "avx2")]
+    fn amplitude_mask_avx2(values: &[f32], amplitude: f32, masks: &mut [u64]) {
         let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
         let amp = _mm256_set1_ps(amplitude);
-        let mut chunks = values.chunks_exact(8);
-        let mut mask = 0u64;
-        for (g, chunk) in chunks.by_ref().enumerate() {
-            // SAFETY: chunks_exact(8) guarantees exactly eight f32s; loadu has
-            // no alignment requirement.
-            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
-            let le = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_and_ps(v, magnitude), amp);
-            mask |= u64::from(_mm256_movemask_ps(le) as u8) << (8 * g);
+        for (chunk, mask) in values.chunks(super::WORD_BITS).zip(masks.iter_mut()) {
+            let mut lanes = chunk.chunks_exact(8);
+            let mut word = 0u64;
+            for (g, lane) in lanes.by_ref().enumerate() {
+                // SAFETY: chunks_exact(8) guarantees exactly eight f32s; loadu
+                // has no alignment requirement.
+                let v = unsafe { _mm256_loadu_ps(lane.as_ptr()) };
+                let le = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_and_ps(v, magnitude), amp);
+                word |= u64::from(_mm256_movemask_ps(le) as u8) << (8 * g);
+            }
+            let tail = lanes.remainder();
+            if !tail.is_empty() {
+                word |= super::amplitude_word(tail, amplitude) << (chunk.len() - tail.len());
+            }
+            *mask = word;
         }
-        let tail = chunks.remainder();
-        if tail.is_empty() {
-            return mask;
-        }
-        mask | super::amplitude_mask_generic(tail, amplitude) << (values.len() - tail.len())
+    }
+
+    /// Safe wrapper over [`amplitude_mask_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn amplitude_mask_avx512_checked(values: &[f32], amplitude: f32, masks: &mut [u64]) {
+        super::assert_mask_words(values, masks);
+        // SAFETY: detect() returns this function only when the avx512f feature
+        // was detected on the running CPU.
+        unsafe { amplitude_mask_avx512(values, amplitude, masks) }
     }
 
     /// Safe wrapper over [`amplitude_mask_avx2`]; only reachable after cpuid
     /// detection.
-    pub(super) fn amplitude_mask_avx2_checked(values: &[f32], amplitude: f32) -> u64 {
-        assert!(
-            values.len() <= super::WORD_BITS,
-            "one mask word covers 64 values"
-        );
+    pub(super) fn amplitude_mask_avx2_checked(values: &[f32], amplitude: f32, masks: &mut [u64]) {
+        super::assert_mask_words(values, masks);
         // SAFETY: detect() returns this function only when the avx2 feature was
         // detected on the running CPU.
-        unsafe { amplitude_mask_avx2(values, amplitude) }
+        unsafe { amplitude_mask_avx2(values, amplitude, masks) }
     }
 
     /// Safe wrapper over [`project_row_avx512`]; only reachable after cpuid
@@ -1081,7 +1152,9 @@ mod simd {
 
 /// The kernels runtime dispatch resolved to, one per sign-plane operation, with
 /// the tier of each family: the Hamming tiers need popcount features the
-/// projection does not, so the two can differ on one CPU.
+/// projection does not, so the two can differ on one CPU. The projection tier
+/// covers a projected row's whole epilogue: its prefix codes and row kernel,
+/// the noise eligibility mask ([`amplitude_mask_fn`]) and the sign pack.
 #[derive(Clone, Copy)]
 struct Dispatch {
     hamming_tier: DispatchTier,
@@ -1135,13 +1208,12 @@ fn detect() -> Dispatch {
             found.prefix_codes = simd::prefix_codes_avx512_checked;
             found.project_row = simd::project_row_avx512_checked;
             found.pack_signs = simd::pack_row_signs_avx512_checked;
+            found.amplitude_mask = simd::amplitude_mask_avx512_checked;
         } else if avx2 {
             found.projection_tier = DispatchTier::Avx2;
             found.prefix_codes = simd::prefix_codes_avx2_checked;
             found.project_row = simd::project_row_avx2_checked;
             found.pack_signs = simd::pack_row_signs_avx2_checked;
-        }
-        if avx2 {
             found.amplitude_mask = simd::amplitude_mask_avx2_checked;
         }
     }
@@ -1152,8 +1224,8 @@ fn detect() -> Dispatch {
 /// The resolved kernels, cached process-wide: after the first call, dispatch is
 /// one atomic load — cheap enough that even the single-pair
 /// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths and each
-/// [`amplitude_mask_fn`] call pay no cpuid or env probe. The scans fetch the
-/// kernel once per call, so nothing at all sits on the per-row path.
+/// row's [`amplitude_mask_fn`] call pay no cpuid or env probe. The scans fetch
+/// the kernel once per call, so nothing at all sits on the per-row path.
 static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
 #[inline]
@@ -1169,8 +1241,9 @@ pub fn dispatch_tier() -> DispatchTier {
     dispatch().hamming_tier
 }
 
-/// The SIMD tier the sign-projection row kernel runs at on this CPU (resolved once,
-/// cached): [`DispatchTier::Avx512`] needs only `avx512f`, [`DispatchTier::Avx2`]
+/// The SIMD tier the sign-projection row kernel, and with it the noise
+/// eligibility mask ([`amplitude_mask_fn`]) and the sign pack, runs at on this
+/// CPU (resolved once, cached): [`DispatchTier::Avx512`] needs only `avx512f`, [`DispatchTier::Avx2`]
 /// needs `avx2`, and every other case runs the scalar kernel
 /// ([`DispatchTier::Generic`]; the projection has no `popcnt` rung). Capped by
 /// `COGSYS_SIMD` like [`dispatch_tier`], from which it can differ: an `avx512f`
@@ -1181,29 +1254,49 @@ pub fn projection_tier() -> DispatchTier {
     dispatch().projection_tier
 }
 
-/// Function-pointer type of the amplitude-mask kernels behind
-/// [`amplitude_mask_fn`]: bit `j` of the result is set iff
-/// `|values[j]| <= amplitude`, for slices of at most 64 values.
-pub type AmplitudeMaskFn = fn(&[f32], f32) -> u64;
+/// Function-pointer type of the amplitude-mask row kernels behind
+/// [`amplitude_mask_fn`]: `mask(values, amplitude, masks)` writes one word per
+/// 64 values into `masks[..values.len().div_ceil(64)]`, where bit `j` of word
+/// `w` is set iff `|values[64·w + j]| <= amplitude` and the bits past the end
+/// of `values` are zero. Words past those are left as they were.
+pub type AmplitudeMaskFn = fn(&[f32], f32, &mut [u64]);
 
-/// Scalar amplitude mask, the reference every SIMD tier must match: bit `j` is
-/// set iff `values[j].abs() <= amplitude`. NaN never qualifies (the comparison
-/// is false), and `-0.0` qualifies like `0.0`.
-///
-/// # Panics
-/// Panics when `values` holds more than 64 elements.
-fn amplitude_mask_generic(values: &[f32], amplitude: f32) -> u64 {
-    assert!(values.len() <= WORD_BITS, "one mask word covers 64 values");
+/// The scalar `|v| <= amplitude` word of up to 64 values: bit `j` is set iff
+/// `values[j].abs() <= amplitude`. NaN never qualifies (the comparison is
+/// false), and `-0.0` qualifies like `0.0`.
+fn amplitude_word(values: &[f32], amplitude: f32) -> u64 {
     values
         .iter()
         .enumerate()
         .fold(0, |m, (j, v)| m | u64::from(v.abs() <= amplitude) << j)
 }
 
-/// The amplitude-mask kernel runtime dispatch resolved to (cached with every
-/// other kernel): one vector compare per eight values when `avx2` is detected
-/// and `COGSYS_SIMD` allows it, the scalar rule otherwise. Every tier returns
-/// the identical mask, and every tier panics on slices longer than 64 values.
+/// Panics unless `masks` holds one word per 64 values, the contract of every
+/// [`AmplitudeMaskFn`] tier.
+fn assert_mask_words(values: &[f32], masks: &[u64]) {
+    assert!(
+        masks.len() >= values.len().div_ceil(WORD_BITS),
+        "one mask word per 64 values"
+    );
+}
+
+/// Scalar amplitude-mask row kernel, the reference every SIMD tier must match:
+/// one [`amplitude_word`] per 64 values.
+///
+/// # Panics
+/// Panics when `masks` holds fewer than `values.len().div_ceil(64)` words.
+fn amplitude_mask_generic(values: &[f32], amplitude: f32, masks: &mut [u64]) {
+    assert_mask_words(values, masks);
+    for (chunk, mask) in values.chunks(WORD_BITS).zip(masks.iter_mut()) {
+        *mask = amplitude_word(chunk, amplitude);
+    }
+}
+
+/// The amplitude-mask row kernel runtime dispatch resolved to (cached with
+/// every other kernel, at the [`projection_tier`]): four vector compares per
+/// 64 values on `avx512`, eight on `avx2`, the scalar rule otherwise. A whole
+/// row is one call. Every tier writes the identical masks, and every tier
+/// panics when `masks` holds fewer than one word per 64 values.
 pub fn amplitude_mask_fn() -> AmplitudeMaskFn {
     dispatch().amplitude_mask
 }
@@ -2520,14 +2613,22 @@ mod tests {
             }
         }
 
-        /// Every amplitude-mask kernel available on the running CPU, by name;
-        /// `amplitude_mask_generic` is the reference the rest are pinned against.
+        /// Every amplitude-mask row kernel available on the running CPU, by
+        /// name, and the dispatched one; each is pinned against the scalar rule.
         fn available_mask_kernels() -> Vec<(&'static str, AmplitudeMaskFn)> {
-            let mut kernels: Vec<(&'static str, AmplitudeMaskFn)> =
-                vec![("dispatched", amplitude_mask_fn())];
+            let mut kernels: Vec<(&'static str, AmplitudeMaskFn)> = vec![
+                ("dispatched", amplitude_mask_fn()),
+                ("generic", amplitude_mask_generic),
+            ];
             #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                kernels.push(("avx2", simd::amplitude_mask_avx2_checked));
+            {
+                use std::arch::is_x86_feature_detected;
+                if is_x86_feature_detected!("avx2") {
+                    kernels.push(("avx2", simd::amplitude_mask_avx2_checked));
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    kernels.push(("avx512", simd::amplitude_mask_avx512_checked));
+                }
             }
             kernels
         }
@@ -2652,6 +2753,58 @@ mod tests {
             }
         }
 
+        /// The whole-chunk accumulator store and the whole-word sign pack on
+        /// every tier, next to their ragged forms: dims of one word, a ragged
+        /// word, one 128-dim chunk, a chunk and a ragged word, the RAVEN
+        /// dimension and one bit past it. The projection goes through the
+        /// scalar row kernel and sign pack; the pack alone runs on rows of sign
+        /// edges (±0.0, NaN of either sign, ±infinity, subnormals) against the
+        /// per-element `v < 0.0` rule, into words pre-set to all ones, so a
+        /// padding bit or a word the pack leaves unwritten shows.
+        #[test]
+        fn full_chunk_store_and_full_word_pack_match_scalar() {
+            let mut r = rng(0x38);
+            let edges = [
+                0.0,
+                -0.0,
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MIN_POSITIVE / 2.0,
+                -f32::MIN_POSITIVE / 2.0,
+            ];
+            for dim in [64usize, 100, 128, 130, 2048, 2049] {
+                for cb_rows in [1usize, 5, 9, 24] {
+                    let codebook = BitMatrix::random_bipolar(cb_rows, dim, &mut r);
+                    let weights: Vec<f32> = (0..cb_rows)
+                        .map(|_| (r.gen::<f32>() - 0.5) * 200.0)
+                        .collect();
+                    assert_eq!(check_projection_tiers(&codebook, &weights), Ok(()));
+                }
+                let row: Vec<f32> = (0..dim)
+                    .map(|_| match r.gen_range(0..3) {
+                        0 => edges[r.gen_range(0..edges.len())],
+                        _ => r.gen::<f32>() - 0.5,
+                    })
+                    .collect();
+                let wpr = BitMatrix::words_for_dim(dim);
+                let mut expected = vec![0u64; wpr];
+                pack_row_signs_reference(&row, &mut expected);
+                let mut packs: Vec<(&str, PackSignsFn)> = vec![("generic", pack_row_signs)];
+                packs.extend(
+                    available_projection_kernels()
+                        .into_iter()
+                        .map(|(name, _, _, pack)| (name, pack)),
+                );
+                for (name, pack) in packs {
+                    let mut words = vec![u64::MAX; wpr];
+                    pack(&row, &mut words);
+                    assert_eq!(words, expected, "{name} dim {dim}");
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -2676,12 +2829,14 @@ mod tests {
                 }
             }
 
-            /// Every available mask tier returns exactly the scalar mask — and the
-            /// scalar mask is exactly the per-element `|v| <= amplitude` rule — on
-            /// every length from 0 to 64 (whole vectors plus a ragged scalar tail),
-            /// with eligibility scattered inside the word and the edge values that
-            /// decide the draws: NaN (never), ±0.0 and `== amplitude` (always),
-            /// ±infinity (never), subnormals.
+            /// Every available mask tier writes exactly the per-element
+            /// `|v| <= amplitude` rule, one word per 64 values with zero
+            /// padding bits, on every row length from 0 to 300 (whole words,
+            /// whole vectors and ragged tails of every length), with
+            /// eligibility scattered inside the words and the edge values that
+            /// decide the draws: NaN (never), ±0.0 and `±amplitude` (always),
+            /// ±infinity (never), subnormals. Words past the row stay as they
+            /// were.
             #[test]
             fn prop_amplitude_mask_tiers_match_scalar(seed in 0u64..1000, amp_centi in 1u32..400) {
                 let amplitude = amp_centi as f32 / 100.0;
@@ -2689,8 +2844,9 @@ mod tests {
                 let edges = [
                     f32::NAN, -f32::NAN, 0.0, -0.0, amplitude, -amplitude,
                     f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE / 2.0,
+                    -f32::MIN_POSITIVE / 3.0,
                 ];
-                for len in 0..=WORD_BITS {
+                for len in 0..=300usize {
                     let values: Vec<f32> = (0..len)
                         .map(|_| match r.gen_range(0..4) {
                             0 => edges[r.gen_range(0..edges.len())],
@@ -2698,15 +2854,17 @@ mod tests {
                             _ => (r.gen::<f32>() - 0.5) * 4.0 * amplitude,
                         })
                         .collect();
-                    let expected = amplitude_mask_generic(&values, amplitude);
+                    let words = len.div_ceil(WORD_BITS);
+                    let mut expected = vec![0u64; words];
                     for (j, v) in values.iter().enumerate() {
-                        prop_assert_eq!((expected >> j) & 1 == 1, v.abs() <= amplitude);
+                        expected[j / WORD_BITS] |= u64::from(v.abs() <= amplitude) << (j % WORD_BITS);
                     }
-                    if len < WORD_BITS {
-                        prop_assert_eq!(expected >> len, 0);
-                    }
+                    expected.push(0x5EED);
                     for (name, kernel) in available_mask_kernels() {
-                        prop_assert_eq!((name, len, kernel(&values, amplitude)), (name, len, expected));
+                        let mut masks = vec![u64::MAX; words];
+                        masks.push(0x5EED);
+                        kernel(&values, amplitude, &mut masks);
+                        prop_assert_eq!((name, len, &masks), (name, len, &expected));
                     }
                 }
             }
