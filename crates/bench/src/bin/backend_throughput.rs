@@ -4,7 +4,9 @@
 //! queries and the sign-plane kernels for every [`cogsys_vsa::BackendKind`] across
 //! `d ∈ {256, 1024, 4096}` × `batch ∈ {1, 32, 256}`, plus the **end-to-end solver
 //! kernel** `solve_batch` (the cross-problem batched serving engine with reused
-//! scratch, packed backend) at 8- and 64-problem batches with its per-stage cells,
+//! scratch, packed backend, beside its same-run `reference` twin, the same batch
+//! on the f32 reference backend) at 8- and 64-problem batches with its per-stage
+//! cells,
 //! plus the `project_signs_<rows>` cells (the sign projection onto the 9- and
 //! 6-row RAVEN factor codebooks at d=2048 and 4096, 512 weight rows, beside the
 //! same `reference` twin as `project_signs`, recorded in the JSON only),
@@ -24,9 +26,11 @@
 //! bench-smoke step. Set `BENCH_GUARD=off` to record a new baseline without gating
 //! (e.g. after an intentional trade-off or a hardware change).
 //!
-//! The detected Hamming-kernel SIMD tier (generic / popcnt / avx2 / avx512) and the
-//! sign-projection tier (generic / avx2 / avx512; the two can differ) are printed
-//! first so CI logs record which dispatch paths produced the numbers; with
+//! The detected Hamming-kernel SIMD tier (generic / popcnt / avx2 / avx512), the
+//! sign-projection tier (generic / avx2 / avx512; the two can differ) and the
+//! tier of the projection's table route (generic / avx512, or none where every
+//! codebook projects densely) are printed first so CI logs record which
+//! dispatch paths produced the numbers; with
 //! `BENCH_REQUIRE_SIMD=1` the run fails outright when either fell back to the
 //! generic tier (the CI runners are known-SIMD hosts, so a generic fallback there
 //! means detection broke, not that the hardware shrank).
@@ -62,6 +66,10 @@ fn main() -> ExitCode {
     let projection = cogsys_vsa::projection_tier();
     println!("dispatch tier: {tier}");
     println!("projection tier: {projection}");
+    println!(
+        "table tier: {}",
+        cogsys_vsa::table_tier().map_or("none (dense route)".to_string(), |t| t.to_string())
+    );
     if std::env::var("BENCH_REQUIRE_SIMD").as_deref() == Ok("1") {
         use cogsys_vsa::DispatchTier::Generic;
         for (family, resolved) in [("Hamming", tier), ("projection", projection)] {
@@ -149,11 +157,16 @@ fn main() -> ExitCode {
             .find(|r| r.backend == backend && r.kernel == kernel && r.batch == 64)
             .map(|r| r.ns_per_op)
     };
-    if let Some(batched) = solver_cell("packed", "solve_batch") {
+    if let (Some(batched), Some(reference)) = (
+        solver_cell("packed", "solve_batch"),
+        solver_cell("reference", "solve_batch"),
+    ) {
         println!(
-            "solver 64-problem batch (packed): {:.1} ms ({:.0} problems/s)",
+            "solver 64-problem batch (packed): {:.1} ms ({:.0} problems/s), \
+             f32 reference twin {:.1} ms",
             batched / 1e6,
             64.0 / (batched / 1e9),
+            reference / 1e6,
         );
     }
 

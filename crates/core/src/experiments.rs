@@ -192,11 +192,13 @@ fn twin_records(
 /// `project_signs` is the fused weighted-superposition → sign-threshold kernel
 /// over a [`BENCH_CODEBOOK_ROWS`]-row codebook, beside a `reference` twin (the
 /// dense projection GEMM + sign packing, checked bitwise against the packed
-/// output); `noise_signs`
-/// pits the masked draw of `perturb_signs` (one vector-compare eligibility mask per
-/// 64-dim word, recorded as `packed`) against the element-wise rule (recorded as
-/// `reference`) on accumulators where a third of the elements, scattered inside
-/// every word, lie within the amplitude.
+/// output); `noise_signs` pits the production projection epilogue on a dense row
+/// (`perturb_signs` through [`cogsys_vsa::BitMatrix::pack_projected_row`]: one
+/// vector-compare eligibility mask per 64-dim word, the masked draws, the sign
+/// pack; recorded as `packed`) against the element-wise rule and the sign pack
+/// (recorded as `reference`, its sign planes checked bitwise against the
+/// packed ones) on accumulators where a third of the elements, scattered
+/// inside every word, lie within the amplitude.
 pub fn backend_throughput_records(
     dims: &[usize],
     batches: &[usize],
@@ -284,17 +286,25 @@ pub fn backend_throughput_records(
                 })
                 .collect();
             let mut values = base.clone();
+            let mut signs = [BitMatrix::zeros(batch, dim), BitMatrix::zeros(batch, dim)];
             let perturb = median_secs_each::<2>(false, &mut |side| {
                 values.copy_from_slice(&base);
                 let mut r = cogsys_vsa::rng(seed ^ 0x4015E);
-                for row in values.chunks_mut(dim) {
+                for (q, row) in values.chunks_mut(dim).enumerate() {
                     if side == 1 {
                         noise.perturb_signs_elementwise(row, &mut r);
+                        signs[1].pack_signs_row(q, row);
                     } else {
-                        noise.perturb_signs(row, &mut r);
+                        signs[0].pack_projected_row(q, row, |row| {
+                            noise.perturb_signs(row, &mut r, Precision::Fp32)
+                        });
                     }
                 }
             });
+            assert_eq!(
+                signs[0], signs[1],
+                "the noise epilogue diverged from the element-wise rule"
+            );
             records.extend(twin_records(twins, "noise_signs", dim, batch, perturb));
         }
     }
@@ -308,21 +318,24 @@ pub fn backend_throughput_records(
 /// kernels); d = 2048 is the solver's production dimensionality.
 pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 
-/// Timed rounds of the `solve_batch` cells and of their stage cells.
+/// Timed rounds of the `plan_stage_*` cells.
 const SOLVE_BATCH_ROUNDS: usize = 7;
 
-/// Measures end-to-end solver throughput on the packed backend: the `solve_batch`
-/// kernel runs the cross-problem batched engine (one reused
-/// [`cogsys_workloads::SolverScratch`], all problems in one call). Tracking it
-/// against the committed baseline guards the whole serving path (encode, decode,
-/// answer scoring) rather than single kernels.
+/// Measures end-to-end solver throughput: the `solve_batch` kernel runs the
+/// cross-problem batched engine (one reused [`cogsys_workloads::SolverScratch`],
+/// all problems in one call) on the packed backend, beside a same-run
+/// `reference` twin, the same solver on the f32 reference backend over the same
+/// problems. Tracking it against the committed baseline guards the whole serving
+/// path (encode, decode, answer scoring) rather than single kernels.
 ///
-/// `ns_per_op` is the best wall clock for solving the *whole* batch: one warm-up,
-/// then seven (`SOLVE_BATCH_ROUNDS`) timed rounds. The cells have no `reference`
-/// twin, so [`packed_bench_regressions`] normalises them by the run's host factor:
-/// the f32 reference solver shares the encode and score stages but not the
-/// decode, so a ratio to it reads a change that speeds up both engines as a
-/// packed slowdown.
+/// `ns_per_op` is the wall clock for solving the *whole* batch: the median of
+/// [`RESCUE_BENCH_ROUNDS`] rounds, the packed call and its twin alternating
+/// round by round (`median_secs_each`, each timed call after an untimed call
+/// of the same side), so [`packed_bench_regressions`] gates the packed cell on
+/// its ratio to a twin timed in the same seconds. Best-of-seven cells
+/// normalised by the run's host factor (every reference cell, timed at other
+/// moments) failed the 1.3× gate in 2 of 10 runs whose raw times read faster
+/// than the baseline.
 ///
 /// The sweep also records `plan_stage_{encode,decode,score}`: the per-stage wall
 /// clock of the best (by total) of seven further timed rounds, the cells
@@ -330,38 +343,37 @@ const SOLVE_BATCH_ROUNDS: usize = 7;
 /// validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
     use cogsys_workloads::{SolverScratch, StageNanos};
-    use std::time::Instant;
 
-    let backend = BackendKind::Packed;
     let mut rng = cogsys_vsa::rng(seed);
-    let solver = NeurosymbolicSolver::new(SolverConfig::default().with_backend(backend), &mut rng);
+    let solver = NeurosymbolicSolver::new(
+        SolverConfig::default().with_backend(BackendKind::Packed),
+        &mut rng,
+    );
+    let reference = NeurosymbolicSolver::new(
+        SolverConfig::default().with_backend(BackendKind::Reference),
+        &mut cogsys_vsa::rng(seed),
+    );
     let dim = solver.config().vector_dim;
     let batches: Vec<_> = problem_counts
         .iter()
         .map(|&count| ProblemGenerator::new(DatasetKind::Raven).generate_batch(count, &mut rng))
         .collect();
-    let mut scratch = SolverScratch::default();
+    let mut scratch: [SolverScratch; 2] = Default::default();
     let mut records = Vec::new();
     for (problems, &count) in batches.iter().zip(problem_counts) {
-        let mut solve = || {
-            let t = Instant::now();
+        let secs = median_secs_each::<2>(true, &mut |side| {
             let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
-            let _ = solver
-                .solve_batch_with(problems, &mut r, &mut scratch)
+            let _ = [&solver, &reference][side]
+                .solve_batch_with(problems, &mut r, &mut scratch[side])
                 .expect("well-formed problems solve");
-            t.elapsed().as_secs_f64()
-        };
-        solve();
-        let best = (0..SOLVE_BATCH_ROUNDS)
-            .map(|_| solve())
-            .fold(f64::INFINITY, f64::min);
-        records.push(BenchRecord {
-            backend: backend.to_string(),
-            kernel: "solve_batch".to_string(),
-            dim,
-            batch: count,
-            ns_per_op: best * 1e9,
         });
+        records.extend(twin_records(
+            ["packed", "reference"],
+            "solve_batch",
+            dim,
+            count,
+            secs,
+        ));
 
         let plan = solver.plan_for_batch(count);
         // Per-stage wall clock of the best timed round (by total), the cells the
@@ -370,7 +382,7 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
             let mut timings = StageNanos::default();
             let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
             let _ = solver
-                .solve_batch_with_plan_timed(&plan, problems, &mut r, &mut scratch, &mut timings)
+                .solve_batch_with_plan_timed(&plan, problems, &mut r, &mut scratch[0], &mut timings)
                 .expect("well-formed problems solve");
             timings
         };
@@ -388,7 +400,7 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
             ("plan_stage_score", best.score),
         ] {
             records.push(BenchRecord {
-                backend: backend.to_string(),
+                backend: BackendKind::Packed.to_string(),
                 kernel: stage.to_string(),
                 dim,
                 batch: count,
@@ -537,8 +549,10 @@ pub fn product_scan_records(seed: u64) -> Vec<BenchRecord> {
 /// `(backend, kernel, codebook dim, weight rows)`:
 ///
 /// * `packed`: [`cogsys_vsa::PackedBackend::project_signs_packed_into`], the
-///   fused weighted-superposition → sign-threshold kernel on the codebook's
-///   cached sign planes (the dispatched row kernel, prefix codes included);
+///   weighted-superposition → sign-threshold projection on the codebook's
+///   cached sign planes, column codes included: the dense row kernel for a
+///   codebook of more than ten rows, else the table route where the host has
+///   a [`cogsys_vsa::table_tier`];
 /// * `reference`: the dense projection GEMM ([`ReferenceBackend::project_batch_into`])
 ///   followed by sign packing, the pre-packed pipeline's shape for the step. Its
 ///   sign planes must equal the packed cell's bitwise: every projection tier sums
@@ -592,9 +606,10 @@ pub const RAVEN_PROJECTION_ROWS: [usize; 2] = [9, 6];
 /// factor-codebook lengths ([`RAVEN_PROJECTION_ROWS`]) for d = 2048 and 4096,
 /// over [`PRODUCT_SCAN_BENCH_ROWS`] weight rows on the similarity scale the
 /// resonator feeds the kernel (`d − 2·hamming`, an even integer in `[-d, d]`).
-/// The `project_signs` cells of [`backend_throughput_records`] project onto 64
-/// rows, where the avx512 tier's five-row prefix table is a small share of
-/// the sweep; at 6 and 9 rows it is most of it.
+/// These cells time the table route (a codebook of at most ten rows: `2^M`
+/// values per weight row, then one lookup per 64 dims); the `project_signs`
+/// cells of [`backend_throughput_records`] project onto 64 rows and time the
+/// dense row kernel.
 pub fn raven_projection_records(seed: u64) -> Vec<BenchRecord> {
     use rand::Rng;
 
@@ -654,9 +669,9 @@ pub fn parse_backend_throughput_json(text: &str) -> Vec<BenchRecord> {
 ///   the same `(kernel, dim, batch)` cell, so a machine-wide slowdown (busier
 ///   container, different host generation) cancels out — what is gated is the packed
 ///   kernel's advantage over the reference, not absolute nanoseconds. A packed cell
-///   without a reference twin in both runs (`solve_batch` and the rescue route's
-///   `factorize_sweep_*` cells) is normalised by the run's **host factor**
-///   instead:
+///   without a reference twin in both runs (the rescue route's
+///   `factorize_sweep_*` cells, and `solve_batch` against a baseline recorded
+///   before it had one) is normalised by the run's **host factor** instead:
 ///   the geometric mean of fresh/baseline time over every reference cell present in
 ///   both record sets. The `plan_stage_*` cells stay ungated: they split the gated
 ///   `solve_batch` cell into stages of 0.02–8 ms, and the sub-millisecond encode and
@@ -747,8 +762,10 @@ pub fn packed_bench_regressions(
 
 /// Renders throughput records as the machine-readable `BENCH_backends.json` payload:
 /// a header naming the kernels that produced it (the running process's
-/// [`cogsys_vsa::dispatch_tier`] as `hamming_tier` and
-/// [`cogsys_vsa::projection_tier`] as `projection_tier`), then one object per
+/// [`cogsys_vsa::dispatch_tier`] as `hamming_tier`,
+/// [`cogsys_vsa::projection_tier`] as `projection_tier` and
+/// [`cogsys_vsa::table_tier`] as `table_tier`, `none` where every codebook
+/// projects densely), then one object per
 /// `(backend, kernel, dim, batch)` cell with its `ns_per_op`.
 ///
 /// Written by `cargo run --release -p cogsys-bench --bin backend_throughput` and
@@ -758,9 +775,10 @@ pub fn backend_throughput_json(seed: u64, records: &[BenchRecord]) -> String {
     out.push_str("  \"schema\": \"cogsys-backend-throughput/v1\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!(
-        "  \"hamming_tier\": \"{}\",\n  \"projection_tier\": \"{}\",\n",
+        "  \"hamming_tier\": \"{}\",\n  \"projection_tier\": \"{}\",\n  \"table_tier\": \"{}\",\n",
         cogsys_vsa::dispatch_tier(),
-        cogsys_vsa::projection_tier()
+        cogsys_vsa::projection_tier(),
+        cogsys_vsa::table_tier().map_or("none".to_string(), |t| t.to_string())
     ));
     out.push_str(&format!(
         "  \"codebook_rows\": {BENCH_CODEBOOK_ROWS},\n  \"records\": [\n"
@@ -1924,7 +1942,7 @@ mod tests {
             batch,
             ns_per_op: ns,
         };
-        // A baseline that still holds the f32 reference `solve_batch` twin.
+        // A baseline that holds the f32 reference `solve_batch` twin.
         let baseline = vec![
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
             rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
@@ -1932,8 +1950,8 @@ mod tests {
             rec("packed", "solve_batch", 64, 9_750_000.0),
             rec("reference", "solve_batch", 64, 114_600_000.0),
         ];
-        // What the sweep records: no reference `solve_batch`, every cell scaled
-        // by the host's speed.
+        // A fresh record set without the twin, every cell scaled by the
+        // host's speed.
         let fresh = |host: f64, packed_solve: f64| {
             vec![
                 rec("packed", "cleanup_prepacked", 256, 50_000.0 * host),

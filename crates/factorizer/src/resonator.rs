@@ -14,8 +14,9 @@
 use crate::config::FactorizerConfig;
 use cogsys_vsa::batch::{HvMatrix, ReferenceBackend, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CodebookSet};
-use cogsys_vsa::packed::{amplitude_mask_fn, BitMatrix, ResonatePhase};
+use cogsys_vsa::packed::{BitMatrix, ProjectedRow, ProjectionNoise, StepRow};
 use cogsys_vsa::quant::fake_quantize_slice;
+use cogsys_vsa::Precision;
 use cogsys_vsa::{ops, Hypervector, VsaError};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -94,16 +95,6 @@ pub struct BoundedNoise {
     amplitude: f32,
 }
 
-/// Dimensions per eligibility mask word in [`BoundedNoise::perturb_signs`]:
-/// matches the 64-bit word width of the packed sign planes, so one mask word
-/// corresponds to one whole word of the downstream [`cogsys_vsa::BitMatrix`] row.
-const NOISE_CHUNK_DIMS: usize = 64;
-
-/// Mask words [`BoundedNoise::perturb_signs`] stages on the stack per
-/// dispatched mask call: 4,096 dimensions, so a row of the RAVEN dimensions
-/// (2,048 and 4,096) is one call.
-const NOISE_STAGE_WORDS: usize = 64;
-
 impl BoundedNoise {
     /// The noise for one sigma, or `None` when disabled (`sigma == 0`). Sigmas are
     /// validated by [`FactorizerConfig::validate`] (finite, non-negative).
@@ -142,58 +133,56 @@ impl BoundedNoise {
         }
     }
 
-    /// Adds one sample to every element whose **sign** the noise could possibly flip
-    /// — the projection-step perturbation. `|v| > amplitude ≥ |z|` bounds `v + z`
-    /// strictly away from zero on the same side as `v` (two finite `f32`s only sum
-    /// to ±0.0 when they are exact negatives, which the strict bound excludes), so
-    /// on the FP32 path — where the sign threshold directly follows — the skipped
-    /// draw is provably dead weight. At sub-FP32 precisions `fake_quantize` sits
-    /// between the noise and the sign threshold and the skip is *not* equivalent to
-    /// a full-sampling run (quantization can move a near-zero value across zero and
-    /// its row-global Int8 scale couples elements); it remains a well-defined noise
-    /// model there because the skip rule is deterministic in the accumulator values.
-    /// Skipping changes which stream position lands on which dimension, but every
-    /// engine — dense and packed, per-query and batched — runs this same code on
-    /// bitwise-identical accumulators, so their skip patterns and therefore their
-    /// decisions stay identical at every precision.
+    /// The projection-step perturbation: the epilogue of one projected row
+    /// ([`ProjectedRow::finish_noisy`]) with this noise on `rng`, then the
+    /// quantizer at `precision` and the sign pack.
     ///
-    /// The eligibility test runs a row at a time: one dispatched call
-    /// ([`cogsys_vsa::packed::amplitude_mask_fn`], behind the `COGSYS_SIMD`
-    /// dispatch) writes the `|v| <= amplitude` mask of every 64-dimension block
-    /// (one packed sign-plane word) into a stack buffer of up to 4,096
-    /// dimensions, and only then do the draws run: every set bit in ascending
-    /// order, one generator word each, on a local copy of the stream that is
-    /// written back once at the end. No call and no per-element branch sits
-    /// between two draws, so the stream stays in registers and eligibility
-    /// scattered inside a word costs no mispredictions. This is bitwise-equal
-    /// to the element-wise rule (exposed as
-    /// [`BoundedNoise::perturb_signs_elementwise`] for tests and benchmarks):
-    /// the masks hold exactly the elements that rule perturbs, and a draw
-    /// changes only its own element, which no later mask of the block reads,
-    /// so every draw lands on the same dimension in the same order and the
-    /// stream ends in the same position — NaN included, since the ordered
-    /// compare is false for NaN exactly like `NaN.abs() <= a`.
-    pub fn perturb_signs(&self, values: &mut [f32], rng: &mut StdRng) {
-        let a = self.amplitude;
-        let mask_of = amplitude_mask_fn();
-        let mut masks = [0u64; NOISE_STAGE_WORDS];
-        let mut stream = rng.clone();
-        for block in values.chunks_mut(NOISE_STAGE_WORDS * NOISE_CHUNK_DIMS) {
-            mask_of(block, a, &mut masks);
-            for (chunk, &mask) in block.chunks_mut(NOISE_CHUNK_DIMS).zip(&masks) {
-                let mut mask = mask;
-                while mask != 0 {
-                    chunk[mask.trailing_zeros() as usize] += self.sample(&mut stream);
-                    mask &= mask - 1;
-                }
-            }
-        }
-        *rng = stream;
+    /// Only an element whose **sign** the noise could possibly flip draws a
+    /// sample. `|v| > amplitude ≥ |z|` bounds `v + z` strictly away from zero on
+    /// the same side as `v` (two finite `f32`s only sum to ±0.0 when they are
+    /// exact negatives, which the strict bound excludes), so on the FP32 path —
+    /// where the sign threshold directly follows — the skipped draw is provably
+    /// dead weight. At sub-FP32 precisions `fake_quantize` sits between the
+    /// noise and the sign threshold and the skip is *not* equivalent to a
+    /// full-sampling run (quantization can move a near-zero value across zero
+    /// and its row-global Int8 scale couples elements); it remains a
+    /// well-defined noise model there because the skip rule is deterministic
+    /// in the accumulator values. Skipping changes which stream position lands
+    /// on which dimension, but every engine runs this rule on bitwise-identical
+    /// accumulators — the packed engines, per-query and batched, table and
+    /// dense route, through this epilogue, and the f32 resonator through the
+    /// element-wise rule it equals — so their skip patterns and therefore
+    /// their decisions stay identical at every precision.
+    ///
+    /// The eligible elements draw in ascending order, one generator word each,
+    /// on a local copy of the stream that is written back once. The mask comes
+    /// a word of 64 dimensions at a time: on the table route from one lookup
+    /// of the `|T[c]| <= amplitude` table by the dimensions' column codes, on
+    /// the dense route from one dispatched mask call per 4,096 dimensions. This
+    /// is bitwise-equal to the element-wise rule
+    /// ([`BoundedNoise::perturb_signs_elementwise`]) followed by [`fake_quantize_slice`] and the sign pack: the
+    /// masks hold exactly the elements that rule perturbs, every draw lands on
+    /// the same dimension in the same order, and the stream ends in the same
+    /// position — NaN included, since the ordered compare is false for NaN
+    /// exactly like `NaN.abs() <= a`.
+    pub fn perturb_signs(
+        &self,
+        row: &mut ProjectedRow<'_>,
+        rng: &mut StdRng,
+        precision: Precision,
+    ) {
+        let mut draws = Draws {
+            noise: *self,
+            stream: rng.clone(),
+        };
+        row.finish_noisy(&mut draws, precision);
+        *rng = draws.stream;
     }
 
     /// The element-wise reference rule behind [`BoundedNoise::perturb_signs`],
-    /// one branch per element. Kept public so proptests and the `noise_signs`
-    /// benchmark can pin the masked path bitwise against it.
+    /// one branch per element: the f32 resonator's projection noise, and the
+    /// oracle proptests and the `noise_signs` benchmark pin the masked path
+    /// bitwise against.
     pub fn perturb_signs_elementwise(&self, values: &mut [f32], rng: &mut StdRng) {
         let a = self.amplitude;
         for v in values {
@@ -201,6 +190,39 @@ impl BoundedNoise {
                 *v += self.sample(rng);
             }
         }
+    }
+}
+
+/// A [`BoundedNoise`] drawing from a copy of one query's stream: the
+/// [`ProjectionNoise`] of [`BoundedNoise::perturb_signs`].
+#[derive(Clone)]
+struct Draws {
+    noise: BoundedNoise,
+    stream: StdRng,
+}
+
+impl ProjectionNoise for Draws {
+    fn amplitude(&self) -> f32 {
+        self.noise.amplitude
+    }
+
+    #[inline]
+    fn sample(&mut self) -> f32 {
+        self.noise.sample(&mut self.stream)
+    }
+}
+
+/// Finishes one projected row: its projection noise at `sigma` on `stream`
+/// (none when `sigma` is zero), the quantizer at `precision` and the sign pack.
+fn finish_projection(
+    sigma: f32,
+    row: &mut ProjectedRow<'_>,
+    stream: &mut StdRng,
+    precision: Precision,
+) {
+    match BoundedNoise::for_sigma(sigma) {
+        Some(noise) => noise.perturb_signs(row, stream, precision),
+        None => row.finish(precision),
     }
 }
 
@@ -623,10 +645,13 @@ impl Factorizer {
                     }
                     state.decoded[f] = ops::argmax(sims.row(0)).unwrap_or(0);
 
-                    // Step 3: project back into the codevector space and binarise.
+                    // Step 3: project back into the codevector space and binarise,
+                    // by the scalar rules the packed engine's epilogue is pinned
+                    // against: the element-wise noise rule, the quantizer, then
+                    // the sign threshold.
                     ReferenceBackend.project_batch_into(cb_matrix, sims, &mut projected)?;
                     if let Some(noise) = BoundedNoise::for_sigma(state.proj_sigma) {
-                        noise.perturb_signs(projected.row_mut(0), stream);
+                        noise.perturb_signs_elementwise(projected.row_mut(0), stream);
                     }
                     fake_quantize_slice(projected.row_mut(0), precision);
                     for (est, &v) in estimates[f].row_mut(0).iter_mut().zip(projected.row(0)) {
@@ -685,10 +710,12 @@ impl Factorizer {
     /// earlier state could read that estimate. Both skips drop the projection's
     /// noise draws and sign pack with it, and the second also the fingerprint. No
     /// dense estimate or projection matrix exists anywhere in this engine. The
-    /// projection hook quantizes the perturbed accumulator at the configured
-    /// precision right before the sign pack, the point where the f32 resonator
-    /// quantizes before its sign threshold (the unbound and similarity values need
-    /// no quantize: sign planes are ±1, which every precision keeps exact).
+    /// projection hook finishes each projected row with its epilogue
+    /// ([`BoundedNoise::perturb_signs`]): noise, the quantizer at the
+    /// configured precision, then the sign pack, bitwise what the f32
+    /// resonator's element-wise noise, quantize and threshold give (the unbound
+    /// and similarity values need no quantize: sign planes are ±1, which every
+    /// precision keeps exact).
     /// Decisions (argmax, convergence, limit cycles) are identical to the f32
     /// resonator on the same noise streams: every row that survives an iteration
     /// consumes the same draws in the same order, and a finished row's stream is
@@ -767,11 +794,11 @@ impl Factorizer {
                     unbound_bits,
                     sims,
                     proj_acc,
-                    |phase, slot, row| {
+                    |_, slot, row| {
                         let q = order[slot];
                         let state = &mut states[q];
-                        match phase {
-                            ResonatePhase::Similarity => {
+                        match row {
+                            StepRow::Similarity(row) => {
                                 if let Some(noise) = BoundedNoise::for_sigma(state.sim_sigma) {
                                     noise.perturb_all(row, &mut streams[q]);
                                 }
@@ -797,11 +824,13 @@ impl Factorizer {
                                 !converges(&self.config, similarity)
                                     && state.reads_final_state(&self.config, iteration)
                             }
-                            ResonatePhase::Projection => {
-                                if let Some(noise) = BoundedNoise::for_sigma(state.proj_sigma) {
-                                    noise.perturb_signs(row, &mut streams[q]);
-                                }
-                                fake_quantize_slice(row, precision);
+                            StepRow::Projection(row) => {
+                                finish_projection(
+                                    state.proj_sigma,
+                                    row,
+                                    &mut streams[q],
+                                    precision,
+                                );
                                 true
                             }
                         }
@@ -1267,9 +1296,10 @@ mod tests {
 
     #[test]
     fn packed_backend_decodes_reduced_precision_on_sign_planes() {
-        // Sub-FP32 precisions keep the packed engine: its projection hook quantizes
-        // the accumulator before the sign pack, where the dense engine quantizes
-        // before its threshold, so both decide identically on the same streams.
+        // Sub-FP32 precisions keep the packed engine: its projection epilogue
+        // quantizes each projected row before the sign pack, where the dense
+        // engine quantizes before its threshold, so both decide identically on
+        // the same streams.
         let (set, mut r) = standard_set(407, &[8, 8, 8], 1024);
         let query = ops::flip_noise(&set.bind_indices(&[7, 2, 5]).unwrap(), 0.05, &mut r);
         for precision in [Precision::Int8, Precision::Fp8] {
@@ -1364,9 +1394,11 @@ mod tests {
             prop_assert_eq!(result.indices, vec![i0, i1]);
         }
 
-        /// The masked `perturb_signs` is bitwise-equal to the element-wise
-        /// reference rule — identical output values AND identical rng stream
-        /// afterwards (equal state, equal next draw). Eligibility is either
+        /// `perturb_signs` on a dense row (the projection epilogue through
+        /// `BitMatrix::pack_projected_row`) is bitwise-equal to the
+        /// element-wise reference rule, `fake_quantize_slice` and the sign
+        /// pack at every precision — identical values, identical signs AND
+        /// identical rng stream afterwards (equal state, equal next draw). Eligibility is either
         /// scattered element by element inside every word (the resonator's real
         /// accumulators) or set per 64-dim block (whole words eligible,
         /// ineligible or mixed), across non-multiple-of-64 lengths and lengths
@@ -1407,18 +1439,27 @@ mod tests {
                         values[j % len] = *edge;
                     }
                 }
-                let mut fast = values.clone();
-                let mut slow = values;
-                let mut rng_fast = StdRng::seed_from_u64(seed ^ 0xE0);
-                let mut rng_slow = StdRng::seed_from_u64(seed ^ 0xE0);
-                noise.perturb_signs(&mut fast, &mut rng_fast);
-                noise.perturb_signs_elementwise(&mut slow, &mut rng_slow);
-                let fast_bits: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
-                let slow_bits: Vec<u32> = slow.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!((len, fast_bits), (len, slow_bits));
-                // Same number of draws consumed: the streams stay in lockstep.
-                prop_assert_eq!((len, &rng_fast), (len, &rng_slow));
-                prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+                for precision in Precision::all() {
+                    let mut fast = values.clone();
+                    let mut slow = values.clone();
+                    let mut rng_fast = StdRng::seed_from_u64(seed ^ 0xE0);
+                    let mut rng_slow = StdRng::seed_from_u64(seed ^ 0xE0);
+                    let mut fast_signs = BitMatrix::zeros(1, len);
+                    fast_signs.pack_projected_row(0, &mut fast, |row| {
+                        noise.perturb_signs(row, &mut rng_fast, precision)
+                    });
+                    noise.perturb_signs_elementwise(&mut slow, &mut rng_slow);
+                    fake_quantize_slice(&mut slow, precision);
+                    let mut slow_signs = BitMatrix::zeros(1, len);
+                    slow_signs.pack_signs_row(0, &slow);
+                    let fast_bits: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
+                    let slow_bits: Vec<u32> = slow.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!((len, precision, fast_bits), (len, precision, slow_bits));
+                    prop_assert_eq!(&fast_signs, &slow_signs);
+                    // Same number of draws consumed: the streams stay in lockstep.
+                    prop_assert_eq!((len, &rng_fast), (len, &rng_slow));
+                    prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+                }
             }
         }
     }

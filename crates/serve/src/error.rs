@@ -34,8 +34,10 @@ pub enum Rejection {
         now_micros: u64,
     },
     /// The request itself was malformed: admission validation rejected it on
-    /// arrival with this typed fault, so it was never queued or batched.
-    Invalid(Box<ProblemFault>),
+    /// arrival with this typed fault, so it was never queued or batched. The
+    /// 16-byte fault is held inline, so a malformed request costs no heap
+    /// allocation.
+    Invalid(ProblemFault),
     /// The request's batch failed: transient faults outlasted the bounded retry
     /// budget, or the engine returned an error that is not transient.
     Failed(SolveError),
@@ -117,7 +119,7 @@ mod tests {
         assert!(shed.to_string().contains("overloaded"));
         assert!(!shed.is_client_fault());
 
-        let invalid = Rejection::Invalid(Box::new(ProblemFault::NoCandidates));
+        let invalid = Rejection::Invalid(ProblemFault::NoCandidates);
         assert!(invalid.is_client_fault());
         assert!(invalid.to_string().contains("invalid request"));
 

@@ -446,7 +446,7 @@ impl<E: ChunkEngine> ServeLoop<E> {
             NeurosymbolicSolver::validate_problem_with(self.config.solver.vocab, &request.problem)
         {
             self.counters.invalid += 1;
-            responses.push(self.resolve(&request, Err(Rejection::Invalid(Box::new(fault)))));
+            responses.push(self.resolve(&request, Err(Rejection::Invalid(fault))));
             return;
         }
         let depth = self.queue.len();
@@ -790,7 +790,7 @@ mod tests {
         assert_eq!(invalid[0].id, 2);
         assert_eq!(
             invalid[0].outcome,
-            Err(Rejection::Invalid(Box::new(ProblemFault::NoCandidates)))
+            Err(Rejection::Invalid(ProblemFault::NoCandidates))
         );
         let answered: Vec<_> = responses.iter().filter(|r| r.is_answered()).collect();
         assert_eq!(answered.len(), 3);

@@ -81,6 +81,7 @@ impl Response {
 mod tests {
     use super::*;
     use cogsys_datasets::{DatasetKind, ProblemGenerator};
+    use cogsys_workloads::ProblemFault;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -94,7 +95,9 @@ mod tests {
     #[test]
     fn response_stays_small() {
         // Serving keeps every response of a run; a rejection's payload is boxed
-        // or two words, so it never widens the record.
+        // or at most two words (a malformed request's fault is inline), so it
+        // never widens the record.
+        assert!(std::mem::size_of::<ProblemFault>() <= 16);
         assert!(std::mem::size_of::<Rejection>() <= 24);
         assert!(std::mem::size_of::<Response>() <= 40);
     }

@@ -84,7 +84,7 @@ fn adversarial_chaos_run_isolates_faults_and_keeps_level0_identity() {
             Err(Rejection::Invalid(fault)) => {
                 assert_eq!(
                     NeurosymbolicSolver::validate_problem(problem),
-                    Err((**fault).clone()),
+                    Err(fault.clone()),
                     "request {} rejected with a fault validation does not report",
                     response.id
                 );

@@ -78,7 +78,7 @@
 // Unsafe is denied crate-wide; the single exception is the runtime-dispatched SIMD
 // kernel module `packed::simd` (the Hamming register tiles — scalar `popcnt`,
 // AVX2 lookup popcount, AVX-512 `vpopcntq` — plus the AVX2/AVX-512 sign
-// projection, sign pack and noise mask; `#[target_feature]` functions cannot be called or coerced without
+// projection, column codes, table lookup, sign pack and noise mask; `#[target_feature]` functions cannot be called or coerced without
 // `unsafe` even when the feature was verified via cpuid, and the vector load/store
 // intrinsics take raw pointers), which carries a scoped `#![allow(unsafe_code)]`
 // and per-call safety arguments.
@@ -99,8 +99,8 @@ pub use codebook::{Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::Hypervector;
 pub use packed::{
-    dispatch_tier, projection_tier, BitMatrix, CleanupScratch, DispatchTier, PackedBackend,
-    ProjectionVerdict, ResonatePhase,
+    dispatch_tier, projection_tier, table_tier, BitMatrix, CleanupScratch, DispatchTier,
+    PackedBackend, ProjectedRow, ProjectionNoise, ProjectionVerdict, ResonatePhase, StepRow,
 };
 pub use quant::Precision;
 

@@ -32,22 +32,30 @@
 //! integer distances.
 //!
 //! The one `f32` kernel on sign planes is the resonator's weighted sign projection,
-//! `acc[j] = Σ_m ±w[m]` over a codebook's rows. It runs one query row at a time: for
-//! each 64-dim word the row kernel keeps that word's accumulators in registers
-//! across the whole codebook sweep and stores them once, straight from the
-//! registers (four zmm registers per word on AVX-512, eight ymm on AVX2, a
-//! 64-slot tile in the scalar fallback; see [`projection_tier`]). On AVX-512 the first five codebook rows come from a
-//! 32-entry prefix table built once per weight row and read with one `vpermt2ps`
-//! per 16 dims, indexed by per-dimension codes built once per call (on AVX2 the
-//! first three, from an 8-entry table and `vpermps`). Every tier
-//! adds the same `±w` sequence to each dimension in ascending codebook-row order
-//! from `+0.0`, so every tier packs the same signs. That `v < 0.0` sign pack
+//! `acc[j] = Σ_m ±w[m]` over a codebook's rows, one query row at a time, and its
+//! epilogue ([`ProjectedRow`]: bounded noise, quantizer, sign pack). A codebook of
+//! at most ten rows takes the **table route** where the CPU has a [`table_tier`]:
+//! dimension `j`'s accumulator depends only on its column code (its sign bits
+//! across the rows, built once per call), so each weight row builds its `2^M`
+//! values once and the epilogue looks each 64-dim word's signs and noise mask
+//! up from two `2^M`-bit tables (one `vpermt2b` and one `vptestmb` per word on
+//! AVX-512 VBMI). Longer codebooks take the **dense route**: for each 64-dim
+//! word the row kernel keeps that word's accumulators in registers across the
+//! whole codebook sweep and stores them once, straight from the registers (four
+//! zmm registers per word on AVX-512, eight ymm on AVX2, a 64-slot tile in the
+//! scalar fallback; see [`projection_tier`]). On AVX-512 its first five codebook
+//! rows come from a 32-entry prefix table built once per weight row and read
+//! with one `vpermt2ps` per 16 dims by those rows' column codes (on AVX2 the
+//! first three, from an 8-entry table and `vpermps`). Every route and tier adds
+//! the same `±w` sequence to each dimension in ascending codebook-row order
+//! from `+0.0`, so every one packs the same signs. The `v < 0.0` sign pack
 //! ([`BitMatrix::pack_signs_row`]) also packs the exactly-bipolar rows of the `f32`
 //! boundary ([`BitMatrix::pack_from`]).
 
 use crate::batch::{HvMatrix, VsaBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
+use crate::quant::{fake_quantize_slice, int8_scale, quantize_value, Precision};
 use serde::{Deserialize, Serialize};
 
 /// Bits per storage word.
@@ -657,35 +665,102 @@ mod simd {
     /// `vpermt2ps` indexes.
     const AVX512_PREFIX_ROWS: usize = 5;
 
-    /// Writes one `k`-bit prefix code per dimension into `codes`, `k =
-    /// min(rows, AVX512_PREFIX_ROWS)`: bit `r` of dimension `j`'s code is bit
-    /// `j` of codebook row `r`, so the code is the index of that dimension's
-    /// entry in [`prefix_table_avx512`]. Each 16-dim slice of the first `k` rows' words
-    /// loads straight into a `k`-mask that ORs `1 << r` into the slice's 16 code
-    /// lanes; the codes are stored as `u32` bit patterns, 64 per codebook word
-    /// (the padding dims of the last word get code 0, which no lane reads).
+    /// Writes each dimension's column code ([`super::RowCodesFn`]) into
+    /// `codes`: bit `r` of dimension `j`'s code is bit `j` of codebook row `r`.
+    /// The dense route's codes (`TABLE = false`) cover the first `k = min(rows,
+    /// AVX512_PREFIX_ROWS)` rows, the ones [`project_row_avx512`] reads; the
+    /// table route's cover `k = min(rows, TABLE_MAX_ROWS)`. Each 16-dim slice
+    /// of those rows' words loads straight into a `k`-mask that ORs `1 << r`
+    /// into the slice's 16 code lanes, stored as `u32` bit patterns; on the
+    /// table route the same lanes also narrow to the two bytes
+    /// [`table_lookup_avx512`] reads, `c & 127` and `1 << (c >> 7)`. The
+    /// padding dims of the last word get code 0.
     #[target_feature(enable = "avx512f")]
-    fn prefix_codes_avx512(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
-        let k = rows.min(AVX512_PREFIX_ROWS);
-        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::WORD_BITS);
+    fn row_codes_avx512<const TABLE: bool>(
+        words: &[u64],
+        wpr: usize,
+        rows: usize,
+        codes: &mut [f32],
+    ) {
+        let k = rows.min(if TABLE {
+            super::TABLE_MAX_ROWS
+        } else {
+            AVX512_PREFIX_ROWS
+        });
+        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::CODE_SLOTS);
         let slices = words.as_ptr().cast::<__mmask16>();
-        let bits: [__m512i; AVX512_PREFIX_ROWS] =
+        let bits: [__m512i; super::TABLE_MAX_ROWS] =
             std::array::from_fn(|r| _mm512_set1_epi32(1 << r));
-        for (s, dst) in codes[..wpr * super::WORD_BITS]
-            .chunks_exact_mut(16)
+        let (low, one) = (_mm512_set1_epi32(127), _mm512_set1_epi32(1));
+        for (wi, word_codes) in codes[..wpr * super::CODE_SLOTS]
+            .chunks_exact_mut(super::CODE_SLOTS)
             .enumerate()
         {
-            let mut code = _mm512_setzero_si512();
-            for (r, &bit) in bits[..k].iter().enumerate() {
-                // SAFETY: r < k <= rows and s < 4 · wpr keep this 16-bit slice
-                // inside words[r * wpr..(r + 1) * wpr] (asserted above).
-                let set = unsafe { _load_mask16(slices.add(4 * r * wpr + s)) };
-                code = _mm512_mask_or_epi32(code, set, code, bit);
+            let out = word_codes.as_mut_ptr();
+            for g in 0..4 {
+                let mut code = _mm512_setzero_si512();
+                for (r, &bit) in bits[..k].iter().enumerate() {
+                    // SAFETY: r < k <= rows, wi < wpr and g < 4 keep this
+                    // 16-bit slice inside words[r * wpr..(r + 1) * wpr]
+                    // (asserted above).
+                    let set = unsafe { _load_mask16(slices.add(4 * (r * wpr + wi) + g)) };
+                    code = _mm512_mask_or_epi32(code, set, code, bit);
+                }
+                // SAFETY: a word's CODE_SLOTS = 96 slots hold its 64 codes and
+                // then 128 bytes (64 `lo`, 64 `sel`); g < 4 keeps each 16-lane
+                // store inside them. storeu has no alignment requirement.
+                unsafe { _mm512_storeu_si512(out.add(16 * g).cast(), code) };
+                if TABLE {
+                    let lo = _mm512_cvtepi32_epi8(_mm512_and_si512(code, low));
+                    let sel =
+                        _mm512_cvtepi32_epi8(_mm512_sllv_epi32(one, _mm512_srli_epi32::<7>(code)));
+                    // SAFETY: as above.
+                    unsafe {
+                        let bytes = out.add(super::WORD_BITS).cast::<u8>();
+                        _mm_storeu_si128(bytes.add(16 * g).cast(), lo);
+                        _mm_storeu_si128(bytes.add(super::WORD_BITS + 16 * g).cast(), sel);
+                    }
+                }
             }
-            // SAFETY: chunks_exact_mut(16) guarantees sixteen 4-byte slots;
-            // storeu has no alignment requirement.
-            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), code) };
         }
+    }
+
+    /// The table route's lookup on AVX-512 VBMI ([`super::LookupFn`]): the
+    /// 1,024-bit table is laid out as 128 bytes in two zmm registers, byte `b`
+    /// holding bit `c = b + 128k` at bit `k`, so each 64-dim word is one
+    /// `vpermt2b` of the table by its dims' `c & 127` bytes and one `vptestmb`
+    /// against their `1 << (c >> 7)` bytes, both stored by the table route's
+    /// [`row_codes_avx512`].
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    fn table_lookup_avx512(bits: &[u64; super::TABLE_WORDS], codes: &[f32], out: &mut [u64]) {
+        assert!(codes.len() >= out.len() * super::CODE_SLOTS);
+        let (mut low, mut high) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        for (k, pair) in bits.chunks_exact(2).enumerate() {
+            let bit = _mm512_set1_epi8((1u8 << k) as i8);
+            low = _mm512_mask_mov_epi8(low, pair[0], _mm512_or_si512(low, bit));
+            high = _mm512_mask_mov_epi8(high, pair[1], _mm512_or_si512(high, bit));
+        }
+        for (w, word) in out.iter_mut().enumerate() {
+            // SAFETY: word w's 128 code bytes start 64 slots into its
+            // CODE_SLOTS (asserted above); loadu has no alignment requirement.
+            let (lo, sel) = unsafe {
+                let bytes = codes
+                    .as_ptr()
+                    .add(w * super::CODE_SLOTS + super::WORD_BITS)
+                    .cast::<u8>();
+                (
+                    _mm512_loadu_si512(bytes.cast()),
+                    _mm512_loadu_si512(bytes.add(super::WORD_BITS).cast()),
+                )
+            };
+            *word = _mm512_test_epi8_mask(_mm512_permutex2var_epi8(low, lo, high), sel);
+        }
+    }
+
+    /// [`super::build_table`] compiled for AVX-512F, sixteen entries per add.
+    #[target_feature(enable = "avx512f")]
+    fn build_table_avx512(weights: &[f32], table: &mut [f32]) {
+        super::build_table(weights, table);
     }
 
     /// The 32-entry prefix table of one weight row, in two zmm registers (entries
@@ -720,12 +795,13 @@ mod simd {
     /// Sums `N / 4` adjacent words' `±w` addends over the whole codebook into
     /// `N` zmm accumulators: lane `i` of accumulator `v` belongs to bit `16v + i`
     /// of the column starting at word `first`. Each accumulator starts as its
-    /// lanes' first-`k`-row sums, one `vpermt2ps` of `table` by their prefix
-    /// codes, and adds rows `k..` one at a time.
+    /// lanes' first-`k`-row sums, one `vpermt2ps` of `table` by their column
+    /// codes (which reads only a code's low five bits), and adds rows `k..`
+    /// one at a time.
     ///
     /// # Safety
     /// `words` must hold `weights.len() * wpr` words and `codes` at least
-    /// `64 · (first + N / 4)` codes, with `first + N / 4 <= wpr`.
+    /// `CODE_SLOTS · (first + N / 4)` slots, with `first + N / 4 <= wpr`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn sweep_avx512<const N: usize>(
@@ -739,11 +815,13 @@ mod simd {
         let sign = _mm512_set1_epi32(i32::MIN);
         let slices = words.as_ptr().cast::<__mmask16>();
         // SAFETY: first < wpr keeps this offset inside `codes`.
-        let lanes = unsafe { codes.as_ptr().add(super::WORD_BITS * first) };
+        let lanes = unsafe { codes.as_ptr().add(super::CODE_SLOTS * first) };
         let mut acc: [__m512; N] = std::array::from_fn(|v| {
             // SAFETY: v < N keeps these 16 codes inside the first
-            // 64 · (first + N / 4) codes of `codes`.
-            let code = unsafe { _mm512_loadu_si512(lanes.add(16 * v).cast()) };
+            // CODE_SLOTS · (first + N / 4) slots of `codes`.
+            let code = unsafe {
+                _mm512_loadu_si512(lanes.add(super::CODE_SLOTS * (v / 4) + 16 * (v % 4)).cast())
+            };
             _mm512_permutex2var_ps(low, code, high)
         });
         let prefix = weights.len().min(AVX512_PREFIX_ROWS);
@@ -767,8 +845,8 @@ mod simd {
     /// `k = min(rows, AVX512_PREFIX_ROWS)` codebook rows are summed once per
     /// weight row into the 32-entry [`prefix_table_avx512`], and every 16 dims
     /// read their first-`k`-row sums from it with one `vpermt2ps` by the
-    /// per-dimension codes [`prefix_codes_avx512`] wrote. Rows `k..` are added as before: two 64-dim
-    /// words per pass, their 128 accumulators held in eight zmm registers across
+    /// per-dimension column codes [`row_codes_avx512`] wrote. Rows `k..` are
+    /// added as before: two 64-dim words per pass, their 128 accumulators held in eight zmm registers across
     /// the rest of the sweep and stored once; each row's weight is broadcast once
     /// and its two words' 16-bit slices load straight into `k`-masks that select
     /// `-w` over `+w` lane by lane (`vpblendmd` + `vaddps`), eight independent
@@ -788,12 +866,12 @@ mod simd {
     ) {
         let weights = &weights[..rows];
         assert!(words.len() >= rows * wpr && acc_row.len() <= wpr * super::WORD_BITS);
-        assert!(codes.len() >= wpr * super::WORD_BITS);
+        assert!(codes.len() >= wpr * super::CODE_SLOTS);
         let table = prefix_table_avx512(weights);
         for (pair, chunk) in acc_row.chunks_mut(2 * super::WORD_BITS).enumerate() {
             let first = 2 * pair;
-            // SAFETY: `words` holds rows · wpr words and `codes` 64 · wpr codes
-            // (asserted above), and a chunk of up to 64 (N = 4) or 128 (N = 8)
+            // SAFETY: `words` holds rows · wpr words and `codes` CODE_SLOTS · wpr
+            // slots (asserted above), and a chunk of up to 64 (N = 4) or 128 (N = 8)
             // dims covers words first..first + N / 4, which the acc_row assert
             // keeps below wpr.
             if chunk.len() > super::WORD_BITS {
@@ -847,24 +925,29 @@ mod simd {
     /// indexes.
     const AVX2_PREFIX_ROWS: usize = 3;
 
-    /// Writes one `k`-bit prefix code per dimension into `codes`, `k =
-    /// min(rows, AVX2_PREFIX_ROWS)`, in the layout [`prefix_codes_avx512`]
-    /// writes: bit `r` of dimension `j`'s code is bit `j` of codebook row `r`.
-    /// Each 8-dim byte of the first `k` rows' words is broadcast, shifted right
-    /// lane by lane to bit 0, and ORed into the 8 code lanes at bit `r`.
+    /// Writes each dimension's column code ([`super::RowCodesFn`]) into
+    /// `codes` as `u32` bit patterns, for the first `k = min(rows,
+    /// AVX2_PREFIX_ROWS)` codebook rows, the ones [`project_row_avx2`] reads:
+    /// bit `r` of dimension `j`'s code is bit `j` of row `r`. Each 8-dim byte
+    /// of those rows' words is broadcast, shifted right lane by lane to bit 0,
+    /// and ORed into the 8 code lanes at bit `r`. The avx2 tier has no table
+    /// route, so the code bytes stay unwritten.
     #[target_feature(enable = "avx2")]
-    fn prefix_codes_avx2(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
+    fn row_codes_avx2(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
         let k = rows.min(AVX2_PREFIX_ROWS);
-        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::WORD_BITS);
+        assert!(words.len() >= rows * wpr && codes.len() >= wpr * super::CODE_SLOTS);
         let (one, lanes) = (
             _mm256_set1_epi32(1),
             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
         );
-        for (wi, word_codes) in codes[..wpr * super::WORD_BITS]
-            .chunks_exact_mut(super::WORD_BITS)
+        for (wi, word_codes) in codes[..wpr * super::CODE_SLOTS]
+            .chunks_exact_mut(super::CODE_SLOTS)
             .enumerate()
         {
-            for (g, dst) in word_codes.chunks_exact_mut(8).enumerate() {
+            for (g, dst) in word_codes[..super::WORD_BITS]
+                .chunks_exact_mut(8)
+                .enumerate()
+            {
                 let mut code = _mm256_setzero_si256();
                 for r in 0..k {
                     let byte = _mm256_set1_epi32(i32::from((words[r * wpr + wi] >> (8 * g)) as u8));
@@ -902,7 +985,8 @@ mod simd {
     /// The projection row kernel on AVX2, a prefix-table kernel like
     /// [`project_row_avx512`]: the first `k = min(rows, AVX2_PREFIX_ROWS)`
     /// codebook rows come from the 8-entry [`prefix_table_avx2`], one `vpermps`
-    /// per 8 dims by the codes [`prefix_codes_avx2`] wrote. Rows `k..` run one
+    /// per 8 dims by the column codes [`row_codes_avx2`] wrote (it reads only
+    /// a code's low three bits). Rows `k..` run one
     /// 64-dim word per pass, its 64 accumulators held in eight ymm registers
     /// across the rest of the sweep and stored once. Each codebook word is
     /// expanded into eight sign-mask vectors with variable left shifts (bit `b`
@@ -932,11 +1016,11 @@ mod simd {
             _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0),
         ];
         let weights = &weights[..rows];
-        assert!(acc_row.len() <= wpr * super::WORD_BITS && codes.len() >= wpr * super::WORD_BITS);
+        assert!(acc_row.len() <= wpr * super::WORD_BITS && codes.len() >= wpr * super::CODE_SLOTS);
         let table = prefix_table_avx2(weights);
         let prefix = rows.min(AVX2_PREFIX_ROWS);
         for (wi, chunk) in acc_row.chunks_mut(super::WORD_BITS).enumerate() {
-            let word_codes = &codes[wi * super::WORD_BITS..(wi + 1) * super::WORD_BITS];
+            let word_codes = &codes[wi * super::CODE_SLOTS..][..super::WORD_BITS];
             let mut acc = [_mm256_setzero_ps(); 8];
             for (a, group) in acc.iter_mut().zip(word_codes.chunks_exact(8)) {
                 // SAFETY: chunks_exact(8) guarantees eight codes; loadu has no
@@ -1053,9 +1137,9 @@ mod simd {
         unsafe { project_row_avx512(words, wpr, rows, weights, codes, acc_row) }
     }
 
-    /// Safe wrapper over [`prefix_codes_avx512`]; only reachable after cpuid
+    /// Safe wrapper over [`row_codes_avx512`]; only reachable after cpuid
     /// detection.
-    pub(super) fn prefix_codes_avx512_checked(
+    pub(super) fn row_codes_avx512_checked<const TABLE: bool>(
         words: &[u64],
         wpr: usize,
         rows: usize,
@@ -1063,7 +1147,27 @@ mod simd {
     ) {
         // SAFETY: detect() returns this function only when the avx512f feature
         // was detected on the running CPU.
-        unsafe { prefix_codes_avx512(words, wpr, rows, codes) }
+        unsafe { row_codes_avx512::<TABLE>(words, wpr, rows, codes) }
+    }
+
+    /// Safe wrapper over [`table_lookup_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn table_lookup_avx512_checked(
+        bits: &[u64; super::TABLE_WORDS],
+        codes: &[f32],
+        out: &mut [u64],
+    ) {
+        // SAFETY: detect() returns this function only when the avx512f,
+        // avx512bw and avx512vbmi features were detected on the running CPU.
+        unsafe { table_lookup_avx512(bits, codes, out) }
+    }
+
+    /// Safe wrapper over [`build_table_avx512`]; only reachable after cpuid
+    /// detection.
+    pub(super) fn build_table_avx512_checked(weights: &[f32], table: &mut [f32]) {
+        // SAFETY: detect() returns this function only when the avx512f feature
+        // was detected on the running CPU.
+        unsafe { build_table_avx512(weights, table) }
     }
 
     /// Safe wrapper over [`project_row_avx2`]; only reachable after cpuid
@@ -1081,9 +1185,9 @@ mod simd {
         unsafe { project_row_avx2(words, wpr, rows, weights, codes, acc_row) }
     }
 
-    /// Safe wrapper over [`prefix_codes_avx2`]; only reachable after cpuid
+    /// Safe wrapper over [`row_codes_avx2`]; only reachable after cpuid
     /// detection.
-    pub(super) fn prefix_codes_avx2_checked(
+    pub(super) fn row_codes_avx2_checked(
         words: &[u64],
         wpr: usize,
         rows: usize,
@@ -1091,7 +1195,7 @@ mod simd {
     ) {
         // SAFETY: detect() returns this function only when the avx2 feature was
         // detected on the running CPU.
-        unsafe { prefix_codes_avx2(words, wpr, rows, codes) }
+        unsafe { row_codes_avx2(words, wpr, rows, codes) }
     }
 
     /// Safe wrapper over [`pack_row_signs_avx512`]; only reachable after cpuid
@@ -1153,18 +1257,44 @@ mod simd {
 /// The kernels runtime dispatch resolved to, one per sign-plane operation, with
 /// the tier of each family: the Hamming tiers need popcount features the
 /// projection does not, so the two can differ on one CPU. The projection tier
-/// covers a projected row's whole epilogue: its prefix codes and row kernel,
-/// the noise eligibility mask ([`amplitude_mask_fn`]) and the sign pack.
+/// covers a projected row and its whole epilogue: the dense row kernel and
+/// the column codes it reads, the noise eligibility mask ([`AmplitudeMaskFn`])
+/// and the sign pack, and `table`, the table route's kernels where the tier
+/// has them (`None` sends every codebook down the dense route).
 #[derive(Clone, Copy)]
 struct Dispatch {
     hamming_tier: DispatchTier,
     hamming_block: HammingBlockFn,
     projection_tier: DispatchTier,
-    prefix_codes: PrefixCodesFn,
+    prefix_codes: RowCodesFn,
     project_row: ProjectRowFn,
     pack_signs: PackSignsFn,
     amplitude_mask: AmplitudeMaskFn,
+    table: Option<TableKernels>,
 }
+
+/// The table route's kernels at one tier ([`table_tier`]): the column codes
+/// of every codebook row, the value table builder and the bit-table lookup,
+/// which reads the codes its own `codes` wrote (the `avx512` lookup reads
+/// code bytes only the `avx512` table codes store).
+#[derive(Clone, Copy)]
+struct TableKernels {
+    tier: DispatchTier,
+    codes: RowCodesFn,
+    build: BuildTableFn,
+    lookup: LookupFn,
+}
+
+/// The scalar table kernels, the reference the tests pin the `avx512` table
+/// route against. No tier dispatches them: no measurement shows a scalar
+/// lookup beating the scalar row kernel.
+#[cfg(test)]
+const GENERIC_TABLE: TableKernels = TableKernels {
+    tier: DispatchTier::Generic,
+    codes: row_codes_generic,
+    build: build_table,
+    lookup: table_lookup_generic,
+};
 
 /// Probes the CPU once and picks the widest supported tier of each kernel family,
 /// capped by the `COGSYS_SIMD` environment variable when set to a known tier name.
@@ -1179,6 +1309,12 @@ fn detect() -> Dispatch {
             _ => None,
         })
         .unwrap_or(DispatchTier::Avx512);
+    dispatch_capped_at(cap)
+}
+
+/// The widest supported tier of each kernel family on the running CPU, at
+/// most `cap`.
+fn dispatch_capped_at(cap: DispatchTier) -> Dispatch {
     let mut found = Dispatch {
         hamming_tier: DispatchTier::Generic,
         hamming_block: hamming_block_generic,
@@ -1187,6 +1323,7 @@ fn detect() -> Dispatch {
         project_row: project_row_generic,
         pack_signs: pack_row_signs,
         amplitude_mask: amplitude_mask_generic,
+        table: None,
     };
     #[cfg(target_arch = "x86_64")]
     {
@@ -1205,16 +1342,25 @@ fn detect() -> Dispatch {
         }
         if avx512f {
             found.projection_tier = DispatchTier::Avx512;
-            found.prefix_codes = simd::prefix_codes_avx512_checked;
+            found.prefix_codes = simd::row_codes_avx512_checked::<false>;
             found.project_row = simd::project_row_avx512_checked;
             found.pack_signs = simd::pack_row_signs_avx512_checked;
             found.amplitude_mask = simd::amplitude_mask_avx512_checked;
+            found.table = (is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi"))
+            .then_some(TableKernels {
+                tier: DispatchTier::Avx512,
+                codes: simd::row_codes_avx512_checked::<true>,
+                build: simd::build_table_avx512_checked,
+                lookup: simd::table_lookup_avx512_checked,
+            });
         } else if avx2 {
             found.projection_tier = DispatchTier::Avx2;
-            found.prefix_codes = simd::prefix_codes_avx2_checked;
+            found.prefix_codes = simd::row_codes_avx2_checked;
             found.project_row = simd::project_row_avx2_checked;
             found.pack_signs = simd::pack_row_signs_avx2_checked;
             found.amplitude_mask = simd::amplitude_mask_avx2_checked;
+            found.table = None;
         }
     }
     let _ = cap;
@@ -1223,9 +1369,9 @@ fn detect() -> Dispatch {
 
 /// The resolved kernels, cached process-wide: after the first call, dispatch is
 /// one atomic load — cheap enough that even the single-pair
-/// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths and each
-/// row's [`amplitude_mask_fn`] call pay no cpuid or env probe. The scans fetch
-/// the kernel once per call, so nothing at all sits on the per-row path.
+/// [`BitMatrix::dot_rows`] / [`BitMatrix::cosine_rows`] paths pay no cpuid
+/// or env probe. The scans and the projection fetch the kernels once per
+/// call, so nothing at all sits on the per-row path.
 static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
 #[inline]
@@ -1242,7 +1388,7 @@ pub fn dispatch_tier() -> DispatchTier {
 }
 
 /// The SIMD tier the sign-projection row kernel, and with it the noise
-/// eligibility mask ([`amplitude_mask_fn`]) and the sign pack, runs at on this
+/// eligibility mask and the sign pack, runs at on this
 /// CPU (resolved once, cached): [`DispatchTier::Avx512`] needs only `avx512f`, [`DispatchTier::Avx2`]
 /// needs `avx2`, and every other case runs the scalar kernel
 /// ([`DispatchTier::Generic`]; the projection has no `popcnt` rung). Capped by
@@ -1254,12 +1400,33 @@ pub fn projection_tier() -> DispatchTier {
     dispatch().projection_tier
 }
 
+/// The SIMD tier of the projection's table route on this CPU (resolved once,
+/// cached), or `None` where the projection has no table route and every
+/// codebook takes the dense row kernel.
+///
+/// The table route projects a codebook of at most ten rows by its `2^M`
+/// accumulator values ([`PackedBackend::project_signs_packed_into`]). Its
+/// [`DispatchTier::Avx512`] lookup needs `avx512f`, `avx512bw` and
+/// `avx512vbmi` (one `vpermt2b` and one `vptestmb` per 64 dims). Every other
+/// case projects densely (`None`): a scalar lookup reads several times slower
+/// than the `avx2` row kernel, or than the `avx512` one on a CPU without VBMI,
+/// and no measurement shows one beating the scalar row kernel of the
+/// [`DispatchTier::Generic`] tier. Capped by `COGSYS_SIMD` like
+/// [`projection_tier`]. Either route packs the same signs.
+pub fn table_tier() -> Option<DispatchTier> {
+    dispatch().table.map(|t| t.tier)
+}
+
 /// Function-pointer type of the amplitude-mask row kernels behind
-/// [`amplitude_mask_fn`]: `mask(values, amplitude, masks)` writes one word per
-/// 64 values into `masks[..values.len().div_ceil(64)]`, where bit `j` of word
-/// `w` is set iff `|values[64·w + j]| <= amplitude` and the bits past the end
-/// of `values` are zero. Words past those are left as they were.
-pub type AmplitudeMaskFn = fn(&[f32], f32, &mut [u64]);
+/// [`Dispatch`], the noise eligibility mask of a projected row at the
+/// [`projection_tier`] (four vector compares per 64 values on `avx512`, eight
+/// on `avx2`, the scalar rule otherwise): `mask(values, amplitude, masks)`
+/// writes one word per 64 values into `masks[..values.len().div_ceil(64)]`,
+/// where bit `j` of word `w` is set iff `|values[64·w + j]| <= amplitude` and
+/// the bits past the end of `values` are zero. Words past those are left as
+/// they were. Every tier writes the identical masks, and every tier panics
+/// when `masks` holds fewer than one word per 64 values.
+type AmplitudeMaskFn = fn(&[f32], f32, &mut [u64]);
 
 /// The scalar `|v| <= amplitude` word of up to 64 values: bit `j` is set iff
 /// `values[j].abs() <= amplitude`. NaN never qualifies (the comparison is
@@ -1292,31 +1459,32 @@ fn amplitude_mask_generic(values: &[f32], amplitude: f32, masks: &mut [u64]) {
     }
 }
 
-/// The amplitude-mask row kernel runtime dispatch resolved to (cached with
-/// every other kernel, at the [`projection_tier`]): four vector compares per
-/// 64 values on `avx512`, eight on `avx2`, the scalar rule otherwise. A whole
-/// row is one call. Every tier writes the identical masks, and every tier
-/// panics when `masks` holds fewer than one word per 64 values.
-pub fn amplitude_mask_fn() -> AmplitudeMaskFn {
-    dispatch().amplitude_mask
-}
-
 /// Which sub-step of the resonator iteration a
-/// [`PackedBackend::resonate_step_fused_into`] hook invocation belongs to.
-/// Rows go in ascending order: each row's [`ResonatePhase::Similarity`] call,
-/// then, if that call asks for it ([`ProjectionVerdict`]), its
-/// [`ResonatePhase::Projection`] call, so per-query noise streams are consumed
-/// in exactly the order the split pipeline consumes them.
+/// [`PackedBackend::resonate_step_fused_into`] hook invocation belongs to; it
+/// names the [`StepRow`] variant the same call receives. Rows go in ascending
+/// order: each row's [`ResonatePhase::Similarity`] call, then, if that call
+/// asks for it ([`ProjectionVerdict`]), its [`ResonatePhase::Projection`]
+/// call, so per-query noise streams are consumed in exactly the order the
+/// split pipeline consumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResonatePhase {
     /// The row holds the freshly computed similarities (`d − 2·hamming`) for
     /// this query against every codebook row: perturb in place and decode. The
     /// hook's return value decides whether the row is projected.
     Similarity,
-    /// The row holds the weighted sign-projection accumulator for this query:
-    /// perturb in place before the signs are packed back into the estimate.
+    /// The row's weighted sign projection is ready for its epilogue
+    /// ([`ProjectedRow`]): noise, quantize and pack into the estimate.
     /// The hook's return value is ignored.
     Projection,
+}
+
+/// The row a [`PackedBackend::resonate_step_fused_into`] hook receives, one
+/// variant per [`ResonatePhase`].
+pub enum StepRow<'r, 'a> {
+    /// The query's similarities against every codebook row, in place.
+    Similarity(&'r mut [f32]),
+    /// The query's projection, waiting for its epilogue.
+    Projection(&'r mut ProjectedRow<'a>),
 }
 
 /// What a [`PackedBackend::resonate_step_fused_into`] hook returns from its
@@ -1341,31 +1509,433 @@ impl ProjectionVerdict for bool {
     }
 }
 
+/// Bounded noise a projected row's epilogue draws
+/// ([`ProjectedRow::finish_noisy`]).
+///
+/// A sample never exceeds [`ProjectionNoise::amplitude`] in magnitude, so a
+/// dimension whose accumulator `v` has `|v| > amplitude` keeps its sign
+/// whatever the sample, and draws nothing. Every other dimension draws one
+/// sample, in ascending dimension order. The epilogue draws on a clone and
+/// writes it back once, so a stream's state stays in registers across a row.
+pub trait ProjectionNoise: Clone {
+    /// The bound on a sample's magnitude.
+    fn amplitude(&self) -> f32;
+    /// The next sample.
+    fn sample(&mut self) -> f32;
+}
+
+/// The noise type of [`ProjectedRow::finish`], which passes none: never asked
+/// for an amplitude or a sample.
+#[derive(Clone)]
+struct Silent;
+
+impl ProjectionNoise for Silent {
+    fn amplitude(&self) -> f32 {
+        unreachable!("a noiseless epilogue reads no amplitude")
+    }
+
+    fn sample(&mut self) -> f32 {
+        unreachable!("a noiseless epilogue draws nothing")
+    }
+}
+
+/// One projected row before its epilogue: the weighted sign projection
+/// `acc[j] = Σ_m ±w[m]` of one weight row, and the estimate row its signs go
+/// to.
+///
+/// On the table route (a codebook of at most ten rows, on a CPU with a
+/// [`table_tier`]) the row holds no per-dimension accumulators: dimension
+/// `j`'s accumulator depends only on its column code `c_j` (bit `r` is bit `j`
+/// of codebook row `r`), so the row is the `2^M` values `T[c]`, built with the
+/// same `±w` adds, in the same ascending row order from `+0.0`, that the dense
+/// row kernel makes. The dense route holds one accumulator per dimension.
+///
+/// [`ProjectedRow::finish_noisy`] and [`ProjectedRow::finish`] run the row's
+/// one epilogue: the bounded noise of [`ProjectionNoise`], the quantizer of
+/// [`fake_quantize_slice`], and the `v < 0.0` sign pack
+/// ([`BitMatrix::pack_signs_row`]). On the table route, the eligibility mask
+/// and the signs come from two `2^M`-bit tables (`|T[c]| <= amplitude`, and
+/// the quantized `T[c] < 0.0`), looked up by each dimension's code; each
+/// eligible dimension draws `v = T[c_j] + z` in ascending order and takes the
+/// sign of its quantized `v`. INT8 takes its row scale from the codes present
+/// in the row that draw nothing and from the drawn values. Every value, draw
+/// and draw order is the dense rule's, so both routes pack the same signs and
+/// leave the stream in the same state.
+pub struct ProjectedRow<'a> {
+    kernels: &'a Dispatch,
+    values: RowValues<'a>,
+    signs: &'a mut [u64],
+    finished: bool,
+}
+
+/// The accumulators of a [`ProjectedRow`], by route.
+enum RowValues<'a> {
+    /// `table[c]` is the accumulator of every dimension with column code `c`
+    /// (read from `codes`, [`RowCodesFn`]); the first `entries = 2^M` entries
+    /// are this row's. `noisy` has one slot per dimension for the values an
+    /// INT8 row draws.
+    Table {
+        table: &'a [f32; TABLE_ENTRIES],
+        entries: usize,
+        codes: &'a [f32],
+        noisy: &'a mut [f32],
+    },
+    /// One accumulator per dimension, perturbed and quantized in place.
+    Dense(&'a mut [f32]),
+}
+
+impl ProjectedRow<'_> {
+    /// Dimension `j`'s accumulator, before the epilogue (`None` past the
+    /// row): what the tests compare against the scalar row kernel.
+    #[cfg(test)]
+    fn accumulator(&self, j: usize) -> Option<f32> {
+        assert!(!self.finished, "accumulators are read before the epilogue");
+        match &self.values {
+            RowValues::Table {
+                table,
+                codes,
+                noisy,
+                ..
+            } => (j < noisy.len()).then(|| table[code_of(codes, j)]),
+            RowValues::Dense(values) => values.get(j).copied(),
+        }
+    }
+
+    /// The epilogue without noise: quantize at `precision` and pack the signs.
+    ///
+    /// # Panics
+    /// Panics when the row is already finished.
+    pub fn finish(&mut self, precision: Precision) {
+        self.epilogue(None::<&mut Silent>, precision);
+    }
+
+    /// The epilogue: add `noise` to every dimension whose accumulator lies
+    /// within its amplitude, in ascending order, then quantize at `precision`
+    /// and pack the signs. At FP32 the sign directly follows the noise, so a
+    /// skipped draw could not have changed it. Below FP32 the quantizer sits
+    /// between them, and the skip is a deterministic part of the noise model.
+    ///
+    /// # Panics
+    /// Panics when the row is already finished.
+    pub fn finish_noisy<N: ProjectionNoise>(&mut self, noise: &mut N, precision: Precision) {
+        self.epilogue(Some(noise), precision);
+    }
+
+    fn epilogue<N: ProjectionNoise>(&mut self, noise: Option<&mut N>, precision: Precision) {
+        assert!(!self.finished, "a projected row is finished once");
+        self.finished = true;
+        let k = self.kernels;
+        match &mut self.values {
+            RowValues::Dense(values) => dense_epilogue(k, values, self.signs, noise, precision),
+            RowValues::Table {
+                table,
+                entries,
+                codes,
+                noisy,
+            } => table_epilogue(
+                k,
+                (table, *entries),
+                codes,
+                noisy,
+                self.signs,
+                noise,
+                precision,
+            ),
+        }
+    }
+}
+
+/// Draws one sample per set bit of `mask`, in ascending bit order, and hands
+/// `land(bit, sample)` each.
+#[inline(always)]
+fn each_draw<N: ProjectionNoise>(mut mask: u64, stream: &mut N, mut land: impl FnMut(usize, f32)) {
+    while mask != 0 {
+        land(mask.trailing_zeros() as usize, stream.sample());
+        mask &= mask - 1;
+    }
+}
+
+/// `word` with bit `bit` set to `on`.
+#[inline(always)]
+fn with_bit(word: u64, bit: usize, on: bool) -> u64 {
+    word & !(1 << bit) | u64::from(on) << bit
+}
+
+/// The dense route's epilogue: the eligibility mask of up to
+/// [`STAGE_WORDS`] words at a time (one dispatched call), the draws in place
+/// on a local copy of the stream, then [`fake_quantize_slice`] and the
+/// dispatched sign pack.
+fn dense_epilogue<N: ProjectionNoise>(
+    k: &Dispatch,
+    values: &mut [f32],
+    signs: &mut [u64],
+    noise: Option<&mut N>,
+    precision: Precision,
+) {
+    if let Some(noise) = noise {
+        let mut stream = noise.clone();
+        let mut masks = [0u64; STAGE_WORDS];
+        for block in values.chunks_mut(STAGE_WORDS * WORD_BITS) {
+            let masks = &mut masks[..block.len().div_ceil(WORD_BITS)];
+            (k.amplitude_mask)(block, stream.amplitude(), masks);
+            for (chunk, &mask) in block.chunks_mut(WORD_BITS).zip(masks.iter()) {
+                each_draw(mask, &mut stream, |b, z| chunk[b] += z);
+            }
+        }
+        *noise = stream;
+    }
+    fake_quantize_slice(values, precision);
+    (k.pack_signs)(values, signs);
+}
+
+/// The sign bits of a value table at `precision`: bit `c` is set iff the
+/// quantized `table[c]` is negative (`scale` is the INT8 row scale). FP32 is
+/// the dispatched sign pack; FP8 and INT8 quantize entry by entry.
+fn table_signs(k: &Dispatch, table: &[f32], precision: Precision, scale: f32, bits: &mut [u64]) {
+    if precision == Precision::Fp32 {
+        (k.pack_signs)(table, bits);
+        return;
+    }
+    for (chunk, word) in table.chunks(WORD_BITS).zip(bits.iter_mut()) {
+        *word = chunk.iter().enumerate().fold(0, |w, (c, &v)| {
+            w | u64::from(quantize_value(v, precision, scale) < 0.0) << c
+        });
+    }
+}
+
+/// The set of column codes the first `dim` dimensions use.
+fn present_codes(codes: &[f32], dim: usize) -> [u64; TABLE_WORDS] {
+    let mut present = [0u64; TABLE_WORDS];
+    for j in 0..dim {
+        let c = code_of(codes, j);
+        present[c / WORD_BITS] |= 1 << (c % WORD_BITS);
+    }
+    present
+}
+
+/// The eligibility words of words `first..` of a `words`-word row, at most
+/// [`STAGE_WORDS`]: one lookup of the `eligible` table into `masks`, the
+/// padding dims of the row's last word cleared so they draw nothing.
+fn eligible_stage<'m>(
+    lookup: LookupFn,
+    eligible: &[u64; TABLE_WORDS],
+    codes: &[f32],
+    (first, words, tail): (usize, usize, u64),
+    masks: &'m mut [u64; STAGE_WORDS],
+) -> &'m [u64] {
+    let masks = &mut masks[..(words - first).min(STAGE_WORDS)];
+    lookup(eligible, &codes[first * CODE_SLOTS..], masks);
+    if first + masks.len() == words {
+        masks[masks.len() - 1] &= tail;
+    }
+    masks
+}
+
+/// The table route's epilogue ([`ProjectedRow`]). The eligibility words are
+/// looked up [`STAGE_WORDS`] at a time, and each eligible dimension draws
+/// `v = T[c_j] + z` in ascending order on a local copy of the stream. At FP32
+/// and FP8 the sign words are looked up first and each draw sets its own
+/// dimension's sign. At INT8 the row scale needs every final value, so the
+/// draws come first and keep their values; then the quantized sign table is
+/// looked up and the drawn dimensions take the signs of their quantized
+/// values.
+fn table_epilogue<N: ProjectionNoise>(
+    k: &Dispatch,
+    (all, entries): (&[f32; TABLE_ENTRIES], usize),
+    codes: &[f32],
+    noisy: &mut [f32],
+    signs: &mut [u64],
+    noise: Option<&mut N>,
+    precision: Precision,
+) {
+    let lookup = k.table.expect("the table route has a lookup kernel").lookup;
+    let table = &all[..entries];
+    let dim = noisy.len();
+    let (words, tail) = (dim.div_ceil(WORD_BITS), BitMatrix::tail_mask(dim));
+    let table_words = table.len().div_ceil(WORD_BITS);
+    let deferred = precision == Precision::Int8;
+    let drawn = noise.is_some();
+    let mut eligible = [0u64; TABLE_WORDS];
+    let mut sign_bits = [0u64; TABLE_WORDS];
+    let mut masks = [0u64; STAGE_WORDS];
+    if !deferred {
+        table_signs(k, table, precision, 1.0, &mut sign_bits[..table_words]);
+        lookup(&sign_bits, codes, &mut signs[..words]);
+        signs[words - 1] &= tail;
+    }
+    let mut max_abs = 0.0f32;
+    if let Some(noise) = noise {
+        let mut stream = noise.clone();
+        (k.amplitude_mask)(table, stream.amplitude(), &mut eligible[..table_words]);
+        for first in (0..words).step_by(STAGE_WORDS) {
+            let stage = eligible_stage(lookup, &eligible, codes, (first, words, tail), &mut masks);
+            for (w, &mask) in (first..).zip(stage) {
+                let word_codes = &codes[w * CODE_SLOTS..][..WORD_BITS];
+                // Codes have at most ten bits, so the index needs no check.
+                let value = |b: usize| all[word_codes[b].to_bits() as usize % TABLE_ENTRIES];
+                if deferred {
+                    let noisy = &mut noisy[w * WORD_BITS..];
+                    each_draw(mask, &mut stream, |b, z| {
+                        noisy[b] = value(b) + z;
+                        max_abs = max_abs.max(noisy[b].abs());
+                    });
+                } else {
+                    let mut word = signs[w];
+                    each_draw(mask, &mut stream, |b, z| {
+                        let v = quantize_value(value(b) + z, precision, 1.0);
+                        word = with_bit(word, b, v < 0.0);
+                    });
+                    signs[w] = word;
+                }
+            }
+        }
+        *noise = stream;
+    }
+    if !deferred {
+        return;
+    }
+    let present = present_codes(codes, dim);
+    for (c, &v) in table.iter().enumerate() {
+        let (w, bit) = (c / WORD_BITS, c % WORD_BITS);
+        if (present[w] & !eligible[w]) >> bit & 1 == 1 {
+            max_abs = max_abs.max(v.abs());
+        }
+    }
+    let scale = int8_scale(max_abs);
+    table_signs(k, table, precision, scale, &mut sign_bits[..table_words]);
+    lookup(&sign_bits, codes, &mut signs[..words]);
+    signs[words - 1] &= tail;
+    if !drawn {
+        return;
+    }
+    for first in (0..words).step_by(STAGE_WORDS) {
+        let stage = eligible_stage(lookup, &eligible, codes, (first, words, tail), &mut masks);
+        for (w, &mask) in (first..).zip(stage) {
+            let (mut word, mut mask) = (signs[w], mask);
+            while mask != 0 {
+                let b = mask.trailing_zeros() as usize;
+                let v = quantize_value(noisy[w * WORD_BITS + b], precision, scale);
+                word = with_bit(word, b, v < 0.0);
+                mask &= mask - 1;
+            }
+            signs[w] = word;
+        }
+    }
+}
+
+/// Codebook rows the table route projects: a column code has at most ten
+/// bits, so a row's value table has at most 1,024 entries.
+const TABLE_MAX_ROWS: usize = 10;
+
+/// Entries of the largest value table.
+const TABLE_ENTRIES: usize = 1 << TABLE_MAX_ROWS;
+
+/// Words of a `2^TABLE_MAX_ROWS`-bit table.
+const TABLE_WORDS: usize = TABLE_ENTRIES / WORD_BITS;
+
+/// Scratch slots of one 64-dim word's column codes ([`RowCodesFn`]): its 64
+/// codes as `u32` bit patterns, then 128 bytes (32 slots) the `avx512` lookup
+/// reads: each dimension's `c & 127`, then each dimension's `1 << (c >> 7)`.
+const CODE_SLOTS: usize = WORD_BITS + WORD_BITS / 2;
+
+/// Mask words an epilogue stages on the stack: 4,096 dimensions, so a row of
+/// the RAVEN dimensions (2,048 and 4,096) is one stage.
+const STAGE_WORDS: usize = 64;
+
+/// Dimension `j`'s column code, as a [`RowCodesFn`] wrote it.
+#[inline(always)]
+fn code_of(codes: &[f32], j: usize) -> usize {
+    codes[j / WORD_BITS * CODE_SLOTS + j % WORD_BITS].to_bits() as usize
+}
+
 /// Function-pointer type of the projection row kernels behind [`Dispatch`]:
 /// `project_row(codebook_words, wpr, rows, weights, codes, acc_row)` overwrites
 /// `acc_row[j]` with `Σ_m ±weights[m]` over the first `rows` codebook rows of the
 /// row-major sign planes `codebook_words` (`wpr` words per row), the sign of each
 /// addend flipped where bit `j` of row `m` is set, added in ascending `m` order
 /// from `+0.0`. `acc_row.len()` is the codebook dimension. `codes` holds the
-/// `64 · wpr` per-dimension prefix codes the tier's [`PrefixCodesFn`] wrote for
-/// the same codebook: the `avx512` kernel looks the first five rows' sums up by
-/// them, the `avx2` kernel the first three rows', and the scalar kernel ignores
-/// them.
+/// column codes the tier's dense [`RowCodesFn`] wrote for the same codebook:
+/// the `avx512` kernel looks the first five rows' sums up by them, the `avx2`
+/// kernel the first three rows', and the scalar kernel reads none.
 type ProjectRowFn = fn(&[u64], usize, usize, &[f32], &[f32], &mut [f32]);
 
-/// Function-pointer type of the prefix-code builders behind [`Dispatch`]:
-/// `prefix_codes(codebook_words, wpr, rows, codes)` fills the first `64 · wpr`
-/// slots of `codes` with whatever per-dimension codes the tier's
-/// [`ProjectRowFn`] reads. Run once per projection call, not once per weight
-/// row; a no-op on the scalar tier, which has no prefix table.
-type PrefixCodesFn = fn(&[u64], usize, usize, &mut [f32]);
+/// Function-pointer type of the column-code builders behind [`Dispatch`]:
+/// `row_codes(codebook_words, wpr, rows, codes)` fills the `CODE_SLOTS · wpr`
+/// slots of `codes`, [`CODE_SLOTS`] per 64-dim word, with what one route
+/// reads. Dimension `j`'s code has bit `r` set iff bit `j` of codebook row `r`
+/// is, for the first `k` rows; padding dims get code 0. A dense row kernel's
+/// builder covers the `k` rows of its prefix table (none on the scalar tier),
+/// a table route's builder every row (at most [`TABLE_MAX_ROWS`]). Run once
+/// per projection call, not once per weight row.
+type RowCodesFn = fn(&[u64], usize, usize, &mut [f32]);
 
-/// The [`PrefixCodesFn`] of the scalar tier, whose row kernel reads no codes.
-fn no_prefix_codes(_words: &[u64], _wpr: usize, _rows: usize, _codes: &mut [f32]) {}
+/// Function-pointer type of the value-table builders behind [`Dispatch`]:
+/// `build(weights, table)` writes the `2^weights.len()` entries of `table`,
+/// entry `c` being `((+0.0 + s₀) + s₁) + …`, where `s_r` is `weights[r]` with
+/// its IEEE sign bit flipped when bit `r` of `c` is set ([`build_table`]).
+type BuildTableFn = fn(&[f32], &mut [f32]);
+
+/// Function-pointer type of the table lookups behind [`Dispatch`]:
+/// `lookup(bits, codes, out)` sets bit `j` of `out[w]` iff bit `c` of `bits`
+/// is set, `c` being the column code of dimension `64·w + j` in `codes`
+/// ([`RowCodesFn`], whose slots start at `out[0]`'s word). Padding dims read
+/// code 0, so the caller masks the last word.
+type LookupFn = fn(&[u64; TABLE_WORDS], &[f32], &mut [u64]);
 
 /// Function-pointer type of the sign-pack kernels behind [`Dispatch`]: the
 /// [`pack_row_signs`] contract (`v < 0.0` sets the bit) on every tier.
 type PackSignsFn = fn(&[f32], &mut [u64]);
+
+/// The dense [`RowCodesFn`] of the scalar tier, whose row kernel reads no
+/// codes.
+fn no_prefix_codes(_words: &[u64], _wpr: usize, _rows: usize, _codes: &mut [f32]) {}
+
+/// The scalar table route's [`RowCodesFn`]: one code per dimension, bit by
+/// bit.
+#[cfg(test)]
+fn row_codes_generic(words: &[u64], wpr: usize, rows: usize, codes: &mut [f32]) {
+    let k = rows.min(TABLE_MAX_ROWS);
+    for (wi, slots) in codes[..wpr * CODE_SLOTS]
+        .chunks_exact_mut(CODE_SLOTS)
+        .enumerate()
+    {
+        for (j, slot) in slots[..WORD_BITS].iter_mut().enumerate() {
+            let code = (0..k).fold(0u32, |c, r| {
+                c | (((words[r * wpr + wi] >> j) & 1) as u32) << r
+            });
+            *slot = f32::from_bits(code);
+        }
+    }
+}
+
+/// The value table of one weight row ([`BuildTableFn`]), one codebook row at
+/// a time: row `r` doubles the table, entry `c + 2^r` adding `-w` to entry
+/// `c` and entry `c` adding `+w`, so every entry's sum runs in ascending row
+/// order from `+0.0`, exactly as [`project_row_generic`] sums each dimension.
+#[cfg(any(test, target_arch = "x86_64"))]
+#[inline(always)]
+fn build_table(weights: &[f32], table: &mut [f32]) {
+    table[0] = 0.0;
+    for (r, &w) in weights.iter().enumerate() {
+        let neg = f32::from_bits(w.to_bits() ^ (1 << 31));
+        let (low, high) = table[..2 << r].split_at_mut(1 << r);
+        for (l, h) in low.iter_mut().zip(high) {
+            *h = *l + neg;
+            *l += w;
+        }
+    }
+}
+
+/// The scalar [`LookupFn`]: one bit test per dimension.
+#[cfg(test)]
+fn table_lookup_generic(bits: &[u64; TABLE_WORDS], codes: &[f32], out: &mut [u64]) {
+    for (word, slots) in out.iter_mut().zip(codes.chunks(CODE_SLOTS)) {
+        *word = slots[..WORD_BITS].iter().enumerate().fold(0, |w, (j, c)| {
+            let c = c.to_bits() as usize;
+            w | (bits[c / WORD_BITS] >> (c % WORD_BITS) & 1) << j
+        });
+    }
+}
 
 /// Scalar projection row kernel, the reference every SIMD tier must match: one
 /// 64-slot tile per codebook word, each slot summing `+w` or `-w` (the weight
@@ -1511,6 +2081,40 @@ impl BitMatrix {
         assert_eq!(row.len(), self.dim, "row length must match dim");
         let start = i * self.words_per_row;
         (dispatch().pack_signs)(row, &mut self.words[start..start + self.words_per_row]);
+    }
+
+    /// Runs the projection epilogue ([`ProjectedRow`]) on one dense row of
+    /// accumulators and packs its signs into row `i`: `epilogue(row)` finishes
+    /// it ([`ProjectedRow::finish_noisy`] or [`ProjectedRow::finish`]); a row
+    /// it leaves unfinished gets the plain FP32 sign pack. The noise and the
+    /// quantizer edit `values` in place. This is the dense route of
+    /// [`PackedBackend::project_signs_packed_into`], for accumulators a caller
+    /// already holds (the `f32` resonator's projection).
+    ///
+    /// # Panics
+    /// Panics when `i >= rows()` or `values.len() != dim()`.
+    pub fn pack_projected_row(
+        &mut self,
+        i: usize,
+        values: &mut [f32],
+        epilogue: impl FnOnce(&mut ProjectedRow<'_>),
+    ) {
+        assert_eq!(values.len(), self.dim, "row length must match dim");
+        let kernels = dispatch();
+        finish_row(
+            ProjectedRow {
+                kernels: &kernels,
+                values: RowValues::Dense(values),
+                signs: self.row_words_mut(i),
+                finished: false,
+            },
+            epilogue,
+        );
+    }
+
+    fn row_words_mut(&mut self, i: usize) -> &mut [u64] {
+        let start = i * self.words_per_row;
+        &mut self.words[start..start + self.words_per_row]
     }
 
     /// Reshapes to `rows × dim` for reuse as an output buffer: contents are preserved
@@ -1801,21 +2405,99 @@ pub struct CleanupScratch {
 // Packed backend
 // ---------------------------------------------------------------------------
 
-/// Sizes the caller's projection scratch to the codebook's `dim` accumulators
-/// followed by `64 · wpr` prefix-code slots, writes the codes of the dispatched
-/// tier once for the whole call, and returns the two halves: every weight row
-/// of the call reuses the same codes.
-fn projection_scratch<'a>(
-    kernels: &Dispatch,
-    codebook: &BitMatrix,
-    acc: &'a mut Vec<f32>,
-) -> (&'a mut [f32], &'a [f32]) {
-    let (dim, wpr) = (codebook.dim(), codebook.words_per_row());
-    acc.clear();
-    acc.resize(dim + wpr * WORD_BITS, 0.0);
-    let (acc, codes) = acc.split_at_mut(dim);
-    (kernels.prefix_codes)(&codebook.words, wpr, codebook.rows(), codes);
-    (acc, codes)
+/// Hands a projected row to its epilogue, then packs it plainly (FP32, no
+/// noise) if the epilogue left it unfinished.
+fn finish_row(mut row: ProjectedRow<'_>, epilogue: impl FnOnce(&mut ProjectedRow<'_>)) {
+    epilogue(&mut row);
+    if !row.finished {
+        row.finish(Precision::Fp32);
+    }
+}
+
+/// One projection call's state: the codebook, the dispatched kernels and the
+/// caller's scratch, sized once to `dim` accumulator slots, the column codes
+/// ([`CODE_SLOTS`] per word, built once for the whole call) and, on the table
+/// route, the `2^M` value-table entries. Every weight row of the call reuses
+/// them.
+struct Projector<'a> {
+    kernels: Dispatch,
+    codebook: &'a BitMatrix,
+    values: &'a mut [f32],
+    codes: &'a [f32],
+    table: &'a mut [f32],
+}
+
+impl<'a> Projector<'a> {
+    fn new(kernels: Dispatch, codebook: &'a BitMatrix, acc: &'a mut Vec<f32>) -> Self {
+        let (dim, wpr, rows) = (codebook.dim(), codebook.words_per_row(), codebook.rows());
+        let entries = match kernels.table {
+            Some(_) if rows <= TABLE_MAX_ROWS => TABLE_ENTRIES,
+            _ => 0,
+        };
+        // Every slot a projection reads is written first (the codes here, the
+        // table or accumulators per row), so a reused buffer keeps its stale
+        // contents instead of paying a fill per call.
+        let len = dim + wpr * CODE_SLOTS + entries;
+        if acc.len() < len {
+            acc.resize(len, 0.0);
+        }
+        let (values, rest) = acc[..len].split_at_mut(dim);
+        let (codes, table) = rest.split_at_mut(wpr * CODE_SLOTS);
+        let row_codes = match kernels.table {
+            Some(kernels) if !table.is_empty() => kernels.codes,
+            _ => kernels.prefix_codes,
+        };
+        row_codes(&codebook.words, wpr, rows, codes);
+        Self {
+            kernels,
+            codebook,
+            values,
+            codes,
+            table,
+        }
+    }
+
+    /// Projects one weight row onto the codebook (its value table on the table
+    /// route, else the dense row kernel) and runs its epilogue into `signs`.
+    fn project(
+        &mut self,
+        weights: &[f32],
+        signs: &mut [u64],
+        epilogue: impl FnOnce(&mut ProjectedRow<'_>),
+    ) {
+        let (rows, wpr) = (self.codebook.rows(), self.codebook.words_per_row());
+        let weights = &weights[..rows];
+        let values = match self.kernels.table {
+            Some(table) if !self.table.is_empty() => {
+                let entries = 1 << rows;
+                (table.build)(weights, &mut self.table[..entries]);
+                RowValues::Table {
+                    table: (&*self.table).try_into().expect("a whole table region"),
+                    entries,
+                    codes: self.codes,
+                    noisy: self.values,
+                }
+            }
+            _ => {
+                (self.kernels.project_row)(
+                    &self.codebook.words,
+                    wpr,
+                    rows,
+                    weights,
+                    self.codes,
+                    self.values,
+                );
+                RowValues::Dense(self.values)
+            }
+        };
+        let row = ProjectedRow {
+            kernels: &self.kernels,
+            values,
+            signs,
+            finished: false,
+        };
+        finish_row(row, epilogue);
+    }
 }
 
 /// The sign-plane backend behind [`crate::BackendKind::Packed`].
@@ -1900,40 +2582,49 @@ impl PackedBackend {
         out.extend(best.iter().map(|&(m, h)| (m, (d - 2.0 * h as f32) / d)));
     }
 
-    /// Packed weighted superposition fused with a per-query perturbation and the sign
-    /// threshold: for every weight row `q` it accumulates
-    /// `acc[j] = Σ_m weights[q][m] · codebook[m][j]` in per-dimension `f32`
-    /// accumulators driven word-wise over the codebook sign planes, hands the row to
-    /// `perturb(q, acc)` (noise injection), and packs `acc[j] < 0.0` straight into row
-    /// `q` of `out` — the resonator's Step 3 without ever materialising a dense
-    /// projection matrix.
+    /// Packed weighted superposition fused with its epilogue: for every weight
+    /// row `q` the projection `acc[j] = Σ_m weights[q][m] · codebook[m][j]`,
+    /// handed to `epilogue(q, row)` as a [`ProjectedRow`] that draws the row's
+    /// noise, quantizes and packs `acc[j] < 0.0` straight into row `q` of `out`
+    /// — the resonator's Step 3 without ever materialising a dense projection
+    /// matrix. A row the epilogue leaves unfinished gets the plain FP32 sign
+    /// pack.
     ///
     /// Numerics: adding `w` for a clear bit and `-w` for a set bit is **bitwise
     /// identical** to the dense `acc[j] += w * (±1.0)` accumulation (multiplying by
     /// `±1.0` only copies/flips the sign), and every accumulator receives its
     /// addends in ascending codebook-row order starting from `+0.0`, so the result
     /// equals the dense `project_batch_into` + threshold exactly, on every
-    /// [`projection_tier`].
+    /// [`projection_tier`] and either route.
     ///
-    /// Layout: one query row at a time through the row kernel — the *word index*
-    /// is the outer loop and the codebook row the inner one, and each word's 64
-    /// accumulators stay in registers across the whole codebook sweep and are
-    /// stored once. `perturb(q, acc_row)` and the sign packing run per query in
-    /// ascending `q` order.
+    /// Routes, chosen per call:
     ///
-    /// `acc` is caller-owned scratch, resized to `codebook.dim()` accumulators
-    /// followed by the prefix codes (64 per codebook word) the row kernel reads,
-    /// built once per call; `perturb` sees only the accumulators. Steady-state
-    /// calls allocate nothing.
+    /// * **Table** (at most ten codebook rows, on a CPU with a [`table_tier`]):
+    ///   a dimension's accumulator depends only on its `M`-bit column code, so
+    ///   each weight row builds the `2^M` values once (doubling the table one
+    ///   codebook row at a time) and the epilogue reads each 64-dim word's
+    ///   signs and noise mask from two `2^M`-bit tables by the dimensions'
+    ///   codes — one `vpermt2b` and one `vptestmb` per word on `avx512`.
+    /// * **Dense** (longer codebooks, or no table tier): the register-blocked
+    ///   row kernel writes the `dim` accumulators — the word index is the outer
+    ///   loop and the codebook row the inner one, each word's 64 accumulators
+    ///   kept in registers across the sweep and stored once — and the epilogue
+    ///   runs on them as a `dim`-entry table.
+    ///
+    /// `acc` is caller-owned scratch, grown to `codebook.dim()` slots, the
+    /// column codes (96 slots per codebook word, built once per call for the
+    /// rows the route reads: every row on the table route, the prefix-table
+    /// rows of the dense row kernel) and the value table.
+    /// Steady-state calls allocate nothing.
     pub fn project_signs_packed_into<F>(
         &self,
         codebook: &BitMatrix,
         weights: &HvMatrix,
-        mut perturb: F,
+        mut epilogue: F,
         acc: &mut Vec<f32>,
         out: &mut BitMatrix,
     ) where
-        F: FnMut(usize, &mut [f32]),
+        F: FnMut(usize, &mut ProjectedRow<'_>),
     {
         debug_assert_eq!(
             weights.dim(),
@@ -1941,19 +2632,9 @@ impl PackedBackend {
             "one weight per codebook row"
         );
         out.ensure_shape(weights.rows(), codebook.dim());
-        let kernels = dispatch();
-        let (acc, codes) = projection_scratch(&kernels, codebook, acc);
+        let mut projector = Projector::new(dispatch(), codebook, acc);
         for q in 0..weights.rows() {
-            (kernels.project_row)(
-                &codebook.words,
-                codebook.words_per_row(),
-                codebook.rows(),
-                weights.row(q),
-                codes,
-                acc,
-            );
-            perturb(q, acc);
-            out.pack_signs_row(q, acc);
+            projector.project(weights.row(q), out.row_words_mut(q), |row| epilogue(q, row));
         }
     }
 
@@ -1963,11 +2644,13 @@ impl PackedBackend {
     /// 1. `unbound = query ⊕ ⊕_{g≠f} estimates[g]` for the whole batch;
     /// 2. one [`PackedBackend::similarity_matrix_packed_into`] call into `sims`;
     /// 3. per query row in ascending order: `hook(`[`ResonatePhase::Similarity`]`,
-    ///    row, sims_row)` (perturb + argmax decode); if its verdict
-    ///    ([`ProjectionVerdict`]) asks for a projection, the projection row kernel of
-    ///    [`PackedBackend::project_signs_packed_into`] weighted by that row, then
-    ///    `hook(`[`ResonatePhase::Projection`]`, row, acc)`, then the sign pack into
-    ///    `estimates[factor]`.
+    ///    row, `[`StepRow::Similarity`]`(sims_row))` (perturb + argmax decode); if
+    ///    its verdict ([`ProjectionVerdict`]) asks for a projection, the
+    ///    projection of [`PackedBackend::project_signs_packed_into`] weighted by
+    ///    that row (its table or dense route), then
+    ///    `hook(`[`ResonatePhase::Projection`]`, row, `[`StepRow::Projection`]`)`,
+    ///    whose [`ProjectedRow`] epilogue packs the row into `estimates[factor]`
+    ///    (the plain FP32 sign pack if the hook does not finish it).
     ///
     /// A row whose Similarity hook returns `false` gets no projection and no
     /// Projection call, and keeps its previous `estimates[factor]` row. Each query's
@@ -1981,10 +2664,10 @@ impl PackedBackend {
     /// calls them.
     ///
     /// `unbound` (resized to the query batch), `sims` (resized to
-    /// `rows × codebook.rows()`), and `acc` (resized to `codebook.dim()`
-    /// accumulators followed by the row kernel's prefix codes, built once per
-    /// step and reused by every projected row) are caller-owned scratch, so
-    /// steady-state calls allocate nothing.
+    /// `rows × codebook.rows()`), and `acc` (the projection scratch of
+    /// [`PackedBackend::project_signs_packed_into`]: its column codes are
+    /// built once per step and read by every projected row) are caller-owned
+    /// scratch, so steady-state calls allocate nothing.
     ///
     /// # Panics
     /// Panics when `factor >= estimates.len()` or another factor's estimate plane
@@ -2001,7 +2684,7 @@ impl PackedBackend {
         acc: &mut Vec<f32>,
         mut hook: F,
     ) where
-        F: FnMut(ResonatePhase, usize, &mut [f32]) -> V,
+        F: FnMut(ResonatePhase, usize, StepRow<'_, '_>) -> V,
         V: ProjectionVerdict,
     {
         debug_assert_eq!(query.dim(), codebook.dim(), "operand dims must match");
@@ -2015,14 +2698,18 @@ impl PackedBackend {
         }
         self.similarity_matrix_packed_into(codebook, unbound, sims);
         out.ensure_shape(query.rows(), codebook.dim());
-        let (kernels, wpr) = (dispatch(), codebook.words_per_row());
-        let (acc, codes) = projection_scratch(&kernels, codebook, acc);
+        let mut projector = Projector::new(dispatch(), codebook, acc);
         for q in 0..query.rows() {
-            if hook(ResonatePhase::Similarity, q, sims.row_mut(q)).project() {
-                let weights = sims.row(q);
-                (kernels.project_row)(&codebook.words, wpr, codebook.rows(), weights, codes, acc);
-                hook(ResonatePhase::Projection, q, acc);
-                out.pack_signs_row(q, acc);
+            if hook(
+                ResonatePhase::Similarity,
+                q,
+                StepRow::Similarity(sims.row_mut(q)),
+            )
+            .project()
+            {
+                projector.project(sims.row(q), out.row_words_mut(q), |row| {
+                    hook(ResonatePhase::Projection, q, StepRow::Projection(row));
+                });
             }
         }
     }
@@ -2041,6 +2728,49 @@ mod tests {
     use crate::batch::ReferenceBackend;
     use crate::codebook::BindingOp;
     use crate::rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A projected row's accumulators, read before its epilogue.
+    fn accumulators(row: &ProjectedRow<'_>) -> Vec<f32> {
+        (0..).map_while(|j| row.accumulator(j)).collect()
+    }
+
+    /// Test noise: one uniform sample in `[-amplitude, amplitude)` per draw.
+    #[derive(Clone, Debug, PartialEq)]
+    struct UniformNoise {
+        amplitude: f32,
+        stream: StdRng,
+    }
+
+    impl UniformNoise {
+        fn new(amplitude: f32, seed: u64) -> Self {
+            Self {
+                amplitude,
+                stream: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        /// The element-wise rule the epilogue must match: every value within
+        /// the amplitude draws one sample, in ascending order.
+        fn perturb_elementwise(&mut self, values: &mut [f32]) {
+            for v in values {
+                if v.abs() <= self.amplitude {
+                    *v += self.sample();
+                }
+            }
+        }
+    }
+
+    impl ProjectionNoise for UniformNoise {
+        fn amplitude(&self) -> f32 {
+            self.amplitude
+        }
+
+        fn sample(&mut self) -> f32 {
+            (self.stream.gen::<f32>() * 2.0 - 1.0) * self.amplitude
+        }
+    }
 
     fn random_bipolar_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         let mut r = rng(seed);
@@ -2144,8 +2874,8 @@ mod tests {
                         &mut unbound,
                         &mut sims,
                         &mut acc,
-                        |phase, q, values| {
-                            if phase == ResonatePhase::Similarity {
+                        |_, q, row| {
+                            if let StepRow::Similarity(values) = row {
                                 fused[q * n_rows..(q + 1) * n_rows].copy_from_slice(values);
                             }
                             false
@@ -2360,7 +3090,7 @@ mod tests {
             packed.project_signs_packed_into(
                 &cb_bits,
                 &weights,
-                |_, row| seen.push(row.to_vec()),
+                |_, row| seen.push(accumulators(row)),
                 &mut acc,
                 &mut out,
             );
@@ -2377,26 +3107,21 @@ mod tests {
                 assert_eq!(out.to_matrix().row(q), expected.as_slice(), "dim {dim}");
             }
 
-            // A perturbation applied through the fused hook equals perturb-then-sign.
+            // Noise drawn in the epilogue equals perturb-then-sign.
             let mut out2 = BitMatrix::default();
             packed.project_signs_packed_into(
                 &cb_bits,
                 &weights,
-                |q, row| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v += ((q + j) % 3) as f32 - 1.0;
-                    }
-                },
+                |q, row| row.finish_noisy(&mut UniformNoise::new(1.5, q as u64), Precision::Fp32),
                 &mut acc,
                 &mut out2,
             );
             for q in 0..4 {
-                let expected: Vec<f32> = dense
-                    .row(q)
+                let mut row = dense.row(q).to_vec();
+                UniformNoise::new(1.5, q as u64).perturb_elementwise(&mut row);
+                let expected: Vec<f32> = row
                     .iter()
-                    .enumerate()
-                    .map(|(j, &v)| v + ((q + j) % 3) as f32 - 1.0)
-                    .map(|v| if v < 0.0 { -1.0 } else { 1.0 })
+                    .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
                     .collect();
                 assert_eq!(out2.to_matrix().row(q), expected.as_slice(), "dim {dim}");
             }
@@ -2617,7 +3342,7 @@ mod tests {
         /// name, and the dispatched one; each is pinned against the scalar rule.
         fn available_mask_kernels() -> Vec<(&'static str, AmplitudeMaskFn)> {
             let mut kernels: Vec<(&'static str, AmplitudeMaskFn)> = vec![
-                ("dispatched", amplitude_mask_fn()),
+                ("dispatched", dispatch().amplitude_mask),
                 ("generic", amplitude_mask_generic),
             ];
             #[cfg(target_arch = "x86_64")]
@@ -2633,36 +3358,31 @@ mod tests {
             kernels
         }
 
-        /// A named projection tier: its prefix-code builder, its row kernel and
-        /// its sign pack.
-        type ProjectionKernels = (&'static str, PrefixCodesFn, ProjectRowFn, PackSignsFn);
-
-        /// Every projection tier available on the running CPU, by name;
-        /// `project_row_generic` / `pack_row_signs` are the reference the rest
-        /// are pinned against.
-        fn available_projection_kernels() -> Vec<ProjectionKernels> {
-            let mut kernels: Vec<ProjectionKernels> = Vec::new();
-            #[cfg(target_arch = "x86_64")]
-            {
-                use std::arch::is_x86_feature_detected;
-                if is_x86_feature_detected!("avx2") {
-                    kernels.push((
-                        "avx2",
-                        simd::prefix_codes_avx2_checked,
-                        simd::project_row_avx2_checked,
-                        simd::pack_row_signs_avx2_checked,
-                    ));
-                }
-                if is_x86_feature_detected!("avx512f") {
-                    kernels.push((
-                        "avx512",
-                        simd::prefix_codes_avx512_checked,
-                        simd::project_row_avx512_checked,
-                        simd::pack_row_signs_avx512_checked,
-                    ));
+        /// Every projection tier available on the running CPU, by name, with
+        /// the kernels dispatch picks at that tier: its column codes, row
+        /// kernel, sign pack and mask, and its table route where it has one
+        /// (the name says which, e.g. `avx512/table avx512` or `avx2/dense`).
+        /// The generic tier comes first; `project_row_generic` /
+        /// `pack_row_signs` are the reference the rest are pinned against.
+        fn available_projection_tiers() -> Vec<(String, Dispatch)> {
+            let mut tiers: Vec<(String, Dispatch)> = Vec::new();
+            for cap in [
+                DispatchTier::Generic,
+                DispatchTier::Avx2,
+                DispatchTier::Avx512,
+            ] {
+                let kernels = dispatch_capped_at(cap);
+                if tiers
+                    .iter()
+                    .all(|(_, k)| k.projection_tier != kernels.projection_tier)
+                {
+                    let table = kernels
+                        .table
+                        .map_or("dense".to_string(), |t| format!("table {}", t.tier));
+                    tiers.push((format!("{}/{table}", kernels.projection_tier), kernels));
                 }
             }
-            kernels
+            tiers
         }
 
         /// Weights at the edges the projection tiers must agree on: ±0.0,
@@ -2691,13 +3411,13 @@ mod tests {
             let mut expected_signs = vec![0u64; wpr];
             pack_row_signs(&expected, &mut expected_signs);
             let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-            for (name, prefix_codes, project_row, pack_signs) in available_projection_kernels() {
-                let mut codes = vec![f32::from_bits(u32::MAX); wpr * WORD_BITS];
-                prefix_codes(&codebook.words, wpr, rows, &mut codes);
+            for (name, kernels) in available_projection_tiers() {
+                let mut codes = vec![f32::from_bits(u32::MAX); wpr * CODE_SLOTS];
+                (kernels.prefix_codes)(&codebook.words, wpr, rows, &mut codes);
                 let mut acc = vec![f32::NAN; dim];
-                project_row(&codebook.words, wpr, rows, weights, &codes, &mut acc);
+                (kernels.project_row)(&codebook.words, wpr, rows, weights, &codes, &mut acc);
                 let mut signs = vec![u64::MAX; wpr];
-                pack_signs(&acc, &mut signs);
+                (kernels.pack_signs)(&acc, &mut signs);
                 let bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
                 if bits != expected || signs != expected_signs {
                     return Err(format!(
@@ -2791,16 +3511,146 @@ mod tests {
                 let wpr = BitMatrix::words_for_dim(dim);
                 let mut expected = vec![0u64; wpr];
                 pack_row_signs_reference(&row, &mut expected);
-                let mut packs: Vec<(&str, PackSignsFn)> = vec![("generic", pack_row_signs)];
-                packs.extend(
-                    available_projection_kernels()
-                        .into_iter()
-                        .map(|(name, _, _, pack)| (name, pack)),
-                );
-                for (name, pack) in packs {
+                for (name, kernels) in available_projection_tiers() {
+                    let pack = kernels.pack_signs;
                     let mut words = vec![u64::MAX; wpr];
                     pack(&row, &mut words);
                     assert_eq!(words, expected, "{name} dim {dim}");
+                }
+            }
+        }
+
+        /// Projects `weights` (one row per projection) onto `codebook` with
+        /// `kernels` and finishes every row with `epilogue_noise(q)` (or no
+        /// noise) at `precision`; returns the sign planes and the streams.
+        fn project_with(
+            kernels: Dispatch,
+            codebook: &BitMatrix,
+            weights: &[Vec<f32>],
+            noise: Option<&dyn Fn(usize) -> UniformNoise>,
+            precision: Precision,
+        ) -> (BitMatrix, Vec<UniformNoise>) {
+            let mut out = BitMatrix::zeros(weights.len(), codebook.dim());
+            // Scratch full of garbage: a slot the projection reads unwritten
+            // shows as a wrong sign.
+            let mut acc = vec![f32::NAN; 3 * codebook.dim()];
+            let mut projector = Projector::new(kernels, codebook, &mut acc);
+            let mut streams = Vec::new();
+            for (q, w) in weights.iter().enumerate() {
+                projector.project(w, out.row_words_mut(q), |row| match noise {
+                    Some(noise) => {
+                        let mut stream = noise(q);
+                        row.finish_noisy(&mut stream, precision);
+                        streams.push(stream);
+                    }
+                    None => row.finish(precision),
+                });
+            }
+            (out, streams)
+        }
+
+        /// The dense scalar oracle of one projected row: `project_row_generic`,
+        /// the element-wise noise rule, `fake_quantize_slice`, `pack_row_signs`.
+        fn oracle_row(
+            codebook: &BitMatrix,
+            weights: &[f32],
+            noise: Option<&mut UniformNoise>,
+            precision: Precision,
+            signs: &mut [u64],
+        ) {
+            let (dim, wpr) = (codebook.dim(), codebook.words_per_row());
+            let mut values = vec![f32::NAN; dim];
+            project_row_generic(
+                &codebook.words,
+                wpr,
+                codebook.rows(),
+                weights,
+                &[],
+                &mut values,
+            );
+            if let Some(noise) = noise {
+                noise.perturb_elementwise(&mut values);
+            }
+            fake_quantize_slice(&mut values, precision);
+            pack_row_signs(&values, signs);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            /// The projection epilogue — the table route and the dense route
+            /// on every projection tier the host has, and the scalar table
+            /// kernels, which no tier dispatches — packs
+            /// exactly the dense scalar oracle's signs and leaves every noise
+            /// stream where the element-wise rule leaves it: codebooks of 1–10
+            /// rows (table route where the tier has one, and the dense route
+            /// beside it), 11 and 64 rows (dense only); dims of one bit, a
+            /// word edge and one past it, two words and a ragged one, the
+            /// RAVEN dimension and one past the 4,096-dim mask stage; FP32,
+            /// FP8 and INT8; no noise and noise that reaches a good share of
+            /// the accumulators; weights with ±0.0, repeated values (ties in
+            /// the table, exact zeros), subnormals and ±infinity.
+            #[test]
+            fn prop_projection_epilogue_matches_dense_scalar_oracle(seed in 0u64..1000) {
+                let mut r = rng(seed);
+                let generic = dispatch_capped_at(DispatchTier::Generic);
+                let mut routes = vec![(
+                    "generic/table generic".to_string(),
+                    Dispatch { table: Some(GENERIC_TABLE), ..generic },
+                )];
+                for (name, kernels) in available_projection_tiers() {
+                    routes.push((name.clone(), kernels));
+                    if kernels.table.is_some() {
+                        routes.push((format!("{name} (dense)"), Dispatch { table: None, ..kernels }));
+                    }
+                }
+                let edges = [0.0, -0.0, 1.5, -1.5, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE / 3.0, f32::INFINITY];
+                for m in (1..=10usize).chain([11, 64]) {
+                    for dim in [1usize, 63, 64, 65, 130, 2048, 4097] {
+                        let codebook = BitMatrix::random_bipolar(m, dim, &mut r);
+                        let weights: Vec<Vec<f32>> = (0..2)
+                            .map(|_| {
+                                (0..m)
+                                    .map(|_| match r.gen_range(0..8) {
+                                        0 => edges[r.gen_range(0..edges.len() - 1)],
+                                        1 => edges[r.gen_range(0..edges.len())],
+                                        2 | 3 => 2.0,
+                                        _ => ((r.gen::<f32>() - 0.5) * 16.0).round() / 2.0,
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        let amplitude = 1.5 * (m as f32).sqrt();
+                        let noise = |q: usize| UniformNoise::new(amplitude, seed ^ (q as u64 + 1));
+                        for precision in Precision::all() {
+                            for noisy in [false, true] {
+                                let mut expected = BitMatrix::zeros(weights.len(), dim);
+                                let mut expected_streams = Vec::new();
+                                for (q, w) in weights.iter().enumerate() {
+                                    let mut stream = noise(q);
+                                    let words = expected.row_words_mut(q);
+                                    oracle_row(&codebook, w, noisy.then_some(&mut stream), precision, words);
+                                    if noisy {
+                                        expected_streams.push(stream);
+                                    }
+                                }
+                                for (name, kernels) in &routes {
+                                    let (signs, streams) = project_with(
+                                        *kernels,
+                                        &codebook,
+                                        &weights,
+                                        noisy.then_some(&noise as &dyn Fn(usize) -> UniformNoise),
+                                        precision,
+                                    );
+                                    prop_assert!(
+                                        signs == expected && streams == expected_streams,
+                                        "{} diverged: {} rows, dim {}, {:?}, noise {}, weights {:?}",
+                                        name, m, dim, precision, noisy, weights
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -2902,9 +3752,10 @@ mod tests {
             }
 
             /// The dispatched projection is bitwise-equal to the naive AoS walk
-            /// (codebook row outer, dimension inner) — accumulators handed to
-            /// `perturb` and the packed output — with and without a mutating
-            /// perturbation, over several query rows so reused scratch is
+            /// (codebook row outer, dimension inner) — the accumulators a
+            /// projected row holds and the packed output — with and without
+            /// epilogue noise (against the element-wise rule, streams
+            /// included), over several query rows so reused scratch is
             /// covered.
             #[test]
             fn prop_project_signs_matches_aos_reference(
@@ -2924,26 +3775,24 @@ mod tests {
                         *w = (r.gen::<f32>() - 0.5) * 3.0;
                     }
                 }
-                // The perturbation must be identical across both runs and, when
-                // noisy, actually change the accumulators (so the test covers the
-                // perturb → pack interaction, not just pure projection).
-                let perturb_values: Vec<f32> = (0..queries * dim)
-                    .map(|_| (r.gen::<f32>() - 0.5) * 0.5)
-                    .collect();
+                // The noise reaches about half the accumulators, so the test
+                // covers the noise → pack interaction, not just the projection.
+                let noise = |q: usize| UniformNoise::new(0.5 * cb_rows as f32, seed ^ q as u64);
                 let backend = PackedBackend::new();
                 let mut acc = Vec::new();
                 let mut out = BitMatrix::default();
                 let mut seen: Vec<Vec<u32>> = Vec::new();
+                let mut streams = Vec::new();
                 backend.project_signs_packed_into(
                     &codebook,
                     &weights,
                     |q, row| {
+                        seen.push(accumulators(row).iter().map(|v| v.to_bits()).collect());
                         if noisy {
-                            for (slot, z) in row.iter_mut().zip(&perturb_values[q * dim..]) {
-                                *slot += z;
-                            }
+                            let mut stream = noise(q);
+                            row.finish_noisy(&mut stream, Precision::Fp32);
+                            streams.push(stream);
                         }
-                        seen.push(row.iter().map(|v| v.to_bits()).collect());
                     },
                     &mut acc,
                     &mut out,
@@ -2954,6 +3803,7 @@ mod tests {
                 let mut ref_out = BitMatrix::default();
                 ref_out.ensure_shape(queries, dim);
                 let mut ref_seen: Vec<Vec<u32>> = Vec::new();
+                let mut ref_streams = Vec::new();
                 let mut ref_acc = vec![0.0f32; dim];
                 for q in 0..queries {
                     ref_acc.fill(0.0);
@@ -2966,16 +3816,17 @@ mod tests {
                             }
                         }
                     }
-                    if noisy {
-                        for (slot, z) in ref_acc.iter_mut().zip(&perturb_values[q * dim..]) {
-                            *slot += z;
-                        }
-                    }
                     ref_seen.push(ref_acc.iter().map(|v| v.to_bits()).collect());
+                    if noisy {
+                        let mut stream = noise(q);
+                        stream.perturb_elementwise(&mut ref_acc);
+                        ref_streams.push(stream);
+                    }
                     ref_out.pack_signs_row(q, &ref_acc);
                 }
 
                 prop_assert_eq!(seen, ref_seen);
+                prop_assert_eq!(streams, ref_streams);
                 for q in 0..queries {
                     prop_assert_eq!(out.row_words(q), ref_out.row_words(q));
                 }
@@ -3006,13 +3857,13 @@ mod tests {
                 &mut unbound,
                 &mut sims,
                 &mut acc,
-                |phase, slot, values| {
+                |phase, slot, row| {
                     calls.push((phase, slot));
-                    if phase == ResonatePhase::Projection {
-                        // A deterministic perturbation, so the pack sees hook edits.
-                        values[slot % dim] -= 1000.0;
-                        projected
-                            .push((slot, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
+                    if let StepRow::Projection(row) = row {
+                        projected.push((slot, accumulators(row)));
+                        // Noise on every accumulator within 4, so the estimate
+                        // shows the hook's epilogue.
+                        row.finish_noisy(&mut UniformNoise::new(4.0, slot as u64), Precision::Fp32);
                     }
                     !skip(slot)
                 },
@@ -3055,17 +3906,19 @@ mod tests {
         assert_eq!((&some_est[0], &some_est[2]), (&initial[0], &initial[2]));
     }
 
-    /// The step builds its prefix codes once and every projected row reads
-    /// them: with a hook that leaves values untouched, each row's accumulators
-    /// are exactly the scalar row kernel's over that row's similarities, and its
-    /// estimate row exactly their sign pack, on codebooks shorter than, equal
-    /// to and longer than the avx512 tier's five-row prefix (and longer than
-    /// the avx2 tier's three-row one). The similarities themselves are
-    /// `d − 2·hamming` of the unbound query against the scalar oracle.
+    /// The step builds its column codes once and every projected row reads
+    /// them: with a hook that finishes nothing, each row's accumulators (on
+    /// the table route, its value table read by the codes) are exactly the
+    /// scalar row kernel's over that row's similarities, and its estimate row
+    /// exactly their sign pack, on codebooks shorter than, equal to and longer
+    /// than the avx512 tier's five-row prefix (and longer than the avx2 tier's
+    /// three-row one), and one past the table route's ten rows. The
+    /// similarities themselves are `d − 2·hamming` of the unbound query
+    /// against the scalar oracle.
     #[test]
     fn fused_step_projects_every_row_like_the_scalar_kernel() {
         let rows = 7;
-        for cb_rows in [1usize, 5, 6, 9] {
+        for cb_rows in [1usize, 5, 6, 9, 11] {
             for dim in [65usize, 2048] {
                 let seed = (cb_rows * 10_000 + dim) as u64;
                 let codebook =
@@ -3094,9 +3947,9 @@ mod tests {
                     &mut unbound,
                     &mut sims,
                     &mut acc,
-                    |phase, slot, values| {
-                        if phase == ResonatePhase::Projection {
-                            projected.push((slot, values.to_vec()));
+                    |_, slot, row| {
+                        if let StepRow::Projection(row) = row {
+                            projected.push((slot, accumulators(row)));
                         }
                     },
                 );

@@ -86,27 +86,43 @@ pub fn quantize_fp8_e4m3(x: f32) -> f32 {
     sign * q.min(FP8_E4M3_MAX)
 }
 
+/// The symmetric INT8 scale of a slice whose largest magnitude is `max_abs`:
+/// `max_abs / 127`, or `1.0` for an all-zero slice.
+pub fn int8_scale(max_abs: f32) -> f32 {
+    if max_abs == 0.0 {
+        1.0
+    } else {
+        max_abs / 127.0
+    }
+}
+
+/// One element's quantize→dequantize round trip at `precision`: itself at
+/// FP32, [`quantize_fp8_e4m3`] at FP8, and the symmetric INT8 code times
+/// `scale` (the slice's [`int8_scale`]; ignored at the other precisions).
+#[inline]
+pub fn quantize_value(v: f32, precision: Precision, scale: f32) -> f32 {
+    match precision {
+        Precision::Fp32 => v,
+        Precision::Fp8 => quantize_fp8_e4m3(v),
+        Precision::Int8 => (v / scale).round().clamp(-127.0, 127.0) as i8 as f32 * scale,
+    }
+}
+
 /// Applies a quantize→dequantize round trip in place over a raw slice (one
-/// hypervector / matrix row). INT8 uses the per-vector symmetric scale of the slice.
+/// hypervector / matrix row): [`quantize_value`] per element, INT8 at the
+/// per-vector symmetric scale of the slice.
 ///
 /// The functional pipelines use this "fake quantization" to run entire reasoning tasks
 /// at FP8/INT8 fidelity while keeping f32 as the working type, quantizing
 /// [`crate::batch::HvMatrix`] rows in their preallocated storage.
 pub fn fake_quantize_slice(values: &mut [f32], precision: Precision) {
-    match precision {
-        Precision::Fp32 => {}
-        Precision::Fp8 => {
-            for v in values {
-                *v = quantize_fp8_e4m3(*v);
-            }
-        }
-        Precision::Int8 => {
-            let max_abs = values.iter().fold(0.0f32, |acc, v| acc.max(v.abs()));
-            let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
-            for v in values {
-                *v = (*v / scale).round().clamp(-127.0, 127.0) as i8 as f32 * scale;
-            }
-        }
+    let scale = match precision {
+        Precision::Fp32 => return,
+        Precision::Fp8 => 1.0,
+        Precision::Int8 => int8_scale(values.iter().fold(0.0f32, |acc, v| acc.max(v.abs()))),
+    };
+    for v in values {
+        *v = quantize_value(*v, precision, scale);
     }
 }
 

@@ -12,13 +12,17 @@ use cogsys_vsa::VsaError;
 use std::fmt;
 
 /// Why one problem failed the engine-boundary validation.
+///
+/// The structural fields are narrow (counts and indices saturate at their
+/// type's maximum; panels store `u16` values), so a fault is 16 bytes and the
+/// serving layer keeps it inline in every rejected response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProblemFault {
     /// The context did not contain exactly the expected number of panels
     /// (a 3×3 matrix minus the answer cell: eight).
     WrongPanelCount {
         /// Number of context panels the engine requires.
-        expected: usize,
+        expected: u32,
         /// Number of context panels the problem carried.
         got: usize,
     },
@@ -28,20 +32,21 @@ pub enum ProblemFault {
     AnswerOutOfRange {
         /// The out-of-range answer index.
         answer: usize,
-        /// Number of candidates actually present.
-        candidates: usize,
+        /// Number of candidates actually present (saturating).
+        candidates: u32,
     },
     /// A panel carried an attribute value outside the attribute's cardinality,
     /// which would index past the end of the attribute's codebook.
     ValueOutOfRange {
-        /// Which panel (context panels first, then candidates).
-        panel: usize,
+        /// Which panel (context panels first, then candidates; saturating).
+        panel: u32,
         /// Attribute index into `Attribute::ALL`.
-        attribute: usize,
+        attribute: u8,
         /// The out-of-range value.
-        value: usize,
-        /// The attribute's cardinality (valid values are `0..cardinality`).
-        cardinality: usize,
+        value: u16,
+        /// The attribute's cardinality (valid values are `0..cardinality`;
+        /// saturating).
+        cardinality: u16,
     },
 }
 
@@ -136,6 +141,7 @@ mod tests {
     fn solve_error_stays_small() {
         // Serving keeps one per rejected request inside every response record.
         assert!(std::mem::size_of::<SolveError>() <= 24);
+        assert!(std::mem::size_of::<ProblemFault>() <= 16);
     }
 
     #[test]

@@ -300,6 +300,12 @@ impl AttributeBlock {
     }
 }
 
+/// A count or index narrowed to a [`ProblemFault`] field, saturating at the
+/// field type's `max`.
+fn saturate<T: TryFrom<usize>>(n: usize, max: T) -> T {
+    T::try_from(n).unwrap_or(max)
+}
+
 /// Writes decoded indices into the `attrs` slots of one row of values, each
 /// clamped to its attribute's cardinality, the bound of every later lookup.
 fn store(vocab: AttributeVocab, attrs: &[usize], indices: &[usize], row: &mut [usize; 5]) {
@@ -502,7 +508,7 @@ impl NeurosymbolicSolver {
     ) -> Result<(), ProblemFault> {
         if problem.context.len() != Self::CONTEXT_PANELS {
             return Err(ProblemFault::WrongPanelCount {
-                expected: Self::CONTEXT_PANELS,
+                expected: saturate(Self::CONTEXT_PANELS, u32::MAX),
                 got: problem.context.len(),
             });
         }
@@ -512,7 +518,7 @@ impl NeurosymbolicSolver {
         if problem.answer_index >= problem.candidates.len() {
             return Err(ProblemFault::AnswerOutOfRange {
                 answer: problem.answer_index,
-                candidates: problem.candidates.len(),
+                candidates: saturate(problem.candidates.len(), u32::MAX),
             });
         }
         for (panel, p) in problem
@@ -525,10 +531,10 @@ impl NeurosymbolicSolver {
                 let value = p.value(attr);
                 if value >= vocab.cardinality(attr) {
                     return Err(ProblemFault::ValueOutOfRange {
-                        panel,
-                        attribute: attr.index(),
-                        value,
-                        cardinality: vocab.cardinality(attr),
+                        panel: saturate(panel, u32::MAX),
+                        attribute: saturate(attr.index(), u8::MAX),
+                        value: saturate(value, u16::MAX),
+                        cardinality: saturate(vocab.cardinality(attr), u16::MAX),
                     });
                 }
             }

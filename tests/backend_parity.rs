@@ -17,7 +17,7 @@
 //! 4. batching is a pure performance transform — `factorize_matrix_scratch` returns
 //!    exactly the per-query `factorize` results.
 
-use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
+use cogsys_factorizer::{BoundedNoise, Factorizer, FactorizerConfig, FactorizerScratch};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, ReferenceBackend};
 use cogsys_vsa::codebook::BindingOp;
 use cogsys_vsa::packed::{BitMatrix, CleanupScratch, PackedBackend};
@@ -200,9 +200,10 @@ proptest! {
         prop_assert_eq!(ops::bundle(&rows).unwrap().values(), votes.as_slice());
     }
 
-    /// The fused packed weighted-projection kernel (per-dimension f32 accumulators
-    /// over sign planes + fused perturbation + sign threshold) equals the dense
-    /// `project_batch_into` followed by the same perturbation and threshold —
+    /// The packed weighted projection (its table or dense route, with the
+    /// bounded projection noise drawn in its epilogue and the sign threshold)
+    /// equals the dense `project_batch_into` followed by the element-wise noise
+    /// rule (`perturb_signs_elementwise`) on the same stream and the threshold —
     /// **bitwise**, with and without noise, across power-of-two and non-power-of-two
     /// dimensions (tail words included).
     #[test]
@@ -215,7 +216,6 @@ proptest! {
         noise_sel in 0usize..2,
     ) {
         use rand::SeedableRng;
-        use rand_distr::{Distribution, Normal};
 
         let with_noise = noise_sel == 1;
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
@@ -229,7 +229,7 @@ proptest! {
                 .collect::<Vec<_>>(),
         ).unwrap();
 
-        let noise = Normal::new(0.0_f32, 0.75).unwrap();
+        let noise = BoundedNoise::for_sigma(0.75).unwrap();
         // Dense path: project, perturb with a per-query stream, sign-threshold.
         let mut dense = HvMatrix::default();
         ReferenceBackend.project_batch_into(&cb, &weights, &mut dense).unwrap();
@@ -238,22 +238,18 @@ proptest! {
             let mut row = dense.row(q).to_vec();
             if with_noise {
                 let mut stream = rand::rngs::StdRng::seed_from_u64(seed + q as u64);
-                for v in &mut row {
-                    *v += noise.sample(&mut stream);
-                }
+                noise.perturb_signs_elementwise(&mut row, &mut stream);
             }
             expected.push(row.iter().map(|&v| if v < 0.0 { -1.0 } else { 1.0 }).collect::<Vec<f32>>());
         }
 
-        // Packed path: the same perturbation runs fused inside the kernel.
+        // Packed path: the same noise runs in the projection's epilogue.
         let packed = PackedBackend::new();
         let (mut out, mut acc) = (BitMatrix::default(), Vec::new());
         packed.project_signs_packed_into(&cb_bits, &weights, |q, row| {
             if with_noise {
                 let mut stream = rand::rngs::StdRng::seed_from_u64(seed + q as u64);
-                for v in row.iter_mut() {
-                    *v += noise.sample(&mut stream);
-                }
+                noise.perturb_signs(row, &mut stream, Precision::Fp32);
             }
         }, &mut acc, &mut out);
 
@@ -312,7 +308,7 @@ proptest! {
         noise_sel in 0usize..2,
         decline_sel in 0usize..2,
     ) {
-        use cogsys_vsa::packed::ResonatePhase;
+        use cogsys_vsa::packed::StepRow;
         use rand::{RngCore, SeedableRng};
         use rand_distr::{Distribution, Normal};
 
@@ -325,6 +321,9 @@ proptest! {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
         let packed = PackedBackend::new();
         let noise = Normal::new(0.0_f32, 0.75).unwrap();
+        // The projection draws the resonator's bounded noise, whose amplitude
+        // reaches the accumulators near zero.
+        let projection_noise = BoundedNoise::for_sigma(0.75).unwrap();
         let mut setup = rng(seed ^ 0xf00d);
         let codebooks: Vec<BitMatrix> = (0..factors)
             .map(|_| BitMatrix::random_bipolar(code_rows, dim, &mut setup))
@@ -367,9 +366,7 @@ proptest! {
                 let previous = out.to_matrix();
                 packed.project_signs_packed_into(codebook, &sims_split, |q, row| {
                     if with_noise && !declines(iter, f, q) {
-                        for v in row.iter_mut() {
-                            *v += noise.sample(&mut streams_split[q]);
-                        }
+                        projection_noise.perturb_signs(row, &mut streams_split[q], Precision::Fp32);
                     }
                 }, &mut acc, out);
                 for q in (0..rows).filter(|&q| declines(iter, f, q)) {
@@ -388,14 +385,21 @@ proptest! {
                 packed.resonate_step_fused_into(
                     codebook, &query, &mut est_fused, f,
                     &mut unbound_f, &mut sims_fused, &mut acc_f,
-                    |phase, q, row| {
-                        if with_noise {
-                            for v in row.iter_mut() {
-                                *v += noise.sample(&mut streams_fused[q]);
+                    |_, q, row| {
+                        match row {
+                            StepRow::Similarity(row) => {
+                                if with_noise {
+                                    for v in row.iter_mut() {
+                                        *v += noise.sample(&mut streams_fused[q]);
+                                    }
+                                }
+                                fused_decisions.push(ops::argmax(row).unwrap_or(0));
                             }
-                        }
-                        if phase == ResonatePhase::Similarity {
-                            fused_decisions.push(ops::argmax(row).unwrap_or(0));
+                            StepRow::Projection(row) => {
+                                if with_noise {
+                                    projection_noise.perturb_signs(row, &mut streams_fused[q], Precision::Fp32);
+                                }
+                            }
                         }
                         !declines(iter, f, q)
                     },

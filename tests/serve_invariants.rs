@@ -43,7 +43,7 @@ fn poisoned_requests_are_rejected_at_admission_and_level0_chunks_replay_exactly(
             Err(Rejection::Invalid(fault)) => {
                 assert_eq!(
                     NeurosymbolicSolver::validate_problem(problem),
-                    Err((**fault).clone())
+                    Err(fault.clone())
                 );
             }
             Err(other) => panic!("request {}: unexpected rejection {other:?}", response.id),
